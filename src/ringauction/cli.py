@@ -158,15 +158,15 @@ def _cmd_trace(args) -> int:
         except OSError as exc:
             print(f"cannot read params: {exc}", file=sys.stderr)
             return 2
-    elif params_hex is not None:
-        params_json = bytes.fromhex(params_hex)
-    else:
+    elif params_hex is None:
         print("no --params given and the transcript has no params header",
               file=sys.stderr)
         return 2
     try:
+        if args.params is None:
+            params_json = bytes.fromhex(params_hex)
         pp = public_params_from_json(params_json)
-    except (ValueError, KeyError, InvalidPoint) as exc:
+    except (ValueError, InvalidPoint) as exc:
         print(f"bad public parameters: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,12 @@ distortion map (x, y) -> (-x, i*y), with i^2 = -1 in F_ell^2, turns the
 Tate pairing into a symmetric bilinear map that is non-degenerate on that
 subgroup, with values in the order-n subgroup of F_ell^2*.
 
-Everything is plain big-integer arithmetic on affine coordinates.  The
-parameter sizes used throughout this package are study material: breaking
-anonymity only requires factoring n, and nothing here is constant-time.
+Everything is plain big-integer arithmetic.  Points are affine at the API;
+scalar multiplication and the Miller loop run in Jacobian coordinates and
+invert once at the end, and the final exponentiation uses the Frobenius map
+so that it needs one inversion in F_ell and a short power.  The parameter
+sizes used throughout this package are study material: breaking anonymity
+only requires factoring n, and nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -184,18 +187,57 @@ def _point_add(P: Point, Q: Point, ell: int) -> Point:
     return (x3, y3)
 
 
+def _double_and_add(k: int) -> str:
+    # Left-to-right steps for k > 0 after its leading bit: "d" doubles the
+    # running point, "a" adds the base.
+    return bin(k)[3:].replace("1", "da").replace("0", "d")
+
+
 def _point_mul(k: int, P: Point, ell: int) -> Point:
-    if P is None:
+    # The running point R is kept in Jacobian coordinates (X, Y, Z), standing
+    # for (X/Z^2, Y/Z^3), with Z = 0 for the identity; the affine base is
+    # added with mixed additions, and one inversion at the end goes back.
+    if P is None or k == 0:
         return None
     if k < 0:
         k, P = -k, _point_neg(P, ell)
-    acc: Point = None
-    while k:
-        if k & 1:
-            acc = _point_add(acc, P, ell)
-        P = _point_add(P, P, ell)
-        k >>= 1
-    return acc
+    xp, yp = P
+    X, Y, Z = xp, yp, 1
+    for step in _double_and_add(k):
+        if step == "a":
+            if not Z:
+                X, Y, Z = xp, yp, 1
+                continue
+            ZZ = Z * Z % ell
+            H = (xp * ZZ - X) % ell
+            S = (yp * ZZ * Z - Y) % ell
+            if H:
+                HH = H * H % ell
+                HHH = H * HH % ell
+                V = X * HH % ell
+                X = (S * S - HHH - 2 * V) % ell
+                Y = (S * (V - X) - Y * HHH) % ell
+                Z = Z * H % ell
+                continue
+            if S:  # R = -P
+                Z = 0
+                continue
+            # R = P: fall through and double it
+        elif not Z:
+            continue
+        # Doubling; Z = 2*Y*Z comes out 0 when R is 2-torsion, as 2R = O.
+        YY = Y * Y % ell
+        ZZ = Z * Z % ell
+        M = (3 * X * X + ZZ * ZZ) % ell
+        S = 4 * X * YY % ell
+        Z = 2 * Y * Z % ell
+        X = (M * M - 2 * S) % ell
+        Y = (M * (S - X) - 8 * YY * YY) % ell
+    if not Z:
+        return None
+    zi = pow(Z, -1, ell)
+    zi2 = zi * zi % ell
+    return (X * zi2 % ell, Y * zi2 * zi % ell)
 
 
 def decode_point_bytes(data: bytes, ell: int) -> Point:
@@ -307,35 +349,67 @@ class GtElement:
 # ---------------------------------------------------------------------------
 # pairing internals
 
-def _line_at(R: Point, S: Point, tx: int, ty: int, ell: int):
-    # Value at the distorted point (tx, i*ty) of the line through R and S.
-    # Verticals and lines at infinity take values in F_ell* (or are constant
-    # 1), and the final exponentiation kills every F_ell* factor, so they are
-    # simply skipped.  A non-vertical line value has imaginary part ty != 0,
-    # hence is never zero.
-    if R is None or S is None:
-        return _FP2_ONE
-    xr, yr = R
-    xs, ys = S
-    if xr == xs and (yr + ys) % ell == 0:
-        return _FP2_ONE
-    if R == S:
-        lam = (3 * xr * xr + 1) * pow(2 * yr, -1, ell) % ell
-    else:
-        lam = (ys - yr) * pow(xs - xr, -1, ell) % ell
-    return ((-yr - lam * (tx - xr)) % ell, ty)
-
-
-def _miller(P: Point, tx: int, ty: int, n: int, ell: int):
-    f = _FP2_ONE
-    R = P
-    for bit in bin(n)[3:]:
-        f = _fp2_mul(_fp2_sqr(f, ell), _line_at(R, R, tx, ty, ell), ell)
-        R = _point_add(R, R, ell)
-        if bit == "1":
-            f = _fp2_mul(f, _line_at(R, P, tx, ty, ell), ell)
-            R = _point_add(R, P, ell)
-    return f
+def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
+    # Miller loop for f_{n,P} at the distorted point (tx, i*ty), with R kept
+    # in Jacobian coordinates as in _point_mul.  Each step computes the
+    # tangent numerator M (or the chord pair H, S) once and uses it for both
+    # the line value and the point update.
+    #
+    # Every line is scaled by a nonzero factor in F_ell: 2*Y*Z^3 for a
+    # tangent, Z*H for a chord.  Vertical lines and lines at infinity lie in
+    # F_ell* (or are 1) and are skipped.  Both are exact because
+    # (ell^2 - 1)/n = (ell - 1)*r, so the final exponentiation maps all of
+    # F_ell* to 1.  A non-vertical line value has imaginary part ty times a
+    # nonzero factor; it is zero only when ty = 0, i.e. for Q = (0, 0), where
+    # the real part can vanish too and f, and so the pairing value, is 0.
+    # That value lies outside G_T; it is returned as is, and rejecting such
+    # inputs is left to a subgroup check on decoded points.
+    xp, yp = P
+    X, Y, Z = xp, yp, 1
+    fa, fb = 1, 0
+    for step in _double_and_add(n):
+        if step == "a":
+            if not Z:
+                X, Y, Z = xp, yp, 1
+                continue
+            ZZ = Z * Z % ell
+            H = (xp * ZZ - X) % ell
+            S = (yp * ZZ * Z - Y) % ell
+            if H:
+                Z3 = Z * H % ell
+                la = (-yp * Z3 - S * (tx - xp)) % ell
+                lb = ty * Z3 % ell
+                fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+                HH = H * H % ell
+                HHH = H * HH % ell
+                V = X * HH % ell
+                X = (S * S - HHH - 2 * V) % ell
+                Y = (S * (V - X) - Y * HHH) % ell
+                Z = Z3
+                continue
+            if S:  # R = -P: vertical chord
+                Z = 0
+                continue
+            # R = P: the line is the tangent at R
+        else:
+            fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
+            if not Z:
+                continue
+        if not Y:  # vertical tangent at a 2-torsion point
+            Z = 0
+            continue
+        YY = Y * Y % ell
+        ZZ = Z * Z % ell
+        M = (3 * X * X + ZZ * ZZ) % ell
+        Z3 = 2 * Y * Z % ell
+        la = (M * (X - tx * ZZ) - 2 * YY) % ell
+        lb = ty * Z3 * ZZ % ell
+        fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+        S = 4 * X * YY % ell
+        X = (M * M - 2 * S) % ell
+        Y = (M * (S - X) - 8 * YY * YY) % ell
+        Z = Z3
+    return fa, fb
 
 
 def _pair_value(P: Point, Q: Point, n: int, ell: int):
@@ -344,8 +418,16 @@ def _pair_value(P: Point, Q: Point, n: int, ell: int):
         return _FP2_ONE
     tx = (-Q[0]) % ell  # distorted image of Q
     ty = Q[1] % ell
-    f = _miller(P, tx, ty, n, ell)
-    return _fp2_pow(f, (ell * ell - 1) // n, ell)
+    a, b = _miller(P, tx, ty, n, ell)
+    # Final exponent (ell^2 - 1)/n = (ell - 1) * (ell + 1)/n.  Frobenius is
+    # conjugation, so f^(ell - 1) = conj(f)/f = conj(f)^2 / N(f) with the
+    # norm N(f) = a^2 + b^2 in F_ell, zero only for f = 0.
+    norm = (a * a + b * b) % ell
+    if not norm:
+        return (0, 0)
+    norm_inv = pow(norm, -1, ell)
+    u = ((a * a - b * b) * norm_inv % ell, -2 * a * b * norm_inv % ell)
+    return _fp2_pow(u, (ell + 1) // n, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -374,19 +374,27 @@ def public_params_to_dict(pp: PublicParams) -> dict:
 
 
 def public_params_from_dict(data: dict) -> PublicParams:
-    n = int(data["n"])
-    ell = int(data["ell"])
-    dec = lambda text: decode_point_bytes(bytes.fromhex(text), ell)
-    group = PairingGroup(n, ell, dec(data["g"]), dec(data["h"]))
-    return PublicParams(
-        group=group,
-        key_base=group.decode_point(bytes.fromhex(data["key_base"])),
-        commit_offset=group.decode_point(bytes.fromhex(data["commit_offset"])),
-        blind_base=group.decode_point(bytes.fromhex(data["blind_base"])),
-        hash_base=group.decode_point(bytes.fromhex(data["hash_base"])),
-        hash_gens=tuple(group.decode_point(bytes.fromhex(t)) for t in data["hash_gens"]),
-        hash_desc=HashDescriptor(k=int(data["hash"]["k"]), algorithm=data["hash"]["algorithm"]),
-    )
+    """Inverse of public_params_to_dict for untrusted input.
+
+    Raises ValueError for any missing field or field of the wrong shape, and
+    InvalidPoint for a point that does not decode.
+    """
+    try:
+        n = int(data["n"])
+        ell = int(data["ell"])
+        dec = lambda text: decode_point_bytes(bytes.fromhex(text), ell)
+        group = PairingGroup(n, ell, dec(data["g"]), dec(data["h"]))
+        return PublicParams(
+            group=group,
+            key_base=group.decode_point(bytes.fromhex(data["key_base"])),
+            commit_offset=group.decode_point(bytes.fromhex(data["commit_offset"])),
+            blind_base=group.decode_point(bytes.fromhex(data["blind_base"])),
+            hash_base=group.decode_point(bytes.fromhex(data["hash_base"])),
+            hash_gens=tuple(group.decode_point(bytes.fromhex(t)) for t in data["hash_gens"]),
+            hash_desc=HashDescriptor(k=int(data["hash"]["k"]), algorithm=data["hash"]["algorithm"]),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed public parameters: {exc!r}") from exc
 
 
 def public_params_to_json(pp: PublicParams) -> bytes:
@@ -395,4 +403,8 @@ def public_params_to_json(pp: PublicParams) -> bytes:
 
 
 def public_params_from_json(data: bytes) -> PublicParams:
-    return public_params_from_dict(json.loads(data.decode()))
+    try:
+        obj = json.loads(data.decode())
+    except RecursionError as exc:
+        raise ValueError("public parameters JSON is nested too deeply") from exc
+    return public_params_from_dict(obj)

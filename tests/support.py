@@ -27,21 +27,31 @@ def naive_on_curve(P, ell: int) -> bool:
     return (y * y - (x * x * x + x)) % ell == 0
 
 
+def naive_slope(P, Q, ell: int):
+    """Slope of the chord (or tangent, if P == Q) through two finite points.
+
+    None when the line is vertical.
+    """
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2 and (y1 + y2) % ell == 0:
+        return None
+    if P == Q:
+        return (3 * x1 * x1 + 1) * pow(2 * y1, ell - 2, ell) % ell
+    return (y2 - y1) * pow(x2 - x1, ell - 2, ell) % ell
+
+
 def naive_add(P, Q, ell: int):
     """Chord-and-tangent addition on y^2 = x^3 + x over F_ell."""
     if P is None:
         return Q
     if Q is None:
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % ell == 0:
+    lam = naive_slope(P, Q, ell)
+    if lam is None:
         return None
-    if P == Q:
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, ell - 2, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, ell - 2, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
+    x1, y1 = P
+    x3 = (lam * lam - x1 - Q[0]) % ell
     y3 = (lam * (x1 - x3) - y1) % ell
     return (x3, y3)
 
@@ -86,3 +96,48 @@ def all_curve_points(ell: int):
             if (y * y) % ell == rhs:
                 points.append((x, y))
     return points
+
+
+def _fp2_times(u, v, ell: int):
+    # (a + b i)(c + d i) with i^2 = -1
+    return ((u[0] * v[0] - u[1] * v[1]) % ell, (u[0] * v[1] + u[1] * v[0]) % ell)
+
+
+def naive_pair(P, Q, n: int, ell: int):
+    """Textbook Tate pairing e(P, phi(Q)) as an (re, im) pair in F_ell^2.
+
+    An affine Miller loop over the bits of n, with phi(x, y) = (-x, i*y).
+    Lines are evaluated at phi(Q); vertical lines and lines at infinity are
+    left out, because their values lie in F_ell and the final exponentiation
+    maps every element of F_ell* to 1.  The result is then raised to the
+    full exponent (ell^2 - 1) / n by square-and-multiply.
+    """
+    if P is None or Q is None:
+        return (1, 0)
+    qx, qy = (-Q[0]) % ell, Q[1] % ell
+
+    def line(R, S):
+        if R is None or S is None:
+            return (1, 0)
+        lam = naive_slope(R, S, ell)
+        if lam is None:
+            return (1, 0)
+        # y - y_R - lam * (x - x_R) at (qx, i * qy)
+        return ((-R[1] - lam * (qx - R[0])) % ell, qy)
+
+    f, R = (1, 0), P
+    for bit in bin(n)[3:]:
+        f = _fp2_times(_fp2_times(f, f, ell), line(R, R), ell)
+        R = naive_add(R, R, ell)
+        if bit == "1":
+            f = _fp2_times(f, line(R, P), ell)
+            R = naive_add(R, P, ell)
+
+    e = (ell * ell - 1) // n
+    result = (1, 0)
+    while e:
+        if e & 1:
+            result = _fp2_times(result, f, ell)
+        f = _fp2_times(f, f, ell)
+        e >>= 1
+    return result

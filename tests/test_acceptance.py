@@ -5,6 +5,7 @@ Run with ``pytest -v tests/test_acceptance.py``; each test prints an
 and enforces the stated runtime budget where one applies.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -310,5 +311,17 @@ def test_determinism():
     assert first.transcript == concurrent.transcript
     assert first.winners == second.winners == concurrent.winners
     assert first.evicted == second.evicted == concurrent.evicted
+    # Pinned literals: a change to the arithmetic kernels must move neither
+    # a transcript byte nor an operation count.
+    assert hashlib.sha256(first.transcript).hexdigest() == (
+        "48e789e18cf4885085c913c8f5bc8e4f60a8c307c8e05c94e02e71940bef6b63")
+    assert first.report.phases == {
+        "initial": {"exp": 20},
+        "registration": {"exp": 28, "hash": 8, "inv": 4, "mul": 4},
+        "bidding": {"exp": 122, "hash": 12, "inv": 43, "mul": 204},
+        "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
+        "open": {"exp": 22, "hash": 3, "inv": 34, "mul": 91, "pair": 53},
+    }
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
-          "repeat runs and both scheduler modes)")
+          "repeat runs and both scheduler modes, matching the pinned digest "
+          "and operation counts)")

@@ -33,6 +33,7 @@ from .support import (
     naive_neg,
     naive_on_curve,
     naive_order,
+    naive_pair,
 )
 
 
@@ -116,6 +117,14 @@ class TestArithmetic:
     def test_mul_matches_oracle(self, tiny_params, k):
         group = tiny_params.group
         assert group.mul(k, tiny_params.g) == naive_mul(k, tiny_params.g, tiny_params.ell)
+
+    def test_mul_matches_oracle_for_every_point(self, tiny_params):
+        # Every point, cofactor torsion and (0, 0) included, and every scalar
+        # from below zero to past twice the curve order.
+        group, ell = tiny_params.group, tiny_params.ell
+        for P in all_curve_points(ell):
+            for k in range(-3, 2 * (ell + 1) + 4):
+                assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
 
     @given(a=st.integers(min_value=0, max_value=34), b=st.integers(min_value=0, max_value=34))
     def test_mul_is_additive_in_the_scalar(self, tiny_params, a, b):
@@ -201,6 +210,34 @@ class TestPairing:
         a, b = rng.randrange(params16.n), rng.randrange(params16.n)
         base = group.pair(params16.g, params16.g)
         assert group.pair(group.mul(a, params16.g), group.mul(b, params16.g)) == base ** (a * b)
+
+    def test_pair_matches_oracle_exhaustively(self, tiny_params):
+        # All 140 x 140 pairs, including the identity, cofactor torsion and
+        # Q = (0, 0), whose lines can vanish and make the value 0.
+        group, n, ell = tiny_params.group, tiny_params.n, tiny_params.ell
+        pts = all_curve_points(ell)
+        for P in pts:
+            for Q in pts:
+                z = group.pair(P, Q)
+                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_mul_and_pair_match_oracles_at_size(self, bits):
+        params = gen_group_params(bits, bits, random.Random(bits))
+        group, n, ell = params.group, params.n, params.ell
+        rng = random.Random(1000 + bits)
+        outside = [group.random_point(rng) for _ in range(3)]  # almost surely not in <g>
+        torsion = naive_mul(n, outside[0], ell)  # order divides the cofactor r
+        points = [params.g, params.h, group.mul(rng.randrange(n), params.g),
+                  torsion, (0, 0), *outside]
+        scalars = [0, 1, -1, n, ell + 1, -rng.randrange(n),
+                   *(rng.randrange(4 * (ell + 1)) for _ in range(3))]
+        for P in points:
+            for k in scalars:
+                assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
+            for Q in points:
+                z = group.pair(P, Q)
+                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
 
     def test_gt_element_algebra(self, tiny_params):
         group = tiny_params.group

@@ -1,5 +1,6 @@
 """Scenario runner, transcript replay, cost reports, and the CLI."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -33,6 +34,25 @@ FULL_CAST = ScenarioConfig(
 @pytest.fixture(scope="module")
 def full_run():
     return run_scenario(FULL_CAST)
+
+
+# Params headers whose JSON has a field of the wrong shape, plus one that is
+# not hex and one nested past the JSON parser's recursion limit.
+HOSTILE_FIELDS = {"hash": "x", "hash_gens": 5, "g": 5, "n": [1], "ell": float("inf")}
+HOSTILE_HEADERS = (*HOSTILE_FIELDS, "not-hex", "nested")
+
+
+def _with_hostile_header(transcript: bytes, name: str) -> bytes:
+    lines = transcript.decode().splitlines()
+    if name == "not-hex":
+        lines[0] = "params zz"
+    elif name == "nested":
+        lines[0] = "params " + ("[" * 100_000 + "]" * 100_000).encode().hex()
+    else:
+        params = json.loads(bytes.fromhex(lines[0].split(" ", 1)[1]))
+        params[name] = HOSTILE_FIELDS[name]
+        lines[0] = "params " + json.dumps(params).encode().hex()
+    return ("\n".join(lines) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +272,12 @@ class TestVerifyTranscript:
         lines = full_run.transcript.decode().splitlines()
         lines[0] = "params deadbeef"
         report = verify_transcript(("\n".join(lines) + "\n").encode())
+        assert not report.valid
+        assert report.reason.startswith("bad params header")
+
+    @pytest.mark.parametrize("name", HOSTILE_HEADERS)
+    def test_hostile_header_rejected(self, full_run, name):
+        report = verify_transcript(_with_hostile_header(full_run.transcript, name))
         assert not report.valid
         assert report.reason.startswith("bad params header")
 
@@ -621,6 +647,21 @@ class TestCli:
         capsys.readouterr()
         assert main(["trace", "--transcript", str(transcript), "--seq", "0",
                      "--tracekey", str(tracekey)]) == 2
+
+    @pytest.mark.parametrize("name", HOSTILE_HEADERS)
+    def test_hostile_header_exits_cleanly(self, full_run, tmp_path, capsys, name):
+        transcript = tmp_path / "t.txt"
+        transcript.write_bytes(_with_hostile_header(full_run.transcript, name))
+        tracekey = tmp_path / "k.txt"
+        tracekey.write_text(f"{full_run.trace_key.q}\n")
+        assert main(["verify", "--transcript", str(transcript)]) == 1
+        assert "bad params header" in capsys.readouterr().out
+        bid_seq = next(int(line.split(" ")[0])
+                       for line in transcript.read_text().splitlines()
+                       if " bid-posted " in line)
+        assert main(["trace", "--transcript", str(transcript), "--seq", str(bid_seq),
+                     "--tracekey", str(tracekey)]) == 2
+        assert "bad public parameters" in capsys.readouterr().err
 
     def test_usage_errors_return_two(self, capsys):
         assert main([]) == 2
