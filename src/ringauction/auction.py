@@ -32,6 +32,7 @@ from .ringsig import (
     deserialize_signature,
     serialize_signature,
     sign,
+    structure_problem,
     trace,
     verify,
 )
@@ -225,16 +226,9 @@ class AuctionManager:
             return AdmitResult(False, reason="unknown-auction")
         if state.phase != "open":
             return AdmitResult(False, reason="auction-closed")
-        if bid.price < 1:
-            return AdmitResult(False, reason="malformed")
-        if len(bid.signature.members) != len(bid.ring):
+        if bid.price < 1 or structure_problem(self.pp, bid.ring, bid.signature):
             return AdmitResult(False, reason="malformed")
         group = self.pp.group
-        points = [bid.signature.s1, bid.signature.s2]
-        for member in bid.signature.members:
-            points += [member.commit, member.proof]
-        if not all(group.is_on_curve(pt) for pt in points):
-            return AdmitResult(False, reason="malformed")
         active = self.board.active_keys()
         for key in bid.ring:
             if group.encode_point(key) not in active:

@@ -1,7 +1,8 @@
 """Command-line front end: setup, run, verify, trace.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
-failed signature, no unique traced member), 2 bad usage or unreadable input.
+failed signature, no unique traced member, a scenario that fails mid-run),
+2 bad usage or unreadable input.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ import sys
 
 from .auction import MalformedBid, parse_bid_payload
 from .group import InvalidPoint, gen_group_params
-from .harness import parse_scenario, run_scenario, verify_transcript
-from .registry import BID_POSTED, MalformedBoard, parse_board_text
+from .harness import (
+    ScenarioError,
+    parse_scenario,
+    read_transcript,
+    run_scenario,
+    verify_transcript,
+)
+from .registry import BID_POSTED, MalformedBoard
 from .ringsig import (
     TraceKey,
     public_params_from_json,
@@ -90,7 +97,11 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(config, counted=args.counts)
+    try:
+        result = run_scenario(config, counted=args.counts)
+    except ScenarioError as exc:
+        print(f"scenario failed: {exc}", file=sys.stderr)
+        return 1
     with open(args.out, "wb") as fh:
         fh.write(result.transcript)
     for win in result.winners:
@@ -139,18 +150,18 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     try:
         with open(args.transcript, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            data = fh.read()
         with open(args.tracekey) as fh:
             tk = TraceKey(int(fh.read().strip()))
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
+    try:
+        params_hex, entries = read_transcript(data)
+    except MalformedBoard as exc:
+        print(f"bad transcript: {exc}", file=sys.stderr)
+        return 2
 
-    lines = text.splitlines(keepends=True)
-    params_hex = None
-    if lines and lines[0].startswith("params "):
-        params_hex = lines[0].split(" ", 1)[1].strip()
-        lines = lines[1:]
     if args.params is not None:
         try:
             with open(args.params, "rb") as fh:
@@ -170,11 +181,6 @@ def _cmd_trace(args) -> int:
         print(f"bad public parameters: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        entries = parse_board_text("".join(lines))
-    except MalformedBoard as exc:
-        print(f"bad transcript: {exc}", file=sys.stderr)
-        return 2
     entry = next((e for e in entries if e.seq == args.seq), None)
     if entry is None or entry.kind != BID_POSTED:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)

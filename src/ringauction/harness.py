@@ -2,27 +2,28 @@
 
 Scenarios are fully seeded: every random draw comes from a stream derived
 from the master seed and a structural label (bidder index, auction, round),
-so a configuration always produces byte-identical transcripts — including
-under the concurrent scheduler, which computes bid signatures in worker
-threads but admits them in a fixed order.
+so a configuration always produces byte-identical transcripts.
 
 A transcript is one ``params`` header line (the public parameters, hex of
-canonical JSON) followed by the bulletin-board records.  Replaying it needs
-no secrets and re-derives the winner of every announced auction.
+canonical JSON) followed by the bulletin-board records.  This module owns
+the header format: ``render_transcript`` writes it and ``read_transcript``
+is the one reader, leaving the records to ``registry.parse_board_text``.
+Replaying a transcript needs no secrets and re-derives the winner of every
+announced auction.
 """
 
 from __future__ import annotations
 
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .auction import (
     AuctionManager,
     Bid,
     BidderAgent,
+    MalformedBid,
     MessageEvent,
     open_protocol,
     parse_bid_payload,
@@ -30,14 +31,15 @@ from .auction import (
 from .group import InvalidPoint, OpCounter, count_ops, gen_group_params
 from .registry import (
     BID_POSTED,
-    ENTRY_KINDS,
     KEY_EVICTED,
     KEY_PUBLISHED,
-    WINNER_ANNOUNCED,
+    BoardEntry,
     BulletinBoard,
+    MalformedBoard,
     RegistrationManager,
     board_to_text,
     make_registration,
+    parse_board_text,
 )
 from .ringsig import (
     Ring,
@@ -62,7 +64,7 @@ _PRICE_BUMPS = {HONEST: 1, REPUDIATOR: 150, INVALID_SIGNATURE: 100, SNIPER: 500}
 RING_ALL_ACTIVE = "all-active"
 RING_RANDOM_SUBSET = "random-subset"
 
-_TRANSCRIPT_HEADER = "params"
+_TRANSCRIPT_HEADER = "params "
 
 
 class ScenarioError(Exception):
@@ -82,7 +84,6 @@ class ScenarioConfig:
     ring_policy: str = RING_ALL_ACTIVE
     ring_size: int | None = None
     monotonic: bool = True
-    scheduler: str = "sequential"  # 'sequential' | 'concurrent'
 
     def strategy_of(self, index: int) -> str:
         if index < len(self.strategies):
@@ -90,6 +91,8 @@ class ScenarioConfig:
         return HONEST
 
     def validate(self) -> None:
+        if self.p_bits < 8 or self.q_bits < 8:
+            raise ValueError("p_bits and q_bits must be at least 8")
         if self.bidders < 1:
             raise ValueError("need at least one bidder")
         if self.rounds < 1 or self.auctions < 1:
@@ -108,8 +111,6 @@ class ScenarioConfig:
                 raise ValueError("random-subset needs a positive ring size")
             if self.ring_size > self.bidders:
                 raise ValueError("ring size exceeds the number of bidders")
-        if self.scheduler not in ("sequential", "concurrent"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -138,8 +139,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if value not in ("on", "off"):
                 raise ValueError(f"line {lineno}: monotonic_prices must be on or off")
             config.monotonic = value == "on"
-        elif key == "scheduler":
-            config.scheduler = value
         else:
             raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
     if strategies:
@@ -266,7 +265,6 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         phase("bidding")
         for round_no in range(config.rounds):
             high = am.current_high(auction_no)
-            jobs: list[tuple[_Actor, Callable[[], Bid]]] = []
             active_view = board.active_keys()
             for actor in actors:
                 own = group.encode_point(actor.agent.keypair.pub_key)
@@ -274,15 +272,15 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
                     continue  # evicted bidders are out
                 if not _wants_to_bid(actor.strategy, round_no, config.rounds):
                     continue
+                # Each bid draws from its own rng stream, so it does not
+                # depend on the bids built before it.
+                rng = _child_rng(seed, f"bid:{auction_no}:{round_no}:{actor.index}")
+                ring = _choose_ring(group, board, actor, config, rng)
                 price = high + _PRICE_BUMPS[actor.strategy] + actor.index
-                jobs.append((actor, _bid_builder(actor, auction_no, round_no, price,
-                                                 config, group, board, seed)))
-            if config.scheduler == "concurrent" and jobs:
-                with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-                    built = list(pool.map(lambda job: job[1](), jobs))
-            else:
-                built = [build() for _, build in jobs]
-            for (actor, _), bid in zip(jobs, built):
+                bid = actor.agent.place_bid(auction_no, round_no, price, ring, rng)
+                if actor.strategy == INVALID_SIGNATURE:
+                    broken = group.add(bid.signature.s1, group.g)
+                    bid = replace(bid, signature=replace(bid.signature, s1=broken))
                 messages.append(MessageEvent(sender=actor.name, phase="bidding"))
                 admitted = am.admit_bid(bid)
                 if admitted:
@@ -330,28 +328,31 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
     )
 
 
-def _bid_builder(actor: _Actor, auction_no: int, round_no: int, price: int,
-                 config: ScenarioConfig, group, board, seed: int) -> Callable[[], Bid]:
-    # One self-contained closure per bid: its own rng stream makes the built
-    # bid independent of scheduling order.
-    def build() -> Bid:
-        rng = _child_rng(seed, f"bid:{auction_no}:{round_no}:{actor.index}")
-        ring = _choose_ring(group, board, actor, config, rng)
-        bid = actor.agent.place_bid(auction_no, round_no, price, ring, rng)
-        if actor.strategy == INVALID_SIGNATURE:
-            broken = group.add(bid.signature.s1, group.g)
-            bid = replace(bid, signature=replace(bid.signature, s1=broken))
-        return bid
-
-    return build
-
-
 # ---------------------------------------------------------------------------
 # transcript rendering and public replay
 
 def render_transcript(pp, board: BulletinBoard) -> bytes:
-    header = f"{_TRANSCRIPT_HEADER} {public_params_to_json(pp).hex()}\n"
+    header = f"{_TRANSCRIPT_HEADER}{public_params_to_json(pp).hex()}\n"
     return (header + board_to_text(board.entries())).encode()
+
+
+def read_transcript(data: bytes) -> tuple[str | None, tuple[BoardEntry, ...]]:
+    """Inverse of render_transcript: (params header hex or None, records).
+
+    The header is the first non-blank line when it starts with ``params ``;
+    its hex is returned undecoded.  Raises MalformedBoard for text that is
+    not UTF-8 and for any malformed record.
+    """
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise MalformedBoard("transcript is not utf-8 text") from None
+    params_hex = None
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is not None and lines[first].startswith(_TRANSCRIPT_HEADER):
+        params_hex = lines[first][len(_TRANSCRIPT_HEADER):]
+        lines[first] = ""  # blanked, not removed, so record line numbers hold
+    return params_hex, parse_board_text("\n".join(lines))
 
 
 @dataclass(frozen=True)
@@ -388,17 +389,13 @@ def verify_transcript(data: bytes) -> TranscriptReport:
         return TranscriptReport(False, failing_seq=seq, reason=reason)
 
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return invalid(None, "transcript is not utf-8 text")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return TranscriptReport(True)
-    head = lines[0].split(" ", 1)
-    if len(head) != 2 or head[0] != _TRANSCRIPT_HEADER:
-        return invalid(None, "missing params header")
+        params_hex, entries = read_transcript(data)
+    except MalformedBoard as exc:
+        return invalid(exc.seq, exc.reason)
+    if params_hex is None:
+        return invalid(None, "missing params header") if entries else TranscriptReport(True)
     try:
-        pp = public_params_from_json(bytes.fromhex(head[1]))
+        pp = public_params_from_json(bytes.fromhex(params_hex))
     except (ValueError, InvalidPoint) as exc:
         return invalid(None, f"bad params header: {exc}")
     group = pp.group
@@ -407,26 +404,8 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     bids: dict[int, _ReplayBid] = {}
     announced: set[int] = set()
     winners: list[tuple[int, int, int]] = []
-    previous_seq = -1
-    for line in lines[1:]:
-        parts = line.split(" ")
-        if len(parts) != 3:
-            return invalid(None, "record is not 'seq kind payload'")
-        try:
-            seq = int(parts[0])
-        except ValueError:
-            return invalid(None, "bad sequence number")
-        if seq <= previous_seq:
-            return invalid(seq, "sequence numbers must increase")
-        previous_seq = seq
-        kind = parts[1]
-        if kind not in ENTRY_KINDS:
-            return invalid(seq, f"unknown record kind {kind!r}")
-        try:
-            payload = bytes.fromhex(parts[2])
-        except ValueError:
-            return invalid(seq, "payload is not hex")
-
+    for entry in entries:
+        seq, kind, payload = entry.seq, entry.kind, entry.payload
         if kind == KEY_PUBLISHED:
             try:
                 key = group.decode_point(payload)
@@ -446,7 +425,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
         elif kind == BID_POSTED:
             try:
                 bid = parse_bid_payload(group, payload)
-            except Exception as exc:
+            except MalformedBid as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
             if bid.price < 1:
                 return invalid(seq, "non-positive price")
@@ -478,7 +457,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             announced.add(known.auction_id)
             winners.append((known.auction_id, ref, known.price))
 
-    return TranscriptReport(True, records=len(lines) - 1, winners=tuple(winners))
+    return TranscriptReport(True, records=len(entries), winners=tuple(winners))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,18 @@ class AlreadyEvicted(RegistryError):
 
 
 class MalformedBoard(RegistryError):
-    """A serialized board record failed to parse."""
+    """A serialized board failed to parse.
+
+    ``reason`` says what is wrong; ``seq`` is the failing record's sequence
+    number once it has been read, else None.  With a line number the message
+    reads ``line N: reason``.
+    """
+
+    def __init__(self, reason: str, *, line: int | None = None,
+                 seq: int | None = None) -> None:
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason = reason
+        self.seq = seq
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +163,10 @@ def board_to_text(entries: Iterable[BoardEntry]) -> str:
 
 
 def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
+    """The only parser of ``seq kind payload`` records; blank lines are skipped.
+
+    Raises MalformedBoard at the first record that is not well formed.
+    """
     entries: list[BoardEntry] = []
     previous = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -159,21 +174,21 @@ def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
             continue
         parts = line.split(" ")
         if len(parts) != 3:
-            raise MalformedBoard(f"line {lineno}: expected 'seq kind payload'")
+            raise MalformedBoard("record is not 'seq kind payload'", line=lineno)
         try:
             seq = int(parts[0])
         except ValueError:
-            raise MalformedBoard(f"line {lineno}: bad sequence number") from None
+            raise MalformedBoard("bad sequence number", line=lineno) from None
         if seq <= previous:
-            raise MalformedBoard(f"line {lineno}: sequence numbers must increase")
+            raise MalformedBoard("sequence numbers must increase", line=lineno, seq=seq)
         previous = seq
         kind = parts[1]
         if kind not in ENTRY_KINDS:
-            raise MalformedBoard(f"line {lineno}: unknown kind {kind!r}")
+            raise MalformedBoard(f"unknown record kind {kind!r}", line=lineno, seq=seq)
         try:
             payload = bytes.fromhex(parts[2])
         except ValueError:
-            raise MalformedBoard(f"line {lineno}: payload is not hex") from None
+            raise MalformedBoard("payload is not hex", line=lineno, seq=seq) from None
         entries.append(BoardEntry(seq=seq, kind=kind, payload=payload))
     return tuple(entries)
 

@@ -257,7 +257,9 @@ def sign(pp: PublicParams, ring: Ring, signer_index: int, keypair: BidderKeyPair
     return sig
 
 
-def _structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
+def structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
+    """The cheap shape check: one member proof per ring key and every
+    component on the curve.  Returns the first problem, or None."""
     grp = pp.group
     if len(sig.members) != len(ring):
         return "malformed: member count does not match ring size"
@@ -286,7 +288,7 @@ def _membership_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str
 
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
     """Public verification; returns acceptance or the first failure reason."""
-    problem = _structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
+    problem = structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
     if problem:
         return VerifyResult(False, problem)
     grp = pp.group
@@ -312,7 +314,7 @@ def trace(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature):
 
     Returns (position, published key), or None when no single member matches.
     """
-    problem = _structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
+    problem = structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
     if problem:
         raise NotVerified(problem)
     grp = pp.group

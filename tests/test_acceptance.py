@@ -306,11 +306,9 @@ def test_determinism():
     )
     first = run_scenario(config)
     second = run_scenario(config)
-    concurrent = run_scenario(replace(config, scheduler="concurrent"))
     assert first.transcript == second.transcript
-    assert first.transcript == concurrent.transcript
-    assert first.winners == second.winners == concurrent.winners
-    assert first.evicted == second.evicted == concurrent.evicted
+    assert first.winners == second.winners
+    assert first.evicted == second.evicted
     # Pinned literals: a change to the arithmetic kernels must move neither
     # a transcript byte nor an operation count.
     assert hashlib.sha256(first.transcript).hexdigest() == (
@@ -323,5 +321,5 @@ def test_determinism():
         "open": {"exp": 22, "hash": 3, "inv": 34, "mul": 91, "pair": 53},
     }
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
-          "repeat runs and both scheduler modes, matching the pinned digest "
+          "repeat runs, matching the pinned digest "
           "and operation counts)")

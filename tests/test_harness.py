@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringauction.auction import parse_bid_payload
 from ringauction.cli import main
@@ -14,6 +16,7 @@ from ringauction.harness import (
     REPUDIATOR,
     SNIPER,
     ScenarioConfig,
+    TranscriptReport,
     efficiency_sweep,
     measure_signing,
     parse_scenario,
@@ -22,6 +25,7 @@ from ringauction.harness import (
     verify_transcript,
 )
 from ringauction.auction import count_messages
+from ringauction.registry import MalformedBoard, parse_board_text
 from ringauction.ringsig import public_params_from_json, verify
 
 
@@ -73,7 +77,6 @@ class TestParseScenario:
         strategy.3 = repudiator
         ring_policy = random-subset:3
         monotonic_prices = off
-        scheduler = concurrent
         """
         config = parse_scenario(text)
         assert config.k == 12
@@ -82,7 +85,6 @@ class TestParseScenario:
         assert config.ring_policy == "random-subset"
         assert config.ring_size == 3
         assert config.monotonic is False
-        assert config.scheduler == "concurrent"
 
     def test_defaults(self):
         config = parse_scenario("")
@@ -120,7 +122,9 @@ class TestParseScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(ring_policy="random-subset", ring_size=9).validate()
         with pytest.raises(ValueError):
-            ScenarioConfig(scheduler="parallel").validate()
+            ScenarioConfig(p_bits=4).validate()
+        with pytest.raises(ValueError):
+            ScenarioConfig(q_bits=7).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,6 @@ class TestDeterminism:
         assert again.transcript == full_run.transcript
         assert again.winners == full_run.winners
         assert again.evicted == full_run.evicted
-
-    def test_concurrent_scheduler_is_byte_identical(self, full_run):
-        concurrent = run_scenario(replace(FULL_CAST, scheduler="concurrent"))
-        assert concurrent.transcript == full_run.transcript
 
     def test_counting_does_not_change_behaviour(self, full_run):
         uncounted = run_scenario(FULL_CAST, counted=False)
@@ -472,6 +472,97 @@ class TestTranscriptMutations:
         assert report.reason == "bad sequence number"
 
 
+# One bad record per structural fault, made from a posted bid's line.
+STRUCTURAL_FAULTS = {
+    "shape": lambda seq, kind, payload: f"{seq} {kind} {payload} extra",
+    "seq-number": lambda seq, kind, payload: f"x{seq} {kind} {payload}",
+    "seq-order": lambda seq, kind, payload: f"{int(seq) - 1} {kind} {payload}",
+    "kind": lambda seq, kind, payload: f"{seq} bid-rumored {payload}",
+    "hex": lambda seq, kind, payload: f"{seq} {kind} zz",
+}
+
+
+@pytest.mark.parametrize("fault", STRUCTURAL_FAULTS)
+def test_one_parser_one_answer(run_and_lines, tmp_path, capsys, fault):
+    """The board parser, the replay and the trace command agree on a bad record."""
+    result, lines = run_and_lines
+    idx = next(i for i, line in enumerate(lines) if " bid-posted " in line)
+    seq, kind, payload = lines[idx].split(" ")
+    mutated = list(lines)
+    mutated[idx] = STRUCTURAL_FAULTS[fault](seq, kind, payload)
+    with pytest.raises(MalformedBoard) as caught:
+        parse_board_text("\n".join(mutated[1:]))
+    report = verify_transcript(("\n".join(mutated) + "\n").encode())
+    assert not report.valid
+    assert (report.reason, report.failing_seq) == (caught.value.reason, caught.value.seq)
+
+    transcript = tmp_path / "t.txt"
+    transcript.write_text("\n".join(mutated) + "\n")
+    tracekey = tmp_path / "k.txt"
+    tracekey.write_text(f"{result.trace_key.q}\n")
+    assert main(["trace", "--transcript", str(transcript), "--seq", seq,
+                 "--tracekey", str(tracekey)]) == 2
+    # line numbers count the header, so they match the transcript file
+    assert f"line {idx + 1}: {report.reason}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hostile_base(tmp_path_factory):
+    """A small real transcript (two keys, two bids, a winner, an eviction)
+    and the files the CLI needs to read it."""
+    config = ScenarioConfig(bidders=2, rounds=1, auctions=1, k=8, seed=11,
+                            strategies=(INVALID_SIGNATURE, REPUDIATOR))
+    result = run_scenario(config, counted=False)
+    workdir = tmp_path_factory.mktemp("hostile")
+    tracekey = workdir / "k.txt"
+    tracekey.write_text(f"{result.trace_key.q}\n")
+    return result.transcript.decode().splitlines(), workdir / "t.txt", tracekey
+
+
+def _mutate(data, lines: list[str]) -> list[str]:
+    """Apply one to three hostile edits: flip a character to a hex digit,
+    truncate a payload, swap or drop lines, or edit the params header."""
+    hex_digits = st.sampled_from("0123456789abcdef")
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(("flip", "truncate", "swap", "drop", "header")))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if op == "flip":
+            j = data.draw(st.integers(0, len(line) - 1))
+            lines[i] = line[:j] + data.draw(hex_digits) + line[j + 1:]
+        elif op == "truncate":
+            head, _, payload = line.rpartition(" ")
+            lines[i] = f"{head} {payload[:data.draw(st.integers(0, len(payload)))]}"
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "drop":
+            del lines[i]
+        elif op == "header":
+            head = lines[0]
+            j = data.draw(st.integers(len("params "), len(head)))
+            if data.draw(st.booleans()):
+                lines[0] = head[:j]
+            else:
+                lines[0] = head[:j] + data.draw(hex_digits) + head[j + 1:]
+    return lines
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_transcripts_never_crash(hostile_base, data):
+    lines, transcript, tracekey = hostile_base
+    mutated = "\n".join(_mutate(data, list(lines))) + "\n"
+    report = verify_transcript(mutated.encode())
+    assert isinstance(report, TranscriptReport)
+    transcript.write_text(mutated)
+    assert main(["verify", "--transcript", str(transcript)]) == (0 if report.valid else 1)
+    seq = data.draw(st.sampled_from([line.split(" ")[0] for line in lines
+                                     if " bid-posted " in line]))
+    assert main(["trace", "--transcript", str(transcript), "--seq", seq,
+                 "--tracekey", str(tracekey)]) in (0, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # cost accounting
 
@@ -631,6 +722,21 @@ class TestCli:
         scenario.write_text("nonsense = 1\n")
         assert main(["run", "--scenario", str(scenario),
                      "--out", str(tmp_path / "t.txt")]) == 2
+
+    def test_too_small_primes_are_a_bad_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("p_bits = 4\n")
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "t.txt")]) == 2
+        assert "bad scenario" in capsys.readouterr().err
+
+    def test_failing_scenario_returns_one(self, tmp_path, capsys):
+        # the only bidder posts a broken signature, so no bid can win
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("bidders = 1\nstrategy.0 = invalid-signature\n")
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "t.txt")]) == 1
+        assert "scenario failed" in capsys.readouterr().err
 
     def test_missing_files_return_two(self, tmp_path, capsys):
         assert main(["verify", "--transcript", str(tmp_path / "nope.txt")]) == 2
