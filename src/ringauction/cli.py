@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
-2 bad usage or unreadable input.
+2 bad usage, unreadable input or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,6 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(files) -> bool:
+    for path, data in files:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"cannot write {path}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_setup(args) -> int:
     rng = random.Random(f"{args.seed}:group")
     try:
@@ -79,11 +90,10 @@ def _cmd_setup(args) -> int:
         print(f"setup failed: {exc}", file=sys.stderr)
         return 2
     pp, tk = setup(params, args.k, random.Random(f"{args.seed}:setup"))
-    with open(args.out, "wb") as fh:
-        fh.write(public_params_to_json(pp))
     tracekey_path = args.tracekey_out or args.out + ".tracekey"
-    with open(tracekey_path, "w") as fh:
-        fh.write(f"{tk.q}\n")
+    if not _write_files([(args.out, public_params_to_json(pp)),
+                         (tracekey_path, f"{tk.q}\n".encode())]):
+        return 2
     print(f"wrote public parameters to {args.out} "
           f"(group order {params.n}, field size {params.ell})")
     print(f"wrote trace key to {tracekey_path}")
@@ -102,20 +112,19 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return 1
-    with open(args.out, "wb") as fh:
-        fh.write(result.transcript)
+    files = [(args.out, result.transcript)]
+    if args.params_out:
+        files.append((args.params_out, public_params_to_json(result.public_params)))
+    if args.tracekey_out:
+        files.append((args.tracekey_out, f"{result.trace_key.q}\n".encode()))
+    if not _write_files(files):
+        return 2
     for win in result.winners:
         identity = win.identity.decode("utf-8", "replace")
         print(f"auction {win.auction_id}: winner {identity} "
               f"at price {win.price} (bid seq {win.seq})")
     for key_hex in result.evicted:
         print(f"evicted key {key_hex}")
-    if args.params_out:
-        with open(args.params_out, "wb") as fh:
-            fh.write(public_params_to_json(result.public_params))
-    if args.tracekey_out:
-        with open(args.tracekey_out, "w") as fh:
-            fh.write(f"{result.trace_key.q}\n")
     if args.counts:
         print("operation counts by phase:")
         for phase in _PHASE_ORDER:

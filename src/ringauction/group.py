@@ -9,11 +9,16 @@ Tate pairing into a symmetric bilinear map that is non-degenerate on that
 subgroup, with values in the order-n subgroup of F_ell^2*.
 
 Everything is plain big-integer arithmetic.  Points are affine at the API;
-scalar multiplication and the Miller loop run in Jacobian coordinates and
+inside, Jacobian (X, Y, Z) stands for (X/Z^2, Y/Z^3), with Z = 0 for O.
+Scalar multiplication and the Miller loop run in Jacobian coordinates and
 invert once at the end, and the final exponentiation uses the Frobenius map
-so that it needs one inversion in F_ell and a short power.  The parameter
-sizes used throughout this package are study material: breaking anonymity
-only requires factoring n, and nothing here is constant-time.
+so that it needs one inversion in F_ell and a short power.  g, h and the
+points passed to PairingGroup.precompute are fixed bases, each with tables
+built on first use: mul takes [j * 16^i]P from a window table, but only
+when [n]P = O, as only then may a scalar be reduced mod n; pair evaluates
+the Miller lines of a fixed first argument, stored once, at each Q.  The
+parameter sizes used throughout this package are study material: breaking
+anonymity only requires factoring n, and nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -193,10 +198,55 @@ def _double_and_add(k: int) -> str:
     return bin(k)[3:].replace("1", "da").replace("0", "d")
 
 
+def _jac_double(X: int, Y: int, Z: int, ell: int) -> tuple[int, int, int]:
+    # Z = 2*Y*Z comes out 0 when R is 2-torsion or the identity, as 2R = O.
+    YY = Y * Y % ell
+    ZZ = Z * Z % ell
+    M = (3 * X * X + ZZ * ZZ) % ell
+    S = 4 * X * YY % ell
+    X3 = (M * M - 2 * S) % ell
+    return X3, (M * (S - X3) - 8 * YY * YY) % ell, 2 * Y * Z % ell
+
+
+def _jac_add(X: int, Y: int, Z: int, xp: int, yp: int, ell: int) -> tuple[int, int, int]:
+    # Mixed addition R + P of a Jacobian R and a finite affine P.
+    if not Z:
+        return xp, yp, 1
+    ZZ = Z * Z % ell
+    H = (xp * ZZ - X) % ell
+    S = (yp * ZZ * Z - Y) % ell
+    if H:
+        HH = H * H % ell
+        HHH = H * HH % ell
+        V = X * HH % ell
+        X3 = (S * S - HHH - 2 * V) % ell
+        return X3, (S * (V - X3) - Y * HHH) % ell, Z * H % ell
+    if S:  # R = -P
+        return 1, 1, 0
+    return _jac_double(X, Y, Z, ell)  # R = P
+
+
+def _to_affine(points: list, ell: int) -> list[Point]:
+    # Jacobian points to affine with one inversion (Montgomery's trick).
+    prefix, acc = [], 1
+    for _, _, Z in points:
+        prefix.append(acc)
+        acc = acc * (Z or 1) % ell
+    inv = pow(acc, -1, ell)
+    out: list[Point] = [None] * len(points)
+    for j in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[j]
+        if Z:
+            zi = inv * prefix[j] % ell
+            inv = inv * Z % ell
+            zi2 = zi * zi % ell
+            out[j] = (X * zi2 % ell, Y * zi2 * zi % ell)
+    return out
+
+
 def _point_mul(k: int, P: Point, ell: int) -> Point:
-    # The running point R is kept in Jacobian coordinates (X, Y, Z), standing
-    # for (X/Z^2, Y/Z^3), with Z = 0 for the identity; the affine base is
-    # added with mixed additions, and one inversion at the end goes back.
+    # Left-to-right double-and-add on a Jacobian R, with mixed additions of
+    # the affine base and one inversion at the end.
     if P is None or k == 0:
         return None
     if k < 0:
@@ -205,39 +255,40 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
     X, Y, Z = xp, yp, 1
     for step in _double_and_add(k):
         if step == "a":
-            if not Z:
-                X, Y, Z = xp, yp, 1
-                continue
-            ZZ = Z * Z % ell
-            H = (xp * ZZ - X) % ell
-            S = (yp * ZZ * Z - Y) % ell
-            if H:
-                HH = H * H % ell
-                HHH = H * HH % ell
-                V = X * HH % ell
-                X = (S * S - HHH - 2 * V) % ell
-                Y = (S * (V - X) - Y * HHH) % ell
-                Z = Z * H % ell
-                continue
-            if S:  # R = -P
-                Z = 0
-                continue
-            # R = P: fall through and double it
-        elif not Z:
-            continue
-        # Doubling; Z = 2*Y*Z comes out 0 when R is 2-torsion, as 2R = O.
-        YY = Y * Y % ell
-        ZZ = Z * Z % ell
-        M = (3 * X * X + ZZ * ZZ) % ell
-        S = 4 * X * YY % ell
-        Z = 2 * Y * Z % ell
-        X = (M * M - 2 * S) % ell
-        Y = (M * (S - X) - 8 * YY * YY) % ell
-    if not Z:
-        return None
-    zi = pow(Z, -1, ell)
-    zi2 = zi * zi % ell
-    return (X * zi2 % ell, Y * zi2 * zi % ell)
+            X, Y, Z = _jac_add(X, Y, Z, xp, yp, ell)
+        elif Z:
+            X, Y, Z = _jac_double(X, Y, Z, ell)
+    return _to_affine([(X, Y, Z)], ell)[0]
+
+
+_WINDOW = 4  # bits per digit of a fixed-base scalar
+
+
+def _window_table(P: tuple[int, int], n: int, ell: int):
+    """Row i holds the affine [j * 16^i]P, j = 1..15 (None for O), for each
+    base-16 digit of a scalar below n; None unless [n]P = O."""
+    rows, base = [], P
+    for _ in range(-(-n.bit_length() // _WINDOW)):
+        X, Y, Z = 1, 1, 0
+        jac = []
+        for _ in range(1 << _WINDOW):
+            if base is not None:
+                X, Y, Z = _jac_add(X, Y, Z, *base, ell)
+            jac.append((X, Y, Z))
+        *row, base = _to_affine(jac, ell)
+        rows.append(row)
+    return rows if _window_mul(rows, n, ell) is None else None
+
+
+def _window_mul(rows, k: int, ell: int) -> Point:
+    # One mixed addition per nonzero base-16 digit of 0 <= k < 16^len(rows).
+    X, Y, Z = 1, 1, 0
+    for row in rows:
+        digit = k & ((1 << _WINDOW) - 1)
+        k >>= _WINDOW
+        if digit and row[digit - 1] is not None:
+            X, Y, Z = _jac_add(X, Y, Z, *row[digit - 1], ell)
+    return _to_affine([(X, Y, Z)], ell)[0]
 
 
 def decode_point_bytes(data: bytes, ell: int) -> Point:
@@ -412,13 +463,57 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     return fa, fb
 
 
-def _pair_value(P: Point, Q: Point, n: int, ell: int):
-    """Raw pairing value in F_ell^2 (already final-exponentiated)."""
+def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list:
+    """The Q-independent part of _miller for a fixed P, step by step: None
+    for a squaring of f, (c0, c1, c2) for each line _miller multiplies in
+    (same scaling, same skipped lines), worth (c0 - c1*tx) + i*(c2*ty)."""
+    xp, yp = P
+    X, Y, Z = xp, yp, 1
+    ops: list = []
+    for step in _double_and_add(n):
+        tangent = step == "d"
+        if tangent:
+            ops.append(None)
+        elif Z:
+            ZZ = Z * Z % ell
+            H = (xp * ZZ - X) % ell
+            S = (yp * ZZ * Z - Y) % ell
+            if H:  # chord through R and P, scaled by Z*H
+                ops.append(((S * xp - yp * Z * H) % ell, S, Z * H % ell))
+            tangent = not (H or S)  # R = P
+        if tangent and Z and Y:  # tangent at R, scaled by 2*Y*Z^3
+            ZZ = Z * Z % ell
+            M = (3 * X * X + ZZ * ZZ) % ell
+            ops.append(((M * X - 2 * Y * Y) % ell, M * ZZ % ell, 2 * Y * Z * ZZ % ell))
+        if step == "d":
+            X, Y, Z = _jac_double(X, Y, Z, ell)
+        else:
+            X, Y, Z = _jac_add(X, Y, Z, xp, yp, ell)
+    return ops
+
+
+def _miller_at(ops: list, tx: int, ty: int, ell: int):
+    # Replays _miller_lines' output at the distorted point (tx, i*ty).
+    fa, fb = 1, 0
+    for line in ops:
+        if line is None:
+            fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
+        else:
+            c0, c1, c2 = line
+            la = (c0 - c1 * tx) % ell
+            lb = c2 * ty % ell
+            fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+    return fa, fb
+
+
+def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None):
+    """Raw pairing value in F_ell^2 (already final-exponentiated); ``lines``
+    are P's stored Miller lines, if it has them."""
     if P is None or Q is None:
         return _FP2_ONE
     tx = (-Q[0]) % ell  # distorted image of Q
     ty = Q[1] % ell
-    a, b = _miller(P, tx, ty, n, ell)
+    a, b = _miller(P, tx, ty, n, ell) if lines is None else _miller_at(lines, tx, ty, ell)
     # Final exponent (ell^2 - 1)/n = (ell - 1) * (ell + 1)/n.  Frobenius is
     # conjugation, so f^(ell - 1) = conj(f)/f = conj(f)^2 / N(f) with the
     # norm N(f) = a^2 + b^2 in F_ell, zero only for f = 0.
@@ -508,6 +603,16 @@ class PairingGroup:
                 raise InvalidPoint(f"generator {name} is not a finite curve point")
         self.g = g
         self.h = h
+        # Fixed bases get precomputed tables on first use; a table is
+        # published with one dict assignment once it is complete.
+        self._fixed = {g, h}
+        self._mul_tables: dict = {}
+        self._lines: dict = {}
+
+    def precompute(self, *points: Point) -> None:
+        """Mark points as fixed bases: later ``mul`` and ``pair`` calls with
+        one of them as base or first argument build and reuse its tables."""
+        self._fixed.update(pt for pt in points if pt is not None)
 
     # -- point arithmetic ---------------------------------------------------
 
@@ -525,6 +630,11 @@ class PairingGroup:
     def mul(self, k: int, P: Point) -> Point:
         """Scalar multiple [k]P (one counted exponentiation)."""
         _bump("exp")
+        if P in self._fixed:
+            if P not in self._mul_tables:
+                self._mul_tables[P] = _window_table(P, self.n, self.ell)
+            if self._mul_tables[P] is not None:
+                return _window_mul(self._mul_tables[P], k % self.n, self.ell)
         return _point_mul(k, P, self.ell)
 
     def random_point(self, rng) -> tuple[int, int]:
@@ -541,7 +651,12 @@ class PairingGroup:
             if not _on_curve(pt, self.ell):
                 raise InvalidPoint("pairing input is not on the curve")
         _bump("pair")
-        re, im = _pair_value(P, Q, self.n, self.ell)
+        lines = None
+        if P in self._fixed:
+            lines = self._lines.get(P)
+            if lines is None:
+                lines = self._lines[P] = _miller_lines(P, self.n, self.ell)
+        re, im = _pair_value(P, Q, self.n, self.ell, lines)
         return GtElement(re, im, self.ell)
 
     def gt_one(self) -> GtElement:

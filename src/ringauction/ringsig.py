@@ -157,6 +157,10 @@ class PublicParams:
     hash_gens: tuple[Point, ...]
     hash_desc: HashDescriptor
 
+    def __post_init__(self) -> None:
+        # Signing multiplies blind_base, and verification pairs key_base first.
+        self.group.precompute(self.key_base, self.blind_base)
+
     def is_consistent(self) -> bool:
         """pair(key_base, h) == pair(g, blind_base) ties blind_base to
         key_base without revealing their shared exponent."""

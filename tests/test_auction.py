@@ -10,6 +10,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringauction.auction import (
     BID_MESSAGE_LEN,
@@ -133,6 +135,63 @@ class TestBidCodec:
         payload[-1] = 0x09  # break the last parity tag
         with pytest.raises(MalformedBid):
             parse_bid_payload(env.pp.group, bytes(payload))
+
+
+@pytest.fixture(scope="module")
+def real_payloads(setup16, keys16):
+    """Serialized bids over rings of one and of three keys."""
+    pp, _ = setup16
+    rng = random.Random(7)
+    payloads = []
+    for size in (1, 3):
+        ring = Ring(pp.group, [kp.pub_key for kp in keys16[:size]])
+        signer = keys16[0]
+        message = encode_bid_message(2, 1, 30 + size)
+        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, message, rng)
+        payloads.append(serialize_bid_payload(
+            Bid(auction_id=2, round_no=1, price=30 + size, ring=ring, signature=sig)))
+    return pp.group, payloads
+
+
+def _mutate_payload(data, payload: bytes, width: int) -> bytes:
+    """One to three edits of the kinds a hostile board could carry."""
+    buf = bytearray(payload)
+    count_at = slice(BID_MESSAGE_LEN, BID_MESSAGE_LEN + 4)
+    for _ in range(data.draw(st.integers(1, 3))):
+        points = max(0, (len(buf) - BID_MESSAGE_LEN - 4) // width)
+        op = data.draw(st.sampled_from(("truncate", "count", "swap", "tag", "byte")))
+        if op == "truncate":
+            del buf[data.draw(st.integers(0, len(buf))):]
+        elif op == "count" and len(buf) >= count_at.stop:
+            count = int.from_bytes(buf[count_at], "big")
+            count = data.draw(st.sampled_from((0, count - 1, count + 1, 2**32 - 1)))
+            buf[count_at] = (count % 2**32).to_bytes(4, "big")
+        elif op in ("swap", "tag") and points >= 1:
+            i, j = (BID_MESSAGE_LEN + 4 + width * data.draw(st.integers(0, points - 1))
+                    for _ in range(2))
+            if op == "swap":
+                buf[i:i + width], buf[j:j + width] = buf[j:j + width], buf[i:i + width]
+            else:
+                buf[i + width - 1] = data.draw(st.integers(0, 255))
+        elif op == "byte" and buf:
+            buf[data.draw(st.integers(0, len(buf) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parse_bid_payload_returns_bid_or_malformed(real_payloads, data):
+    group, payloads = real_payloads
+    if data.draw(st.booleans()):
+        blob = data.draw(st.binary(max_size=4 * group.point_bytes + BID_MESSAGE_LEN))
+    else:
+        blob = _mutate_payload(data, data.draw(st.sampled_from(payloads)), group.point_bytes)
+    try:
+        bid = parse_bid_payload(group, blob)
+    except MalformedBid:
+        return
+    assert isinstance(bid, Bid)
+    assert serialize_bid_payload(bid) == blob
 
 
 # ---------------------------------------------------------------------------

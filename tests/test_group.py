@@ -7,6 +7,7 @@ the code under test.
 
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -18,11 +19,20 @@ from ringauction.group import (
     HashDescriptor,
     InvalidPoint,
     OpCounter,
+    PairingGroup,
     count_ops,
     gen_group_params,
     group_from_primes,
     hash_to_bits,
     is_probable_prime,
+)
+from ringauction.ringsig import (
+    Ring,
+    public_params_from_json,
+    public_params_to_json,
+    setup,
+    sign,
+    verify,
 )
 
 from .support import (
@@ -246,6 +256,102 @@ class TestPairing:
         assert z ** -1 == z.inverse()
         assert z ** 0 == group.gt_one()
         assert (z ** 3) * (z ** 4) == z ** 7
+
+
+# ---------------------------------------------------------------------------
+# fixed bases: window tables for mul, stored Miller lines for pair
+
+class TestFixedBases:
+    def test_every_point_as_fixed_base_matches_oracles(self, tiny_params):
+        # A fresh group, so the session fixture keeps only g and h as fixed
+        # bases.  Bases whose order does not divide n (cofactor torsion,
+        # (0, 0)) must keep the plain scalar multiplication.
+        n, ell = tiny_params.n, tiny_params.ell
+        group = PairingGroup(n, ell, tiny_params.g, tiny_params.h)
+        pts = all_curve_points(ell)
+        group.precompute(*pts)
+        for P in pts:
+            for k in range(-3, 2 * (ell + 1) + 4):
+                assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
+            for Q in pts:
+                z = group.pair(P, Q)
+                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+        tabled = {P for P, rows in group._mul_tables.items() if rows is not None}
+        assert tabled == {P for P in pts if P is not None and naive_mul(n, P, ell) is None}
+        assert (0, 0) in group._mul_tables and (0, 0) not in tabled
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_fixed_bases_match_oracles_at_size(self, bits):
+        params = gen_group_params(bits, bits, random.Random(bits))
+        pp, _ = setup(params, 4, random.Random(bits + 1))
+        group, n, ell = params.group, params.n, params.ell
+        rng = random.Random(2000 + bits)
+        outside = group.random_point(rng)  # almost surely not in <g>
+        group.precompute(outside)
+        bases = [params.g, params.h, pp.key_base, pp.blind_base, outside]
+        scalars = [0, 1, -1, n - 1, n, n + 1, 2 * n + 3, rng.randrange(n)]
+        others = [group.mul(rng.randrange(n), params.g), outside, (0, 0)]
+        for P in bases:
+            for k in scalars:
+                assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
+            for Q in others:
+                z = group.pair(P, Q)
+                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+        assert group._mul_tables[outside] is None  # [n]outside != O: plain path
+        assert all(group._mul_tables[P] is not None for P in bases[:4])
+
+    def test_tables_built_from_many_threads(self, tiny_params):
+        # Eight threads race to build and use the tables of the same fresh
+        # bases; a table published before it is complete gives a wrong value.
+        n, ell = tiny_params.n, tiny_params.ell
+        group = PairingGroup(n, ell, tiny_params.g, tiny_params.h)
+        bases = [tiny_params.g, tiny_params.h, *all_curve_points(ell)[1::9]]
+        group.precompute(*bases)
+        Q = tiny_params.g
+        want = [(k, P, naive_mul(k, P, ell), naive_pair(P, Q, n, ell))
+                for P in bases for k in (2, 34, -5)]
+        wrong = []
+
+        def work():
+            for k, P, prod, value in want:
+                z = group.pair(P, Q)
+                if group.mul(k, P) != prod or (z.re, z.im) != value:
+                    wrong.append((k, P))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_fixed_base_calls_count_once(self, tiny_params):
+        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
+        counter = OpCounter()
+        with count_ops(counter):
+            counter.set_phase("fixed")
+            for _ in range(2):  # the first call of each builds the table
+                group.mul(3, tiny_params.g)
+                group.pair(tiny_params.h, tiny_params.g)
+        assert counter.phase_counts("fixed") == {"exp": 2, "pair": 2}
+
+    def test_verify_only_group_builds_no_mul_table(self, setup16, keys16):
+        pp, _ = setup16
+        ring = Ring(pp.group, [k.pub_key for k in keys16[:3]])
+        signer = keys16[0]
+        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, b"bid", random.Random(5))
+        header_pp = public_params_from_json(public_params_to_json(pp))
+        group = header_pp.group
+        header_ring = Ring(group, ring.keys)
+        assert verify(header_pp, header_ring, b"bid", sig)
+        assert group._mul_tables == {}
+        assert set(group._lines) == {group.h, header_pp.key_base}
 
 
 # ---------------------------------------------------------------------------

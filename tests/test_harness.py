@@ -743,6 +743,27 @@ class TestCli:
         assert main(["run", "--scenario", str(tmp_path / "nope.scn"),
                      "--out", str(tmp_path / "t.txt")]) == 2
 
+    @pytest.mark.parametrize("flag", ("--out", "--tracekey-out"))
+    def test_setup_unwritable_output_returns_two(self, tmp_path, capsys, flag):
+        paths = {"--out": str(tmp_path / "p.json"), "--tracekey-out": str(tmp_path / "k.txt")}
+        paths[flag] = str(tmp_path / "missing" / "f")
+        assert main(["setup", "--k", "8", "--out", paths["--out"],
+                     "--tracekey-out", paths["--tracekey-out"]]) == 2
+        assert f"cannot write {paths[flag]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ("--out", "--params-out", "--tracekey-out"))
+    def test_run_unwritable_output_returns_two(self, tmp_path, capsys, flag):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text(SCENARIO_TEXT)
+        paths = {name: str(tmp_path / f"{name[2:]}.txt")
+                 for name in ("--out", "--params-out", "--tracekey-out")}
+        paths[flag] = str(tmp_path / "missing" / "f")
+        argv = ["run", "--scenario", str(scenario)]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert f"cannot write {paths[flag]}" in capsys.readouterr().err
+
     def test_trace_on_non_bid_seq_returns_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
