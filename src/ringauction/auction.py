@@ -2,18 +2,20 @@
 
 Admission is deliberately cheap — structural checks plus a look at the
 board's active-key view — and posts the bid publicly.  Ring signatures are
-only verified when the winner is determined, walking bids from the highest
-price down (ties broken toward the earlier posting) and skipping any bid
-whose signature fails.  Identity opening is a two-party step: the auction
-side traces the ring position with the tracing key, the registration side
-resolves the identity (and evicts the key when the bid was repudiated).
+only verified to decide a winner, by one rule (``first_verifying``) that
+both the auction manager and the public replay apply: walk the bids from
+the highest price down (ties broken toward the earlier posting) and stop at
+the first that verifies, so no bid ranked below the winner is verified.
+Identity opening is a two-party step: the auction side traces the ring
+position with the tracing key, the registration side resolves the identity
+(and evicts the key when the bid was repudiated).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .group import InvalidPoint, Point
 from .registry import (
@@ -138,6 +140,13 @@ def parse_bid_payload(group, data: bytes) -> Bid:
                ring=ring, signature=signature)
 
 
+def first_verifying(bids: Iterable[Bid], verifies: Callable[[Bid], object]) -> Bid | None:
+    """The winner rule: the first of ``bids`` by (-price, seq) for which
+    ``verifies`` holds, or None; no bid ranked below it is passed to it."""
+    return next((bid for bid in sorted(bids, key=lambda bid: (-bid.price, bid.seq))
+                 if verifies(bid)), None)
+
+
 # ---------------------------------------------------------------------------
 # actors
 
@@ -194,7 +203,8 @@ class AuctionManager:
     """Runs auctions against a shared board.
 
     Signatures are *not* checked at admission; a bid with a broken signature
-    sits on the board until winner determination skips it.
+    sits on the board until winner determination skips it, and bids ranked
+    below the winner are never verified.
     """
 
     def __init__(self, pp: PublicParams, trace_key: TraceKey, board: BulletinBoard) -> None:
@@ -253,22 +263,22 @@ class AuctionManager:
     def determine_winner(self, auction_id: int) -> Bid:
         """Highest verifying bid wins; ties go to the earlier posting.
 
-        This is where the lazily-skipped signature checks happen.  The
-        winning bid is re-published with its ring signature so anyone can
-        re-derive the outcome from the board alone.
+        This is where the lazily-skipped signature checks happen, through
+        ``first_verifying``.  The winning bid is re-published with its ring
+        signature so anyone can re-derive the outcome from the board alone.
         """
         state = self.state(auction_id)
         if state.phase != "closed":
             raise AuctionError("close the auction before determining a winner")
-        candidates = sorted(state.bids, key=lambda bid: (-bid.price, bid.seq))
-        for bid in candidates:
-            if verify(self.pp, bid.ring, bid.message_bytes(), bid.signature):
-                state.winner = bid
-                state.phase = "announced"
-                payload = bid.seq.to_bytes(_SEQ_WIDTH, "big") + serialize_bid_payload(bid)
-                self.board.append(WINNER_ANNOUNCED, payload)
-                return bid
-        raise NoValidBid("no admitted bid carries a verifying signature")
+        bid = first_verifying(state.bids, lambda bid: verify(
+            self.pp, bid.ring, bid.message_bytes(), bid.signature))
+        if bid is None:
+            raise NoValidBid("no admitted bid carries a verifying signature")
+        state.winner = bid
+        state.phase = "announced"
+        payload = bid.seq.to_bytes(_SEQ_WIDTH, "big") + serialize_bid_payload(bid)
+        self.board.append(WINNER_ANNOUNCED, payload)
+        return bid
 
 
 def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,

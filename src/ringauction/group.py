@@ -13,12 +13,13 @@ inside, Jacobian (X, Y, Z) stands for (X/Z^2, Y/Z^3), with Z = 0 for O.
 Scalar multiplication and the Miller loop run in Jacobian coordinates and
 invert once at the end, and the final exponentiation uses the Frobenius map
 so that it needs one inversion in F_ell and a short power.  g, h and the
-points passed to PairingGroup.precompute are fixed bases, each with tables
-built on first use: mul takes [j * 16^i]P from a window table, but only
-when [n]P = O, as only then may a scalar be reduced mod n; pair evaluates
-the Miller lines of a fixed first argument, stored once, at each Q.  The
-parameter sizes used throughout this package are study material: breaking
-anonymity only requires factoring n, and nothing here is constant-time.
+points passed to PairingGroup.precompute are fixed bases.  mul takes
+[j * 16^i]P from a window table, built at a declared base's first mul and
+at g's or h's second, and only when [n]P = O, as only then may a scalar be
+reduced mod n; pair evaluates the Miller lines of a fixed first argument,
+stored once, at each Q.  The parameter sizes used throughout this package
+are study material: breaking anonymity only requires factoring n, and
+nothing here is constant-time.
 """
 
 from __future__ import annotations
@@ -603,16 +604,21 @@ class PairingGroup:
                 raise InvalidPoint(f"generator {name} is not a finite curve point")
         self.g = g
         self.h = h
-        # Fixed bases get precomputed tables on first use; a table is
-        # published with one dict assignment once it is complete.
+        # Fixed bases get tables on first use, but g and h, fixed without
+        # being declared, get a window table only on their second mul.  A
+        # table is published with one dict assignment once it is complete.
         self._fixed = {g, h}
+        self._mul_seen: set = set()
         self._mul_tables: dict = {}
         self._lines: dict = {}
 
     def precompute(self, *points: Point) -> None:
         """Mark points as fixed bases: later ``mul`` and ``pair`` calls with
-        one of them as base or first argument build and reuse its tables."""
-        self._fixed.update(pt for pt in points if pt is not None)
+        one of them as base or first argument build and reuse its tables
+        (the window table from the first ``mul``, as if this were a use)."""
+        points = {pt for pt in points if pt is not None}
+        self._fixed |= points
+        self._mul_seen |= points
 
     # -- point arithmetic ---------------------------------------------------
 
@@ -631,9 +637,10 @@ class PairingGroup:
         """Scalar multiple [k]P (one counted exponentiation)."""
         _bump("exp")
         if P in self._fixed:
-            if P not in self._mul_tables:
+            if P in self._mul_seen and P not in self._mul_tables:
                 self._mul_tables[P] = _window_table(P, self.n, self.ell)
-            if self._mul_tables[P] is not None:
+            self._mul_seen.add(P)
+            if self._mul_tables.get(P) is not None:
                 return _window_mul(self._mul_tables[P], k % self.n, self.ell)
         return _point_mul(k, P, self.ell)
 

@@ -25,6 +25,7 @@ from .auction import (
     BidderAgent,
     MalformedBid,
     MessageEvent,
+    first_verifying,
     open_protocol,
     parse_bid_payload,
 )
@@ -43,6 +44,7 @@ from .registry import (
 )
 from .ringsig import (
     Ring,
+    VerifyResult,
     keygen,
     public_params_from_json,
     public_params_to_json,
@@ -362,31 +364,40 @@ class TranscriptReport:
     reason: str | None = None
     records: int = 0
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
+    # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
+    outcomes: tuple[tuple[int, str], ...] = ()
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-@dataclass
-class _ReplayBid:
-    auction_id: int
-    price: int
-    seq: int
-    payload: bytes
-    verifies: bool
-
-
 def verify_transcript(data: bytes) -> TranscriptReport:
     """Replay a transcript using public data only.
 
-    Checks record structure, sequence monotonicity, the active-key view at
-    every step, and every announced winner: its payload must byte-match the
-    referenced bid, its signature must verify, and it must be the best
-    verifying bid of its auction.  Bids whose signatures fail are legitimate
-    content — admission is lazy — but they can never be announced winners.
+    Checks record structure, sequence monotonicity and the active-key view
+    at every step, parsing every posted bid.  Signatures are checked lazily,
+    by the rule ``AuctionManager.determine_winner`` applies: each announced
+    winner's payload must byte-match the referenced bid and its signature
+    must verify, and no bid of its auction posted before the announcement
+    and ranked ahead of it (by -price, then seq) may verify.  Only those
+    bids are verified, each at most once; ``outcomes`` records which.  Bids
+    whose signatures fail are legitimate content — admission is lazy — but
+    they can never be announced winners.
     """
+    bids: dict[int, tuple[Bid, bytes]] = {}
+    results: dict[int, VerifyResult] = {}
+
+    def verified(bid: Bid) -> VerifyResult:
+        if bid.seq not in results:
+            results[bid.seq] = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
+        return results[bid.seq]
+
+    def outcomes() -> tuple[tuple[int, str], ...]:
+        said = {seq: "verified" if ok else f"failed: {ok.reason}" for seq, ok in results.items()}
+        return tuple((seq, said.get(seq, "not needed")) for seq in bids)
+
     def invalid(seq: int | None, reason: str) -> TranscriptReport:
-        return TranscriptReport(False, failing_seq=seq, reason=reason)
+        return TranscriptReport(False, failing_seq=seq, reason=reason, outcomes=outcomes())
 
     try:
         params_hex, entries = read_transcript(data)
@@ -401,7 +412,6 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     group = pp.group
 
     active: set[bytes] = set()
-    bids: dict[int, _ReplayBid] = {}
     announced: set[int] = set()
     winners: list[tuple[int, int, int]] = []
     for entry in entries:
@@ -432,32 +442,28 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             for key in bid.ring:
                 if group.encode_point(key) not in active:
                     return invalid(seq, "ring key not in the active view")
-            verifies = bool(verify(pp, bid.ring, bid.message_bytes(), bid.signature))
-            bids[seq] = _ReplayBid(auction_id=bid.auction_id, price=bid.price,
-                                   seq=seq, payload=payload, verifies=verifies)
+            bids[seq] = (replace(bid, seq=seq), payload)
         else:  # WINNER_ANNOUNCED
             if len(payload) < 8:
                 return invalid(seq, "winner record too short")
             ref = int.from_bytes(payload[:8], "big")
-            body = payload[8:]
-            known = bids.get(ref)
-            if known is None:
+            if ref not in bids:
                 return invalid(seq, "winner references an unknown bid")
-            if body != known.payload:
+            known, known_payload = bids[ref]
+            if payload[8:] != known_payload:
                 return invalid(seq, "winner payload differs from the referenced bid")
-            if not known.verifies:
+            if not verified(known):
                 return invalid(seq, "announced winner's signature does not verify")
             if known.auction_id in announced:
                 return invalid(seq, "auction already has an announced winner")
-            candidates = [b for b in bids.values()
-                          if b.auction_id == known.auction_id and b.verifies]
-            best = min(candidates, key=lambda b: (-b.price, b.seq))
-            if best.seq != ref:
+            rivals = [bid for bid, _ in bids.values() if bid.auction_id == known.auction_id]
+            if first_verifying(rivals, verified) is not known:
                 return invalid(seq, "a better verifying bid exists than the announced winner")
             announced.add(known.auction_id)
             winners.append((known.auction_id, ref, known.price))
 
-    return TranscriptReport(True, records=len(entries), winners=tuple(winners))
+    return TranscriptReport(True, records=len(entries), winners=tuple(winners),
+                            outcomes=outcomes())
 
 
 # ---------------------------------------------------------------------------

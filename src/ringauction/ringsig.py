@@ -92,15 +92,15 @@ class Ring:
     """
 
     def __init__(self, group: PairingGroup, keys: Iterable[Point]) -> None:
-        encoded = sorted(group.encode_point(key) for key in keys)
-        if not encoded:
+        pairs = sorted(((group.encode_point(key), key) for key in keys), key=lambda kv: kv[0])
+        if not pairs:
             raise ValueError("a ring needs at least one key")
-        for left, right in zip(encoded, encoded[1:]):
+        for (left, _), (right, _) in zip(pairs, pairs[1:]):
             if left == right:
                 raise ValueError("ring keys must be distinct")
         self.group = group
-        self._encoded = tuple(encoded)
-        self.keys: tuple[Point, ...] = tuple(group.decode_point(e) for e in encoded)
+        self._encoded = tuple(encoding for encoding, _ in pairs)
+        self.keys: tuple[Point, ...] = tuple(key for _, key in pairs)
 
     def __len__(self) -> int:
         return len(self.keys)

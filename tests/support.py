@@ -1,12 +1,20 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written from first principles — trial
+The arithmetic here is deliberately written from first principles — trial
 division, the textbook chord-and-tangent formulas, square-and-multiply —
 so that the package's own group arithmetic is checked against code that
-shares none of its internals.
+shares none of its internals.  ``eager_verify_transcript`` is the replay
+that verifies every posted bid; the package's lazy replay must reach the
+same verdict on every transcript.
 """
 
 from __future__ import annotations
+
+from ringauction.auction import MalformedBid, parse_bid_payload
+from ringauction.group import InvalidPoint
+from ringauction.harness import TranscriptReport, read_transcript
+from ringauction.registry import BID_POSTED, KEY_EVICTED, KEY_PUBLISHED, MalformedBoard
+from ringauction.ringsig import public_params_from_json, verify
 
 
 def is_prime_trial_division(m: int) -> bool:
@@ -141,3 +149,82 @@ def naive_pair(P, Q, n: int, ell: int):
         f = _fp2_times(f, f, ell)
         e >>= 1
     return result
+
+
+def eager_verify_transcript(data: bytes) -> TranscriptReport:
+    """Replay that verifies every posted bid as it is read, then checks each
+    announced winner against all verifying bids of its auction posted so far.
+    Leaves ``outcomes`` empty."""
+    def invalid(seq, reason):
+        return TranscriptReport(False, failing_seq=seq, reason=reason)
+
+    try:
+        params_hex, entries = read_transcript(data)
+    except MalformedBoard as exc:
+        return invalid(exc.seq, exc.reason)
+    if params_hex is None:
+        return invalid(None, "missing params header") if entries else TranscriptReport(True)
+    try:
+        pp = public_params_from_json(bytes.fromhex(params_hex))
+    except (ValueError, InvalidPoint) as exc:
+        return invalid(None, f"bad params header: {exc}")
+    group = pp.group
+
+    active = set()
+    bids = {}  # seq -> (auction_id, price, payload, verifies)
+    announced = set()
+    winners = []
+    for entry in entries:
+        seq, kind, payload = entry.seq, entry.kind, entry.payload
+        if kind == KEY_PUBLISHED:
+            try:
+                key = group.decode_point(payload)
+            except InvalidPoint as exc:
+                return invalid(seq, f"unreadable key: {exc}")
+            if key is None:
+                return invalid(seq, "identity point published as a key")
+            if group.encode_point(key) != payload:
+                return invalid(seq, "non-canonical key encoding")
+            if payload in active:
+                return invalid(seq, "key is already active")
+            active.add(payload)
+        elif kind == KEY_EVICTED:
+            if payload not in active:
+                return invalid(seq, "evicting a key that is not active")
+            active.discard(payload)
+        elif kind == BID_POSTED:
+            try:
+                bid = parse_bid_payload(group, payload)
+            except MalformedBid as exc:
+                return invalid(seq, f"unreadable bid: {exc}")
+            if bid.price < 1:
+                return invalid(seq, "non-positive price")
+            for key in bid.ring:
+                if group.encode_point(key) not in active:
+                    return invalid(seq, "ring key not in the active view")
+            verifies = bool(verify(pp, bid.ring, bid.message_bytes(), bid.signature))
+            bids[seq] = (bid.auction_id, bid.price, payload, verifies)
+        else:  # winner-announced
+            if len(payload) < 8:
+                return invalid(seq, "winner record too short")
+            ref = int.from_bytes(payload[:8], "big")
+            if ref not in bids:
+                return invalid(seq, "winner references an unknown bid")
+            auction_id, price, posted, verifies = bids[ref]
+            if payload[8:] != posted:
+                return invalid(seq, "winner payload differs from the referenced bid")
+            if not verifies:
+                return invalid(seq, "announced winner's signature does not verify")
+            if auction_id in announced:
+                return invalid(seq, "auction already has an announced winner")
+            best = min((-b[1], s) for s, b in bids.items() if b[0] == auction_id and b[3])
+            if best[1] != ref:
+                return invalid(seq, "a better verifying bid exists than the announced winner")
+            announced.add(auction_id)
+            winners.append((auction_id, ref, price))
+    return TranscriptReport(True, records=len(entries), winners=tuple(winners))
+
+
+def verdict(report: TranscriptReport):
+    """The parts of a replay report on which lazy and eager replay agree."""
+    return report.valid, report.failing_seq, report.reason, report.winners

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from ringauction import harness
 from ringauction.auction import count_messages, parse_bid_payload
 from ringauction.group import gen_group_params, group_from_primes
 from ringauction.harness import (
@@ -245,13 +246,16 @@ def test_efficiency_bound():
           "one message hash per signing)")
 
 
+END_TO_END = ScenarioConfig(
+    p_bits=32, q_bits=32, k=16, seed=77,
+    bidders=4, rounds=2, auctions=2,
+    strategies=(HONEST, INVALID_SIGNATURE, SNIPER, REPUDIATOR),
+)
+
+
 def test_end_to_end_protocol():
     t0 = time.monotonic()
-    config = ScenarioConfig(
-        p_bits=32, q_bits=32, k=16, seed=77,
-        bidders=4, rounds=2, auctions=2,
-        strategies=(HONEST, INVALID_SIGNATURE, SNIPER, REPUDIATOR),
-    )
+    config = END_TO_END
     result = run_scenario(config, counted=False)
     group = result.public_params.group
 
@@ -297,6 +301,35 @@ def test_end_to_end_protocol():
     assert elapsed < 120, f"end-to-end run took {elapsed:.1f}s"
     print(f"\nACCEPTANCE end-to-end: PASS (2 auctions at 64-bit group order, "
           f"winner re-derived publicly, repudiator evicted, {elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("strategies", (
+    END_TO_END.strategies,
+    (HONEST, HONEST, HONEST, INVALID_SIGNATURE),  # failing bids outbid the winners
+))
+def test_replay_verifies_only_deciding_bids(monkeypatch, strategies):
+    # The replay verifies each winner and the bids ranked ahead of it, all
+    # of which fail; every other posted bid is reported as not needed.
+    result = run_scenario(replace(END_TO_END, strategies=strategies), counted=False)
+    pp = result.public_params
+    posted = {}
+    for line in result.transcript.decode().splitlines()[1:]:
+        seq_text, kind, payload_hex = line.split(" ")
+        if kind == "bid-posted":
+            posted[int(seq_text)] = parse_bid_payload(pp.group, bytes.fromhex(payload_hex))
+    ahead = {seq for w in result.winners for seq, bid in posted.items()
+             if bid.auction_id == w.auction_id and (-bid.price, seq) < (-w.price, w.seq)}
+    winners = {w.seq for w in result.winners}
+    calls = []
+    monkeypatch.setattr(harness, "verify", lambda *args: calls.append(args) or verify(*args))
+    report = verify_transcript(result.transcript)
+    assert report.valid, report.reason
+    assert len(calls) == len(winners) + len(ahead)
+    assert {seq for seq, outcome in report.outcomes if outcome == "verified"} == winners
+    assert {seq for seq, outcome in report.outcomes if outcome.startswith("failed: ")} == ahead
+    assert [seq for seq, _ in report.outcomes] == sorted(posted)
+    print(f"\nACCEPTANCE lazy-replay: PASS ({len(calls)} verifies for "
+          f"{len(posted)} posted bids, {len(winners)} winners)")
 
 
 def test_determinism():

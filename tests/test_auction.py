@@ -32,6 +32,7 @@ from ringauction.auction import (
     parse_bid_payload,
     serialize_bid_payload,
 )
+from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
     WINNER_ANNOUNCED,
@@ -48,7 +49,7 @@ from ringauction.ringsig import (
     sign,
 )
 
-from .support import naive_add, naive_mul, naive_neg
+from .support import eager_verify_transcript, naive_add, naive_mul, naive_neg, verdict
 
 
 @pytest.fixture()
@@ -346,10 +347,23 @@ class TestWinner:
     def test_tie_goes_to_earlier_posting(self, env):
         env.am.open_auction(1, monotonic=False)
         first = env.am.admit_bid(craft_bid(env, env.agents[0], 20))
-        assert env.am.admit_bid(craft_bid(env, env.agents[1], 20))
+        second = env.am.admit_bid(craft_bid(env, env.agents[1], 20))
+        assert second
         env.am.close_auction(1)
         winner = env.am.determine_winner(1)
         assert winner.seq == first.seq
+        # The replay applies the same tie rule: naming the later of two
+        # equal verifying bids as winner is rejected, as the eager replay does.
+        transcript = render_transcript(env.pp, env.board)
+        assert verify_transcript(transcript).winners == ((1, first.seq, 20),)
+        lines = transcript.decode().splitlines()
+        seq, kind, payload = lines[-1].split(" ")
+        later = next(e.payload for e in env.board.entries() if e.seq == second.seq).hex()
+        lines[-1] = f"{seq} {kind} {second.seq.to_bytes(8, 'big').hex()}{later}"
+        forged = ("\n".join(lines) + "\n").encode()
+        report = verify_transcript(forged)
+        assert report.reason == "a better verifying bid exists than the announced winner"
+        assert verdict(report) == verdict(eager_verify_transcript(forged))
 
     def test_no_bids_raises(self, env):
         env.am.open_auction(1)

@@ -300,6 +300,16 @@ class TestFixedBases:
         assert group._mul_tables[outside] is None  # [n]outside != O: plain path
         assert all(group._mul_tables[P] is not None for P in bases[:4])
 
+    def test_window_table_built_on_second_mul(self, params16):
+        # A base multiplied once keeps the plain path; the second mul builds
+        # its table.
+        group = PairingGroup(params16.n, params16.ell, params16.g, params16.h)
+        ell = params16.ell
+        for k in (5, 7):
+            assert group.mul(k, params16.h) == naive_mul(k, params16.h, ell)
+            assert (params16.h in group._mul_tables) == (k == 7)
+        assert group._mul_tables[params16.h] is not None
+
     def test_tables_built_from_many_threads(self, tiny_params):
         # Eight threads race to build and use the tables of the same fresh
         # bases; a table published before it is complete gives a wrong value.

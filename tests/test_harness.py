@@ -28,6 +28,8 @@ from ringauction.auction import count_messages
 from ringauction.registry import MalformedBoard, parse_board_text
 from ringauction.ringsig import public_params_from_json, verify
 
+from .support import eager_verify_transcript, verdict
+
 
 FULL_CAST = ScenarioConfig(
     bidders=4, rounds=2, auctions=2, k=16, seed=7,
@@ -258,6 +260,8 @@ class TestVerifyTranscript:
         report = verify_transcript(("\n".join(lines) + "\n").encode())
         assert report.valid
         assert report.winners == ()
+        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        assert report.outcomes == tuple((seq, "not needed") for seq in posted)
 
     def test_not_utf8_rejected(self):
         assert not verify_transcript(b"\xff\xfe\x00")
@@ -297,7 +301,10 @@ class TestTranscriptMutations:
     """Every locally detectable mutation is caught at its exact record."""
 
     def reverify(self, lines):
-        return verify_transcript(("\n".join(lines) + "\n").encode())
+        data = ("\n".join(lines) + "\n").encode()
+        report = verify_transcript(data)
+        assert verdict(report) == verdict(eager_verify_transcript(data))
+        return report
 
     def classify(self, result, lines):
         pp = result.public_params
@@ -437,6 +444,35 @@ class TestTranscriptMutations:
         assert report.failing_seq == int(seq)
         assert report.reason == "a better verifying bid exists than the announced winner"
 
+    def test_winner_repointed_at_each_posted_bid(self, run_and_lines):
+        # Lower, failing and equal bids alike: the lazy replay reaches the
+        # eager verdict and verifies nothing ranked below the named bid.
+        result, lines = run_and_lines
+        rows, posted, verifying = self.classify(result, lines)
+        idx = self.find_line(lines, "winner-announced")
+        seq, kind, _ = lines[idx].split(" ")
+        for target in posted:
+            mutated = list(lines)
+            mutated[idx] = f"{seq} {kind} {target.to_bytes(8, 'big').hex()}{rows[target][1]}"
+            report = self.reverify(mutated)
+            rank = (-posted[target].price, target)
+            checked = {s for s, outcome in report.outcomes if outcome != "not needed"}
+            assert target in checked
+            assert all((-posted[s].price, s) <= rank for s in checked)
+            assert report.valid == (target == result.winners[0].seq)
+
+    def test_second_winner_at_failing_bid_reports_signature(self, run_and_lines):
+        # The signature check comes before the already-announced check.
+        result, lines = run_and_lines
+        rows, posted, verifying = self.classify(result, lines)
+        bad_seq = next(seq for seq in posted if seq not in verifying)
+        last_seq = int(lines[-1].split(" ")[0])
+        forged = bad_seq.to_bytes(8, "big").hex() + rows[bad_seq][1]
+        report = self.reverify(list(lines) + [f"{last_seq + 1} winner-announced {forged}"])
+        assert report.failing_seq == last_seq + 1
+        assert report.reason == "announced winner's signature does not verify"
+        assert (bad_seq, "failed: main-equation") in report.outcomes
+
     def test_duplicate_winner_announcement_fails(self, run_and_lines):
         _, lines = run_and_lines
         idx = self.find_line(lines, "winner-announced")
@@ -508,10 +544,10 @@ def test_one_parser_one_answer(run_and_lines, tmp_path, capsys, fault):
 
 @pytest.fixture(scope="module")
 def hostile_base(tmp_path_factory):
-    """A small real transcript (two keys, two bids, a winner, an eviction)
-    and the files the CLI needs to read it."""
-    config = ScenarioConfig(bidders=2, rounds=1, auctions=1, k=8, seed=11,
-                            strategies=(INVALID_SIGNATURE, REPUDIATOR))
+    """A small real transcript (three keys, three bids of which two verify,
+    a winner, an eviction) and the files the CLI needs to read it."""
+    config = ScenarioConfig(bidders=3, rounds=1, auctions=1, k=8, seed=11,
+                            strategies=(HONEST, INVALID_SIGNATURE, REPUDIATOR))
     result = run_scenario(config, counted=False)
     workdir = tmp_path_factory.mktemp("hostile")
     tracekey = workdir / "k.txt"
@@ -521,10 +557,12 @@ def hostile_base(tmp_path_factory):
 
 def _mutate(data, lines: list[str]) -> list[str]:
     """Apply one to three hostile edits: flip a character to a hex digit,
-    truncate a payload, swap or drop lines, or edit the params header."""
+    truncate a payload, swap or drop lines, edit the params header, or point
+    a winner record (the last one, or a new one) at any posted bid."""
     hex_digits = st.sampled_from("0123456789abcdef")
     for _ in range(data.draw(st.integers(1, 3))):
-        op = data.draw(st.sampled_from(("flip", "truncate", "swap", "drop", "header")))
+        op = data.draw(st.sampled_from(
+            ("flip", "truncate", "swap", "drop", "header", "winner")))
         i = data.draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         if op == "flip":
@@ -545,6 +583,18 @@ def _mutate(data, lines: list[str]) -> list[str]:
                 lines[0] = head[:j]
             else:
                 lines[0] = head[:j] + data.draw(hex_digits) + head[j + 1:]
+        elif op == "winner":
+            posted = [fields for fields in (text.split(" ") for text in lines)
+                      if len(fields) == 3 and fields[1] == "bid-posted" and fields[0].isdigit()]
+            if not posted:
+                continue
+            seq, _, payload = data.draw(st.sampled_from(posted))
+            record = f"winner-announced {int(seq).to_bytes(8, 'big').hex()}{payload}"
+            at = [k for k, text in enumerate(lines) if " winner-announced " in text]
+            if at and data.draw(st.booleans()):
+                lines[at[-1]] = f"{lines[at[-1]].split(' ')[0]} {record}"
+            else:
+                lines.append(f"{10**6 + len(lines)} {record}")
     return lines
 
 
@@ -555,6 +605,7 @@ def test_hostile_transcripts_never_crash(hostile_base, data):
     mutated = "\n".join(_mutate(data, list(lines))) + "\n"
     report = verify_transcript(mutated.encode())
     assert isinstance(report, TranscriptReport)
+    assert verdict(report) == verdict(eager_verify_transcript(mutated.encode()))
     transcript.write_text(mutated)
     assert main(["verify", "--transcript", str(transcript)]) == (0 if report.valid else 1)
     seq = data.draw(st.sampled_from([line.split(" ")[0] for line in lines
