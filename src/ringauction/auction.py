@@ -164,11 +164,8 @@ class BidderAgent:
         """Sign one bid message under ``ring``; emits exactly one message."""
         if self.keypair.pub_key not in ring:
             raise OwnKeyNotInRing("bidder's own key must be part of the ring")
-        active = self.board.active_keys()
-        group = self.pp.group
-        for key in ring:
-            if group.encode_point(key) not in active:
-                raise RingKeyNotOnBoard("ring references a key not on the board")
+        if not self.board.active_keys().issuperset(ring.encodings):
+            raise RingKeyNotOnBoard("ring references a key not on the board")
         message = encode_bid_message(auction_id, round_no, price)
         signature = sign(self.pp, ring, ring.index_of(self.keypair.pub_key),
                          self.keypair, message, rng)
@@ -238,11 +235,8 @@ class AuctionManager:
             return AdmitResult(False, reason="auction-closed")
         if bid.price < 1 or structure_problem(self.pp, bid.ring, bid.signature):
             return AdmitResult(False, reason="malformed")
-        group = self.pp.group
-        active = self.board.active_keys()
-        for key in bid.ring:
-            if group.encode_point(key) not in active:
-                return AdmitResult(False, reason="ring-key-not-on-BBS")
+        if not self.board.active_keys().issuperset(bid.ring.encodings):
+            return AdmitResult(False, reason="ring-key-not-on-BBS")
         payload = serialize_bid_payload(bid)
         digest = hashlib.sha256(payload).digest()
         if digest in state.seen_digests:

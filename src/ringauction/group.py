@@ -311,8 +311,9 @@ def decode_point_bytes(data: bytes, ell: int) -> Point:
     y = pow(z, (ell + 1) // 4, ell)
     if y * y % ell != z:
         raise InvalidPoint("x coordinate is not on the curve")
-    want_odd = 1 if tag == 0x03 else 0
-    if (y & 1) != want_odd:
+    if (y & 1) != (tag == 0x03):
+        if y == 0:
+            raise InvalidPoint("y = 0 takes the even parity tag")
         y = ell - y
     return (x, y)
 
@@ -646,9 +647,6 @@ class PairingGroup:
 
     def random_point(self, rng) -> tuple[int, int]:
         return _random_point(self.ell, rng)
-
-    def random_scalar(self, rng) -> int:
-        return rng.randrange(self.n)
 
     # -- pairing --------------------------------------------------------------
 

@@ -32,9 +32,9 @@ from .auction import (
 from .group import InvalidPoint, OpCounter, count_ops, gen_group_params
 from .registry import (
     BID_POSTED,
-    KEY_EVICTED,
-    KEY_PUBLISHED,
+    WINNER_ANNOUNCED,
     BoardEntry,
+    BoardState,
     BulletinBoard,
     MalformedBoard,
     RegistrationManager,
@@ -190,6 +190,7 @@ class _Actor:
     index: int
     strategy: str
     agent: BidderAgent
+    own: bytes  # encoding of the actor's published key
     last_admitted: Bid | None = None
 
 
@@ -203,16 +204,15 @@ def _wants_to_bid(strategy: str, round_no: int, rounds: int) -> bool:
     return True
 
 
-def _choose_ring(group, board, actor: _Actor, config: ScenarioConfig, rng) -> Ring:
-    active_sorted = sorted(board.active_keys())
-    own = group.encode_point(actor.agent.keypair.pub_key)
+def _choose_ring(group, board, own: bytes, config: ScenarioConfig, rng) -> Ring:
+    order, points = board.active_view()
     if config.ring_policy == RING_ALL_ACTIVE:
-        chosen = active_sorted
+        chosen = order
     else:
-        others = [key for key in active_sorted if key != own]
+        others = [key for key in order if key != own]
         take = min(config.ring_size - 1, len(others))
         chosen = [own] + rng.sample(others, take)
-    return Ring(group, [group.decode_point(encoding) for encoding in chosen])
+    return Ring(group, [points[encoding] for encoding in chosen])
 
 
 def run_scenario(config: ScenarioConfig, *, counted: bool = True) -> ScenarioResult:
@@ -240,7 +240,7 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         raise ScenarioError(f"group generation failed: {exc}") from exc
     pp, trace_key = setup(params, config.k, _child_rng(seed, "setup"))
     group = params.group
-    board = BulletinBoard()
+    board = BulletinBoard(group)
     rm = RegistrationManager(group, board)
     am = AuctionManager(pp, trace_key, board)
     messages: list[MessageEvent] = []
@@ -258,7 +258,8 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         except Exception as exc:
             raise ScenarioError(f"{name}: registration failed: {exc}") from exc
         actors.append(_Actor(name=name, index=index, strategy=config.strategy_of(index),
-                             agent=BidderAgent(name, keypair, pp, board)))
+                             agent=BidderAgent(name, keypair, pp, board),
+                             own=group.encode_point(keypair.pub_key)))
 
     winners: list[WinnerSummary] = []
     evicted: list[str] = []
@@ -269,15 +270,14 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
             high = am.current_high(auction_no)
             active_view = board.active_keys()
             for actor in actors:
-                own = group.encode_point(actor.agent.keypair.pub_key)
-                if own not in active_view:
+                if actor.own not in active_view:
                     continue  # evicted bidders are out
                 if not _wants_to_bid(actor.strategy, round_no, config.rounds):
                     continue
                 # Each bid draws from its own rng stream, so it does not
                 # depend on the bids built before it.
                 rng = _child_rng(seed, f"bid:{auction_no}:{round_no}:{actor.index}")
-                ring = _choose_ring(group, board, actor, config, rng)
+                ring = _choose_ring(group, board, actor.own, config, rng)
                 price = high + _PRICE_BUMPS[actor.strategy] + actor.index
                 bid = actor.agent.place_bid(auction_no, round_no, price, ring, rng)
                 if actor.strategy == INVALID_SIGNATURE:
@@ -306,12 +306,9 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
             identity=identity,
         ))
         for actor in actors:
-            if actor.strategy != REPUDIATOR or actor.last_admitted is None:
-                continue
-            if actor.last_admitted.auction_id != auction_no:
-                continue
-            encoded = group.encode_point(actor.agent.keypair.pub_key)
-            if encoded not in board.active_keys():
+            if (actor.strategy != REPUDIATOR or actor.last_admitted is None
+                    or actor.last_admitted.auction_id != auction_no
+                    or actor.own not in board.active_keys()):
                 continue
             traced_key, _ = open_protocol(am, rm, actor.last_admitted, malicious=True)
             evicted.append(group.encode_point(traced_key).hex())
@@ -411,39 +408,26 @@ def verify_transcript(data: bytes) -> TranscriptReport:
         return invalid(None, f"bad params header: {exc}")
     group = pp.group
 
-    active: set[bytes] = set()
+    state = BoardState(group)
     announced: set[int] = set()
     winners: list[tuple[int, int, int]] = []
     for entry in entries:
         seq, kind, payload = entry.seq, entry.kind, entry.payload
-        if kind == KEY_PUBLISHED:
-            try:
-                key = group.decode_point(payload)
-            except InvalidPoint as exc:
-                return invalid(seq, f"unreadable key: {exc}")
-            if key is None:
-                return invalid(seq, "identity point published as a key")
-            if group.encode_point(key) != payload:
-                return invalid(seq, "non-canonical key encoding")
-            if payload in active:
-                return invalid(seq, "key is already active")
-            active.add(payload)
-        elif kind == KEY_EVICTED:
-            if payload not in active:
-                return invalid(seq, "evicting a key that is not active")
-            active.discard(payload)
-        elif kind == BID_POSTED:
+        try:
+            state.apply(entry)
+        except MalformedBoard as exc:
+            return invalid(exc.seq, exc.reason)
+        if kind == BID_POSTED:
             try:
                 bid = parse_bid_payload(group, payload)
             except MalformedBid as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
             if bid.price < 1:
                 return invalid(seq, "non-positive price")
-            for key in bid.ring:
-                if group.encode_point(key) not in active:
-                    return invalid(seq, "ring key not in the active view")
+            if not all(key in state.points for key in bid.ring.encodings):
+                return invalid(seq, "ring key not in the active view")
             bids[seq] = (replace(bid, seq=seq), payload)
-        else:  # WINNER_ANNOUNCED
+        elif kind == WINNER_ANNOUNCED:
             if len(payload) < 8:
                 return invalid(seq, "winner record too short")
             ref = int.from_bytes(payload[:8], "big")

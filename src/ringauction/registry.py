@@ -2,10 +2,10 @@
 
 The bulletin board is the single public artifact of the protocol: an
 append-only sequenced log of key publications, evictions, posted bids and
-winner announcements.  Its replay defines the canonical state — in
-particular the *active-key view*, the only thing admission ever consults.
-There is no black list: eviction appends a record and the key simply drops
-out of the active view.
+winner announcements.  ``BoardState`` folds its key records into the
+*active-key view*, the only thing admission ever consults; the live board
+and the public replay share that fold.  There is no black list: eviction
+appends a record and the key simply drops out of the active view.
 
 The registration manager privately keeps the (published key -> identity)
 table.  Nothing on the board links a key to an identity.
@@ -13,11 +13,12 @@ table.  Nothing on the board links a key to an identity.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from .group import PairingGroup, Point
+from .group import InvalidPoint, PairingGroup, Point
 
 KEY_PUBLISHED = "key-published"
 KEY_EVICTED = "key-evicted"
@@ -47,7 +48,7 @@ class AlreadyEvicted(RegistryError):
 
 
 class MalformedBoard(RegistryError):
-    """A serialized board failed to parse.
+    """A board record failed to parse or does not fit the active-key view.
 
     ``reason`` says what is wrong; ``seq`` is the failing record's sequence
     number once it has been read, else None.  With a line number the message
@@ -108,29 +109,57 @@ class BoardEntry:
     payload: bytes
 
 
+class BoardState:
+    """The active-key view: each active encoding's decoded point (``points``)
+    and the encodings in sorted order (``order``).  ``apply`` folds one record;
+    a key record that does not fit raises MalformedBoard and changes nothing."""
+
+    def __init__(self, group: PairingGroup) -> None:
+        self.group = group
+        self.points: dict[bytes, Point] = {}
+        self.order: list[bytes] = []
+
+    def apply(self, entry: BoardEntry) -> None:
+        payload = entry.payload
+        if entry.kind == KEY_PUBLISHED:
+            try:
+                key = self.group.decode_point(payload)
+            except InvalidPoint as exc:
+                raise MalformedBoard(f"unreadable key: {exc}", seq=entry.seq) from exc
+            if key is None:
+                raise MalformedBoard("identity point published as a key", seq=entry.seq)
+            if payload in self.points:
+                raise MalformedBoard("key is already active", seq=entry.seq)
+            self.points[payload] = key
+            bisect.insort(self.order, payload)
+        elif entry.kind == KEY_EVICTED:
+            if payload not in self.points:
+                raise MalformedBoard("evicting a key that is not active", seq=entry.seq)
+            del self.points[payload]
+            del self.order[bisect.bisect_left(self.order, payload)]
+
+
 class BulletinBoard:
     """Append-only sequenced public log.
 
-    Appends are serialized through an internal lock; reads hand out immutable
-    snapshots, so they are safe from any thread.
+    ``append`` folds each record into a ``BoardState`` and stores only what
+    the fold accepts (else MalformedBoard).  Appends are serialized through
+    an internal lock; reads hand out snapshots, so they are safe from any thread.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, group: PairingGroup) -> None:
         self._lock = threading.Lock()
         self._entries: list[BoardEntry] = []
-        self._active: set[bytes] = set()
+        self._state = BoardState(group)
 
     def append(self, kind: str, payload: bytes) -> int:
         if kind not in ENTRY_KINDS:
             raise ValueError(f"unknown entry kind {kind!r}")
         with self._lock:
-            seq = len(self._entries)
-            self._entries.append(BoardEntry(seq=seq, kind=kind, payload=payload))
-            if kind == KEY_PUBLISHED:
-                self._active.add(payload)
-            elif kind == KEY_EVICTED:
-                self._active.discard(payload)
-            return seq
+            entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
+            self._state.apply(entry)
+            self._entries.append(entry)
+            return entry.seq
 
     def entries(self) -> tuple[BoardEntry, ...]:
         with self._lock:
@@ -139,22 +168,15 @@ class BulletinBoard:
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
         with self._lock:
-            return frozenset(self._active)
+            return frozenset(self._state.points)
+
+    def active_view(self) -> tuple[tuple[bytes, ...], dict[bytes, Point]]:
+        """Snapshot of the active key encodings in sorted order, and their points."""
+        with self._lock:
+            return tuple(self._state.order), dict(self._state.points)
 
     def to_text(self) -> str:
         return board_to_text(self.entries())
-
-
-def replay_active_view(entries: Iterable[BoardEntry]) -> frozenset[bytes]:
-    """Recompute the active-key view from genesis; the board's incremental
-    view must always equal this."""
-    active: set[bytes] = set()
-    for entry in entries:
-        if entry.kind == KEY_PUBLISHED:
-            active.add(entry.payload)
-        elif entry.kind == KEY_EVICTED:
-            active.discard(entry.payload)
-    return frozenset(active)
 
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:

@@ -99,7 +99,7 @@ class Ring:
             if left == right:
                 raise ValueError("ring keys must be distinct")
         self.group = group
-        self._encoded = tuple(encoding for encoding, _ in pairs)
+        self.encodings: tuple[bytes, ...] = tuple(encoding for encoding, _ in pairs)
         self.keys: tuple[Point, ...] = tuple(key for _, key in pairs)
 
     def __len__(self) -> int:
@@ -115,10 +115,10 @@ class Ring:
         return key in self.keys
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ring) and self._encoded == other._encoded
+        return isinstance(other, Ring) and self.encodings == other.encodings
 
     def __hash__(self) -> int:
-        return hash(self._encoded)
+        return hash(self.encodings)
 
     def index_of(self, pub_key: Point) -> int:
         """Position of ``pub_key`` in the canonical order (ValueError if absent)."""
@@ -126,7 +126,7 @@ class Ring:
 
     def encoded(self) -> bytes:
         """4-byte big-endian key count, then the sorted point encodings."""
-        return len(self._encoded).to_bytes(4, "big") + b"".join(self._encoded)
+        return len(self.encodings).to_bytes(4, "big") + b"".join(self.encodings)
 
 
 def canonical_encode(message: bytes, ring: Ring) -> bytes:

@@ -19,13 +19,19 @@ from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
     REPUDIATOR,
+    RING_RANDOM_SUBSET,
     SNIPER,
     ScenarioConfig,
     efficiency_sweep,
     run_scenario,
     verify_transcript,
 )
-from ringauction.registry import RegistrationProof, make_registration, verify_registration
+from ringauction.registry import (
+    RegistrationProof,
+    make_registration,
+    parse_board_text,
+    verify_registration,
+)
 from ringauction.ringsig import Ring, keygen, setup, sign, trace, verify
 
 from .support import naive_add, naive_mul, naive_neg
@@ -356,3 +362,27 @@ def test_determinism():
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
           "repeat runs, matching the pinned digest "
           "and operation counts)")
+
+
+def test_determinism_after_eviction():
+    # The repudiator wins auction 0 and is evicted; auction 1 then samples
+    # its random-subset rings from an active view that has lost a key from
+    # the middle of its sorted order.
+    config = ScenarioConfig(
+        bidders=6, auctions=2, k=16, seed=4, strategies=(HONEST, HONEST, REPUDIATOR),
+        ring_policy=RING_RANDOM_SUBSET, ring_size=3,
+    )
+    result = run_scenario(config)
+    assert hashlib.sha256(result.transcript).hexdigest() == (
+        "ceb2253285ddb5c8e241e5de548491a6a5b8b8412617426e4cfac44c89e630c6")
+    entries = parse_board_text(result.transcript.decode().split("\n", 1)[1])
+    published = sorted(e.payload for e in entries if e.kind == "key-published")
+    (evicted,) = [e for e in entries if e.kind == "key-evicted"]
+    assert 0 < published.index(evicted.payload) < len(published) - 1
+    later = [parse_bid_payload(result.public_params.group, e.payload)
+             for e in entries if e.kind == "bid-posted" and e.seq > evicted.seq]
+    assert later and all(bid.auction_id == 1 for bid in later)
+    assert all(evicted.payload not in bid.ring.encodings for bid in later)
+    assert verify_transcript(result.transcript).valid
+    print("\nACCEPTANCE determinism after eviction: PASS (pinned digest; later "
+          "rings drawn without the evicted key)")

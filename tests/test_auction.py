@@ -56,7 +56,7 @@ from .support import eager_verify_transcript, naive_add, naive_mul, naive_neg, v
 def env(setup16, keys16):
     """Fresh board with all five keys registered and one all-member ring."""
     pp, tk = setup16
-    board = BulletinBoard()
+    board = BulletinBoard(pp.group)
     rm = RegistrationManager(pp.group, board)
     am = AuctionManager(pp, tk, board)
     rng = random.Random(99)
@@ -460,7 +460,7 @@ class TestOpenProtocol:
         message = encode_bid_message(1, 0, 10)
         sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, message, rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
-        board = BulletinBoard()
+        board = BulletinBoard(group)
         am = AuctionManager(pp, tk, board)
         rm = RegistrationManager(group, board)
         with pytest.raises(Untraceable):

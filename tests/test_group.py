@@ -405,6 +405,26 @@ class TestEncoding:
         with pytest.raises(InvalidPoint):
             tiny_params.group.decode_point(data)
 
+    def test_rejects_zero_y_under_odd_tag(self, tiny_params):
+        # (0, 0) has y = 0, so only its even-tag encoding is canonical
+        data = bytes(tiny_params.group.coord_bytes) + b"\x03"
+        with pytest.raises(InvalidPoint, match="even parity tag"):
+            tiny_params.group.decode_point(data)
+
+    def test_every_decodable_encoding_is_canonical(self, tiny_params):
+        group = tiny_params.group
+        decoded = 0
+        for x in range(1 << (8 * group.coord_bytes)):
+            for tag in (0x00, 0x02, 0x03):
+                data = x.to_bytes(group.coord_bytes, "big") + bytes([tag])
+                try:
+                    P = group.decode_point(data)
+                except InvalidPoint:
+                    continue
+                decoded += 1
+                assert group.encode_point(P) == data
+        assert decoded == len(all_curve_points(tiny_params.ell))
+
     @given(k=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50)
     def test_roundtrip_at_16_bits(self, params16, k):

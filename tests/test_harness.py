@@ -557,12 +557,13 @@ def hostile_base(tmp_path_factory):
 
 def _mutate(data, lines: list[str]) -> list[str]:
     """Apply one to three hostile edits: flip a character to a hex digit,
-    truncate a payload, swap or drop lines, edit the params header, or point
-    a winner record (the last one, or a new one) at any posted bid."""
+    truncate a payload, swap or drop lines, edit the params header, point
+    a winner record (the last one, or a new one) at any posted bid, or
+    append a key publication or eviction of a key already on the board."""
     hex_digits = st.sampled_from("0123456789abcdef")
     for _ in range(data.draw(st.integers(1, 3))):
         op = data.draw(st.sampled_from(
-            ("flip", "truncate", "swap", "drop", "header", "winner")))
+            ("flip", "truncate", "swap", "drop", "header", "winner", "key")))
         i = data.draw(st.integers(0, len(lines) - 1))
         line = lines[i]
         if op == "flip":
@@ -595,6 +596,13 @@ def _mutate(data, lines: list[str]) -> list[str]:
                 lines[at[-1]] = f"{lines[at[-1]].split(' ')[0]} {record}"
             else:
                 lines.append(f"{10**6 + len(lines)} {record}")
+        elif op == "key":
+            keys = [fields[2] for fields in (text.split(" ") for text in lines)
+                    if len(fields) == 3 and fields[1] == "key-published"]
+            if not keys:
+                continue
+            kind = data.draw(st.sampled_from(("key-published", "key-evicted")))
+            lines.append(f"{10**6 + len(lines)} {kind} {data.draw(st.sampled_from(keys))}")
     return lines
 
 

@@ -6,12 +6,14 @@ import threading
 import pytest
 
 from ringauction.group import group_from_primes
+from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
     KEY_PUBLISHED,
     AlreadyEvicted,
     BoardEntry,
+    BoardState,
     BulletinBoard,
     DuplicateKey,
     InvalidProof,
@@ -22,7 +24,6 @@ from ringauction.registry import (
     board_to_text,
     make_registration,
     parse_board_text,
-    replay_active_view,
     verify_registration,
 )
 
@@ -41,6 +42,19 @@ def oracle_verify(pub_key, identity, proof, group):
 def fresh_key(group, rng):
     x = rng.randrange(1, group.n)
     return x, group.mul(x, group.g)
+
+
+def key_encodings(group, count):
+    """Encodings of [1]g .. [count]g: distinct keys a board accepts."""
+    return [group.encode_point(group.mul(x, group.g)) for x in range(1, count + 1)]
+
+
+def replayed_view(group, text):
+    """Fold a serialized board into a fresh BoardState: (sorted encodings, points)."""
+    state = BoardState(group)
+    for entry in parse_board_text(text):
+        state.apply(entry)
+    return tuple(state.order), state.points
 
 
 # ---------------------------------------------------------------------------
@@ -119,50 +133,58 @@ class TestRegistrationProof:
 # bulletin board
 
 class TestBulletinBoard:
-    def test_append_assigns_sequential_numbers(self):
-        board = BulletinBoard()
-        assert board.append(KEY_PUBLISHED, b"\x01") == 0
+    @pytest.fixture()
+    def board(self, tiny_params):
+        return BulletinBoard(tiny_params.group)
+
+    @pytest.fixture()
+    def keys(self, tiny_params):
+        return key_encodings(tiny_params.group, 3)
+
+    def test_append_assigns_sequential_numbers(self, board, keys):
+        assert board.append(KEY_PUBLISHED, keys[0]) == 0
         assert board.append(BID_POSTED, b"\x02") == 1
-        assert board.append(KEY_EVICTED, b"\x01") == 2
+        assert board.append(KEY_EVICTED, keys[0]) == 2
         kinds = [e.kind for e in board.entries()]
         assert kinds == [KEY_PUBLISHED, BID_POSTED, KEY_EVICTED]
 
-    def test_append_rejects_unknown_kind(self):
-        board = BulletinBoard()
+    def test_append_rejects_unknown_kind(self, board):
         with pytest.raises(ValueError):
             board.append("gossip", b"x")
 
-    def test_entries_snapshot_is_stable(self):
-        board = BulletinBoard()
-        board.append(KEY_PUBLISHED, b"a")
+    def test_entries_snapshot_is_stable(self, board, keys):
+        board.append(KEY_PUBLISHED, keys[0])
         snapshot = board.entries()
-        board.append(KEY_PUBLISHED, b"b")
+        board.append(KEY_PUBLISHED, keys[1])
         assert len(snapshot) == 1
         assert len(board.entries()) == 2
 
-    def test_active_view_tracks_evictions(self):
-        board = BulletinBoard()
-        board.append(KEY_PUBLISHED, b"k1")
-        board.append(KEY_PUBLISHED, b"k2")
-        assert board.active_keys() == {b"k1", b"k2"}
-        board.append(KEY_EVICTED, b"k1")
-        assert board.active_keys() == {b"k2"}
+    def test_active_view_tracks_evictions(self, board, keys, tiny_params):
+        k1, k2, _ = keys
+        board.append(KEY_PUBLISHED, k1)
+        board.append(KEY_PUBLISHED, k2)
+        assert board.active_keys() == {k1, k2}
+        board.append(KEY_EVICTED, k1)
+        assert board.active_keys() == {k2}
+        assert board.active_view() == ((k2,), {k2: tiny_params.group.decode_point(k2)})
 
-    def test_replay_matches_live_view(self):
-        board = BulletinBoard()
-        board.append(KEY_PUBLISHED, b"k1")
+    def test_replay_matches_live_view(self, board, keys, tiny_params):
+        k1, k2, k3 = keys
+        board.append(KEY_PUBLISHED, k1)
         board.append(BID_POSTED, b"bid")
-        board.append(KEY_PUBLISHED, b"k2")
-        board.append(KEY_EVICTED, b"k2")
-        assert replay_active_view(board.entries()) == board.active_keys()
+        board.append(KEY_PUBLISHED, k2)
+        board.append(KEY_PUBLISHED, k3)
+        board.append(KEY_EVICTED, k2)
+        order, points = board.active_view()
+        assert order == tuple(sorted((k1, k3)))
+        assert replayed_view(tiny_params.group, board.to_text()) == (order, points)
 
-    def test_concurrent_appends_get_distinct_seqs(self):
-        board = BulletinBoard()
+    def test_concurrent_appends_get_distinct_seqs(self, board):
         results = []
 
         def work():
             for _ in range(50):
-                results.append(board.append(KEY_PUBLISHED, b"x"))
+                results.append(board.append(BID_POSTED, b"x"))
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         for t in threads:
@@ -171,9 +193,8 @@ class TestBulletinBoard:
             t.join()
         assert sorted(results) == list(range(200))
 
-    def test_text_roundtrip(self):
-        board = BulletinBoard()
-        board.append(KEY_PUBLISHED, b"\x00\x01")
+    def test_text_roundtrip(self, board, keys):
+        board.append(KEY_PUBLISHED, keys[0])
         board.append(BID_POSTED, b"")
         text = board.to_text()
         assert text == board_to_text(board.entries())
@@ -201,12 +222,39 @@ class TestBulletinBoard:
         assert parse_board_text("") == ()
 
 
+@pytest.mark.parametrize("kind, name, reason", [
+    (KEY_PUBLISHED, "undecodable", "unreadable key: unknown parity tag 0xff"),
+    (KEY_PUBLISHED, "identity", "identity point published as a key"),
+    (KEY_PUBLISHED, "(0, 0) under the odd tag", "unreadable key: y = 0 takes the even parity tag"),
+    (KEY_PUBLISHED, "active", "key is already active"),
+    (KEY_EVICTED, "inactive", "evicting a key that is not active"),
+], ids=["undecodable", "identity", "non-canonical", "republished", "evict-inactive"])
+def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reason):
+    pp, _ = setup16
+    group = pp.group
+    active, inactive = key_encodings(group, 2)
+    width = group.point_bytes
+    payload = {"undecodable": b"\xff" * width, "identity": bytes(width),
+               "(0, 0) under the odd tag": bytes(width - 1) + b"\x03",
+               "active": active, "inactive": inactive}[name]
+    board = BulletinBoard(group)
+    board.append(KEY_PUBLISHED, active)
+    before = board.active_view()
+    with pytest.raises(MalformedBoard) as live:
+        board.append(kind, payload)
+    assert (live.value.seq, live.value.reason) == (1, reason)
+    assert len(board.entries()) == 1 and board.active_view() == before
+    transcript = render_transcript(pp, board) + f"1 {kind} {payload.hex()}\n".encode()
+    report = verify_transcript(transcript)
+    assert (report.failing_seq, report.reason) == (1, reason)
+
+
 # ---------------------------------------------------------------------------
 # registration manager
 
 @pytest.fixture()
 def manager(tiny_params):
-    board = BulletinBoard()
+    board = BulletinBoard(tiny_params.group)
     return RegistrationManager(tiny_params.group, board), board
 
 
@@ -325,4 +373,4 @@ class TestRegistrationManager:
         rm.evict(pub)
         parsed = parse_board_text(board.to_text())
         assert parsed == board.entries()
-        assert replay_active_view(parsed) == board.active_keys()
+        assert replayed_view(group, board.to_text()) == board.active_view()
