@@ -51,7 +51,7 @@ print(f"verify with nudged s1: {bool(verify(pp, ring, message, tampered))}")
 
 print()
 print("--- tracing ---")
-traced = trace(tk, pp, ring, sig)
+traced = trace(tk, pp, ring, message, sig)
 print(f"trace() -> position {traced[0]}, correct: {traced[0] == position}")
 
 # The trap: it is tempting to open member i by computing [q]C_i + B0 and
@@ -77,5 +77,5 @@ print(f"projected test [q]C_i == [q](pk_i - B0) matches: {projected_hits}")
 assert projected_hits == [position]
 
 print()
-print("Tracing never needs the message: a signer cannot dodge it by")
-print("garbling the signed bytes after the fact.")
+print("trace() verifies the signature on its message first, so only a valid")
+print("bid is ever opened; the projected test itself never reads the message.")

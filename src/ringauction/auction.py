@@ -25,7 +25,6 @@ from .registry import (
     RegistrationManager,
 )
 from .ringsig import (
-    NotVerified,
     PublicParams,
     Ring,
     RingSignature,
@@ -279,16 +278,14 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
                   *, malicious: bool = False) -> tuple[Point, bytes]:
     """Two-party identity opening.
 
-    The auction side re-verifies the bid against its message and traces the
-    ring position; the registration side resolves the published key to an
-    identity.  When the bid was repudiated (``malicious``), the key is also
-    evicted from the board's active view.  Neither authority can do this
-    alone: one holds the tracing key, the other the identity table.
+    The auction side traces the ring position (``trace`` verifies the bid
+    against its message first and raises NotVerified if it fails); the
+    registration side resolves the published key to an identity.  When the
+    bid was repudiated (``malicious``), the key is also evicted from the
+    board's active view.  Neither authority can do this alone: one holds the
+    tracing key, the other the identity table.
     """
-    result = verify(am.pp, bid.ring, bid.message_bytes(), bid.signature)
-    if not result:
-        raise NotVerified(result.reason)
-    traced = trace(am.trace_key, am.pp, bid.ring, bid.signature)
+    traced = trace(am.trace_key, am.pp, bid.ring, bid.message_bytes(), bid.signature)
     if traced is None:
         raise Untraceable("no ring member matches the tracing test")
     _, pub_key = traced

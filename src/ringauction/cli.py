@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
-2 bad usage, unreadable input or an output file that cannot be written.
+2 bad usage, unreadable input, a bad trace key or an output file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .harness import (
 )
 from .registry import BID_POSTED, MalformedBoard
 from .ringsig import (
+    NotVerified,
     TraceKey,
     public_params_from_json,
     public_params_to_json,
     setup,
     trace,
-    verify,
 )
 
 _PHASE_ORDER = ("initial", "registration", "bidding", "winner", "open")
@@ -54,19 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="transcript file")
     p_run.add_argument("--counts", action="store_true",
                        help="print per-phase operation counts")
-    p_run.add_argument("--params-out", default=None,
-                       help="also write the public parameters to this file")
     p_run.add_argument("--tracekey-out", default=None,
                        help="also write the trace key to this file")
 
     p_verify = sub.add_parser("verify", help="replay a transcript from public data")
     p_verify.add_argument("--transcript", required=True)
 
-    p_trace = sub.add_parser("trace", help="trace one posted bid to its ring member")
+    p_trace = sub.add_parser("trace",
+                             help="verify one posted bid, then trace it to its ring member")
     p_trace.add_argument("--transcript", required=True)
     p_trace.add_argument("--seq", type=int, required=True)
-    p_trace.add_argument("--params", default=None,
-                         help="public parameters file (default: transcript header)")
     p_trace.add_argument("--tracekey", required=True)
     return parser
 
@@ -86,10 +84,10 @@ def _cmd_setup(args) -> int:
     rng = random.Random(f"{args.seed}:group")
     try:
         params = gen_group_params(args.p_bits, args.q_bits, rng)
+        pp, tk = setup(params, args.k, random.Random(f"{args.seed}:setup"))
     except ValueError as exc:
         print(f"setup failed: {exc}", file=sys.stderr)
         return 2
-    pp, tk = setup(params, args.k, random.Random(f"{args.seed}:setup"))
     tracekey_path = args.tracekey_out or args.out + ".tracekey"
     if not _write_files([(args.out, public_params_to_json(pp)),
                          (tracekey_path, f"{tk.q}\n".encode())]):
@@ -113,8 +111,6 @@ def _cmd_run(args) -> int:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return 1
     files = [(args.out, result.transcript)]
-    if args.params_out:
-        files.append((args.params_out, public_params_to_json(result.public_params)))
     if args.tracekey_out:
         files.append((args.tracekey_out, f"{result.trace_key.q}\n".encode()))
     if not _write_files(files):
@@ -170,24 +166,19 @@ def _cmd_trace(args) -> int:
     except MalformedBoard as exc:
         print(f"bad transcript: {exc}", file=sys.stderr)
         return 2
-
-    if args.params is not None:
-        try:
-            with open(args.params, "rb") as fh:
-                params_json = fh.read()
-        except OSError as exc:
-            print(f"cannot read params: {exc}", file=sys.stderr)
-            return 2
-    elif params_hex is None:
-        print("no --params given and the transcript has no params header",
-              file=sys.stderr)
+    if params_hex is None:
+        print("the transcript has no params header", file=sys.stderr)
         return 2
     try:
-        if args.params is None:
-            params_json = bytes.fromhex(params_hex)
-        pp = public_params_from_json(params_json)
+        pp = public_params_from_json(bytes.fromhex(params_hex))
     except (ValueError, InvalidPoint) as exc:
         print(f"bad public parameters: {exc}", file=sys.stderr)
+        return 2
+    grp = pp.group
+    # Tracing needs [q] to kill the order-q blinding but keep the order-p part.
+    if grp.mul(tk.q, grp.h) is not None or grp.mul(tk.q, grp.g) is None:
+        print("bad trace key: [q]h must be the identity and [q]g must not",
+              file=sys.stderr)
         return 2
 
     entry = next((e for e in entries if e.seq == args.seq), None)
@@ -195,22 +186,22 @@ def _cmd_trace(args) -> int:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
     try:
-        bid = parse_bid_payload(pp.group, entry.payload)
+        bid = parse_bid_payload(grp, entry.payload)
     except MalformedBid as exc:
         print(f"unreadable bid payload: {exc}", file=sys.stderr)
         return 2
 
-    outcome = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
-    if not outcome:
-        print(f"bid seq {args.seq} does not verify: {outcome.reason}")
+    try:
+        traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
+    except NotVerified as exc:
+        print(f"bid seq {args.seq} does not verify: {exc}")
         return 1
-    traced = trace(tk, pp, bid.ring, bid.signature)
     if traced is None:
         print(f"bid seq {args.seq}: no unique ring member matched")
         return 1
     index, pub_key = traced
     print(f"bid seq {args.seq} traced to ring member {index}: "
-          f"{pp.group.encode_point(pub_key).hex()}")
+          f"{grp.encode_point(pub_key).hex()}")
     return 0
 
 

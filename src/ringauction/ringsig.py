@@ -277,25 +277,23 @@ def structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str |
     return None
 
 
-def _membership_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
-    # Message-independent half of verification: each commitment must be the
-    # member's offset key or nothing, blinded in the order-q component.
+def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
+    """Public verification; returns acceptance or the first failure reason.
+
+    After the shape check, each member proof must show that its commitment
+    is the member's offset key or nothing, blinded in the order-q component;
+    then the main equation binds the commitments to the message.
+    """
+    problem = structure_problem(pp, ring, sig)
+    if problem:
+        return VerifyResult(False, problem)
     grp = pp.group
     neg_offset = grp.neg(pp.commit_offset)
     for index, (pub, member) in enumerate(zip(ring, sig.members)):
         offset_key = grp.add(pub, neg_offset)
         shifted = grp.add(member.commit, grp.neg(offset_key))
         if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
-            return f"membership-proof {index}"
-    return None
-
-
-def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
-    """Public verification; returns acceptance or the first failure reason."""
-    problem = structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
-    if problem:
-        return VerifyResult(False, problem)
-    grp = pp.group
+            return VerifyResult(False, f"membership-proof {index}")
     bits = hash_to_bits(canonical_encode(message, ring), pp.hash_desc.k)
     total_commit: Point = None
     for member in sig.members:
@@ -307,27 +305,27 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
     return VerifyResult(True)
 
 
-def trace(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature):
-    """Recover the signer's position using the tracing exponent.
+def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
+    """Verify the signature on ``message``, then recover the signer's position
+    using the tracing exponent.
 
-    Multiplying a commitment by q annihilates its blinding, so the marked
-    slot — and only the marked slot, for honest signatures over distinct
-    keys — satisfies [q]commit == [q](pub - commit_offset).  The message-
-    independent membership proofs are re-checked first; verifying the
-    signature against its message remains the caller's responsibility.
+    Raises NotVerified(reason) when the signature does not verify.
+    Multiplying by q annihilates the order-q blinding, so the marked slot —
+    and only the marked slot, for honest signatures over distinct keys —
+    satisfies [q](commit - (pub - commit_offset)) == O, which holds exactly
+    when [q]commit == [q](pub - commit_offset).
 
     Returns (position, published key), or None when no single member matches.
     """
-    problem = structure_problem(pp, ring, sig) or _membership_problem(pp, ring, sig)
-    if problem:
-        raise NotVerified(problem)
+    result = verify(pp, ring, message, sig)
+    if not result:
+        raise NotVerified(result.reason)
     grp = pp.group
     neg_offset = grp.neg(pp.commit_offset)
     matches = []
     for index, (pub, member) in enumerate(zip(ring, sig.members)):
-        lhs = grp.mul(tk.q, member.commit)
-        rhs = grp.mul(tk.q, grp.add(pub, neg_offset))
-        if lhs == rhs:
+        shifted = grp.add(member.commit, grp.neg(grp.add(pub, neg_offset)))
+        if grp.mul(tk.q, shifted) is None:
             matches.append(index)
     if len(matches) == 1:
         index = matches[0]

@@ -73,7 +73,7 @@ def sweep(env16):
                 message = b"sweep %d %d %d" % (size, position, seed)
                 sig = sign(pp, ring, position, signer, message, rng)
                 verified = bool(verify(pp, ring, message, sig))
-                traced = trace(tk, pp, ring, sig)
+                traced = trace(tk, pp, ring, message, sig)
                 results.append((size, position, verified,
                                 traced[0] if traced else None))
     return results, time.monotonic() - t0
@@ -153,7 +153,7 @@ def test_trace_exactness(sweep):
         if candidate == pub:
             literal_matches.append(i)
     assert literal_matches == [], "the naive opening formula unexpectedly matched"
-    assert trace(tk, pp, ring, sig) == (position, signer.pub_key)
+    assert trace(tk, pp, ring, b"counterexample", sig) == (position, signer.pub_key)
     print(f"\nACCEPTANCE trace-exactness: PASS ({len(results)}/{len(results)} exact; "
           "naive-projection form matches nobody on an honest signature at n=35)")
 
@@ -357,7 +357,7 @@ def test_determinism():
         "registration": {"exp": 28, "hash": 8, "inv": 4, "mul": 4},
         "bidding": {"exp": 122, "hash": 12, "inv": 43, "mul": 204},
         "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
-        "open": {"exp": 22, "hash": 3, "inv": 34, "mul": 91, "pair": 53},
+        "open": {"exp": 11, "hash": 3, "inv": 31, "mul": 80, "pair": 31},
     }
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
           "repeat runs, matching the pinned digest "

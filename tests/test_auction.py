@@ -32,6 +32,7 @@ from ringauction.auction import (
     parse_bid_payload,
     serialize_bid_payload,
 )
+from ringauction.group import OpCounter, count_ops
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
@@ -428,6 +429,17 @@ class TestOpenProtocol:
         pub_key, _ = open_protocol(env.am, env.rm, winner, malicious=True)
         assert env.rm.lookup_identity(pub_key).status == "evicted"
         assert env.pp.group.encode_point(pub_key) not in env.board.active_keys()
+
+    def test_opening_checks_the_signature_once(self, env):
+        # One verification (2l membership pairings and 3 for the main
+        # equation) and one [q] multiplication per ring member.
+        winner = self.run_auction(env, (10, 20, 15))
+        counter = OpCounter()
+        with count_ops(counter):
+            open_protocol(env.am, env.rm, winner)
+        counts = counter.phase_counts("default")
+        l = len(winner.ring)
+        assert (counts["pair"], counts["exp"]) == (2 * l + 3, l)
 
     def test_unverified_bid_cannot_be_opened(self, env):
         winner = self.run_auction(env, (10, 20, 15))

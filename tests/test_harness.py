@@ -14,6 +14,7 @@ from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
     REPUDIATOR,
+    RING_RANDOM_SUBSET,
     SNIPER,
     ScenarioConfig,
     TranscriptReport,
@@ -699,6 +700,10 @@ class TestCli:
         assert pp.group.n % tracekey == 0  # the secret factor divides the order
         assert "wrote public parameters" in capsys.readouterr().out
 
+    def test_setup_with_zero_hash_bits_returns_two(self, tmp_path, capsys):
+        assert main(["setup", "--k", "0", "--out", str(tmp_path / "p.json")]) == 2
+        assert "setup failed" in capsys.readouterr().err
+
     def test_run_verify_trace_happy_path(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
@@ -724,21 +729,36 @@ class TestCli:
         assert code == 0
         assert "traced to ring member" in capsys.readouterr().out
 
-    def test_trace_with_explicit_params_file(self, tmp_path, capsys):
-        scenario = tmp_path / "s.scenario"
-        scenario.write_text(SCENARIO_TEXT)
-        transcript = tmp_path / "t.txt"
+    @pytest.fixture(scope="class")
+    def singleton_rings(self, tmp_path_factory):
+        """A transcript whose rings hold one key each, where a zero trace key
+        used to name member 0: its path, winner seq, group order and q."""
+        result = run_scenario(ScenarioConfig(ring_policy=RING_RANDOM_SUBSET, ring_size=1))
+        transcript = tmp_path_factory.mktemp("singleton") / "t.txt"
+        transcript.write_bytes(result.transcript)
+        return (transcript, result.winners[0].seq,
+                result.public_params.group.n, result.trace_key.q)
+
+    def _trace_with_key(self, singleton_rings, tmp_path, key):
+        transcript, seq, _, _ = singleton_rings
         tracekey = tmp_path / "k.txt"
-        params = tmp_path / "p.json"
-        main(["run", "--scenario", str(scenario), "--out", str(transcript),
-              "--tracekey-out", str(tracekey), "--params-out", str(params)])
-        text = transcript.read_text().splitlines()
-        bid_seq = next(int(line.split(" ")[0]) for line in text
-                       if " bid-posted " in line)
-        code = main(["trace", "--transcript", str(transcript), "--seq", str(bid_seq),
-                     "--params", str(params), "--tracekey", str(tracekey)])
-        capsys.readouterr()
-        assert code in (0, 1)  # traced, or an unverifiable strategy bid
+        tracekey.write_text(f"{key}\n")
+        return main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)])
+
+    @pytest.mark.parametrize("key", ("0", "1", "-3", "n", "p"))
+    def test_trace_rejects_a_bad_trace_key(self, singleton_rings, tmp_path, capsys, key):
+        _, _, n, q = singleton_rings
+        value = {"0": 0, "1": 1, "-3": -3, "n": n, "p": n // q}[key]
+        assert self._trace_with_key(singleton_rings, tmp_path, value) == 2
+        assert "bad trace key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("multiple", (1, 2))
+    def test_trace_accepts_the_key_and_its_multiples(self, singleton_rings, tmp_path,
+                                                     capsys, multiple):
+        _, _, _, q = singleton_rings
+        assert self._trace_with_key(singleton_rings, tmp_path, multiple * q) == 0
+        assert "traced to ring member 0" in capsys.readouterr().out
 
     def test_trace_unverifiable_bid_returns_one(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
@@ -810,12 +830,12 @@ class TestCli:
                      "--tracekey-out", paths["--tracekey-out"]]) == 2
         assert f"cannot write {paths[flag]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ("--out", "--params-out", "--tracekey-out"))
+    @pytest.mark.parametrize("flag", ("--out", "--tracekey-out"))
     def test_run_unwritable_output_returns_two(self, tmp_path, capsys, flag):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
         paths = {name: str(tmp_path / f"{name[2:]}.txt")
-                 for name in ("--out", "--params-out", "--tracekey-out")}
+                 for name in ("--out", "--tracekey-out")}
         paths[flag] = str(tmp_path / "missing" / "f")
         argv = ["run", "--scenario", str(scenario)]
         for name, path in paths.items():

@@ -298,7 +298,7 @@ class TestSignVerify:
         kp = next(k for k in keypairs if k.pub_key == ring[signer])
         sig = sign(pp, ring, signer, kp, message, rng)
         assert verify(pp, ring, message, sig)
-        assert trace(tk, pp, ring, sig) == (signer, ring[signer])
+        assert trace(tk, pp, ring, message, sig) == (signer, ring[signer])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ class TestTrace:
             idx = ring.index_of(kp.pub_key)
             sig = sign(pp, ring, idx, kp, b"trial %d" % trial, rng)
             expected = oracle_trace(pp, ring, sig, Q, params.ell)
-            got = trace(tk, pp, ring, sig)
+            got = trace(tk, pp, ring, b"trial %d" % trial, sig)
             assert (got[0] if got else None) == expected
             assert expected == idx
 
@@ -390,7 +390,7 @@ class TestTrace:
         for kp in keypairs:
             idx = ring.index_of(kp.pub_key)
             sig = sign(pp, ring, idx, kp, b"per-member", rng)
-            assert trace(tk, pp, ring, sig) == (idx, kp.pub_key)
+            assert trace(tk, pp, ring, b"per-member", sig) == (idx, kp.pub_key)
 
     def test_naive_projection_without_offset_finds_nobody(self, tiny_setup):
         # A tempting simplification of the tracing test — project the
@@ -411,28 +411,41 @@ class TestTrace:
             literal = naive_add(projected, pp.commit_offset, ell)
             assert literal != pub, i
         # the correct form, for contrast, singles out the signer
-        assert trace(tk, pp, ring, sig) == (idx, kp.pub_key)
+        assert trace(tk, pp, ring, b"pitfall", sig) == (idx, kp.pub_key)
 
     def test_all_decoy_signature_traces_to_nobody(self, tiny_setup):
         # Hand-built signature whose every slot is a pure blinding value:
         # membership proofs hold (each slot proves "key or nothing"), yet no
         # slot carries a key, so tracing returns None rather than blaming
-        # an arbitrary member.
+        # an arbitrary member.  Knowing a with key_base = [a]g (found by
+        # brute force in the 35-element group) lets the forger satisfy the
+        # main equation too, so the decoy verifies and reaches the tracing
+        # test: s1 = [a](commit_offset + sum commit) + [r]W, s2 = [r]g.
         params, pp, tk = tiny_setup
         grp = params.group
         rng = random.Random(74)
         ring, _ = make_ring(pp, 3, rng)
         neg_b0 = grp.neg(pp.commit_offset)
         members = []
+        total_commit = pp.commit_offset
         for pub in ring:
             e_i = rng.randrange(params.n)
             offset_key = grp.add(pub, neg_b0)
             commit = grp.mul(e_i, params.h)
             proof = grp.mul(e_i, grp.add(grp.neg(offset_key), commit))
             members.append(MemberProof(commit=commit, proof=proof))
-        fake = RingSignature(s1=grp.mul(3, params.g), s2=grp.mul(4, params.g),
-                             members=tuple(members))
-        assert trace(tk, pp, ring, fake) is None
+            total_commit = grp.add(total_commit, commit)
+        a = next(a for a in range(params.n) if grp.mul(a, params.g) == pp.key_base)
+        from ringauction.ringsig import _waters_sum
+        from ringauction.group import hash_to_bits
+        bits = hash_to_bits(canonical_encode(b"decoy", ring), pp.hash_desc.k)
+        r = rng.randrange(params.n)
+        fake = RingSignature(
+            s1=grp.add(grp.mul(a, total_commit), grp.mul(r, _waters_sum(pp, bits))),
+            s2=grp.mul(r, params.g),
+            members=tuple(members))
+        assert verify(pp, ring, b"decoy", fake)
+        assert trace(tk, pp, ring, b"decoy", fake) is None
 
     def test_degenerate_decoy_makes_tracing_ambiguous(self, tiny_setup):
         # A member whose offset key has order dividing the secret factor
@@ -451,7 +464,7 @@ class TestTrace:
         signer = next(kp for kp in keypairs if kp.pub_key == clean[0])
         sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
-        assert trace(tk, pp, ring, sig) is None
+        assert trace(tk, pp, ring, b"ambig", sig) is None
 
     def test_trace_rejects_structurally_broken_signature(self, tiny_setup):
         _, pp, tk = tiny_setup
@@ -461,12 +474,23 @@ class TestTrace:
         sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
         bad = RingSignature(s1=sig.s1, s2=sig.s2, members=sig.members[:1] * 2)
         with pytest.raises(NotVerified):
-            trace(tk, pp, ring, bad)
+            trace(tk, pp, ring, b"m", bad)
 
-    def test_trace_ignores_the_message_binding(self, tiny_setup):
-        # Tracing is message-independent by design: a signature that fails
-        # only the main equation still traces.  Full verification against
-        # the message is the caller's job.
+    def test_trace_rejects_a_failed_membership_proof(self, tiny_setup):
+        params, pp, tk = tiny_setup
+        rng = random.Random(78)
+        ring, keypairs = make_ring(pp, 2, rng)
+        kp = keypairs[0]
+        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        from dataclasses import replace
+        member = replace(sig.members[1], proof=params.group.add(sig.members[1].proof, params.g))
+        bad = replace(sig, members=(sig.members[0], member))
+        with pytest.raises(NotVerified, match="^membership-proof 1$"):
+            trace(tk, pp, ring, b"m", bad)
+
+    def test_trace_checks_the_message_binding(self, tiny_setup):
+        # Tracing verifies the signature against its message first: a
+        # signature that fails only the main equation is not opened.
         params, pp, tk = tiny_setup
         rng = random.Random(76)
         ring, keypairs = make_ring(pp, 3, rng)
@@ -475,8 +499,11 @@ class TestTrace:
         sig = sign(pp, ring, idx, kp, b"m", rng)
         from dataclasses import replace
         broken = replace(sig, s1=params.group.add(sig.s1, params.g))
-        assert not verify(pp, ring, b"m", broken)
-        assert trace(tk, pp, ring, broken) == (idx, kp.pub_key)
+        with pytest.raises(NotVerified, match="^main-equation$"):
+            trace(tk, pp, ring, b"m", broken)
+        with pytest.raises(NotVerified, match="^main-equation$"):
+            trace(tk, pp, ring, b"other message", sig)
+        assert trace(tk, pp, ring, b"m", sig) == (idx, kp.pub_key)
 
 
 # ---------------------------------------------------------------------------
