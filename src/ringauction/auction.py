@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .group import InvalidPoint, Point
 from .registry import (
@@ -25,16 +25,18 @@ from .registry import (
     RegistrationManager,
 )
 from .ringsig import (
+    NotVerified,
     PublicParams,
     Ring,
     RingSignature,
     TraceKey,
     Untraceable,
+    VerifyResult,
     deserialize_signature,
+    locate_signer,
     serialize_signature,
     sign,
     structure_problem,
-    trace,
     verify,
 )
 
@@ -111,9 +113,10 @@ def serialize_bid_payload(bid: Bid) -> bytes:
     )
 
 
-def parse_bid_payload(group, data: bytes) -> Bid:
+def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> Bid:
     """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
-    non-canonical ring order)."""
+    non-canonical ring order).  Ring keys found in ``points`` (encoding ->
+    decoded point, such as a board fold's) are taken from it, not decoded."""
     if len(data) < BID_MESSAGE_LEN + 4:
         raise MalformedBid("payload too short")
     auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
@@ -130,7 +133,7 @@ def parse_bid_payload(group, data: bytes) -> Bid:
     if encodings != sorted(encodings):
         raise MalformedBid("ring keys are not in canonical order")
     try:
-        keys = [group.decode_point(e) for e in encodings]
+        keys = [points[e] if points and e in points else group.decode_point(e) for e in encodings]
         ring = Ring(group, keys)
         signature = deserialize_signature(group, data[sig_start:], count)
     except (InvalidPoint, ValueError) as exc:
@@ -163,7 +166,7 @@ class BidderAgent:
         """Sign one bid message under ``ring``; emits exactly one message."""
         if self.keypair.pub_key not in ring:
             raise OwnKeyNotInRing("bidder's own key must be part of the ring")
-        if not self.board.active_keys().issuperset(ring.encodings):
+        if not self.board.all_active(ring.encodings):
             raise RingKeyNotOnBoard("ring references a key not on the board")
         message = encode_bid_message(auction_id, round_no, price)
         signature = sign(self.pp, ring, ring.index_of(self.keypair.pub_key),
@@ -208,6 +211,7 @@ class AuctionManager:
         self.trace_key = trace_key
         self.board = board
         self._auctions: dict[int, AuctionState] = {}
+        self._verified: dict[tuple, VerifyResult] = {}
 
     def open_auction(self, auction_id: int, *, monotonic: bool = True) -> AuctionState:
         if auction_id in self._auctions:
@@ -234,7 +238,7 @@ class AuctionManager:
             return AdmitResult(False, reason="auction-closed")
         if bid.price < 1 or structure_problem(self.pp, bid.ring, bid.signature):
             return AdmitResult(False, reason="malformed")
-        if not self.board.active_keys().issuperset(bid.ring.encodings):
+        if not self.board.all_active(bid.ring.encodings):
             return AdmitResult(False, reason="ring-key-not-on-BBS")
         payload = serialize_bid_payload(bid)
         digest = hashlib.sha256(payload).digest()
@@ -263,8 +267,7 @@ class AuctionManager:
         state = self.state(auction_id)
         if state.phase != "closed":
             raise AuctionError("close the auction before determining a winner")
-        bid = first_verifying(state.bids, lambda bid: verify(
-            self.pp, bid.ring, bid.message_bytes(), bid.signature))
+        bid = first_verifying(state.bids, self.verify_bid)
         if bid is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
         state.winner = bid
@@ -273,19 +276,29 @@ class AuctionManager:
         self.board.append(WINNER_ANNOUNCED, payload)
         return bid
 
+    def verify_bid(self, bid: Bid) -> VerifyResult:
+        """``verify``, run once per bid content (message, ring, signature), not per seq."""
+        key = (bid.message_bytes(), bid.ring, bid.signature)
+        if key not in self._verified:
+            self._verified[key] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
+        return self._verified[key]
+
 
 def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
                   *, malicious: bool = False) -> tuple[Point, bytes]:
     """Two-party identity opening.
 
-    The auction side traces the ring position (``trace`` verifies the bid
-    against its message first and raises NotVerified if it fails); the
-    registration side resolves the published key to an identity.  When the
-    bid was repudiated (``malicious``), the key is also evicted from the
-    board's active view.  Neither authority can do this alone: one holds the
-    tracing key, the other the identity table.
+    The auction side checks the bid with ``am.verify_bid`` (NotVerified if it
+    fails; a winner is not verified again) and locates the ring position with
+    the tracing key; the registration side resolves the key to an identity.
+    When the bid was repudiated (``malicious``), the key is also evicted from
+    the board's active view.  Neither authority can do this alone: one holds
+    the tracing key, the other the identity table.
     """
-    traced = trace(am.trace_key, am.pp, bid.ring, bid.message_bytes(), bid.signature)
+    result = am.verify_bid(bid)
+    if not result:
+        raise NotVerified(result.reason)
+    traced = locate_signer(am.trace_key, am.pp, bid.ring, bid.signature)
     if traced is None:
         raise Untraceable("no ring member matches the tracing test")
     _, pub_key = traced

@@ -14,6 +14,7 @@ announced auction.
 
 from __future__ import annotations
 
+import bisect
 import random
 import statistics
 from dataclasses import dataclass, replace
@@ -204,12 +205,12 @@ def _wants_to_bid(strategy: str, round_no: int, rounds: int) -> bool:
     return True
 
 
-def _choose_ring(group, board, own: bytes, config: ScenarioConfig, rng) -> Ring:
-    order, points = board.active_view()
+def _choose_ring(group, order, points, own: bytes, config: ScenarioConfig, rng) -> Ring:
     if config.ring_policy == RING_ALL_ACTIVE:
         chosen = order
     else:
-        others = [key for key in order if key != own]
+        at = bisect.bisect_left(order, own)
+        others = order[:at] + order[at + 1:]
         take = min(config.ring_size - 1, len(others))
         chosen = [own] + rng.sample(others, take)
     return Ring(group, [points[encoding] for encoding in chosen])
@@ -268,16 +269,16 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         phase("bidding")
         for round_no in range(config.rounds):
             high = am.current_high(auction_no)
-            active_view = board.active_keys()
+            order, points = board.active_view()  # keys change only at openings
             for actor in actors:
-                if actor.own not in active_view:
+                if actor.own not in points:
                     continue  # evicted bidders are out
                 if not _wants_to_bid(actor.strategy, round_no, config.rounds):
                     continue
                 # Each bid draws from its own rng stream, so it does not
                 # depend on the bids built before it.
                 rng = _child_rng(seed, f"bid:{auction_no}:{round_no}:{actor.index}")
-                ring = _choose_ring(group, board, actor.own, config, rng)
+                ring = _choose_ring(group, order, points, actor.own, config, rng)
                 price = high + _PRICE_BUMPS[actor.strategy] + actor.index
                 bid = actor.agent.place_bid(auction_no, round_no, price, ring, rng)
                 if actor.strategy == INVALID_SIGNATURE:
@@ -419,7 +420,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             return invalid(exc.seq, exc.reason)
         if kind == BID_POSTED:
             try:
-                bid = parse_bid_payload(group, payload)
+                bid = parse_bid_payload(group, payload, state.points)
             except MalformedBid as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
             if bid.price < 1:

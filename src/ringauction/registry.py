@@ -170,6 +170,11 @@ class BulletinBoard:
         with self._lock:
             return frozenset(self._state.points)
 
+    def all_active(self, encodings: Iterable[bytes]) -> bool:
+        """Whether every encoding is an active key, looked up without a snapshot."""
+        with self._lock:
+            return all(encoding in self._state.points for encoding in encodings)
+
     def active_view(self) -> tuple[tuple[bytes, ...], dict[bytes, Point]]:
         """Snapshot of the active key encodings in sorted order, and their points."""
         with self._lock:

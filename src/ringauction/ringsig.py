@@ -306,21 +306,27 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
 
 
 def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
-    """Verify the signature on ``message``, then recover the signer's position
-    using the tracing exponent.
-
-    Raises NotVerified(reason) when the signature does not verify.
-    Multiplying by q annihilates the order-q blinding, so the marked slot —
-    and only the marked slot, for honest signatures over distinct keys —
-    satisfies [q](commit - (pub - commit_offset)) == O, which holds exactly
-    when [q]commit == [q](pub - commit_offset).
-
-    Returns (position, published key), or None when no single member matches.
-    """
+    """Verify the signature on ``message`` (NotVerified(reason) if it fails),
+    then return ``locate_signer``'s result."""
     result = verify(pp, ring, message, sig)
     if not result:
         raise NotVerified(result.reason)
+    return locate_signer(tk, pp, ring, sig)
+
+
+def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature):
+    """(position, published key) of the signer of a signature known to verify,
+    or None when no single member matches.
+
+    Multiplying by q annihilates the order-q blinding, so the marked slot —
+    and only the marked slot, for honest signatures over distinct keys —
+    satisfies [q](commit - (pub - commit_offset)) == O, which holds exactly
+    when [q]commit == [q](pub - commit_offset).  A q divisible by the group
+    order annihilates every slot, so it raises ValueError.
+    """
     grp = pp.group
+    if tk.q % grp.n == 0:
+        raise ValueError("trace key is a multiple of the group order")
     neg_offset = grp.neg(pp.commit_offset)
     matches = []
     for index, (pub, member) in enumerate(zip(ring, sig.members)):

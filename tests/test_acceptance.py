@@ -357,7 +357,7 @@ def test_determinism():
         "registration": {"exp": 28, "hash": 8, "inv": 4, "mul": 4},
         "bidding": {"exp": 122, "hash": 12, "inv": 43, "mul": 204},
         "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
-        "open": {"exp": 11, "hash": 3, "inv": 31, "mul": 80, "pair": 31},
+        "open": {"exp": 11, "hash": 1, "inv": 20, "mul": 42, "pair": 11},
     }
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
           "repeat runs, matching the pinned digest "

@@ -108,6 +108,20 @@ class TestBidCodec:
         assert back.ring == bid.ring
         assert back.signature == bid.signature
 
+    def test_payload_takes_known_ring_keys_from_points(self, env, monkeypatch):
+        # Keys in the mapping are not decoded again; the rest are.
+        bid = craft_bid(env, env.agents[0], 40)
+        payload = serialize_bid_payload(bid)
+        known = dict(zip(bid.ring.encodings[:2], bid.ring.keys[:2]))
+        group = env.pp.group
+        decode, decoded = group.decode_point, []
+        monkeypatch.setattr(group, "decode_point", lambda data: decoded.append(data) or decode(data))
+        back = parse_bid_payload(group, payload, known)
+        l = len(bid.ring)
+        assert decoded[:l - 2] == list(bid.ring.encodings[2:])
+        assert len(decoded) == (l - 2) + (2 + 2 * l)  # the other ring keys, then the signature
+        assert back == parse_bid_payload(group, payload)
+
     def test_payload_rejects_truncation_and_slack(self, env):
         payload = serialize_bid_payload(craft_bid(env, env.agents[0], 41))
         with pytest.raises(MalformedBid):
@@ -431,15 +445,43 @@ class TestOpenProtocol:
         assert env.pp.group.encode_point(pub_key) not in env.board.active_keys()
 
     def test_opening_checks_the_signature_once(self, env):
-        # One verification (2l membership pairings and 3 for the main
-        # equation) and one [q] multiplication per ring member.
+        # The bid at 10 ranks below the winner, so determine_winner never
+        # verified it: its opening costs one verification (2l membership
+        # pairings and 3 for the main equation) and one [q] multiplication
+        # per ring member.
+        self.run_auction(env, (10, 20, 15))
+        loser = next(bid for bid in env.am.state(1).bids if bid.price == 10)
+        counter = OpCounter()
+        with count_ops(counter):
+            open_protocol(env.am, env.rm, loser)
+        counts = counter.phase_counts("default")
+        l = len(loser.ring)
+        assert (counts["pair"], counts["exp"]) == (2 * l + 3, l)
+
+    def test_winner_opening_reuses_the_winner_check(self, env):
+        # determine_winner verified the winner; opening it only locates the
+        # signer, one [q] multiplication per ring member.
         winner = self.run_auction(env, (10, 20, 15))
         counter = OpCounter()
         with count_ops(counter):
             open_protocol(env.am, env.rm, winner)
         counts = counter.phase_counts("default")
-        l = len(winner.ring)
-        assert (counts["pair"], counts["exp"]) == (2 * l + 3, l)
+        assert (counts.get("pair", 0), counts["exp"]) == (0, len(winner.ring))
+
+    def test_bid_that_failed_the_winner_check_is_not_verified_again(self, env):
+        env.am.open_auction(1, monotonic=False)
+        top = craft_bid(env, env.agents[1], 20)
+        broken = replace(top, signature=replace(
+            top.signature, s1=env.pp.group.add(top.signature.s1, env.pp.group.g)))
+        assert env.am.admit_bid(broken)
+        assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
+        env.am.close_auction(1)
+        assert env.am.determine_winner(1).price == 15
+        failed = next(bid for bid in env.am.state(1).bids if bid.price == 20)
+        counter = OpCounter()
+        with count_ops(counter), pytest.raises(NotVerified, match="main-equation"):
+            open_protocol(env.am, env.rm, failed)
+        assert counter.phase_counts("default") == {}
 
     def test_unverified_bid_cannot_be_opened(self, env):
         winner = self.run_auction(env, (10, 20, 15))

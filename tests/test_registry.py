@@ -164,8 +164,10 @@ class TestBulletinBoard:
         board.append(KEY_PUBLISHED, k1)
         board.append(KEY_PUBLISHED, k2)
         assert board.active_keys() == {k1, k2}
+        assert board.all_active((k1, k2)) and board.all_active(())
         board.append(KEY_EVICTED, k1)
         assert board.active_keys() == {k2}
+        assert board.all_active((k2,)) and not board.all_active((k1, k2))
         assert board.active_view() == ((k2,), {k2: tiny_params.group.decode_point(k2)})
 
     def test_replay_matches_live_view(self, board, keys, tiny_params):

@@ -18,6 +18,7 @@ from ringauction.ringsig import (
     NotVerified,
     Ring,
     RingSignature,
+    TraceKey,
     _sign_traced,
     canonical_encode,
     deserialize_signature,
@@ -504,6 +505,17 @@ class TestTrace:
         with pytest.raises(NotVerified, match="^main-equation$"):
             trace(tk, pp, ring, b"other message", sig)
         assert trace(tk, pp, ring, b"m", sig) == (idx, kp.pub_key)
+
+    def test_trace_key_divisible_by_the_order_names_nobody(self, setup16, keys16):
+        # [q] with n | q annihilates every slot, so on a one-key ring it would
+        # name member 0 whoever signed; such a key is refused instead.
+        pp, _ = setup16
+        kp = keys16[0]
+        ring = Ring(pp.group, [kp.pub_key])
+        sig = sign(pp, ring, 0, kp, b"m", random.Random(77))
+        for q in (0, pp.group.n):
+            with pytest.raises(ValueError, match="multiple of the group order"):
+                trace(TraceKey(q), pp, ring, b"m", sig)
 
 
 # ---------------------------------------------------------------------------
