@@ -182,7 +182,6 @@ class AuctionState:
     phase: str = "open"  # open | closed | announced
     bids: list[Bid] = field(default_factory=list)
     seen_digests: set[bytes] = field(default_factory=set)
-    winner: Bid | None = None
 
     def current_high(self) -> int:
         return max((bid.price for bid in self.bids), default=0)
@@ -270,7 +269,6 @@ class AuctionManager:
         bid = first_verifying(state.bids, self.verify_bid)
         if bid is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
-        state.winner = bid
         state.phase = "announced"
         payload = bid.seq.to_bytes(_SEQ_WIDTH, "big") + serialize_bid_payload(bid)
         self.board.append(WINNER_ANNOUNCED, payload)
@@ -292,8 +290,9 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
     fails; a winner is not verified again) and locates the ring position with
     the tracing key; the registration side resolves the key to an identity.
     When the bid was repudiated (``malicious``), the key is also evicted from
-    the board's active view.  Neither authority can do this alone: one holds
-    the tracing key, the other the identity table.
+    the board's active view unless the board no longer holds it as active.
+    Neither authority can do this alone: one holds the tracing key, the other
+    the identity table.
     """
     result = am.verify_bid(bid)
     if not result:
@@ -301,11 +300,11 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
     traced = locate_signer(am.trace_key, am.pp, bid.ring, bid.signature)
     if traced is None:
         raise Untraceable("no ring member matches the tracing test")
-    _, pub_key = traced
-    record = rm.lookup_identity(pub_key)
-    if malicious and record.status == "active":
+    index, pub_key = traced
+    identity = rm.lookup_identity(pub_key)
+    if malicious and am.board.all_active([bid.ring.encodings[index]]):
         rm.evict(pub_key)
-    return pub_key, record.identity
+    return pub_key, identity
 
 
 # ---------------------------------------------------------------------------

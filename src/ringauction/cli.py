@@ -1,5 +1,8 @@
 """Command-line front end: setup, run, verify, trace.
 
+``harness.read_transcript`` decodes the transcript header and
+``ringsig.trace`` checks the trace key; the commands map outcomes to exit codes.
+
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
 2 bad usage, unreadable input, a bad trace key or an output file that
@@ -13,7 +16,7 @@ import random
 import sys
 
 from .auction import MalformedBid, parse_bid_payload
-from .group import InvalidPoint, gen_group_params
+from .group import gen_group_params
 from .harness import (
     ScenarioError,
     parse_scenario,
@@ -22,16 +25,7 @@ from .harness import (
     verify_transcript,
 )
 from .registry import BID_POSTED, MalformedBoard
-from .ringsig import (
-    NotVerified,
-    TraceKey,
-    public_params_from_json,
-    public_params_to_json,
-    setup,
-    trace,
-)
-
-_PHASE_ORDER = ("initial", "registration", "bidding", "winner", "open")
+from .ringsig import NotVerified, TraceKey, public_params_to_json, setup, trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,8 +117,7 @@ def _cmd_run(args) -> int:
         print(f"evicted key {key_hex}")
     if args.counts:
         print("operation counts by phase:")
-        for phase in _PHASE_ORDER:
-            counts = result.report.phase(phase)
+        for phase, counts in result.report.phases.items():
             if not counts:
                 continue
             joined = " ".join(f"{op}={counts[op]}" for op in sorted(counts))
@@ -162,29 +155,16 @@ def _cmd_trace(args) -> int:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
     try:
-        params_hex, entries = read_transcript(data)
+        pp, entries = read_transcript(data)
     except MalformedBoard as exc:
         print(f"bad transcript: {exc}", file=sys.stderr)
-        return 2
-    if params_hex is None:
-        print("the transcript has no params header", file=sys.stderr)
-        return 2
-    try:
-        pp = public_params_from_json(bytes.fromhex(params_hex))
-    except (ValueError, InvalidPoint) as exc:
-        print(f"bad public parameters: {exc}", file=sys.stderr)
-        return 2
-    grp = pp.group
-    # Tracing needs [q] to kill the order-q blinding but keep the order-p part.
-    if grp.mul(tk.q, grp.h) is not None or grp.mul(tk.q, grp.g) is None:
-        print("bad trace key: [q]h must be the identity and [q]g must not",
-              file=sys.stderr)
         return 2
 
     entry = next((e for e in entries if e.seq == args.seq), None)
     if entry is None or entry.kind != BID_POSTED:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
+    grp = pp.group
     try:
         bid = parse_bid_payload(grp, entry.payload)
     except MalformedBid as exc:
@@ -193,6 +173,9 @@ def _cmd_trace(args) -> int:
 
     try:
         traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
+    except ValueError as exc:  # a bad trace key
+        print(exc, file=sys.stderr)
+        return 2
     except NotVerified as exc:
         print(f"bid seq {args.seq} does not verify: {exc}")
         return 1

@@ -745,7 +745,10 @@ class GroupParams:
             raise GroupError("h is the identity")
 
 
-def group_from_primes(p: int, q: int, rng, *, r_search_limit: int = 100_000) -> GroupParams:
+_R_SEARCH_LIMIT = 100_000  # largest cofactor r tried for ell = n*r - 1
+
+
+def group_from_primes(p: int, q: int, rng) -> GroupParams:
     """Build the curve and generators for composite order n = p*q.
 
     Searches r = 4, 8, 12, ... for a prime ell = n*r - 1 (n is odd, so
@@ -758,13 +761,13 @@ def group_from_primes(p: int, q: int, rng, *, r_search_limit: int = 100_000) -> 
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ValueError("both factors must be prime")
     n = p * q
-    for r in range(4, r_search_limit + 1, 4):
+    for r in range(4, _R_SEARCH_LIMIT + 1, 4):
         ell = n * r - 1
         if is_probable_prime(ell):
             break
     else:
         raise ParameterSearchExhausted(
-            f"no prime of the form {n}*r - 1 with r <= {r_search_limit}"
+            f"no prime of the form {n}*r - 1 with r <= {_R_SEARCH_LIMIT}"
         )
 
     while True:
@@ -792,7 +795,7 @@ def group_from_primes(p: int, q: int, rng, *, r_search_limit: int = 100_000) -> 
     return GroupParams(p=p, q=q, r=r, group=PairingGroup(n, ell, g, h))
 
 
-def gen_group_params(p_bits: int, q_bits: int, rng, *, r_search_limit: int = 100_000) -> GroupParams:
+def gen_group_params(p_bits: int, q_bits: int, rng) -> GroupParams:
     """Sample fresh primes of the requested sizes and build the group."""
     if p_bits < 8 or q_bits < 8:
         raise ValueError("prime sizes below 8 bits are not supported")
@@ -801,4 +804,4 @@ def gen_group_params(p_bits: int, q_bits: int, rng, *, r_search_limit: int = 100
         q = _sample_prime(q_bits, rng)
         if q != p:
             break
-    return group_from_primes(p, q, rng, r_search_limit=r_search_limit)
+    return group_from_primes(p, q, rng)

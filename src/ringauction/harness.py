@@ -7,7 +7,7 @@ so a configuration always produces byte-identical transcripts.
 A transcript is one ``params`` header line (the public parameters, hex of
 canonical JSON) followed by the bulletin-board records.  This module owns
 the header format: ``render_transcript`` writes it and ``read_transcript``
-is the one reader, leaving the records to ``registry.parse_board_text``.
+is the one reader and decoder, leaving the records to ``parse_board_text``.
 Replaying a transcript needs no secrets and re-derives the winner of every
 announced auction.
 """
@@ -44,6 +44,7 @@ from .registry import (
     parse_board_text,
 )
 from .ringsig import (
+    PublicParams,
     Ring,
     VerifyResult,
     keygen,
@@ -308,8 +309,7 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         ))
         for actor in actors:
             if (actor.strategy != REPUDIATOR or actor.last_admitted is None
-                    or actor.last_admitted.auction_id != auction_no
-                    or actor.own not in board.active_keys()):
+                    or actor.last_admitted.auction_id != auction_no):
                 continue
             traced_key, _ = open_protocol(am, rm, actor.last_admitted, malicious=True)
             evicted.append(group.encode_point(traced_key).hex())
@@ -336,12 +336,13 @@ def render_transcript(pp, board: BulletinBoard) -> bytes:
     return (header + board_to_text(board.entries())).encode()
 
 
-def read_transcript(data: bytes) -> tuple[str | None, tuple[BoardEntry, ...]]:
-    """Inverse of render_transcript: (params header hex or None, records).
+def read_transcript(data: bytes) -> tuple[PublicParams | None, tuple[BoardEntry, ...]]:
+    """Inverse of render_transcript: (public parameters, records).
 
     The header is the first non-blank line when it starts with ``params ``;
-    its hex is returned undecoded.  Raises MalformedBoard for text that is
-    not UTF-8 and for any malformed record.
+    it is decoded after every record has parsed.  Raises MalformedBoard for
+    text that is not UTF-8, a malformed record, or a missing or bad header.
+    The parameters are None only for a transcript with no records.
     """
     try:
         lines = data.decode("utf-8").splitlines()
@@ -352,7 +353,15 @@ def read_transcript(data: bytes) -> tuple[str | None, tuple[BoardEntry, ...]]:
     if first is not None and lines[first].startswith(_TRANSCRIPT_HEADER):
         params_hex = lines[first][len(_TRANSCRIPT_HEADER):]
         lines[first] = ""  # blanked, not removed, so record line numbers hold
-    return params_hex, parse_board_text("\n".join(lines))
+    entries = parse_board_text("\n".join(lines))
+    if params_hex is None:
+        if entries:
+            raise MalformedBoard("missing params header")
+        return None, entries
+    try:
+        return public_params_from_json(bytes.fromhex(params_hex)), entries
+    except (ValueError, InvalidPoint) as exc:
+        raise MalformedBoard(f"bad params header: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -398,15 +407,11 @@ def verify_transcript(data: bytes) -> TranscriptReport:
         return TranscriptReport(False, failing_seq=seq, reason=reason, outcomes=outcomes())
 
     try:
-        params_hex, entries = read_transcript(data)
+        pp, entries = read_transcript(data)
     except MalformedBoard as exc:
         return invalid(exc.seq, exc.reason)
-    if params_hex is None:
-        return invalid(None, "missing params header") if entries else TranscriptReport(True)
-    try:
-        pp = public_params_from_json(bytes.fromhex(params_hex))
-    except (ValueError, InvalidPoint) as exc:
-        return invalid(None, f"bad params header: {exc}")
+    if pp is None:
+        return TranscriptReport(True)
     group = pp.group
 
     state = BoardState(group)
@@ -498,10 +503,11 @@ def report_efficiency(report: OpCountReport, ring_size: int, k: int) -> Efficien
     )
 
 
-def measure_signing(ring_size: int, k: int, *, seed: int = 2024,
-                    p_bits: int = 16, q_bits: int = 16) -> OpCountReport:
-    """Instrument exactly one signing over a fresh ring of ``ring_size`` keys."""
-    params = gen_group_params(p_bits, q_bits, _child_rng(seed, "group"))
+def measure_signing(ring_size: int, k: int) -> OpCountReport:
+    """Instrument exactly one signing over a fresh ring of ``ring_size`` keys,
+    in a 16-bit group drawn from a fixed seed."""
+    seed = 2024
+    params = gen_group_params(16, 16, _child_rng(seed, "group"))
     pp, _ = setup(params, k, _child_rng(seed, "setup"))
     keypairs = [keygen(pp, _child_rng(seed, f"key:{i}")) for i in range(ring_size)]
     ring = Ring(params.group, [kp.pub_key for kp in keypairs])
@@ -513,12 +519,9 @@ def measure_signing(ring_size: int, k: int, *, seed: int = 2024,
     return OpCountReport(phases=counter.snapshot())
 
 
-def efficiency_sweep(ring_sizes: tuple[int, ...] = (1, 2, 4, 8), k: int = 160,
-                     *, seed: int = 2024) -> EfficiencySummary:
+def efficiency_sweep(ring_sizes: tuple[int, ...] = (1, 2, 4, 8), k: int = 160) -> EfficiencySummary:
     """Measure signing cost across ring sizes and fit the growth rate."""
-    rows = tuple(
-        report_efficiency(measure_signing(l, k, seed=seed), l, k) for l in ring_sizes
-    )
+    rows = tuple(report_efficiency(measure_signing(l, k), l, k) for l in ring_sizes)
     xs = [float(row.ring_size) for row in rows]
     ys = [float(row.exponentiations) for row in rows]
     slope = statistics.linear_regression(xs, ys).slope

@@ -5,10 +5,11 @@ append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BoardState`` folds its key records into the
 *active-key view*, the only thing admission ever consults; the live board
 and the public replay share that fold.  There is no black list: eviction
-appends a record and the key simply drops out of the active view.
+appends a record and the key simply drops out of the active view, so the
+board is the only record of who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
-table.  Nothing on the board links a key to an identity.
+table and nothing else.  Nothing on the board links a key to an identity.
 """
 
 from __future__ import annotations
@@ -223,28 +224,21 @@ def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
 # ---------------------------------------------------------------------------
 # registration manager
 
-@dataclass
-class IdentityRecord:
-    pub_key: Point
-    identity: bytes
-    status: str = "active"  # 'active' | 'evicted'
-
-
 class RegistrationManager:
     """Owns the private identity table and publishes keys on the board.
 
-    Single-owner actor: every mutation goes through this object.  Records
-    survive eviction so audits can still resolve a key; only the board's
-    active view shrinks.
+    Single-owner actor: every mutation goes through this object.  The table
+    (key encoding -> identity) survives eviction so audits can still resolve
+    a key; whether a key is evicted is known only to the board's fold.
     """
 
     def __init__(self, group: PairingGroup, board: BulletinBoard) -> None:
         self.group = group
         self.board = board
-        self._records: dict[bytes, IdentityRecord] = {}
+        self._identities: dict[bytes, bytes] = {}
 
     def register(self, pub_key: Point, identity: bytes, proof: RegistrationProof) -> int:
-        """Verify the possession proof, store the record, publish the key.
+        """Verify the possession proof, store the identity, publish the key.
 
         Returns the board sequence number of the key publication.
         """
@@ -258,22 +252,22 @@ class RegistrationManager:
         if not verify_registration(pub_key, identity, proof, self.group):
             raise InvalidProof("possession proof failed")
         encoded = self.group.encode_point(pub_key)
-        if encoded in self._records:
+        if encoded in self._identities:
             raise DuplicateKey("key already registered")
-        self._records[encoded] = IdentityRecord(pub_key=pub_key, identity=identity)
+        self._identities[encoded] = identity
         return self.board.append(KEY_PUBLISHED, encoded)
 
-    def lookup_identity(self, pub_key: Point) -> IdentityRecord:
-        """Resolve a published key to its record (evicted keys stay resolvable)."""
-        record = self._records.get(self.group.encode_point(pub_key))
-        if record is None:
+    def lookup_identity(self, pub_key: Point) -> bytes:
+        """Resolve a published key to its identity (evicted keys stay resolvable)."""
+        identity = self._identities.get(self.group.encode_point(pub_key))
+        if identity is None:
             raise UnknownKey("no record for this key")
-        return record
+        return identity
 
     def evict(self, pub_key: Point) -> int:
-        """Remove the key from the active view; the record is kept for audit."""
-        record = self.lookup_identity(pub_key)
-        if record.status == "evicted":
-            raise AlreadyEvicted("key was already evicted")
-        record.status = "evicted"
-        return self.board.append(KEY_EVICTED, self.group.encode_point(pub_key))
+        """Append the key's eviction record; the identity is kept for audit."""
+        self.lookup_identity(pub_key)
+        try:
+            return self.board.append(KEY_EVICTED, self.group.encode_point(pub_key))
+        except MalformedBoard as exc:  # the fold knows the key is no longer active
+            raise AlreadyEvicted("key was already evicted") from exc

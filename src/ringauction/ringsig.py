@@ -307,7 +307,12 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
 
 def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
     """Verify the signature on ``message`` (NotVerified(reason) if it fails),
-    then return ``locate_signer``'s result."""
+    then return ``locate_signer``'s result.  The key must kill the order-q
+    blinding and keep the order-p part: ValueError("bad trace key: ...")
+    if [q]h != O or [q]g == O, raised before any verification."""
+    grp = pp.group
+    if grp.mul(tk.q, grp.h) is not None or grp.mul(tk.q, grp.g) is None:
+        raise ValueError("bad trace key: [q]h must be the identity and [q]g must not")
     result = verify(pp, ring, message, sig)
     if not result:
         raise NotVerified(result.reason)
@@ -316,7 +321,8 @@ def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingS
 
 def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature):
     """(position, published key) of the signer of a signature known to verify,
-    or None when no single member matches.
+    or None when no single member matches.  ``tk`` is a key as produced by
+    ``setup`` or accepted by ``trace``.
 
     Multiplying by q annihilates the order-q blinding, so the marked slot —
     and only the marked slot, for honest signatures over distinct keys —

@@ -14,7 +14,7 @@ from ringauction.auction import MalformedBid, parse_bid_payload
 from ringauction.group import InvalidPoint
 from ringauction.harness import TranscriptReport, read_transcript
 from ringauction.registry import BID_POSTED, KEY_EVICTED, KEY_PUBLISHED, MalformedBoard
-from ringauction.ringsig import public_params_from_json, verify
+from ringauction.ringsig import verify
 
 
 def is_prime_trial_division(m: int) -> bool:
@@ -159,15 +159,11 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
         return TranscriptReport(False, failing_seq=seq, reason=reason)
 
     try:
-        params_hex, entries = read_transcript(data)
+        pp, entries = read_transcript(data)
     except MalformedBoard as exc:
         return invalid(exc.seq, exc.reason)
-    if params_hex is None:
-        return invalid(None, "missing params header") if entries else TranscriptReport(True)
-    try:
-        pp = public_params_from_json(bytes.fromhex(params_hex))
-    except (ValueError, InvalidPoint) as exc:
-        return invalid(None, f"bad params header: {exc}")
+    if pp is None:
+        return TranscriptReport(True)
     group = pp.group
 
     active = set()

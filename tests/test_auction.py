@@ -36,6 +36,7 @@ from ringauction.group import OpCounter, count_ops
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
+    KEY_EVICTED,
     WINNER_ANNOUNCED,
     BulletinBoard,
     RegistrationManager,
@@ -436,13 +437,22 @@ class TestOpenProtocol:
         assert identity == b"agent-1"
         assert pub_key == env.agents[1].keypair.pub_key
         # an honest winner keeps its key
-        assert env.rm.lookup_identity(pub_key).status == "active"
+        assert env.board.all_active([env.pp.group.encode_point(pub_key)])
 
     def test_malicious_opening_evicts(self, env):
         winner = self.run_auction(env, (10, 20, 15))
-        pub_key, _ = open_protocol(env.am, env.rm, winner, malicious=True)
-        assert env.rm.lookup_identity(pub_key).status == "evicted"
+        pub_key, identity = open_protocol(env.am, env.rm, winner, malicious=True)
+        assert identity == b"agent-1"
         assert env.pp.group.encode_point(pub_key) not in env.board.active_keys()
+
+    def test_second_malicious_opening_is_a_no_op(self, env):
+        # The board alone records the eviction, so opening the same bid again
+        # finds the key gone and appends nothing.
+        winner = self.run_auction(env, (10, 20, 15))
+        first = open_protocol(env.am, env.rm, winner, malicious=True)
+        assert open_protocol(env.am, env.rm, winner, malicious=True) == first
+        kinds = [entry.kind for entry in env.board.entries()]
+        assert kinds.count(KEY_EVICTED) == 1
 
     def test_opening_checks_the_signature_once(self, env):
         # The bid at 10 ranks below the winner, so determine_winner never

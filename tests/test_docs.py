@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ringauction
+from ringauction.cli import main
 from ringauction.harness import parse_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -25,13 +27,36 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
 
 
-def test_readme_scenario_block_parses():
+def _readme_block(intro: str) -> str:
+    """The first fenced block after ``intro`` in README.md, without its fences."""
     readme = (REPO / "README.md").read_text()
-    intro = "A scenario file is plain `key=value` lines"
     assert intro in readme
     block = readme.split(intro, 1)[1].split("```", 2)[1]
-    config = parse_scenario(block)
+    return block.split("\n", 1)[1]  # drop the rest of the opening fence line
+
+
+def test_readme_scenario_block_parses():
+    config = parse_scenario(_readme_block("A scenario file is plain `key=value` lines"))
     assert config.bidders == 4 and config.auctions == 2
+
+
+def test_readme_quick_taste_runs():
+    exec(compile(_readme_block("## Quick taste"), "README quick taste", "exec"), {})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # The four commands as printed, run on the README's scenario saved as the
+    # file they name.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "auction.cfg").write_text(
+        _readme_block("A scenario file is plain `key=value` lines"))
+    commands = [shlex.split(line) for line in
+                _readme_block("Four subcommands cover the whole lifecycle:").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["ringauction", name] for name in ("setup", "run", "verify", "trace")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    assert "bid seq 9 traced to ring member" in capsys.readouterr().out
 
 
 def test_benchmark_spans_resolve():

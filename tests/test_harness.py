@@ -854,20 +854,32 @@ class TestCli:
         assert main(["trace", "--transcript", str(transcript), "--seq", "0",
                      "--tracekey", str(tracekey)]) == 2
 
-    @pytest.mark.parametrize("name", HOSTILE_HEADERS)
-    def test_hostile_header_exits_cleanly(self, full_run, tmp_path, capsys, name):
+    def _header_fault(self, full_run, tmp_path, capsys, data):
+        """verify's reason for a transcript whose header is at fault, once
+        trace has exited 2 printing that reason word for word."""
         transcript = tmp_path / "t.txt"
-        transcript.write_bytes(_with_hostile_header(full_run.transcript, name))
+        transcript.write_bytes(data)
         tracekey = tmp_path / "k.txt"
         tracekey.write_text(f"{full_run.trace_key.q}\n")
         assert main(["verify", "--transcript", str(transcript)]) == 1
-        assert "bad params header" in capsys.readouterr().out
-        bid_seq = next(int(line.split(" ")[0])
-                       for line in transcript.read_text().splitlines()
+        reason = capsys.readouterr().out.split("transcript INVALID: ", 1)[1].strip()
+        bid_seq = next(int(line.split(" ")[0]) for line in data.decode().splitlines()
                        if " bid-posted " in line)
         assert main(["trace", "--transcript", str(transcript), "--seq", str(bid_seq),
                      "--tracekey", str(tracekey)]) == 2
-        assert "bad public parameters" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
+        return reason
+
+    @pytest.mark.parametrize("name", HOSTILE_HEADERS)
+    def test_hostile_header_exits_cleanly(self, full_run, tmp_path, capsys, name):
+        data = _with_hostile_header(full_run.transcript, name)
+        reason = self._header_fault(full_run, tmp_path, capsys, data)
+        assert reason.startswith("bad params header")
+
+    def test_missing_header_exits_cleanly(self, full_run, tmp_path, capsys):
+        body = full_run.transcript.decode().splitlines()[1:]
+        data = ("\n".join(body) + "\n").encode()
+        assert self._header_fault(full_run, tmp_path, capsys, data) == "missing params header"
 
     def test_usage_errors_return_two(self, capsys):
         assert main([]) == 2

@@ -276,7 +276,7 @@ class TestRegistrationManager:
         assert entry.kind == KEY_PUBLISHED
         assert entry.payload == tiny_params.group.encode_point(pub)
         assert entry.payload in board.active_keys()
-        assert rm.lookup_identity(pub).identity == b"alice"
+        assert rm.lookup_identity(pub) == b"alice"
 
     def test_duplicate_key_rejected(self, manager, tiny_params):
         rm, _ = manager
@@ -330,10 +330,8 @@ class TestRegistrationManager:
         assert board.entries()[seq].kind == KEY_EVICTED
         assert group.encode_point(pub) not in board.active_keys()
         assert group.encode_point(other) in board.active_keys()
-        # the record survives for audit
-        record = rm.lookup_identity(pub)
-        assert record.identity == b"alice"
-        assert record.status == "evicted"
+        # the identity survives for audit; only the board knows of the eviction
+        assert rm.lookup_identity(pub) == b"alice"
 
     def test_evict_twice_rejected(self, manager, tiny_params):
         rm, _ = manager

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringauction.group import group_from_primes
+from ringauction.group import OpCounter, count_ops, group_from_primes
 from ringauction.ringsig import (
     MemberProof,
     NotAMember,
@@ -23,6 +23,7 @@ from ringauction.ringsig import (
     canonical_encode,
     deserialize_signature,
     keygen,
+    locate_signer,
     public_params_from_json,
     public_params_to_json,
     serialize_signature,
@@ -508,14 +509,41 @@ class TestTrace:
 
     def test_trace_key_divisible_by_the_order_names_nobody(self, setup16, keys16):
         # [q] with n | q annihilates every slot, so on a one-key ring it would
-        # name member 0 whoever signed; such a key is refused instead.
+        # name member 0 whoever signed; locate_signer refuses such a key.
         pp, _ = setup16
         kp = keys16[0]
         ring = Ring(pp.group, [kp.pub_key])
         sig = sign(pp, ring, 0, kp, b"m", random.Random(77))
         for q in (0, pp.group.n):
             with pytest.raises(ValueError, match="multiple of the group order"):
-                trace(TraceKey(q), pp, ring, b"m", sig)
+                locate_signer(TraceKey(q), pp, ring, sig)
+
+    @pytest.mark.parametrize("key", ("0", "1", "p", "n"))
+    def test_trace_rejects_a_bad_trace_key_before_verifying(self, params16, setup16,
+                                                            keys16, key):
+        # A key that leaves h alive (1, p) finds no slot and one that kills g
+        # (0, n) finds every slot; trace refuses both before any pairing
+        # instead of reading them as an ambiguous trace.
+        pp, _ = setup16
+        ring = Ring(pp.group, [kp.pub_key for kp in keys16[:3]])
+        kp = keys16[1]
+        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", random.Random(78))
+        q = {"0": 0, "1": 1, "p": params16.p, "n": params16.group.n}[key]
+        counter = OpCounter()
+        with count_ops(counter), pytest.raises(ValueError, match="^bad trace key"):
+            trace(TraceKey(q), pp, ring, b"m", sig)
+        assert counter.phase_counts("default").get("pair", 0) == 0
+
+    @pytest.mark.parametrize("orders", (0, 1))
+    def test_trace_accepts_the_key_shifted_by_the_order(self, params16, setup16,
+                                                        keys16, orders):
+        pp, tk = setup16
+        ring = Ring(pp.group, [kp.pub_key for kp in keys16[:3]])
+        kp = keys16[1]
+        idx = ring.index_of(kp.pub_key)
+        sig = sign(pp, ring, idx, kp, b"m", random.Random(79))
+        key = TraceKey(tk.q + orders * params16.group.n)
+        assert trace(key, pp, ring, b"m", sig) == (idx, kp.pub_key)
 
 
 # ---------------------------------------------------------------------------
