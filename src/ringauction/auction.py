@@ -65,10 +65,6 @@ class MalformedBid(AuctionError):
     """A serialized bid payload failed to parse."""
 
 
-class MalformedTranscript(AuctionError):
-    """A message log entry is not understood."""
-
-
 def encode_bid_message(auction_id: int, round_no: int, price: int) -> bytes:
     """The bytes a bid signature commits to: auction, round and price as
     fixed-width big-endian integers.  Binding auction and round prevents a
@@ -329,7 +325,7 @@ class MessageCounter:
 
     def add(self, sender: str, phase: str) -> None:
         if phase not in MESSAGE_PHASES:
-            raise MalformedTranscript(f"unknown message phase {phase!r}")
+            raise ValueError(f"unknown message phase {phase!r}")
         key = (sender, phase)
         self._counts[key] = self._counts.get(key, 0) + 1
 

@@ -1,7 +1,8 @@
 """Command-line front end: setup, run, verify, trace.
 
-``harness.read_transcript`` decodes the transcript header and
-``ringsig.trace`` checks the trace key; the commands map outcomes to exit codes.
+``harness.verify_transcript`` is the one reader of a transcript, so ``trace``
+opens bids only from a transcript that verifies; ``ringsig.trace`` checks the
+trace key.  The commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -15,16 +16,13 @@ import argparse
 import random
 import sys
 
-from .auction import MalformedBid, parse_bid_payload
 from .group import gen_group_params
 from .harness import (
     ScenarioError,
     parse_scenario,
-    read_transcript,
     run_scenario,
     verify_transcript,
 )
-from .registry import BID_POSTED, MalformedBoard
 from .ringsig import NotVerified, TraceKey, public_params_to_json, setup, trace
 
 
@@ -140,9 +138,15 @@ def _cmd_verify(args) -> int:
         for auction_id, seq, price in report.winners:
             print(f"  auction {auction_id}: bid seq {seq} at price {price}")
         return 0
-    where = "" if report.failing_seq is None else f" at seq {report.failing_seq}"
-    print(f"transcript INVALID{where}: {report.reason}")
+    print(f"transcript INVALID{_failure(report)}")
     return 1
+
+
+def _failure(report) -> str:
+    """Where an invalid transcript failed, by seq and line when known, and why."""
+    at = [f"{name} {value}" for name, value in
+          (("seq", report.failing_seq), ("line", report.failing_line)) if value is not None]
+    return (f" at {', '.join(at)}" if at else "") + f": {report.reason}"
 
 
 def _cmd_trace(args) -> int:
@@ -154,23 +158,15 @@ def _cmd_trace(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
-    try:
-        pp, entries = read_transcript(data)
-    except MalformedBoard as exc:
-        print(f"bad transcript: {exc}", file=sys.stderr)
+    report = verify_transcript(data)
+    if not report.valid:
+        print(f"bad transcript{_failure(report)}", file=sys.stderr)
         return 2
-
-    entry = next((e for e in entries if e.seq == args.seq), None)
-    if entry is None or entry.kind != BID_POSTED:
+    bid = report.bids.get(args.seq)
+    if bid is None:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
-    grp = pp.group
-    try:
-        bid = parse_bid_payload(grp, entry.payload)
-    except MalformedBid as exc:
-        print(f"unreadable bid payload: {exc}", file=sys.stderr)
-        return 2
-
+    pp = report.public_params
     try:
         traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
     except ValueError as exc:  # a bad trace key
@@ -184,7 +180,7 @@ def _cmd_trace(args) -> int:
         return 1
     index, pub_key = traced
     print(f"bid seq {args.seq} traced to ring member {index}: "
-          f"{grp.encode_point(pub_key).hex()}")
+          f"{pp.group.encode_point(pub_key).hex()}")
     return 0
 
 

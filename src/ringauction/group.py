@@ -664,9 +664,6 @@ class PairingGroup:
         re, im = _pair_value(P, Q, self.n, self.ell, lines)
         return GtElement(re, im, self.ell)
 
-    def gt_one(self) -> GtElement:
-        return GtElement(1, 0, self.ell)
-
     # -- canonical encodings --------------------------------------------------
 
     def encode_point(self, P: Point) -> bytes:

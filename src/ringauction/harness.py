@@ -7,9 +7,9 @@ so a configuration always produces byte-identical transcripts.
 A transcript is one ``params`` header line (the public parameters, hex of
 canonical JSON) followed by the bulletin-board records.  This module owns
 the header format: ``render_transcript`` writes it and ``read_transcript``
-is the one reader and decoder, leaving the records to ``parse_board_text``.
-Replaying a transcript needs no secrets and re-derives the winner of every
-announced auction.
+decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
+is the one replay: it needs no secrets, re-derives the winner of every
+announced auction and hands back the bids of a transcript that verifies.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .auction import (
@@ -46,6 +46,7 @@ from .registry import (
 from .ringsig import (
     PublicParams,
     Ring,
+    Untraceable,
     VerifyResult,
     keygen,
     public_params_from_json,
@@ -299,7 +300,14 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
             raise ScenarioError(f"auction {auction_no}: {exc}") from exc
 
         phase("open")
-        pub_key, identity = open_protocol(am, rm, winner_bid)
+        repudiated = [actor.last_admitted for actor in actors
+                      if actor.strategy == REPUDIATOR and actor.last_admitted is not None
+                      and actor.last_admitted.auction_id == auction_no]
+        try:
+            pub_key, identity = open_protocol(am, rm, winner_bid)
+            traced = [open_protocol(am, rm, bid, malicious=True)[0] for bid in repudiated]
+        except Untraceable as exc:  # about 1 key in p passes the trace test in every slot
+            raise ScenarioError(f"auction {auction_no}: opening failed: {exc}") from exc
         winners.append(WinnerSummary(
             auction_id=auction_no,
             seq=winner_bid.seq,
@@ -307,12 +315,7 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
             pub_key_hex=group.encode_point(pub_key).hex(),
             identity=identity,
         ))
-        for actor in actors:
-            if (actor.strategy != REPUDIATOR or actor.last_admitted is None
-                    or actor.last_admitted.auction_id != auction_no):
-                continue
-            traced_key, _ = open_protocol(am, rm, actor.last_admitted, malicious=True)
-            evicted.append(group.encode_point(traced_key).hex())
+        evicted.extend(group.encode_point(key).hex() for key in traced)
 
     transcript = render_transcript(pp, board)
     report = OpCountReport(phases=counter.snapshot() if counter is not None else {})
@@ -373,6 +376,10 @@ class TranscriptReport:
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
     # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
     outcomes: tuple[tuple[int, str], ...] = ()
+    # The decoded header and every posted bid by seq; set only when valid.
+    public_params: PublicParams | None = None
+    bids: Mapping[int, Bid] = field(default_factory=dict)
+    failing_line: int | None = None  # line number of a record that fails to parse
 
     def __bool__(self) -> bool:
         return self.valid
@@ -409,7 +416,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     try:
         pp, entries = read_transcript(data)
     except MalformedBoard as exc:
-        return invalid(exc.seq, exc.reason)
+        return replace(invalid(exc.seq, exc.reason), failing_line=exc.line)
     if pp is None:
         return TranscriptReport(True)
     group = pp.group
@@ -453,7 +460,8 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             winners.append((known.auction_id, ref, known.price))
 
     return TranscriptReport(True, records=len(entries), winners=tuple(winners),
-                            outcomes=outcomes())
+                            outcomes=outcomes(), public_params=pp,
+                            bids={seq: bid for seq, (bid, _) in bids.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,16 @@ class AlreadyEvicted(RegistryError):
 class MalformedBoard(RegistryError):
     """A board record failed to parse or does not fit the active-key view.
 
-    ``reason`` says what is wrong; ``seq`` is the failing record's sequence
-    number once it has been read, else None.  With a line number the message
-    reads ``line N: reason``.
+    ``reason`` says what is wrong; ``seq`` (once read) and ``line`` (from a
+    parser) locate the failing record, else None.  With a line number the
+    message reads ``line N: reason``.
     """
 
     def __init__(self, reason: str, *, line: int | None = None,
                  seq: int | None = None) -> None:
         super().__init__(reason if line is None else f"line {line}: {reason}")
         self.reason = reason
+        self.line = line
         self.seq = seq
 
 

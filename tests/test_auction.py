@@ -20,7 +20,6 @@ from ringauction.auction import (
     Bid,
     BidderAgent,
     MalformedBid,
-    MalformedTranscript,
     MessageEvent,
     NoValidBid,
     OwnKeyNotInRing,
@@ -564,5 +563,5 @@ class TestMessageCounting:
 
     def test_unknown_phase_rejected(self):
         counter = count_messages([])
-        with pytest.raises(MalformedTranscript):
+        with pytest.raises(ValueError):
             counter.add("alice", "gossip")

@@ -1,11 +1,13 @@
 """Scenario runner, transcript replay, cost reports, and the CLI."""
 
+import contextlib
+import io
 import json
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringauction.auction import parse_bid_payload
@@ -14,9 +16,12 @@ from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
     REPUDIATOR,
+    RING_ALL_ACTIVE,
     RING_RANDOM_SUBSET,
     SNIPER,
+    STRATEGIES,
     ScenarioConfig,
+    ScenarioError,
     TranscriptReport,
     efficiency_sweep,
     measure_signing,
@@ -619,8 +624,59 @@ def test_hostile_transcripts_never_crash(hostile_base, data):
     assert main(["verify", "--transcript", str(transcript)]) == (0 if report.valid else 1)
     seq = data.draw(st.sampled_from([line.split(" ")[0] for line in lines
                                      if " bid-posted " in line]))
-    assert main(["trace", "--transcript", str(transcript), "--seq", seq,
-                 "--tracekey", str(tracekey)]) in (0, 1, 2)
+    code = main(["trace", "--transcript", str(transcript), "--seq", seq,
+                 "--tracekey", str(tracekey)])
+    assert code in ((0, 1, 2) if report.valid else (2,))
+
+
+@st.composite
+def scenario_configs(draw):
+    bidders = draw(st.integers(2, 8))
+    ring_policy = draw(st.sampled_from((RING_ALL_ACTIVE, RING_RANDOM_SUBSET)))
+    return ScenarioConfig(
+        p_bits=draw(st.integers(8, 16)),
+        q_bits=draw(st.integers(8, 16)),
+        seed=draw(st.integers(0, 2**32)),
+        bidders=bidders,
+        rounds=draw(st.integers(1, 3)),
+        auctions=draw(st.integers(1, 3)),
+        strategies=tuple(draw(st.lists(st.sampled_from(STRATEGIES), max_size=bidders))),
+        ring_policy=ring_policy,
+        ring_size=draw(st.integers(1, bidders)) if ring_policy == RING_RANDOM_SUBSET else None,
+        monotonic=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(config=scenario_configs())
+# one key here passes the trace test in every ring slot, so an opening is ambiguous
+@example(config=ScenarioConfig(p_bits=8, q_bits=8, seed=41596247, bidders=2, auctions=2,
+                               monotonic=False))
+def test_random_scenarios_three_verdicts_agree(tmp_path_factory, config):
+    """A run, the lazy replay and the eager replay agree on every scenario
+    that completes, and the trace command opens each winner to its key."""
+    try:
+        result = run_scenario(config)
+    except ScenarioError:
+        return
+    report = verify_transcript(result.transcript)
+    assert report.valid, report.reason
+    assert report.winners == tuple((w.auction_id, w.seq, w.price) for w in result.winners)
+    assert verdict(eager_verify_transcript(result.transcript)) == verdict(report)
+    assert run_scenario(config, counted=False).transcript == result.transcript
+
+    workdir = tmp_path_factory.mktemp("scenario")
+    transcript = workdir / "t.txt"
+    transcript.write_bytes(result.transcript)
+    tracekey = workdir / "k.txt"
+    tracekey.write_text(f"{result.trace_key.q}\n")
+    for win in result.winners:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["trace", "--transcript", str(transcript), "--seq", str(win.seq),
+                         "--tracekey", str(tracekey)])
+        assert code == 0
+        assert out.getvalue().strip().endswith(f": {win.pub_key_hex}")
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +731,24 @@ class TestEfficiency:
 
 # ---------------------------------------------------------------------------
 # command line
+
+def _duplicate_key(lines):
+    """The first published key published again at the end."""
+    key = next(line for line in lines if " key-published " in line).split(" ")[2]
+    return lines + [f"{int(lines[-1].split(' ')[0]) + 1} key-published {key}"]
+
+
+def _removed_key(lines):
+    """The last key publication before the first bid left out, so the rings
+    name a key that was never on the board."""
+    first_bid = next(i for i, line in enumerate(lines) if " bid-posted " in line)
+    last_key = max(i for i in range(first_bid) if " key-published " in lines[i])
+    return lines[:last_key] + lines[last_key + 1:]
+
+
+# Key-record edits that verify rejects while leaving every bid record as it was.
+BOARD_FAULTS = {"duplicate-key": _duplicate_key, "removed-key": _removed_key}
+
 
 SCENARIO_TEXT = """
 p_bits = 16
@@ -880,6 +954,43 @@ class TestCli:
         body = full_run.transcript.decode().splitlines()[1:]
         data = ("\n".join(body) + "\n").encode()
         assert self._header_fault(full_run, tmp_path, capsys, data) == "missing params header"
+
+    @pytest.mark.parametrize("edit", BOARD_FAULTS)
+    def test_trace_refuses_a_transcript_that_fails(self, full_run, tmp_path, capsys, edit):
+        # the bid records are untouched; only the key records around them changed
+        lines = full_run.transcript.decode().splitlines()
+        transcript = tmp_path / "t.txt"
+        transcript.write_text("\n".join(BOARD_FAULTS[edit](lines)) + "\n")
+        tracekey = tmp_path / "k.txt"
+        tracekey.write_text(f"{full_run.trace_key.q}\n")
+        assert main(["verify", "--transcript", str(transcript)]) == 1
+        reason = capsys.readouterr().out.split(": ", 1)[1].strip()
+        assert reason == {"duplicate-key": "key is already active",
+                          "removed-key": "ring key not in the active view"}[edit]
+        posted = [line.split(" ")[0] for line in lines if " bid-posted " in line]
+        for seq in posted:
+            assert main(["trace", "--transcript", str(transcript), "--seq", seq,
+                         "--tracekey", str(tracekey)]) == 2
+            assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", STRUCTURAL_FAULTS)
+    def test_verify_and_trace_locate_a_fault_alike(self, run_and_lines, tmp_path,
+                                                   capsys, fault):
+        result, lines = run_and_lines
+        idx = next(i for i, line in enumerate(lines) if " bid-posted " in line)
+        seq, kind, payload = lines[idx].split(" ")
+        mutated = list(lines)
+        mutated[idx] = STRUCTURAL_FAULTS[fault](seq, kind, payload)
+        transcript = tmp_path / "t.txt"
+        transcript.write_text("\n".join(mutated) + "\n")
+        tracekey = tmp_path / "k.txt"
+        tracekey.write_text(f"{result.trace_key.q}\n")
+        assert main(["verify", "--transcript", str(transcript)]) == 1
+        verify_says = capsys.readouterr().out.strip().removeprefix("transcript INVALID")
+        assert main(["trace", "--transcript", str(transcript), "--seq", seq,
+                     "--tracekey", str(tracekey)]) == 2
+        assert capsys.readouterr().err.strip() == f"bad transcript{verify_says}"
+        assert f"line {idx + 1}: " in verify_says
 
     def test_usage_errors_return_two(self, capsys):
         assert main([]) == 2
