@@ -37,7 +37,6 @@ from .auction import (
 from .group import (
     GroupError,
     GroupParams,
-    HashDescriptor,
     InvalidPoint,
     OpCounter,
     PairingGroup,
@@ -101,7 +100,6 @@ __all__ = [
     "EfficiencySummary",
     "GroupError",
     "GroupParams",
-    "HashDescriptor",
     "InvalidPoint",
     "InvalidProof",
     "MessageCounter",

@@ -554,29 +554,6 @@ def hash_to_bits(data: bytes, k: int) -> tuple[int, ...]:
     return tuple(bits[:k])
 
 
-@dataclass(frozen=True)
-class HashDescriptor:
-    """Parameters of the two protocol hashes.
-
-    Both expand SHA-256 in counter mode under distinct domain tags.  The
-    scalar hash expands to 64 bits beyond the modulus before reducing, which
-    keeps the modular bias below 2**-64; the bit hash truncates the stream to
-    exactly k bits.
-    """
-
-    k: int
-    algorithm: str = "sha256"
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.algorithm != "sha256":
-            raise ValueError(f"unsupported hash algorithm {self.algorithm!r}")
-
-    def bits(self, data: bytes) -> tuple[int, ...]:
-        return hash_to_bits(data, self.k)
-
-
 # ---------------------------------------------------------------------------
 # the public group context
 
@@ -698,12 +675,16 @@ class GroupParams:
 
     p: int
     q: int
-    r: int
     group: PairingGroup
 
     @property
     def n(self) -> int:
         return self.group.n
+
+    @property
+    def r(self) -> int:
+        """The cofactor: ell = n*r - 1."""
+        return (self.group.ell + 1) // self.group.n
 
     @property
     def ell(self) -> int:
@@ -726,8 +707,6 @@ class GroupParams:
             raise GroupError("p and q must be prime")
         if self.p * self.q != grp.n:
             raise GroupError("n != p*q")
-        if grp.n * self.r != grp.ell + 1:
-            raise GroupError("n*r != ell + 1")
         if grp.ell % 4 != 3 or not is_probable_prime(grp.ell):
             raise GroupError("ell must be a prime = 3 (mod 4)")
         ell = grp.ell
@@ -789,7 +768,7 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
             break
     h = _point_mul(alpha * p % n, g, ell)
 
-    return GroupParams(p=p, q=q, r=r, group=PairingGroup(n, ell, g, h))
+    return GroupParams(p=p, q=q, group=PairingGroup(n, ell, g, h))
 
 
 def gen_group_params(p_bits: int, q_bits: int, rng) -> GroupParams:

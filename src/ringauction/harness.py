@@ -86,7 +86,7 @@ class ScenarioConfig:
     rounds: int = 1
     auctions: int = 1
     strategies: tuple[str, ...] = ()
-    ring_policy: str = RING_ALL_ACTIVE
+    # None rings every active key; N rings the signer and N - 1 others at random
     ring_size: int | None = None
     monotonic: bool = True
 
@@ -109,13 +109,8 @@ class ScenarioConfig:
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ValueError(f"unknown strategy {strategy!r}")
-        if self.ring_policy not in (RING_ALL_ACTIVE, RING_RANDOM_SUBSET):
-            raise ValueError(f"unknown ring policy {self.ring_policy!r}")
-        if self.ring_policy == RING_RANDOM_SUBSET:
-            if self.ring_size is None or self.ring_size < 1:
-                raise ValueError("random-subset needs a positive ring size")
-            if self.ring_size > self.bidders:
-                raise ValueError("ring size exceeds the number of bidders")
+        if self.ring_size is not None and not 1 <= self.ring_size <= self.bidders:
+            raise ValueError("ring size must be between 1 and the number of bidders")
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -135,11 +130,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         elif key.startswith("strategy."):
             strategies[int(key.split(".", 1)[1])] = value
         elif key == "ring_policy":
-            if value.startswith(RING_RANDOM_SUBSET + ":"):
-                config.ring_policy = RING_RANDOM_SUBSET
+            if value == RING_ALL_ACTIVE:
+                config.ring_size = None
+            elif value.startswith(RING_RANDOM_SUBSET + ":"):
                 config.ring_size = int(value.split(":", 1)[1])
             else:
-                config.ring_policy = value
+                raise ValueError(f"line {lineno}: unknown ring policy {value!r}")
         elif key == "monotonic_prices":
             if value not in ("on", "off"):
                 raise ValueError(f"line {lineno}: monotonic_prices must be on or off")
@@ -208,7 +204,7 @@ def _wants_to_bid(strategy: str, round_no: int, rounds: int) -> bool:
 
 
 def _choose_ring(group, order, points, own: bytes, config: ScenarioConfig, rng) -> Ring:
-    if config.ring_policy == RING_ALL_ACTIVE:
+    if config.ring_size is None:
         chosen = order
     else:
         at = bisect.bisect_left(order, own)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .group import (
-    HashDescriptor,
     GroupParams,
     PairingGroup,
     Point,
@@ -143,7 +142,8 @@ class PublicParams:
     commit_offset  subtracted from a member key inside its commitment.
     blind_base   order-q shadow of key_base ([a]h for key_base = [a]g); it
                  carries the aggregate blinding across the main equation.
-    hash_base, hash_gens  generators combined by the k-bit message hash.
+    hash_base, hash_gens  generators combined by the k-bit message hash,
+                 one message bit per hash generator: k = len(hash_gens).
 
     The exponents behind these points are used once at setup and discarded;
     the issuing authority retains only the tracing key.
@@ -155,7 +155,6 @@ class PublicParams:
     blind_base: Point
     hash_base: Point
     hash_gens: tuple[Point, ...]
-    hash_desc: HashDescriptor
 
     def __post_init__(self) -> None:
         # Signing multiplies blind_base, and verification pairs key_base first.
@@ -170,7 +169,8 @@ class PublicParams:
 
 def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
     """Authority setup: publish the bases, keep only the tracing key."""
-    desc = HashDescriptor(k=k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     grp = params.group
     a = rng.randrange(grp.n)
     b0 = rng.randrange(grp.n)
@@ -186,7 +186,6 @@ def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
         blind_base=blind_base,
         hash_base=hash_base,
         hash_gens=hash_gens,
-        hash_desc=desc,
     )
     return pp, TraceKey(q=params.q)
 
@@ -211,29 +210,23 @@ def _waters_sum(pp: PublicParams, bits: tuple[int, ...]) -> Point:
     return acc
 
 
-@dataclass(frozen=True)
-class _SignTrace:
-    """Signing internals exposed for white-box tests."""
+def sign(pp: PublicParams, ring: Ring, signer_index: int, keypair: BidderKeyPair,
+         message: bytes, rng) -> RingSignature:
+    """Ring-sign ``message``; ``ring[signer_index]`` must be the signer's key.
 
-    blind_exps: tuple[int, ...]
-    rand_exp: int
-    signer_index: int
-
-
-def _sign_traced(pp, ring, signer_index, keypair, message, rng):
+    Draws one blinding exponent e_i per ring member, in ring order, then the
+    randomiser r of s1 and s2."""
     grp = pp.group
     if not 0 <= signer_index < len(ring):
         raise NotAMember(f"index {signer_index} outside ring of size {len(ring)}")
     if ring[signer_index] != keypair.pub_key:
         raise NotAMember("ring slot does not hold the signer's published key")
-    bits = hash_to_bits(canonical_encode(message, ring), pp.hash_desc.k)
+    bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
     neg_offset = grp.neg(pp.commit_offset)
     members = []
-    blind_exps = []
     total_blind = 0
     for index, pub in enumerate(ring):
         e_i = rng.randrange(grp.n)
-        blind_exps.append(e_i)
         total_blind = (total_blind + e_i) % grp.n
         offset_key = grp.add(pub, neg_offset)
         blind_pt = grp.mul(e_i, grp.h)
@@ -250,15 +243,7 @@ def _sign_traced(pp, ring, signer_index, keypair, message, rng):
         grp.add(grp.mul(r, _waters_sum(pp, bits)), grp.mul(total_blind, pp.blind_base)),
     )
     s2 = grp.mul(r, grp.g)
-    sig = RingSignature(s1=s1, s2=s2, members=tuple(members))
-    return sig, _SignTrace(tuple(blind_exps), r, signer_index)
-
-
-def sign(pp: PublicParams, ring: Ring, signer_index: int, keypair: BidderKeyPair,
-         message: bytes, rng) -> RingSignature:
-    """Ring-sign ``message``; ``ring[signer_index]`` must be the signer's key."""
-    sig, _ = _sign_traced(pp, ring, signer_index, keypair, message, rng)
-    return sig
+    return RingSignature(s1=s1, s2=s2, members=tuple(members))
 
 
 def structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
@@ -294,7 +279,7 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
         shifted = grp.add(member.commit, grp.neg(offset_key))
         if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
             return VerifyResult(False, f"membership-proof {index}")
-    bits = hash_to_bits(canonical_encode(message, ring), pp.hash_desc.k)
+    bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
     total_commit: Point = None
     for member in sig.members:
         total_commit = grp.add(total_commit, member.commit)
@@ -371,6 +356,11 @@ def deserialize_signature(group: PairingGroup, data: bytes, ring_size: int) -> R
     return RingSignature(s1=points[0], s2=points[1], members=members)
 
 
+def _hash_header(hash_gens) -> dict:
+    """The header's ``hash`` entry: SHA-256 bits, one per hash generator."""
+    return {"algorithm": "sha256", "k": len(hash_gens)}
+
+
 def public_params_to_dict(pp: PublicParams) -> dict:
     """JSON-ready form of the public parameters (decimal ints, hex points)."""
     grp = pp.group
@@ -385,7 +375,7 @@ def public_params_to_dict(pp: PublicParams) -> dict:
         "blind_base": enc(pp.blind_base),
         "hash_base": enc(pp.hash_base),
         "hash_gens": [enc(pt) for pt in pp.hash_gens],
-        "hash": {"algorithm": pp.hash_desc.algorithm, "k": pp.hash_desc.k},
+        "hash": _hash_header(pp.hash_gens),
     }
 
 
@@ -400,6 +390,11 @@ def public_params_from_dict(data: dict) -> PublicParams:
         ell = int(data["ell"])
         dec = lambda text: decode_point_bytes(bytes.fromhex(text), ell)
         group = PairingGroup(n, ell, dec(data["g"]), dec(data["h"]))
+        if not data["hash_gens"]:
+            raise ValueError("no hash generators")
+        if data["hash"] != _hash_header(data["hash_gens"]):
+            raise ValueError(f"hash must be sha256 with k = {len(data['hash_gens'])}, "
+                             "one bit per generator")
         return PublicParams(
             group=group,
             key_base=group.decode_point(bytes.fromhex(data["key_base"])),
@@ -407,7 +402,6 @@ def public_params_from_dict(data: dict) -> PublicParams:
             blind_base=group.decode_point(bytes.fromhex(data["blind_base"])),
             hash_base=group.decode_point(bytes.fromhex(data["hash_base"])),
             hash_gens=tuple(group.decode_point(bytes.fromhex(t)) for t in data["hash_gens"]),
-            hash_desc=HashDescriptor(k=int(data["hash"]["k"]), algorithm=data["hash"]["algorithm"]),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed public parameters: {exc!r}") from exc

@@ -19,7 +19,6 @@ from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
     REPUDIATOR,
-    RING_RANDOM_SUBSET,
     SNIPER,
     ScenarioConfig,
     efficiency_sweep,
@@ -370,7 +369,7 @@ def test_determinism_after_eviction():
     # the middle of its sorted order.
     config = ScenarioConfig(
         bidders=6, auctions=2, k=16, seed=4, strategies=(HONEST, HONEST, REPUDIATOR),
-        ring_policy=RING_RANDOM_SUBSET, ring_size=3,
+        ring_size=3,
     )
     result = run_scenario(config)
     assert hashlib.sha256(result.transcript).hexdigest() == (

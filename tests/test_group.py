@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ringauction.group import (
     GroupError,
     GtElement,
-    HashDescriptor,
     InvalidPoint,
     OpCounter,
     PairingGroup,
@@ -492,14 +491,6 @@ class TestHashing:
         # the two streams disagree on essentially any input.
         assert scalar_stream != bit_stream or group.hash_to_zn(data + b"x") != int(
             "".join(map(str, hash_to_bits(data + b"x", 32))), 2) % tiny_params.n
-
-    def test_hash_descriptor_validation(self):
-        desc = HashDescriptor(k=8)
-        assert desc.bits(b"zz") == hash_to_bits(b"zz", 8)
-        with pytest.raises(ValueError):
-            HashDescriptor(k=0)
-        with pytest.raises(ValueError):
-            HashDescriptor(k=8, algorithm="md5")
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,21 @@ def full_run():
     return run_scenario(FULL_CAST)
 
 
-# Params headers whose JSON has a field of the wrong shape, plus one that is
-# not hex and one nested past the JSON parser's recursion limit.
-HOSTILE_FIELDS = {"hash": "x", "hash_gens": 5, "g": 5, "n": [1], "ell": float("inf")}
+# Params headers whose JSON has a field of the wrong shape or a bit hash whose
+# k is not the number of hash generators, each as the (field, value) pairs it
+# overwrites (a callable value is computed from the honest header), plus one
+# header that is not hex and one nested past the JSON parser's recursion limit.
+HOSTILE_FIELDS = {
+    "hash": [("hash", "x")],
+    "hash_gens": [("hash_gens", 5)],
+    "g": [("g", 5)],
+    "n": [("n", [1])],
+    "ell": [("ell", float("inf"))],
+    "k-4000000": [("hash", {"algorithm": "sha256", "k": 4_000_000})],
+    "17-gens": [("hash_gens", lambda header: header["hash_gens"] + [header["hash_base"]])],
+    "md5": [("hash", {"algorithm": "md5", "k": 16})],
+    "no-gens": [("hash_gens", []), ("hash", {"algorithm": "sha256", "k": 0})],
+}
 HOSTILE_HEADERS = (*HOSTILE_FIELDS, "not-hex", "nested")
 
 
@@ -62,7 +74,8 @@ def _with_hostile_header(transcript: bytes, name: str) -> bytes:
         lines[0] = "params " + ("[" * 100_000 + "]" * 100_000).encode().hex()
     else:
         params = json.loads(bytes.fromhex(lines[0].split(" ", 1)[1]))
-        params[name] = HOSTILE_FIELDS[name]
+        for field, value in HOSTILE_FIELDS[name]:
+            params[field] = value(params) if callable(value) else value
         lines[0] = "params " + json.dumps(params).encode().hex()
     return ("\n".join(lines) + "\n").encode()
 
@@ -90,7 +103,6 @@ class TestParseScenario:
         assert config.k == 12
         assert config.bidders == 4
         assert config.strategies == (HONEST, SNIPER, HONEST, REPUDIATOR)
-        assert config.ring_policy == "random-subset"
         assert config.ring_size == 3
         assert config.monotonic is False
 
@@ -118,6 +130,13 @@ class TestParseScenario:
         with pytest.raises(ValueError):
             parse_scenario("bidders 3\n")
 
+    def test_ring_policy_sets_the_ring_size(self):
+        assert parse_scenario("ring_policy = all-active\n").ring_size is None
+        assert parse_scenario("ring_policy = random-subset:2\n").ring_size == 2
+        for value in ("random-subset", "everyone", "random-subset:two"):
+            with pytest.raises(ValueError):
+                parse_scenario(f"ring_policy = {value}\n")
+
     def test_validate_catches_bad_shapes(self):
         with pytest.raises(ValueError):
             ScenarioConfig(bidders=0).validate()
@@ -126,9 +145,9 @@ class TestParseScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(strategies=("sniper",) * 5, bidders=4).validate()
         with pytest.raises(ValueError):
-            ScenarioConfig(ring_policy="random-subset").validate()
+            ScenarioConfig(ring_size=0).validate()
         with pytest.raises(ValueError):
-            ScenarioConfig(ring_policy="random-subset", ring_size=9).validate()
+            ScenarioConfig(ring_size=9).validate()
         with pytest.raises(ValueError):
             ScenarioConfig(p_bits=4).validate()
         with pytest.raises(ValueError):
@@ -156,7 +175,7 @@ class TestDeterminism:
         assert other.transcript != full_run.transcript
 
     def test_random_subset_rings_are_reproducible(self):
-        config = replace(FULL_CAST, ring_policy="random-subset", ring_size=2)
+        config = replace(FULL_CAST, ring_size=2)
         assert run_scenario(config).transcript == run_scenario(config).transcript
 
 
@@ -641,7 +660,6 @@ def scenario_configs(draw):
         rounds=draw(st.integers(1, 3)),
         auctions=draw(st.integers(1, 3)),
         strategies=tuple(draw(st.lists(st.sampled_from(STRATEGIES), max_size=bidders))),
-        ring_policy=ring_policy,
         ring_size=draw(st.integers(1, bidders)) if ring_policy == RING_RANDOM_SUBSET else None,
         monotonic=draw(st.booleans()),
     )
@@ -807,7 +825,7 @@ class TestCli:
     def singleton_rings(self, tmp_path_factory):
         """A transcript whose rings hold one key each, where a zero trace key
         used to name member 0: its path, winner seq, group order and q."""
-        result = run_scenario(ScenarioConfig(ring_policy=RING_RANDOM_SUBSET, ring_size=1))
+        result = run_scenario(ScenarioConfig(ring_size=1))
         transcript = tmp_path_factory.mktemp("singleton") / "t.txt"
         transcript.write_bytes(result.transcript)
         return (transcript, result.winners[0].seq,

@@ -19,12 +19,12 @@ from ringauction.ringsig import (
     Ring,
     RingSignature,
     TraceKey,
-    _sign_traced,
     canonical_encode,
     deserialize_signature,
     keygen,
     locate_signer,
     public_params_from_json,
+    public_params_to_dict,
     public_params_to_json,
     serialize_signature,
     setup,
@@ -140,9 +140,16 @@ class TestSetup:
     def test_published_values(self, tiny_setup):
         params, pp, tk = tiny_setup
         assert len(pp.hash_gens) == 8
-        assert pp.hash_desc.k == 8
+        assert public_params_to_dict(pp)["hash"] == {"algorithm": "sha256", "k": 8}
         assert tk.q == Q
         assert pp.is_consistent()
+
+    def test_setup_rejects_zero_hash_bits_before_drawing(self, tiny_params):
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            setup(tiny_params, 0, rng)
+        assert rng.getstate() == state
 
     def test_setup_deterministic(self, tiny_params):
         a, _ = setup(tiny_params, 8, random.Random(3))
@@ -306,6 +313,15 @@ class TestSignVerify:
 # ---------------------------------------------------------------------------
 # white-box structure of a signature
 
+def _sign_with_draws(pp, ring, idx, kp, message, rng):
+    """sign, plus what it drew from rng: e_i per member in ring order, then r."""
+    state = rng.getstate()
+    sig = sign(pp, ring, idx, kp, message, rng)
+    rng.setstate(state)
+    blind_exps = [rng.randrange(pp.group.n) for _ in ring]
+    return sig, blind_exps, rng.randrange(pp.group.n)
+
+
 class TestSignatureStructure:
     def test_commitments_and_binding_terms(self, tiny_setup):
         params, pp, _ = tiny_setup
@@ -314,11 +330,10 @@ class TestSignatureStructure:
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[2]
         idx = ring.index_of(kp.pub_key)
-        sig, internals = _sign_traced(pp, ring, idx, kp, b"white box", rng)
-        assert internals.signer_index == idx
+        sig, blind_exps, _ = _sign_with_draws(pp, ring, idx, kp, b"white box", rng)
         neg_b0 = naive_neg(pp.commit_offset, ell)
         for i, pub in enumerate(ring):
-            e_i = internals.blind_exps[i]
+            e_i = blind_exps[i]
             blind = naive_mul(e_i, params.h, ell)
             if i == idx:
                 expected = naive_add(naive_add(pub, neg_b0, ell), blind, ell)
@@ -333,15 +348,15 @@ class TestSignatureStructure:
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
         idx = ring.index_of(kp.pub_key)
-        sig, internals = _sign_traced(pp, ring, idx, kp, b"compose", rng)
-        assert sig.s2 == naive_mul(internals.rand_exp, params.g, ell)
-        total = sum(internals.blind_exps) % params.n
+        sig, blind_exps, rand_exp = _sign_with_draws(pp, ring, idx, kp, b"compose", rng)
+        assert sig.s2 == naive_mul(rand_exp, params.g, ell)
+        total = sum(blind_exps) % params.n
         from ringauction.ringsig import _waters_sum
         from ringauction.group import hash_to_bits
-        bits = hash_to_bits(canonical_encode(b"compose", ring), pp.hash_desc.k)
+        bits = hash_to_bits(canonical_encode(b"compose", ring), len(pp.hash_gens))
         expected = naive_add(
             kp.sign_key,
-            naive_add(naive_mul(internals.rand_exp, _waters_sum(pp, bits), ell),
+            naive_add(naive_mul(rand_exp, _waters_sum(pp, bits), ell),
                       naive_mul(total, pp.blind_base, ell), ell),
             ell)
         assert sig.s1 == expected
@@ -440,7 +455,7 @@ class TestTrace:
         a = next(a for a in range(params.n) if grp.mul(a, params.g) == pp.key_base)
         from ringauction.ringsig import _waters_sum
         from ringauction.group import hash_to_bits
-        bits = hash_to_bits(canonical_encode(b"decoy", ring), pp.hash_desc.k)
+        bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
         r = rng.randrange(params.n)
         fake = RingSignature(
             s1=grp.add(grp.mul(a, total_commit), grp.mul(r, _waters_sum(pp, bits))),
@@ -573,7 +588,6 @@ class TestSerialization:
         assert back.group.ell == tiny_params.ell
         assert back.key_base == pp.key_base
         assert back.hash_gens == pp.hash_gens
-        assert back.hash_desc == pp.hash_desc
         assert back.is_consistent()
         assert public_params_to_json(back) == data
 
