@@ -10,13 +10,15 @@ subgroup, with values in the order-n subgroup of F_ell^2*.
 
 Everything is plain big-integer arithmetic.  Points are affine at the API;
 inside, Jacobian (X, Y, Z) stands for (X/Z^2, Y/Z^3), with Z = 0 for O.
-Scalar multiplication and the Miller loop run in Jacobian coordinates and
-invert once at the end, and the final exponentiation uses the Frobenius map
-so that it needs one inversion in F_ell and a short power.  g, h and the
-points passed to PairingGroup.precompute are fixed bases.  mul takes
-[j * 16^i]P from a window table, built at a declared base's first mul and
-at g's or h's second, and only when [n]P = O, as only then may a scalar be
-reduced mod n; pair evaluates the Miller lines of a fixed first argument,
+Variable-base scalar multiplication runs a Montgomery ladder on x = X/Z
+alone, so [k]P = O shows as Z = 0 before any inversion, and recovers y with
+one inversion; the Miller loop and the window tables run in Jacobian
+coordinates and invert once at the end, and the final exponentiation uses
+the Frobenius map so that it needs one inversion in F_ell and a short power.
+g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
+takes [j * 16^i]P from a window table, built at a declared base's first mul
+and at g's or h's second, and only when [n]P = O, as only then may a scalar
+be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
 stored once, at each Q.  The parameter sizes used throughout this package
 are study material: breaking anonymity only requires factoring n, and
 nothing here is constant-time.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -62,26 +63,21 @@ class OpCounter:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._phase = "default"
         self._phases: dict[str, dict[str, int]] = {}
 
     def set_phase(self, name: str) -> None:
-        with self._lock:
-            self._phase = name
+        self._phase = name
 
     def bump(self, op: str) -> None:
-        with self._lock:
-            tally = self._phases.setdefault(self._phase, {})
-            tally[op] = tally.get(op, 0) + 1
+        tally = self._phases.setdefault(self._phase, {})
+        tally[op] = tally.get(op, 0) + 1
 
     def phase_counts(self, name: str) -> dict[str, int]:
-        with self._lock:
-            return dict(self._phases.get(name, {}))
+        return dict(self._phases.get(name, {}))
 
     def snapshot(self) -> dict[str, dict[str, int]]:
-        with self._lock:
-            return {phase: dict(t) for phase, t in self._phases.items()}
+        return {phase: dict(t) for phase, t in self._phases.items()}
 
 
 _ACTIVE_COUNTER: OpCounter | None = None
@@ -246,20 +242,43 @@ def _to_affine(points: list, ell: int) -> list[Point]:
 
 
 def _point_mul(k: int, P: Point, ell: int) -> Point:
-    # Left-to-right double-and-add on a Jacobian R, with mixed additions of
-    # the affine base and one inversion at the end.
+    # Montgomery ladder on x = X/Z alone (Brier-Joye, PKC 2002).  R1 = [m]P
+    # and R2 = [m+1]P, so R2 - R1 = P and their sum needs only x = x(P):
+    #   2R1     = ((X1^2 - Z1^2)^2, 4*X1*Z1*(X1^2 + Z1^2))
+    #   R1 + R2 = ((X1*X2 - Z1*Z2)^2, x*(X1*Z2 - X2*Z1)^2)
+    # Both come from U = X1 + Z1 and V = X1 - Z1, scaled by 2 and by 4.  A
+    # bit 0 doubles R1 and adds into R2; a bit 1 does the same with the two
+    # swapped, and they stay swapped until a bit 0.
     if P is None or k == 0:
         return None
     if k < 0:
         k, P = -k, _point_neg(P, ell)
     xp, yp = P
-    X, Y, Z = xp, yp, 1
-    for step in _double_and_add(k):
-        if step == "a":
-            X, Y, Z = _jac_add(X, Y, Z, xp, yp, ell)
-        elif Z:
-            X, Y, Z = _jac_double(X, Y, Z, ell)
-    return _to_affine([(X, Y, Z)], ell)[0]
+    if not yp:  # (0, 0), the one point of order 2, where x(P) = 0
+        return P if k & 1 else None
+    X1, Z1, X2, Z2 = 1, 0, xp, 1  # O and P
+    swapped = "0"
+    for bit in bin(k)[2:]:
+        if bit != swapped:
+            X1, Z1, X2, Z2 = X2, Z2, X1, Z1
+            swapped = bit
+        U, V = X1 + Z1, X1 - Z1
+        A, B = U * (X2 - Z2) % ell, V * (X2 + Z2) % ell
+        U, V = U * U % ell, V * V % ell
+        X1, Z1 = 2 * U * V % ell, (U - V) * (U + V) % ell
+        X2, Z2 = (A + B) ** 2 % ell, xp * (B - A) ** 2 % ell
+    if swapped == "1":
+        X1, Z1, X2, Z2 = X2, Z2, X1, Z1
+    if not Z1:
+        return None
+    if not Z2:  # [k + 1]P = O
+        return (xp, ell - yp)
+    # y of [k]P from x(P), y(P) and x of [k]P and [k + 1]P, over the one
+    # inversion of 2*y*Z1^2*Z2 (Okeya-Sakurai, CHES 2001).
+    d = 2 * yp * Z1 * Z2 % ell
+    inv = pow(d * Z1, -1, ell)
+    y = (Z1 + xp * X1) * (xp * Z1 + X1) * Z2 - X2 * (xp * Z1 - X1) ** 2
+    return (X1 * d * inv % ell, y * inv % ell)
 
 
 _WINDOW = 4  # bits per digit of a fixed-base scalar
@@ -404,9 +423,9 @@ class GtElement:
 
 def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # Miller loop for f_{n,P} at the distorted point (tx, i*ty), with R kept
-    # in Jacobian coordinates as in _point_mul.  Each step computes the
-    # tangent numerator M (or the chord pair H, S) once and uses it for both
-    # the line value and the point update.
+    # in Jacobian coordinates.  Each step computes the tangent numerator M
+    # (or the chord pair H, S) once and uses it for both the line value and
+    # the point update.
     #
     # Every line is scaled by a nonzero factor in F_ell: 2*Y*Z^3 for a
     # tangent, Z*H for a chord.  Vertical lines and lines at infinity lie in
@@ -583,8 +602,7 @@ class PairingGroup:
         self.g = g
         self.h = h
         # Fixed bases get tables on first use, but g and h, fixed without
-        # being declared, get a window table only on their second mul.  A
-        # table is published with one dict assignment once it is complete.
+        # being declared, get a window table only on their second mul.
         self._fixed = {g, h}
         self._mul_seen: set = set()
         self._mul_tables: dict = {}

@@ -15,7 +15,6 @@ table and nothing else.  Nothing on the board links a key to an identity.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -145,42 +144,35 @@ class BulletinBoard:
     """Append-only sequenced public log.
 
     ``append`` folds each record into a ``BoardState`` and stores only what
-    the fold accepts (else MalformedBoard).  Appends are serialized through
-    an internal lock; reads hand out snapshots, so they are safe from any thread.
+    the fold accepts (else MalformedBoard).  Reads hand out snapshots.
     """
 
     def __init__(self, group: PairingGroup) -> None:
-        self._lock = threading.Lock()
         self._entries: list[BoardEntry] = []
         self._state = BoardState(group)
 
     def append(self, kind: str, payload: bytes) -> int:
         if kind not in ENTRY_KINDS:
             raise ValueError(f"unknown entry kind {kind!r}")
-        with self._lock:
-            entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
-            self._state.apply(entry)
-            self._entries.append(entry)
-            return entry.seq
+        entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
+        self._state.apply(entry)
+        self._entries.append(entry)
+        return entry.seq
 
     def entries(self) -> tuple[BoardEntry, ...]:
-        with self._lock:
-            return tuple(self._entries)
+        return tuple(self._entries)
 
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
-        with self._lock:
-            return frozenset(self._state.points)
+        return frozenset(self._state.points)
 
     def all_active(self, encodings: Iterable[bytes]) -> bool:
         """Whether every encoding is an active key, looked up without a snapshot."""
-        with self._lock:
-            return all(encoding in self._state.points for encoding in encodings)
+        return all(encoding in self._state.points for encoding in encodings)
 
     def active_view(self) -> tuple[tuple[bytes, ...], dict[bytes, Point]]:
         """Snapshot of the active key encodings in sorted order, and their points."""
-        with self._lock:
-            return tuple(self._state.order), dict(self._state.points)
+        return tuple(self._state.order), dict(self._state.points)
 
     def to_text(self) -> str:
         return board_to_text(self.entries())

@@ -95,6 +95,17 @@ def naive_order(P, ell: int, bound: int) -> int:
     raise AssertionError(f"order of {P} exceeds {bound}")
 
 
+def cofactor_torsion(group, rng):
+    """A point of exact order r = (ell + 1)/n, the cofactor: [n]X for random X
+    until the multiple has that order (the curve group is cyclic)."""
+    n, ell = group.n, group.ell
+    r = (ell + 1) // n
+    while True:
+        T = naive_mul(n, group.random_point(rng), ell)
+        if T is not None and naive_order(T, ell, r) == r:
+            return T
+
+
 def all_curve_points(ell: int):
     """Every point of y^2 = x^3 + x over F_ell, identity included."""
     points = [None]

