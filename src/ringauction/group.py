@@ -15,8 +15,10 @@ alone, so [k]P = O shows as Z = 0 before any inversion, and recovers y with
 one inversion; the Miller loop and the window tables run in Jacobian
 coordinates and invert once at the end, and the final exponentiation uses
 the Frobenius map so that it needs one inversion in F_ell and a short power.
+Since -(x, y) = (x, -y) costs nothing, both walk signed digits: the Miller
+loop the non-adjacent form of n, a window mul the base-32 digits -15..16.
 g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
-takes [j * 16^i]P from a window table, built at a declared base's first mul
+takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
 stored once, at each Q.  The parameter sizes used throughout this package
@@ -190,9 +192,16 @@ def _point_add(P: Point, Q: Point, ell: int) -> Point:
 
 
 def _double_and_add(k: int) -> str:
-    # Left-to-right steps for k > 0 after its leading bit: "d" doubles the
-    # running point, "a" adds the base.
-    return bin(k)[3:].replace("1", "da").replace("0", "d")
+    # Left-to-right steps for k > 0 after its leading digit, from the
+    # non-adjacent form of k (Morain-Olivos 1990): "d" doubles the running
+    # point, "a" adds the base and "s" adds its negative.  At least two
+    # doublings come before each "a" or "s", so a third of the bits add.
+    steps = []
+    while k > 1:
+        digit = 2 - (k & 3) if k & 1 else 0
+        steps.append(("d", "da", "ds")[digit])
+        k = (k - digit) >> 1
+    return "".join(reversed(steps))
 
 
 def _jac_double(X: int, Y: int, Z: int, ell: int) -> tuple[int, int, int]:
@@ -266,7 +275,8 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
         A, B = U * (X2 - Z2) % ell, V * (X2 + Z2) % ell
         U, V = U * U % ell, V * V % ell
         X1, Z1 = 2 * U * V % ell, (U - V) * (U + V) % ell
-        X2, Z2 = (A + B) ** 2 % ell, xp * (B - A) ** 2 % ell
+        A, B = A + B, B - A
+        X2, Z2 = A * A % ell, xp * B * B % ell
     if swapped == "1":
         X1, Z1, X2, Z2 = X2, Z2, X1, Z1
     if not Z1:
@@ -277,38 +287,64 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
     # inversion of 2*y*Z1^2*Z2 (Okeya-Sakurai, CHES 2001).
     d = 2 * yp * Z1 * Z2 % ell
     inv = pow(d * Z1, -1, ell)
-    y = (Z1 + xp * X1) * (xp * Z1 + X1) * Z2 - X2 * (xp * Z1 - X1) ** 2
+    xz = xp * Z1
+    y = (Z1 + xp * X1) * (xz + X1) * Z2 - X2 * (xz - X1) * (xz - X1)
     return (X1 * d * inv % ell, y * inv % ell)
 
 
-_WINDOW = 4  # bits per digit of a fixed-base scalar
+_WINDOW = 5  # bits per signed digit of a fixed-base scalar
 
 
 def _window_table(P: tuple[int, int], n: int, ell: int):
-    """Row i holds the affine [j * 16^i]P, j = 1..15 (None for O), for each
-    base-16 digit of a scalar below n; None unless [n]P = O."""
+    """Row i holds the affine [j * 32^i]P, j = 1..16 (None for O), for each
+    signed base-32 digit of a scalar below n, the last row taking the final
+    carry; None unless [n]P = O."""
     rows, base = [], P
-    for _ in range(-(-n.bit_length() // _WINDOW)):
+    for _ in range(n.bit_length() // _WINDOW + 1):
         X, Y, Z = 1, 1, 0
         jac = []
-        for _ in range(1 << _WINDOW):
+        for _ in range(1 << (_WINDOW - 1)):
             if base is not None:
                 X, Y, Z = _jac_add(X, Y, Z, *base, ell)
             jac.append((X, Y, Z))
+        jac.append(_jac_double(X, Y, Z, ell))  # the next row's base
         *row, base = _to_affine(jac, ell)
         rows.append(row)
     return rows if _window_mul(rows, n, ell) is None else None
 
 
 def _window_mul(rows, k: int, ell: int) -> Point:
-    # One mixed addition per nonzero base-16 digit of 0 <= k < 16^len(rows).
+    # One mixed addition per nonzero digit d of 0 <= k < n, recoded on the
+    # fly into -15 <= d <= 16; a negative d adds -[|d| * 32^i]P = (x, -y).
     X, Y, Z = 1, 1, 0
     for row in rows:
-        digit = k & ((1 << _WINDOW) - 1)
-        k >>= _WINDOW
-        if digit and row[digit - 1] is not None:
-            X, Y, Z = _jac_add(X, Y, Z, *row[digit - 1], ell)
-    return _to_affine([(X, Y, Z)], ell)[0]
+        d = ((k + 15) & 31) - 15
+        k = (k - d) >> _WINDOW
+        if not d or row[abs(d) - 1] is None:
+            continue
+        xp, yp = row[abs(d) - 1]
+        if d < 0:
+            yp = (-yp) % ell
+        if not Z:
+            X, Y, Z = xp, yp, 1
+            continue
+        ZZ = Z * Z % ell
+        H = (xp * ZZ - X) % ell
+        S = (yp * ZZ * Z - Y) % ell
+        if H:
+            HH = H * H % ell
+            HHH = H * HH % ell
+            V = X * HH % ell
+            X3 = (S * S - HHH - 2 * V) % ell
+            X, Y, Z = X3, (S * (V - X3) - Y * HHH) % ell, Z * H % ell
+        elif S:  # R = -P
+            Z = 0
+        else:  # R = P
+            X, Y, Z = _jac_double(X, Y, Z, ell)
+    if not Z:
+        return None
+    zi = pow(Z, -1, ell)
+    return (X * zi * zi % ell, Y * zi * zi * zi % ell)
 
 
 def decode_point_bytes(data: bytes, ell: int) -> Point:
@@ -423,33 +459,36 @@ class GtElement:
 
 def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # Miller loop for f_{n,P} at the distorted point (tx, i*ty), with R kept
-    # in Jacobian coordinates.  Each step computes the tangent numerator M
+    # in Jacobian coordinates, over the signed steps of n: "a" adds P and
+    # "s" adds -P = (xp, -yp).  Each step computes the tangent numerator M
     # (or the chord pair H, S) once and uses it for both the line value and
     # the point update.
     #
     # Every line is scaled by a nonzero factor in F_ell: 2*Y*Z^3 for a
-    # tangent, Z*H for a chord.  Vertical lines and lines at infinity lie in
-    # F_ell* (or are 1) and are skipped.  Both are exact because
-    # (ell^2 - 1)/n = (ell - 1)*r, so the final exponentiation maps all of
-    # F_ell* to 1.  A non-vertical line value has imaginary part ty times a
-    # nonzero factor; it is zero only when ty = 0, i.e. for Q = (0, 0), where
-    # the real part can vanish too and f, and so the pairing value, is 0.
-    # That value lies outside G_T; it is returned as is, and rejecting such
-    # inputs is left to a subgroup check on decoded points.
+    # tangent, Z*H for a chord.  Vertical lines, f_{-1,P} among them, and
+    # lines at infinity lie in F_ell* (or are 1) and are skipped.  Both are
+    # exact because (ell^2 - 1)/n = (ell - 1)*r, so the final exponentiation
+    # maps all of F_ell* to 1.  A non-vertical line value has imaginary part
+    # ty times a nonzero factor; it is zero only when ty = 0, i.e. for
+    # Q = (0, 0), where the real part can vanish too and f, and so the
+    # pairing value, is 0.  That value lies outside G_T; it is returned as
+    # is, and rejecting such inputs is left to a subgroup check on decoded
+    # points.
     xp, yp = P
     X, Y, Z = xp, yp, 1
     fa, fb = 1, 0
     for step in _double_and_add(n):
-        if step == "a":
+        if step != "d":
+            y0 = yp if step == "a" else (-yp) % ell
             if not Z:
-                X, Y, Z = xp, yp, 1
+                X, Y, Z = xp, y0, 1
                 continue
             ZZ = Z * Z % ell
             H = (xp * ZZ - X) % ell
-            S = (yp * ZZ * Z - Y) % ell
+            S = (y0 * ZZ * Z - Y) % ell
             if H:
                 Z3 = Z * H % ell
-                la = (-yp * Z3 - S * (tx - xp)) % ell
+                la = (-y0 * Z3 - S * (tx - xp)) % ell
                 lb = ty * Z3 % ell
                 fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
                 HH = H * H % ell
@@ -459,10 +498,10 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
                 Y = (S * (V - X) - Y * HHH) % ell
                 Z = Z3
                 continue
-            if S:  # R = -P: vertical chord
+            if S:  # R = -(xp, y0): vertical chord
                 Z = 0
                 continue
-            # R = P: the line is the tangent at R
+            # R = (xp, y0): the line is the tangent at R
         else:
             fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
             if not Z:
@@ -492,16 +531,17 @@ def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list:
     X, Y, Z = xp, yp, 1
     ops: list = []
     for step in _double_and_add(n):
+        y0 = (-yp) % ell if step == "s" else yp
         tangent = step == "d"
         if tangent:
             ops.append(None)
         elif Z:
             ZZ = Z * Z % ell
             H = (xp * ZZ - X) % ell
-            S = (yp * ZZ * Z - Y) % ell
-            if H:  # chord through R and P, scaled by Z*H
-                ops.append(((S * xp - yp * Z * H) % ell, S, Z * H % ell))
-            tangent = not (H or S)  # R = P
+            S = (y0 * ZZ * Z - Y) % ell
+            if H:  # chord through R and (xp, y0), scaled by Z*H
+                ops.append(((S * xp - y0 * Z * H) % ell, S, Z * H % ell))
+            tangent = not (H or S)  # R = (xp, y0)
         if tangent and Z and Y:  # tangent at R, scaled by 2*Y*Z^3
             ZZ = Z * Z % ell
             M = (3 * X * X + ZZ * ZZ) % ell
@@ -509,7 +549,7 @@ def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list:
         if step == "d":
             X, Y, Z = _jac_double(X, Y, Z, ell)
         else:
-            X, Y, Z = _jac_add(X, Y, Z, xp, yp, ell)
+            X, Y, Z = _jac_add(X, Y, Z, xp, y0, ell)
     return ops
 
 

@@ -18,6 +18,7 @@ from ringauction.group import (
     InvalidPoint,
     OpCounter,
     PairingGroup,
+    _double_and_add,
     _point_mul,
     count_ops,
     gen_group_params,
@@ -44,6 +45,50 @@ from .support import (
     naive_order,
     naive_pair,
 )
+
+
+def _signed_digits(k: int, rows: int) -> list[int]:
+    # The recoding a window mul walks, written out as the reference: the
+    # base-32 digits -15..16 of k, least significant first.
+    digits = []
+    for _ in range(rows):
+        d = k % 32 - 32 * (k % 32 > 16)
+        digits.append(d)
+        k = (k - d) // 32
+    assert k == 0, "k does not fit the rows"
+    return digits
+
+
+def _signed_window_scalars(n: int) -> list[int]:
+    """Scalars below n that put every digit the recoding can give into every
+    row of a window table, k = 15, 16 and 17 (mod 32) at each row with and
+    without a carry in, n - 1, and the largest k < n whose recoding carries
+    into the top row."""
+    rows = n.bit_length() // 5 + 1
+    top = 32 ** (rows - 1)
+
+    def below_top(digits):  # those digits below the top row, then a top digit of 0 or 1
+        k = sum(d * 32 ** i for i, d in enumerate(digits))
+        return k + top * (k < 0)
+
+    # The rows below the top hold k mod top up to 16 * (top - 1) / 31; past it they carry.
+    last = n - 1 if (n - 1) % top > 16 * (top - 1) // 31 else n - 1 - (n - 1) % top - 1
+    highest = max(_signed_digits(n - 1, rows)[-1], _signed_digits(last, rows)[-1])
+    scalars = [n - 1, last, *(d * top for d in range(1, highest))]
+    scalars += [below_top([d] * (rows - 1)) for d in range(-15, 17)]
+    # A digit d means k = d (mod 32) at its row.  d alternates with w across
+    # the rows: w = -1 below d carries into its row, w = 1 does not.
+    scalars += [below_top([(d, w)[(i + phase) % 2] for i in range(rows - 1)])
+                for d in (15, 16, -15) for w in (-1, 1) for phase in (0, 1)]
+    assert all(0 <= k < n for k in scalars)
+    recoded = [_signed_digits(k, rows) for k in scalars]
+    assert [set(row) for row in zip(*recoded)] == [set(range(-15, 17))] * (rows - 1) + [
+        set(range(highest + 1))]
+    for i in range(1, rows - 1):
+        seen = {(digits[i - 1] < 0, digits[i]) for digits in recoded}
+        assert {(c, d) for c in (False, True) for d in (15, 16, -15)} <= seen
+    assert _signed_digits(last, rows)[-1] == last // top + 1
+    return scalars
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +298,19 @@ class TestPairing:
                 z = group.pair(P, Q)
                 assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
 
+    def test_miller_steps_are_the_non_adjacent_form(self):
+        # Replayed on integers from 1, the steps rebuild k, and at least two
+        # doublings come before each signed digit.
+        rng = random.Random(14)
+        scalars = [*range(1, 10 ** 4 + 1),
+                   *(rng.getrandbits(b) | 1 << (b - 1) for b in (64, 128) for _ in range(100))]
+        for k in scalars:
+            steps, value = _double_and_add(k), 1
+            for step in steps:
+                value = {"d": 2 * value, "a": value + 1, "s": value - 1}[step]
+            assert value == k
+            assert all(steps[i - 2:i] == "dd" for i, step in enumerate(steps) if step != "d"), k
+
     def test_gt_element_algebra(self, tiny_params):
         group = tiny_params.group
         z = group.pair(tiny_params.g, tiny_params.g)
@@ -302,7 +360,13 @@ class TestFixedBases:
                 z = group.pair(P, Q)
                 assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
         assert group._mul_tables[outside] is None  # [n]outside != O: plain path
-        assert all(group._mul_tables[P] is not None for P in bases[:4])
+        window_scalars = _signed_window_scalars(n)
+        for P in bases[:4]:
+            for k in window_scalars:
+                assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
+            table = group._mul_tables[P]
+            assert table is not None and len(table) == n.bit_length() // 5 + 1
+            assert all(len(row) == 16 for row in table)
 
     def test_window_table_built_on_second_mul(self, params16):
         # A base multiplied once keeps the plain path; the second mul builds
