@@ -59,11 +59,9 @@ assert report.winners == tuple(
 
 print()
 print("=== message economy ===")
-from ringauction.auction import count_messages
-counter = count_messages(result.messages)
-for name in counter.senders():
-    reg = counter.count(name, "registration")
-    bids = counter.count(name, "bidding")
+for name in sorted({sender for sender, _ in result.messages}):
+    reg = result.messages[name, "registration"]
+    bids = result.messages[name, "bidding"]
     print(f"  {name}: {reg} registration + {bids} bid messages")
 print()
 print("Registration happens once per bidder, ever.  Each auction round costs")

@@ -13,7 +13,7 @@ The package has five layers:
   open protocol that de-anonymizes only the winner (or a cheat, who is then
   evicted);
 - :mod:`ringauction.harness` — seeded end-to-end scenarios, public transcript
-  replay, and signing-cost reports.
+  replay, and signing-cost reports read from an ``OpCounter``.
 
 All parameters in the examples and tests are toy-sized for speed; nothing
 here is hardened for production use.
@@ -24,10 +24,7 @@ from .auction import (
     AuctionManager,
     Bid,
     BidderAgent,
-    MessageCounter,
-    MessageEvent,
     NoValidBid,
-    count_messages,
     decode_bid_message,
     encode_bid_message,
     open_protocol,
@@ -46,7 +43,6 @@ from .group import (
 )
 from .harness import (
     EfficiencySummary,
-    OpCountReport,
     ScenarioConfig,
     ScenarioResult,
     TranscriptReport,
@@ -54,7 +50,6 @@ from .harness import (
     measure_signing,
     parse_scenario,
     render_transcript,
-    report_efficiency,
     run_scenario,
     verify_transcript,
 )
@@ -102,11 +97,8 @@ __all__ = [
     "GroupParams",
     "InvalidPoint",
     "InvalidProof",
-    "MessageCounter",
-    "MessageEvent",
     "NoValidBid",
     "NotVerified",
-    "OpCountReport",
     "OpCounter",
     "PairingGroup",
     "PublicParams",
@@ -121,7 +113,6 @@ __all__ = [
     "Untraceable",
     "VerifyResult",
     "board_to_text",
-    "count_messages",
     "count_ops",
     "decode_bid_message",
     "efficiency_sweep",
@@ -138,7 +129,6 @@ __all__ = [
     "public_params_from_json",
     "public_params_to_json",
     "render_transcript",
-    "report_efficiency",
     "run_scenario",
     "serialize_bid_payload",
     "setup",

@@ -1,5 +1,7 @@
 """Auction-side actors: bid messages, admission, winner selection, opening.
 
+A bidder sends one registration, ever, and at most one bid per round;
+``harness.run_scenario`` counts both in ``ScenarioResult.messages``.
 Admission is deliberately cheap — structural checks plus a look at the
 board's active-key view — and posts the bid publicly.  Ring signatures are
 only verified to decide a winner, by one rule (``first_verifying``) that
@@ -302,46 +304,3 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
         rm.evict(pub_key)
     return pub_key, identity
 
-
-# ---------------------------------------------------------------------------
-# message accounting
-
-MESSAGE_PHASES = ("registration", "bidding")
-
-
-@dataclass(frozen=True)
-class MessageEvent:
-    """One protocol message sent by a bidder."""
-
-    sender: str
-    phase: str
-
-
-class MessageCounter:
-    """Per-sender tallies of protocol messages by phase."""
-
-    def __init__(self) -> None:
-        self._counts: dict[tuple[str, str], int] = {}
-
-    def add(self, sender: str, phase: str) -> None:
-        if phase not in MESSAGE_PHASES:
-            raise ValueError(f"unknown message phase {phase!r}")
-        key = (sender, phase)
-        self._counts[key] = self._counts.get(key, 0) + 1
-
-    def count(self, sender: str, phase: str) -> int:
-        return self._counts.get((sender, phase), 0)
-
-    def total(self, sender: str) -> int:
-        return sum(v for (s, _), v in self._counts.items() if s == sender)
-
-    def senders(self) -> tuple[str, ...]:
-        return tuple(sorted({sender for sender, _ in self._counts}))
-
-
-def count_messages(events: Iterable[MessageEvent]) -> MessageCounter:
-    """Fold a message log into per-bidder, per-phase counts."""
-    counter = MessageCounter()
-    for event in events:
-        counter.add(event.sender, event.phase)
-    return counter

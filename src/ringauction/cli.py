@@ -13,17 +13,16 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
-from .group import gen_group_params
 from .harness import (
     ScenarioError,
+    authority_setup,
     parse_scenario,
     run_scenario,
     verify_transcript,
 )
-from .ringsig import NotVerified, TraceKey, public_params_to_json, setup, trace
+from .ringsig import NotVerified, TraceKey, public_params_to_json, trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,10 +72,8 @@ def _write_files(files) -> bool:
 
 
 def _cmd_setup(args) -> int:
-    rng = random.Random(f"{args.seed}:group")
     try:
-        params = gen_group_params(args.p_bits, args.q_bits, rng)
-        pp, tk = setup(params, args.k, random.Random(f"{args.seed}:setup"))
+        pp, tk = authority_setup(args.p_bits, args.q_bits, args.k, args.seed)
     except ValueError as exc:
         print(f"setup failed: {exc}", file=sys.stderr)
         return 2
@@ -85,7 +82,7 @@ def _cmd_setup(args) -> int:
                          (tracekey_path, f"{tk.q}\n".encode())]):
         return 2
     print(f"wrote public parameters to {args.out} "
-          f"(group order {params.n}, field size {params.ell})")
+          f"(group order {pp.group.n}, field size {pp.group.ell})")
     print(f"wrote trace key to {tracekey_path}")
     return 0
 

@@ -66,20 +66,18 @@ class OpCounter:
 
     def __init__(self) -> None:
         self._phase = "default"
-        self._phases: dict[str, dict[str, int]] = {}
+        self.phases: dict[str, dict[str, int]] = {}  # phase -> op kind -> count
 
     def set_phase(self, name: str) -> None:
         self._phase = name
 
     def bump(self, op: str) -> None:
-        tally = self._phases.setdefault(self._phase, {})
+        tally = self.phases.setdefault(self._phase, {})
         tally[op] = tally.get(op, 0) + 1
 
-    def phase_counts(self, name: str) -> dict[str, int]:
-        return dict(self._phases.get(name, {}))
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        return {phase: dict(t) for phase, t in self._phases.items()}
+    def phase(self, name: str) -> dict[str, int]:
+        """A copy of one phase's tally; {} for a phase that counted nothing."""
+        return dict(self.phases.get(name, {}))
 
 
 _ACTIVE_COUNTER: OpCounter | None = None

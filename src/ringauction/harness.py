@@ -3,6 +3,9 @@
 Scenarios are fully seeded: every random draw comes from a stream derived
 from the master seed and a structural label (bidder index, auction, round),
 so a configuration always produces byte-identical transcripts.
+``authority_setup`` owns the labels of the authority's two streams, so
+``ringauction setup`` and a scenario with the same seed publish the same
+parameters.  Every tally is an ``OpCounter`` or a ``collections.Counter``.
 
 A transcript is one ``params`` header line (the public parameters, hex of
 canonical JSON) followed by the bulletin-board records.  This module owns
@@ -17,6 +20,7 @@ from __future__ import annotations
 import bisect
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -25,7 +29,6 @@ from .auction import (
     Bid,
     BidderAgent,
     MalformedBid,
-    MessageEvent,
     first_verifying,
     open_protocol,
     parse_bid_payload,
@@ -46,6 +49,7 @@ from .registry import (
 from .ringsig import (
     PublicParams,
     Ring,
+    TraceKey,
     Untraceable,
     VerifyResult,
     keygen,
@@ -153,16 +157,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class OpCountReport:
-    """Per-phase operation tallies collected during a run."""
-
-    phases: Mapping[str, Mapping[str, int]]
-
-    def phase(self, name: str) -> dict[str, int]:
-        return dict(self.phases.get(name, {}))
-
-
-@dataclass(frozen=True)
 class WinnerSummary:
     auction_id: int
     seq: int
@@ -175,8 +169,8 @@ class WinnerSummary:
 class ScenarioResult:
     config: ScenarioConfig
     transcript: bytes
-    report: OpCountReport
-    messages: tuple[MessageEvent, ...]
+    report: OpCounter  # counts nothing when the run was not counted
+    messages: Counter  # (sender, phase) -> protocol messages sent
     winners: tuple[WinnerSummary, ...]
     evicted: tuple[str, ...]  # hex encodings of evicted keys
     public_params: object
@@ -195,6 +189,13 @@ class _Actor:
 
 def _child_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
+
+
+def authority_setup(p_bits: int, q_bits: int, k: int, seed: int) -> tuple[PublicParams, TraceKey]:
+    """The authority's seeded setup: the group from the ``group`` stream, then
+    the public parameters and trace key from the ``setup`` stream."""
+    params = gen_group_params(p_bits, q_bits, _child_rng(seed, "group"))
+    return setup(params, k, _child_rng(seed, "setup"))
 
 
 def _wants_to_bid(strategy: str, round_no: int, rounds: int) -> bool:
@@ -221,37 +222,32 @@ def run_scenario(config: ScenarioConfig, *, counted: bool = True) -> ScenarioRes
     byte-identical either way.
     """
     config.validate()
-    counter = OpCounter() if counted else None
-    with count_ops(counter):
+    counter = OpCounter()
+    with count_ops(counter if counted else None):
         return _run(config, counter)
 
 
-def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
-    def phase(name: str) -> None:
-        if counter is not None:
-            counter.set_phase(name)
-
+def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
     seed = config.seed
-    phase("initial")
+    counter.set_phase("initial")
     try:
-        params = gen_group_params(config.p_bits, config.q_bits, _child_rng(seed, "group"))
+        pp, trace_key = authority_setup(config.p_bits, config.q_bits, config.k, seed)
     except Exception as exc:
         raise ScenarioError(f"group generation failed: {exc}") from exc
-    pp, trace_key = setup(params, config.k, _child_rng(seed, "setup"))
-    group = params.group
+    group = pp.group
     board = BulletinBoard(group)
     rm = RegistrationManager(group, board)
     am = AuctionManager(pp, trace_key, board)
-    messages: list[MessageEvent] = []
+    messages: Counter = Counter()
 
-    phase("registration")
+    counter.set_phase("registration")
     actors: list[_Actor] = []
     for index in range(config.bidders):
         name = f"bidder-{index}"
         keypair = keygen(pp, _child_rng(seed, f"key:{index}"))
         proof = make_registration(keypair.x, keypair.pub_key, name.encode(),
                                   group, _child_rng(seed, f"reg:{index}"))
-        messages.append(MessageEvent(sender=name, phase="registration"))
+        messages[name, "registration"] += 1
         try:
             rm.register(keypair.pub_key, name.encode(), proof)
         except Exception as exc:
@@ -264,7 +260,7 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
     evicted: list[str] = []
     for auction_no in range(config.auctions):
         am.open_auction(auction_no, monotonic=config.monotonic)
-        phase("bidding")
+        counter.set_phase("bidding")
         for round_no in range(config.rounds):
             high = am.current_high(auction_no)
             order, points = board.active_view()  # keys change only at openings
@@ -282,20 +278,20 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
                 if actor.strategy == INVALID_SIGNATURE:
                     broken = group.add(bid.signature.s1, group.g)
                     bid = replace(bid, signature=replace(bid.signature, s1=broken))
-                messages.append(MessageEvent(sender=actor.name, phase="bidding"))
+                messages[actor.name, "bidding"] += 1
                 admitted = am.admit_bid(bid)
                 if admitted:
                     state = am.state(auction_no)
                     actor.last_admitted = state.bids[-1]
         am.close_auction(auction_no)
 
-        phase("winner")
+        counter.set_phase("winner")
         try:
             winner_bid = am.determine_winner(auction_no)
         except Exception as exc:
             raise ScenarioError(f"auction {auction_no}: {exc}") from exc
 
-        phase("open")
+        counter.set_phase("open")
         repudiated = [actor.last_admitted for actor in actors
                       if actor.strategy == REPUDIATOR and actor.last_admitted is not None
                       and actor.last_admitted.auction_id == auction_no]
@@ -313,13 +309,11 @@ def _run(config: ScenarioConfig, counter: OpCounter | None) -> ScenarioResult:
         ))
         evicted.extend(group.encode_point(key).hex() for key in traced)
 
-    transcript = render_transcript(pp, board)
-    report = OpCountReport(phases=counter.snapshot() if counter is not None else {})
     return ScenarioResult(
         config=config,
-        transcript=transcript,
-        report=report,
-        messages=tuple(messages),
+        transcript=render_transcript(pp, board),
+        report=counter,
+        messages=messages,
         winners=tuple(winners),
         evicted=tuple(evicted),
         public_params=pp,
@@ -464,71 +458,41 @@ def verify_transcript(data: bytes) -> TranscriptReport:
 # cost accounting
 
 @dataclass(frozen=True)
-class EfficiencyRow:
-    ring_size: int
-    exponentiations: int
-    point_adds: int
-    negations: int
-    hashes: int
-    pairings: int
-    budget: int  # nominal signing budget: 5*l + k + 2 exponentiations
-    within_budget: bool
-
-
-@dataclass(frozen=True)
 class EfficiencySummary:
     k: int
-    rows: tuple[EfficiencyRow, ...]
+    rows: Mapping[int, Mapping[str, int]]  # ring size -> one signing's op tally
     slope: float
     slope_ok: bool  # exponentiations grow by an integer per added member
-    all_within_budget: bool
+    all_within_budget: bool  # nominal signing budget: 5*l + k + 2 exponentiations
     one_hash_per_signing: bool
     table: str
 
 
-def report_efficiency(report: OpCountReport, ring_size: int, k: int) -> EfficiencyRow:
-    """Summarize one instrumented signing run against the nominal budget.
-
-    The budget 5*l + k + 2 is an upper bound, not a prediction: the measured
-    exponentiation count is the exact tally and is reported beside it.
-    """
-    counts = report.phase("bidding")
-    exps = counts.get("exp", 0)
-    budget = 5 * ring_size + k + 2
-    return EfficiencyRow(
-        ring_size=ring_size,
-        exponentiations=exps,
-        point_adds=counts.get("mul", 0),
-        negations=counts.get("inv", 0),
-        hashes=counts.get("hash", 0),
-        pairings=counts.get("pair", 0),
-        budget=budget,
-        within_budget=exps <= budget,
-    )
-
-
-def measure_signing(ring_size: int, k: int) -> OpCountReport:
-    """Instrument exactly one signing over a fresh ring of ``ring_size`` keys,
-    in a 16-bit group drawn from a fixed seed."""
+def measure_signing(ring_size: int, k: int) -> OpCounter:
+    """Count exactly one signing, as phase ``bidding``, over a fresh ring of
+    ``ring_size`` keys, in a 16-bit group drawn from a fixed seed."""
     seed = 2024
-    params = gen_group_params(16, 16, _child_rng(seed, "group"))
-    pp, _ = setup(params, k, _child_rng(seed, "setup"))
+    pp, _ = authority_setup(16, 16, k, seed)
     keypairs = [keygen(pp, _child_rng(seed, f"key:{i}")) for i in range(ring_size)]
-    ring = Ring(params.group, [kp.pub_key for kp in keypairs])
+    ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
     signer = keypairs[0]
     counter = OpCounter()
     with count_ops(counter):
         counter.set_phase("bidding")
         sign(pp, ring, ring.index_of(signer.pub_key), signer, b"cost probe", _child_rng(seed, "sig"))
-    return OpCountReport(phases=counter.snapshot())
+    return counter
 
 
 def efficiency_sweep(ring_sizes: tuple[int, ...] = (1, 2, 4, 8), k: int = 160) -> EfficiencySummary:
-    """Measure signing cost across ring sizes and fit the growth rate."""
-    rows = tuple(report_efficiency(measure_signing(l, k), l, k) for l in ring_sizes)
-    xs = [float(row.ring_size) for row in rows]
-    ys = [float(row.exponentiations) for row in rows]
-    slope = statistics.linear_regression(xs, ys).slope
+    """Measure signing cost across ring sizes and fit the growth rate.
+
+    The budget 5*l + k + 2 is an upper bound, not a prediction: the measured
+    exponentiation count is the exact tally and is reported beside it.
+    """
+    rows = {l: measure_signing(l, k).phase("bidding") for l in ring_sizes}
+    exps = {l: tally.get("exp", 0) for l, tally in rows.items()}
+    slope = statistics.linear_regression([float(l) for l in exps],
+                                         [float(e) for e in exps.values()]).slope
     slope_ok = abs(slope - round(slope)) <= 0.01
     header = (
         f"signing cost, k={k} (budget = 5*l + k + 2 exponentiations; the budget is\n"
@@ -536,9 +500,9 @@ def efficiency_sweep(ring_sizes: tuple[int, ...] = (1, 2, 4, 8), k: int = 160) -
         f"{'l':>3} {'exp':>6} {'budget':>7} {'adds':>6} {'negs':>6} {'hashes':>7} {'pairings':>9}\n"
     )
     body = "".join(
-        f"{row.ring_size:>3} {row.exponentiations:>6} {row.budget:>7} "
-        f"{row.point_adds:>6} {row.negations:>6} {row.hashes:>7} {row.pairings:>9}\n"
-        for row in rows
+        f"{l:>3} {exps[l]:>6} {5 * l + k + 2:>7} {tally.get('mul', 0):>6} "
+        f"{tally.get('inv', 0):>6} {tally.get('hash', 0):>7} {tally.get('pair', 0):>9}\n"
+        for l, tally in rows.items()
     )
     footer = f"exponentiations per added ring member: {slope:.3f}\n"
     return EfficiencySummary(
@@ -546,7 +510,7 @@ def efficiency_sweep(ring_sizes: tuple[int, ...] = (1, 2, 4, 8), k: int = 160) -
         rows=rows,
         slope=slope,
         slope_ok=slope_ok,
-        all_within_budget=all(row.within_budget for row in rows),
-        one_hash_per_signing=all(row.hashes == 1 for row in rows),
+        all_within_budget=all(e <= 5 * l + k + 2 for l, e in exps.items()),
+        one_hash_per_signing=all(tally.get("hash", 0) == 1 for tally in rows.values()),
         table=header + body + footer,
     )

@@ -14,7 +14,6 @@ table and nothing else.  Nothing on the board links a key to an identity.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -111,14 +110,13 @@ class BoardEntry:
 
 
 class BoardState:
-    """The active-key view: each active encoding's decoded point (``points``)
-    and the encodings in sorted order (``order``).  ``apply`` folds one record;
-    a key record that does not fit raises MalformedBoard and changes nothing."""
+    """The active-key view: each active encoding's decoded point (``points``).
+    ``apply`` folds one record; a key record that does not fit raises
+    MalformedBoard and changes nothing."""
 
     def __init__(self, group: PairingGroup) -> None:
         self.group = group
         self.points: dict[bytes, Point] = {}
-        self.order: list[bytes] = []
 
     def apply(self, entry: BoardEntry) -> None:
         payload = entry.payload
@@ -132,12 +130,10 @@ class BoardState:
             if payload in self.points:
                 raise MalformedBoard("key is already active", seq=entry.seq)
             self.points[payload] = key
-            bisect.insort(self.order, payload)
         elif entry.kind == KEY_EVICTED:
             if payload not in self.points:
                 raise MalformedBoard("evicting a key that is not active", seq=entry.seq)
             del self.points[payload]
-            del self.order[bisect.bisect_left(self.order, payload)]
 
 
 class BulletinBoard:
@@ -172,7 +168,8 @@ class BulletinBoard:
 
     def active_view(self) -> tuple[tuple[bytes, ...], dict[bytes, Point]]:
         """Snapshot of the active key encodings in sorted order, and their points."""
-        return tuple(self._state.order), dict(self._state.points)
+        points = dict(self._state.points)
+        return tuple(sorted(points)), points
 
     def to_text(self) -> str:
         return board_to_text(self.entries())

@@ -22,6 +22,7 @@ from .group import (
     Point,
     decode_point_bytes,
     hash_to_bits,
+    is_probable_prime,
 )
 
 
@@ -388,6 +389,8 @@ def public_params_from_dict(data: dict) -> PublicParams:
     try:
         n = int(data["n"])
         ell = int(data["ell"])
+        if not is_probable_prime(ell):
+            raise ValueError("ell must be prime")
         dec = lambda text: decode_point_bytes(bytes.fromhex(text), ell)
         group = PairingGroup(n, ell, dec(data["g"]), dec(data["h"]))
         if not data["hash_gens"]:

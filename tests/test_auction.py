@@ -20,11 +20,9 @@ from ringauction.auction import (
     Bid,
     BidderAgent,
     MalformedBid,
-    MessageEvent,
     NoValidBid,
     OwnKeyNotInRing,
     RingKeyNotOnBoard,
-    count_messages,
     decode_bid_message,
     encode_bid_message,
     open_protocol,
@@ -463,7 +461,7 @@ class TestOpenProtocol:
         counter = OpCounter()
         with count_ops(counter):
             open_protocol(env.am, env.rm, loser)
-        counts = counter.phase_counts("default")
+        counts = counter.phase("default")
         l = len(loser.ring)
         assert (counts["pair"], counts["exp"]) == (2 * l + 3, l)
 
@@ -474,7 +472,7 @@ class TestOpenProtocol:
         counter = OpCounter()
         with count_ops(counter):
             open_protocol(env.am, env.rm, winner)
-        counts = counter.phase_counts("default")
+        counts = counter.phase("default")
         assert (counts.get("pair", 0), counts["exp"]) == (0, len(winner.ring))
 
     def test_bid_that_failed_the_winner_check_is_not_verified_again(self, env):
@@ -490,7 +488,7 @@ class TestOpenProtocol:
         counter = OpCounter()
         with count_ops(counter), pytest.raises(NotVerified, match="main-equation"):
             open_protocol(env.am, env.rm, failed)
-        assert counter.phase_counts("default") == {}
+        assert counter.phase("default") == {}
 
     def test_unverified_bid_cannot_be_opened(self, env):
         winner = self.run_auction(env, (10, 20, 15))
@@ -541,27 +539,3 @@ class TestOpenProtocol:
                 parsed = parse_bid_payload(env.pp.group, entry.payload)
                 assert len(parsed.ring) == len(env.agents)
 
-
-# ---------------------------------------------------------------------------
-# message accounting
-
-class TestMessageCounting:
-    def test_fold_and_query(self):
-        events = [
-            MessageEvent("alice", "registration"),
-            MessageEvent("alice", "bidding"),
-            MessageEvent("alice", "bidding"),
-            MessageEvent("bob", "registration"),
-        ]
-        counter = count_messages(events)
-        assert counter.count("alice", "registration") == 1
-        assert counter.count("alice", "bidding") == 2
-        assert counter.total("alice") == 3
-        assert counter.total("bob") == 1
-        assert counter.count("carol", "bidding") == 0
-        assert counter.senders() == ("alice", "bob")
-
-    def test_unknown_phase_rejected(self):
-        counter = count_messages([])
-        with pytest.raises(ValueError):
-            counter.add("alice", "gossip")

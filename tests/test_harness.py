@@ -4,14 +4,16 @@ import contextlib
 import io
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringauction.auction import parse_bid_payload
+from ringauction.auction import Bid, parse_bid_payload, serialize_bid_payload
 from ringauction.cli import main
+from ringauction.group import PairingGroup, decode_point_bytes
 from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
@@ -26,13 +28,26 @@ from ringauction.harness import (
     efficiency_sweep,
     measure_signing,
     parse_scenario,
-    report_efficiency,
+    render_transcript,
     run_scenario,
     verify_transcript,
 )
-from ringauction.auction import count_messages
-from ringauction.registry import MalformedBoard, parse_board_text
-from ringauction.ringsig import public_params_from_json, verify
+from ringauction.registry import (
+    BID_POSTED,
+    KEY_PUBLISHED,
+    WINNER_ANNOUNCED,
+    BulletinBoard,
+    MalformedBoard,
+    parse_board_text,
+)
+from ringauction.ringsig import (
+    MemberProof,
+    PublicParams,
+    Ring,
+    RingSignature,
+    public_params_from_json,
+    verify,
+)
 
 from .support import eager_verify_transcript, verdict
 
@@ -78,6 +93,24 @@ def _with_hostile_header(transcript: bytes, name: str) -> bytes:
             params[field] = value(params) if callable(value) else value
         lines[0] = "params " + json.dumps(params).encode().hex()
     return ("\n".join(lines) + "\n").encode()
+
+
+def _composite_ell_transcript() -> bytes:
+    """A transcript over n = 35 and ell = 279 = 9 * 31, which PairingGroup
+    accepts (ell = 3 mod 4 and n divides ell + 1): three keys, one bid and
+    its winner record, every point one of the few that decode mod 279."""
+    ell = 279
+    g, h, *keys = (decode_point_bytes(x.to_bytes(2, "big") + b"\x02", ell)
+                   for x in (90, 110, 155, 234, 245))
+    group = PairingGroup(35, ell, g, h)
+    board = BulletinBoard(group)
+    for key in keys:
+        board.append(KEY_PUBLISHED, group.encode_point(key))
+    signature = RingSignature(g, h, tuple(MemberProof(g, h) for _ in keys))
+    payload = serialize_bid_payload(Bid(0, 0, 5, Ring(group, keys), signature))
+    seq = board.append(BID_POSTED, payload)
+    board.append(WINNER_ANNOUNCED, seq.to_bytes(8, "big") + payload)
+    return render_transcript(PublicParams(group, g, h, g, h, (g,)), board)
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +226,20 @@ class TestScenarioDynamics:
         assert len(full_run.evicted) == 1
 
     def test_evicted_bidder_stops_messaging(self, full_run):
-        counter = count_messages(full_run.messages)
-        # honest bidder: 1 registration + 2 bids per auction
-        assert counter.total("bidder-0") == 1 + 2 * 2
-        # sniper: 1 registration + final round only, per auction
-        assert counter.total("bidder-2") == 1 + 1 * 2
-        # repudiator: evicted after the first auction
-        assert counter.total("bidder-3") == 1 + 2
+        # honest and invalid-signature bidders: 2 bids per auction; sniper:
+        # final round only, per auction; repudiator: evicted after the first
+        # auction.  Each registers once.
+        bids = {"bidder-0": 2 * 2, "bidder-1": 2 * 2, "bidder-2": 1 * 2, "bidder-3": 2}
+        assert full_run.messages == Counter(
+            {**{(name, "registration"): 1 for name in bids},
+             **{(name, "bidding"): count for name, count in bids.items()}})
 
     def test_two_messages_per_bidder_per_simple_auction(self):
         # one registration message, one bidding message: nothing else is
         # needed for a complete auction pass
         result = run_scenario(ScenarioConfig(bidders=3, rounds=1, seed=3))
-        counter = count_messages(result.messages)
-        for i in range(3):
-            name = f"bidder-{i}"
-            assert counter.count(name, "registration") == 1
-            assert counter.count(name, "bidding") == 1
-            assert counter.total(name) == 2
+        assert result.messages == Counter(
+            {(f"bidder-{i}", phase): 1 for i in range(3) for phase in ("registration", "bidding")})
 
     def test_invalid_signature_bids_are_posted_but_never_win(self, full_run):
         pp = full_run.public_params
@@ -722,10 +751,12 @@ class TestEfficiency:
         assert "pair" not in measure_signing(4, 16).phase("bidding")
 
     def test_report_within_nominal_budget(self):
-        row = report_efficiency(measure_signing(4, 16), 4, 16)
-        assert row.budget == 5 * 4 + 16 + 2
-        assert row.exponentiations <= row.budget
-        assert row.within_budget
+        summary = efficiency_sweep(ring_sizes=(1, 4), k=16)
+        budget = 5 * 4 + 16 + 2
+        assert summary.rows[4] == measure_signing(4, 16).phase("bidding")
+        assert summary.rows[4]["exp"] <= budget
+        assert summary.all_within_budget
+        assert f"\n  4 {summary.rows[4]['exp']:>6} {budget:>7} " in summary.table
 
     def test_sweep_summary(self):
         summary = efficiency_sweep(ring_sizes=(1, 2, 4, 8), k=160)
@@ -791,6 +822,19 @@ class TestCli:
         tracekey = int((tmp_path / "params.json.tracekey").read_text())
         assert pp.group.n % tracekey == 0  # the secret factor divides the order
         assert "wrote public parameters" in capsys.readouterr().out
+
+    def test_setup_writes_the_params_header_of_a_run(self, tmp_path, capsys):
+        # The authority's seeded setup has one owner: setup --seed S writes
+        # the parameters a scenario with seed S publishes.
+        params = tmp_path / "params.json"
+        assert main(["setup", "--p-bits", "16", "--q-bits", "24", "--k", "8",
+                     "--seed", "5", "--out", str(params)]) == 0
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("p_bits = 16\nq_bits = 24\nk = 8\nseed = 5\nbidders = 2\n")
+        transcript = tmp_path / "t.txt"
+        assert main(["run", "--scenario", str(scenario), "--out", str(transcript)]) == 0
+        header = transcript.read_text().splitlines()[0]
+        assert header == "params " + params.read_bytes().hex()
 
     def test_setup_with_zero_hash_bits_returns_two(self, tmp_path, capsys):
         assert main(["setup", "--k", "0", "--out", str(tmp_path / "p.json")]) == 2
@@ -967,6 +1011,14 @@ class TestCli:
         data = _with_hostile_header(full_run.transcript, name)
         reason = self._header_fault(full_run, tmp_path, capsys, data)
         assert reason.startswith("bad params header")
+
+    def test_composite_ell_exits_cleanly(self, full_run, tmp_path, capsys):
+        # A replay over a composite ell used to hit a non-invertible
+        # denominator in point addition.
+        data = _composite_ell_transcript()
+        assert not verify_transcript(data)
+        reason = self._header_fault(full_run, tmp_path, capsys, data)
+        assert reason == "bad params header: ell must be prime"
 
     def test_missing_header_exits_cleanly(self, full_run, tmp_path, capsys):
         body = full_run.transcript.decode().splitlines()[1:]

@@ -60,7 +60,7 @@ def replayed_view(group, text):
     state = BoardState(group)
     for entry in parse_board_text(text):
         state.apply(entry)
-    return tuple(state.order), state.points
+    return tuple(sorted(state.points)), state.points
 
 
 # ---------------------------------------------------------------------------

@@ -547,7 +547,7 @@ class TestTrace:
         counter = OpCounter()
         with count_ops(counter), pytest.raises(ValueError, match="^bad trace key"):
             trace(TraceKey(q), pp, ring, b"m", sig)
-        assert counter.phase_counts("default").get("pair", 0) == 0
+        assert counter.phase("default").get("pair", 0) == 0
 
     @pytest.mark.parametrize("orders", (0, 1))
     def test_trace_accepts_the_key_shifted_by_the_order(self, params16, setup16,
