@@ -15,126 +15,13 @@ The package has five layers:
 - :mod:`ringauction.harness` — seeded end-to-end scenarios, public transcript
   replay, and signing-cost reports read from an ``OpCounter``.
 
-All parameters in the examples and tests are toy-sized for speed; nothing
-here is hardened for production use.
+The package root exports only the seven names of the README's quick taste;
+everything else is imported from its submodule.  All parameters in the
+examples and tests are toy-sized for speed; nothing here is hardened for
+production use.
 """
 
-from .auction import (
-    AuctionError,
-    AuctionManager,
-    Bid,
-    BidderAgent,
-    NoValidBid,
-    decode_bid_message,
-    encode_bid_message,
-    open_protocol,
-    parse_bid_payload,
-    serialize_bid_payload,
-)
-from .group import (
-    GroupError,
-    GroupParams,
-    InvalidPoint,
-    OpCounter,
-    PairingGroup,
-    count_ops,
-    gen_group_params,
-    group_from_primes,
-)
-from .harness import (
-    EfficiencySummary,
-    ScenarioConfig,
-    ScenarioResult,
-    TranscriptReport,
-    efficiency_sweep,
-    measure_signing,
-    parse_scenario,
-    render_transcript,
-    run_scenario,
-    verify_transcript,
-)
-from .registry import (
-    BulletinBoard,
-    DuplicateKey,
-    InvalidProof,
-    RegistrationManager,
-    RegistryError,
-    board_to_text,
-    make_registration,
-    parse_board_text,
-    verify_registration,
-)
-from .ringsig import (
-    BidderKeyPair,
-    NotVerified,
-    PublicParams,
-    Ring,
-    RingSignature,
-    TraceKey,
-    Untraceable,
-    VerifyResult,
-    keygen,
-    public_params_from_json,
-    public_params_to_json,
-    setup,
-    sign,
-    trace,
-    verify,
-)
+from .group import gen_group_params
+from .ringsig import Ring, keygen, setup, sign, trace, verify
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuctionError",
-    "AuctionManager",
-    "Bid",
-    "BidderAgent",
-    "BidderKeyPair",
-    "BulletinBoard",
-    "DuplicateKey",
-    "EfficiencySummary",
-    "GroupError",
-    "GroupParams",
-    "InvalidPoint",
-    "InvalidProof",
-    "NoValidBid",
-    "NotVerified",
-    "OpCounter",
-    "PairingGroup",
-    "PublicParams",
-    "RegistrationManager",
-    "RegistryError",
-    "Ring",
-    "RingSignature",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "TraceKey",
-    "TranscriptReport",
-    "Untraceable",
-    "VerifyResult",
-    "board_to_text",
-    "count_ops",
-    "decode_bid_message",
-    "efficiency_sweep",
-    "encode_bid_message",
-    "gen_group_params",
-    "group_from_primes",
-    "keygen",
-    "make_registration",
-    "measure_signing",
-    "open_protocol",
-    "parse_bid_payload",
-    "parse_board_text",
-    "parse_scenario",
-    "public_params_from_json",
-    "public_params_to_json",
-    "render_transcript",
-    "run_scenario",
-    "serialize_bid_payload",
-    "setup",
-    "sign",
-    "trace",
-    "verify",
-    "verify_registration",
-    "verify_transcript",
-]
+__all__ = ["gen_group_params", "setup", "keygen", "Ring", "sign", "verify", "trace"]

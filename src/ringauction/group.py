@@ -21,9 +21,11 @@ g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
-stored once, at each Q.  The parameter sizes used throughout this package
-are study material: breaking anonymity only requires factoring n, and
-nothing here is constant-time.
+stored once, at each Q.  check_public_group decides, from the public
+values alone, whether a group is one gen_group_params could have built.
+The parameter sizes used throughout this package are study material:
+breaking anonymity only requires factoring n, and nothing here is
+constant-time.
 """
 
 from __future__ import annotations
@@ -626,17 +628,10 @@ class PairingGroup:
     """
 
     def __init__(self, n: int, ell: int, g: Point, h: Point) -> None:
-        if n < 2:
-            raise ValueError("n must exceed 1")
-        if ell % 4 != 3 or (ell + 1) % n != 0:
-            raise ValueError("need ell = 3 (mod 4) with n dividing ell + 1")
         self.n = n
         self.ell = ell
         self.coord_bytes = (ell.bit_length() + 7) // 8
         self.point_bytes = self.coord_bytes + 1
-        for name, pt in (("g", g), ("h", h)):
-            if pt is None or not _on_curve(pt, ell):
-                raise InvalidPoint(f"generator {name} is not a finite curve point")
         self.g = g
         self.h = h
         # Fixed bases get tables on first use, but g and h, fixed without
@@ -755,29 +750,70 @@ class GroupParams:
         return self.group.h
 
     def validate(self) -> None:
-        """Re-check every structural invariant; raises GroupError on failure."""
+        """Run ``check_public_group``, then re-check what needs p and q:
+        distinct primes with n = p*q, g of order exactly n and h of order
+        dividing q.  Raises GroupError on failure."""
         grp = self.group
+        check_public_group(grp.n, grp.ell, grp.g, grp.h)
         if self.p == self.q:
             raise GroupError("p and q must be distinct")
         if not (is_probable_prime(self.p) and is_probable_prime(self.q)):
             raise GroupError("p and q must be prime")
         if self.p * self.q != grp.n:
             raise GroupError("n != p*q")
-        if grp.ell % 4 != 3 or not is_probable_prime(grp.ell):
-            raise GroupError("ell must be a prime = 3 (mod 4)")
         ell = grp.ell
         if _point_mul(grp.n, grp.g, ell) is not None:
             raise GroupError("g order does not divide n")
         for factor in (self.p, self.q):
             if _point_mul(grp.n // factor, grp.g, ell) is None:
                 raise GroupError("g order is a proper divisor of n")
-        if grp.h is None or _point_mul(self.q, grp.h, ell) is not None:
+        if _point_mul(self.q, grp.h, ell) is not None:
             raise GroupError("h order does not divide q")
-        if _point_mul(1, grp.h, ell) is None:
-            raise GroupError("h is the identity")
 
 
+# ---------------------------------------------------------------------------
+# public group validity
+
+MIN_PRIME_BITS = 8
+MAX_PRIME_BITS = 256  # bounds on the sizes of p and q in gen_group_params
 _R_SEARCH_LIMIT = 100_000  # largest cofactor r tried for ell = n*r - 1
+# ell = p*q*r - 1 has at most this many bits, so no group that
+# gen_group_params builds is refused by check_public_group.
+_MAX_ELL_BITS = 2 * MAX_PRIME_BITS + _R_SEARCH_LIMIT.bit_length()
+
+
+def check_public_group(n: int, ell: int, g: Point | bytes, h: Point | bytes) -> tuple[Point, Point]:
+    """The one check that (n, ell, g, h) is a group ``gen_group_params``
+    could have published; raises GroupError if not, else returns (g, h).
+
+    Cheapest first, so that a hostile size is refused before any work at
+    that size: ell's size, n odd, n | ell + 1, then 4 | r and r at most
+    _R_SEARCH_LIMIT for r = (ell + 1)/n, then ell prime, then g and h
+    finite curve points.  ell = 3 (mod 4) follows from n odd and 4 | r.
+    g and h may come as canonical encodings, decoded only after ell has
+    passed.  Whether they lie in the order-n subgroup is not checked.
+    """
+    if ell.bit_length() > _MAX_ELL_BITS:
+        raise GroupError(f"ell must have at most {_MAX_ELL_BITS} bits")
+    if n < 3 or n % 2 == 0:
+        raise GroupError("n must be odd and above 1")
+    if (ell + 1) % n:
+        raise GroupError("n must divide ell + 1")
+    r = (ell + 1) // n
+    if r % 4:
+        raise GroupError("r = (ell + 1)/n must be a multiple of 4")
+    if not 0 < r <= _R_SEARCH_LIMIT:
+        raise GroupError(f"r = (ell + 1)/n must lie in 4..{_R_SEARCH_LIMIT}")
+    if not is_probable_prime(ell):
+        raise GroupError("ell must be prime")
+    points = []
+    for name, pt in (("g", g), ("h", h)):
+        if isinstance(pt, bytes):
+            pt = decode_point_bytes(pt, ell)
+        if pt is None or not _on_curve(pt, ell):
+            raise InvalidPoint(f"generator {name} is not a finite curve point")
+        points.append(pt)
+    return tuple(points)
 
 
 def group_from_primes(p: int, q: int, rng) -> GroupParams:
@@ -829,8 +865,8 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
 
 def gen_group_params(p_bits: int, q_bits: int, rng) -> GroupParams:
     """Sample fresh primes of the requested sizes and build the group."""
-    if p_bits < 8 or q_bits < 8:
-        raise ValueError("prime sizes below 8 bits are not supported")
+    if min(p_bits, q_bits) < MIN_PRIME_BITS or max(p_bits, q_bits) > MAX_PRIME_BITS:
+        raise ValueError(f"prime sizes must lie in {MIN_PRIME_BITS}..{MAX_PRIME_BITS} bits")
     p = _sample_prime(p_bits, rng)
     while True:
         q = _sample_prime(q_bits, rng)

@@ -33,7 +33,7 @@ from .auction import (
     open_protocol,
     parse_bid_payload,
 )
-from .group import InvalidPoint, OpCounter, count_ops, gen_group_params
+from .group import MAX_PRIME_BITS, MIN_PRIME_BITS, GroupError, OpCounter, count_ops, gen_group_params
 from .registry import (
     BID_POSTED,
     WINNER_ANNOUNCED,
@@ -100,8 +100,9 @@ class ScenarioConfig:
         return HONEST
 
     def validate(self) -> None:
-        if self.p_bits < 8 or self.q_bits < 8:
-            raise ValueError("p_bits and q_bits must be at least 8")
+        sizes = (self.p_bits, self.q_bits)
+        if min(sizes) < MIN_PRIME_BITS or max(sizes) > MAX_PRIME_BITS:
+            raise ValueError(f"p_bits and q_bits must lie in {MIN_PRIME_BITS}..{MAX_PRIME_BITS}")
         if self.bidders < 1:
             raise ValueError("need at least one bidder")
         if self.rounds < 1 or self.auctions < 1:
@@ -353,7 +354,7 @@ def read_transcript(data: bytes) -> tuple[PublicParams | None, tuple[BoardEntry,
         return None, entries
     try:
         return public_params_from_json(bytes.fromhex(params_hex)), entries
-    except (ValueError, InvalidPoint) as exc:
+    except (ValueError, GroupError) as exc:
         raise MalformedBoard(f"bad params header: {exc}") from exc
 
 

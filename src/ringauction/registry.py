@@ -171,9 +171,6 @@ class BulletinBoard:
         points = dict(self._state.points)
         return tuple(sorted(points)), points
 
-    def to_text(self) -> str:
-        return board_to_text(self.entries())
-
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:
     """One record per line: seq, kind, hex payload."""

@@ -16,14 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .group import (
-    GroupParams,
-    PairingGroup,
-    Point,
-    decode_point_bytes,
-    hash_to_bits,
-    is_probable_prime,
-)
+from .group import GroupParams, PairingGroup, Point, check_public_group, hash_to_bits
 
 
 class RingSigError(Exception):
@@ -383,16 +376,16 @@ def public_params_to_dict(pp: PublicParams) -> dict:
 def public_params_from_dict(data: dict) -> PublicParams:
     """Inverse of public_params_to_dict for untrusted input.
 
-    Raises ValueError for any missing field or field of the wrong shape, and
-    InvalidPoint for a point that does not decode.
+    ``check_public_group`` judges n, ell, g and h before any other point is
+    decoded.  Raises ValueError for any missing field or field of the wrong
+    shape, GroupError for a group that ``gen_group_params`` could not have
+    built, and InvalidPoint (a GroupError) for a point that does not decode.
     """
     try:
         n = int(data["n"])
         ell = int(data["ell"])
-        if not is_probable_prime(ell):
-            raise ValueError("ell must be prime")
-        dec = lambda text: decode_point_bytes(bytes.fromhex(text), ell)
-        group = PairingGroup(n, ell, dec(data["g"]), dec(data["h"]))
+        g, h = check_public_group(n, ell, bytes.fromhex(data["g"]), bytes.fromhex(data["h"]))
+        group = PairingGroup(n, ell, g, h)
         if not data["hash_gens"]:
             raise ValueError("no hash generators")
         if data["hash"] != _hash_header(data["hash_gens"]):

@@ -37,6 +37,7 @@ from ringauction.registry import (
     WINNER_ANNOUNCED,
     BulletinBoard,
     RegistrationManager,
+    board_to_text,
     make_registration,
 )
 from ringauction.ringsig import (
@@ -532,7 +533,7 @@ class TestOpenProtocol:
         # and keys, never identity strings; identities come out only through
         # the two-party opening
         self.run_auction(env, (10, 20, 15))
-        text = env.board.to_text()
+        text = board_to_text(env.board.entries())
         assert "agent-" not in text
         for entry in env.board.entries():
             if entry.kind == BID_POSTED:

@@ -13,13 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringauction.group import (
+    _MAX_ELL_BITS,
+    MAX_PRIME_BITS,
     GroupError,
+    GroupParams,
     GtElement,
     InvalidPoint,
     OpCounter,
     PairingGroup,
     _double_and_add,
     _point_mul,
+    check_public_group,
     count_ops,
     gen_group_params,
     group_from_primes,
@@ -145,9 +149,62 @@ class TestConstruction:
         with pytest.raises(ValueError):
             gen_group_params(4, 4, random.Random(0))
 
+    def test_too_large_bit_request(self):
+        with pytest.raises(ValueError):
+            gen_group_params(16, MAX_PRIME_BITS + 1, random.Random(0))
+
+    def test_ell_cap_holds_at_the_largest_primes(self):
+        # ell = p*q*r - 1 with p, q below 2^MAX_PRIME_BITS and r at the limit
+        largest = (1 << MAX_PRIME_BITS) - 1
+        assert (largest * largest * 100_000 - 1).bit_length() <= _MAX_ELL_BITS
+
     def test_primality_against_trial_division(self):
         for m in range(2000):
             assert is_probable_prime(m) == is_prime_trial_division(m), m
+
+
+# ---------------------------------------------------------------------------
+# the one owner of public group validity
+
+class TestCheckPublicGroup:
+    def test_accepts_built_groups(self, tiny_params, params16):
+        for params in (tiny_params, params16):
+            grp = params.group
+            assert check_public_group(grp.n, grp.ell, grp.g, grp.h) == (grp.g, grp.h)
+
+    def test_decodes_encoded_generators(self, tiny_params):
+        grp = tiny_params.group
+        encoded = (grp.encode_point(grp.g), grp.encode_point(grp.h))
+        assert check_public_group(grp.n, grp.ell, *encoded) == (grp.g, grp.h)
+
+    @pytest.mark.parametrize("n, ell, reason", [
+        (35, (1 << _MAX_ELL_BITS) + 139, "at most"),  # before anything else
+        (70, 139, "odd"),
+        (1, 139, "odd"),
+        (-35, -141, "odd"),
+        (33, 139, "divide"),
+        (7, 13, "multiple of 4"),  # ell = 1 (mod 4)
+        (7, 7 * 100_004 - 1, "must lie in"),
+        (35, 279, "ell must be prime"),  # 279 = 9 * 31
+    ], ids=["ell-over-cap", "n-even", "n-one", "n-negative", "n-not-dividing",
+            "r-not-4k", "r-over-limit", "ell-composite"])
+    def test_refuses_each_invariant(self, tiny_params, n, ell, reason):
+        with pytest.raises(GroupError, match=reason):
+            check_public_group(n, ell, tiny_params.g, tiny_params.h)
+
+    @pytest.mark.parametrize("bad", [None, (1, 1), b"\x00" * 3])
+    def test_refuses_generators_that_are_not_finite_curve_points(self, tiny_params, bad):
+        grp = tiny_params.group
+        with pytest.raises(InvalidPoint):
+            check_public_group(grp.n, grp.ell, grp.g, bad)
+
+    def test_validate_runs_the_public_check(self, tiny_params):
+        grp = tiny_params.group
+        hostile = GroupParams(5, 7, PairingGroup(35, 279, grp.g, grp.h))
+        with pytest.raises(GroupError, match="ell must be prime"):
+            hostile.validate()
+        tiny_params.validate()
+
 
 
 # ---------------------------------------------------------------------------

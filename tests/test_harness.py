@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from ringauction.auction import Bid, parse_bid_payload, serialize_bid_payload
 from ringauction.cli import main
-from ringauction.group import PairingGroup, decode_point_bytes
+from ringauction.group import (
+    _MAX_ELL_BITS,
+    MAX_PRIME_BITS,
+    PairingGroup,
+    decode_point_bytes,
+    is_probable_prime,
+)
 from ringauction.harness import (
     HONEST,
     INVALID_SIGNATURE,
@@ -63,10 +69,12 @@ def full_run():
     return run_scenario(FULL_CAST)
 
 
-# Params headers whose JSON has a field of the wrong shape or a bit hash whose
-# k is not the number of hash generators, each as the (field, value) pairs it
-# overwrites (a callable value is computed from the honest header), plus one
-# header that is not hex and one nested past the JSON parser's recursion limit.
+# Params headers whose JSON has a field of the wrong shape, a group that
+# gen_group_params could not have built, or a bit hash whose k is not the
+# number of hash generators, each as the (field, value) pairs it overwrites (a
+# callable value is computed from the honest header), plus one header that is
+# not hex and one nested past the JSON parser's recursion limit.
+_OVER_CAP_N = (1 << _MAX_ELL_BITS - 1) + 1  # odd, and ell = 4n - 1 is 2 bits over
 HOSTILE_FIELDS = {
     "hash": [("hash", "x")],
     "hash_gens": [("hash_gens", 5)],
@@ -77,8 +85,17 @@ HOSTILE_FIELDS = {
     "17-gens": [("hash_gens", lambda header: header["hash_gens"] + [header["hash_base"]])],
     "md5": [("hash", {"algorithm": "md5", "k": 16})],
     "no-gens": [("hash_gens", []), ("hash", {"algorithm": "sha256", "k": 0})],
+    "even-n": [("n", lambda header: str(2 * int(header["n"])))],
+    # n replaced by its smallest prime factor p makes r = (ell + 1)/p = q*r
+    "r-over-limit": [("n", lambda header: str(_smallest_factor(int(header["n"]))))],
+    "r-not-4k": [("n", "7"), ("ell", "13")],  # ell = 1 (mod 4), so r = 2
+    "ell-over-cap": [("n", str(_OVER_CAP_N)), ("ell", str(4 * _OVER_CAP_N - 1))],
 }
 HOSTILE_HEADERS = (*HOSTILE_FIELDS, "not-hex", "nested")
+
+
+def _smallest_factor(n: int) -> int:
+    return next(d for d in range(3, n, 2) if n % d == 0)
 
 
 def _with_hostile_header(transcript: bytes, name: str) -> bytes:
@@ -95,9 +112,19 @@ def _with_hostile_header(transcript: bytes, name: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _even_n_transcript() -> bytes:
+    """A header-only transcript over n = 4 and the Mersenne prime
+    ell = 2^127 - 1 (ell = 3 mod 4 and n divides ell + 1), every point the
+    same point, with one hash generator."""
+    point = PairingGroup(4, 2**127 - 1, None, None).random_point(random.Random(0))
+    group = PairingGroup(4, 2**127 - 1, point, point)
+    pp = PublicParams(group, point, point, point, point, (point,))
+    return render_transcript(pp, BulletinBoard(group))
+
+
 def _composite_ell_transcript() -> bytes:
-    """A transcript over n = 35 and ell = 279 = 9 * 31, which PairingGroup
-    accepts (ell = 3 mod 4 and n divides ell + 1): three keys, one bid and
+    """A transcript over n = 35 and ell = 279 = 9 * 31, which passes every
+    check of the group but the primality of ell: three keys, one bid and
     its winner record, every point one of the few that decode mod 279."""
     ell = 279
     g, h, *keys = (decode_point_bytes(x.to_bytes(2, "big") + b"\x02", ell)
@@ -338,6 +365,30 @@ class TestVerifyTranscript:
         report = verify_transcript(_with_hostile_header(full_run.transcript, name))
         assert not report.valid
         assert report.reason.startswith("bad params header")
+
+    def test_over_cap_ell_rejected_before_the_primality_test(self, full_run, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"primality test reached at {m.bit_length()} bits")
+
+        monkeypatch.setattr("ringauction.group.is_probable_prime", refuse)
+        report = verify_transcript(_with_hostile_header(full_run.transcript, "ell-over-cap"))
+        assert report.reason == f"bad params header: ell must have at most {_MAX_ELL_BITS} bits"
+
+    def test_ell_primality_tested_once_per_setup_and_replay(self, full_run, monkeypatch):
+        ell = full_run.public_params.group.ell
+        tested = Counter()
+
+        def counting(m):
+            tested[m] += 1
+            return is_probable_prime(m)
+
+        monkeypatch.setattr("ringauction.group.is_probable_prime", counting)
+        assert verify_transcript(full_run.transcript)
+        assert tested[ell] == 1
+        tested.clear()
+        cast = replace(FULL_CAST, auctions=1, rounds=1)
+        assert run_scenario(cast, counted=False).public_params.group.ell == ell
+        assert tested[ell] == 1
 
 
 @pytest.fixture(scope="module")
@@ -840,6 +891,11 @@ class TestCli:
         assert main(["setup", "--k", "0", "--out", str(tmp_path / "p.json")]) == 2
         assert "setup failed" in capsys.readouterr().err
 
+    def test_setup_above_the_prime_size_bound_returns_two(self, tmp_path, capsys):
+        assert main(["setup", "--p-bits", str(MAX_PRIME_BITS + 1),
+                     "--out", str(tmp_path / "p.json")]) == 2
+        assert "setup failed" in capsys.readouterr().err
+
     def test_run_verify_trace_happy_path(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
@@ -999,8 +1055,8 @@ class TestCli:
         tracekey.write_text(f"{full_run.trace_key.q}\n")
         assert main(["verify", "--transcript", str(transcript)]) == 1
         reason = capsys.readouterr().out.split("transcript INVALID: ", 1)[1].strip()
-        bid_seq = next(int(line.split(" ")[0]) for line in data.decode().splitlines()
-                       if " bid-posted " in line)
+        bid_seq = next((int(line.split(" ")[0]) for line in data.decode().splitlines()
+                        if " bid-posted " in line), 0)
         assert main(["trace", "--transcript", str(transcript), "--seq", str(bid_seq),
                      "--tracekey", str(tracekey)]) == 2
         assert reason in capsys.readouterr().err
@@ -1011,6 +1067,13 @@ class TestCli:
         data = _with_hostile_header(full_run.transcript, name)
         reason = self._header_fault(full_run, tmp_path, capsys, data)
         assert reason.startswith("bad params header")
+
+    def test_even_n_exits_cleanly(self, full_run, tmp_path, capsys):
+        # A header over n = 4 used to replay as a valid empty transcript.
+        data = _even_n_transcript()
+        assert not verify_transcript(data)
+        reason = self._header_fault(full_run, tmp_path, capsys, data)
+        assert reason == "bad params header: n must be odd and above 1"
 
     def test_composite_ell_exits_cleanly(self, full_run, tmp_path, capsys):
         # A replay over a composite ell used to hit a non-invertible

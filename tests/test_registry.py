@@ -185,13 +185,14 @@ class TestBulletinBoard:
         board.append(KEY_EVICTED, k2)
         order, points = board.active_view()
         assert order == tuple(sorted((k1, k3)))
-        assert replayed_view(tiny_params.group, board.to_text()) == (order, points)
+        text = board_to_text(board.entries())
+        assert replayed_view(tiny_params.group, text) == (order, points)
 
     def test_text_roundtrip(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
         board.append(BID_POSTED, b"")
-        text = board.to_text()
-        assert text == board_to_text(board.entries())
+        text = board_to_text(board.entries())
+        assert text == f"0 key-published {keys[0].hex()}\n1 bid-posted \n"
         assert parse_board_text(text) == board.entries()
 
     def test_parse_rejects_garbage(self):
@@ -385,6 +386,6 @@ class TestRegistrationManager:
         pub, _ = self.register(rm, group, rng, b"alice")
         self.register(rm, group, rng, b"bob")
         rm.evict(pub)
-        parsed = parse_board_text(board.to_text())
+        parsed = parse_board_text(board_to_text(board.entries()))
         assert parsed == board.entries()
-        assert replayed_view(group, board.to_text()) == board.active_view()
+        assert replayed_view(group, board_to_text(board.entries())) == board.active_view()
