@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .group import InvalidPoint, Point
 from .registry import (
@@ -111,9 +111,24 @@ def serialize_bid_payload(bid: Bid) -> bytes:
     )
 
 
-def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> Bid:
-    """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
-    non-canonical ring order).  Ring keys found in ``points`` (encoding ->
+@dataclass(frozen=True)
+class BidHead:
+    """A bid payload read up to its signature, whose points stay encoded."""
+
+    auction_id: int
+    round_no: int
+    price: int
+    ring: Ring
+    signature: bytes  # 2 + 2*len(ring) point encodings
+    seq: int | None = None
+
+
+_Ranked = TypeVar("_Ranked", Bid, BidHead)
+
+
+def read_bid_head(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> BidHead:
+    """The cheap part of ``parse_bid_payload``: every check but the decoding
+    of the signature's points.  Ring keys found in ``points`` (encoding ->
     decoded point, such as a board fold's) are taken from it, not decoded."""
     if len(data) < BID_MESSAGE_LEN + 4:
         raise MalformedBid("payload too short")
@@ -133,16 +148,31 @@ def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None =
     try:
         keys = [points[e] if points and e in points else group.decode_point(e) for e in encodings]
         ring = Ring(group, keys)
-        signature = deserialize_signature(group, data[sig_start:], count)
     except (InvalidPoint, ValueError) as exc:
         raise MalformedBid(str(exc)) from exc
-    return Bid(auction_id=auction_id, round_no=round_no, price=price,
-               ring=ring, signature=signature)
+    return BidHead(auction_id, round_no, price, ring, data[sig_start:])
 
 
-def first_verifying(bids: Iterable[Bid], verifies: Callable[[Bid], object]) -> Bid | None:
-    """The winner rule: the first of ``bids`` by (-price, seq) for which
-    ``verifies`` holds, or None; no bid ranked below it is passed to it."""
+def decode_bid(group, head: BidHead) -> Bid:
+    """The bid of ``head``, with its signature's points decoded."""
+    try:
+        signature = deserialize_signature(group, head.signature, len(head.ring))
+    except (InvalidPoint, ValueError) as exc:
+        raise MalformedBid(str(exc)) from exc
+    return Bid(auction_id=head.auction_id, round_no=head.round_no, price=head.price,
+               ring=head.ring, signature=signature, seq=head.seq)
+
+
+def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> Bid:
+    """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
+    non-canonical ring order): ``read_bid_head``, then ``decode_bid``."""
+    return decode_bid(group, read_bid_head(group, data, points))
+
+
+def first_verifying(bids: Iterable[_Ranked], verifies: Callable[[_Ranked], object]) -> _Ranked | None:
+    """The winner rule: the first of ``bids`` (bids or bid heads) by
+    (-price, seq) for which ``verifies`` holds, or None; no bid ranked below
+    it is passed to it."""
     return next((bid for bid in sorted(bids, key=lambda bid: (-bid.price, bid.seq))
                  if verifies(bid)), None)
 

@@ -22,7 +22,10 @@ takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
 stored once, at each Q.  check_public_group decides, from the public
-values alone, whether a group is one gen_group_params could have built.
+values alone, whether a group is one gen_group_params could have built;
+its primality test is Baillie-PSW.  decode_point_bytes takes one square
+root; check_point_bytes reaches the same verdict on an encoding with the
+Jacobi symbol instead, for a caller that may never need the point.
 The parameter sizes used throughout this package are study material:
 breaking anonymity only requires factoring n, and nothing here is
 constant-time.
@@ -107,46 +110,88 @@ def count_ops(counter: OpCounter | None) -> Iterator[OpCounter | None]:
 # primality
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _mr_composite_witness(a: int, d: int, s: int, m: int) -> bool:
-    x = pow(a, d, m)
+def _jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m > 0: for prime m, 0 when m | a, 1
+    when a is a nonzero square mod m and -1 otherwise.  Binary form: factors
+    of 2 are stripped with one shift and reciprocity swaps a and m."""
+    a %= m
+    t = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and m & 7 in (3, 5):
+            t = -t
+        if a & m & 2:  # a = m = 3 (mod 4)
+            t = -t
+        a, m = m % a, a
+    return t if m == 1 else 0
+
+
+def _strong_probable_prime(m: int) -> bool:
+    # Strong Fermat test to base 2 for odd m > 2.
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    x = pow(2, d, m)
     if x == 1 or x == m - 1:
-        return False
+        return True
     for _ in range(s - 1):
         x = x * x % m
         if x == m - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(m: int) -> bool:
+    # Strong Lucas test for odd m > 2 with Selfridge's parameters: D the
+    # first of 5, -7, 9, -11, ... with (D/m) = -1, P = 1 and Q = (1 - D)/4.
+    # With m + 1 = d * 2^s, d odd, it passes when U_d = 0 or V_(d*2^r) = 0
+    # for some r < s, all mod m.  No such D exists for a square, which is
+    # refused first so that the search ends.
+    if math.isqrt(m) ** 2 == m:
+        return False
+    D = 5
+    while True:
+        symbol = _jacobi(D, m)
+        if symbol == -1:
+            break
+        if symbol == 0 and abs(D) != m:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = m + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    half = (m + 1) // 2
+    U, V, Qk = 1, 1, Q % m  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % m, (V * V - 2 * Qk) % m, Qk * Qk % m  # index k -> 2k
+        if bit == "1":  # 2k -> 2k + 1
+            U, V, Qk = (U + V) * half % m, (D * U + V) * half % m, Qk * Q % m
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % m, Qk * Qk % m
+        if V == 0:
+            return True
+    return False
 
 
 def is_probable_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin at the sizes used here.
-
-    The fixed base set decides every m below 3.3e24 exactly; beyond that,
-    extra bases derived from m keep the error chance negligible.
-    """
+    """Baillie-PSW: trial division by the primes below 50, a strong base-2
+    test, then a strong Lucas test with Selfridge's parameters (Baillie and
+    Wagstaff, "Lucas pseudoprimes", Math. Comp. 1980).  Exact below 2^64,
+    and no composite is known to pass it at any size."""
     if m < 2:
         return False
     for p in _SMALL_PRIMES:
         if m % p == 0:
             return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if _mr_composite_witness(a, d, s, m):
-            return False
-    if m >= 3_317_044_064_679_887_385_961_981:
-        seed = m.to_bytes((m.bit_length() + 7) // 8, "big")
-        for i in range(16):
-            digest = hashlib.sha256(seed + bytes([i])).digest()
-            a = int.from_bytes(digest, "big") % (m - 3) + 2
-            if _mr_composite_witness(a, d, s, m):
-                return False
-    return True
+    return _strong_probable_prime(m) and _strong_lucas_probable_prime(m)
 
 
 def _sample_prime(bits: int, rng) -> int:
@@ -347,8 +392,9 @@ def _window_mul(rows, k: int, ell: int) -> Point:
     return (X * zi * zi % ell, Y * zi * zi * zi % ell)
 
 
-def decode_point_bytes(data: bytes, ell: int) -> Point:
-    """Decode the canonical fixed-width encoding for a curve modulus ell."""
+def _read_encoding(data: bytes, ell: int) -> tuple[int, bool] | None:
+    # The checks of a point encoding that need no field arithmetic: length,
+    # tag and x < ell.  None for the identity, else (x, whether y is odd).
     width = (ell.bit_length() + 7) // 8
     if len(data) != width + 1:
         raise InvalidPoint("wrong point encoding length")
@@ -362,15 +408,42 @@ def decode_point_bytes(data: bytes, ell: int) -> Point:
         raise InvalidPoint(f"unknown parity tag {tag:#04x}")
     if x >= ell:
         raise InvalidPoint("x coordinate out of range")
+    return x, tag == 0x03
+
+
+def decode_point_bytes(data: bytes, ell: int) -> Point:
+    """Decode the canonical fixed-width encoding for a curve modulus ell."""
+    read = _read_encoding(data, ell)
+    if read is None:
+        return None
+    x, odd = read
     z = (x * x * x + x) % ell
     y = pow(z, (ell + 1) // 4, ell)
     if y * y % ell != z:
         raise InvalidPoint("x coordinate is not on the curve")
-    if (y & 1) != (tag == 0x03):
+    if (y & 1) != odd:
         if y == 0:
             raise InvalidPoint("y = 0 takes the even parity tag")
         y = ell - y
     return (x, y)
+
+
+def check_point_bytes(data: bytes, ell: int) -> None:
+    """Raise what ``decode_point_bytes`` raises, and nothing when it would
+    decode, without its square root.  For prime ell = 3 (mod 4), x lies on
+    the curve exactly when z = x^3 + x is 0 or a square, which the Jacobi
+    symbol decides at about half the cost of the root; z = 0 only at x = 0,
+    where y = 0 must take the even tag."""
+    read = _read_encoding(data, ell)
+    if read is None:
+        return
+    x, odd = read
+    z = (x * x * x + x) % ell
+    if not z:
+        if odd:
+            raise InvalidPoint("y = 0 takes the even parity tag")
+    elif _jacobi(z, ell) != 1:
+        raise InvalidPoint("x coordinate is not on the curve")
 
 
 def _random_point(ell: int, rng) -> tuple[int, int]:
@@ -826,6 +899,8 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
     """
     if p == q:
         raise ValueError("the two prime factors must be distinct")
+    if 2 in (p, q):  # n must be odd (check_public_group)
+        raise ValueError("both factors must be odd")
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ValueError("both factors must be prime")
     n = p * q

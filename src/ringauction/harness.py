@@ -13,6 +13,8 @@ the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
 is the one replay: it needs no secrets, re-derives the winner of every
 announced auction and hands back the bids of a transcript that verifies.
+It checks every posted signature point but decodes only the signatures it
+verifies, and any other on lookup.
 """
 
 from __future__ import annotations
@@ -22,18 +24,29 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .auction import (
     AuctionManager,
     Bid,
     BidderAgent,
+    BidHead,
     MalformedBid,
+    decode_bid,
     first_verifying,
     open_protocol,
-    parse_bid_payload,
+    read_bid_head,
 )
-from .group import MAX_PRIME_BITS, MIN_PRIME_BITS, GroupError, OpCounter, count_ops, gen_group_params
+from .group import (
+    MAX_PRIME_BITS,
+    MIN_PRIME_BITS,
+    GroupError,
+    InvalidPoint,
+    OpCounter,
+    check_point_bytes,
+    count_ops,
+    gen_group_params,
+)
 from .registry import (
     BID_POSTED,
     WINNER_ANNOUNCED,
@@ -376,30 +389,56 @@ class TranscriptReport:
         return self.valid
 
 
+class _PostedBids(Mapping[int, Bid]):
+    """A replay's posted bids by seq, kept as heads; a lookup decodes that
+    bid's signature, once."""
+
+    def __init__(self, group, heads: dict[int, BidHead]) -> None:
+        self._group = group
+        self._heads = heads
+        self._bids: dict[int, Bid] = {}
+
+    def __getitem__(self, seq: int) -> Bid:
+        if seq not in self._bids:
+            self._bids[seq] = decode_bid(self._group, self._heads[seq])
+        return self._bids[seq]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._heads)
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+
 def verify_transcript(data: bytes) -> TranscriptReport:
     """Replay a transcript using public data only.
 
     Checks record structure, sequence monotonicity and the active-key view
-    at every step, parsing every posted bid.  Signatures are checked lazily,
-    by the rule ``AuctionManager.determine_winner`` applies: each announced
-    winner's payload must byte-match the referenced bid and its signature
-    must verify, and no bid of its auction posted before the announcement
-    and ranked ahead of it (by -price, then seq) may verify.  Only those
-    bids are verified, each at most once; ``outcomes`` records which.  Bids
-    whose signatures fail are legitimate content — admission is lazy — but
-    they can never be announced winners.
+    at every step, reading every posted bid: all of it is parsed, and each
+    signature point is checked to decode (``check_point_bytes``) but left
+    encoded.  Signatures are checked lazily, by the rule
+    ``AuctionManager.determine_winner`` applies: each announced winner's
+    payload must byte-match the referenced bid and its signature must
+    verify, and no bid of its auction posted before the announcement and
+    ranked ahead of it (by -price, then seq) may verify.  Only those bids
+    are decoded and verified, each at most once; ``outcomes`` records which.
+    Bids whose signatures fail are legitimate content — admission is lazy —
+    but they can never be announced winners.  The report's ``bids`` decodes
+    any other bid when it is looked up.
     """
-    bids: dict[int, tuple[Bid, bytes]] = {}
+    heads: dict[int, BidHead] = {}
+    payloads: dict[int, bytes] = {}
     results: dict[int, VerifyResult] = {}
 
-    def verified(bid: Bid) -> VerifyResult:
-        if bid.seq not in results:
-            results[bid.seq] = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
-        return results[bid.seq]
+    def verified(head: BidHead) -> VerifyResult:
+        if head.seq not in results:
+            bid = bids[head.seq]
+            results[head.seq] = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
+        return results[head.seq]
 
     def outcomes() -> tuple[tuple[int, str], ...]:
         said = {seq: "verified" if ok else f"failed: {ok.reason}" for seq, ok in results.items()}
-        return tuple((seq, said.get(seq, "not needed")) for seq in bids)
+        return tuple((seq, said.get(seq, "not needed")) for seq in heads)
 
     def invalid(seq: int | None, reason: str) -> TranscriptReport:
         return TranscriptReport(False, failing_seq=seq, reason=reason, outcomes=outcomes())
@@ -411,6 +450,8 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     if pp is None:
         return TranscriptReport(True)
     group = pp.group
+    width = group.point_bytes
+    bids = _PostedBids(group, heads)
 
     state = BoardState(group)
     announced: set[int] = set()
@@ -423,36 +464,38 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             return invalid(exc.seq, exc.reason)
         if kind == BID_POSTED:
             try:
-                bid = parse_bid_payload(group, payload, state.points)
-            except MalformedBid as exc:
+                head = read_bid_head(group, payload, state.points)
+                for at in range(0, len(head.signature), width):
+                    check_point_bytes(head.signature[at: at + width], group.ell)
+            except (MalformedBid, InvalidPoint) as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
-            if bid.price < 1:
+            if head.price < 1:
                 return invalid(seq, "non-positive price")
-            if not all(key in state.points for key in bid.ring.encodings):
+            if not all(key in state.points for key in head.ring.encodings):
                 return invalid(seq, "ring key not in the active view")
-            bids[seq] = (replace(bid, seq=seq), payload)
+            heads[seq] = replace(head, seq=seq)
+            payloads[seq] = payload
         elif kind == WINNER_ANNOUNCED:
             if len(payload) < 8:
                 return invalid(seq, "winner record too short")
             ref = int.from_bytes(payload[:8], "big")
-            if ref not in bids:
+            if ref not in heads:
                 return invalid(seq, "winner references an unknown bid")
-            known, known_payload = bids[ref]
-            if payload[8:] != known_payload:
+            known = heads[ref]
+            if payload[8:] != payloads[ref]:
                 return invalid(seq, "winner payload differs from the referenced bid")
             if not verified(known):
                 return invalid(seq, "announced winner's signature does not verify")
             if known.auction_id in announced:
                 return invalid(seq, "auction already has an announced winner")
-            rivals = [bid for bid, _ in bids.values() if bid.auction_id == known.auction_id]
+            rivals = [head for head in heads.values() if head.auction_id == known.auction_id]
             if first_verifying(rivals, verified) is not known:
                 return invalid(seq, "a better verifying bid exists than the announced winner")
             announced.add(known.auction_id)
             winners.append((known.auction_id, ref, known.price))
 
     return TranscriptReport(True, records=len(entries), winners=tuple(winners),
-                            outcomes=outcomes(), public_params=pp,
-                            bids={seq: bid for seq, (bid, _) in bids.items()})
+                            outcomes=outcomes(), public_params=pp, bids=bids)
 
 
 # ---------------------------------------------------------------------------

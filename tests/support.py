@@ -10,6 +10,9 @@ same verdict on every transcript.
 
 from __future__ import annotations
 
+import functools
+import math
+
 from ringauction.auction import MalformedBid, parse_bid_payload
 from ringauction.group import InvalidPoint
 from ringauction.harness import TranscriptReport, read_transcript
@@ -26,6 +29,64 @@ def is_prime_trial_division(m: int) -> bool:
             return False
         d += 1
     return True
+
+
+def primes_below(limit: int) -> bytearray:
+    """flags[m] = 1 exactly when m < limit is prime: trial division of every
+    m at once (the sieve of Eratosthenes), each prime up to sqrt(limit)
+    striking out its multiples."""
+    flags = bytearray([1]) * limit
+    flags[:2] = bytes(min(2, limit))
+    for d in range(2, math.isqrt(limit - 1) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, limit, d)))
+    return flags
+
+
+def strong_probable_prime(m: int, a: int) -> bool:
+    """One Miller-Rabin round: odd m > 2 is a strong probable prime to base a."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+# The first twelve primes: as Miller-Rabin bases they decide every odd m
+# below psi_12 = 318665857834031151167461, the least composite that is a
+# strong probable prime to all of them (Sorenson and Webster, Math. Comp. 2017).
+PSI_12 = 318665857834031151167461
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@functools.lru_cache(maxsize=None)
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The prime factors of m > 0 by trial division, with multiplicity."""
+    factors, d = [], 2
+    while d * d <= m:
+        while m % d == 0:
+            factors.append(d)
+            m //= d
+        d += 1
+    return tuple(factors + [m] * (m > 1))
+
+
+def naive_jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a/m) for odd m > 0, as the definition has it: the
+    product of the Legendre symbols of a over the prime factors of m, with
+    multiplicity, each from Euler's criterion a^((p-1)/2) mod p."""
+    symbol = 1
+    for p in prime_factors(m):
+        euler = pow(a, (p - 1) // 2, p)
+        symbol *= 1 if euler == 1 else -1 if euler == p - 1 else 0
+    return symbol
 
 
 def naive_on_curve(P, ell: int) -> bool:

@@ -7,11 +7,13 @@ the code under test.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringauction import group as group_module
 from ringauction.group import (
     _MAX_ELL_BITS,
     MAX_PRIME_BITS,
@@ -22,9 +24,13 @@ from ringauction.group import (
     OpCounter,
     PairingGroup,
     _double_and_add,
+    _jacobi,
     _point_mul,
+    _strong_lucas_probable_prime,
+    check_point_bytes,
     check_public_group,
     count_ops,
+    decode_point_bytes,
     gen_group_params,
     group_from_primes,
     hash_to_bits,
@@ -40,15 +46,30 @@ from ringauction.ringsig import (
 )
 
 from .support import (
+    PSI_12,
+    TWELVE_BASES,
     all_curve_points,
     is_prime_trial_division,
     naive_add,
+    naive_jacobi,
     naive_mul,
     naive_neg,
     naive_on_curve,
     naive_order,
     naive_pair,
+    primes_below,
+    strong_probable_prime,
 )
+
+
+def _outcome(read, data: bytes, ell: int) -> str:
+    # What a point reader makes of an encoding: its InvalidPoint message, or
+    # "decodes".
+    try:
+        read(data, ell)
+    except InvalidPoint as exc:
+        return str(exc)
+    return "decodes"
 
 
 def _signed_digits(k: int, rows: int) -> list[int]:
@@ -161,6 +182,99 @@ class TestConstruction:
     def test_primality_against_trial_division(self):
         for m in range(2000):
             assert is_probable_prime(m) == is_prime_trial_division(m), m
+
+    @pytest.mark.parametrize("p, q", [(2, 7), (7, 2)])
+    def test_even_factor_refused_at_once(self, p, q):
+        # n = 2q is even, which check_public_group refuses; the generator
+        # search used to run forever on it.
+        with pytest.raises(ValueError, match="odd"):
+            group_from_primes(p, q, random.Random(1))
+
+
+# ---------------------------------------------------------------------------
+# primality (Baillie-PSW) and the Jacobi symbol
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_a_million(self):
+        flags = primes_below(10**6)
+        assert all(flags[m] == is_prime_trial_division(m) for m in range(5000))
+        wrong = [m for m in range(10**6) if is_probable_prime(m) != flags[m]]
+        assert wrong == []
+
+    def test_psi_12_is_composite(self):
+        # The least composite that passes Miller-Rabin to the first twelve
+        # prime bases, which the test used to run below 3.3e24.
+        assert PSI_12 == 399165290221 * 798330580441
+        assert all(strong_probable_prime(PSI_12, a) for a in TWELVE_BASES)
+        assert not is_probable_prime(PSI_12)
+
+    def test_strong_pseudoprime_to_the_bases_up_to_23_is_composite(self):
+        m = 3825123056546413051
+        assert m == 149491 * 747451 * 34233211
+        assert all(strong_probable_prime(m, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23))
+        assert not is_probable_prime(m)
+
+    @pytest.mark.parametrize("m", [5459, 5777, 10877])
+    def test_strong_lucas_pseudoprimes(self, m):
+        # Composites that pass the strong Lucas test with Selfridge's
+        # parameters; the base-2 test catches them.
+        assert not is_prime_trial_division(m)
+        assert _strong_lucas_probable_prime(m)
+        assert not strong_probable_prime(m, 2)
+        assert not is_probable_prime(m)
+
+    @pytest.mark.parametrize("p", [1093, 3511])
+    def test_square_of_a_wieferich_prime_is_composite(self, p):
+        # p^2 passes the base-2 test, and no D has (D/p^2) = -1.
+        assert strong_probable_prime(p * p, 2)
+        assert not is_probable_prime(p * p)
+
+    def test_lucas_test_refuses_a_square_at_once(self, monkeypatch):
+        # No D has (D/m) = -1 when m is a square, so the search for one would
+        # run until |D| reached a factor of m.
+        calls = []
+
+        def counting(a, m):
+            calls.append(a)
+            assert len(calls) < 50, "the search for D does not end"
+            return _jacobi(a, m)
+
+        monkeypatch.setattr(group_module, "_jacobi", counting)
+        assert not _strong_lucas_probable_prime(((1 << 61) - 1) ** 2)
+        assert calls == []
+
+    def test_agrees_with_twelve_bases_below_psi_12(self):
+        rng = random.Random(17)
+        samples = [rng.randrange(1 << 39, PSI_12) | 1 for _ in range(3000)]
+        while len(samples) < 3100:  # products of two primes, the hard case
+            p, q = (rng.randrange(1 << 20, 1 << 38) | 1 for _ in range(2))
+            if is_probable_prime(p) and is_probable_prime(q):
+                samples.append(p * q)
+        for m in samples:
+            oracle = all(strong_probable_prime(m, a) for a in TWELVE_BASES)
+            assert is_probable_prime(m) == oracle, m
+
+    def test_large_primes_and_composites(self):
+        assert is_probable_prime((1 << 127) - 1)
+        assert is_probable_prime((1 << 521) - 1)
+        assert not is_probable_prime((1 << 67) - 1)  # 193707721 * 761838257287
+        assert not is_probable_prime(((1 << 127) - 1) * ((1 << 521) - 1))
+
+    def test_jacobi_matches_euler_products_for_small_moduli(self):
+        for m in range(1, 2000, 2):
+            for a in [*range(m), -1, -2, -m - 5, m, 3 * m + 1]:
+                assert _jacobi(a, m) == naive_jacobi(a, m), (a, m)
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_jacobi_matches_euler_criterion_at_size(self, bits):
+        rng = random.Random(bits)
+        for _ in range(5):
+            ell = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            while not is_probable_prime(ell):
+                ell += 2
+            for z in [0, 1, ell - 1] + [rng.randrange(ell) for _ in range(300)]:
+                euler = pow(z, (ell - 1) // 2, ell)
+                assert _jacobi(z, ell) == {0: 0, 1: 1, ell - 1: -1}[euler], (z, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +632,32 @@ class TestEncoding:
                 decoded += 1
                 assert group.encode_point(P) == data
         assert decoded == len(all_curve_points(tiny_params.ell))
+
+    def test_check_agrees_with_decode_on_every_short_encoding(self, tiny_params):
+        # Every one-byte x, in range (x < 139) and out of it, under the
+        # identity, both parity tags and an unknown one, plus bad lengths.
+        ell = tiny_params.ell
+        encodings = [bytes([x, tag]) for x in range(256) for tag in (0x00, 0x02, 0x03, 0x07)]
+        for data in encodings + [b"", b"\x00", b"\x00\x00\x02"]:
+            assert _outcome(check_point_bytes, data, ell) == _outcome(
+                decode_point_bytes, data, ell), data
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_check_agrees_with_decode_at_size(self, bits):
+        ell = gen_group_params(bits, bits, random.Random(bits)).ell
+        width = (ell.bit_length() + 7) // 8
+        rng = random.Random(2000 + bits)
+        encodings = [rng.randbytes(width + 1) for _ in range(200)]
+        for _ in range(400):  # x in range, so about half lie on the curve
+            tag = rng.choice((0x00, 0x02, 0x03, rng.randrange(256)))
+            encodings.append(rng.randrange(ell).to_bytes(width, "big") + bytes([tag]))
+        encodings += [bytes(width) + bytes([tag]) for tag in (0x00, 0x02, 0x03)]
+        outcomes = Counter()
+        for data in encodings:
+            outcome = _outcome(decode_point_bytes, data, ell)
+            assert _outcome(check_point_bytes, data, ell) == outcome, data
+            outcomes[outcome] += 1
+        assert outcomes["decodes"] > 50 and outcomes["x coordinate is not on the curve"] > 50
 
     @given(k=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringauction.auction import Bid, parse_bid_payload, serialize_bid_payload
+from ringauction import auction
+from ringauction.auction import BID_MESSAGE_LEN, Bid, parse_bid_payload, serialize_bid_payload
 from ringauction.cli import main
 from ringauction.group import (
     _MAX_ELL_BITS,
@@ -52,6 +53,7 @@ from ringauction.ringsig import (
     Ring,
     RingSignature,
     public_params_from_json,
+    trace,
     verify,
 )
 
@@ -335,6 +337,26 @@ class TestVerifyTranscript:
                    for b in posted.values())
         assert verify_transcript(full_run.transcript).valid
 
+    def test_signatures_decoded_only_for_verified_bids(self, full_run, monkeypatch):
+        # A bid's signature points are decoded when the winner rule verifies
+        # it, or when a caller looks the bid up in the report, once each.
+        decoded = []
+        real = auction.deserialize_signature
+        monkeypatch.setattr(auction, "deserialize_signature",
+                            lambda *args: decoded.append(args) or real(*args))
+        report = verify_transcript(full_run.transcript)
+        said = Counter("not needed" if outcome == "not needed" else
+                       "verified" if outcome == "verified" else "failed"
+                       for _, outcome in report.outcomes)
+        assert said["not needed"] and said["verified"]
+        assert len(decoded) == said["verified"] + said["failed"]
+        unneeded = next(seq for seq, outcome in report.outcomes if outcome == "not needed")
+        bid = report.bids[unneeded]
+        assert report.bids[unneeded] is bid
+        assert len(decoded) == said["verified"] + said["failed"] + 1
+        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        assert bid == replace(posted[unneeded], seq=unneeded)
+
     def test_transcript_without_announcements_is_valid(self, full_run):
         lines = [line for line in full_run.transcript.decode().splitlines()
                  if " winner-announced " not in line]
@@ -577,6 +599,34 @@ class TestTranscriptMutations:
         assert report.failing_seq == last_seq + 1
         assert report.reason == "announced winner's signature does not verify"
         assert (bad_seq, "failed: main-equation") in report.outcomes
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("off-curve", "x coordinate is not on the curve"),
+        ("odd-tag-at-zero", "y = 0 takes the even parity tag"),
+    ])
+    def test_undecodable_point_in_a_bid_never_verified(self, run_and_lines, fault, reason):
+        # The replay leaves the signature points of such a bid encoded, yet
+        # still refuses the bid at its seq, as the eager replay does.
+        result, lines = run_and_lines
+        outcomes = dict(verify_transcript(result.transcript).outcomes)
+        unneeded = next(seq for seq, outcome in outcomes.items() if outcome == "not needed")
+        group = result.public_params.group
+        ell, width = group.ell, group.point_bytes
+        if fault == "off-curve":
+            x = next(x for x in range(1, ell) if pow(x ** 3 + x, (ell - 1) // 2, ell) == ell - 1)
+            bad = x.to_bytes(group.coord_bytes, "big") + b"\x02"
+        else:
+            bad = bytes(group.coord_bytes) + b"\x03"
+        idx = next(i for i, line in enumerate(lines) if line.startswith(f"{unneeded} "))
+        seq, kind, payload_hex = lines[idx].split(" ")
+        payload = bytes.fromhex(payload_hex)
+        count = int.from_bytes(payload[BID_MESSAGE_LEN: BID_MESSAGE_LEN + 4], "big")
+        at = BID_MESSAGE_LEN + 4 + (count + 1) * width  # s2, after the ring and s1
+        mutated = list(lines)
+        mutated[idx] = f"{seq} {kind} {(payload[:at] + bad + payload[at + width:]).hex()}"
+        report = self.reverify(mutated)
+        assert report.failing_seq == unneeded
+        assert report.reason == f"unreadable bid: {reason}"
 
     def test_duplicate_winner_announcement_fails(self, run_and_lines):
         _, lines = run_and_lines
@@ -1034,6 +1084,24 @@ class TestCli:
             argv += [name, path]
         assert main(argv) == 2
         assert f"cannot write {paths[flag]}" in capsys.readouterr().err
+
+    def test_trace_names_the_signer_of_a_bid_never_verified(self, full_run, tmp_path, capsys):
+        transcript = tmp_path / "t.txt"
+        transcript.write_bytes(full_run.transcript)
+        tracekey = tmp_path / "k.txt"
+        tracekey.write_text(f"{full_run.trace_key.q}\n")
+        pp = full_run.public_params
+        posted = _posted_bids(full_run.transcript, pp)
+        outcomes = verify_transcript(full_run.transcript).outcomes
+        seq = next(seq for seq, outcome in outcomes if outcome == "not needed"
+                   and verify(pp, posted[seq].ring, posted[seq].message_bytes(),
+                              posted[seq].signature))
+        bid = posted[seq]
+        index, signer = trace(full_run.trace_key, pp, bid.ring, bid.message_bytes(), bid.signature)
+        assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)]) == 0
+        assert capsys.readouterr().out == (f"bid seq {seq} traced to ring member {index}: "
+                                           f"{pp.group.encode_point(signer).hex()}\n")
 
     def test_trace_on_non_bid_seq_returns_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
