@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Mapping, TypeVar
 
-from .group import InvalidPoint, Point
+from .group import InvalidPoint, Point, check_point_bytes
 from .registry import (
     BID_POSTED,
     WINNER_ANNOUNCED,
@@ -113,12 +113,12 @@ def serialize_bid_payload(bid: Bid) -> bytes:
 
 @dataclass(frozen=True)
 class BidHead:
-    """A bid payload read up to its signature, whose points stay encoded."""
+    """A checked bid payload whose points (ring keys, signature) stay encoded."""
 
     auction_id: int
     round_no: int
     price: int
-    ring: Ring
+    ring: tuple[bytes, ...]
     signature: bytes  # 2 + 2*len(ring) point encodings
     seq: int | None = None
 
@@ -126,10 +126,10 @@ class BidHead:
 _Ranked = TypeVar("_Ranked", Bid, BidHead)
 
 
-def read_bid_head(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> BidHead:
-    """The cheap part of ``parse_bid_payload``: every check but the decoding
-    of the signature's points.  Ring keys found in ``points`` (encoding ->
-    decoded point, such as a board fold's) are taken from it, not decoded."""
+def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | None = None) -> BidHead:
+    """Every check of ``parse_bid_payload``, decoding nothing: each point is
+    checked to decode (``check_point_bytes``), but for the ring keys that
+    ``known`` holds, such as a board fold's active view."""
     if len(data) < BID_MESSAGE_LEN + 4:
         raise MalformedBid("payload too short")
     auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
@@ -139,34 +139,40 @@ def read_bid_head(group, data: bytes, points: Mapping[bytes, Point] | None = Non
     width = group.point_bytes
     keys_start = BID_MESSAGE_LEN + 4
     sig_start = keys_start + count * width
-    expected = sig_start + (2 + 2 * count) * width
-    if len(data) != expected:
+    if len(data) != sig_start + (2 + 2 * count) * width:
         raise MalformedBid("payload length does not match ring size")
-    encodings = [data[keys_start + i * width: keys_start + (i + 1) * width] for i in range(count)]
-    if encodings != sorted(encodings):
+    ring = tuple(data[at: at + width] for at in range(keys_start, sig_start, width))
+    if list(ring) != sorted(ring):
         raise MalformedBid("ring keys are not in canonical order")
     try:
-        keys = [points[e] if points and e in points else group.decode_point(e) for e in encodings]
-        ring = Ring(group, keys)
-    except (InvalidPoint, ValueError) as exc:
+        unknown = [key for key in ring if key not in known]
+        check_point_bytes(b"".join(unknown), group.ell, len(unknown))
+        if len(set(ring)) < count:
+            raise MalformedBid("ring keys must be distinct")
+        check_point_bytes(data[sig_start:], group.ell, 2 + 2 * count)  # the signature
+    except InvalidPoint as exc:
         raise MalformedBid(str(exc)) from exc
-    return BidHead(auction_id, round_no, price, ring, data[sig_start:])
+    return BidHead(auction_id, round_no, price, ring, data[sig_start:], seq)
 
 
-def decode_bid(group, head: BidHead) -> Bid:
-    """The bid of ``head``, with its signature's points decoded."""
+def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
+    """The bid of ``head``, decoded; each ring key through ``decode_key``."""
     try:
-        signature = deserialize_signature(group, head.signature, len(head.ring))
+        ring = Ring(group, [decode_key(key) for key in head.ring])
+        signature = deserialize_signature(group, head.signature, len(ring))
     except (InvalidPoint, ValueError) as exc:
         raise MalformedBid(str(exc)) from exc
     return Bid(auction_id=head.auction_id, round_no=head.round_no, price=head.price,
-               ring=head.ring, signature=signature, seq=head.seq)
+               ring=ring, signature=signature, seq=head.seq)
 
 
 def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> Bid:
     """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
-    non-canonical ring order): ``read_bid_head``, then ``decode_bid``."""
-    return decode_bid(group, read_bid_head(group, data, points))
+    non-canonical ring order): ``read_bid_head``, then ``decode_bid``.  Ring
+    keys found in ``points`` (encoding -> point) are taken from it."""
+    known = points or {}
+    return decode_bid(group, read_bid_head(group, data, known),
+                      lambda key: known[key] if key in known else group.decode_point(key))
 
 
 def first_verifying(bids: Iterable[_Ranked], verifies: Callable[[_Ranked], object]) -> _Ranked | None:

@@ -115,14 +115,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def _jacobi(a: int, m: int) -> int:
     """The Jacobi symbol (a/m) for odd m > 0: for prime m, 0 when m | a, 1
     when a is a nonzero square mod m and -1 otherwise.  Binary form: factors
-    of 2 are stripped with one shift and reciprocity swaps a and m."""
+    of 4 drop out, a lone 2 flips it when m = 3, 5 (mod 8), reciprocity swaps."""
     a %= m
     t = 1
     while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if twos & 1 and m & 7 in (3, 5):
-            t = -t
+        while not a & 3:
+            a >>= 2
+        if not a & 1:
+            a >>= 1
+            if m & 7 in (3, 5):
+                t = -t
         if a & m & 2:  # a = m = 3 (mod 4)
             t = -t
         a, m = m % a, a
@@ -392,28 +394,30 @@ def _window_mul(rows, k: int, ell: int) -> Point:
     return (X * zi * zi % ell, Y * zi * zi * zi % ell)
 
 
-def _read_encoding(data: bytes, ell: int) -> tuple[int, bool] | None:
-    # The checks of a point encoding that need no field arithmetic: length,
-    # tag and x < ell.  None for the identity, else (x, whether y is odd).
-    width = (ell.bit_length() + 7) // 8
-    if len(data) != width + 1:
+def _read_encodings(data: bytes, ell: int, count: int) -> Iterator[tuple[int, bool] | None]:
+    # The checks of ``count`` encodings that need no field arithmetic: length,
+    # tag and x < ell.  Yields None for the identity, else (x, whether y is odd).
+    width = (ell.bit_length() + 7) // 8 + 1
+    if len(data) != count * width:
         raise InvalidPoint("wrong point encoding length")
-    x = int.from_bytes(data[:-1], "big")
-    tag = data[-1]
-    if tag == 0x00:
-        if x != 0:
-            raise InvalidPoint("identity encoding must be all zero")
-        return None
-    if tag not in (0x02, 0x03):
-        raise InvalidPoint(f"unknown parity tag {tag:#04x}")
-    if x >= ell:
-        raise InvalidPoint("x coordinate out of range")
-    return x, tag == 0x03
+    for at in range(0, len(data), width):
+        x = int.from_bytes(data[at: at + width - 1], "big")
+        tag = data[at + width - 1]
+        if tag == 0x00:
+            if x != 0:
+                raise InvalidPoint("identity encoding must be all zero")
+            yield None
+        elif tag not in (0x02, 0x03):
+            raise InvalidPoint(f"unknown parity tag {tag:#04x}")
+        elif x >= ell:
+            raise InvalidPoint("x coordinate out of range")
+        else:
+            yield x, tag == 0x03
 
 
 def decode_point_bytes(data: bytes, ell: int) -> Point:
     """Decode the canonical fixed-width encoding for a curve modulus ell."""
-    read = _read_encoding(data, ell)
+    (read,) = _read_encodings(data, ell, 1)
     if read is None:
         return None
     x, odd = read
@@ -428,22 +432,19 @@ def decode_point_bytes(data: bytes, ell: int) -> Point:
     return (x, y)
 
 
-def check_point_bytes(data: bytes, ell: int) -> None:
-    """Raise what ``decode_point_bytes`` raises, and nothing when it would
-    decode, without its square root.  For prime ell = 3 (mod 4), x lies on
-    the curve exactly when z = x^3 + x is 0 or a square, which the Jacobi
-    symbol decides at about half the cost of the root; z = 0 only at x = 0,
-    where y = 0 must take the even tag."""
-    read = _read_encoding(data, ell)
-    if read is None:
-        return
-    x, odd = read
-    z = (x * x * x + x) % ell
-    if not z:
-        if odd:
-            raise InvalidPoint("y = 0 takes the even parity tag")
-    elif _jacobi(z, ell) != 1:
-        raise InvalidPoint("x coordinate is not on the curve")
+def check_point_bytes(data: bytes, ell: int, count: int = 1) -> None:
+    """Raise what ``decode_point_bytes`` raises on the first of ``count``
+    encodings in ``data`` it would refuse, without its square root.  For prime
+    ell = 3 (mod 4), x lies on the curve exactly when z = x^3 + x is 0 or a
+    square, which the Jacobi symbol decides at about half the cost of the
+    root; z = 0 only at x = 0, where y = 0 must take the even tag."""
+    for x, odd in filter(None, _read_encodings(data, ell, count)):  # the identity passes
+        z = (x * x * x + x) % ell
+        if not z:
+            if odd:
+                raise InvalidPoint("y = 0 takes the even parity tag")
+        elif _jacobi(z, ell) != 1:
+            raise InvalidPoint("x coordinate is not on the curve")
 
 
 def _random_point(ell: int, rng) -> tuple[int, int]:

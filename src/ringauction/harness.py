@@ -13,13 +13,14 @@ the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
 is the one replay: it needs no secrets, re-derives the winner of every
 announced auction and hands back the bids of a transcript that verifies.
-It checks every posted signature point but decodes only the signatures it
-verifies, and any other on lookup.
+It checks every posted point but decodes only the bids it verifies, and
+any other on lookup, each ring key once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import random
 import statistics
 from collections import Counter
@@ -41,9 +42,7 @@ from .group import (
     MAX_PRIME_BITS,
     MIN_PRIME_BITS,
     GroupError,
-    InvalidPoint,
     OpCounter,
-    check_point_bytes,
     count_ops,
     gen_group_params,
 )
@@ -269,6 +268,8 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         actors.append(_Actor(name=name, index=index, strategy=config.strategy_of(index),
                              agent=BidderAgent(name, keypair, pp, board),
                              own=group.encode_point(keypair.pub_key)))
+    # Every published key is a bidder's: rings take their points from here.
+    points = {actor.own: actor.agent.keypair.pub_key for actor in actors}
 
     winners: list[WinnerSummary] = []
     evicted: list[str] = []
@@ -277,9 +278,9 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         counter.set_phase("bidding")
         for round_no in range(config.rounds):
             high = am.current_high(auction_no)
-            order, points = board.active_view()  # keys change only at openings
+            order = board.active_view()  # keys change only at openings
             for actor in actors:
-                if actor.own not in points:
+                if not board.all_active((actor.own,)):
                     continue  # evicted bidders are out
                 if not _wants_to_bid(actor.strategy, round_no, config.rounds):
                     continue
@@ -391,17 +392,15 @@ class TranscriptReport:
 
 class _PostedBids(Mapping[int, Bid]):
     """A replay's posted bids by seq, kept as heads; a lookup decodes that
-    bid's signature, once."""
+    bid, once, and each ring key through one memo, so at most once."""
 
     def __init__(self, group, heads: dict[int, BidHead]) -> None:
-        self._group = group
         self._heads = heads
-        self._bids: dict[int, Bid] = {}
+        decode_key = functools.cache(group.decode_point)
+        self._decode = functools.cache(lambda seq: decode_bid(group, heads[seq], decode_key))
 
     def __getitem__(self, seq: int) -> Bid:
-        if seq not in self._bids:
-            self._bids[seq] = decode_bid(self._group, self._heads[seq])
-        return self._bids[seq]
+        return self._decode(seq)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._heads)
@@ -414,17 +413,16 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     """Replay a transcript using public data only.
 
     Checks record structure, sequence monotonicity and the active-key view
-    at every step, reading every posted bid: all of it is parsed, and each
-    signature point is checked to decode (``check_point_bytes``) but left
-    encoded.  Signatures are checked lazily, by the rule
-    ``AuctionManager.determine_winner`` applies: each announced winner's
-    payload must byte-match the referenced bid and its signature must
-    verify, and no bid of its auction posted before the announcement and
-    ranked ahead of it (by -price, then seq) may verify.  Only those bids
-    are decoded and verified, each at most once; ``outcomes`` records which.
-    Bids whose signatures fail are legitimate content — admission is lazy —
-    but they can never be announced winners.  The report's ``bids`` decodes
-    any other bid when it is looked up.
+    at every step, and reads every posted bid with ``read_bid_head``, which
+    checks each of its points but decodes none.  Signatures are checked
+    lazily, by the rule ``AuctionManager.determine_winner`` applies: each
+    announced winner's payload must byte-match the referenced bid and its
+    signature must verify, and no bid of its auction posted before the
+    announcement and ranked ahead of it (by -price, then seq) may verify.
+    Only those bids are decoded and verified, each at most once; ``outcomes``
+    records which.  Bids whose signatures fail are legitimate content —
+    admission is lazy — but they can never be announced winners.  The
+    report's ``bids`` decodes any other bid when it is looked up.
     """
     heads: dict[int, BidHead] = {}
     payloads: dict[int, bytes] = {}
@@ -450,7 +448,6 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     if pp is None:
         return TranscriptReport(True)
     group = pp.group
-    width = group.point_bytes
     bids = _PostedBids(group, heads)
 
     state = BoardState(group)
@@ -464,16 +461,14 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             return invalid(exc.seq, exc.reason)
         if kind == BID_POSTED:
             try:
-                head = read_bid_head(group, payload, state.points)
-                for at in range(0, len(head.signature), width):
-                    check_point_bytes(head.signature[at: at + width], group.ell)
-            except (MalformedBid, InvalidPoint) as exc:
+                head = read_bid_head(group, payload, state.active, seq)
+            except MalformedBid as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
             if head.price < 1:
                 return invalid(seq, "non-positive price")
-            if not all(key in state.points for key in head.ring.encodings):
+            if not all(key in state.active for key in head.ring):
                 return invalid(seq, "ring key not in the active view")
-            heads[seq] = replace(head, seq=seq)
+            heads[seq] = head
             payloads[seq] = payload
         elif kind == WINNER_ANNOUNCED:
             if len(payload) < 8:

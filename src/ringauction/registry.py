@@ -4,9 +4,10 @@ The bulletin board is the single public artifact of the protocol: an
 append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BoardState`` folds its key records into the
 *active-key view*, the only thing admission ever consults; the live board
-and the public replay share that fold.  There is no black list: eviction
-appends a record and the key simply drops out of the active view, so the
-board is the only record of who has been evicted.
+and the public replay share that fold, which checks each published key but
+decodes none.  There is no black list: eviction appends a record and the
+key simply drops out of the active view, so the board is the only record of
+who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .group import InvalidPoint, PairingGroup, Point
+from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 
 KEY_PUBLISHED = "key-published"
 KEY_EVICTED = "key-evicted"
@@ -110,30 +111,30 @@ class BoardEntry:
 
 
 class BoardState:
-    """The active-key view: each active encoding's decoded point (``points``).
-    ``apply`` folds one record; a key record that does not fit raises
-    MalformedBoard and changes nothing."""
+    """The active-key view: the set of active key encodings (``active``),
+    each checked to decode to a finite point.  ``apply`` folds one record; a
+    key record that does not fit raises MalformedBoard and changes nothing."""
 
     def __init__(self, group: PairingGroup) -> None:
         self.group = group
-        self.points: dict[bytes, Point] = {}
+        self.active: set[bytes] = set()
 
     def apply(self, entry: BoardEntry) -> None:
         payload = entry.payload
         if entry.kind == KEY_PUBLISHED:
             try:
-                key = self.group.decode_point(payload)
+                check_point_bytes(payload, self.group.ell)
             except InvalidPoint as exc:
                 raise MalformedBoard(f"unreadable key: {exc}", seq=entry.seq) from exc
-            if key is None:
+            if not any(payload):  # the identity's encoding is all zero
                 raise MalformedBoard("identity point published as a key", seq=entry.seq)
-            if payload in self.points:
+            if payload in self.active:
                 raise MalformedBoard("key is already active", seq=entry.seq)
-            self.points[payload] = key
+            self.active.add(payload)
         elif entry.kind == KEY_EVICTED:
-            if payload not in self.points:
+            if payload not in self.active:
                 raise MalformedBoard("evicting a key that is not active", seq=entry.seq)
-            del self.points[payload]
+            self.active.remove(payload)
 
 
 class BulletinBoard:
@@ -160,16 +161,15 @@ class BulletinBoard:
 
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
-        return frozenset(self._state.points)
+        return frozenset(self._state.active)
 
     def all_active(self, encodings: Iterable[bytes]) -> bool:
         """Whether every encoding is an active key, looked up without a snapshot."""
-        return all(encoding in self._state.points for encoding in encodings)
+        return all(encoding in self._state.active for encoding in encodings)
 
-    def active_view(self) -> tuple[tuple[bytes, ...], dict[bytes, Point]]:
-        """Snapshot of the active key encodings in sorted order, and their points."""
-        points = dict(self._state.points)
-        return tuple(sorted(points)), points
+    def active_view(self) -> tuple[bytes, ...]:
+        """Snapshot of the active key encodings in sorted order."""
+        return tuple(sorted(self._state.active))
 
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringauction import auction
+from ringauction import group as group_module
 from ringauction.auction import BID_MESSAGE_LEN, Bid, parse_bid_payload, serialize_bid_payload
 from ringauction.cli import main
 from ringauction.group import (
@@ -43,8 +44,10 @@ from ringauction.registry import (
     BID_POSTED,
     KEY_PUBLISHED,
     WINNER_ANNOUNCED,
+    BoardEntry,
     BulletinBoard,
     MalformedBoard,
+    board_to_text,
     parse_board_text,
 )
 from ringauction.ringsig import (
@@ -127,19 +130,20 @@ def _even_n_transcript() -> bytes:
 def _composite_ell_transcript() -> bytes:
     """A transcript over n = 35 and ell = 279 = 9 * 31, which passes every
     check of the group but the primality of ell: three keys, one bid and
-    its winner record, every point one of the few that decode mod 279."""
+    its winner record, every point one of the few that decode mod 279.  The
+    records are written as text: the board's key check is exact only for a
+    prime ell."""
     ell = 279
     g, h, *keys = (decode_point_bytes(x.to_bytes(2, "big") + b"\x02", ell)
                    for x in (90, 110, 155, 234, 245))
     group = PairingGroup(35, ell, g, h)
-    board = BulletinBoard(group)
-    for key in keys:
-        board.append(KEY_PUBLISHED, group.encode_point(key))
     signature = RingSignature(g, h, tuple(MemberProof(g, h) for _ in keys))
     payload = serialize_bid_payload(Bid(0, 0, 5, Ring(group, keys), signature))
-    seq = board.append(BID_POSTED, payload)
-    board.append(WINNER_ANNOUNCED, seq.to_bytes(8, "big") + payload)
-    return render_transcript(PublicParams(group, g, h, g, h, (g,)), board)
+    records = [(KEY_PUBLISHED, group.encode_point(key)) for key in keys]
+    records += [(BID_POSTED, payload), (WINNER_ANNOUNCED, (3).to_bytes(8, "big") + payload)]
+    header = render_transcript(PublicParams(group, g, h, g, h, (g,)), BulletinBoard(group))
+    return header + board_to_text(
+        BoardEntry(seq, kind, data) for seq, (kind, data) in enumerate(records)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,36 @@ class TestVerifyTranscript:
         assert len(decoded) == said["verified"] + said["failed"] + 1
         posted = _posted_bids(full_run.transcript, full_run.public_params)
         assert bid == replace(posted[unneeded], seq=unneeded)
+
+    def test_replay_decodes_only_the_bids_it_verifies(self, full_run, monkeypatch):
+        # Every header point, then each distinct ring key of the bids the
+        # winner rule verifies and their 2 + 2l signature points: nothing
+        # else, and no Ring for a bid it does not need.
+        decoded, rings = [], []
+        decode, make_ring = group_module.decode_point_bytes, auction.Ring
+        monkeypatch.setattr(group_module, "decode_point_bytes",
+                            lambda data, ell: decoded.append(data) or decode(data, ell))
+        monkeypatch.setattr(auction, "Ring",
+                            lambda group, keys: rings.append(keys) or make_ring(group, keys))
+        report = verify_transcript(full_run.transcript)
+        monkeypatch.undo()
+        assert report.valid
+        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        checked = [posted[seq].ring for seq, outcome in report.outcomes
+                   if outcome != "not needed"]
+        assert len(checked) < len(posted)
+        assert len(rings) == len(checked)
+        header = 6 + len(full_run.public_params.hash_gens)  # g, h, 4 bases, the generators
+        keys = {encoding for ring in checked for encoding in ring.encodings}
+        assert len(keys) < sum(len(ring) for ring in checked)  # a key shared by two rings
+        assert len(decoded) == header + len(keys) + sum(2 + 2 * len(ring) for ring in checked)
+
+    def test_run_decodes_no_point(self, monkeypatch):
+        def refuse(data, ell):
+            raise AssertionError("the run decoded a point")
+
+        monkeypatch.setattr(group_module, "decode_point_bytes", refuse)
+        assert run_scenario(FULL_CAST, counted=False).winners
 
     def test_transcript_without_announcements_is_valid(self, full_run):
         lines = [line for line in full_run.transcript.decode().splitlines()
@@ -627,6 +661,28 @@ class TestTranscriptMutations:
         report = self.reverify(mutated)
         assert report.failing_seq == unneeded
         assert report.reason == f"unreadable bid: {reason}"
+
+    def test_undecodable_inactive_ring_key_in_a_bid_never_verified(self, run_and_lines):
+        # The key is checked before the active view, in both replays.
+        result, lines = run_and_lines
+        outcomes = dict(verify_transcript(result.transcript).outcomes)
+        unneeded = next(seq for seq, outcome in outcomes.items() if outcome == "not needed")
+        group = result.public_params.group
+        ell, width = group.ell, group.point_bytes
+        x = next(x for x in range(ell - 1, 0, -1)
+                 if pow(x ** 3 + x, (ell - 1) // 2, ell) == ell - 1)
+        bad = x.to_bytes(group.coord_bytes, "big") + b"\x02"
+        idx = next(i for i, line in enumerate(lines) if line.startswith(f"{unneeded} "))
+        seq, kind, payload_hex = lines[idx].split(" ")
+        payload = bytes.fromhex(payload_hex)
+        count = int.from_bytes(payload[BID_MESSAGE_LEN: BID_MESSAGE_LEN + 4], "big")
+        at = BID_MESSAGE_LEN + 4 + (count - 1) * width  # the last ring key
+        assert payload[at: at + width] < bad  # so the ring stays in canonical order
+        mutated = list(lines)
+        mutated[idx] = f"{seq} {kind} {(payload[:at] + bad + payload[at + width:]).hex()}"
+        report = self.reverify(mutated)
+        assert report.failing_seq == unneeded
+        assert report.reason == "unreadable bid: x coordinate is not on the curve"
 
     def test_duplicate_winner_announcement_fails(self, run_and_lines):
         _, lines = run_and_lines

@@ -1,6 +1,7 @@
 """Registration proofs, the bulletin board, and the identity registry."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,10 +26,12 @@ from ringauction.registry import (
     parse_board_text,
     verify_registration,
 )
+from ringauction.ringsig import setup
 
 from .support import (
     all_curve_points,
     cofactor_torsion,
+    eager_verify_transcript,
     naive_add,
     naive_mul,
     naive_neg,
@@ -56,11 +59,11 @@ def key_encodings(group, count):
 
 
 def replayed_view(group, text):
-    """Fold a serialized board into a fresh BoardState: (sorted encodings, points)."""
+    """Fold a serialized board into a fresh BoardState: its sorted active encodings."""
     state = BoardState(group)
     for entry in parse_board_text(text):
         state.apply(entry)
-    return tuple(sorted(state.points)), state.points
+    return tuple(sorted(state.active))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ class TestBulletinBoard:
         board.append(KEY_EVICTED, k1)
         assert board.active_keys() == {k2}
         assert board.all_active((k2,)) and not board.all_active((k1, k2))
-        assert board.active_view() == ((k2,), {k2: tiny_params.group.decode_point(k2)})
+        assert board.active_view() == (k2,)
 
     def test_replay_matches_live_view(self, board, keys, tiny_params):
         k1, k2, k3 = keys
@@ -183,10 +186,10 @@ class TestBulletinBoard:
         board.append(KEY_PUBLISHED, k2)
         board.append(KEY_PUBLISHED, k3)
         board.append(KEY_EVICTED, k2)
-        order, points = board.active_view()
+        order = board.active_view()
         assert order == tuple(sorted((k1, k3)))
         text = board_to_text(board.entries())
-        assert replayed_view(tiny_params.group, text) == (order, points)
+        assert replayed_view(tiny_params.group, text) == order
 
     def test_text_roundtrip(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
@@ -242,6 +245,34 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
     transcript = render_transcript(pp, board) + f"1 {kind} {payload.hex()}\n".encode()
     report = verify_transcript(transcript)
     assert (report.failing_seq, report.reason) == (1, reason)
+
+
+def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
+    # Every one-byte x under the identity tag, both parity tags and an
+    # unknown one, published after one active key: the live fold, the lazy
+    # replay and the eager replay agree on acceptance and on the reason.
+    pp, _ = setup(tiny_params, 8, random.Random(0))
+    group = pp.group
+    active = key_encodings(group, 1)[0]
+    reasons = Counter()
+    for payload in (bytes([x, tag]) for x in range(256) for tag in (0x00, 0x02, 0x03, 0x07)):
+        board = BulletinBoard(group)
+        board.append(KEY_PUBLISHED, active)
+        transcript = render_transcript(pp, board) + f"1 {KEY_PUBLISHED} {payload.hex()}\n".encode()
+        try:
+            board.append(KEY_PUBLISHED, payload)
+            live = (True, None, None)
+        except MalformedBoard as exc:
+            live = (False, exc.seq, exc.reason)
+        for report in (verify_transcript(transcript), eager_verify_transcript(transcript)):
+            assert (report.valid, report.failing_seq, report.reason) == live, payload
+        reasons[live[2]] += 1
+    assert reasons[None] == len(all_curve_points(group.ell)) - 2  # not O, not the active key
+    assert set(reasons) == {None, "identity point published as a key", "key is already active"} | {
+        f"unreadable key: {why}" for why in (
+            "identity encoding must be all zero", "unknown parity tag 0x07",
+            "x coordinate out of range", "x coordinate is not on the curve",
+            "y = 0 takes the even parity tag")}
 
 
 # ---------------------------------------------------------------------------
