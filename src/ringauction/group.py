@@ -21,9 +21,13 @@ g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
-stored once, at each Q.  check_public_group decides, from the public
-values alone, whether a group is one gen_group_params could have built;
-its primality test is Baillie-PSW.  decode_point_bytes takes one square
+stored once, at each Q.  in_group decides [n]P = O without the ladder: the
+reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2),
+certified and given stored Miller lines at its first call, is 1 at P; the
+final exponent's large factor n takes a Lucas sequence, two products per
+bit where the ladder takes about ten.  check_public_group decides, from the
+public values alone, whether a group is one gen_group_params could have
+built; its primality test is Baillie-PSW.  decode_point_bytes takes one square
 root; check_point_bytes reaches the same verdict on an encoding with the
 Jacobi symbol instead, for a caller that may never need the point.
 The parameter sizes used throughout this package are study material:
@@ -498,6 +502,23 @@ def _fp2_inv(u, ell):
     return (a * norm_inv % ell, (-b) * norm_inv % ell)
 
 
+def _fp2_sub(u, v, ell):
+    return ((u[0] - v[0]) % ell, (u[1] - v[1]) % ell)
+
+
+def _fp2_sqrt(z, ell):
+    # A root c + d*i of z = a + b*i, for b != 0 and a^2 + b^2 a square: with
+    # s^2 = a^2 + b^2, c^2 is (a + s)/2 or (a - s)/2, whichever is a square
+    # (they multiply to -b^2/4, a non-square, as -1 is), and d = b/(2c).
+    a, b = z
+    s = pow((a * a + b * b) % ell, (ell + 1) // 4, ell)
+    c2 = (a + s) * ((ell + 1) // 2) % ell
+    if _jacobi(c2, ell) != 1:
+        c2 = (a - s) * ((ell + 1) // 2) % ell
+    c = pow(c2, (ell + 1) // 4, ell)
+    return (c, b * pow(2 * c, -1, ell) % ell)
+
+
 @dataclass(frozen=True)
 class GtElement:
     """Element of the order-n target subgroup of F_ell^2*."""
@@ -546,8 +567,8 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # ty times a nonzero factor; it is zero only when ty = 0, i.e. for
     # Q = (0, 0), where the real part can vanish too and f, and so the
     # pairing value, is 0.  That value lies outside G_T; it is returned as
-    # is, and rejecting such inputs is left to a subgroup check on decoded
-    # points.
+    # is, and rejecting such inputs is left to PairingGroup.in_group, which
+    # refuses (0, 0), run on the points a verifier decodes.
     xp, yp = P
     X, Y, Z = xp, yp, 1
     fa, fb = 1, 0
@@ -661,6 +682,184 @@ def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None)
 
 
 # ---------------------------------------------------------------------------
+# subgroup membership (Koshelev, "Subgroup membership testing on elliptic
+# curves via the Tate pairing", J. Cryptogr. Eng. 2023)
+#
+# E(F_ell) is cyclic of order n*r, so [n]P = O exactly when P lies in
+# rE(F_ell), which is also E(F_ell) meet rE(F_ell^2), as E(F_ell^2) has
+# exponent n*r.  The reduced Tate pairing t(T, P) = f_{r,T}(P)^((ell-1)*n),
+# for T in E(F_ell^2)[r], is 1 on rE(F_ell^2); for a T with t(T, R) of
+# order exactly r at some rational R, P -> t(T, P) is one-to-one on the
+# cyclic E(F_ell)/rE(F_ell), so t(T, P) = 1 exactly when [n]P = O.
+#
+# Such a T cannot be rational (t(T, P) = 1 for rational T and P), and its
+# 2-part must lie outside E(F_ell) + psi(E(F_ell)): for rational U of
+# 2-power order 2^a, t(psi(U), P)^(2^(a-1)) = t(psi((0, 0)), P) = 1, as psi
+# fixes (0, 0), so a T in there pairs with order at most r/2.  That index-2
+# subgroup of E(F_ell^2) is where x is a square of F_ell^2 (2-descent at
+# x = 0), so T = [n]X for an X whose x is not a square has a good 2-part.
+# A certified T has no rational multiple but O (such a multiple would pair
+# to 1 with every rational P), so no Miller line or vertical vanishes at a
+# rational point.
+
+def _fp2_point_add(R, S, ell):
+    # R + S on E(F_ell^2), coordinates in F_ell^2, and the slope of the line
+    # through R and S (the tangent if R = S); (None, None) when that line is
+    # vertical.  A None input is O and is returned with no slope.
+    if R is None or S is None:
+        return (S if R is None else R), None
+    (x1, y1), (x2, y2) = R, S
+    if x1 != x2:
+        num, den = _fp2_sub(y2, y1, ell), _fp2_sub(x2, x1, ell)
+    elif y1 != y2 or y1 == (0, 0):
+        return None, None
+    else:
+        a, b = _fp2_sqr(x1, ell)
+        num, den = ((3 * a + 1) % ell, 3 * b % ell), (2 * y1[0] % ell, 2 * y1[1] % ell)
+    lam = _fp2_mul(num, _fp2_inv(den, ell), ell)
+    x3 = _fp2_sub(_fp2_sub(_fp2_sqr(lam, ell), x1, ell), x2, ell)
+    return (x3, _fp2_sub(_fp2_mul(lam, _fp2_sub(x1, x3, ell), ell), y1, ell)), lam
+
+
+def _fp2_psi(P, ell):
+    # The distortion map (x, y) -> (-x, i*y) on E(F_ell^2); O for O.
+    if P is None:
+        return None
+    (x0, x1), (y0, y1) = P
+    return ((-x0 % ell, -x1 % ell), (-y1 % ell, y0))
+
+
+def _tate_candidates(n: int, ell: int) -> Iterator:
+    # Points of E(F_ell^2)[r] whose 2-part is good, in a fixed order.  For
+    # x = j + i with j^2 + 1 = N(x) a non-square (x is not a square) and
+    # j^2 + 4 a non-square (so N(x^3 + x) = (j^2 + 1) j^2 (j^2 + 4) is a
+    # square), X = (x, y) and T0 = [n]X, computed over F_ell alone: with
+    # m = (n - 1)/2, W = X + pi(X) rational and X - pi(X) = psi(V), V
+    # rational, [n]X = [m]W + psi([m]V) + X.  T0 + [k]psi(T0) for even k
+    # keeps the 2-part and moves the odd part, so k = 2, 4 follow T0.
+    m = (n - 1) // 2
+    for j in range(1, ell):
+        if _jacobi(j * j + 1, ell) != -1 or _jacobi(j * j + 4, ell) != -1:
+            continue
+        x = (j, 1)
+        y = _fp2_sqrt(((j * j * j - 2 * j) % ell, 3 * j * j % ell), ell)  # x^3 + x
+        X = (x, y)
+        (w, _), (wy, _) = _fp2_point_add(X, ((j, ell - 1), (y[0], -y[1] % ell)), ell)[0]
+        (v, _), (_, vy) = _fp2_point_add(X, ((j, ell - 1), (-y[0] % ell, y[1])), ell)[0]
+        M1 = _point_mul(m, (w, wy), ell)
+        M2 = _point_mul(m, (-v % ell, vy), ell)
+        T = M1 and ((M1[0], 0), (M1[1], 0))
+        T = _fp2_point_add(T, _fp2_psi(M2 and ((M2[0], 0), (M2[1], 0)), ell), ell)[0]
+        T = _fp2_point_add(T, X, ell)[0]
+        step = _fp2_point_add(_fp2_psi(T, ell), _fp2_psi(T, ell), ell)[0]
+        for _ in range(3):
+            yield T
+            T = _fp2_point_add(T, step, ell)[0]
+
+
+def _tate_lines(T, r: int, ell: int):
+    """The Miller loop of f_{r,T} over the binary digits of r, stored for
+    evaluation at rational points, or None unless [r/2]T has order 2.  None
+    squares f; a line y - lam*x - nu, times the conjugate of the vertical
+    x - w at the sum R + S (dividing by the vertical, up to its norm, which
+    lies in F_ell), is stored as xy + c1*y + c2*x^2 + c3*x + c4, the real
+    parts of c1..c4, then their imaginary parts.  Verticals are kept, as T
+    is not rational.  4 | r, so the loop ends by doubling [r/2]T, of order
+    2: f squares and takes the vertical x - x([r/2]T), returned apart."""
+    lines, R = [], T
+    for step in bin(r)[3:-1].replace("1", "01"):  # "0" doubles R, "1" adds T
+        if step == "0":
+            lines.append(None)
+        R2, lam = _fp2_point_add(R, R if step == "0" else T, ell)
+        if R2 is None:
+            return None
+        nu = _fp2_sub(R[1], _fp2_mul(lam, R[0], ell), ell)
+        wc = (R2[0][0], -R2[0][1] % ell)
+        c1, c2 = (-wc[0] % ell, -wc[1] % ell), (-lam[0] % ell, -lam[1] % ell)
+        c3, c4 = _fp2_sub(_fp2_mul(lam, wc, ell), nu, ell), _fp2_mul(nu, wc, ell)
+        lines.append((c1[0], c2[0], c3[0], c4[0], c1[1], c2[1], c3[1], c4[1]))
+        R = R2
+    if R[1] != (0, 0):
+        return None
+    lines.append(None)
+    return tuple(lines), R[0]
+
+
+def _lucas_v(t: int, m: int, ell: int) -> int:
+    # V_m(t) for m >= 1, with V_0 = 2, V_1 = t, V_(k+1) = t*V_k - V_(k-1):
+    # for u of norm 1 in F_ell^2, V_m(u + 1/u) = u^m + 1/u^m, which is 2
+    # exactly when u^m = 1.  Two products per bit of m.
+    v0, v1 = t, (t * t - 2) % ell  # V_k, V_(k+1) for k = 1
+    for bit in bin(m)[3:]:
+        if bit == "1":
+            v0, v1 = (v0 * v1 - t) % ell, (v1 * v1 - 2) % ell
+        else:
+            v0, v1 = (v0 * v0 - 2) % ell, (v0 * v1 - t) % ell
+    return v0
+
+
+def _tate_at(tate, x: int, y: int, n: int, ell: int) -> int | None:
+    """The trace of t(T, P) for T's stored lines and a finite rational
+    P = (x, y), or None where f_{r,T}(P) = 0 (never, for a certified T).
+    t(T, P) = u^n for u = f^(ell - 1) = conj(f)^2/N(f), of norm 1 and trace
+    2(a^2 - b^2)/N(f) for f = a + b*i."""
+    lines, w = tate
+    xx, xy = x * x % ell, x * y % ell
+    fa, fb = 1, 0
+    for line in lines:
+        if line is None:
+            fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
+        else:
+            c1, c2, c3, c4, d1, d2, d3, d4 = line
+            la = (xy + c1 * y + c2 * xx + c3 * x + c4) % ell
+            lb = (d1 * y + d2 * xx + d3 * x + d4) % ell
+            fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+    la, lb = (x - w[0]) % ell, -w[1] % ell
+    fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+    norm = (fa * fa + fb * fb) % ell
+    if not norm:
+        return None
+    return _lucas_v(2 * (fa * fa - fb * fb) * pow(norm, -1, ell) % ell, n, ell)
+
+
+def _prime_factors(m: int) -> list[int]:
+    # The distinct prime factors of m >= 1, by trial division.
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return primes + [m] * (m > 1)
+
+
+def _membership_lines(n: int, ell: int):
+    """The stored lines of the first candidate T for which t(T, R) has order
+    exactly r at some rational R.  Each R has x a non-square, so it lies
+    outside 2E(F_ell), and is used once: a T that shows no full s-part for
+    a prime s | r at four R's in a row is passed over."""
+    r = (ell + 1) // n
+    primes = _prime_factors(r)
+    points = ((x, pow(x * x * x + x, (ell + 1) // 4, ell)) for x in range(2, ell)
+              if _jacobi(x, ell) == _jacobi(x * x + 1, ell) == -1)
+    for T in _tate_candidates(n, ell):
+        tate = _tate_lines(T, r, ell)
+        seen: set = set()
+        for k, R in enumerate(points if tate else ()):
+            trace = _tate_at(tate, *R, n, ell)
+            if trace is None:
+                break
+            full = {s for s in primes if _lucas_v(trace, r // s, ell) != 2}
+            if len(full) == len(primes):
+                return tate
+            seen |= full
+            if k >= 3 and len(seen) < len(primes):
+                break
+    raise GroupError("no point certifies the membership pairing")
+
+
+# ---------------------------------------------------------------------------
 # hashing
 
 _SCALAR_TAG = b"\x01"
@@ -714,6 +913,7 @@ class PairingGroup:
         self._mul_seen: set = set()
         self._mul_tables: dict = {}
         self._lines: dict = {}
+        self._tate = None  # in_group's stored lines, built at its first call
 
     def precompute(self, *points: Point) -> None:
         """Mark points as fixed bases: later ``mul`` and ``pair`` calls with
@@ -746,6 +946,20 @@ class PairingGroup:
             if self._mul_tables.get(P) is not None:
                 return _window_mul(self._mul_tables[P], k % self.n, self.ell)
         return _point_mul(k, P, self.ell)
+
+    def in_group(self, P: Point) -> bool:
+        """Whether P is a curve point with [n]P = O, counted as one
+        exponentiation, like the [n]P it decides: the reduced Tate pairing of
+        order r at a fixed T is 1 at P.  T and its Miller lines are built at
+        the first call and kept."""
+        _bump("exp")
+        if P is None:
+            return True
+        if not _on_curve(P, self.ell) or not P[1] % self.ell:
+            return False  # off the curve, or (0, 0), of order 2
+        if self._tate is None:
+            self._tate = _membership_lines(self.n, self.ell)
+        return _tate_at(self._tate, P[0], P[1], self.n, self.ell) == 2
 
     def random_point(self, rng) -> tuple[int, int]:
         return _random_point(self.ell, rng)
@@ -836,7 +1050,7 @@ class GroupParams:
         if self.p * self.q != grp.n:
             raise GroupError("n != p*q")
         ell = grp.ell
-        if _point_mul(grp.n, grp.g, ell) is not None:
+        if not grp.in_group(grp.g):
             raise GroupError("g order does not divide n")
         for factor in (self.p, self.q):
             if _point_mul(grp.n // factor, grp.g, ell) is None:

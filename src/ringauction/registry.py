@@ -234,7 +234,7 @@ class RegistrationManager:
         if not identity:
             raise InvalidProof("identity must be non-empty")
         # Order sanity: the key must live in the subgroup of exponent n.
-        if self.group.mul(self.group.n, pub_key) is not None:
+        if not self.group.in_group(pub_key):
             raise InvalidProof("key order does not divide the group order")
         if not verify_registration(pub_key, identity, proof, self.group):
             raise InvalidProof("possession proof failed")

@@ -167,6 +167,23 @@ def cofactor_torsion(group, rng):
             return T
 
 
+def torsion_shifts(group, P, rng):
+    """(0, 0) and P + T_d for every divisor d > 1 of the cofactor
+    r = (ell + 1)/n, with T_d = [r/d]T of exact order d for a T of exact
+    order r: for P in <g>, none of them has [n]Q = O."""
+    ell = group.ell
+    r = (ell + 1) // group.n
+    T = cofactor_torsion(group, rng)
+    return [(0, 0)] + [naive_add(P, naive_mul(r // d, T, ell), ell)
+                       for d in range(2, r + 1) if r % d == 0]
+
+
+def naive_in_group(P, n: int, ell: int) -> bool:
+    """P is a curve point with [n]P = O, by repeated doubling: the oracle for
+    ``PairingGroup.in_group``."""
+    return naive_on_curve(P, ell) and naive_mul(n, P, ell) is None
+
+
 def all_curve_points(ell: int):
     """Every point of y^2 = x^3 + x over F_ell, identity included."""
     points = [None]

@@ -5,6 +5,7 @@ against the naive chord-and-tangent oracle in support.py rather than against
 the code under test.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -49,16 +50,20 @@ from .support import (
     PSI_12,
     TWELVE_BASES,
     all_curve_points,
+    cofactor_torsion,
     is_prime_trial_division,
     naive_add,
+    naive_in_group,
     naive_jacobi,
     naive_mul,
     naive_neg,
     naive_on_curve,
     naive_order,
     naive_pair,
+    prime_factors,
     primes_below,
     strong_probable_prime,
+    torsion_shifts,
 )
 
 
@@ -319,6 +324,17 @@ class TestCheckPublicGroup:
             hostile.validate()
         tiny_params.validate()
 
+    def test_validate_checks_generator_orders(self, tiny_params):
+        # [n]g = O through in_group; the exact order of g and [q]h = O
+        # through the ladder.
+        grp, ell = tiny_params.group, tiny_params.ell
+        shifted = naive_add(grp.g, cofactor_torsion(grp, random.Random(8)), ell)
+        for g, h, reason in ((shifted, grp.h, "g order does not divide n"),
+                             (grp.mul(5, grp.g), grp.h, "proper divisor"),  # order 7
+                             (grp.g, grp.g, "h order does not divide q")):
+            with pytest.raises(GroupError, match=reason):
+                GroupParams(5, 7, PairingGroup(35, ell, g, h)).validate()
+
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +505,155 @@ class TestPairing:
         assert z ** -1 == z.inverse()
         assert z ** 0 == GtElement(1, 0, group.ell)
         assert (z ** 3) * (z ** 4) == z ** 7
+
+
+# ---------------------------------------------------------------------------
+# subgroup membership through the Tate pairing
+
+# 8..12-bit groups (bits, seed) whose cofactor r has an odd prime factor:
+# r = 56 = 8*7, 60 = 4*3*5, 144 = 16*9, 88 = 8*11, 60 and 72 = 8*9, so 8 | r
+# in four of them.
+SMALL_GROUPS = [(8, 1), (8, 5), (9, 1), (10, 5), (11, 4), (12, 7)]
+
+
+def _lift(P):
+    # A rational point as a point of E(F_ell^2).
+    return ((P[0], 0), (P[1], 0))
+
+
+def _record_candidates(monkeypatch, source):
+    # Route _membership_lines through ``source``; the returned list gathers
+    # every candidate it is handed, the selected one last.
+    handed = []
+
+    def candidates(n, ell):
+        for T in source(n, ell):
+            handed.append(T)
+            yield T
+
+    monkeypatch.setattr(group_module, "_tate_candidates", candidates)
+    return handed
+
+
+class TestInGroup:
+    def test_every_point_of_the_tiny_group(self, tiny_params):
+        group, n, ell = tiny_params.group, tiny_params.n, tiny_params.ell
+        pts = all_curve_points(ell)
+        verdicts = [group.in_group(P) for P in pts]
+        assert verdicts == [naive_in_group(P, n, ell) for P in pts]
+        assert sum(verdicts) == n
+
+    @pytest.mark.parametrize("bits, seed", SMALL_GROUPS)
+    def test_small_groups_match_the_oracle(self, bits, seed):
+        params = gen_group_params(bits, bits, random.Random(seed))
+        group, n, ell, r = params.group, params.n, params.ell, params.r
+        assert any(s % 2 for s in prime_factors(r))
+        rng = random.Random(seed)
+        outside = [group.random_point(rng) for _ in range(20)]  # mostly not in <g>
+        points = [None, (0, 0), params.g, params.h, *outside,
+                  *(naive_mul(r, P, ell) for P in outside),  # in <g>
+                  *torsion_shifts(group, params.g, rng)]
+        verdicts = [group.in_group(P) for P in points]
+        assert verdicts == [naive_in_group(P, n, ell) for P in points]
+        assert True in verdicts[4:] and False in verdicts[4:]
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_torsion_shifts_refused_at_size(self, bits):
+        params = gen_group_params(bits, bits, random.Random(bits))
+        group, n, ell, r = params.group, params.n, params.ell, params.r
+        rng = random.Random(4000 + bits)
+        P = group.mul(rng.randrange(1, n), params.g)
+        shifts = torsion_shifts(group, P, rng)
+        torsion = [naive_add(Q, naive_neg(P, ell), ell) for Q in shifts[1:]]
+        divisors = [d for d in range(2, r + 1) if r % d == 0]
+        assert [naive_order(T, ell, r) for T in torsion] == divisors
+        assert group.in_group(P)
+        assert not any(group.in_group(Q) for Q in shifts)
+
+    def test_orders_p_q_and_n_accepted(self, params16):
+        group, n, ell = params16.group, params16.n, params16.ell
+        p, q, g = params16.p, params16.q, params16.g
+        for P, primes in ((None, ()), (g, (p, q)), (group.mul(q, g), (p,)), (group.mul(p, g), (q,)),
+                          (params16.h, (q,))):
+            order = math.prod(primes)  # exactly: [order]P = O, and no prime drops out
+            assert naive_mul(order, P, ell) is None
+            assert all(naive_mul(order // f, P, ell) is not None for f in primes)
+            assert group.in_group(P)
+        assert not group.in_group((0, 0))
+        assert not group.in_group((1, 1))  # off the curve
+
+    def test_counts_one_exp_and_builds_at_first_call(self, tiny_params):
+        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
+        assert group._tate is None
+        counter = OpCounter()
+        with count_ops(counter):
+            counter.set_phase("check")
+            assert group.in_group(tiny_params.g)
+            assert not group.in_group((0, 0))
+        assert counter.phase("check") == {"exp": 2}
+        assert group._tate is not None
+
+    def test_setup_builds_no_membership_lines(self):
+        params = gen_group_params(16, 16, random.Random(16))
+        setup(params, 4, random.Random(17))
+        assert params.group._tate is None
+
+    @pytest.mark.parametrize("bits, seed", [(None, None), SMALL_GROUPS[1]])
+    def test_two_certified_candidates_agree(self, monkeypatch, tiny_params, bits, seed):
+        # The search skips the first certified candidate the second time, so
+        # two different T's are built; every verdict agrees, and neither T
+        # has a rational multiple other than O.
+        params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
+        group, n, ell, r = params.group, params.n, params.ell, params.r
+        source = group_module._tate_candidates
+        handed = _record_candidates(monkeypatch, source)
+        first, chosen = group_module._membership_lines(n, ell), handed[-1]
+        handed = _record_candidates(
+            monkeypatch, lambda n, ell: (T for T in source(n, ell) if T != chosen))
+        second, other = group_module._membership_lines(n, ell), handed[-1]
+        assert other != chosen and second != first
+        for T in (chosen, other):
+            R = T
+            for _ in range(r - 1):
+                assert R is not None and (R[0][1], R[1][1]) != (0, 0)
+                R = group_module._fp2_point_add(R, T, ell)[0]
+            assert R is None
+        rng = random.Random(5)
+        if bits is None:
+            points = [P for P in all_curve_points(ell) if P not in (None, (0, 0))]
+        else:
+            outside = [group.random_point(rng) for _ in range(20)]
+            points = [*outside, *(naive_mul(r, P, ell) for P in outside),
+                      *torsion_shifts(group, params.g, rng)[1:]]
+        for P in points:
+            verdicts = {group_module._tate_at(tate, *P, n, ell) == 2 for tate in (first, second)}
+            assert verdicts == {naive_in_group(P, n, ell)}, P
+
+    @pytest.mark.parametrize("bits, seed", [(None, None), SMALL_GROUPS[1]])
+    def test_deficient_candidates_never_selected(self, monkeypatch, tiny_params, bits, seed):
+        # A rational T pairs to 1 with every rational R, and a distorted
+        # psi(U) to an order of at most r/2; handed those first, the search
+        # passes them over and selects what it selects without them.
+        params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
+        group, n, ell, r = params.group, params.n, params.ell, params.r
+        U = _lift(cofactor_torsion(group, random.Random(6)))  # exact order r
+        deficient = [U, group_module._fp2_psi(U, ell)]
+        expected = group_module._membership_lines(n, ell)
+        rng = random.Random(7)
+
+        def order(tate, R):
+            trace = group_module._tate_at(tate, *R, n, ell)
+            return min(d for d in range(1, r + 1)
+                       if r % d == 0 and group_module._lucas_v(trace, d, ell) == 2)
+
+        R = next(R for R in iter(lambda: group.random_point(rng), None)
+                 if order(expected, R) == r)
+        assert all(order(group_module._tate_lines(T, r, ell), R) < r for T in deficient)
+        source = group_module._tate_candidates
+        handed = _record_candidates(
+            monkeypatch, lambda n, ell: itertools.chain(deficient, source(n, ell)))
+        assert group_module._membership_lines(n, ell) == expected
+        assert handed[:2] == deficient and handed[-1] not in deficient
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ from ringauction.ringsig import setup
 
 from .support import (
     all_curve_points,
-    cofactor_torsion,
     eager_verify_transcript,
     naive_add,
     naive_mul,
     naive_neg,
     naive_order,
+    torsion_shifts,
 )
 
 
@@ -346,21 +346,14 @@ class TestRegistrationManager:
 
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_key_with_cofactor_torsion_rejected_at_size(self, bits):
-        # For T of order d > 1 dividing the cofactor r, [n](pub + T) = [n]T
-        # is not O; nor is [n](0, 0).  The order check must catch each one.
+        # For T_d of order d > 1 dividing the cofactor r, [n](pub + T_d) =
+        # [n]T_d is not O; nor is [n](0, 0).  The order check must catch each.
         params = gen_group_params(bits, bits, random.Random(bits))
-        group, ell, r = params.group, params.ell, params.r
+        group = params.group
         rng = random.Random(3000 + bits)
         rm = RegistrationManager(group, BulletinBoard(group))
         x, pub = fresh_key(group, rng)
-        T = cofactor_torsion(group, rng)
-        intruders = [(0, 0)]
-        for d in range(2, r + 1):
-            if r % d == 0:
-                Td = naive_mul(r // d, T, ell)
-                assert naive_order(Td, ell, r) == d
-                intruders.append(naive_add(pub, Td, ell))
-        for P in intruders:
+        for P in torsion_shifts(group, pub, rng):
             with pytest.raises(InvalidProof, match="key order does not divide the group order"):
                 rm.register(P, b"intruder", RegistrationProof(1, 1))
         proof = make_registration(x, pub, b"honest", group, rng)
