@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterable, Mapping, TypeVar
+from typing import Callable, Container, Iterable, TypeVar
 
 from .group import InvalidPoint, Point, check_point_bytes
 from .registry import (
@@ -166,13 +166,10 @@ def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bi
                ring=ring, signature=signature, seq=head.seq)
 
 
-def parse_bid_payload(group, data: bytes, points: Mapping[bytes, Point] | None = None) -> Bid:
+def parse_bid_payload(group, data: bytes) -> Bid:
     """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
-    non-canonical ring order): ``read_bid_head``, then ``decode_bid``.  Ring
-    keys found in ``points`` (encoding -> point) are taken from it."""
-    known = points or {}
-    return decode_bid(group, read_bid_head(group, data, known),
-                      lambda key: known[key] if key in known else group.decode_point(key))
+    non-canonical ring order): ``read_bid_head``, then ``decode_bid``."""
+    return decode_bid(group, read_bid_head(group, data), group.decode_point)
 
 
 def first_verifying(bids: Iterable[_Ranked], verifies: Callable[[_Ranked], object]) -> _Ranked | None:

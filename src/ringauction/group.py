@@ -22,8 +22,9 @@ takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
 stored once, at each Q.  in_group decides [n]P = O without the ladder: the
-reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2),
-certified and given stored Miller lines at its first call, is 1 at P; the
+reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2)
+is 1 at P.  T is found and given stored Miller lines at its first call; it
+is certified exactly, by [r/s]T not being rational for any prime s | r.  The
 final exponent's large factor n takes a Lucas sequence, two products per
 bit where the ladder takes about ten.  check_public_group decides, from the
 public values alone, whether a group is one gen_group_params could have
@@ -688,19 +689,20 @@ def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None)
 # E(F_ell) is cyclic of order n*r, so [n]P = O exactly when P lies in
 # rE(F_ell), which is also E(F_ell) meet rE(F_ell^2), as E(F_ell^2) has
 # exponent n*r.  The reduced Tate pairing t(T, P) = f_{r,T}(P)^((ell-1)*n),
-# for T in E(F_ell^2)[r], is 1 on rE(F_ell^2); for a T with t(T, R) of
-# order exactly r at some rational R, P -> t(T, P) is one-to-one on the
-# cyclic E(F_ell)/rE(F_ell), so t(T, P) = 1 exactly when [n]P = O.
+# for T in E(F_ell^2)[r], is 1 on rE(F_ell^2); for a T with t(T, .) of
+# order exactly r on E(F_ell), P -> t(T, P) is one-to-one on the cyclic
+# E(F_ell)/rE(F_ell), so t(T, P) = 1 exactly when [n]P = O.
 #
-# Such a T cannot be rational (t(T, P) = 1 for rational T and P), and its
-# 2-part must lie outside E(F_ell) + psi(E(F_ell)): for rational U of
-# 2-power order 2^a, t(psi(U), P)^(2^(a-1)) = t(psi((0, 0)), P) = 1, as psi
-# fixes (0, 0), so a T in there pairs with order at most r/2.  That index-2
-# subgroup of E(F_ell^2) is where x is a square of F_ell^2 (2-descent at
-# x = 0), so T = [n]X for an X whose x is not a square has a good 2-part.
-# A certified T has no rational multiple but O (such a multiple would pair
-# to 1 with every rational P), so no Miller line or vertical vanishes at a
-# rational point.
+# Which T those are is exact: t(T, P)^(r/s) is the order-s pairing
+# t_s([r/s]T, P), and for a prime s | r the kernel of T -> t_s(T, .) on
+# E[s] (order s^2) against E(F_ell) (order s modulo s) is the F_ell-points
+# of E[s], as rational T and P pair to 1.  So t(T, .) has order r exactly
+# when [r/s]T is not rational for any prime s | r.  At s = 2 that fails
+# for a T whose 2-part lies in E(F_ell) + psi(E(F_ell)), as psi fixes
+# (0, 0); that index-2 subgroup of E(F_ell^2) is where x is a square of
+# F_ell^2 (2-descent at x = 0), so the candidates are T = [n]X for an X
+# whose x is not a square.  A certified T has no rational multiple but O,
+# so no Miller line or vertical vanishes at a rational point.
 
 def _fp2_point_add(R, S, ell):
     # R + S on E(F_ell^2), coordinates in F_ell^2, and the slope of the line
@@ -758,29 +760,26 @@ def _tate_candidates(n: int, ell: int) -> Iterator:
 
 
 def _tate_lines(T, r: int, ell: int):
-    """The Miller loop of f_{r,T} over the binary digits of r, stored for
-    evaluation at rational points, or None unless [r/2]T has order 2.  None
-    squares f; a line y - lam*x - nu, times the conjugate of the vertical
-    x - w at the sum R + S (dividing by the vertical, up to its norm, which
-    lies in F_ell), is stored as xy + c1*y + c2*x^2 + c3*x + c4, the real
-    parts of c1..c4, then their imaginary parts.  Verticals are kept, as T
-    is not rational.  4 | r, so the loop ends by doubling [r/2]T, of order
-    2: f squares and takes the vertical x - x([r/2]T), returned apart."""
+    """The Miller loop of f_{r,T} over the binary digits of r, for T of exact
+    order r, stored for evaluation at rational points.  None squares f; a
+    line y - lam*x - nu, times the conjugate of the vertical x - w at the sum
+    R + S (dividing by the vertical, up to its norm, which lies in F_ell), is
+    stored as xy + c1*y + c2*x^2 + c3*x + c4, the real parts of c1..c4, then
+    their imaginary parts.  Verticals are kept, as T is not rational.  No
+    partial sum before [r/2]T is O or of order 2, so no line is vertical;
+    4 | r, so the loop ends by doubling [r/2]T, of order 2: f squares and
+    takes the vertical x - x([r/2]T), returned apart."""
     lines, R = [], T
     for step in bin(r)[3:-1].replace("1", "01"):  # "0" doubles R, "1" adds T
         if step == "0":
             lines.append(None)
         R2, lam = _fp2_point_add(R, R if step == "0" else T, ell)
-        if R2 is None:
-            return None
         nu = _fp2_sub(R[1], _fp2_mul(lam, R[0], ell), ell)
         wc = (R2[0][0], -R2[0][1] % ell)
         c1, c2 = (-wc[0] % ell, -wc[1] % ell), (-lam[0] % ell, -lam[1] % ell)
         c3, c4 = _fp2_sub(_fp2_mul(lam, wc, ell), nu, ell), _fp2_mul(nu, wc, ell)
         lines.append((c1[0], c2[0], c3[0], c4[0], c1[1], c2[1], c3[1], c4[1]))
         R = R2
-    if R[1] != (0, 0):
-        return None
     lines.append(None)
     return tuple(lines), R[0]
 
@@ -800,7 +799,8 @@ def _lucas_v(t: int, m: int, ell: int) -> int:
 
 def _tate_at(tate, x: int, y: int, n: int, ell: int) -> int | None:
     """The trace of t(T, P) for T's stored lines and a finite rational
-    P = (x, y), or None where f_{r,T}(P) = 0 (never, for a certified T).
+    P = (x, y), or None where f_{r,T}(P) = 0 (never, for a T certified by
+    _membership_lines, whose multiples other than O are not rational).
     t(T, P) = u^n for u = f^(ell - 1) = conj(f)^2/N(f), of norm 1 and trace
     2(a^2 - b^2)/N(f) for f = a + b*i."""
     lines, w = tate
@@ -835,27 +835,18 @@ def _prime_factors(m: int) -> list[int]:
 
 
 def _membership_lines(n: int, ell: int):
-    """The stored lines of the first candidate T for which t(T, R) has order
-    exactly r at some rational R.  Each R has x a non-square, so it lies
-    outside 2E(F_ell), and is used once: a T that shows no full s-part for
-    a prime s | r at four R's in a row is passed over."""
+    """The stored lines of the first candidate T for which t(T, .) has order
+    exactly r: [r/s]T is not an F_ell-point for any prime s | r.  Frobenius
+    pi commutes with [k], so [k]T is rational exactly when [k]D = O for
+    D = T - pi(T); pi(D) = -D, so D = psi(B) for a rational B, and the test
+    is [r/s]B != O, an F_ell ladder per prime."""
     r = (ell + 1) // n
-    primes = _prime_factors(r)
-    points = ((x, pow(x * x * x + x, (ell + 1) // 4, ell)) for x in range(2, ell)
-              if _jacobi(x, ell) == _jacobi(x * x + 1, ell) == -1)
     for T in _tate_candidates(n, ell):
-        tate = _tate_lines(T, r, ell)
-        seen: set = set()
-        for k, R in enumerate(points if tate else ()):
-            trace = _tate_at(tate, *R, n, ell)
-            if trace is None:
-                break
-            full = {s for s in primes if _lucas_v(trace, r // s, ell) != 2}
-            if len(full) == len(primes):
-                return tate
-            seen |= full
-            if k >= 3 and len(seen) < len(primes):
-                break
+        (x0, x1), (y0, y1) = T
+        D = _fp2_point_add(T, ((x0, -x1 % ell), (-y0 % ell, y1)), ell)[0]  # T - pi(T)
+        B = D and (-D[0][0] % ell, D[1][1])
+        if all(_point_mul(r // s, B, ell) for s in _prime_factors(r)):
+            return _tate_lines(T, r, ell)
     raise GroupError("no point certifies the membership pairing")
 
 
@@ -1109,8 +1100,10 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
 
     Searches r = 4, 8, 12, ... for a prime ell = n*r - 1 (n is odd, so
     ell = 3 mod 4 forces 4 | r), then cofactor-multiplies random points into
-    a generator g of exact order n whose self-pairing also has exact order n,
-    and finally forms the order-q generator h = [alpha*p]g.
+    a generator g of exact order n, which the ladders [n/p]g != O and
+    [n/q]g != O decide (a draw with g = O fails them, as [k]O = O), and
+    finally forms the order-q generator h = [alpha*p]g.  The self-pairing e(g, g) = t(g, psi(g)) then has exact
+    order n too, as the distorted pairing is non-degenerate on <g>.
     """
     if p == q:
         raise ValueError("the two prime factors must be distinct")
@@ -1129,20 +1122,9 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
         )
 
     while True:
-        base = _random_point(ell, rng)
-        g = _point_mul(r, base, ell)
-        if g is None:
-            continue
-        if _point_mul(n // p, g, ell) is None or _point_mul(n // q, g, ell) is None:
-            continue
-        # Defensive: insist the self-pairing generates the whole target
-        # subgroup, so the pairing separates both prime-order components.
-        z = _pair_value(g, g, n, ell)
-        if z == _FP2_ONE:
-            continue
-        if _fp2_pow(z, p, ell) == _FP2_ONE or _fp2_pow(z, q, ell) == _FP2_ONE:
-            continue
-        break
+        g = _point_mul(r, _random_point(ell, rng), ell)
+        if _point_mul(n // p, g, ell) is not None and _point_mul(n // q, g, ell) is not None:
+            break
 
     while True:
         alpha = rng.randrange(n)

@@ -107,20 +107,6 @@ class TestBidCodec:
         assert back.ring == bid.ring
         assert back.signature == bid.signature
 
-    def test_payload_takes_known_ring_keys_from_points(self, env, monkeypatch):
-        # Keys in the mapping are not decoded again; the rest are.
-        bid = craft_bid(env, env.agents[0], 40)
-        payload = serialize_bid_payload(bid)
-        known = dict(zip(bid.ring.encodings[:2], bid.ring.keys[:2]))
-        group = env.pp.group
-        decode, decoded = group.decode_point, []
-        monkeypatch.setattr(group, "decode_point", lambda data: decoded.append(data) or decode(data))
-        back = parse_bid_payload(group, payload, known)
-        l = len(bid.ring)
-        assert decoded[:l - 2] == list(bid.ring.encodings[2:])
-        assert len(decoded) == (l - 2) + (2 + 2 * l)  # the other ring keys, then the signature
-        assert back == parse_bid_payload(group, payload)
-
     def test_payload_rejects_truncation_and_slack(self, env):
         payload = serialize_bid_payload(craft_bid(env, env.agents[0], 41))
         with pytest.raises(MalformedBid):

@@ -410,6 +410,17 @@ class TestPairing:
         assert not (z ** 5).is_one()
         assert not (z ** 7).is_one()
 
+    @pytest.mark.parametrize("bits, seeds", [(8, 100), (9, 100), (10, 100), (11, 100), (12, 100),
+                                             (16, 1), (32, 1), (64, 1)])
+    def test_self_pairing_of_generated_groups_has_order_n(self, bits, seeds):
+        # group_from_primes picks g by its order alone; e(g, g) = t(g, psi(g))
+        # then has order exactly n, as the distorted pairing is non-degenerate.
+        for seed in range(seeds):
+            params = gen_group_params(bits, bits, random.Random(seed))
+            z = params.group.pair(params.g, params.g)
+            assert (z ** params.n).is_one()
+            assert not (z ** params.p).is_one() and not (z ** params.q).is_one(), seed
+
     @settings(max_examples=60)
     @given(a=st.integers(min_value=0, max_value=34), b=st.integers(min_value=0, max_value=34))
     def test_bilinear(self, tiny_params, a, b):
@@ -654,6 +665,52 @@ class TestInGroup:
             monkeypatch, lambda n, ell: itertools.chain(deficient, source(n, ell)))
         assert group_module._membership_lines(n, ell) == expected
         assert handed[:2] == deficient and handed[-1] not in deficient
+
+    @pytest.mark.parametrize("bits, seed, accepted", [(None, None, 8), (*SMALL_GROUPS[1], 960)])
+    def test_certificate_accepts_exactly_the_points_that_decide_membership(
+            self, monkeypatch, tiny_params, bits, seed, accepted):
+        # E[r] is spanned by a rational U and the certified T, both of exact
+        # order r.  Handed each V = [a]U + [b]T of exact order r alone, the
+        # search selects V exactly when the pairing at V agrees with the
+        # oracle on the points below; on n = 35 that is every rational
+        # point.  The torsion shifts put a point of each prime order s | r in
+        # the kernel of any t(V, .) of order below r, so they suffice to
+        # expose a wrong verdict.  r*phi(r) of the r^2*prod(1 - 1/s^2) V's
+        # pair with order r: 8 of 12 at r = 4, 960 of 2304 at r = 60.
+        params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
+        group, n, ell, r = params.group, params.n, params.ell, params.r
+        rng = random.Random(8)
+        if bits is None:
+            points = [P for P in all_curve_points(ell) if P not in (None, (0, 0))]
+        else:
+            outside = [group.random_point(rng) for _ in range(4)]
+            points = [*outside, *(naive_mul(r, P, ell) for P in outside),
+                      *torsion_shifts(group, params.g, rng)[1:]]
+        expected = [naive_in_group(P, n, ell) for P in points]
+        handed = _record_candidates(monkeypatch, group_module._tate_candidates)
+        group_module._membership_lines(n, ell)
+
+        def multiples(P):  # [0]P .. [r - 1]P
+            out = [None]
+            for _ in range(r - 1):
+                out.append(group_module._fp2_point_add(out[-1], P, ell)[0])
+            return out
+
+        us, ts = multiples(_lift(cofactor_torsion(group, rng))), multiples(handed[-1])
+        certified = 0
+        for a, b in itertools.product(range(r), repeat=2):
+            if math.gcd(math.gcd(a, b), r) != 1:  # order below r
+                continue
+            V = group_module._fp2_point_add(us[a], ts[b], ell)[0]
+            monkeypatch.setattr(group_module, "_tate_candidates", lambda n, ell: iter([V]))
+            try:
+                tate, selected = group_module._membership_lines(n, ell), True
+            except GroupError:
+                tate, selected = group_module._tate_lines(V, r, ell), False
+            verdicts = [group_module._tate_at(tate, *P, n, ell) == 2 for P in points]
+            assert selected == (verdicts == expected), (a, b)
+            certified += selected
+        assert certified == accepted
 
 
 # ---------------------------------------------------------------------------
