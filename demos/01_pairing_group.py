@@ -8,7 +8,7 @@ pairings.
 import random
 import time
 
-from ringauction.group import gen_group_params, group_from_primes
+from ringauction.group import check_public_group, gen_group_params, group_from_primes
 
 print("=== tiny group: p=5, q=7 ===")
 params = group_from_primes(5, 7, random.Random(1))
@@ -46,8 +46,12 @@ params16 = gen_group_params(16, 16, random.Random(42))
 print(f"p = {params16.p}, q = {params16.q}")
 print(f"n = {params16.n}  ({params16.n.bit_length()} bits)")
 print(f"ell = {params16.ell}  (r = {params16.r})")
-params16.validate()
-print("validate(): ok")
+# The public values alone show that the group is one gen_group_params
+# could have built, and that [n]g = O.
+grp16 = params16.group
+check_public_group(grp16.n, grp16.ell, grp16.encode_point(grp16.g), grp16.encode_point(grp16.h))
+assert grp16.in_group(grp16.g)
+print("check_public_group and in_group(g): ok")
 
 t0 = time.monotonic()
 reps = 50

@@ -542,10 +542,6 @@ class GtElement:
         re, im = _fp2_pow(base, exponent, self.ell)
         return GtElement(re, im, self.ell)
 
-    def inverse(self) -> "GtElement":
-        re, im = _fp2_inv((self.re, self.im), self.ell)
-        return GtElement(re, im, self.ell)
-
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
@@ -568,8 +564,8 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # ty times a nonzero factor; it is zero only when ty = 0, i.e. for
     # Q = (0, 0), where the real part can vanish too and f, and so the
     # pairing value, is 0.  That value lies outside G_T; it is returned as
-    # is, and rejecting such inputs is left to PairingGroup.in_group, which
-    # refuses (0, 0), run on the points a verifier decodes.
+    # is.  PairingGroup.in_group refuses (0, 0), but no verifier path runs
+    # it on the points it decodes yet.
     xp, yp = P
     X, Y, Z = xp, yp, 1
     fa, fb = 1, 0
@@ -1028,27 +1024,6 @@ class GroupParams:
     def h(self) -> Point:
         return self.group.h
 
-    def validate(self) -> None:
-        """Run ``check_public_group``, then re-check what needs p and q:
-        distinct primes with n = p*q, g of order exactly n and h of order
-        dividing q.  Raises GroupError on failure."""
-        grp = self.group
-        check_public_group(grp.n, grp.ell, grp.g, grp.h)
-        if self.p == self.q:
-            raise GroupError("p and q must be distinct")
-        if not (is_probable_prime(self.p) and is_probable_prime(self.q)):
-            raise GroupError("p and q must be prime")
-        if self.p * self.q != grp.n:
-            raise GroupError("n != p*q")
-        ell = grp.ell
-        if not grp.in_group(grp.g):
-            raise GroupError("g order does not divide n")
-        for factor in (self.p, self.q):
-            if _point_mul(grp.n // factor, grp.g, ell) is None:
-                raise GroupError("g order is a proper divisor of n")
-        if _point_mul(self.q, grp.h, ell) is not None:
-            raise GroupError("h order does not divide q")
-
 
 # ---------------------------------------------------------------------------
 # public group validity
@@ -1061,7 +1036,7 @@ _R_SEARCH_LIMIT = 100_000  # largest cofactor r tried for ell = n*r - 1
 _MAX_ELL_BITS = 2 * MAX_PRIME_BITS + _R_SEARCH_LIMIT.bit_length()
 
 
-def check_public_group(n: int, ell: int, g: Point | bytes, h: Point | bytes) -> tuple[Point, Point]:
+def check_public_group(n: int, ell: int, g: bytes, h: bytes) -> tuple[Point, Point]:
     """The one check that (n, ell, g, h) is a group ``gen_group_params``
     could have published; raises GroupError if not, else returns (g, h).
 
@@ -1069,7 +1044,7 @@ def check_public_group(n: int, ell: int, g: Point | bytes, h: Point | bytes) -> 
     that size: ell's size, n odd, n | ell + 1, then 4 | r and r at most
     _R_SEARCH_LIMIT for r = (ell + 1)/n, then ell prime, then g and h
     finite curve points.  ell = 3 (mod 4) follows from n odd and 4 | r.
-    g and h may come as canonical encodings, decoded only after ell has
+    g and h come as canonical encodings, decoded only after ell has
     passed.  Whether they lie in the order-n subgroup is not checked.
     """
     if ell.bit_length() > _MAX_ELL_BITS:
@@ -1086,10 +1061,9 @@ def check_public_group(n: int, ell: int, g: Point | bytes, h: Point | bytes) -> 
     if not is_probable_prime(ell):
         raise GroupError("ell must be prime")
     points = []
-    for name, pt in (("g", g), ("h", h)):
-        if isinstance(pt, bytes):
-            pt = decode_point_bytes(pt, ell)
-        if pt is None or not _on_curve(pt, ell):
+    for name, data in (("g", g), ("h", h)):
+        pt = decode_point_bytes(data, ell)
+        if pt is None:
             raise InvalidPoint(f"generator {name} is not a finite curve point")
         points.append(pt)
     return tuple(points)

@@ -154,12 +154,6 @@ class PublicParams:
         # Signing multiplies blind_base, and verification pairs key_base first.
         self.group.precompute(self.key_base, self.blind_base)
 
-    def is_consistent(self) -> bool:
-        """pair(key_base, h) == pair(g, blind_base) ties blind_base to
-        key_base without revealing their shared exponent."""
-        grp = self.group
-        return grp.pair(self.key_base, grp.h) == grp.pair(grp.g, self.blind_base)
-
 
 def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
     """Authority setup: publish the bases, keep only the tracing key."""
@@ -306,8 +300,11 @@ def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature
     Multiplying by q annihilates the order-q blinding, so the marked slot —
     and only the marked slot, for honest signatures over distinct keys —
     satisfies [q](commit - (pub - commit_offset)) == O, which holds exactly
-    when [q]commit == [q](pub - commit_offset).  A q divisible by the group
-    order annihilates every slot, so it raises ValueError.
+    when [q]commit == [q](pub - commit_offset).  A key with [q](pub -
+    commit_offset) == O matches in every slot, but the membership proof puts
+    its commit in G_q and a non-degenerate signer's outside it, so of several
+    matches only those with [q]commit != O are kept.  A q divisible by the
+    group order annihilates every slot, so it raises ValueError.
     """
     grp = pp.group
     if tk.q % grp.n == 0:
@@ -318,6 +315,8 @@ def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature
         shifted = grp.add(member.commit, grp.neg(grp.add(pub, neg_offset)))
         if grp.mul(tk.q, shifted) is None:
             matches.append(index)
+    if len(matches) > 1:
+        matches = [i for i in matches if grp.mul(tk.q, sig.members[i].commit) is not None]
     if len(matches) == 1:
         index = matches[0]
         return index, ring[index]
@@ -355,11 +354,11 @@ def _hash_header(hash_gens) -> dict:
     return {"algorithm": "sha256", "k": len(hash_gens)}
 
 
-def public_params_to_dict(pp: PublicParams) -> dict:
-    """JSON-ready form of the public parameters (decimal ints, hex points)."""
+def public_params_to_json(pp: PublicParams) -> bytes:
+    """Canonical JSON bytes (sorted keys, no whitespace; decimal ints, hex points)."""
     grp = pp.group
     enc = lambda pt: grp.encode_point(pt).hex()
-    return {
+    return json.dumps({
         "n": str(grp.n),
         "ell": str(grp.ell),
         "g": enc(grp.g),
@@ -370,11 +369,11 @@ def public_params_to_dict(pp: PublicParams) -> dict:
         "hash_base": enc(pp.hash_base),
         "hash_gens": [enc(pt) for pt in pp.hash_gens],
         "hash": _hash_header(pp.hash_gens),
-    }
+    }, sort_keys=True, separators=(",", ":")).encode()
 
 
-def public_params_from_dict(data: dict) -> PublicParams:
-    """Inverse of public_params_to_dict for untrusted input.
+def public_params_from_json(data: bytes) -> PublicParams:
+    """Inverse of public_params_to_json for untrusted input.
 
     ``check_public_group`` judges n, ell, g and h before any other point is
     decoded.  Raises ValueError for any missing field or field of the wrong
@@ -382,35 +381,26 @@ def public_params_from_dict(data: dict) -> PublicParams:
     built, and InvalidPoint (a GroupError) for a point that does not decode.
     """
     try:
-        n = int(data["n"])
-        ell = int(data["ell"])
-        g, h = check_public_group(n, ell, bytes.fromhex(data["g"]), bytes.fromhex(data["h"]))
+        fields = json.loads(data.decode())
+    except RecursionError as exc:
+        raise ValueError("public parameters JSON is nested too deeply") from exc
+    try:
+        n = int(fields["n"])
+        ell = int(fields["ell"])
+        g, h = check_public_group(n, ell, bytes.fromhex(fields["g"]), bytes.fromhex(fields["h"]))
         group = PairingGroup(n, ell, g, h)
-        if not data["hash_gens"]:
+        if not fields["hash_gens"]:
             raise ValueError("no hash generators")
-        if data["hash"] != _hash_header(data["hash_gens"]):
-            raise ValueError(f"hash must be sha256 with k = {len(data['hash_gens'])}, "
+        if fields["hash"] != _hash_header(fields["hash_gens"]):
+            raise ValueError(f"hash must be sha256 with k = {len(fields['hash_gens'])}, "
                              "one bit per generator")
         return PublicParams(
             group=group,
-            key_base=group.decode_point(bytes.fromhex(data["key_base"])),
-            commit_offset=group.decode_point(bytes.fromhex(data["commit_offset"])),
-            blind_base=group.decode_point(bytes.fromhex(data["blind_base"])),
-            hash_base=group.decode_point(bytes.fromhex(data["hash_base"])),
-            hash_gens=tuple(group.decode_point(bytes.fromhex(t)) for t in data["hash_gens"]),
+            key_base=group.decode_point(bytes.fromhex(fields["key_base"])),
+            commit_offset=group.decode_point(bytes.fromhex(fields["commit_offset"])),
+            blind_base=group.decode_point(bytes.fromhex(fields["blind_base"])),
+            hash_base=group.decode_point(bytes.fromhex(fields["hash_base"])),
+            hash_gens=tuple(group.decode_point(bytes.fromhex(t)) for t in fields["hash_gens"]),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed public parameters: {exc!r}") from exc
-
-
-def public_params_to_json(pp: PublicParams) -> bytes:
-    """Canonical JSON bytes (sorted keys, no whitespace) for transcripts."""
-    return json.dumps(public_params_to_dict(pp), sort_keys=True, separators=(",", ":")).encode()
-
-
-def public_params_from_json(data: bytes) -> PublicParams:
-    try:
-        obj = json.loads(data.decode())
-    except RecursionError as exc:
-        raise ValueError("public parameters JSON is nested too deeply") from exc
-    return public_params_from_dict(obj)

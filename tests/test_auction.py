@@ -485,10 +485,11 @@ class TestOpenProtocol:
         with pytest.raises(NotVerified):
             open_protocol(env.am, env.rm, broken)
 
-    def test_ambiguous_trace_raises_untraceable(self, tiny_params):
+    @staticmethod
+    def beside_degenerate_decoy(tiny_params, signer_degenerate):
         # Built over the toy group, where a ring member whose offset key has
-        # order dividing the secret factor is easy to find; the signature
-        # verifies, but tracing cannot single anyone out.
+        # order dividing the secret factor is easy to find: it passes the
+        # tracing test in every slot.  The signature verifies either way.
         pp, tk = setup(tiny_params, 8, random.Random(0))
         group = tiny_params.group
         ell = tiny_params.ell
@@ -499,7 +500,7 @@ class TestOpenProtocol:
             return naive_mul(7, offset, ell) is None
 
         signer = keygen(pp, rng)
-        while degenerate(signer.pub_key):
+        while degenerate(signer.pub_key) != signer_degenerate:
             signer = keygen(pp, rng)
         decoy = keygen(pp, rng)
         while not degenerate(decoy.pub_key) or decoy.pub_key == signer.pub_key:
@@ -509,8 +510,19 @@ class TestOpenProtocol:
         sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, message, rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
         board = BulletinBoard(group)
-        am = AuctionManager(pp, tk, board)
         rm = RegistrationManager(group, board)
+        rm.register(signer.pub_key, b"signer",
+                    make_registration(signer.x, signer.pub_key, b"signer", group, rng))
+        return AuctionManager(pp, tk, board), rm, signer, bid
+
+    def test_degenerate_decoy_does_not_spoil_the_opening(self, tiny_params):
+        am, rm, signer, bid = self.beside_degenerate_decoy(tiny_params, False)
+        assert open_protocol(am, rm, bid) == (signer.pub_key, b"signer")
+
+    def test_ambiguous_trace_raises_untraceable(self, tiny_params):
+        # A degenerate signer's commit lies in G_q like the decoy's, so
+        # nothing singles either out.
+        am, rm, _, bid = self.beside_degenerate_decoy(tiny_params, True)
         with pytest.raises(Untraceable):
             open_protocol(am, rm, bid)
 

@@ -5,6 +5,7 @@ projection test with the naive curve arithmetic from support.py, so the
 package's trace() is never checked against itself.
 """
 
+import json
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from ringauction.ringsig import (
     keygen,
     locate_signer,
     public_params_from_json,
-    public_params_to_dict,
     public_params_to_json,
     serialize_signature,
     setup,
@@ -51,10 +51,21 @@ def is_degenerate(pp, pub_key):
     sides collapse to the identity.  The chance of drawing one is q'/n for
     the secret factor q' — negligible at real sizes, one in five in the
     35-element toy group — so toy-sized tests filter these out explicitly
-    and one dedicated test documents the ambiguity.
+    and dedicated tests pin how tracing treats them.
     """
     offset = naive_add(pub_key, naive_neg(pp.commit_offset, pp.group.ell), pp.group.ell)
     return naive_mul(Q, offset, pp.group.ell) is None
+
+
+def degenerate_keypairs(pp, count, rng, avoid=()):
+    """``count`` distinct keypairs with degenerate keys, none in ``avoid``."""
+    keypairs = []
+    while len(keypairs) < count:
+        kp = keygen(pp, rng)
+        taken = [*avoid, *(k.pub_key for k in keypairs)]
+        if is_degenerate(pp, kp.pub_key) and kp.pub_key not in taken:
+            keypairs.append(kp)
+    return keypairs
 
 
 def make_ring(pp, size, rng, allow_degenerate=False):
@@ -140,9 +151,10 @@ class TestSetup:
     def test_published_values(self, tiny_setup):
         params, pp, tk = tiny_setup
         assert len(pp.hash_gens) == 8
-        assert public_params_to_dict(pp)["hash"] == {"algorithm": "sha256", "k": 8}
+        assert json.loads(public_params_to_json(pp))["hash"] == {"algorithm": "sha256", "k": 8}
         assert tk.q == Q
-        assert pp.is_consistent()
+        grp = pp.group
+        assert grp.pair(pp.key_base, grp.h) == grp.pair(grp.g, pp.blind_base)
 
     def test_setup_rejects_zero_hash_bits_before_drawing(self, tiny_params):
         rng = random.Random(3)
@@ -174,12 +186,6 @@ class TestSetup:
 
         kp = keygen(pp, StubRng())
         assert kp.x == 5
-
-    def test_consistency_check_catches_mismatched_blind_base(self, tiny_setup):
-        params, pp, _ = tiny_setup
-        from dataclasses import replace
-        wrong = replace(pp, blind_base=params.group.add(pp.blind_base, params.h))
-        assert not wrong.is_consistent()
 
 
 # ---------------------------------------------------------------------------
@@ -438,47 +444,63 @@ class TestTrace:
         # brute force in the 35-element group) lets the forger satisfy the
         # main equation too, so the decoy verifies and reaches the tracing
         # test: s1 = [a](commit_offset + sum commit) + [r]W, s2 = [r]g.
+        # Two degenerate members both match the projection test, with
+        # commits in G_q, so they leave nobody to name either.
         params, pp, tk = tiny_setup
         grp = params.group
         rng = random.Random(74)
-        ring, _ = make_ring(pp, 3, rng)
-        neg_b0 = grp.neg(pp.commit_offset)
-        members = []
-        total_commit = pp.commit_offset
-        for pub in ring:
-            e_i = rng.randrange(params.n)
-            offset_key = grp.add(pub, neg_b0)
-            commit = grp.mul(e_i, params.h)
-            proof = grp.mul(e_i, grp.add(grp.neg(offset_key), commit))
-            members.append(MemberProof(commit=commit, proof=proof))
-            total_commit = grp.add(total_commit, commit)
         a = next(a for a in range(params.n) if grp.mul(a, params.g) == pp.key_base)
         from ringauction.ringsig import _waters_sum
         from ringauction.group import hash_to_bits
-        bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
-        r = rng.randrange(params.n)
-        fake = RingSignature(
-            s1=grp.add(grp.mul(a, total_commit), grp.mul(r, _waters_sum(pp, bits))),
-            s2=grp.mul(r, params.g),
-            members=tuple(members))
-        assert verify(pp, ring, b"decoy", fake)
-        assert trace(tk, pp, ring, b"decoy", fake) is None
+        neg_b0 = grp.neg(pp.commit_offset)
+        for degenerate in (0, 2):
+            clean, _ = make_ring(pp, 3 - degenerate, rng)
+            extra = degenerate_keypairs(pp, degenerate, rng, avoid=clean.keys)
+            ring = Ring(pp.group, [*clean.keys, *(kp.pub_key for kp in extra)])
+            members = []
+            total_commit = pp.commit_offset
+            for pub in ring:
+                e_i = rng.randrange(params.n)
+                offset_key = grp.add(pub, neg_b0)
+                commit = grp.mul(e_i, params.h)
+                proof = grp.mul(e_i, grp.add(grp.neg(offset_key), commit))
+                members.append(MemberProof(commit=commit, proof=proof))
+                total_commit = grp.add(total_commit, commit)
+            bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
+            r = rng.randrange(params.n)
+            fake = RingSignature(
+                s1=grp.add(grp.mul(a, total_commit), grp.mul(r, _waters_sum(pp, bits))),
+                s2=grp.mul(r, params.g),
+                members=tuple(members))
+            assert verify(pp, ring, b"decoy", fake)
+            assert trace(tk, pp, ring, b"decoy", fake) is None
 
-    def test_degenerate_decoy_makes_tracing_ambiguous(self, tiny_setup):
+    def test_degenerate_decoy_does_not_hide_the_signer(self, tiny_setup):
         # A member whose offset key has order dividing the secret factor
         # matches the projection test no matter who signed: both sides of
-        # its comparison collapse to the identity.  Tracing must refuse to
-        # guess between the true signer and such a member.  Drawing one is
-        # a q-in-n event — negligible at real sizes, common in the toy
-        # group, which is what makes it testable here.
+        # its comparison collapse to the identity.  Its commit lies in G_q,
+        # the signer's does not, so tracing still names the signer.
+        # Drawing one is a q-in-n event — negligible at real sizes, common
+        # in the toy group, which is what makes it testable here.
         _, pp, tk = tiny_setup
         rng = random.Random(77)
         clean, keypairs = make_ring(pp, 2, rng)
-        degenerate = keygen(pp, rng)
-        while not is_degenerate(pp, degenerate.pub_key) or degenerate.pub_key in clean:
-            degenerate = keygen(pp, rng)
+        (degenerate,) = degenerate_keypairs(pp, 1, rng, avoid=clean.keys)
         ring = Ring(pp.group, list(clean.keys) + [degenerate.pub_key])
         signer = next(kp for kp in keypairs if kp.pub_key == clean[0])
+        idx = ring.index_of(signer.pub_key)
+        sig = sign(pp, ring, idx, signer, b"ambig", rng)
+        assert verify(pp, ring, b"ambig", sig)
+        assert trace(tk, pp, ring, b"ambig", sig) == (idx, signer.pub_key)
+
+    def test_degenerate_signer_beside_degenerate_decoy_traces_to_nobody(self, tiny_setup):
+        # Both commits lie in G_q and both slots match, so nothing tells
+        # the signer from the decoy: tracing refuses to guess.
+        _, pp, tk = tiny_setup
+        rng = random.Random(79)
+        keypairs = degenerate_keypairs(pp, 2, rng)
+        ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
+        signer = keypairs[0]
         sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
         assert trace(tk, pp, ring, b"ambig", sig) is None
@@ -588,7 +610,8 @@ class TestSerialization:
         assert back.group.ell == tiny_params.ell
         assert back.key_base == pp.key_base
         assert back.hash_gens == pp.hash_gens
-        assert back.is_consistent()
+        grp = back.group
+        assert grp.pair(back.key_base, grp.h) == grp.pair(grp.g, back.blind_base)
         assert public_params_to_json(back) == data
 
     def test_roundtripped_params_verify_existing_signature(self, tiny_setup):
