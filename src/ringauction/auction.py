@@ -330,7 +330,7 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
         raise NotVerified(result.reason)
     traced = locate_signer(am.trace_key, am.pp, bid.ring, bid.signature)
     if traced is None:
-        raise Untraceable("no ring member matches the tracing test")
+        raise Untraceable("no unique ring member matches the tracing test")
     index, pub_key = traced
     identity = rm.lookup_identity(pub_key)
     if malicious and am.board.all_active([bid.ring.encodings[index]]):

@@ -8,12 +8,16 @@ Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
 2 bad usage, unreadable input, a bad trace key or an output file that
 cannot be written.
+
+Each role runs as one fresh process, so options are read from the literal table
+``COMMANDS``, which also writes every -h text: argparse cost each role about
+2.5 ms, as it loads gettext and locale and builds a parser per command.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .harness import (
     ScenarioError,
@@ -24,40 +28,63 @@ from .harness import (
 )
 from .ringsig import NotVerified, TraceKey, public_params_to_json, trace
 
+# command -> (help, option -> (type, default, help)); default ... = required, bool = flag
+COMMANDS = {
+    "setup": ("generate public parameters and a trace key", {
+        "--p-bits": (int, 16, "bits of the prime p"),
+        "--q-bits": (int, 16, "bits of the prime q"),
+        "--k": (int, 16, "message-hash output bits"),
+        "--seed": (int, 0, "seed of the authority's randomness"),
+        "--out": (str, ..., "public parameters file (JSON)"),
+        "--tracekey-out": (str, None, "trace key file (default: OUT + '.tracekey')")}),
+    "run": ("run a scenario file and write its transcript", {
+        "--scenario": (str, ..., "scenario file"),
+        "--out": (str, ..., "transcript file"),
+        "--counts": (bool, False, "print per-phase operation counts"),
+        "--tracekey-out": (str, None, "also write the trace key to this file")}),
+    "verify": ("replay a transcript from public data", {
+        "--transcript": (str, ..., "transcript file")}),
+    "trace": ("verify one posted bid, then trace it to its ring member", {
+        "--transcript": (str, ..., "transcript file"),
+        "--seq": (int, ..., "seq of the posted bid"),
+        "--tracekey": (str, ..., "trace key file")}),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ringauction",
-        description="Anonymous English auctions over revocable ring signatures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_setup = sub.add_parser("setup", help="generate public parameters and a trace key")
-    p_setup.add_argument("--p-bits", type=int, default=16)
-    p_setup.add_argument("--q-bits", type=int, default=16)
-    p_setup.add_argument("--k", type=int, default=16, help="message-hash output bits")
-    p_setup.add_argument("--seed", type=int, default=0)
-    p_setup.add_argument("--out", required=True, help="public parameters file (JSON)")
-    p_setup.add_argument("--tracekey-out", default=None,
-                         help="trace key file (default: OUT + '.tracekey')")
+def _help(command) -> str:
+    """The -h text of ``command`` (of the program if None), usage line first."""
+    if command is None:
+        usage = "[-h] {" + ",".join(COMMANDS) + "} ..."
+        about = "Anonymous English auctions over revocable ring signatures.\n\ncommands:"
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        (about, options), usage = COMMANDS[command], f"{command} [-h] [options]"
+        about += "\n\noptions:"
+        rows = [(opt if kind is bool else f"{opt} {opt[2:].replace('-', '_').upper()}",
+                 text + " (required)" * (default is ...))
+                for opt, (kind, default, text) in options.items()]
+    return "\n".join([f"usage: ringauction {usage}", "", about,
+                      *(f"  {word:<30}{text}" for word, text in rows)])
 
-    p_run = sub.add_parser("run", help="run a scenario file and write its transcript")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--out", required=True, help="transcript file")
-    p_run.add_argument("--counts", action="store_true",
-                       help="print per-phase operation counts")
-    p_run.add_argument("--tracekey-out", default=None,
-                       help="also write the trace key to this file")
 
-    p_verify = sub.add_parser("verify", help="replay a transcript from public data")
-    p_verify.add_argument("--transcript", required=True)
-
-    p_trace = sub.add_parser("trace",
-                             help="verify one posted bid, then trace it to its ring member")
-    p_trace.add_argument("--transcript", required=True)
-    p_trace.add_argument("--seq", type=int, required=True)
-    p_trace.add_argument("--tracekey", required=True)
-    return parser
+def _parse(command, words) -> SimpleNamespace:
+    """The options ``words`` give ``command``; a ValueError names a usage error."""
+    options = COMMANDS[command][1]
+    values = {opt: spec[1] for opt, spec in options.items()}
+    rest = iter(words)
+    for word in rest:
+        opt, eq, value = word.partition("=")
+        kind = options.get(opt, (None,))[0]
+        if kind is None or kind is bool and eq:
+            raise ValueError(f"unrecognized argument {word}")
+        if not eq:  # a flag takes no word (bool("1") is True), other options the next
+            value = "1" if kind is bool else next(rest, "-")
+        if not value.removeprefix("-").isdigit() and (kind is int or not eq and value[:1] == "-"):
+            raise ValueError(f"{opt} needs {'an integer' if kind is int else 'a value'}")
+        values[opt] = kind(value)
+    if ... in values.values():
+        raise ValueError("missing " + ", ".join(opt for opt, v in values.items() if v is ...))
+    return SimpleNamespace(**{opt[2:].replace("-", "_"): v for opt, v in values.items()})
 
 
 def _write_files(files) -> bool:
@@ -182,20 +209,18 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits on --help and usage errors
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    handlers = {
-        "setup": _cmd_setup,
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "trace": _cmd_trace,
-    }
-    return handlers[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        if command is None:
+            raise ValueError("choose a command: " + ", ".join(COMMANDS))
+        args = _parse(command, argv[1:])
+    except ValueError as exc:
+        print(_help(command).partition("\n")[0], f"ringauction: error: {exc}",
+              sep="\n", file=sys.stderr)
+        return 2
+    handlers = {"setup": _cmd_setup, "run": _cmd_run, "verify": _cmd_verify, "trace": _cmd_trace}
+    return handlers[command](args)

@@ -313,7 +313,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         try:
             pub_key, identity = open_protocol(am, rm, winner_bid)
             traced = [open_protocol(am, rm, bid, malicious=True)[0] for bid in repudiated]
-        except Untraceable as exc:  # the signer's and a decoy's keys both match every slot
+        except Untraceable as exc:  # no slot, or several, match the tracing test
             raise ScenarioError(f"auction {auction_no}: opening failed: {exc}") from exc
         winners.append(WinnerSummary(
             auction_id=auction_no,

@@ -113,7 +113,8 @@ class BoardEntry:
 class BoardState:
     """The active-key view: the set of active key encodings (``active``),
     each checked to decode to a finite point.  ``apply`` folds one record; a
-    key record that does not fit raises MalformedBoard and changes nothing."""
+    key record that does not fit raises MalformedBoard and changes nothing.
+    The group's ell must be prime: the check is exact only then."""
 
     def __init__(self, group: PairingGroup) -> None:
         self.group = group

@@ -32,7 +32,7 @@ class NotVerified(RingSigError):
 
 
 class Untraceable(RingSigError):
-    """No ring member matches the tracing test."""
+    """No unique ring member matches the tracing test: none does, or several do."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
     grp = params.group
     a = rng.randrange(grp.n)
     b0 = rng.randrange(grp.n)
+    grp.precompute(grp.g)  # every mul of g, key_base's first one too, uses its table
     key_base = grp.mul(a, grp.g)
     commit_offset = grp.mul(b0, grp.g)
     blind_base = grp.mul(a, grp.h)

@@ -523,7 +523,7 @@ class TestOpenProtocol:
         # A degenerate signer's commit lies in G_q like the decoy's, so
         # nothing singles either out.
         am, rm, _, bid = self.beside_degenerate_decoy(tiny_params, True)
-        with pytest.raises(Untraceable):
+        with pytest.raises(Untraceable, match="no unique ring member"):
             open_protocol(am, rm, bid)
 
     def test_board_carries_no_identities(self, env):

@@ -3,18 +3,22 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringauction import auction
+from ringauction import auction, cli
 from ringauction import group as group_module
 from ringauction.auction import BID_MESSAGE_LEN, Bid, parse_bid_payload, serialize_bid_payload
-from ringauction.cli import main
+from ringauction.cli import COMMANDS, main
 from ringauction.group import (
     _MAX_ELL_BITS,
     MAX_PRIME_BITS,
@@ -1268,3 +1272,70 @@ class TestCli:
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--out", "p.json", "setup"],  # no command, or an unknown one
+        ["setup", "--out", "p.json", "--bogus", "1"], ["verify", "--transcript", "t", "extra"],
+        ["setup", "--out"], ["run", "--scenario", "s", "--out", "--counts"],
+        ["run", "--scenario", "s", "--out", "t", "--counts=1"],
+        ["setup", "--out", "p.json", "--p-bits", "x"], ["setup", "--out", "p.json", "--k="],
+        ["trace", "--transcript", "t", "--tracekey", "k", "--seq", "1.5"],
+        ["setup"], ["run", "--out", "t"], ["trace", "--transcript", "t", "--seq", "1"],
+    ], ids=repr)
+    def test_usage_error_prints_usage_to_stderr_only(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ringauction ")
+        assert "ringauction: error: " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_option(self, capsys, command, flag):
+        assert main([command, flag] if command else [flag]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: ringauction ") and err == ""
+        names = COMMANDS[command][1] if command else COMMANDS
+        assert all(f"  {name} " in out for name in names)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["setup", "--out", "p"], dict(
+            p_bits=16, q_bits=16, k=16, seed=0, out="p", tracekey_out=None)),
+        (["setup", "--out=a", "--k=8", "--seed", "-3", "--out", "b", "--p-bits=24"], dict(
+            p_bits=24, q_bits=16, k=8, seed=-3, out="b", tracekey_out=None)),
+        (["run", "--counts", "--scenario=s=1", "--out", "t"], dict(
+            scenario="s=1", out="t", counts=True, tracekey_out=None)),
+        (["verify", "--transcript", "t"], dict(transcript="t")),
+        (["trace", "--seq", "9", "--tracekey", "k", "--transcript", "t", "--seq=4"], dict(
+            transcript="t", seq=4, tracekey="k")),
+    ])
+    def test_handlers_get_the_options_by_name(self, monkeypatch, argv, expected):
+        # --opt=value is accepted and a repeated option keeps its last value,
+        # as under argparse.
+        seen = []
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+        assert main(argv) == 0
+        assert seen == [expected]
+
+    def test_cold_start_imports_no_argparse(self, tmp_path):
+        # The console script's path: main() reads sys.argv.  A role must not
+        # pay for argparse, or for the gettext and locale it pulls in.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from ringauction.cli import main\n"
+            "sys.argv = ['ringauction', 'setup', '--k', '8', '--out', sys.argv[1]]\n"
+            "assert main() == 0\n"
+            "sys.argv = ['ringauction', '--help']\n"
+            "assert main() == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p.json")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "p.json").exists()
