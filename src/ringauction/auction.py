@@ -208,7 +208,6 @@ class BidderAgent:
 
 @dataclass
 class AuctionState:
-    auction_id: int
     monotonic: bool = True
     phase: str = "open"  # open | closed | announced
     bids: list[Bid] = field(default_factory=list)
@@ -246,7 +245,7 @@ class AuctionManager:
     def open_auction(self, auction_id: int, *, monotonic: bool = True) -> AuctionState:
         if auction_id in self._auctions:
             raise AuctionError(f"auction {auction_id} already exists")
-        state = AuctionState(auction_id=auction_id, monotonic=monotonic)
+        state = AuctionState(monotonic=monotonic)
         self._auctions[auction_id] = state
         return state
 

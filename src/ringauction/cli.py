@@ -140,8 +140,6 @@ def _cmd_run(args) -> int:
     if args.counts:
         print("operation counts by phase:")
         for phase, counts in result.report.phases.items():
-            if not counts:
-                continue
             joined = " ".join(f"{op}={counts[op]}" for op in sorted(counts))
             print(f"  {phase}: {joined}")
     print(f"transcript written to {args.out}")

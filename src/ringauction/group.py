@@ -23,7 +23,8 @@ and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
 stored once, at each Q.  in_group decides [n]P = O without the ladder: the
 reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2)
-is 1 at P.  T is found and given stored Miller lines at its first call; it
+is 1 at P.  T = [n]X, for X on a line through a rational point, is found
+with F_ell square roots at the first call and kept with its Miller lines; it
 is certified exactly, by [r/s]T not being rational for any prime s | r.  The
 final exponent's large factor n takes a Lucas sequence, two products per
 bit where the ladder takes about ten.  check_public_group decides, from the
@@ -487,8 +488,6 @@ def _fp2_sqr(u, ell):
 
 
 def _fp2_pow(u, e, ell):
-    if e == 0:
-        return _FP2_ONE
     acc = _FP2_ONE
     for bit in bin(e)[2:]:
         acc = _fp2_sqr(acc, ell)
@@ -505,19 +504,6 @@ def _fp2_inv(u, ell):
 
 def _fp2_sub(u, v, ell):
     return ((u[0] - v[0]) % ell, (u[1] - v[1]) % ell)
-
-
-def _fp2_sqrt(z, ell):
-    # A root c + d*i of z = a + b*i, for b != 0 and a^2 + b^2 a square: with
-    # s^2 = a^2 + b^2, c^2 is (a + s)/2 or (a - s)/2, whichever is a square
-    # (they multiply to -b^2/4, a non-square, as -1 is), and d = b/(2c).
-    a, b = z
-    s = pow((a * a + b * b) % ell, (ell + 1) // 4, ell)
-    c2 = (a + s) * ((ell + 1) // 2) % ell
-    if _jacobi(c2, ell) != 1:
-        c2 = (a - s) * ((ell + 1) // 2) % ell
-    c = pow(c2, (ell + 1) // 4, ell)
-    return (c, b * pow(2 * c, -1, ell) % ell)
 
 
 @dataclass(frozen=True)
@@ -697,8 +683,9 @@ def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None)
 # for a T whose 2-part lies in E(F_ell) + psi(E(F_ell)), as psi fixes
 # (0, 0); that index-2 subgroup of E(F_ell^2) is where x is a square of
 # F_ell^2 (2-descent at x = 0), so the candidates are T = [n]X for an X
-# whose x is not a square.  A certified T has no rational multiple but O,
-# so no Miller line or vertical vanishes at a rational point.
+# whose x is not a square, on a line through a rational point (F_ell roots
+# only).  A certified T has no rational multiple but O, so no Miller line or
+# vertical vanishes at a rational point.
 
 def _fp2_point_add(R, S, ell):
     # R + S on E(F_ell^2), coordinates in F_ell^2, and the slope of the line
@@ -729,22 +716,25 @@ def _fp2_psi(P, ell):
 
 def _tate_candidates(n: int, ell: int) -> Iterator:
     # Points of E(F_ell^2)[r] whose 2-part is good, in a fixed order.  For
-    # x = j + i with j^2 + 1 = N(x) a non-square (x is not a square) and
-    # j^2 + 4 a non-square (so N(x^3 + x) = (j^2 + 1) j^2 (j^2 + 4) is a
-    # square), X = (x, y) and T0 = [n]X, computed over F_ell alone: with
-    # m = (n - 1)/2, W = X + pi(X) rational and X - pi(X) = psi(V), V
-    # rational, [n]X = [m]W + psi([m]V) + X.  T0 + [k]psi(T0) for even k
-    # keeps the 2-part and moves the odd part, so k = 2, 4 follow T0.
-    m = (n - 1) // 2
-    for j in range(1, ell):
-        if _jacobi(j * j + 1, ell) != -1 or _jacobi(j * j + 4, ell) != -1:
+    # a non-square a with a^3 + a = b^2 and 3a^2 + 4 = t^2, the line y = -b
+    # meets the curve at -W, W = (a, b), and at x0 = (-a + t*i)/2 and its
+    # conjugate, the roots of x^2 + a*x + a^2 + 1.  So X = (x0, -b) has
+    # X + pi(X) = W, N(x0) = a^2 + 1 = b^2/a is not a square, nor is x0, and
+    # with m = (n - 1)/2 and X - pi(X) = psi(V), V rational,
+    # T0 = [n]X = [m]W + psi([m]V) + X over F_ell alone.  T0 + [k]psi(T0) for
+    # even k keeps the 2-part and moves the odd part, so k = 2, 4 follow T0.
+    # a = 2 is passed over: its t = 4 puts V at W + (0, 0), and then
+    # T0 + [2]psi(T0) fails the certificate whenever 3 | r.
+    m, e, half = (n - 1) // 2, (ell + 1) // 4, (ell + 1) // 2
+    for a in range(3, ell):
+        if (_jacobi(a, ell) != -1 or _jacobi(a * a * a + a, ell) != 1
+                or _jacobi(3 * a * a + 4, ell) != 1):
             continue
-        x = (j, 1)
-        y = _fp2_sqrt(((j * j * j - 2 * j) % ell, 3 * j * j % ell), ell)  # x^3 + x
-        X = (x, y)
-        (w, _), (wy, _) = _fp2_point_add(X, ((j, ell - 1), (y[0], -y[1] % ell)), ell)[0]
-        (v, _), (_, vy) = _fp2_point_add(X, ((j, ell - 1), (-y[0] % ell, y[1])), ell)[0]
-        M1 = _point_mul(m, (w, wy), ell)
+        b, t = pow(a * a * a + a, e, ell), pow(3 * a * a + 4, e, ell)
+        x0 = (-a * half % ell, t * half % ell)
+        X = (x0, (ell - b, 0))
+        (v, _), (_, vy) = _fp2_point_add(X, ((x0[0], ell - x0[1]), (b, 0)), ell)[0]
+        M1 = _point_mul(m, (a, b), ell)
         M2 = _point_mul(m, (-v % ell, vy), ell)
         T = M1 and ((M1[0], 0), (M1[1], 0))
         T = _fp2_point_add(T, _fp2_psi(M2 and ((M2[0], 0), (M2[1], 0)), ell), ell)[0]

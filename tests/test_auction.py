@@ -29,11 +29,13 @@ from ringauction.auction import (
     parse_bid_payload,
     serialize_bid_payload,
 )
+from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
+    KEY_PUBLISHED,
     WINNER_ANNOUNCED,
     BulletinBoard,
     RegistrationManager,
@@ -525,6 +527,21 @@ class TestOpenProtocol:
         am, rm, _, bid = self.beside_degenerate_decoy(tiny_params, True)
         with pytest.raises(Untraceable, match="no unique ring member"):
             open_protocol(am, rm, bid)
+
+    def test_trace_command_reports_the_ambiguous_trace(self, tiny_params, tmp_path, capsys):
+        # The same bid, with both keys published and the bid posted: the
+        # transcript verifies, and the trace command names no member.
+        am, _, _, bid = self.beside_degenerate_decoy(tiny_params, True)
+        decoy = next(key for key in bid.ring.encodings if not am.board.all_active([key]))
+        am.board.append(KEY_PUBLISHED, decoy)
+        seq = am.board.append(BID_POSTED, serialize_bid_payload(bid))
+        transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
+        transcript.write_bytes(render_transcript(am.pp, am.board))
+        tracekey.write_text(f"{am.trace_key.q}\n")
+        assert verify_transcript(transcript.read_bytes()).valid
+        assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)]) == 1
+        assert capsys.readouterr().out == f"bid seq {seq}: no unique ring member matched\n"
 
     def test_board_carries_no_identities(self, env):
         # conditional anonymity: the public record contains ring signatures

@@ -555,6 +555,26 @@ class TestInGroup:
         assert verdicts == [naive_in_group(P, n, ell) for P in points]
         assert True in verdicts[4:] and False in verdicts[4:]
 
+    def test_generated_groups_match_the_oracle(self):
+        # The candidate comes from a line through a rational point, so its
+        # search differs from group to group: across 40 groups of 8..12 bits,
+        # with 8 | r, with r = 4 (mod 8) and with an odd prime above 5 in r,
+        # every verdict is the ladder's.
+        groups = [gen_group_params(bits, bits, random.Random(seed))
+                  for bits in range(8, 13) for seed in range(8)]
+        assert len({(params.n, params.ell) for params in groups}) == 40
+        rs = [params.r for params in groups]
+        assert any(r % 8 == 4 for r in rs) and any(r % 8 == 0 for r in rs)
+        assert any(s > 5 for r in rs for s in prime_factors(r) if s % 2)
+        for params in groups:
+            group, n, ell, r = params.group, params.n, params.ell, params.r
+            rng = random.Random(ell)
+            outside = [group.random_point(rng) for _ in range(20)]
+            points = [*outside, *(naive_mul(r, P, ell) for P in outside),
+                      *torsion_shifts(group, params.g, rng)]
+            verdicts = [group.in_group(P) for P in points]
+            assert verdicts == [naive_in_group(P, n, ell) for P in points], (n, ell)
+
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_torsion_shifts_refused_at_size(self, bits):
         params = gen_group_params(bits, bits, random.Random(bits))

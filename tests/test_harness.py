@@ -15,13 +15,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringauction import auction, cli
+from ringauction import auction, cli, harness
 from ringauction import group as group_module
-from ringauction.auction import BID_MESSAGE_LEN, Bid, parse_bid_payload, serialize_bid_payload
+from ringauction.auction import (
+    BID_MESSAGE_LEN,
+    Bid,
+    MalformedBid,
+    decode_bid_message,
+    encode_bid_message,
+    parse_bid_payload,
+    serialize_bid_payload,
+)
 from ringauction.cli import COMMANDS, main
 from ringauction.group import (
     _MAX_ELL_BITS,
     MAX_PRIME_BITS,
+    OpCounter,
     PairingGroup,
     decode_point_bytes,
     is_probable_prime,
@@ -698,6 +707,39 @@ class TestTranscriptMutations:
         assert report.failing_seq == unneeded
         assert report.reason == "unreadable bid: x coordinate is not on the curve"
 
+    def test_zero_price_bid_fails_at_its_seq(self, run_and_lines):
+        # The price is read before any signature is, in both replays.
+        _, lines = run_and_lines
+        idx = self.find_line(lines, "bid-posted")
+        seq, kind, payload_hex = lines[idx].split(" ")
+        payload = bytes.fromhex(payload_hex)
+        auction_id, round_no, _ = decode_bid_message(payload[:BID_MESSAGE_LEN])
+        zero = encode_bid_message(auction_id, round_no, 0) + payload[BID_MESSAGE_LEN:]
+        mutated = list(lines)
+        mutated[idx] = f"{seq} {kind} {zero.hex()}"
+        report = self.reverify(mutated)
+        assert report.failing_seq == int(seq)
+        assert report.reason == "non-positive price"
+
+    def test_repeated_ring_key_fails_at_its_seq(self, run_and_lines):
+        # The first ring key written twice keeps the ring in canonical order,
+        # so only the distinctness check refuses it.
+        result, lines = run_and_lines
+        group = result.public_params.group
+        width, start = group.point_bytes, BID_MESSAGE_LEN + 4
+        idx = self.find_line(lines, "bid-posted")
+        seq, kind, payload_hex = lines[idx].split(" ")
+        payload = bytes.fromhex(payload_hex)
+        assert int.from_bytes(payload[BID_MESSAGE_LEN: start], "big") >= 2
+        repeated = payload[:start + width] + payload[start: start + width] + payload[start + 2 * width:]
+        with pytest.raises(MalformedBid, match="^ring keys must be distinct$"):
+            parse_bid_payload(group, repeated)
+        mutated = list(lines)
+        mutated[idx] = f"{seq} {kind} {repeated.hex()}"
+        report = self.reverify(mutated)
+        assert report.failing_seq == int(seq)
+        assert report.reason == "unreadable bid: ring keys must be distinct"
+
     def test_duplicate_winner_announcement_fails(self, run_and_lines):
         _, lines = run_and_lines
         idx = self.find_line(lines, "winner-announced")
@@ -929,6 +971,22 @@ class TestEfficiency:
         assert summary.all_within_budget
         assert f"\n  4 {summary.rows[4]['exp']:>6} {budget:>7} " in summary.table
 
+    def test_slope_needs_one_integer_step(self, monkeypatch):
+        # Steps of 2 and then 3 per added member are no integer growth rate,
+        # and a single ring size gives no step at all.
+        exps = {1: 10, 2: 12, 4: 18}
+
+        def measure(l, k):
+            counter = OpCounter()
+            counter.phases["bidding"] = {"exp": exps[l], "hash": 1}
+            return counter
+
+        monkeypatch.setattr(harness, "measure_signing", measure)
+        summary = efficiency_sweep(ring_sizes=(1, 2, 4), k=16)
+        assert (summary.slope, summary.slope_ok) == (8 / 3, False)
+        with pytest.raises(ValueError):
+            efficiency_sweep(ring_sizes=(4, 4), k=16)
+
     def test_sweep_summary(self):
         summary = efficiency_sweep(ring_sizes=(1, 2, 4, 8), k=160)
         assert summary.slope_ok
@@ -1072,6 +1130,18 @@ class TestCli:
         _, _, _, q = singleton_rings
         assert self._trace_with_key(singleton_rings, tmp_path, multiple * q) == 0
         assert "traced to ring member 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", (None, "q\n"))
+    def test_trace_with_an_unreadable_trace_key_returns_two(self, singleton_rings, tmp_path,
+                                                            capsys, content):
+        # A missing trace-key file, or one that holds no integer.
+        transcript, seq, _, _ = singleton_rings
+        tracekey = tmp_path / "k.txt"
+        if content is not None:
+            tracekey.write_text(content)
+        assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read inputs: ")
 
     def test_trace_unverifiable_bid_returns_one(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
@@ -1320,7 +1390,8 @@ class TestCli:
 
     def test_cold_start_imports_no_argparse(self, tmp_path):
         # The console script's path: main() reads sys.argv.  A role must not
-        # pay for argparse, or for the gettext and locale it pulls in.
+        # pay for argparse, or for the gettext and locale it pulls in, nor
+        # for statistics and the fractions and decimal it pulls in.
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -1329,7 +1400,8 @@ class TestCli:
             "assert main() == 0\n"
             "sys.argv = ['ringauction', '--help']\n"
             "assert main() == 0\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+            "print(sorted({'argparse', 'gettext', 'locale', 'statistics', 'fractions', 'decimal'}\n"
+            "             & (set(sys.modules) - before)))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
