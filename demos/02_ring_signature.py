@@ -31,7 +31,7 @@ position = ring.index_of(signer.pub_key)
 print(f"ring of {len(ring)} keys, secret signer sits at position {position}")
 
 message = b"I bid 450"
-sig = sign(pp, ring, position, signer, message, rng)
+sig = sign(pp, ring, signer, message, rng)
 print(f"signature: s1, s2 plus {len(sig.members)} member commitments")
 
 result = verify(pp, ring, message, sig)

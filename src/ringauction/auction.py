@@ -51,10 +51,6 @@ class AuctionError(Exception):
     """Base class for auction-side failures."""
 
 
-class OwnKeyNotInRing(AuctionError):
-    """A bidder tried to sign under a ring that omits its own key."""
-
-
 class RingKeyNotOnBoard(AuctionError):
     """A ring references a key outside the board's active view."""
 
@@ -186,22 +182,18 @@ def first_verifying(bids: Iterable[_Ranked], verifies: Callable[[_Ranked], objec
 class BidderAgent:
     """Bidder-side state: a key pair plus the public board it reads."""
 
-    def __init__(self, name: str, keypair, pp: PublicParams, board: BulletinBoard) -> None:
-        self.name = name
+    def __init__(self, keypair, pp: PublicParams, board: BulletinBoard) -> None:
         self.keypair = keypair
         self.pp = pp
         self.board = board
 
     def place_bid(self, auction_id: int, round_no: int, price: int,
                   ring: Ring, rng) -> Bid:
-        """Sign one bid message under ``ring``; emits exactly one message."""
-        if self.keypair.pub_key not in ring:
-            raise OwnKeyNotInRing("bidder's own key must be part of the ring")
+        """Sign one bid message under ``ring`` (NotAMember if it omits our key)."""
         if not self.board.all_active(ring.encodings):
             raise RingKeyNotOnBoard("ring references a key not on the board")
         message = encode_bid_message(auction_id, round_no, price)
-        signature = sign(self.pp, ring, ring.index_of(self.keypair.pub_key),
-                         self.keypair, message, rng)
+        signature = sign(self.pp, ring, self.keypair, message, rng)
         return Bid(auction_id=auction_id, round_no=round_no, price=price,
                    ring=ring, signature=signature)
 

@@ -264,7 +264,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         except Exception as exc:
             raise ScenarioError(f"{name}: registration failed: {exc}") from exc
         actors.append(_Actor(name=name, index=index, strategy=config.strategy_of(index),
-                             agent=BidderAgent(name, keypair, pp, board),
+                             agent=BidderAgent(keypair, pp, board),
                              own=group.encode_point(keypair.pub_key)))
     # Every published key is a bidder's: rings take their points from here.
     points = {actor.own: actor.agent.keypair.pub_key for actor in actors}
@@ -515,7 +515,7 @@ def measure_signing(ring_size: int, k: int) -> OpCounter:
     counter = OpCounter()
     with count_ops(counter):
         counter.set_phase("bidding")
-        sign(pp, ring, ring.index_of(signer.pub_key), signer, b"cost probe", _child_rng(seed, "sig"))
+        sign(pp, ring, signer, b"cost probe", _child_rng(seed, "sig"))
     return counter
 
 

@@ -68,20 +68,20 @@ class MalformedBoard(RegistryError):
 
 @dataclass(frozen=True)
 class RegistrationProof:
-    """Schnorr-style proof of knowledge of the key exponent, bound to the
-    claimed identity through the scalar hash."""
+    """Schnorr-style proof of knowledge of the key exponent, bound to the key
+    and the claimed identity through the scalar hash (strong Fiat–Shamir)."""
 
-    a_resp: int  # hash of the commitment and the identity
+    a_resp: int  # hash of key ‖ commitment ‖ identity (points are fixed-width)
     b_resp: int  # masked exponent response
 
 
 def make_registration(x: int, pub_key: Point, identity: bytes,
                       group: PairingGroup, rng) -> RegistrationProof:
-    if group.mul(x, group.g) != pub_key:
-        raise ValueError("pub_key does not match the exponent")
+    """Prove knowledge of x for pub_key = [x]g; a proof for another key fails to verify."""
     t = rng.randrange(group.n)
     commitment = group.mul(t, group.g)
-    a_resp = group.hash_to_zn(group.encode_point(commitment) + identity)
+    statement = group.encode_point(pub_key) + group.encode_point(commitment) + identity
+    a_resp = group.hash_to_zn(statement)
     b_resp = (t + x * a_resp) % group.n
     return RegistrationProof(a_resp=a_resp, b_resp=b_resp)
 
@@ -97,7 +97,8 @@ def verify_registration(pub_key: Point, identity: bytes,
         group.mul(proof.b_resp, group.g),
         group.neg(group.mul(proof.a_resp, pub_key)),
     )
-    return proof.a_resp == group.hash_to_zn(group.encode_point(commitment) + identity)
+    statement = group.encode_point(pub_key) + group.encode_point(commitment) + identity
+    return proof.a_resp == group.hash_to_zn(statement)
 
 
 # ---------------------------------------------------------------------------

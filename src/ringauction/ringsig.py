@@ -24,7 +24,7 @@ class RingSigError(Exception):
 
 
 class NotAMember(RingSigError):
-    """The signer's slot does not hold the signer's published key."""
+    """The ring does not hold the signer's published key."""
 
 
 class NotVerified(RingSigError):
@@ -199,27 +199,24 @@ def _waters_sum(pp: PublicParams, bits: tuple[int, ...]) -> Point:
     return acc
 
 
-def sign(pp: PublicParams, ring: Ring, signer_index: int, keypair: BidderKeyPair,
-         message: bytes, rng) -> RingSignature:
-    """Ring-sign ``message``; ``ring[signer_index]`` must be the signer's key.
-
-    Draws one blinding exponent e_i per ring member, in ring order, then the
-    randomiser r of s1 and s2."""
+def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
+         rng) -> RingSignature:
+    """Ring-sign ``message`` in the ring's slot for ``keypair.pub_key``
+    (NotAMember if the ring does not hold it); draws one blinding exponent
+    e_i per ring member, in ring order, then the randomiser r of s1 and s2."""
     grp = pp.group
-    if not 0 <= signer_index < len(ring):
-        raise NotAMember(f"index {signer_index} outside ring of size {len(ring)}")
-    if ring[signer_index] != keypair.pub_key:
-        raise NotAMember("ring slot does not hold the signer's published key")
+    if keypair.pub_key not in ring:
+        raise NotAMember("the ring does not hold the signer's published key")
     bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
     neg_offset = grp.neg(pp.commit_offset)
     members = []
     total_blind = 0
-    for index, pub in enumerate(ring):
+    for pub in ring:
         e_i = rng.randrange(grp.n)
         total_blind = (total_blind + e_i) % grp.n
         offset_key = grp.add(pub, neg_offset)
         blind_pt = grp.mul(e_i, grp.h)
-        if index == signer_index:
+        if pub == keypair.pub_key:  # the signer's slot: ring keys are distinct
             commit = grp.add(offset_key, blind_pt)
             proof = grp.mul(e_i, commit)  # marked slot: inner point equals the commitment
         else:

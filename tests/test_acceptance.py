@@ -70,7 +70,7 @@ def sweep(env16):
                 ring, keypairs = fresh_ring(pp, size, rng)
                 signer = next(kp for kp in keypairs if kp.pub_key == ring[position])
                 message = b"sweep %d %d %d" % (size, position, seed)
-                sig = sign(pp, ring, position, signer, message, rng)
+                sig = sign(pp, ring, signer, message, rng)
                 verified = bool(verify(pp, ring, message, sig))
                 traced = trace(tk, pp, ring, message, sig)
                 results.append((size, position, verified,
@@ -142,7 +142,7 @@ def test_trace_exactness(sweep):
     ring = Ring(params.group, [kp.pub_key for kp in keypairs])
     signer = keypairs[0]
     position = ring.index_of(signer.pub_key)
-    sig = sign(pp, ring, position, signer, b"counterexample", rng)
+    sig = sign(pp, ring, signer, b"counterexample", rng)
     assert verify(pp, ring, b"counterexample", sig)
 
     literal_matches = []
@@ -165,9 +165,8 @@ def test_mutation_rejection(env16):
         rng = random.Random(f"mutate:{size}")
         ring, keypairs = fresh_ring(pp, size, rng)
         signer = keypairs[0]
-        position = ring.index_of(signer.pub_key)
         message = b"mutation target %d" % size
-        sig = sign(pp, ring, position, signer, message, rng)
+        sig = sign(pp, ring, signer, message, rng)
         assert verify(pp, ring, message, sig)
         components = 2 + 2 * size  # s1, s2, and one commit/proof per member
         for trial in range(100):
@@ -350,7 +349,7 @@ def test_determinism():
         "48e789e18cf4885085c913c8f5bc8e4f60a8c307c8e05c94e02e71940bef6b63")
     assert first.report.phases == {
         "initial": {"exp": 20},
-        "registration": {"exp": 28, "hash": 8, "inv": 4, "mul": 4},
+        "registration": {"exp": 24, "hash": 8, "inv": 4, "mul": 4},
         "bidding": {"exp": 122, "hash": 12, "inv": 43, "mul": 204},
         "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
         "open": {"exp": 11, "hash": 1, "inv": 20, "mul": 42, "pair": 11},

@@ -21,12 +21,13 @@ from ringauction.auction import (
     BidderAgent,
     MalformedBid,
     NoValidBid,
-    OwnKeyNotInRing,
     RingKeyNotOnBoard,
+    decode_bid,
     decode_bid_message,
     encode_bid_message,
     open_protocol,
     parse_bid_payload,
+    read_bid_head,
     serialize_bid_payload,
 )
 from ringauction.cli import main
@@ -43,6 +44,7 @@ from ringauction.registry import (
     make_registration,
 )
 from ringauction.ringsig import (
+    NotAMember,
     NotVerified,
     Ring,
     Untraceable,
@@ -67,7 +69,7 @@ def env(setup16, keys16):
         name = f"agent-{i}"
         proof = make_registration(kp.x, kp.pub_key, name.encode(), pp.group, rng)
         rm.register(kp.pub_key, name.encode(), proof)
-        agents.append(BidderAgent(name, kp, pp, board))
+        agents.append(BidderAgent(kp, pp, board))
     ring = Ring(pp.group, [kp.pub_key for kp in keys16])
     return SimpleNamespace(pp=pp, tk=tk, board=board, rm=rm, am=am,
                            agents=agents, ring=ring, rng=rng)
@@ -76,8 +78,7 @@ def env(setup16, keys16):
 def craft_bid(env, agent, price, *, auction_id=1, round_no=0, ring=None):
     ring = ring if ring is not None else env.ring
     message = encode_bid_message(auction_id, round_no, price)
-    sig = sign(env.pp, ring, ring.index_of(agent.keypair.pub_key),
-               agent.keypair, message, env.rng)
+    sig = sign(env.pp, ring, agent.keypair, message, env.rng)
     return Bid(auction_id=auction_id, round_no=round_no, price=price,
                ring=ring, signature=sig)
 
@@ -108,6 +109,15 @@ class TestBidCodec:
         assert (back.auction_id, back.round_no, back.price) == (1, 0, 40)
         assert back.ring == bid.ring
         assert back.signature == bid.signature
+
+    def test_decode_bid_refuses_an_undecodable_ring_key(self, env):
+        # read_bid_head would refuse this key; a hand-built head reaches decode_bid.
+        group = env.pp.group
+        head = read_bid_head(group, serialize_bid_payload(craft_bid(env, env.agents[0], 43)))
+        odd_zero = bytes(group.coord_bytes) + b"\x03"
+        bad = replace(head, ring=(odd_zero,) + head.ring[1:])
+        with pytest.raises(MalformedBid, match="y = 0 takes the even parity tag"):
+            decode_bid(group, bad, group.decode_point)
 
     def test_payload_rejects_truncation_and_slack(self, env):
         payload = serialize_bid_payload(craft_bid(env, env.agents[0], 41))
@@ -150,7 +160,7 @@ def real_payloads(setup16, keys16):
         ring = Ring(pp.group, [kp.pub_key for kp in keys16[:size]])
         signer = keys16[0]
         message = encode_bid_message(2, 1, 30 + size)
-        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, message, rng)
+        sig = sign(pp, ring, signer, message, rng)
         payloads.append(serialize_bid_payload(
             Bid(auction_id=2, round_no=1, price=30 + size, ring=ring, signature=sig)))
     return pp.group, payloads
@@ -207,9 +217,13 @@ class TestBidderAgent:
         assert verify(env.pp, bid.ring, bid.message_bytes(), bid.signature)
 
     def test_rejects_ring_without_own_key(self, env, keys16):
+        # Every key of the ring is active, so only sign's membership check fires.
         others = Ring(env.pp.group, [kp.pub_key for kp in keys16[1:]])
-        with pytest.raises(OwnKeyNotInRing):
+        assert env.board.all_active(others.encodings)
+        before = env.board.entries()
+        with pytest.raises(NotAMember):
             env.agents[0].place_bid(1, 0, 17, others, env.rng)
+        assert env.board.entries() == before
 
     def test_rejects_ring_with_unpublished_key(self, env, keys16):
         stranger = keygen(env.pp, random.Random(1234))
@@ -383,6 +397,14 @@ class TestWinner:
         with pytest.raises(NoValidBid):
             env.am.determine_winner(1)
 
+    def test_unknown_auction_state_and_second_close(self, env):
+        with pytest.raises(AuctionError, match="unknown auction 9"):
+            env.am.state(9)
+        env.am.open_auction(1)
+        env.am.close_auction(1)
+        with pytest.raises(AuctionError, match="auction is not open"):
+            env.am.close_auction(1)
+
     def test_winner_requires_closed_auction(self, env):
         env.am.open_auction(1)
         env.am.admit_bid(craft_bid(env, env.agents[0], 10))
@@ -509,7 +531,7 @@ class TestOpenProtocol:
             decoy = keygen(pp, rng)
         ring = Ring(group, [signer.pub_key, decoy.pub_key])
         message = encode_bid_message(1, 0, 10)
-        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, message, rng)
+        sig = sign(pp, ring, signer, message, rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
         board = BulletinBoard(group)
         rm = RegistrationManager(group, board)

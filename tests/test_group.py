@@ -23,6 +23,7 @@ from ringauction.group import (
     InvalidPoint,
     OpCounter,
     PairingGroup,
+    ParameterSearchExhausted,
     _double_and_add,
     _jacobi,
     _point_mul,
@@ -188,6 +189,16 @@ class TestConstruction:
     def test_primality_against_trial_division(self):
         for m in range(2000):
             assert is_probable_prime(m) == is_prime_trial_division(m), m
+
+    def test_composite_factor_refused(self):
+        with pytest.raises(ValueError, match="both factors must be prime"):
+            group_from_primes(9, 7, random.Random(1))
+
+    def test_cofactor_search_exhausted(self, monkeypatch):
+        # n = 55: r = 4 gives ell = 219 = 3 * 73, and the bound stops there.
+        monkeypatch.setattr(group_module, "_R_SEARCH_LIMIT", 4)
+        with pytest.raises(ParameterSearchExhausted, match="55\\*r - 1 with r <= 4"):
+            group_from_primes(5, 11, random.Random(1))
 
     @pytest.mark.parametrize("p, q", [(2, 7), (7, 2)])
     def test_even_factor_refused_at_once(self, p, q):
@@ -504,6 +515,13 @@ class TestPairing:
         assert z ** 0 == GtElement(1, 0, group.ell)
         assert (z ** 3) * (z ** 4) == z ** 7
 
+    def test_gt_elements_of_two_fields_do_not_multiply(self, tiny_params):
+        other = group_from_primes(11, 13, random.Random(2))
+        z = tiny_params.group.pair(tiny_params.g, tiny_params.g)
+        w = other.group.pair(other.g, other.g)
+        with pytest.raises(ValueError, match="cannot mix target fields"):
+            z * w
+
 
 # ---------------------------------------------------------------------------
 # subgroup membership through the Tate pairing
@@ -792,7 +810,7 @@ class TestFixedBases:
         pp, _ = setup16
         ring = Ring(pp.group, [k.pub_key for k in keys16[:3]])
         signer = keys16[0]
-        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, b"bid", random.Random(5))
+        sig = sign(pp, ring, signer, b"bid", random.Random(5))
         header_pp = public_params_from_json(public_params_to_json(pp))
         group = header_pp.group
         header_ring = Ring(group, ring.keys)
@@ -927,6 +945,10 @@ class TestHashing:
         assert set(bits) <= {0, 1}
         assert bits == hash_to_bits(b"abc", 16)
         assert hash_to_bits(b"abc", 16) != hash_to_bits(b"abd", 16)
+
+    def test_bit_hash_needs_one_bit(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            hash_to_bits(b"abc", 0)
 
     def test_bit_hash_prefix_stability(self):
         # The k-bit output is the truncation of the same stream.

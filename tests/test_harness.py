@@ -60,6 +60,7 @@ from ringauction.registry import (
     BoardEntry,
     BulletinBoard,
     MalformedBoard,
+    RegistrationProof,
     board_to_text,
     parse_board_text,
 )
@@ -68,6 +69,7 @@ from ringauction.ringsig import (
     PublicParams,
     Ring,
     RingSignature,
+    Untraceable,
     public_params_from_json,
     trace,
     verify,
@@ -231,6 +233,8 @@ class TestParseScenario:
             ScenarioConfig(p_bits=4).validate()
         with pytest.raises(ValueError):
             ScenarioConfig(q_bits=7).validate()
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            ScenarioConfig(k=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +323,44 @@ class TestScenarioDynamics:
             run_scenario(ScenarioConfig(bidders=0))
 
 
+def _refuse(exc):
+    def refuse(*args, **kwargs):
+        raise exc
+    return refuse
+
+
+# Each step the run wraps in a ScenarioError, made to fail: (name in
+# harness, stand-in, the message's start).  A proof of (0, 0) fails the
+# registrar's own check.
+RUN_FAILURES = {
+    "group": ("authority_setup", _refuse(ValueError("no prime")), "group generation failed: "),
+    "registration": ("make_registration", lambda *args: RegistrationProof(0, 0),
+                     "bidder-0: registration failed: possession proof failed"),
+    "opening": ("open_protocol", _refuse(Untraceable("two slots match")),
+                "auction 0: opening failed: two slots match"),
+}
+
+
+class TestScenarioErrors:
+    @pytest.mark.parametrize("phase", RUN_FAILURES)
+    def test_failure_names_its_phase(self, monkeypatch, phase):
+        name, stand_in, message = RUN_FAILURES[phase]
+        monkeypatch.setattr(harness, name, stand_in)
+        with pytest.raises(ScenarioError) as failure:
+            run_scenario(ScenarioConfig(bidders=2))
+        assert str(failure.value).startswith(message)
+
+    def test_cli_run_exits_one_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        name, stand_in, message = RUN_FAILURES["registration"]
+        monkeypatch.setattr(harness, name, stand_in)
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("bidders = 2\n")
+        out = tmp_path / "t.txt"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert f"scenario failed: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _posted_bids(transcript, pp):
     """seq -> parsed bid for every bid-posted line of a transcript."""
     posted = {}
@@ -336,6 +378,9 @@ class TestVerifyTranscript:
     def test_clean_transcript_is_valid(self, full_run):
         report = verify_transcript(full_run.transcript)
         assert report.valid
+        posted = list(_posted_bids(full_run.transcript, full_run.public_params))  # board order
+        assert list(report.bids) == posted
+        assert len(report.bids) == len(posted)
         assert report.reason is None
         assert report.records == len(full_run.transcript.decode().splitlines()) - 1
         assert report.winners == tuple(

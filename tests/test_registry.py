@@ -1,11 +1,12 @@
 """Registration proofs, the bulletin board, and the identity registry."""
 
+import math
 import random
 from collections import Counter
 
 import pytest
 
-from ringauction.group import gen_group_params, group_from_primes
+from ringauction.group import OpCounter, count_ops, gen_group_params, group_from_primes
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
@@ -40,12 +41,14 @@ from .support import (
 
 
 def oracle_verify(pub_key, identity, proof, group):
-    """Re-derive the proof commitment with the naive curve arithmetic."""
+    """Re-derive the proof commitment with the naive curve arithmetic; the
+    challenge hashes the key, the commitment and the identity."""
     ell = group.ell
     lhs = naive_mul(proof.b_resp, group.g, ell)
     rhs = naive_neg(naive_mul(proof.a_resp, pub_key, ell), ell)
     commitment = naive_add(lhs, rhs, ell)
-    return proof.a_resp == group.hash_to_zn(group.encode_point(commitment) + identity)
+    statement = group.encode_point(pub_key) + group.encode_point(commitment) + identity
+    return proof.a_resp == group.hash_to_zn(statement)
 
 
 def fresh_key(group, rng):
@@ -80,12 +83,15 @@ class TestRegistrationProof:
             assert verify_registration(pub, identity, proof, group)
             assert oracle_verify(pub, identity, proof, group)
 
-    def test_make_rejects_mismatched_key(self, tiny_params):
-        group = tiny_params.group
+    def test_make_counts_one_exp(self, params16):
+        group = params16.group
         rng = random.Random(11)
         x, pub = fresh_key(group, rng)
-        with pytest.raises(ValueError):
-            make_registration(x + 1, pub, b"id", group, rng)
+        counter = OpCounter()
+        with count_ops(counter):
+            counter.set_phase("registration")
+            make_registration(x, pub, b"id", group, rng)
+        assert counter.phase("registration") == {"exp": 1, "hash": 1}
 
     def test_bound_to_identity(self, tiny_params):
         group = tiny_params.group
@@ -358,6 +364,44 @@ class TestRegistrationManager:
                 rm.register(P, b"intruder", RegistrationProof(1, 1))
         proof = make_registration(x, pub, b"honest", group, rng)
         assert rm.register(pub, b"honest", proof) == 0
+
+    def test_proof_for_another_key_fails_register(self, params16):
+        group = params16.group
+        board = BulletinBoard(group)
+        rm = RegistrationManager(group, board)
+        x, _ = fresh_key(group, random.Random(29))
+        proof = make_registration(x, group.mul(x, group.g), b"alice", group, random.Random(30))
+        with pytest.raises(InvalidProof, match="possession proof failed"):
+            rm.register(group.mul(x + 1, group.g), b"alice", proof)
+        assert board.entries() == ()
+
+    def test_key_nobody_can_open_is_refused(self, params16):
+        # The weak Fiat-Shamir forgery (Bernhard, Pereira, Warinschi,
+        # ASIACRYPT 2012): were the key left out of the hash, anyone could
+        # register P = [a^-1]([b]g - C) from another user's key K, with
+        # C = [c]g + K and a = H(C || id), as [b]g - [a]P = C.  Nobody knows
+        # P's exponent.  Hashing P with C makes a depend on P.
+        group = params16.group
+        board = BulletinBoard(group)
+        rm = RegistrationManager(group, board)
+        rng = random.Random(31)
+        x, victim = fresh_key(group, rng)
+        rm.register(victim, b"victim", make_registration(x, victim, b"victim", group, rng))
+        identity = b"mallory"
+        while True:
+            commitment = group.add(group.mul(rng.randrange(group.n), group.g), victim)
+            a_resp = group.hash_to_zn(group.encode_point(commitment) + identity)
+            if math.gcd(a_resp, group.n) == 1:
+                break
+        b_resp = rng.randrange(group.n)
+        forged = group.mul(pow(a_resp, -1, group.n),
+                           group.add(group.mul(b_resp, group.g), group.neg(commitment)))
+        # The forgery opens its commitment to C, as the construction intends.
+        assert group.add(group.mul(b_resp, group.g),
+                         group.neg(group.mul(a_resp, forged))) == commitment
+        with pytest.raises(InvalidProof, match="possession proof failed"):
+            rm.register(forged, identity, RegistrationProof(a_resp, b_resp))
+        assert len(board.entries()) == 1
 
     def test_evict_removes_from_active_view_only(self, manager, tiny_params):
         rm, board = manager

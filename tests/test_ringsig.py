@@ -198,8 +198,7 @@ class TestSignVerify:
         for size in (1, 2, 3, 5):
             ring, keypairs = make_ring(pp, size, rng)
             for kp in keypairs:
-                idx = ring.index_of(kp.pub_key)
-                sig = sign(pp, ring, idx, kp, b"msg %d" % size, rng)
+                sig = sign(pp, ring, kp, b"msg %d" % size, rng)
                 assert verify(pp, ring, b"msg %d" % size, sig)
 
     def test_verify_survives_ring_permutation(self, tiny_setup):
@@ -207,7 +206,7 @@ class TestSignVerify:
         rng = random.Random(42)
         ring, keypairs = make_ring(pp, 4, rng)
         kp = keypairs[2]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"stable", rng)
+        sig = sign(pp, ring, kp, b"stable", rng)
         shuffled = list(ring.keys)
         random.Random(9).shuffle(shuffled)
         assert verify(pp, Ring(pp.group, shuffled), b"stable", sig)
@@ -216,8 +215,7 @@ class TestSignVerify:
         _, pp, _ = tiny_setup
         rng = random.Random(43)
         ring, keypairs = make_ring(pp, 3, rng)
-        sig = sign(pp, ring, 0, next(kp for kp in keypairs
-                                     if kp.pub_key == ring[0]), b"right", rng)
+        sig = sign(pp, ring, keypairs[0], b"right", rng)
         outcome = verify(pp, ring, b"wrong", sig)
         assert not outcome
         assert outcome.reason == "main-equation"
@@ -227,7 +225,7 @@ class TestSignVerify:
         rng = random.Random(44)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
         bad = replace(sig, s1=params.group.add(sig.s1, params.g))
         outcome = verify(pp, ring, b"m", bad)
@@ -239,7 +237,7 @@ class TestSignVerify:
         rng = random.Random(45)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[1]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         members = list(sig.members)
         members[1] = MemberProof(commit=members[1].commit,
                                  proof=params.group.add(members[1].proof, params.g))
@@ -253,7 +251,7 @@ class TestSignVerify:
         rng = random.Random(46)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         bad = RingSignature(s1=sig.s1, s2=sig.s2, members=sig.members[:-1])
         outcome = verify(pp, ring, b"m", bad)
         assert not outcome
@@ -264,7 +262,7 @@ class TestSignVerify:
         rng = random.Random(47)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
         bad = replace(sig, s2=(1, 1))
         outcome = verify(pp, ring, b"m", bad)
@@ -277,19 +275,8 @@ class TestSignVerify:
         ring, keypairs = make_ring(pp, 3, rng)
         other_ring, _ = make_ring(pp, 3, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         assert not verify(pp, other_ring, b"m", sig)
-
-    def test_sign_rejects_wrong_slot(self, tiny_setup):
-        _, pp, _ = tiny_setup
-        rng = random.Random(49)
-        ring, keypairs = make_ring(pp, 3, rng)
-        kp = keypairs[0]
-        wrong = (ring.index_of(kp.pub_key) + 1) % 3
-        with pytest.raises(NotAMember):
-            sign(pp, ring, wrong, kp, b"m", rng)
-        with pytest.raises(NotAMember):
-            sign(pp, ring, 7, kp, b"m", rng)
 
     def test_outsider_cannot_sign_for_the_ring(self, tiny_setup):
         _, pp, _ = tiny_setup
@@ -298,7 +285,7 @@ class TestSignVerify:
         outsider = keygen(pp, rng)
         assert outsider.pub_key not in ring
         with pytest.raises(NotAMember):
-            sign(pp, ring, 0, outsider, b"m", rng)
+            sign(pp, ring, outsider, b"m", rng)
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(min_value=1, max_value=4),
@@ -311,7 +298,7 @@ class TestSignVerify:
         rng = random.Random(seed)
         ring, keypairs = make_ring(pp, size, rng)
         kp = next(k for k in keypairs if k.pub_key == ring[signer])
-        sig = sign(pp, ring, signer, kp, message, rng)
+        sig = sign(pp, ring, kp, message, rng)
         assert verify(pp, ring, message, sig)
         assert trace(tk, pp, ring, message, sig) == (signer, ring[signer])
 
@@ -319,10 +306,10 @@ class TestSignVerify:
 # ---------------------------------------------------------------------------
 # white-box structure of a signature
 
-def _sign_with_draws(pp, ring, idx, kp, message, rng):
+def _sign_with_draws(pp, ring, kp, message, rng):
     """sign, plus what it drew from rng: e_i per member in ring order, then r."""
     state = rng.getstate()
-    sig = sign(pp, ring, idx, kp, message, rng)
+    sig = sign(pp, ring, kp, message, rng)
     rng.setstate(state)
     blind_exps = [rng.randrange(pp.group.n) for _ in ring]
     return sig, blind_exps, rng.randrange(pp.group.n)
@@ -336,7 +323,7 @@ class TestSignatureStructure:
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[2]
         idx = ring.index_of(kp.pub_key)
-        sig, blind_exps, _ = _sign_with_draws(pp, ring, idx, kp, b"white box", rng)
+        sig, blind_exps, _ = _sign_with_draws(pp, ring, kp, b"white box", rng)
         neg_b0 = naive_neg(pp.commit_offset, ell)
         for i, pub in enumerate(ring):
             e_i = blind_exps[i]
@@ -353,8 +340,7 @@ class TestSignatureStructure:
         rng = random.Random(62)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        idx = ring.index_of(kp.pub_key)
-        sig, blind_exps, rand_exp = _sign_with_draws(pp, ring, idx, kp, b"compose", rng)
+        sig, blind_exps, rand_exp = _sign_with_draws(pp, ring, kp, b"compose", rng)
         assert sig.s2 == naive_mul(rand_exp, params.g, ell)
         total = sum(blind_exps) % params.n
         from ringauction.ringsig import _waters_sum
@@ -373,7 +359,7 @@ class TestSignatureStructure:
         for size in (1, 2, 5):
             ring, keypairs = make_ring(pp, size, rng)
             kp = keypairs[0]
-            sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"sz", rng)
+            sig = sign(pp, ring, kp, b"sz", rng)
             data = serialize_signature(pp.group, sig)
             assert len(data) == (2 + 2 * size) * pp.group.point_bytes
 
@@ -382,8 +368,7 @@ class TestSignatureStructure:
         rng = random.Random(64)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        idx = ring.index_of(kp.pub_key)
-        seen = {serialize_signature(pp.group, sign(pp, ring, idx, kp, b"same", rng))
+        seen = {serialize_signature(pp.group, sign(pp, ring, kp, b"same", rng))
                 for _ in range(100)}
         assert len(seen) == 100
 
@@ -400,7 +385,7 @@ class TestTrace:
             ring, keypairs = make_ring(pp, size, rng)
             kp = keypairs[rng.randrange(size)]
             idx = ring.index_of(kp.pub_key)
-            sig = sign(pp, ring, idx, kp, b"trial %d" % trial, rng)
+            sig = sign(pp, ring, kp, b"trial %d" % trial, rng)
             expected = oracle_trace(pp, ring, sig, Q, params.ell)
             got = trace(tk, pp, ring, b"trial %d" % trial, sig)
             assert (got[0] if got else None) == expected
@@ -412,7 +397,7 @@ class TestTrace:
         ring, keypairs = make_ring(pp, 4, rng)
         for kp in keypairs:
             idx = ring.index_of(kp.pub_key)
-            sig = sign(pp, ring, idx, kp, b"per-member", rng)
+            sig = sign(pp, ring, kp, b"per-member", rng)
             assert trace(tk, pp, ring, b"per-member", sig) == (idx, kp.pub_key)
 
     def test_naive_projection_without_offset_finds_nobody(self, tiny_setup):
@@ -427,7 +412,7 @@ class TestTrace:
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[1]
         idx = ring.index_of(kp.pub_key)
-        sig = sign(pp, ring, idx, kp, b"pitfall", rng)
+        sig = sign(pp, ring, kp, b"pitfall", rng)
         for i, pub in enumerate(ring):
             assert pub != pp.commit_offset  # sanity: the degenerate case is absent
             projected = naive_mul(Q, sig.members[i].commit, ell)
@@ -489,7 +474,7 @@ class TestTrace:
         ring = Ring(pp.group, list(clean.keys) + [degenerate.pub_key])
         signer = next(kp for kp in keypairs if kp.pub_key == clean[0])
         idx = ring.index_of(signer.pub_key)
-        sig = sign(pp, ring, idx, signer, b"ambig", rng)
+        sig = sign(pp, ring, signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
         assert trace(tk, pp, ring, b"ambig", sig) == (idx, signer.pub_key)
 
@@ -501,7 +486,7 @@ class TestTrace:
         keypairs = degenerate_keypairs(pp, 2, rng)
         ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
         signer = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(signer.pub_key), signer, b"ambig", rng)
+        sig = sign(pp, ring, signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
         assert trace(tk, pp, ring, b"ambig", sig) is None
 
@@ -510,7 +495,7 @@ class TestTrace:
         rng = random.Random(75)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         bad = RingSignature(s1=sig.s1, s2=sig.s2, members=sig.members[:1] * 2)
         with pytest.raises(NotVerified):
             trace(tk, pp, ring, b"m", bad)
@@ -520,7 +505,7 @@ class TestTrace:
         rng = random.Random(78)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
         member = replace(sig.members[1], proof=params.group.add(sig.members[1].proof, params.g))
         bad = replace(sig, members=(sig.members[0], member))
@@ -535,7 +520,7 @@ class TestTrace:
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[0]
         idx = ring.index_of(kp.pub_key)
-        sig = sign(pp, ring, idx, kp, b"m", rng)
+        sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
         broken = replace(sig, s1=params.group.add(sig.s1, params.g))
         with pytest.raises(NotVerified, match="^main-equation$"):
@@ -550,7 +535,7 @@ class TestTrace:
         pp, _ = setup16
         kp = keys16[0]
         ring = Ring(pp.group, [kp.pub_key])
-        sig = sign(pp, ring, 0, kp, b"m", random.Random(77))
+        sig = sign(pp, ring, kp, b"m", random.Random(77))
         for q in (0, pp.group.n):
             with pytest.raises(ValueError, match="multiple of the group order"):
                 locate_signer(TraceKey(q), pp, ring, sig)
@@ -564,7 +549,7 @@ class TestTrace:
         pp, _ = setup16
         ring = Ring(pp.group, [kp.pub_key for kp in keys16[:3]])
         kp = keys16[1]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"m", random.Random(78))
+        sig = sign(pp, ring, kp, b"m", random.Random(78))
         q = {"0": 0, "1": 1, "p": params16.p, "n": params16.group.n}[key]
         counter = OpCounter()
         with count_ops(counter), pytest.raises(ValueError, match="^bad trace key"):
@@ -578,7 +563,7 @@ class TestTrace:
         ring = Ring(pp.group, [kp.pub_key for kp in keys16[:3]])
         kp = keys16[1]
         idx = ring.index_of(kp.pub_key)
-        sig = sign(pp, ring, idx, kp, b"m", random.Random(79))
+        sig = sign(pp, ring, kp, b"m", random.Random(79))
         key = TraceKey(tk.q + orders * params16.group.n)
         assert trace(key, pp, ring, b"m", sig) == (idx, kp.pub_key)
 
@@ -592,7 +577,7 @@ class TestSerialization:
         rng = random.Random(81)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[1]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"round", rng)
+        sig = sign(pp, ring, kp, b"round", rng)
         data = serialize_signature(pp.group, sig)
         back = deserialize_signature(pp.group, data, len(ring))
         assert back == sig
@@ -619,7 +604,7 @@ class TestSerialization:
         rng = random.Random(82)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
-        sig = sign(pp, ring, ring.index_of(kp.pub_key), kp, b"travel", rng)
+        sig = sign(pp, ring, kp, b"travel", rng)
         back = public_params_from_json(public_params_to_json(pp))
         ring_again = Ring(back.group, list(ring.keys))
         assert verify(back, ring_again, b"travel", sig)
