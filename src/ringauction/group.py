@@ -73,18 +73,30 @@ class OpCounter:
     negations, "hash" hash invocations, "pair" pairing evaluations.  A scalar
     multiplication or pairing counts once; their internal point arithmetic is
     part of that single operation and is not tallied separately.
+
+    ``paths`` is a second tally per phase, kept out of ``phases``, that splits
+    each "exp" and "pair" by the code path that computed it: "exp.ladder" the
+    x-only ladder, "exp.window" a fixed-base window table, "exp.member"
+    ``in_group``'s membership test, "exp.joint" a member proof from a joint
+    table, "pair.var" a Miller loop on variable lines and "pair.lines" one on
+    stored lines.  An op named "kind.path" bumps both tallies.
     """
 
     def __init__(self) -> None:
         self._phase = "default"
         self.phases: dict[str, dict[str, int]] = {}  # phase -> op kind -> count
+        self.paths: dict[str, dict[str, int]] = {}  # phase -> "kind.path" -> count
 
     def set_phase(self, name: str) -> None:
         self._phase = name
 
     def bump(self, op: str) -> None:
+        kind, _, path = op.partition(".")
         tally = self.phases.setdefault(self._phase, {})
-        tally[op] = tally.get(op, 0) + 1
+        tally[kind] = tally.get(kind, 0) + 1
+        if path:
+            tally = self.paths.setdefault(self._phase, {})
+            tally[op] = tally.get(op, 0) + 1
 
     def phase(self, name: str) -> dict[str, int]:
         """A copy of one phase's tally; {} for a phase that counted nothing."""
@@ -346,6 +358,7 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
 
 
 _WINDOW = 5  # bits per signed digit of a fixed-base scalar
+_JOINT_USES = 16  # member_proof requests for a key before it gets a joint table
 
 
 def _window_table(P: tuple[int, int], n: int, ell: int):
@@ -889,6 +902,8 @@ class PairingGroup:
         self._fixed = {g, h}
         self._mul_seen: set = set()
         self._mul_tables: dict = {}
+        self._key_uses: dict = {}  # member_proof's requests per key
+        self._joint: dict = {}  # key -> h's window rows, then the key's
         self._lines: dict = {}
         self._tate = None  # in_group's stored lines, built at its first call
 
@@ -915,21 +930,55 @@ class PairingGroup:
 
     def mul(self, k: int, P: Point) -> Point:
         """Scalar multiple [k]P (one counted exponentiation)."""
-        _bump("exp")
         if P in self._fixed:
             if P in self._mul_seen and P not in self._mul_tables:
                 self._mul_tables[P] = _window_table(P, self.n, self.ell)
             self._mul_seen.add(P)
             if self._mul_tables.get(P) is not None:
+                _bump("exp.window")
                 return _window_mul(self._mul_tables[P], k % self.n, self.ell)
+        _bump("exp.ladder")
         return _point_mul(k, P, self.ell)
+
+    def member_proof(self, e: int, blind: Point, key: Point, sign: int) -> Point:
+        """[e](blind + [sign]key) for blind = [e]h and sign = +1 or -1, one
+        counted exponentiation.
+
+        The first 15 requests for a key run the ladder; the 16th builds the
+        key's window table and, when [n]key = O, keeps h's R rows followed by
+        the key's R rows, R = n.bit_length()//5 + 1; from then on the result
+        is [e^2]h + [sign*e]key in one pass over those 2R rows, with scalar
+        e^2 mod n + ((sign*e mod n) << 5R).  The signed base-32 recoding of
+        any k < n ends with no carry after R digits, so the digits above R
+        are exactly the key's scalar.  Memory: one joint table per key with
+        16 or more requests, so at most one per registered key in a run,
+        each 2R x 16 affine points (416 at a 64-bit n), and one int per
+        distinct key requested.
+        """
+        joint = self._joint.get(key)
+        if joint is None:
+            uses = self._key_uses[key] = self._key_uses.get(key, 0) + 1
+            if uses == _JOINT_USES:
+                if self.h not in self._mul_tables:
+                    self._mul_tables[self.h] = _window_table(self.h, self.n, self.ell)
+                h_rows, key_rows = self._mul_tables[self.h], _window_table(key, self.n, self.ell)
+                if h_rows is not None and key_rows is not None:
+                    joint = self._joint[key] = h_rows + key_rows
+        if joint is not None:
+            _bump("exp.joint")
+            k = e * e % self.n + ((sign * e % self.n) << (_WINDOW * len(joint) // 2))
+            return _window_mul(joint, k, self.ell)
+        _bump("exp.ladder")
+        if sign < 0:
+            key = _point_neg(key, self.ell)
+        return _point_mul(e, _point_add(blind, key, self.ell), self.ell)
 
     def in_group(self, P: Point) -> bool:
         """Whether P is a curve point with [n]P = O, counted as one
         exponentiation, like the [n]P it decides: the reduced Tate pairing of
         order r at a fixed T is 1 at P.  T and its Miller lines are built at
         the first call and kept."""
-        _bump("exp")
+        _bump("exp.member")
         if P is None:
             return True
         if not _on_curve(P, self.ell) or not P[1] % self.ell:
@@ -938,9 +987,6 @@ class PairingGroup:
             self._tate = _membership_lines(self.n, self.ell)
         return _tate_at(self._tate, P[0], P[1], self.n, self.ell) == 2
 
-    def random_point(self, rng) -> tuple[int, int]:
-        return _random_point(self.ell, rng)
-
     # -- pairing --------------------------------------------------------------
 
     def pair(self, P: Point, Q: Point) -> GtElement:
@@ -948,12 +994,12 @@ class PairingGroup:
         for pt in (P, Q):
             if not _on_curve(pt, self.ell):
                 raise InvalidPoint("pairing input is not on the curve")
-        _bump("pair")
         lines = None
         if P in self._fixed:
             lines = self._lines.get(P)
             if lines is None:
                 lines = self._lines[P] = _miller_lines(P, self.n, self.ell)
+        _bump("pair.var" if lines is None else "pair.lines")
         re, im = _pair_value(P, Q, self.n, self.ell, lines)
         return GtElement(re, im, self.ell)
 

@@ -218,10 +218,10 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
         blind_pt = grp.mul(e_i, grp.h)
         if pub == keypair.pub_key:  # the signer's slot: ring keys are distinct
             commit = grp.add(offset_key, blind_pt)
-            proof = grp.mul(e_i, commit)  # marked slot: inner point equals the commitment
+            proof = grp.member_proof(e_i, blind_pt, offset_key, 1)  # [e_i]commit
         else:
             commit = blind_pt
-            proof = grp.mul(e_i, grp.add(grp.neg(offset_key), blind_pt))
+            proof = grp.member_proof(e_i, blind_pt, offset_key, -1)
         members.append(MemberProof(commit=commit, proof=proof))
     r = rng.randrange(grp.n)
     s1 = grp.add(

@@ -14,7 +14,7 @@ import functools
 import math
 
 from ringauction.auction import MalformedBid, parse_bid_payload
-from ringauction.group import InvalidPoint
+from ringauction.group import InvalidPoint, _random_point
 from ringauction.harness import TranscriptReport, read_transcript
 from ringauction.registry import BID_POSTED, KEY_EVICTED, KEY_PUBLISHED, MalformedBoard
 from ringauction.ringsig import verify
@@ -162,7 +162,7 @@ def cofactor_torsion(group, rng):
     n, ell = group.n, group.ell
     r = (ell + 1) // n
     while True:
-        T = naive_mul(n, group.random_point(rng), ell)
+        T = naive_mul(n, _random_point(ell, rng), ell)
         if T is not None and naive_order(T, ell, r) == r:
             return T
 

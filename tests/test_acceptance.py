@@ -350,13 +350,37 @@ def test_determinism():
     assert first.report.phases == {
         "initial": {"exp": 20},
         "registration": {"exp": 24, "hash": 8, "inv": 4, "mul": 4},
-        "bidding": {"exp": 122, "hash": 12, "inv": 43, "mul": 204},
+        "bidding": {"exp": 122, "hash": 12, "inv": 12, "mul": 173},
         "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
         "open": {"exp": 11, "hash": 1, "inv": 20, "mul": 42, "pair": 11},
+    }
+    assert first.report.paths == {
+        "initial": {"exp.ladder": 1, "exp.window": 19},
+        "registration": {"exp.ladder": 4, "exp.member": 4, "exp.window": 16},
+        "bidding": {"exp.ladder": 55, "exp.window": 67},
+        "winner": {"pair.lines": 9, "pair.var": 11},
+        "open": {"exp.ladder": 11, "pair.lines": 5, "pair.var": 6},
     }
     print("\nACCEPTANCE determinism: PASS (byte-identical transcripts across "
           "repeat runs, matching the pinned digest "
           "and operation counts)")
+
+
+def test_determinism_past_the_joint_table_threshold():
+    # Every bid rings all 16 keys, so each key serves 31 or 60 member proofs:
+    # the first 15 on the ladder, the rest from its joint table with h.  The
+    # digest was recorded before member proofs had a joint path.
+    config = ScenarioConfig(
+        bidders=16, rounds=2, auctions=2, seed=7, strategies=(HONEST, SNIPER, REPUDIATOR),
+    )
+    result = run_scenario(config)
+    assert hashlib.sha256(result.transcript).hexdigest() == (
+        "ec81b017aa292081bc625e3cf69acf3614892d54f5966537ffbe41cc20a959a6")
+    assert result.report.paths["bidding"] == {
+        "exp.joint": 691, "exp.ladder": 300, "exp.window": 1051}
+    assert result.evicted and verify_transcript(result.transcript).valid
+    print("\nACCEPTANCE determinism past the joint-table threshold: PASS (pinned "
+          "digest with 691 member proofs on the joint path)")
 
 
 def test_determinism_after_eviction():

@@ -27,6 +27,7 @@ from ringauction.group import (
     _double_and_add,
     _jacobi,
     _point_mul,
+    _random_point,
     _strong_lucas_probable_prime,
     check_point_bytes,
     check_public_group,
@@ -392,7 +393,7 @@ class TestArithmetic:
     def test_random_point_lands_on_curve(self, tiny_params):
         rng = random.Random(5)
         for _ in range(50):
-            P = tiny_params.group.random_point(rng)
+            P = _random_point(tiny_params.ell, rng)
             assert naive_on_curve(P, tiny_params.ell)
             assert P[1] != 0
 
@@ -479,7 +480,7 @@ class TestPairing:
         params = gen_group_params(bits, bits, random.Random(bits))
         group, n, ell = params.group, params.n, params.ell
         rng = random.Random(1000 + bits)
-        outside = [group.random_point(rng) for _ in range(3)]  # almost surely not in <g>
+        outside = [_random_point(ell, rng) for _ in range(3)]  # almost surely not in <g>
         torsion = naive_mul(n, outside[0], ell)  # order divides the cofactor r
         points = [params.g, params.h, group.mul(rng.randrange(n), params.g),
                   torsion, (0, 0), *outside]
@@ -565,7 +566,7 @@ class TestInGroup:
         group, n, ell, r = params.group, params.n, params.ell, params.r
         assert any(s % 2 for s in prime_factors(r))
         rng = random.Random(seed)
-        outside = [group.random_point(rng) for _ in range(20)]  # mostly not in <g>
+        outside = [_random_point(ell, rng) for _ in range(20)]  # mostly not in <g>
         points = [None, (0, 0), params.g, params.h, *outside,
                   *(naive_mul(r, P, ell) for P in outside),  # in <g>
                   *torsion_shifts(group, params.g, rng)]
@@ -587,7 +588,7 @@ class TestInGroup:
         for params in groups:
             group, n, ell, r = params.group, params.n, params.ell, params.r
             rng = random.Random(ell)
-            outside = [group.random_point(rng) for _ in range(20)]
+            outside = [_random_point(ell, rng) for _ in range(20)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
                       *torsion_shifts(group, params.g, rng)]
             verdicts = [group.in_group(P) for P in points]
@@ -658,7 +659,7 @@ class TestInGroup:
         if bits is None:
             points = [P for P in all_curve_points(ell) if P not in (None, (0, 0))]
         else:
-            outside = [group.random_point(rng) for _ in range(20)]
+            outside = [_random_point(ell, rng) for _ in range(20)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
                       *torsion_shifts(group, params.g, rng)[1:]]
         for P in points:
@@ -682,7 +683,7 @@ class TestInGroup:
             return min(d for d in range(1, r + 1)
                        if r % d == 0 and group_module._lucas_v(trace, d, ell) == 2)
 
-        R = next(R for R in iter(lambda: group.random_point(rng), None)
+        R = next(R for R in iter(lambda: _random_point(ell, rng), None)
                  if order(expected, R) == r)
         assert all(order(group_module._tate_lines(T, r, ell), R) < r for T in deficient)
         source = group_module._tate_candidates
@@ -708,7 +709,7 @@ class TestInGroup:
         if bits is None:
             points = [P for P in all_curve_points(ell) if P not in (None, (0, 0))]
         else:
-            outside = [group.random_point(rng) for _ in range(4)]
+            outside = [_random_point(ell, rng) for _ in range(4)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
                       *torsion_shifts(group, params.g, rng)[1:]]
         expected = [naive_in_group(P, n, ell) for P in points]
@@ -766,7 +767,7 @@ class TestFixedBases:
         pp, _ = setup(params, 4, random.Random(bits + 1))
         group, n, ell = params.group, params.n, params.ell
         rng = random.Random(2000 + bits)
-        outside = group.random_point(rng)  # almost surely not in <g>
+        outside = _random_point(ell, rng)  # almost surely not in <g>
         group.precompute(outside)
         bases = [params.g, params.h, pp.key_base, pp.blind_base, outside]
         scalars = [0, 1, -1, n - 1, n, n + 1, 2 * n + 3, rng.randrange(n)]
@@ -805,6 +806,7 @@ class TestFixedBases:
                 group.mul(3, tiny_params.g)
                 group.pair(tiny_params.h, tiny_params.g)
         assert counter.phase("fixed") == {"exp": 2, "pair": 2}
+        assert counter.paths == {"fixed": {"exp.ladder": 1, "exp.window": 1, "pair.lines": 2}}
 
     def test_verify_only_group_builds_no_mul_table(self, setup16, keys16):
         pp, _ = setup16
@@ -817,6 +819,74 @@ class TestFixedBases:
         assert verify(header_pp, header_ring, b"bid", sig)
         assert group._mul_tables == {}
         assert set(group._lines) == {group.h, header_pp.key_base}
+
+
+class TestMemberProof:
+    # member_proof(e, [e]h, K, sign) is [e]([e]h + [sign]K): the ladder for a
+    # key's first 15 requests, then one pass over h's rows and K's rows.
+    @staticmethod
+    def _expected(e, h, key, sign, ell):
+        return naive_mul(e, naive_add(naive_mul(e, h, ell), naive_mul(sign, key, ell), ell), ell)
+
+    def test_joint_path_matches_the_oracle_on_every_key_scalar_and_sign(self, tiny_params):
+        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
+        group = PairingGroup(n, ell, tiny_params.g, h)
+        keys = [P for P in all_curve_points(ell) if naive_mul(n, P, ell) is None]
+        assert len(keys) == n
+        for key in keys:
+            for e in range(15):  # the ladder requests
+                group.member_proof(e, naive_mul(e, h, ell), key, 1)
+            for e in range(n):
+                for sign in (1, -1):
+                    got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
+                    assert got == self._expected(e, h, key, sign, ell), (key, e, sign)
+        assert set(group._joint) == set(keys)
+        assert all(len(rows) == 2 * (n.bit_length() // 5 + 1) for rows in group._joint.values())
+
+    def test_sixteenth_request_switches_to_the_joint_path(self, params16):
+        group = PairingGroup(params16.n, params16.ell, params16.g, params16.h)
+        n, ell, h = params16.n, params16.ell, params16.h
+        rng = random.Random(16)
+        key = naive_mul(rng.randrange(1, n), params16.g, ell)
+        counter = OpCounter()
+        with count_ops(counter):
+            for request in range(1, 21):
+                counter.set_phase("ladder" if request < 16 else "joint")
+                e, sign = rng.randrange(n), (1, -1)[request % 2]
+                got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
+                assert got == self._expected(e, h, key, sign, ell), request
+                assert (key in group._joint) == (request >= 16)
+        assert counter.phases == {"ladder": {"exp": 15}, "joint": {"exp": 5}}
+        assert counter.paths == {"ladder": {"exp.ladder": 15}, "joint": {"exp.joint": 5}}
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_joint_path_matches_the_ladder_at_size(self, bits):
+        params = gen_group_params(bits, bits, random.Random(bits))
+        pp, _ = setup(params, 4, random.Random(bits + 1))
+        group, n, ell = params.group, params.n, params.ell
+        rng = random.Random(3000 + bits)
+        key = group.add(group.mul(rng.randrange(1, n), params.g), group.neg(pp.commit_offset))
+        scalars = [rng.randrange(n) for _ in range(15)] + _signed_window_scalars(n)
+        for e in scalars:
+            for sign in (1, -1):
+                blind = group.mul(e, params.h)
+                assert group.member_proof(e, blind, key, sign) == _point_mul(
+                    e, group.add(blind, group.mul(sign, key)), ell), (e, sign)
+        assert key in group._joint
+
+    def test_key_outside_the_group_stays_on_the_ladder(self, tiny_params):
+        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
+        group = PairingGroup(n, ell, tiny_params.g, h)
+        rng = random.Random(7)
+        counter = OpCounter()
+        for key in (cofactor_torsion(group, rng), (0, 0)):
+            with count_ops(counter):
+                for request in range(20):
+                    e, sign = rng.randrange(n), (1, -1)[request % 2]
+                    got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
+                    assert got == self._expected(e, h, key, sign, ell), (key, request)
+            assert key not in group._joint
+        assert counter.paths == {"default": {"exp.ladder": 40}}
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1065,19 @@ class TestOpCounter:
             group.neg(tiny_params.g)
         assert counter.phase("alpha") == {"exp": 1, "mul": 1}
         assert counter.phase("beta") == {"pair": 1, "hash": 1, "inv": 1}
+
+    def test_paths_split_exp_and_pair_by_code_path(self, tiny_params):
+        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
+        P = group.mul(3, tiny_params.g)
+        counter = OpCounter()
+        with count_ops(counter):
+            group.mul(2, P)
+            group.in_group(P)
+            group.pair(P, P)
+            group.add(P, P)
+            group.hash_to_zn(b"x")
+        assert counter.phases == {"default": {"exp": 2, "pair": 1, "mul": 1, "hash": 1}}
+        assert counter.paths == {"default": {"exp.ladder": 1, "exp.member": 1, "pair.var": 1}}
 
     def test_no_counter_is_silent(self, tiny_params):
         # Ops outside any count_ops() region must not fail or leak anywhere.

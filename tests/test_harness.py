@@ -32,6 +32,7 @@ from ringauction.group import (
     MAX_PRIME_BITS,
     OpCounter,
     PairingGroup,
+    _random_point,
     decode_point_bytes,
     is_probable_prime,
 )
@@ -136,7 +137,7 @@ def _even_n_transcript() -> bytes:
     """A header-only transcript over n = 4 and the Mersenne prime
     ell = 2^127 - 1 (ell = 3 mod 4 and n divides ell + 1), every point the
     same point, with one hash generator."""
-    point = PairingGroup(4, 2**127 - 1, None, None).random_point(random.Random(0))
+    point = _random_point(2**127 - 1, random.Random(0))
     group = PairingGroup(4, 2**127 - 1, point, point)
     pp = PublicParams(group, point, point, point, point, (point,))
     return render_transcript(pp, BulletinBoard(group))

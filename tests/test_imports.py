@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package and its tests is used by its module.
 
 A deletion that leaves an import behind fails here.  Names listed in a
 module's ``__all__`` count as used, so the package root may import only to
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ringauction"
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ringauction"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,12 +33,13 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: (
+    path.name if path.parent == PACKAGE else f"tests/{path.name}"))
 def test_every_module_level_import_is_used(module):
     assert unused_imports(module.read_text()) == []
 
 
 def test_the_check_sees_an_unused_import():
-    assert PACKAGE / "__init__.py" in MODULES
+    assert PACKAGE / "__init__.py" in MODULES and TESTS / "support.py" in MODULES
     source = "import os\nfrom .group import Point, mul\n__all__ = ['mul']\n"
     assert unused_imports(source) == ["line 1: os", "line 2: Point"]

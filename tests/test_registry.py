@@ -6,14 +6,13 @@ from collections import Counter
 
 import pytest
 
-from ringauction.group import OpCounter, count_ops, gen_group_params, group_from_primes
+from ringauction.group import OpCounter, count_ops, gen_group_params
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
     KEY_PUBLISHED,
     AlreadyEvicted,
-    BoardEntry,
     BoardState,
     BulletinBoard,
     DuplicateKey,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringauction.group import OpCounter, count_ops, group_from_primes
+from ringauction.group import OpCounter, count_ops
 from ringauction.ringsig import (
     MemberProof,
     NotAMember,
