@@ -21,7 +21,8 @@ g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
 be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
-stored once, at each Q.  in_group decides [n]P = O without the ladder: the
+stored once, at each Q, and refuses a first argument outside G_n, as its
+loop's final [n]P shows.  in_group decides [n]P = O without the ladder: the
 reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2)
 is 1 at P.  T = [n]X, for X on a line through a rational point, is found
 with F_ell square roots at the first call and kept with its Miller lines; it
@@ -521,7 +522,7 @@ def _fp2_sub(u, v, ell):
 
 @dataclass(frozen=True)
 class GtElement:
-    """Element of the order-n target subgroup of F_ell^2*."""
+    """Element of the order-n target subgroup G_T of F_ell^2*; every pair value lies there."""
 
     re: int
     im: int
@@ -559,12 +560,8 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # tangent, Z*H for a chord.  Vertical lines, f_{-1,P} among them, and
     # lines at infinity lie in F_ell* (or are 1) and are skipped.  Both are
     # exact because (ell^2 - 1)/n = (ell - 1)*r, so the final exponentiation
-    # maps all of F_ell* to 1.  A non-vertical line value has imaginary part
-    # ty times a nonzero factor; it is zero only when ty = 0, i.e. for
-    # Q = (0, 0), where the real part can vanish too and f, and so the
-    # pairing value, is 0.  That value lies outside G_T; it is returned as
-    # is.  PairingGroup.in_group refuses (0, 0), but no verifier path runs
-    # it on the points it decodes yet.
+    # maps all of F_ell* to 1.  R ends at [n]P, so a final Z != 0 means P
+    # lies outside G_n, and then there is no value: None.
     xp, yp = P
     X, Y, Z = xp, yp, 1
     fa, fb = 1, 0
@@ -611,13 +608,14 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
         X = (M * M - 2 * S) % ell
         Y = (M * (S - X) - 8 * YY * YY) % ell
         Z = Z3
-    return fa, fb
+    return None if Z else (fa, fb)
 
 
-def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list:
+def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list | None:
     """The Q-independent part of _miller for a fixed P, step by step: None
     for a squaring of f, (c0, c1, c2) for each line _miller multiplies in
-    (same scaling, same skipped lines), worth (c0 - c1*tx) + i*(c2*ty)."""
+    (same scaling, same skipped lines), worth (c0 - c1*tx) + i*(c2*ty).
+    None, like _miller, when P lies outside G_n."""
     xp, yp = P
     X, Y, Z = xp, yp, 1
     ops: list = []
@@ -641,7 +639,7 @@ def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list:
             X, Y, Z = _jac_double(X, Y, Z, ell)
         else:
             X, Y, Z = _jac_add(X, Y, Z, xp, y0, ell)
-    return ops
+    return None if Z else ops
 
 
 def _miller_at(ops: list, tx: int, ty: int, ell: int):
@@ -659,20 +657,22 @@ def _miller_at(ops: list, tx: int, ty: int, ell: int):
 
 
 def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None):
-    """Raw pairing value in F_ell^2 (already final-exponentiated); ``lines``
-    are P's stored Miller lines, if it has them."""
-    if P is None or Q is None:
+    """Raw pairing value in F_ell^2 (already final-exponentiated), or None
+    when P lies outside G_n; ``lines`` are P's stored Miller lines, if it
+    has them.  Q = O pairs to 1, but P's loop still runs, for its verdict."""
+    if P is None:
         return _FP2_ONE
-    tx = (-Q[0]) % ell  # distorted image of Q
-    ty = Q[1] % ell
-    a, b = _miller(P, tx, ty, n, ell) if lines is None else _miller_at(lines, tx, ty, ell)
+    tx, ty = ((-Q[0]) % ell, Q[1] % ell) if Q else (0, 0)  # distorted image of Q
+    f = _miller(P, tx, ty, n, ell) if lines is None else _miller_at(lines, tx, ty, ell)
+    if f is None or Q is None:
+        return None if f is None else _FP2_ONE
     # Final exponent (ell^2 - 1)/n = (ell - 1) * (ell + 1)/n.  Frobenius is
     # conjugation, so f^(ell - 1) = conj(f)/f = conj(f)^2 / N(f) with the
-    # norm N(f) = a^2 + b^2 in F_ell, zero only for f = 0.
-    norm = (a * a + b * b) % ell
-    if not norm:
-        return (0, 0)
-    norm_inv = pow(norm, -1, ell)
+    # norm N(f) = a^2 + b^2 in F_ell, zero only for f = 0.  For P in G_n,
+    # f != 0: a line of the loop meets the curve only at points of G_n, and
+    # the distorted Q is rational only as (0, 0), of order 2.
+    a, b = f
+    norm_inv = pow((a * a + b * b) % ell, -1, ell)
     u = ((a * a - b * b) * norm_inv % ell, -2 * a * b * norm_inv % ell)
     return _fp2_pow(u, (ell + 1) // n, ell)
 
@@ -940,20 +940,20 @@ class PairingGroup:
         _bump("exp.ladder")
         return _point_mul(k, P, self.ell)
 
-    def member_proof(self, e: int, blind: Point, key: Point, sign: int) -> Point:
-        """[e](blind + [sign]key) for blind = [e]h and sign = +1 or -1, one
-        counted exponentiation.
+    def member_proof(self, e: int, commit: Point, key: Point, signer: bool) -> Point:
+        """The proof of a ring slot whose commitment is commit = [e]h, plus
+        key in the signer's slot: [e]commit, or [e](commit - key) for a decoy;
+        [e^2]h +- [e]key either way, one counted exponentiation.
 
         The first 15 requests for a key run the ladder; the 16th builds the
         key's window table and, when [n]key = O, keeps h's R rows followed by
-        the key's R rows, R = n.bit_length()//5 + 1; from then on the result
-        is [e^2]h + [sign*e]key in one pass over those 2R rows, with scalar
-        e^2 mod n + ((sign*e mod n) << 5R).  The signed base-32 recoding of
-        any k < n ends with no carry after R digits, so the digits above R
-        are exactly the key's scalar.  Memory: one joint table per key with
-        16 or more requests, so at most one per registered key in a run,
-        each 2R x 16 affine points (416 at a 64-bit n), and one int per
-        distinct key requested.
+        the key's R rows, R = n.bit_length()//5 + 1; from then on commit is
+        not read and the result is one pass over those 2R rows, with scalar
+        e^2 mod n + ((+-e mod n) << 5R).  The signed base-32 recoding of any
+        k < n ends with no carry after R digits, so the digits above R are
+        exactly the key's scalar.  Memory: one joint table per key with 16 or
+        more requests, each 2R x 16 affine points (416 at a 64-bit n), and one
+        int per distinct key requested.
         """
         joint = self._joint.get(key)
         if joint is None:
@@ -966,12 +966,12 @@ class PairingGroup:
                     joint = self._joint[key] = h_rows + key_rows
         if joint is not None:
             _bump("exp.joint")
-            k = e * e % self.n + ((sign * e % self.n) << (_WINDOW * len(joint) // 2))
+            k = e * e % self.n + (((e if signer else -e) % self.n) << (_WINDOW * len(joint) // 2))
             return _window_mul(joint, k, self.ell)
         _bump("exp.ladder")
-        if sign < 0:
-            key = _point_neg(key, self.ell)
-        return _point_mul(e, _point_add(blind, key, self.ell), self.ell)
+        if not signer:
+            commit = _point_add(commit, _point_neg(key, self.ell), self.ell)
+        return _point_mul(e, commit, self.ell)
 
     def in_group(self, P: Point) -> bool:
         """Whether P is a curve point with [n]P = O, counted as one
@@ -990,18 +990,21 @@ class PairingGroup:
     # -- pairing --------------------------------------------------------------
 
     def pair(self, P: Point, Q: Point) -> GtElement:
-        """Symmetric pairing through the distortion map; bilinear on <g>."""
+        """Symmetric pairing through the distortion map; bilinear on <g>.
+        InvalidPoint for a point off the curve or a first argument outside G_n."""
         for pt in (P, Q):
             if not _on_curve(pt, self.ell):
                 raise InvalidPoint("pairing input is not on the curve")
         lines = None
         if P in self._fixed:
-            lines = self._lines.get(P)
-            if lines is None:
-                lines = self._lines[P] = _miller_lines(P, self.n, self.ell)
+            if P not in self._lines:
+                self._lines[P] = _miller_lines(P, self.n, self.ell)
+            lines = self._lines[P]
         _bump("pair.var" if lines is None else "pair.lines")
-        re, im = _pair_value(P, Q, self.n, self.ell, lines)
-        return GtElement(re, im, self.ell)
+        value = _pair_value(P, Q, self.n, self.ell, lines)
+        if value is None:
+            raise InvalidPoint("pairing's first argument is outside the order-n subgroup")
+        return GtElement(*value, self.ell)
 
     # -- canonical encodings --------------------------------------------------
 
@@ -1081,7 +1084,8 @@ def check_public_group(n: int, ell: int, g: bytes, h: bytes) -> tuple[Point, Poi
     _R_SEARCH_LIMIT for r = (ell + 1)/n, then ell prime, then g and h
     finite curve points.  ell = 3 (mod 4) follows from n odd and 4 | r.
     g and h come as canonical encodings, decoded only after ell has
-    passed.  Whether they lie in the order-n subgroup is not checked.
+    passed.  Whether they lie in the order-n subgroup is not checked here
+    (``PairingGroup.pair`` refuses an h outside it, as a first argument).
     """
     if ell.bit_length() > _MAX_ELL_BITS:
         raise GroupError(f"ell must have at most {_MAX_ELL_BITS} bits")

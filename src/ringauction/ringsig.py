@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .group import GroupParams, PairingGroup, Point, check_public_group, hash_to_bits
+from .group import GroupParams, InvalidPoint, PairingGroup, Point, check_public_group, hash_to_bits
 
 
 class RingSigError(Exception):
@@ -215,13 +215,11 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
         e_i = rng.randrange(grp.n)
         total_blind = (total_blind + e_i) % grp.n
         offset_key = grp.add(pub, neg_offset)
-        blind_pt = grp.mul(e_i, grp.h)
-        if pub == keypair.pub_key:  # the signer's slot: ring keys are distinct
-            commit = grp.add(offset_key, blind_pt)
-            proof = grp.member_proof(e_i, blind_pt, offset_key, 1)  # [e_i]commit
-        else:
-            commit = blind_pt
-            proof = grp.member_proof(e_i, blind_pt, offset_key, -1)
+        commit = grp.mul(e_i, grp.h)
+        signer = pub == keypair.pub_key  # ring keys are distinct
+        if signer:
+            commit = grp.add(commit, offset_key)
+        proof = grp.member_proof(e_i, commit, offset_key, signer)
         members.append(MemberProof(commit=commit, proof=proof))
     r = rng.randrange(grp.n)
     s1 = grp.add(
@@ -253,24 +251,29 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
 
     After the shape check, each member proof must show that its commitment
     is the member's offset key or nothing, blinded in the order-q component;
-    then the main equation binds the commitments to the message.
+    then the main equation binds the commitments to the message.  A
+    commitment, s1 or s2 outside G_n is "malformed" (``pair`` refuses it);
+    member proofs must lie in G_n too, which is not checked here.
     """
     problem = structure_problem(pp, ring, sig)
     if problem:
         return VerifyResult(False, problem)
     grp = pp.group
-    neg_offset = grp.neg(pp.commit_offset)
-    for index, (pub, member) in enumerate(zip(ring, sig.members)):
-        offset_key = grp.add(pub, neg_offset)
-        shifted = grp.add(member.commit, grp.neg(offset_key))
-        if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
-            return VerifyResult(False, f"membership-proof {index}")
-    bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
-    total_commit: Point = None
-    for member in sig.members:
-        total_commit = grp.add(total_commit, member.commit)
-    lhs = grp.pair(pp.key_base, grp.add(pp.commit_offset, total_commit))
-    rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), _waters_sum(pp, bits))
+    try:
+        neg_offset = grp.neg(pp.commit_offset)
+        for index, (pub, member) in enumerate(zip(ring, sig.members)):
+            offset_key = grp.add(pub, neg_offset)
+            shifted = grp.add(member.commit, grp.neg(offset_key))
+            if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
+                return VerifyResult(False, f"membership-proof {index}")
+        bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
+        total_commit: Point = None
+        for member in sig.members:
+            total_commit = grp.add(total_commit, member.commit)
+        lhs = grp.pair(pp.key_base, grp.add(pp.commit_offset, total_commit))
+        rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), _waters_sum(pp, bits))
+    except InvalidPoint as exc:
+        return VerifyResult(False, f"malformed: {exc}")
     if lhs != rhs:
         return VerifyResult(False, "main-equation")
     return VerifyResult(True)

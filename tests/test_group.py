@@ -78,6 +78,19 @@ def _outcome(read, data: bytes, ell: int) -> str:
     return "decodes"
 
 
+def _check_pair(group, P, Q):
+    # pair matches the oracle, with a value in G_T, for a first argument in
+    # G_n, and refuses any other one, as its Miller loop ends at [n]P != O.
+    n, ell = group.n, group.ell
+    if naive_mul(n, P, ell) is not None:
+        with pytest.raises(InvalidPoint, match="outside the order-n subgroup"):
+            group.pair(P, Q)
+        return
+    z = group.pair(P, Q)
+    assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+    assert (z ** n).is_one(), (P, Q)
+
+
 def _signed_digits(k: int, rows: int) -> list[int]:
     # The recoding a window mul walks, written out as the reference: the
     # base-32 digits -15..16 of k, least significant first.
@@ -467,13 +480,13 @@ class TestPairing:
 
     def test_pair_matches_oracle_exhaustively(self, tiny_params):
         # All 140 x 140 pairs, including the identity, cofactor torsion and
-        # Q = (0, 0), whose lines can vanish and make the value 0.
-        group, n, ell = tiny_params.group, tiny_params.n, tiny_params.ell
+        # (0, 0): the 35 first arguments in G_n against the oracle, the
+        # other 105 refused with every Q.
+        group, ell = tiny_params.group, tiny_params.ell
         pts = all_curve_points(ell)
         for P in pts:
             for Q in pts:
-                z = group.pair(P, Q)
-                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+                _check_pair(group, P, Q)
 
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_mul_and_pair_match_oracles_at_size(self, bits):
@@ -493,8 +506,7 @@ class TestPairing:
             for k in scalars:
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
             for Q in points:
-                z = group.pair(P, Q)
-                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+                _check_pair(group, P, Q)
 
     def test_miller_steps_are_the_non_adjacent_form(self):
         # Replayed on integers from 1, the steps rebuild k, and at least two
@@ -755,11 +767,12 @@ class TestFixedBases:
             for k in range(-3, 2 * (ell + 1) + 4):
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
             for Q in pts:
-                z = group.pair(P, Q)
-                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+                _check_pair(group, P, Q)
         tabled = {P for P, rows in group._mul_tables.items() if rows is not None}
         assert tabled == {P for P in pts if P is not None and naive_mul(n, P, ell) is None}
         assert (0, 0) in group._mul_tables and (0, 0) not in tabled
+        # Miller lines are kept only for the bases that pair accepts first.
+        assert {P for P, lines in group._lines.items() if lines is not None} == tabled
 
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_fixed_bases_match_oracles_at_size(self, bits):
@@ -776,8 +789,7 @@ class TestFixedBases:
             for k in scalars:
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
             for Q in others:
-                z = group.pair(P, Q)
-                assert (z.re, z.im) == naive_pair(P, Q, n, ell), (P, Q)
+                _check_pair(group, P, Q)
         assert group._mul_tables[outside] is None  # [n]outside != O: plain path
         window_scalars = _signed_window_scalars(n)
         for P in bases[:4]:
@@ -822,11 +834,17 @@ class TestFixedBases:
 
 
 class TestMemberProof:
-    # member_proof(e, [e]h, K, sign) is [e]([e]h + [sign]K): the ladder for a
-    # key's first 15 requests, then one pass over h's rows and K's rows.
+    # member_proof(e, C, K, signer) for a slot's commitment C = [e]h, plus K
+    # in the signer's slot, is [e]C for the signer and [e](C - K) for a decoy,
+    # so [e^2]h + [+-e]K either way: the ladder for a key's first 15
+    # requests, then one pass over h's rows and K's rows.
     @staticmethod
-    def _expected(e, h, key, sign, ell):
-        return naive_mul(e, naive_add(naive_mul(e, h, ell), naive_mul(sign, key, ell), ell), ell)
+    def _request(e, h, key, signer, ell):
+        # (commit, expected proof) of one slot, from the oracles.
+        blind = naive_mul(e, h, ell)
+        commit = naive_add(blind, key, ell) if signer else blind
+        return commit, naive_mul(e, naive_add(blind, naive_mul(1 if signer else -1, key, ell),
+                                              ell), ell)
 
     def test_joint_path_matches_the_oracle_on_every_key_scalar_and_sign(self, tiny_params):
         n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
@@ -835,11 +853,12 @@ class TestMemberProof:
         assert len(keys) == n
         for key in keys:
             for e in range(15):  # the ladder requests
-                group.member_proof(e, naive_mul(e, h, ell), key, 1)
+                group.member_proof(e, self._request(e, h, key, True, ell)[0], key, True)
             for e in range(n):
-                for sign in (1, -1):
-                    got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
-                    assert got == self._expected(e, h, key, sign, ell), (key, e, sign)
+                for signer in (True, False):
+                    commit, expected = self._request(e, h, key, signer, ell)
+                    got = group.member_proof(e, commit, key, signer)
+                    assert got == expected, (key, e, signer)
         assert set(group._joint) == set(keys)
         assert all(len(rows) == 2 * (n.bit_length() // 5 + 1) for rows in group._joint.values())
 
@@ -852,9 +871,9 @@ class TestMemberProof:
         with count_ops(counter):
             for request in range(1, 21):
                 counter.set_phase("ladder" if request < 16 else "joint")
-                e, sign = rng.randrange(n), (1, -1)[request % 2]
-                got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
-                assert got == self._expected(e, h, key, sign, ell), request
+                e, signer = rng.randrange(n), request % 2 == 1
+                commit, expected = self._request(e, h, key, signer, ell)
+                assert group.member_proof(e, commit, key, signer) == expected, request
                 assert (key in group._joint) == (request >= 16)
         assert counter.phases == {"ladder": {"exp": 15}, "joint": {"exp": 5}}
         assert counter.paths == {"ladder": {"exp.ladder": 15}, "joint": {"exp.joint": 5}}
@@ -868,10 +887,11 @@ class TestMemberProof:
         key = group.add(group.mul(rng.randrange(1, n), params.g), group.neg(pp.commit_offset))
         scalars = [rng.randrange(n) for _ in range(15)] + _signed_window_scalars(n)
         for e in scalars:
-            for sign in (1, -1):
+            for signer in (True, False):
                 blind = group.mul(e, params.h)
-                assert group.member_proof(e, blind, key, sign) == _point_mul(
-                    e, group.add(blind, group.mul(sign, key)), ell), (e, sign)
+                commit = group.add(blind, key) if signer else blind
+                assert group.member_proof(e, commit, key, signer) == _point_mul(
+                    e, group.add(blind, group.mul(1 if signer else -1, key)), ell), (e, signer)
         assert key in group._joint
 
     def test_key_outside_the_group_stays_on_the_ladder(self, tiny_params):
@@ -882,9 +902,10 @@ class TestMemberProof:
         for key in (cofactor_torsion(group, rng), (0, 0)):
             with count_ops(counter):
                 for request in range(20):
-                    e, sign = rng.randrange(n), (1, -1)[request % 2]
-                    got = group.member_proof(e, naive_mul(e, h, ell), key, sign)
-                    assert got == self._expected(e, h, key, sign, ell), (key, request)
+                    e, signer = rng.randrange(n), request % 2 == 0
+                    commit, expected = self._request(e, h, key, signer, ell)
+                    got = group.member_proof(e, commit, key, signer)
+                    assert got == expected, (key, request)
             assert key not in group._joint
         assert counter.paths == {"default": {"exp.ladder": 40}}
 
