@@ -27,7 +27,7 @@ print()
 keypairs = [keygen(pp, rng) for _ in range(5)]
 ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
 signer = keypairs[2]
-position = ring.index_of(signer.pub_key)
+position = ring.keys.index(signer.pub_key)
 print(f"ring of {len(ring)} keys, secret signer sits at position {position}")
 
 message = b"I bid 450"

@@ -1,8 +1,8 @@
 """Command-line front end: setup, run, verify, trace.
 
 ``harness.verify_transcript`` is the one reader of a transcript, so ``trace``
-opens bids only from a transcript that verifies; ``ringsig.trace`` checks the
-trace key.  The commands map outcomes to exit codes.
+opens and decodes one bid only from a transcript that verifies; ``ringsig.trace``
+checks the trace key.  The commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
+from .auction import decode_bid
 from .harness import (
     ScenarioError,
     authority_setup,
@@ -184,11 +185,12 @@ def _cmd_trace(args) -> int:
     if not report.valid:
         print(f"bad transcript{_failure(report)}", file=sys.stderr)
         return 2
-    bid = report.bids.get(args.seq)
-    if bid is None:
+    head = report.bids.get(args.seq)
+    if head is None:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
     pp = report.public_params
+    bid = decode_bid(pp.group, head, pp.group.decode_point)  # the replay checked its points
     try:
         traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
     except ValueError as exc:  # a bad trace key

@@ -12,9 +12,9 @@ canonical JSON) followed by the bulletin-board records.  This module owns
 the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
 is the one replay: it needs no secrets, re-derives the winner of every
-announced auction and hands back the bids of a transcript that verifies.
-It checks every posted point but decodes only the bids it verifies, and
-any other on lookup, each ring key once.
+announced auction and hands back the bid heads of a transcript that
+verifies.  It checks every posted point but decodes only the bids it
+verifies, each ring key once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .auction import (
     AuctionManager,
@@ -378,32 +378,13 @@ class TranscriptReport:
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
     # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
     outcomes: tuple[tuple[int, str], ...] = ()
-    # The decoded header and every posted bid by seq; set only when valid.
+    # The decoded header and each posted bid's head by seq; set only when valid.
     public_params: PublicParams | None = None
-    bids: Mapping[int, Bid] = field(default_factory=dict)
+    bids: Mapping[int, BidHead] = field(default_factory=dict)
     failing_line: int | None = None  # line number of a record that fails to parse
 
     def __bool__(self) -> bool:
         return self.valid
-
-
-class _PostedBids(Mapping[int, Bid]):
-    """A replay's posted bids by seq, kept as heads; a lookup decodes that
-    bid, once, and each ring key through one memo, so at most once."""
-
-    def __init__(self, group, heads: dict[int, BidHead]) -> None:
-        self._heads = heads
-        decode_key = functools.cache(group.decode_point)
-        self._decode = functools.cache(lambda seq: decode_bid(group, heads[seq], decode_key))
-
-    def __getitem__(self, seq: int) -> Bid:
-        return self._decode(seq)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._heads)
-
-    def __len__(self) -> int:
-        return len(self._heads)
 
 
 def verify_transcript(data: bytes) -> TranscriptReport:
@@ -419,7 +400,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     Only those bids are decoded and verified, each at most once; ``outcomes``
     records which.  Bids whose signatures fail are legitimate content —
     admission is lazy — but they can never be announced winners.  The
-    report's ``bids`` decodes any other bid when it is looked up.
+    report's ``bids`` holds every posted bid's head, still encoded.
     """
     heads: dict[int, BidHead] = {}
     payloads: dict[int, bytes] = {}
@@ -427,7 +408,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
 
     def verified(head: BidHead) -> VerifyResult:
         if head.seq not in results:
-            bid = bids[head.seq]
+            bid = decode_bid(group, head, decode_key)
             results[head.seq] = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
         return results[head.seq]
 
@@ -445,7 +426,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     if pp is None:
         return TranscriptReport(True)
     group = pp.group
-    bids = _PostedBids(group, heads)
+    decode_key = functools.cache(group.decode_point)  # each ring key once per replay
 
     state = BoardState(group)
     announced: set[int] = set()
@@ -487,7 +468,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
             winners.append((known.auction_id, ref, known.price))
 
     return TranscriptReport(True, records=len(entries), winners=tuple(winners),
-                            outcomes=outcomes(), public_params=pp, bids=bids)
+                            outcomes=outcomes(), public_params=pp, bids=heads)
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,9 @@ class BoardEntry:
 
 class BoardState:
     """The active-key view: the set of active key encodings (``active``),
-    each checked to decode to a finite point.  ``apply`` folds one record; a
-    key record that does not fit raises MalformedBoard and changes nothing.
-    The group's ell must be prime: the check is exact only then."""
+    each checked to decode to a finite point other than (0, 0).  ``apply``
+    folds one record; a key record that does not fit raises MalformedBoard and
+    changes nothing.  The group's ell must be prime: the check is exact only then."""
 
     def __init__(self, group: PairingGroup) -> None:
         self.group = group
@@ -130,6 +130,8 @@ class BoardState:
                 raise MalformedBoard(f"unreadable key: {exc}", seq=entry.seq) from exc
             if not any(payload):  # the identity's encoding is all zero
                 raise MalformedBoard("identity point published as a key", seq=entry.seq)
+            if not any(payload[:-1]):  # x = 0 under the even tag: (0, 0), of order 2
+                raise MalformedBoard("order-2 point published as a key", seq=entry.seq)
             if payload in self.active:
                 raise MalformedBoard("key is already active", seq=entry.seq)
             self.active.add(payload)

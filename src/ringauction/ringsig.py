@@ -113,10 +113,6 @@ class Ring:
     def __hash__(self) -> int:
         return hash(self.encodings)
 
-    def index_of(self, pub_key: Point) -> int:
-        """Position of ``pub_key`` in the canonical order (ValueError if absent)."""
-        return self.keys.index(pub_key)
-
     def encoded(self) -> bytes:
         """4-byte big-endian key count, then the sorted point encodings."""
         return len(self.encodings).to_bytes(4, "big") + b"".join(self.encodings)

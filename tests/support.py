@@ -268,6 +268,8 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                 return invalid(seq, f"unreadable key: {exc}")
             if key is None:
                 return invalid(seq, "identity point published as a key")
+            if key == (0, 0):
+                return invalid(seq, "order-2 point published as a key")
             if group.encode_point(key) != payload:
                 return invalid(seq, "non-canonical key encoding")
             if payload in active:

@@ -141,7 +141,7 @@ def test_trace_exactness(sweep):
             keypairs.append(kp)
     ring = Ring(params.group, [kp.pub_key for kp in keypairs])
     signer = keypairs[0]
-    position = ring.index_of(signer.pub_key)
+    position = ring.keys.index(signer.pub_key)
     sig = sign(pp, ring, signer, b"counterexample", rng)
     assert verify(pp, ring, b"counterexample", sig)
 

@@ -20,7 +20,9 @@ from ringauction import group as group_module
 from ringauction.auction import (
     BID_MESSAGE_LEN,
     Bid,
+    BidHead,
     MalformedBid,
+    decode_bid,
     decode_bid_message,
     encode_bid_message,
     parse_bid_payload,
@@ -412,22 +414,29 @@ class TestVerifyTranscript:
 
     def test_signatures_decoded_only_for_verified_bids(self, full_run, monkeypatch):
         # A bid's signature points are decoded when the winner rule verifies
-        # it, or when a caller looks the bid up in the report, once each.
-        decoded = []
-        real = auction.deserialize_signature
+        # it, once each.  The report hands back every posted bid as the head
+        # the replay read, and reading one decodes nothing.
+        decoded, points = [], []
+        real, decode = auction.deserialize_signature, group_module.decode_point_bytes
         monkeypatch.setattr(auction, "deserialize_signature",
                             lambda *args: decoded.append(args) or real(*args))
+        monkeypatch.setattr(group_module, "decode_point_bytes",
+                            lambda data, ell: points.append(data) or decode(data, ell))
         report = verify_transcript(full_run.transcript)
         said = Counter("not needed" if outcome == "not needed" else
                        "verified" if outcome == "verified" else "failed"
                        for _, outcome in report.outcomes)
         assert said["not needed"] and said["verified"]
         assert len(decoded) == said["verified"] + said["failed"]
+        before = len(decoded), len(points)
+        heads = {seq: report.bids[seq] for seq in report.bids}
+        assert (len(decoded), len(points)) == before
+        monkeypatch.undo()
+        assert all(isinstance(head, BidHead) and head.seq == seq for seq, head in heads.items())
         unneeded = next(seq for seq, outcome in report.outcomes if outcome == "not needed")
-        bid = report.bids[unneeded]
-        assert report.bids[unneeded] is bid
-        assert len(decoded) == said["verified"] + said["failed"] + 1
-        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        pp = full_run.public_params
+        posted = _posted_bids(full_run.transcript, pp)
+        bid = decode_bid(pp.group, heads[unneeded], pp.group.decode_point)
         assert bid == replace(posted[unneeded], seq=unneeded)
 
     def test_replay_decodes_only_the_bids_it_verifies(self, full_run, monkeypatch):
@@ -1290,6 +1299,31 @@ class TestCli:
         assert capsys.readouterr().out == (f"bid seq {seq} traced to ring member {index}: "
                                            f"{pp.group.encode_point(signer).hex()}\n")
 
+    def test_trace_decodes_only_the_bid_it_opens(self, full_run, tmp_path, monkeypatch, capsys):
+        # Beyond what the replay decodes, trace decodes the one bid it opens:
+        # its l ring keys and its 2 + 2l signature points, nothing else.
+        transcript = tmp_path / "t.txt"
+        transcript.write_bytes(full_run.transcript)
+        tracekey = tmp_path / "k.txt"
+        tracekey.write_text(f"{full_run.trace_key.q}\n")
+        decoded = []
+        decode = group_module.decode_point_bytes
+        monkeypatch.setattr(group_module, "decode_point_bytes",
+                            lambda data, ell: decoded.append(data) or decode(data, ell))
+        report = verify_transcript(full_run.transcript)
+        replayed = list(decoded)
+        seq = next(seq for seq, outcome in report.outcomes if outcome == "not needed")
+        head = report.bids[seq]
+        width = full_run.public_params.group.point_bytes
+        points = [head.signature[at: at + width] for at in range(0, len(head.signature), width)]
+        assert len(points) == 2 + 2 * len(head.ring)
+        decoded.clear()
+        assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)]) in (0, 1)
+        capsys.readouterr()
+        assert decoded[:len(replayed)] == replayed
+        assert sorted(decoded[len(replayed):]) == sorted([*head.ring, *points])
+
     def test_trace_on_non_bid_seq_returns_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
@@ -1433,6 +1467,23 @@ class TestCli:
         monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
         assert main(argv) == 0
         assert seen == [expected]
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m ringauction runs the same main() through __main__.py.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "ringauction", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": path})
+
+        helped = run("-h")
+        assert helped.returncode == 0, helped.stderr
+        assert helped.stdout.startswith("usage: ringauction ")
+        missing = run("verify", "--transcript", str(tmp_path / "missing.txt"))
+        assert missing.returncode == 2
+        assert missing.stderr.startswith("cannot read transcript: ")
 
     def test_cold_start_imports_no_argparse(self, tmp_path):
         # The console script's path: main() reads sys.argv.  A role must not

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops, gen_group_params
-from ringauction.harness import render_transcript, verify_transcript
+from ringauction.harness import ScenarioConfig, render_transcript, run_scenario, verify_transcript
 from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
@@ -229,9 +230,10 @@ class TestBulletinBoard:
     (KEY_PUBLISHED, "undecodable", "unreadable key: unknown parity tag 0xff"),
     (KEY_PUBLISHED, "identity", "identity point published as a key"),
     (KEY_PUBLISHED, "(0, 0) under the odd tag", "unreadable key: y = 0 takes the even parity tag"),
+    (KEY_PUBLISHED, "(0, 0)", "order-2 point published as a key"),
     (KEY_PUBLISHED, "active", "key is already active"),
     (KEY_EVICTED, "inactive", "evicting a key that is not active"),
-], ids=["undecodable", "identity", "non-canonical", "republished", "evict-inactive"])
+], ids=["undecodable", "identity", "non-canonical", "order-2", "republished", "evict-inactive"])
 def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reason):
     pp, _ = setup16
     group = pp.group
@@ -239,6 +241,7 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
     width = group.point_bytes
     payload = {"undecodable": b"\xff" * width, "identity": bytes(width),
                "(0, 0) under the odd tag": bytes(width - 1) + b"\x03",
+               "(0, 0)": bytes(width - 1) + b"\x02",
                "active": active, "inactive": inactive}[name]
     board = BulletinBoard(group)
     board.append(KEY_PUBLISHED, active)
@@ -248,8 +251,23 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
     assert (live.value.seq, live.value.reason) == (1, reason)
     assert len(board.entries()) == 1 and board.active_view() == before
     transcript = render_transcript(pp, board) + f"1 {kind} {payload.hex()}\n".encode()
-    report = verify_transcript(transcript)
-    assert (report.failing_seq, report.reason) == (1, reason)
+    for report in (verify_transcript(transcript), eager_verify_transcript(transcript)):
+        assert (report.failing_seq, report.reason) == (1, reason)
+
+
+def test_cli_verify_refuses_a_published_order_two_key(tmp_path, capsys):
+    # A seeded run with the order-2 point (0, 0) appended as one more
+    # published key: ``register`` refuses that key for its order, and so
+    # does the replay.
+    result = run_scenario(ScenarioConfig(seed=7), counted=False)
+    seq = len(result.transcript.splitlines()) - 1  # the header line holds no record
+    order_two = bytes(result.public_params.group.point_bytes - 1) + b"\x02"
+    transcript = tmp_path / "t.txt"
+    record = f"{seq} {KEY_PUBLISHED} {order_two.hex()}\n"
+    transcript.write_bytes(result.transcript + record.encode())
+    assert main(["verify", "--transcript", str(transcript)]) == 1
+    assert capsys.readouterr().out == (
+        f"transcript INVALID at seq {seq}: order-2 point published as a key\n")
 
 
 def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
@@ -272,8 +290,10 @@ def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
         for report in (verify_transcript(transcript), eager_verify_transcript(transcript)):
             assert (report.valid, report.failing_seq, report.reason) == live, payload
         reasons[live[2]] += 1
-    assert reasons[None] == len(all_curve_points(group.ell)) - 2  # not O, not the active key
-    assert set(reasons) == {None, "identity point published as a key", "key is already active"} | {
+    # not O, not (0, 0), not the active key
+    assert reasons[None] == len(all_curve_points(group.ell)) - 3
+    assert set(reasons) == {None, "identity point published as a key",
+                            "order-2 point published as a key", "key is already active"} | {
         f"unreadable key: {why}" for why in (
             "identity encoding must be all zero", "unknown parity tag 0x07",
             "x coordinate out of range", "x coordinate is not on the curve",

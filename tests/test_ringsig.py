@@ -131,12 +131,6 @@ class TestRing:
         assert int.from_bytes(data[:4], "big") == 3
         assert len(data) == 4 + 3 * pp.group.point_bytes
 
-    def test_index_of(self, tiny_setup):
-        _, pp, _ = tiny_setup
-        ring, keypairs = make_ring(pp, 3, random.Random(25))
-        for kp in keypairs:
-            assert ring[ring.index_of(kp.pub_key)] == kp.pub_key
-
     def test_canonical_encode_binds_message_length(self, tiny_setup):
         _, pp, _ = tiny_setup
         ring, _ = make_ring(pp, 2, random.Random(26))
@@ -322,7 +316,7 @@ class TestSignatureStructure:
         rng = random.Random(61)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[2]
-        idx = ring.index_of(kp.pub_key)
+        idx = ring.keys.index(kp.pub_key)
         sig, blind_exps, _ = _sign_with_draws(pp, ring, kp, b"white box", rng)
         neg_b0 = naive_neg(pp.commit_offset, ell)
         for i, pub in enumerate(ring):
@@ -384,7 +378,7 @@ class TestTrace:
             size = rng.randrange(1, 5)
             ring, keypairs = make_ring(pp, size, rng)
             kp = keypairs[rng.randrange(size)]
-            idx = ring.index_of(kp.pub_key)
+            idx = ring.keys.index(kp.pub_key)
             sig = sign(pp, ring, kp, b"trial %d" % trial, rng)
             expected = oracle_trace(pp, ring, sig, Q, params.ell)
             got = trace(tk, pp, ring, b"trial %d" % trial, sig)
@@ -396,7 +390,7 @@ class TestTrace:
         rng = random.Random(72)
         ring, keypairs = make_ring(pp, 4, rng)
         for kp in keypairs:
-            idx = ring.index_of(kp.pub_key)
+            idx = ring.keys.index(kp.pub_key)
             sig = sign(pp, ring, kp, b"per-member", rng)
             assert trace(tk, pp, ring, b"per-member", sig) == (idx, kp.pub_key)
 
@@ -411,7 +405,7 @@ class TestTrace:
         rng = random.Random(73)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[1]
-        idx = ring.index_of(kp.pub_key)
+        idx = ring.keys.index(kp.pub_key)
         sig = sign(pp, ring, kp, b"pitfall", rng)
         for i, pub in enumerate(ring):
             assert pub != pp.commit_offset  # sanity: the degenerate case is absent
@@ -473,7 +467,7 @@ class TestTrace:
         (degenerate,) = degenerate_keypairs(pp, 1, rng, avoid=clean.keys)
         ring = Ring(pp.group, list(clean.keys) + [degenerate.pub_key])
         signer = next(kp for kp in keypairs if kp.pub_key == clean[0])
-        idx = ring.index_of(signer.pub_key)
+        idx = ring.keys.index(signer.pub_key)
         sig = sign(pp, ring, signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
         assert trace(tk, pp, ring, b"ambig", sig) == (idx, signer.pub_key)
@@ -519,7 +513,7 @@ class TestTrace:
         rng = random.Random(76)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[0]
-        idx = ring.index_of(kp.pub_key)
+        idx = ring.keys.index(kp.pub_key)
         sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
         broken = replace(sig, s1=params.group.add(sig.s1, params.g))
@@ -562,7 +556,7 @@ class TestTrace:
         pp, tk = setup16
         ring = Ring(pp.group, [kp.pub_key for kp in keys16[:3]])
         kp = keys16[1]
-        idx = ring.index_of(kp.pub_key)
+        idx = ring.keys.index(kp.pub_key)
         sig = sign(pp, ring, kp, b"m", random.Random(79))
         key = TraceKey(tk.q + orders * params16.group.n)
         assert trace(key, pp, ring, b"m", sig) == (idx, kp.pub_key)

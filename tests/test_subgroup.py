@@ -97,7 +97,7 @@ def shifted_run(request, tmp_path_factory):
         name = f"bidder-{i}".encode()
         rm.register(kp.pub_key, name, make_registration(kp.x, kp.pub_key, name, grp, rng))
     ring = Ring(grp, [kp.pub_key for kp in keys])
-    slot = ring.index_of(keys[0].pub_key)
+    slot = ring.keys.index(keys[0].pub_key)
 
     def bid(price):
         sig = sign(pp, ring, keys[0], encode_bid_message(1, 0, price), rng)
@@ -182,7 +182,7 @@ def torsion_setup():
     sig = sign(pp, ring, keys[0], b"bid", rng)
     assert verify(pp, ring, b"bid", sig)
     T = cofactor_torsion(pp.group, random.Random(12))
-    return pp, ring, ring.index_of(keys[0].pub_key), sig, T
+    return pp, ring, ring.keys.index(keys[0].pub_key), sig, T
 
 
 @pytest.mark.parametrize("order", (2, 4, 3))
