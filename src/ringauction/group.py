@@ -11,12 +11,15 @@ subgroup, with values in the order-n subgroup of F_ell^2*.
 Everything is plain big-integer arithmetic.  Points are affine at the API;
 inside, Jacobian (X, Y, Z) stands for (X/Z^2, Y/Z^3), with Z = 0 for O.
 Variable-base scalar multiplication runs a Montgomery ladder on x = X/Z
-alone, so [k]P = O shows as Z = 0 before any inversion, and recovers y with
-one inversion; the Miller loop and the window tables run in Jacobian
-coordinates and invert once at the end, and the final exponentiation uses
-the Frobenius map so that it needs one inversion in F_ell and a short power.
+alone, so [k]P = O shows as Z = 0, and recovers y without an inversion; the
+ladder, the window tables and point addition return Jacobian points, and
+to_affine normalizes any number of them with one inversion (Montgomery's
+trick), so a signer makes three.  The Miller loop runs in Jacobian
+coordinates too, and the final exponentiation uses the Frobenius map so
+that it needs one inversion in F_ell and a short power.
 Since -(x, y) = (x, -y) costs nothing, both walk signed digits: the Miller
-loop the non-adjacent form of n, a window mul the base-32 digits -15..16.
+loop the non-adjacent form of n, a window mul the base-32 digits -15..16,
+each row holding the negatives as well.
 g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 Point = Optional[tuple[int, int]]  # affine (x, y); None is the identity
+Jac = tuple[int, int, int]  # Jacobian (X, Y, Z); Z = 0 is the identity
 
 
 class GroupError(Exception):
@@ -239,22 +243,12 @@ def _point_neg(P: Point, ell: int) -> Point:
     return (x, (-y) % ell)
 
 
-def _point_add(P: Point, Q: Point, ell: int) -> Point:
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % ell == 0:
-            return None
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, ell) % ell
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
-    x3 = (lam * lam - x1 - x2) % ell
-    y3 = (lam * (x1 - x3) - y1) % ell
-    return (x3, y3)
+_JAC_O: Jac = (1, 1, 0)
+
+
+def jacobian(P: Point) -> Jac:
+    """An affine point in Jacobian coordinates."""
+    return _JAC_O if P is None else (P[0], P[1], 1)
 
 
 def _double_and_add(k: int) -> str:
@@ -298,7 +292,17 @@ def _jac_add(X: int, Y: int, Z: int, xp: int, yp: int, ell: int) -> tuple[int, i
     return _jac_double(X, Y, Z, ell)  # R = P
 
 
-def _to_affine(points: list, ell: int) -> list[Point]:
+def _affine(P: Jac, ell: int) -> Point:
+    # One Jacobian point to affine: _to_affine with no products to share.
+    X, Y, Z = P
+    if not Z:
+        return None
+    zi = pow(Z, -1, ell)
+    zi2 = zi * zi % ell
+    return X * zi2 % ell, Y * zi2 * zi % ell
+
+
+def _to_affine(points, ell: int) -> list[Point]:
     # Jacobian points to affine with one inversion (Montgomery's trick).
     prefix, acc = [], 1
     for _, _, Z in points:
@@ -316,7 +320,7 @@ def _to_affine(points: list, ell: int) -> list[Point]:
     return out
 
 
-def _point_mul(k: int, P: Point, ell: int) -> Point:
+def _point_mul(k: int, P: Point, ell: int) -> Jac:
     # Montgomery ladder on x = X/Z alone (Brier-Joye, PKC 2002).  R1 = [m]P
     # and R2 = [m+1]P, so R2 - R1 = P and their sum needs only x = x(P):
     #   2R1     = ((X1^2 - Z1^2)^2, 4*X1*Z1*(X1^2 + Z1^2))
@@ -325,12 +329,12 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
     # bit 0 doubles R1 and adds into R2; a bit 1 does the same with the two
     # swapped, and they stay swapped until a bit 0.
     if P is None or k == 0:
-        return None
+        return _JAC_O
     if k < 0:
         k, P = -k, _point_neg(P, ell)
     xp, yp = P
     if not yp:  # (0, 0), the one point of order 2, where x(P) = 0
-        return P if k & 1 else None
+        return (0, 0, 1) if k & 1 else _JAC_O
     X1, Z1, X2, Z2 = 1, 0, xp, 1  # O and P
     swapped = "0"
     for bit in bin(k)[2:]:
@@ -346,29 +350,30 @@ def _point_mul(k: int, P: Point, ell: int) -> Point:
     if swapped == "1":
         X1, Z1, X2, Z2 = X2, Z2, X1, Z1
     if not Z1:
-        return None
+        return _JAC_O
     if not Z2:  # [k + 1]P = O
-        return (xp, ell - yp)
-    # y of [k]P from x(P), y(P) and x of [k]P and [k + 1]P, over the one
-    # inversion of 2*y*Z1^2*Z2 (Okeya-Sakurai, CHES 2001).
+        return (xp, ell - yp, 1)
+    # y of [k]P from x(P), y(P) and x of [k]P and [k + 1]P is y/(d*Z1) for
+    # d = 2*y*Z1*Z2 (Okeya-Sakurai, CHES 2001), so with Z = d*Z1 the point
+    # is X = X1/Z1 * Z^2 = X1*d*Z and Y = y*Z^2.
     d = 2 * yp * Z1 * Z2 % ell
-    inv = pow(d * Z1, -1, ell)
+    Z = d * Z1 % ell
     xz = xp * Z1
     y = (Z1 + xp * X1) * (xz + X1) * Z2 - X2 * (xz - X1) * (xz - X1)
-    return (X1 * d * inv % ell, y * inv % ell)
+    return X1 * d * Z % ell, y * Z * Z % ell, Z
 
 
 _WINDOW = 5  # bits per signed digit of a fixed-base scalar
 _JOINT_USES = 16  # member_proof requests for a key before it gets a joint table
 
 
-def _window_table(P: tuple[int, int], n: int, ell: int):
-    """Row i holds the affine [j * 32^i]P, j = 1..16 (None for O), for each
-    signed base-32 digit of a scalar below n, the last row taking the final
-    carry; None unless [n]P = O."""
+def _window_table(P: Point, n: int, ell: int):
+    """Row i holds the affine [d * 32^i]P at index d + 15, d = -15..16 (None
+    for O), for each signed base-32 digit of a scalar below n, the last row
+    taking the final carry; None unless [n]P = O."""
     rows, base = [], P
     for _ in range(n.bit_length() // _WINDOW + 1):
-        X, Y, Z = 1, 1, 0
+        X, Y, Z = _JAC_O
         jac = []
         for _ in range(1 << (_WINDOW - 1)):
             if base is not None:
@@ -376,22 +381,22 @@ def _window_table(P: tuple[int, int], n: int, ell: int):
             jac.append((X, Y, Z))
         jac.append(_jac_double(X, Y, Z, ell))  # the next row's base
         *row, base = _to_affine(jac, ell)
-        rows.append(row)
-    return rows if _window_mul(rows, n, ell) is None else None
+        rows.append([_point_neg(pt, ell) for pt in row[14::-1]] + [None] + row)
+    return None if _window_mul(rows, n, ell)[2] else rows
 
 
-def _window_mul(rows, k: int, ell: int) -> Point:
+def _window_mul(rows, k: int, ell: int) -> Jac:
     # One mixed addition per nonzero digit d of 0 <= k < n, recoded on the
-    # fly into -15 <= d <= 16; a negative d adds -[|d| * 32^i]P = (x, -y).
-    X, Y, Z = 1, 1, 0
+    # fly into -15 <= d <= 16: with k + 15 = 32*k' + (d + 15), the row's
+    # entry d + 15 is read and k' carries on.
+    X, Y, Z = _JAC_O
     for row in rows:
-        d = ((k + 15) & 31) - 15
-        k = (k - d) >> _WINDOW
-        if not d or row[abs(d) - 1] is None:
+        k += 15
+        pt = row[k & 31]
+        k >>= 5
+        if pt is None:
             continue
-        xp, yp = row[abs(d) - 1]
-        if d < 0:
-            yp = (-yp) % ell
+        xp, yp = pt
         if not Z:
             X, Y, Z = xp, yp, 1
             continue
@@ -408,10 +413,7 @@ def _window_mul(rows, k: int, ell: int) -> Point:
             Z = 0
         else:  # R = P
             X, Y, Z = _jac_double(X, Y, Z, ell)
-    if not Z:
-        return None
-    zi = pow(Z, -1, ell)
-    return (X * zi * zi % ell, Y * zi * zi * zi % ell)
+    return X, Y, Z
 
 
 def _read_encodings(data: bytes, ell: int, count: int) -> Iterator[tuple[int, bool] | None]:
@@ -747,8 +749,7 @@ def _tate_candidates(n: int, ell: int) -> Iterator:
         x0 = (-a * half % ell, t * half % ell)
         X = (x0, (ell - b, 0))
         (v, _), (_, vy) = _fp2_point_add(X, ((x0[0], ell - x0[1]), (b, 0)), ell)[0]
-        M1 = _point_mul(m, (a, b), ell)
-        M2 = _point_mul(m, (-v % ell, vy), ell)
+        M1, M2 = _to_affine([_point_mul(m, (a, b), ell), _point_mul(m, (-v % ell, vy), ell)], ell)
         T = M1 and ((M1[0], 0), (M1[1], 0))
         T = _fp2_point_add(T, _fp2_psi(M2 and ((M2[0], 0), (M2[1], 0)), ell), ell)[0]
         T = _fp2_point_add(T, X, ell)[0]
@@ -844,7 +845,7 @@ def _membership_lines(n: int, ell: int):
         (x0, x1), (y0, y1) = T
         D = _fp2_point_add(T, ((x0, -x1 % ell), (-y0 % ell, y1)), ell)[0]  # T - pi(T)
         B = D and (-D[0][0] % ell, D[1][1])
-        if all(_point_mul(r // s, B, ell) for s in _prime_factors(r)):
+        if all(_point_mul(r // s, B, ell)[2] for s in _prime_factors(r)):  # Z != 0
             return _tate_lines(T, r, ell)
     raise GroupError("no point certifies the membership pairing")
 
@@ -885,9 +886,10 @@ class PairingGroup:
     This object carries exactly what verifiers see — n, ell, the order-n
     generator g and the order-q generator h — and none of the factorization.
     All point arithmetic, the pairing, and the canonical encodings hang off
-    it.  The counted methods (add/neg/mul/pair/hash_to_zn) are the
-    instrumentation points; internal steps of a single operation are not
-    tallied separately.
+    it.  The counted methods (add/neg/mul/pair/hash_to_zn, member_proof
+    and the Jacobian forms add_jac/mul_jac/member_proof_jac, which leave
+    to_affine to the caller) are the instrumentation points; internal steps
+    of a single operation are not tallied separately.
     """
 
     def __init__(self, n: int, ell: int, g: Point, h: Point) -> None:
@@ -920,9 +922,18 @@ class PairingGroup:
     def is_on_curve(self, P: Point) -> bool:
         return _on_curve(P, self.ell)
 
+    def to_affine(self, *points: Jac) -> list[Point]:
+        """Jacobian points made affine over one field inversion (not counted)."""
+        return _to_affine(points, self.ell)
+
     def add(self, P: Point, Q: Point) -> Point:
+        return _affine(self.add_jac(jacobian(P), Q), self.ell)
+
+    def add_jac(self, R: Jac, Q: Point) -> Jac:
+        """R + Q for a Jacobian R and an affine Q, left Jacobian (one counted
+        point addition)."""
         _bump("mul")
-        return _point_add(P, Q, self.ell)
+        return R if Q is None else _jac_add(*R, *Q, self.ell)
 
     def neg(self, P: Point) -> Point:
         _bump("inv")
@@ -930,6 +941,10 @@ class PairingGroup:
 
     def mul(self, k: int, P: Point) -> Point:
         """Scalar multiple [k]P (one counted exponentiation)."""
+        return _affine(self.mul_jac(k, P), self.ell)
+
+    def mul_jac(self, k: int, P: Point) -> Jac:
+        """``mul``, left Jacobian."""
         if P in self._fixed:
             if P in self._mul_seen and P not in self._mul_tables:
                 self._mul_tables[P] = _window_table(P, self.n, self.ell)
@@ -952,9 +967,19 @@ class PairingGroup:
         e^2 mod n + ((+-e mod n) << 5R).  The signed base-32 recoding of any
         k < n ends with no carry after R digits, so the digits above R are
         exactly the key's scalar.  Memory: one joint table per key with 16 or
-        more requests, each 2R x 16 affine points (416 at a 64-bit n), and one
-        int per distinct key requested.
+        more requests, each 2R x 32 affine points (832 at a 64-bit n), and one
+        int per distinct key requested.  ``member_base`` and
+        ``member_proof_jac`` are its two halves, for a caller that normalizes
+        many slots at once.
         """
+        base = _affine(self.member_base(jacobian(commit), key, signer), self.ell)
+        return _affine(self.member_proof_jac(e, base, key, signer), self.ell)
+
+    def member_base(self, commit: Jac, key: Point, signer: bool) -> Jac:
+        """Count one member-proof request for key and return the point its
+        proof multiplies on the ladder: the Jacobian commit itself for the
+        signer, commit minus key for a decoy, and O once the key's joint
+        table serves the proof, which reads no base."""
         joint = self._joint.get(key)
         if joint is None:
             uses = self._key_uses[key] = self._key_uses.get(key, 0) + 1
@@ -965,13 +990,21 @@ class PairingGroup:
                 if h_rows is not None and key_rows is not None:
                     joint = self._joint[key] = h_rows + key_rows
         if joint is not None:
+            return _JAC_O
+        if signer or key is None:
+            return commit
+        return _jac_add(*commit, *_point_neg(key, self.ell), self.ell)
+
+    def member_proof_jac(self, e: int, base: Point, key: Point, signer: bool) -> Jac:
+        """The proof of the slot ``member_base`` was last asked for, left
+        Jacobian, for base the affine point that call returned."""
+        joint = self._joint.get(key)
+        if joint is not None:
             _bump("exp.joint")
             k = e * e % self.n + (((e if signer else -e) % self.n) << (_WINDOW * len(joint) // 2))
             return _window_mul(joint, k, self.ell)
         _bump("exp.ladder")
-        if not signer:
-            commit = _point_add(commit, _point_neg(key, self.ell), self.ell)
-        return _point_mul(e, commit, self.ell)
+        return _point_mul(e, base, self.ell)
 
     def in_group(self, P: Point) -> bool:
         """Whether P is a curve point with [n]P = O, counted as one
@@ -1136,15 +1169,15 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
         )
 
     while True:
-        g = _point_mul(r, _random_point(ell, rng), ell)
-        if _point_mul(n // p, g, ell) is not None and _point_mul(n // q, g, ell) is not None:
+        g = _affine(_point_mul(r, _random_point(ell, rng), ell), ell)
+        if _point_mul(n // p, g, ell)[2] and _point_mul(n // q, g, ell)[2]:  # Z != 0
             break
 
     while True:
         alpha = rng.randrange(n)
         if math.gcd(alpha, q) == 1:
             break
-    h = _point_mul(alpha * p % n, g, ell)
+    h = _affine(_point_mul(alpha * p % n, g, ell), ell)
 
     return GroupParams(p=p, q=q, group=PairingGroup(n, ell, g, h))
 

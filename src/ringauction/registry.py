@@ -93,10 +93,10 @@ def verify_registration(pub_key: Point, identity: bytes,
         return False
     if not (0 <= proof.a_resp < group.n and 0 <= proof.b_resp < group.n):
         return False
-    commitment = group.add(
-        group.mul(proof.b_resp, group.g),
+    (commitment,) = group.to_affine(group.add_jac(
+        group.mul_jac(proof.b_resp, group.g),
         group.neg(group.mul(proof.a_resp, pub_key)),
-    )
+    ))
     statement = group.encode_point(pub_key) + group.encode_point(commitment) + identity
     return proof.a_resp == group.hash_to_zn(statement)
 

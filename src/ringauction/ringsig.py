@@ -13,10 +13,11 @@ with the signer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .group import GroupParams, InvalidPoint, PairingGroup, Point, check_public_group, hash_to_bits
+from .group import (GroupParams, InvalidPoint, Jac, PairingGroup, Point, check_public_group,
+                    hash_to_bits, jacobian)
 
 
 class RingSigError(Exception):
@@ -145,10 +146,22 @@ class PublicParams:
     blind_base: Point
     hash_base: Point
     hash_gens: tuple[Point, ...]
+    _offset_keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Signing multiplies blind_base, and verification pairs key_base first.
         self.group.precompute(self.key_base, self.blind_base)
+
+    def offset_keys(self, ring: Ring) -> list[Point]:
+        """K′ = pub - commit_offset for each ring key, kept per key: a key's
+        first computation counts one addition and one negation, later ones
+        nothing, and the keys new to the memo are made affine together."""
+        grp, memo = self.group, self._offset_keys
+        new = [pub for pub in ring if pub not in memo]
+        if new:
+            memo.update(zip(new, grp.to_affine(
+                *(grp.add_jac(jacobian(pub), grp.neg(self.commit_offset)) for pub in new))))
+        return [memo[pub] for pub in ring]
 
 
 def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
@@ -159,18 +172,16 @@ def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
     a = rng.randrange(grp.n)
     b0 = rng.randrange(grp.n)
     grp.precompute(grp.g)  # every mul of g, key_base's first one too, uses its table
-    key_base = grp.mul(a, grp.g)
-    commit_offset = grp.mul(b0, grp.g)
-    blind_base = grp.mul(a, grp.h)
-    hash_base = grp.mul(rng.randrange(grp.n), grp.g)
-    hash_gens = tuple(grp.mul(rng.randrange(grp.n), grp.g) for _ in range(k))
+    key_base, commit_offset, blind_base, hash_base, *hash_gens = grp.to_affine(
+        grp.mul_jac(a, grp.g), grp.mul_jac(b0, grp.g), grp.mul_jac(a, grp.h),
+        *(grp.mul_jac(rng.randrange(grp.n), grp.g) for _ in range(k + 1)))
     pp = PublicParams(
         group=grp,
         key_base=key_base,
         commit_offset=commit_offset,
         blind_base=blind_base,
         hash_base=hash_base,
-        hash_gens=hash_gens,
+        hash_gens=tuple(hash_gens),
     )
     return pp, TraceKey(q=params.q)
 
@@ -183,15 +194,16 @@ def keygen(pp: PublicParams, rng) -> BidderKeyPair:
         x = rng.randrange(grp.n)
         if x != 0:
             break
-    return BidderKeyPair(x=x, pub_key=grp.mul(x, grp.g), sign_key=grp.mul(x, pp.key_base))
+    pub_key, sign_key = grp.to_affine(grp.mul_jac(x, grp.g), grp.mul_jac(x, pp.key_base))
+    return BidderKeyPair(x=x, pub_key=pub_key, sign_key=sign_key)
 
 
-def _waters_sum(pp: PublicParams, bits: tuple[int, ...]) -> Point:
+def _waters_sum(pp: PublicParams, bits: tuple[int, ...]) -> Jac:
     grp = pp.group
-    acc = pp.hash_base
+    acc = jacobian(pp.hash_base)
     for bit, gen in zip(bits, pp.hash_gens):
         if bit:
-            acc = grp.add(acc, gen)
+            acc = grp.add_jac(acc, gen)
     return acc
 
 
@@ -199,31 +211,33 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
          rng) -> RingSignature:
     """Ring-sign ``message`` in the ring's slot for ``keypair.pub_key``
     (NotAMember if the ring does not hold it); draws one blinding exponent
-    e_i per ring member, in ring order, then the randomiser r of s1 and s2."""
+    e_i per ring member, in ring order, then the randomiser r of s1 and s2.
+    Points stay Jacobian and are made affine in three batches, one field
+    inversion each: the commitments with the ladder's bases and the message
+    sum W, then the proofs with [r]W, [sum e_i]blind_base and s2, then s1."""
     grp = pp.group
     if keypair.pub_key not in ring:
         raise NotAMember("the ring does not hold the signer's published key")
     bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
-    neg_offset = grp.neg(pp.commit_offset)
-    members = []
-    total_blind = 0
-    for pub in ring:
+    slots, commits, bases = [], [], []
+    for pub, key in zip(ring, pp.offset_keys(ring)):
         e_i = rng.randrange(grp.n)
-        total_blind = (total_blind + e_i) % grp.n
-        offset_key = grp.add(pub, neg_offset)
-        commit = grp.mul(e_i, grp.h)
+        commit = grp.mul_jac(e_i, grp.h)
         signer = pub == keypair.pub_key  # ring keys are distinct
         if signer:
-            commit = grp.add(commit, offset_key)
-        proof = grp.member_proof(e_i, commit, offset_key, signer)
-        members.append(MemberProof(commit=commit, proof=proof))
+            commit = grp.add_jac(commit, key)
+        slots.append((e_i, key, signer))
+        commits.append(commit)
+        bases.append(grp.member_base(commit, key, signer))
     r = rng.randrange(grp.n)
-    s1 = grp.add(
-        keypair.sign_key,
-        grp.add(grp.mul(r, _waters_sum(pp, bits)), grp.mul(total_blind, pp.blind_base)),
-    )
-    s2 = grp.mul(r, grp.g)
-    return RingSignature(s1=s1, s2=s2, members=tuple(members))
+    *points, waters = grp.to_affine(*commits, *bases, _waters_sum(pp, bits))
+    total_blind = sum(e_i for e_i, _, _ in slots) % grp.n
+    *proofs, r_waters, blind, s2 = grp.to_affine(
+        *[grp.member_proof_jac(e_i, base, key, signer)
+          for (e_i, key, signer), base in zip(slots, points[len(slots):])],
+        grp.mul_jac(r, waters), grp.mul_jac(total_blind, pp.blind_base), grp.mul_jac(r, grp.g))
+    (s1,) = grp.to_affine(grp.add_jac(grp.add_jac(jacobian(keypair.sign_key), r_waters), blind))
+    return RingSignature(s1=s1, s2=s2, members=tuple(map(MemberProof, points[:len(slots)], proofs)))
 
 
 def structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
@@ -256,23 +270,30 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
         return VerifyResult(False, problem)
     grp = pp.group
     try:
-        neg_offset = grp.neg(pp.commit_offset)
-        for index, (pub, member) in enumerate(zip(ring, sig.members)):
-            offset_key = grp.add(pub, neg_offset)
-            shifted = grp.add(member.commit, grp.neg(offset_key))
+        for index, (member, shifted) in enumerate(zip(sig.members, _shifted_commits(pp, ring, sig))):
             if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
                 return VerifyResult(False, f"membership-proof {index}")
         bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
-        total_commit: Point = None
+        total_commit = jacobian(None)
         for member in sig.members:
-            total_commit = grp.add(total_commit, member.commit)
-        lhs = grp.pair(pp.key_base, grp.add(pp.commit_offset, total_commit))
-        rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), _waters_sum(pp, bits))
+            total_commit = grp.add_jac(total_commit, member.commit)
+        offset_sum, waters = grp.to_affine(grp.add_jac(total_commit, pp.commit_offset),
+                                           _waters_sum(pp, bits))
+        lhs = grp.pair(pp.key_base, offset_sum)
+        rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), waters)
     except InvalidPoint as exc:
         return VerifyResult(False, f"malformed: {exc}")
     if lhs != rhs:
         return VerifyResult(False, "main-equation")
     return VerifyResult(True)
+
+
+def _shifted_commits(pp: PublicParams, ring: Ring, sig: RingSignature) -> list[Point]:
+    # C - K′ for each slot, counted as one negation and one addition each,
+    # made affine together.
+    grp = pp.group
+    return grp.to_affine(*(grp.add_jac(jacobian(member.commit), grp.neg(key))
+                           for key, member in zip(pp.offset_keys(ring), sig.members)))
 
 
 def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
@@ -281,7 +302,7 @@ def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingS
     blinding and keep the order-p part: ValueError("bad trace key: ...")
     if [q]h != O or [q]g == O, raised before any verification."""
     grp = pp.group
-    if grp.mul(tk.q, grp.h) is not None or grp.mul(tk.q, grp.g) is None:
+    if grp.mul_jac(tk.q, grp.h)[2] or not grp.mul_jac(tk.q, grp.g)[2]:  # Z = 0 only for O
         raise ValueError("bad trace key: [q]h must be the identity and [q]g must not")
     result = verify(pp, ring, message, sig)
     if not result:
@@ -306,14 +327,11 @@ def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature
     grp = pp.group
     if tk.q % grp.n == 0:
         raise ValueError("trace key is a multiple of the group order")
-    neg_offset = grp.neg(pp.commit_offset)
-    matches = []
-    for index, (pub, member) in enumerate(zip(ring, sig.members)):
-        shifted = grp.add(member.commit, grp.neg(grp.add(pub, neg_offset)))
-        if grp.mul(tk.q, shifted) is None:
-            matches.append(index)
+    # Each [q]P = O is read from the ladder's Z, with no inversion.
+    matches = [index for index, shifted in enumerate(_shifted_commits(pp, ring, sig))
+               if not grp.mul_jac(tk.q, shifted)[2]]
     if len(matches) > 1:
-        matches = [i for i in matches if grp.mul(tk.q, sig.members[i].commit) is not None]
+        matches = [i for i in matches if grp.mul_jac(tk.q, sig.members[i].commit)[2]]
     if len(matches) == 1:
         index = matches[0]
         return index, ring[index]

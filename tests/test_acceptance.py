@@ -350,9 +350,9 @@ def test_determinism():
     assert first.report.phases == {
         "initial": {"exp": 20},
         "registration": {"exp": 24, "hash": 8, "inv": 4, "mul": 4},
-        "bidding": {"exp": 122, "hash": 12, "inv": 12, "mul": 173},
-        "winner": {"hash": 2, "inv": 11, "mul": 38, "pair": 20},
-        "open": {"exp": 11, "hash": 1, "inv": 20, "mul": 42, "pair": 11},
+        "bidding": {"exp": 122, "hash": 12, "inv": 4, "mul": 134},
+        "winner": {"hash": 2, "inv": 9, "mul": 31, "pair": 20},
+        "open": {"exp": 11, "hash": 1, "inv": 16, "mul": 27, "pair": 11},
     }
     assert first.report.paths == {
         "initial": {"exp.ladder": 1, "exp.window": 19},

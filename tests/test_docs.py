@@ -1,9 +1,13 @@
-"""Keep the demos, the README and the benchmark's span list in step with the code."""
+"""Keep the demos, the README, the benchmark's span list and the committed
+benchmark records in step with the code and with themselves."""
 
 import ast
 import importlib
+import json
+import math
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +20,7 @@ from ringauction.harness import parse_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+BENCHES = sorted(REPO.glob("BENCH_*.json"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -74,3 +79,52 @@ def test_benchmark_spans_resolve():
         for part in path:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(member)), f"span {name}: {module_name}.{attr}"
+
+
+def _bench_problems(node, where, seen):
+    """Every entry of a BENCH record that disagrees with itself, walking the
+    whole record: a ``correct`` that is not all true, a ``failed`` that is
+    not all 0, a ``median`` that is not the median of its ``runs``, and a
+    ``ratio`` that is not the change median over the parent median."""
+    problems = []
+    if isinstance(node, list):
+        for index, item in enumerate(node):
+            problems += _bench_problems(item, f"{where}[{index}]", seen)
+        return problems
+    if not isinstance(node, dict):
+        return problems
+
+    def leaves(value):
+        if isinstance(value, (dict, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    if "correct" in node:
+        seen["correct"] += 1
+        if not all(leaf is True for leaf in leaves(node["correct"])):
+            problems.append(f"{where}/correct: {node['correct']}")
+    if "failed" in node:
+        seen["failed"] += 1
+        if not all(leaf == 0 for leaf in leaves(node["failed"])):
+            problems.append(f"{where}/failed: {node['failed']}")
+    if "median" in node and "runs" in node:
+        seen["median"] += 1
+        if not math.isclose(node["median"], statistics.median(node["runs"]), rel_tol=1e-9):
+            problems.append(f"{where}/median {node['median']} is not the median of its runs")
+    if "ratio" in node:
+        seen["ratio"] += 1
+        ratio = node["change"]["median"] / node["parent"]["median"]
+        if not math.isclose(node["ratio"], ratio, rel_tol=1e-9):
+            problems.append(f"{where}/ratio {node['ratio']} is not {ratio}")
+    for key, value in node.items():
+        problems += _bench_problems(value, f"{where}/{key}", seen)
+    return problems
+
+
+@pytest.mark.parametrize("bench", BENCHES, ids=lambda path: path.name)
+def test_bench_record_agrees_with_itself(bench):
+    seen = dict.fromkeys(("correct", "failed", "median", "ratio"), 0)
+    assert _bench_problems(json.loads(bench.read_text()), "", seen) == []
+    assert all(seen.values()), seen  # each kind of check found something to check

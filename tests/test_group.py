@@ -28,6 +28,8 @@ from ringauction.group import (
     _jacobi,
     _point_mul,
     _random_point,
+    _to_affine,
+    _window_table,
     _strong_lucas_probable_prime,
     check_point_bytes,
     check_public_group,
@@ -380,7 +382,7 @@ class TestArithmetic:
         for P in all_curve_points(ell):
             for k in range(-3, 2 * (ell + 1) + 4):
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
-            assert (_point_mul(n, P, ell) is None) == (naive_mul(n, P, ell) is None), P
+            assert (_point_mul(n, P, ell)[2] == 0) == (naive_mul(n, P, ell) is None), P
 
     @given(a=st.integers(min_value=0, max_value=34), b=st.integers(min_value=0, max_value=34))
     def test_mul_is_additive_in_the_scalar(self, tiny_params, a, b):
@@ -797,7 +799,28 @@ class TestFixedBases:
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
             table = group._mul_tables[P]
             assert table is not None and len(table) == n.bit_length() // 5 + 1
-            assert all(len(row) == 16 for row in table)
+            assert all(len(row) == 32 for row in table)
+
+    def test_every_window_row_entry_matches_the_oracle(self, tiny_params):
+        # Row i of a window table holds [d * 32^i]P at index d + 15, d = -15..16,
+        # negatives included; a joint table is h's rows, then the key's.
+        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
+        group = PairingGroup(n, ell, tiny_params.g, h)
+
+        def check(rows, P):
+            for i, row in enumerate(rows):
+                assert len(row) == 32
+                for idx, entry in enumerate(row):
+                    assert entry == naive_mul((idx - 15) * 32 ** i, P, ell), (P, i, idx)
+
+        keys = [P for P in all_curve_points(ell) if naive_mul(n, P, ell) is None]
+        for key in keys:
+            check(_window_table(key, n, ell), key)
+            for e in range(16):  # the 16th request builds the joint table
+                group.member_proof(e, naive_add(naive_mul(e, h, ell), key, ell), key, True)
+            joint = group._joint[key]
+            check(joint[:len(joint) // 2], h)
+            check(joint[len(joint) // 2:], key)
 
     def test_window_table_built_on_second_mul(self, params16):
         # A base multiplied once keeps the plain path; the second mul builds
@@ -890,8 +913,8 @@ class TestMemberProof:
             for signer in (True, False):
                 blind = group.mul(e, params.h)
                 commit = group.add(blind, key) if signer else blind
-                assert group.member_proof(e, commit, key, signer) == _point_mul(
-                    e, group.add(blind, group.mul(1 if signer else -1, key)), ell), (e, signer)
+                assert group.member_proof(e, commit, key, signer) == _to_affine([_point_mul(
+                    e, group.add(blind, group.mul(1 if signer else -1, key)), ell)], ell)[0], (e, signer)
         assert key in group._joint
 
     def test_key_outside_the_group_stays_on_the_ladder(self, tiny_params):

@@ -7,12 +7,14 @@ package's trace() is never checked against itself.
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringauction.group import OpCounter, count_ops
+import ringauction.group as group_module
+from ringauction.group import OpCounter, count_ops, gen_group_params, hash_to_bits
 from ringauction.ringsig import (
     MemberProof,
     NotAMember,
@@ -342,7 +344,7 @@ class TestSignatureStructure:
         bits = hash_to_bits(canonical_encode(b"compose", ring), len(pp.hash_gens))
         expected = naive_add(
             kp.sign_key,
-            naive_add(naive_mul(rand_exp, _waters_sum(pp, bits), ell),
+            naive_add(naive_mul(rand_exp, pp.group.to_affine(_waters_sum(pp, bits))[0], ell),
                       naive_mul(total, pp.blind_base, ell), ell),
             ell)
         assert sig.s1 == expected
@@ -365,6 +367,108 @@ class TestSignatureStructure:
         seen = {serialize_signature(pp.group, sign(pp, ring, kp, b"same", rng))
                 for _ in range(100)}
         assert len(seen) == 100
+
+
+def _oracle_signature(pp, ring, keypair, message, rng):
+    """The signature ``sign`` makes from rng's draws (e_i per slot in ring
+    order, then r), built with the naive oracles alone."""
+    grp, ell, n = pp.group, pp.group.ell, pp.group.n
+    blinds = [rng.randrange(n) for _ in ring]
+    r = rng.randrange(n)
+    members = []
+    for e, pub in zip(blinds, ring):
+        key = naive_add(pub, naive_neg(pp.commit_offset, ell), ell)
+        commit = naive_mul(e, grp.h, ell)
+        if pub == keypair.pub_key:
+            commit = naive_add(commit, key, ell)
+            proof = naive_mul(e, commit, ell)
+        else:
+            proof = naive_mul(e, naive_add(commit, naive_neg(key, ell), ell), ell)
+        members.append(MemberProof(commit=commit, proof=proof))
+    waters = pp.hash_base
+    for bit, gen in zip(hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens)),
+                        pp.hash_gens):
+        if bit:
+            waters = naive_add(waters, gen, ell)
+    blinding = naive_mul(sum(blinds) % n, pp.blind_base, ell)
+    s1 = naive_add(keypair.sign_key, naive_add(naive_mul(r, waters, ell), blinding, ell), ell)
+    return RingSignature(s1=s1, s2=naive_mul(r, grp.g, ell), members=tuple(members))
+
+
+def _sized_setup(bits, keys=16):
+    params = gen_group_params(bits, bits, random.Random(bits))
+    pp, tk = setup(params, 16, random.Random(bits + 1))
+    rng = random.Random(bits + 2)
+    return pp, tk, [keygen(pp, rng) for _ in range(keys)]
+
+
+class TestSignOracle:
+    # sign keeps its points Jacobian and makes them affine in batches; the
+    # oracle adds and multiplies affine points one at a time.  With
+    # commit_offset moved onto a ring key, that key's K′ is O.
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_every_signer_of_rings_of_one_two_and_four(self, bits):
+        pp, _, keypairs = _sized_setup(bits, 4)
+        for params in (pp, replace(pp, commit_offset=keypairs[1].pub_key)):
+            for size in (1, 2, 4):
+                ring = Ring(pp.group, [kp.pub_key for kp in keypairs[:size]])
+                for index, kp in enumerate(keypairs[:size]):
+                    seed = 100 * size + index
+                    assert sign(params, ring, kp, b"oracle", random.Random(seed)) == \
+                        _oracle_signature(params, ring, kp, b"oracle", random.Random(seed))
+
+    def test_a_ring_of_sixteen_signed_past_the_joint_threshold(self):
+        pp, _, keypairs = _sized_setup(16)
+        params = replace(pp, commit_offset=keypairs[5].pub_key)
+        ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
+        for count in range(20):
+            kp = keypairs[count % len(keypairs)]
+            message = b"round %d" % count
+            assert sign(params, ring, kp, message, random.Random(count)) == \
+                _oracle_signature(params, ring, kp, message, random.Random(count))
+        assert len(pp.group._joint) == 16  # every key's proofs, K′ = O's too
+
+
+class TestInversions:
+    # Field inversions are the pow(z, -1, ell) calls in ringauction.group.
+    # A signature makes three, one per batch, whichever path its member
+    # proofs take; normalizing each result on its own took 61 on the joint
+    # path, 76 on the ladder path, 29 at 64 bits and 23 at 16 bits.  A
+    # verify adds two to its pairings' own (37, was 90, in a ring of 16),
+    # and an opening needs one (was 47).
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                calls.append(mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("bits, size, earlier, path", [
+        (32, 16, 16, "exp.joint"), (32, 16, 1, "exp.ladder"), (64, 4, 1, "exp.ladder"),
+        (16, 2, 1, "exp.ladder")], ids=["joint", "ladder", "64-bit-ring-4", "16-bit-ring-2"])
+    def test_three_per_signature(self, inversions, bits, size, earlier, path):
+        pp, tk, keypairs = _sized_setup(bits, size)
+        ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
+        rng = random.Random(5)
+        for _ in range(earlier):  # K′ and the tables are built by now
+            sign(pp, ring, keypairs[0], b"earlier", rng)
+        inversions.clear()
+        counter = OpCounter()
+        with count_ops(counter):
+            sig = sign(pp, ring, keypairs[-1], b"counted", rng)
+        assert len(inversions) <= 3
+        assert counter.paths["default"][path] >= size
+        inversions.clear()
+        assert verify(pp, ring, b"counted", sig)
+        assert len(inversions) <= 2 * size + 3 + 3  # the pairings' own, then at most 3
+        inversions.clear()
+        assert locate_signer(tk, pp, ring, sig)[1] == keypairs[-1].pub_key
+        assert len(inversions) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +552,7 @@ class TestTrace:
             bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
             r = rng.randrange(params.n)
             fake = RingSignature(
-                s1=grp.add(grp.mul(a, total_commit), grp.mul(r, _waters_sum(pp, bits))),
+                s1=grp.add(grp.mul(a, total_commit), grp.mul(r, *grp.to_affine(_waters_sum(pp, bits)))),
                 s2=grp.mul(r, params.g),
                 members=tuple(members))
             assert verify(pp, ring, b"decoy", fake)

@@ -291,7 +291,8 @@ def test_main_equation_accepts_only_s1_and_s2_in_the_subgroup(toy):
     ring = Ring(grp, [kp.pub_key for kp in keys])
     sig = sign(pp, ring, keys[0], b"toy", random.Random(3))
     assert verify(pp, ring, b"toy", sig)
-    W = _waters_sum(pp, hash_to_bits(canonical_encode(b"toy", ring), len(pp.hash_gens)))
+    (W,) = grp.to_affine(_waters_sum(pp, hash_to_bits(canonical_encode(b"toy", ring),
+                                                     len(pp.hash_gens))))
     assert W is not None
     total_commit = pp.commit_offset
     for member in sig.members:
