@@ -19,7 +19,7 @@ rng = random.Random(7)
 
 params = gen_group_params(16, 16, rng)
 pp, tk = setup(params, 16, rng)
-print(f"group order n = {params.n} = {params.p} * {params.q}")
+print(f"group order n = {params.group.n} = {params.p} * {params.q}")
 print(f"trace key: q = {tk.q} (kept by the auctioneer)")
 print()
 

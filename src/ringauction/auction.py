@@ -15,7 +15,6 @@ position with the tracing key, the registration side resolves the identity
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterable, TypeVar
 
@@ -203,7 +202,7 @@ class AuctionState:
     monotonic: bool = True
     phase: str = "open"  # open | closed | announced
     bids: list[Bid] = field(default_factory=list)
-    seen_digests: set[bytes] = field(default_factory=set)
+    seen_payloads: set[bytes] = field(default_factory=set)
 
     def current_high(self) -> int:
         return max((bid.price for bid in self.bids), default=0)
@@ -247,9 +246,6 @@ class AuctionManager:
         except KeyError:
             raise AuctionError(f"unknown auction {auction_id}") from None
 
-    def current_high(self, auction_id: int) -> int:
-        return self.state(auction_id).current_high()
-
     def admit_bid(self, bid: Bid) -> AdmitResult:
         """Structural admission; posts the bid publicly on success."""
         state = self._auctions.get(bid.auction_id)
@@ -262,13 +258,12 @@ class AuctionManager:
         if not self.board.all_active(bid.ring.encodings):
             return AdmitResult(False, reason="ring-key-not-on-BBS")
         payload = serialize_bid_payload(bid)
-        digest = hashlib.sha256(payload).digest()
-        if digest in state.seen_digests:
+        if payload in state.seen_payloads:
             return AdmitResult(False, reason="replayed-bid")
         if state.monotonic and bid.price <= state.current_high():
             return AdmitResult(False, reason="price-not-monotonic")
         seq = self.board.append(BID_POSTED, payload)
-        state.seen_digests.add(digest)
+        state.seen_payloads.add(payload)
         state.bids.append(replace(bid, seq=seq))
         return AdmitResult(True, seq=seq)
 

@@ -23,19 +23,21 @@ each row holding the negatives as well.
 g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
-be reduced mod n; pair evaluates the Miller lines of a fixed first argument,
-stored once, at each Q, and refuses a first argument outside G_n, as its
-loop's final [n]P shows.  in_group decides [n]P = O without the ladder: the
-reduced Tate pairing of order r = (ell + 1)/n at a fixed T in E(F_ell^2)
-is 1 at P.  T = [n]X, for X on a line through a rational point, is found
-with F_ell square roots at the first call and kept with its Miller lines; it
-is certified exactly, by [r/s]T not being rational for any prime s | r.  The
-final exponent's large factor n takes a Lucas sequence, two products per
-bit where the ladder takes about ten.  check_public_group decides, from the
-public values alone, whether a group is one gen_group_params could have
-built; its primality test is Baillie-PSW.  decode_point_bytes takes one square
-root; check_point_bytes reaches the same verdict on an encoding with the
-Jacobi symbol instead, for a caller that may never need the point.
+be reduced mod n; a member proof (member_base, then member_proof_jac) is one
+pass over h's rows and a key's from the key's 16th request on.  pair
+evaluates the Miller lines of a fixed first argument, stored once, at each
+Q, and refuses a first argument outside G_n, as its loop's final [n]P shows.
+in_group decides [n]P = O without the ladder: the reduced Tate pairing of
+order r = (ell + 1)/n at a fixed T in E(F_ell^2) is 1 at P.  T = [n]X, for X
+on a line through a rational point, is found with F_ell square roots at the
+first call and kept with its Miller lines; it is certified exactly, by
+[r/s]T not being rational for any prime s | r.  The final exponent's large
+factor n takes a Lucas sequence, two products per bit where the ladder takes
+about ten.  check_public_group decides, from the public values alone,
+whether a group is one gen_group_params could have built; its primality test
+is Baillie-PSW.  decode_point_bytes takes one square root; check_point_bytes
+reaches the same verdict on an encoding with the Jacobi symbol instead, for
+a caller that may never need the point.
 The parameter sizes used throughout this package are study material:
 breaking anonymity only requires factoring n, and nothing here is
 constant-time.
@@ -364,7 +366,7 @@ def _point_mul(k: int, P: Point, ell: int) -> Jac:
 
 
 _WINDOW = 5  # bits per signed digit of a fixed-base scalar
-_JOINT_USES = 16  # member_proof requests for a key before it gets a joint table
+_JOINT_USES = 16  # member_base requests for a key before it gets a joint table
 
 
 def _window_table(P: Point, n: int, ell: int):
@@ -886,10 +888,11 @@ class PairingGroup:
     This object carries exactly what verifiers see — n, ell, the order-n
     generator g and the order-q generator h — and none of the factorization.
     All point arithmetic, the pairing, and the canonical encodings hang off
-    it.  The counted methods (add/neg/mul/pair/hash_to_zn, member_proof
-    and the Jacobian forms add_jac/mul_jac/member_proof_jac, which leave
-    to_affine to the caller) are the instrumentation points; internal steps
-    of a single operation are not tallied separately.
+    it.  The counted methods (add/neg/mul/pair/hash_to_zn and the Jacobian
+    forms add_jac/mul_jac/member_proof_jac, which leave to_affine to the
+    caller) are the instrumentation points; internal steps of a single
+    operation are not tallied separately.  A ring slot's member proof is
+    member_base, then member_proof_jac.
     """
 
     def __init__(self, n: int, ell: int, g: Point, h: Point) -> None:
@@ -904,7 +907,7 @@ class PairingGroup:
         self._fixed = {g, h}
         self._mul_seen: set = set()
         self._mul_tables: dict = {}
-        self._key_uses: dict = {}  # member_proof's requests per key
+        self._key_uses: dict = {}  # member_base's requests per key
         self._joint: dict = {}  # key -> h's window rows, then the key's
         self._lines: dict = {}
         self._tate = None  # in_group's stored lines, built at its first call
@@ -955,31 +958,16 @@ class PairingGroup:
         _bump("exp.ladder")
         return _point_mul(k, P, self.ell)
 
-    def member_proof(self, e: int, commit: Point, key: Point, signer: bool) -> Point:
-        """The proof of a ring slot whose commitment is commit = [e]h, plus
-        key in the signer's slot: [e]commit, or [e](commit - key) for a decoy;
-        [e^2]h +- [e]key either way, one counted exponentiation.
-
-        The first 15 requests for a key run the ladder; the 16th builds the
-        key's window table and, when [n]key = O, keeps h's R rows followed by
-        the key's R rows, R = n.bit_length()//5 + 1; from then on commit is
-        not read and the result is one pass over those 2R rows, with scalar
-        e^2 mod n + ((+-e mod n) << 5R).  The signed base-32 recoding of any
-        k < n ends with no carry after R digits, so the digits above R are
-        exactly the key's scalar.  Memory: one joint table per key with 16 or
-        more requests, each 2R x 32 affine points (832 at a 64-bit n), and one
-        int per distinct key requested.  ``member_base`` and
-        ``member_proof_jac`` are its two halves, for a caller that normalizes
-        many slots at once.
-        """
-        base = _affine(self.member_base(jacobian(commit), key, signer), self.ell)
-        return _affine(self.member_proof_jac(e, base, key, signer), self.ell)
-
     def member_base(self, commit: Jac, key: Point, signer: bool) -> Jac:
         """Count one member-proof request for key and return the point its
         proof multiplies on the ladder: the Jacobian commit itself for the
         signer, commit minus key for a decoy, and O once the key's joint
-        table serves the proof, which reads no base."""
+        table serves the proof, which reads no base.  A slot's commit is
+        [e]h, plus key in the signer's slot, so its proof is [e^2]h +- [e]key
+        either way.  The 16th request builds key's window table and, when
+        [n]key = O, keeps h's R rows then key's, R = n.bit_length()//5 + 1.
+        Memory: one such joint table per key with 16 or more requests, 2R x 32
+        affine points (832 at a 64-bit n), and one int per key requested."""
         joint = self._joint.get(key)
         if joint is None:
             uses = self._key_uses[key] = self._key_uses.get(key, 0) + 1
@@ -997,7 +985,10 @@ class PairingGroup:
 
     def member_proof_jac(self, e: int, base: Point, key: Point, signer: bool) -> Jac:
         """The proof of the slot ``member_base`` was last asked for, left
-        Jacobian, for base the affine point that call returned."""
+        Jacobian, for base the affine point that call returned: [e]base on the
+        ladder, or one pass over the key's joint table with the packed scalar
+        e^2 mod n + ((+-e mod n) << 5R), as the signed base-32 recoding of
+        any k < n ends with no carry after R digits.  One counted exp."""
         joint = self._joint.get(key)
         if joint is not None:
             _bump("exp.joint")
@@ -1076,25 +1067,9 @@ class GroupParams:
     group: PairingGroup
 
     @property
-    def n(self) -> int:
-        return self.group.n
-
-    @property
     def r(self) -> int:
         """The cofactor: ell = n*r - 1."""
         return (self.group.ell + 1) // self.group.n
-
-    @property
-    def ell(self) -> int:
-        return self.group.ell
-
-    @property
-    def g(self) -> Point:
-        return self.group.g
-
-    @property
-    def h(self) -> Point:
-        return self.group.h
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         am.open_auction(auction_no, monotonic=config.monotonic)
         counter.set_phase("bidding")
         for round_no in range(config.rounds):
-            high = am.current_high(auction_no)
+            high = am.state(auction_no).current_high()
             order = board.active_view()  # keys change only at openings
             for actor in actors:
                 if not board.all_active((actor.own,)):

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from ringauction.group import gen_group_params, group_from_primes
 from ringauction.ringsig import keygen, setup
+
+# The same examples on every run, and no per-example deadline, which a slow
+# machine can miss; each test's own @settings keeps its max_examples.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 from ringauction.auction import MalformedBid, parse_bid_payload
 from ringauction.group import InvalidPoint, _random_point
@@ -182,6 +183,21 @@ def naive_in_group(P, n: int, ell: int) -> bool:
     """P is a curve point with [n]P = O, by repeated doubling: the oracle for
     ``PairingGroup.in_group``."""
     return naive_on_curve(P, ell) and naive_mul(n, P, ell) is None
+
+
+# The components of a ring-of-3 signature, as named by ``off_curve``.
+RING3_COMPONENTS = ("s1", "s2", "commit0", "commit1", "commit2", "proof0", "proof1", "proof2")
+
+
+def off_curve(sig, component: str):
+    """sig with one component ("s1", "s2", "commit<i>" or "proof<i>")
+    replaced by (1, 1), which is on no curve y^2 = x^3 + x."""
+    if component in ("s1", "s2"):
+        return replace(sig, **{component: (1, 1)})
+    members = list(sig.members)
+    index = int(component[-1])
+    members[index] = replace(members[index], **{component[:-1]: (1, 1)})
+    return replace(sig, members=tuple(members))
 
 
 def all_curve_points(ell: int):

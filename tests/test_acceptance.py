@@ -82,7 +82,7 @@ def test_group_correctness():
     t0 = time.monotonic()
     params = gen_group_params(16, 16, random.Random(2024))
     group = params.group
-    g, h, n, q = params.g, params.h, params.n, params.q
+    g, h, n, q = params.group.g, params.group.h, params.group.n, params.q
 
     base = group.pair(g, g)
     rng = random.Random(2025)
@@ -127,7 +127,7 @@ def test_trace_exactness(sweep):
     # against the key — the offset must stay inside the projection.
     params = group_from_primes(5, 7, random.Random(1))
     pp, tk = setup(params, 8, random.Random(0))
-    ell, q = params.ell, 7
+    ell, q = params.group.ell, 7
     rng = random.Random(3000)
 
     def usable(pub):  # avoid toy-size degeneracies in the demonstration

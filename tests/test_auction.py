@@ -53,7 +53,15 @@ from ringauction.ringsig import (
     sign,
 )
 
-from .support import eager_verify_transcript, naive_add, naive_mul, naive_neg, verdict
+from .support import (
+    RING3_COMPONENTS,
+    eager_verify_transcript,
+    naive_add,
+    naive_mul,
+    naive_neg,
+    off_curve,
+    verdict,
+)
 
 
 @pytest.fixture()
@@ -249,7 +257,7 @@ class TestAdmission:
         entry = env.board.entries()[result.seq]
         assert entry.kind == BID_POSTED
         assert entry.payload == serialize_bid_payload(bid)
-        assert env.am.current_high(1) == 10
+        assert env.am.state(1).current_high() == 10
 
     def test_unknown_auction(self, env):
         bid = craft_bid(env, env.agents[0], 10, auction_id=9)
@@ -282,11 +290,14 @@ class TestAdmission:
                                                 members=bid.signature.members[:-1]))
         assert env.am.admit_bid(broken).reason == "malformed"
 
-    def test_off_curve_component_malformed(self, env):
+    @pytest.mark.parametrize("component", RING3_COMPONENTS)
+    def test_off_curve_component_malformed(self, env, keys16, component):
         env.am.open_auction(1)
-        bid = craft_bid(env, env.agents[0], 10)
-        broken = replace(bid, signature=replace(bid.signature, s1=(1, 1)))
+        ring = Ring(env.pp.group, [kp.pub_key for kp in keys16[:3]])
+        bid = craft_bid(env, env.agents[0], 10, ring=ring)
+        broken = replace(bid, signature=off_curve(bid.signature, component))
         assert env.am.admit_bid(broken).reason == "malformed"
+        assert env.am.state(1).bids == []
 
     def test_ring_key_not_on_board(self, env, keys16):
         env.am.open_auction(1)
@@ -516,7 +527,7 @@ class TestOpenProtocol:
         # tracing test in every slot.  The signature verifies either way.
         pp, tk = setup(tiny_params, 8, random.Random(0))
         group = tiny_params.group
-        ell = tiny_params.ell
+        ell = tiny_params.group.ell
         rng = random.Random(31)
 
         def degenerate(pub):

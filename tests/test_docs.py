@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shlex
 import statistics
 import subprocess
@@ -79,6 +80,43 @@ def test_benchmark_spans_resolve():
         for part in path:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(member)), f"span {name}: {module_name}.{attr}"
+
+
+def _class_members() -> dict[str, set[str]]:
+    """Each class defined in a ringauction module: its methods and
+    properties, its class-level names (dataclass fields among them) and the
+    attributes its __init__ assigns on self."""
+    members = {}
+    for path in (REPO / "src" / "ringauction").glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = members.setdefault(cls.name, set())
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                    if node.name == "__init__":
+                        names.update(target.attr for target in ast.walk(node)
+                                     if isinstance(target, ast.Attribute)
+                                     and isinstance(target.ctx, ast.Store)
+                                     and getattr(target.value, "id", None) == "self")
+                for target in ([node.target] if isinstance(node, ast.AnnAssign) else
+                               node.targets if isinstance(node, ast.Assign) else []):
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+    return members
+
+
+def test_readme_class_members_resolve():
+    # A backticked `Class.attr` in README.md, Class a ringauction class, must
+    # name something the class has.
+    members = _class_members()
+    readme = re.sub(r"```.*?```", "", (REPO / "README.md").read_text(), flags=re.S)
+    named = [match.groups() for span in re.findall(r"`([^`]+)`", readme)
+             for match in re.finditer(r"\b([A-Z]\w*)\.(\w+)", span)
+             if match.group(1) in members]
+    assert named
+    assert [f"{cls}.{attr}" for cls, attr in named if attr not in members[cls]] == []
 
 
 def _bench_problems(node, where, seen):

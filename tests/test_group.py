@@ -39,6 +39,7 @@ from ringauction.group import (
     group_from_primes,
     hash_to_bits,
     is_probable_prime,
+    jacobian,
 )
 from ringauction.ringsig import (
     Ring,
@@ -105,6 +106,17 @@ def _signed_digits(k: int, rows: int) -> list[int]:
     return digits
 
 
+def _fresh(group):
+    # A new PairingGroup on group's public values, with none of its tables.
+    return PairingGroup(group.n, group.ell, group.g, group.h)
+
+
+def _member_proof(group, e, commit, key, signer):
+    # One slot's proof by the two calls sign makes: member_base, then member_proof_jac.
+    (base,) = group.to_affine(group.member_base(jacobian(commit), key, signer))
+    return group.to_affine(group.member_proof_jac(e, base, key, signer))[0]
+
+
 def _signed_window_scalars(n: int) -> list[int]:
     """Scalars below n that put every digit the recoding can give into every
     row of a window table, k = 15, 16 and 17 (mod 32) at each row with and
@@ -142,15 +154,15 @@ def _signed_window_scalars(n: int) -> list[int]:
 
 class TestConstruction:
     def test_known_small_pair(self, tiny_params):
-        assert tiny_params.n == 35
+        assert tiny_params.group.n == 35
         assert tiny_params.r == 4
-        assert tiny_params.ell == 139
+        assert tiny_params.group.ell == 139
 
     def test_known_second_pair(self):
         params = group_from_primes(11, 13, random.Random(2))
-        assert params.n == 143
+        assert params.group.n == 143
         assert params.r == 4
-        assert params.ell == 571
+        assert params.group.ell == 571
 
     def test_equal_primes_rejected(self):
         with pytest.raises((GroupError, ValueError)):
@@ -160,19 +172,19 @@ class TestConstruction:
         # The curve group has ell + 1 points, and the search guarantees the
         # cofactor is a multiple of 4 so that the field size is odd.
         p = tiny_params
-        assert p.ell == p.n * p.r - 1
+        assert p.group.ell == p.group.n * p.r - 1
         assert p.r % 4 == 0
-        assert p.ell % 4 == 3
-        assert is_prime_trial_division(p.ell)
+        assert p.group.ell % 4 == 3
+        assert is_prime_trial_division(p.group.ell)
 
     def test_curve_group_order(self, tiny_params):
         # |E(F_139)| = 140 points for y^2 = x^3 + x, identity included.
-        assert len(all_curve_points(tiny_params.ell)) == tiny_params.ell + 1
+        assert len(all_curve_points(tiny_params.group.ell)) == tiny_params.group.ell + 1
 
     def test_generator_orders_brute_force(self, tiny_params):
         p = tiny_params
-        assert naive_order(p.g, p.ell, 2 * p.n) == p.n
-        assert naive_order(p.h, p.ell, 2 * p.n) == 7  # the secret factor q
+        assert naive_order(p.group.g, p.group.ell, 2 * p.group.n) == p.group.n
+        assert naive_order(p.group.h, p.group.ell, 2 * p.group.n) == 7  # the secret factor q
 
     def test_generated_params_validate(self, params16):
         grp = params16.group
@@ -181,13 +193,13 @@ class TestConstruction:
         assert params16.p != params16.q
         assert params16.p.bit_length() == 16
         assert params16.q.bit_length() == 16
-        assert params16.ell % 4 == 3
-        assert (params16.ell + 1) % params16.n == 0
+        assert params16.group.ell % 4 == 3
+        assert (params16.group.ell + 1) % params16.group.n == 0
 
     def test_generation_deterministic(self):
         a = gen_group_params(16, 16, random.Random(9))
         b = gen_group_params(16, 16, random.Random(9))
-        assert (a.p, a.q, a.r, a.g, a.h) == (b.p, b.q, b.r, b.g, b.h)
+        assert (a.p, a.q, a.r, a.group.g, a.group.h) == (b.p, b.q, b.r, b.group.g, b.group.h)
 
     def test_too_small_bit_request(self):
         with pytest.raises(ValueError):
@@ -358,27 +370,28 @@ class TestCheckPublicGroup:
 class TestArithmetic:
     def test_add_matches_oracle_exhaustively(self, tiny_params):
         group = tiny_params.group
-        pts = all_curve_points(tiny_params.ell)
-        sample = pts[::7] + [None, tiny_params.g, tiny_params.h]
+        pts = all_curve_points(tiny_params.group.ell)
+        sample = pts[::7] + [None, tiny_params.group.g, tiny_params.group.h]
         for P in sample:
             for Q in sample:
-                assert group.add(P, Q) == naive_add(P, Q, tiny_params.ell)
+                assert group.add(P, Q) == naive_add(P, Q, tiny_params.group.ell)
 
     def test_neg_matches_oracle(self, tiny_params):
         group = tiny_params.group
-        for P in all_curve_points(tiny_params.ell):
-            assert group.neg(P) == naive_neg(P, tiny_params.ell)
+        for P in all_curve_points(tiny_params.group.ell):
+            assert group.neg(P) == naive_neg(P, tiny_params.group.ell)
 
     @given(k=st.integers(min_value=-200, max_value=500))
     def test_mul_matches_oracle(self, tiny_params, k):
         group = tiny_params.group
-        assert group.mul(k, tiny_params.g) == naive_mul(k, tiny_params.g, tiny_params.ell)
+        g, ell = tiny_params.group.g, tiny_params.group.ell
+        assert group.mul(k, g) == naive_mul(k, g, ell)
 
     def test_mul_matches_oracle_for_every_point(self, tiny_params):
         # Every point, cofactor torsion and (0, 0) included, and every scalar
         # from below zero to past twice the curve order.  The order check
         # [n]P = O is the ladder's final Z = 0, g and h included.
-        group, n, ell = tiny_params.group, tiny_params.n, tiny_params.ell
+        group, n, ell = tiny_params.group, tiny_params.group.n, tiny_params.group.ell
         for P in all_curve_points(ell):
             for k in range(-3, 2 * (ell + 1) + 4):
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
@@ -387,29 +400,29 @@ class TestArithmetic:
     @given(a=st.integers(min_value=0, max_value=34), b=st.integers(min_value=0, max_value=34))
     def test_mul_is_additive_in_the_scalar(self, tiny_params, a, b):
         group = tiny_params.group
-        g = tiny_params.g
+        g = tiny_params.group.g
         assert group.add(group.mul(a, g), group.mul(b, g)) == group.mul(a + b, g)
 
     def test_scalar_wraps_at_group_order(self, tiny_params):
         group = tiny_params.group
-        g = tiny_params.g
-        assert group.mul(tiny_params.n, g) is None
-        assert group.mul(tiny_params.n + 3, g) == group.mul(3, g)
+        g = tiny_params.group.g
+        assert group.mul(tiny_params.group.n, g) is None
+        assert group.mul(tiny_params.group.n + 3, g) == group.mul(3, g)
 
     def test_projection_by_cofactor_kills_small_factor(self, tiny_params):
         # Multiplying by q annihilates exactly the order-q component; the
         # trace operation depends on this.
         group = tiny_params.group
         q = 7
-        assert group.mul(q, tiny_params.h) is None
-        assert group.mul(q, tiny_params.g) is not None
-        assert group.mul(q, group.mul(5, tiny_params.g)) is None
+        assert group.mul(q, tiny_params.group.h) is None
+        assert group.mul(q, tiny_params.group.g) is not None
+        assert group.mul(q, group.mul(5, tiny_params.group.g)) is None
 
     def test_random_point_lands_on_curve(self, tiny_params):
         rng = random.Random(5)
         for _ in range(50):
-            P = _random_point(tiny_params.ell, rng)
-            assert naive_on_curve(P, tiny_params.ell)
+            P = _random_point(tiny_params.group.ell, rng)
+            assert naive_on_curve(P, tiny_params.group.ell)
             assert P[1] != 0
 
 
@@ -419,7 +432,7 @@ class TestArithmetic:
 class TestPairing:
     def test_nondegenerate_of_full_order(self, tiny_params):
         group = tiny_params.group
-        z = group.pair(tiny_params.g, tiny_params.g)
+        z = group.pair(tiny_params.group.g, tiny_params.group.g)
         assert not z.is_one()
         assert (z ** 35).is_one()
         assert not (z ** 5).is_one()
@@ -432,59 +445,60 @@ class TestPairing:
         # then has order exactly n, as the distorted pairing is non-degenerate.
         for seed in range(seeds):
             params = gen_group_params(bits, bits, random.Random(seed))
-            z = params.group.pair(params.g, params.g)
-            assert (z ** params.n).is_one()
+            z = params.group.pair(params.group.g, params.group.g)
+            assert (z ** params.group.n).is_one()
             assert not (z ** params.p).is_one() and not (z ** params.q).is_one(), seed
 
     @settings(max_examples=60)
     @given(a=st.integers(min_value=0, max_value=34), b=st.integers(min_value=0, max_value=34))
     def test_bilinear(self, tiny_params, a, b):
         group = tiny_params.group
-        g = tiny_params.g
+        g = tiny_params.group.g
         base = group.pair(g, g)
         assert group.pair(group.mul(a, g), group.mul(b, g)) == base ** (a * b)
 
     def test_symmetric(self, tiny_params):
         group = tiny_params.group
-        P = group.mul(4, tiny_params.g)
-        Q = group.mul(9, tiny_params.g)
+        P = group.mul(4, tiny_params.group.g)
+        Q = group.mul(9, tiny_params.group.g)
         assert group.pair(P, Q) == group.pair(Q, P)
 
     def test_identity_inputs_give_one(self, tiny_params):
         group = tiny_params.group
-        assert group.pair(None, tiny_params.g).is_one()
-        assert group.pair(tiny_params.g, None).is_one()
+        assert group.pair(None, tiny_params.group.g).is_one()
+        assert group.pair(tiny_params.group.g, None).is_one()
 
     def test_small_order_point_pairs_nontrivially(self, tiny_params):
         # h has order q; its self-pairing must be a q-th root of unity != 1
         # or the membership-proof equation would be vacuous.
         group = tiny_params.group
-        z = group.pair(tiny_params.h, tiny_params.h)
+        z = group.pair(tiny_params.group.h, tiny_params.group.h)
         assert not z.is_one()
         assert (z ** 7).is_one()
 
     def test_mixed_order_pairing(self, tiny_params):
         group = tiny_params.group
-        z = group.pair(tiny_params.g, tiny_params.h)
+        z = group.pair(tiny_params.group.g, tiny_params.group.h)
         assert not z.is_one()
         assert (z ** 7).is_one()
 
     def test_off_curve_input_rejected(self, tiny_params):
         with pytest.raises(InvalidPoint):
-            tiny_params.group.pair((1, 1), tiny_params.g)
+            tiny_params.group.pair((1, 1), tiny_params.group.g)
 
     def test_bilinear_at_16_bits(self, params16):
         group = params16.group
         rng = random.Random(77)
-        a, b = rng.randrange(params16.n), rng.randrange(params16.n)
-        base = group.pair(params16.g, params16.g)
-        assert group.pair(group.mul(a, params16.g), group.mul(b, params16.g)) == base ** (a * b)
+        n, g = group.n, group.g
+        a, b = rng.randrange(n), rng.randrange(n)
+        base = group.pair(g, g)
+        assert group.pair(group.mul(a, g), group.mul(b, g)) == base ** (a * b)
 
     def test_pair_matches_oracle_exhaustively(self, tiny_params):
         # All 140 x 140 pairs, including the identity, cofactor torsion and
         # (0, 0): the 35 first arguments in G_n against the oracle, the
         # other 105 refused with every Q.
-        group, ell = tiny_params.group, tiny_params.ell
+        group, ell = tiny_params.group, tiny_params.group.ell
         pts = all_curve_points(ell)
         for P in pts:
             for Q in pts:
@@ -493,11 +507,11 @@ class TestPairing:
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_mul_and_pair_match_oracles_at_size(self, bits):
         params = gen_group_params(bits, bits, random.Random(bits))
-        group, n, ell = params.group, params.n, params.ell
+        group, n, ell = params.group, params.group.n, params.group.ell
         rng = random.Random(1000 + bits)
         outside = [_random_point(ell, rng) for _ in range(3)]  # almost surely not in <g>
         torsion = naive_mul(n, outside[0], ell)  # order divides the cofactor r
-        points = [params.g, params.h, group.mul(rng.randrange(n), params.g),
+        points = [params.group.g, params.group.h, group.mul(rng.randrange(n), params.group.g),
                   torsion, (0, 0), *outside]
         # n kills every point of <g> and ell + 1 every point, so k = n - 1 and
         # k = ell take the ladder's [k + 1]P = O exit and k = n and k = ell + 1
@@ -525,15 +539,15 @@ class TestPairing:
 
     def test_gt_element_algebra(self, tiny_params):
         group = tiny_params.group
-        z = group.pair(tiny_params.g, tiny_params.g)
+        z = group.pair(tiny_params.group.g, tiny_params.group.g)
         assert (z * z ** -1).is_one()
         assert z ** 0 == GtElement(1, 0, group.ell)
         assert (z ** 3) * (z ** 4) == z ** 7
 
     def test_gt_elements_of_two_fields_do_not_multiply(self, tiny_params):
         other = group_from_primes(11, 13, random.Random(2))
-        z = tiny_params.group.pair(tiny_params.g, tiny_params.g)
-        w = other.group.pair(other.g, other.g)
+        z = tiny_params.group.pair(tiny_params.group.g, tiny_params.group.g)
+        w = other.group.pair(other.group.g, other.group.g)
         with pytest.raises(ValueError, match="cannot mix target fields"):
             z * w
 
@@ -568,7 +582,7 @@ def _record_candidates(monkeypatch, source):
 
 class TestInGroup:
     def test_every_point_of_the_tiny_group(self, tiny_params):
-        group, n, ell = tiny_params.group, tiny_params.n, tiny_params.ell
+        group, n, ell = tiny_params.group, tiny_params.group.n, tiny_params.group.ell
         pts = all_curve_points(ell)
         verdicts = [group.in_group(P) for P in pts]
         assert verdicts == [naive_in_group(P, n, ell) for P in pts]
@@ -577,13 +591,13 @@ class TestInGroup:
     @pytest.mark.parametrize("bits, seed", SMALL_GROUPS)
     def test_small_groups_match_the_oracle(self, bits, seed):
         params = gen_group_params(bits, bits, random.Random(seed))
-        group, n, ell, r = params.group, params.n, params.ell, params.r
+        group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
         assert any(s % 2 for s in prime_factors(r))
         rng = random.Random(seed)
         outside = [_random_point(ell, rng) for _ in range(20)]  # mostly not in <g>
-        points = [None, (0, 0), params.g, params.h, *outside,
+        points = [None, (0, 0), params.group.g, params.group.h, *outside,
                   *(naive_mul(r, P, ell) for P in outside),  # in <g>
-                  *torsion_shifts(group, params.g, rng)]
+                  *torsion_shifts(group, params.group.g, rng)]
         verdicts = [group.in_group(P) for P in points]
         assert verdicts == [naive_in_group(P, n, ell) for P in points]
         assert True in verdicts[4:] and False in verdicts[4:]
@@ -595,25 +609,25 @@ class TestInGroup:
         # every verdict is the ladder's.
         groups = [gen_group_params(bits, bits, random.Random(seed))
                   for bits in range(8, 13) for seed in range(8)]
-        assert len({(params.n, params.ell) for params in groups}) == 40
+        assert len({(params.group.n, params.group.ell) for params in groups}) == 40
         rs = [params.r for params in groups]
         assert any(r % 8 == 4 for r in rs) and any(r % 8 == 0 for r in rs)
         assert any(s > 5 for r in rs for s in prime_factors(r) if s % 2)
         for params in groups:
-            group, n, ell, r = params.group, params.n, params.ell, params.r
+            group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
             rng = random.Random(ell)
             outside = [_random_point(ell, rng) for _ in range(20)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
-                      *torsion_shifts(group, params.g, rng)]
+                      *torsion_shifts(group, params.group.g, rng)]
             verdicts = [group.in_group(P) for P in points]
             assert verdicts == [naive_in_group(P, n, ell) for P in points], (n, ell)
 
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_torsion_shifts_refused_at_size(self, bits):
         params = gen_group_params(bits, bits, random.Random(bits))
-        group, n, ell, r = params.group, params.n, params.ell, params.r
+        group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
         rng = random.Random(4000 + bits)
-        P = group.mul(rng.randrange(1, n), params.g)
+        P = group.mul(rng.randrange(1, n), params.group.g)
         shifts = torsion_shifts(group, P, rng)
         torsion = [naive_add(Q, naive_neg(P, ell), ell) for Q in shifts[1:]]
         divisors = [d for d in range(2, r + 1) if r % d == 0]
@@ -622,10 +636,10 @@ class TestInGroup:
         assert not any(group.in_group(Q) for Q in shifts)
 
     def test_orders_p_q_and_n_accepted(self, params16):
-        group, n, ell = params16.group, params16.n, params16.ell
-        p, q, g = params16.p, params16.q, params16.g
+        group, n, ell = params16.group, params16.group.n, params16.group.ell
+        p, q, g = params16.p, params16.q, params16.group.g
         for P, primes in ((None, ()), (g, (p, q)), (group.mul(q, g), (p,)), (group.mul(p, g), (q,)),
-                          (params16.h, (q,))):
+                          (params16.group.h, (q,))):
             order = math.prod(primes)  # exactly: [order]P = O, and no prime drops out
             assert naive_mul(order, P, ell) is None
             assert all(naive_mul(order // f, P, ell) is not None for f in primes)
@@ -634,12 +648,12 @@ class TestInGroup:
         assert not group.in_group((1, 1))  # off the curve
 
     def test_counts_one_exp_and_builds_at_first_call(self, tiny_params):
-        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
+        group = _fresh(tiny_params.group)
         assert group._tate is None
         counter = OpCounter()
         with count_ops(counter):
             counter.set_phase("check")
-            assert group.in_group(tiny_params.g)
+            assert group.in_group(tiny_params.group.g)
             assert not group.in_group((0, 0))
         assert counter.phase("check") == {"exp": 2}
         assert group._tate is not None
@@ -655,7 +669,7 @@ class TestInGroup:
         # two different T's are built; every verdict agrees, and neither T
         # has a rational multiple other than O.
         params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
-        group, n, ell, r = params.group, params.n, params.ell, params.r
+        group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
         source = group_module._tate_candidates
         handed = _record_candidates(monkeypatch, source)
         first, chosen = group_module._membership_lines(n, ell), handed[-1]
@@ -675,7 +689,7 @@ class TestInGroup:
         else:
             outside = [_random_point(ell, rng) for _ in range(20)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
-                      *torsion_shifts(group, params.g, rng)[1:]]
+                      *torsion_shifts(group, params.group.g, rng)[1:]]
         for P in points:
             verdicts = {group_module._tate_at(tate, *P, n, ell) == 2 for tate in (first, second)}
             assert verdicts == {naive_in_group(P, n, ell)}, P
@@ -686,7 +700,7 @@ class TestInGroup:
         # psi(U) to an order of at most r/2; handed those first, the search
         # passes them over and selects what it selects without them.
         params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
-        group, n, ell, r = params.group, params.n, params.ell, params.r
+        group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
         U = _lift(cofactor_torsion(group, random.Random(6)))  # exact order r
         deficient = [U, group_module._fp2_psi(U, ell)]
         expected = group_module._membership_lines(n, ell)
@@ -718,14 +732,14 @@ class TestInGroup:
         # expose a wrong verdict.  r*phi(r) of the r^2*prod(1 - 1/s^2) V's
         # pair with order r: 8 of 12 at r = 4, 960 of 2304 at r = 60.
         params = tiny_params if bits is None else gen_group_params(bits, bits, random.Random(seed))
-        group, n, ell, r = params.group, params.n, params.ell, params.r
+        group, n, ell, r = params.group, params.group.n, params.group.ell, params.r
         rng = random.Random(8)
         if bits is None:
             points = [P for P in all_curve_points(ell) if P not in (None, (0, 0))]
         else:
             outside = [_random_point(ell, rng) for _ in range(4)]
             points = [*outside, *(naive_mul(r, P, ell) for P in outside),
-                      *torsion_shifts(group, params.g, rng)[1:]]
+                      *torsion_shifts(group, params.group.g, rng)[1:]]
         expected = [naive_in_group(P, n, ell) for P in points]
         handed = _record_candidates(monkeypatch, group_module._tate_candidates)
         group_module._membership_lines(n, ell)
@@ -761,8 +775,8 @@ class TestFixedBases:
         # A fresh group, so the session fixture keeps only g and h as fixed
         # bases.  Bases whose order does not divide n (cofactor torsion,
         # (0, 0)) must keep the plain scalar multiplication.
-        n, ell = tiny_params.n, tiny_params.ell
-        group = PairingGroup(n, ell, tiny_params.g, tiny_params.h)
+        n, ell = tiny_params.group.n, tiny_params.group.ell
+        group = _fresh(tiny_params.group)
         pts = all_curve_points(ell)
         group.precompute(*pts)
         for P in pts:
@@ -780,13 +794,13 @@ class TestFixedBases:
     def test_fixed_bases_match_oracles_at_size(self, bits):
         params = gen_group_params(bits, bits, random.Random(bits))
         pp, _ = setup(params, 4, random.Random(bits + 1))
-        group, n, ell = params.group, params.n, params.ell
+        group, n, ell = params.group, params.group.n, params.group.ell
         rng = random.Random(2000 + bits)
         outside = _random_point(ell, rng)  # almost surely not in <g>
         group.precompute(outside)
-        bases = [params.g, params.h, pp.key_base, pp.blind_base, outside]
+        bases = [params.group.g, params.group.h, pp.key_base, pp.blind_base, outside]
         scalars = [0, 1, -1, n - 1, n, n + 1, 2 * n + 3, rng.randrange(n)]
-        others = [group.mul(rng.randrange(n), params.g), outside, (0, 0)]
+        others = [group.mul(rng.randrange(n), params.group.g), outside, (0, 0)]
         for P in bases:
             for k in scalars:
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
@@ -804,8 +818,8 @@ class TestFixedBases:
     def test_every_window_row_entry_matches_the_oracle(self, tiny_params):
         # Row i of a window table holds [d * 32^i]P at index d + 15, d = -15..16,
         # negatives included; a joint table is h's rows, then the key's.
-        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
-        group = PairingGroup(n, ell, tiny_params.g, h)
+        n, ell, h = tiny_params.group.n, tiny_params.group.ell, tiny_params.group.h
+        group = _fresh(tiny_params.group)
 
         def check(rows, P):
             for i, row in enumerate(rows):
@@ -817,7 +831,7 @@ class TestFixedBases:
         for key in keys:
             check(_window_table(key, n, ell), key)
             for e in range(16):  # the 16th request builds the joint table
-                group.member_proof(e, naive_add(naive_mul(e, h, ell), key, ell), key, True)
+                _member_proof(group, e, naive_add(naive_mul(e, h, ell), key, ell), key, True)
             joint = group._joint[key]
             check(joint[:len(joint) // 2], h)
             check(joint[len(joint) // 2:], key)
@@ -825,21 +839,21 @@ class TestFixedBases:
     def test_window_table_built_on_second_mul(self, params16):
         # A base multiplied once keeps the plain path; the second mul builds
         # its table.
-        group = PairingGroup(params16.n, params16.ell, params16.g, params16.h)
-        ell = params16.ell
+        group = _fresh(params16.group)
+        ell = params16.group.ell
         for k in (5, 7):
-            assert group.mul(k, params16.h) == naive_mul(k, params16.h, ell)
-            assert (params16.h in group._mul_tables) == (k == 7)
-        assert group._mul_tables[params16.h] is not None
+            assert group.mul(k, params16.group.h) == naive_mul(k, params16.group.h, ell)
+            assert (params16.group.h in group._mul_tables) == (k == 7)
+        assert group._mul_tables[params16.group.h] is not None
 
     def test_fixed_base_calls_count_once(self, tiny_params):
-        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
+        group = _fresh(tiny_params.group)
         counter = OpCounter()
         with count_ops(counter):
             counter.set_phase("fixed")
             for _ in range(2):  # the first call of each builds the table
-                group.mul(3, tiny_params.g)
-                group.pair(tiny_params.h, tiny_params.g)
+                group.mul(3, tiny_params.group.g)
+                group.pair(tiny_params.group.h, tiny_params.group.g)
         assert counter.phase("fixed") == {"exp": 2, "pair": 2}
         assert counter.paths == {"fixed": {"exp.ladder": 1, "exp.window": 1, "pair.lines": 2}}
 
@@ -857,10 +871,10 @@ class TestFixedBases:
 
 
 class TestMemberProof:
-    # member_proof(e, C, K, signer) for a slot's commitment C = [e]h, plus K
-    # in the signer's slot, is [e]C for the signer and [e](C - K) for a decoy,
-    # so [e^2]h + [+-e]K either way: the ladder for a key's first 15
-    # requests, then one pass over h's rows and K's rows.
+    # The proof of a slot's commitment C = [e]h, plus K in the signer's slot,
+    # is [e]C for the signer and [e](C - K) for a decoy, so [e^2]h + [+-e]K
+    # either way: the ladder for a key's first 15 requests, then one pass
+    # over h's rows and K's rows.
     @staticmethod
     def _request(e, h, key, signer, ell):
         # (commit, expected proof) of one slot, from the oracles.
@@ -870,33 +884,33 @@ class TestMemberProof:
                                               ell), ell)
 
     def test_joint_path_matches_the_oracle_on_every_key_scalar_and_sign(self, tiny_params):
-        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
-        group = PairingGroup(n, ell, tiny_params.g, h)
+        n, ell, h = tiny_params.group.n, tiny_params.group.ell, tiny_params.group.h
+        group = _fresh(tiny_params.group)
         keys = [P for P in all_curve_points(ell) if naive_mul(n, P, ell) is None]
         assert len(keys) == n
         for key in keys:
             for e in range(15):  # the ladder requests
-                group.member_proof(e, self._request(e, h, key, True, ell)[0], key, True)
+                _member_proof(group, e, self._request(e, h, key, True, ell)[0], key, True)
             for e in range(n):
                 for signer in (True, False):
                     commit, expected = self._request(e, h, key, signer, ell)
-                    got = group.member_proof(e, commit, key, signer)
+                    got = _member_proof(group, e, commit, key, signer)
                     assert got == expected, (key, e, signer)
         assert set(group._joint) == set(keys)
         assert all(len(rows) == 2 * (n.bit_length() // 5 + 1) for rows in group._joint.values())
 
     def test_sixteenth_request_switches_to_the_joint_path(self, params16):
-        group = PairingGroup(params16.n, params16.ell, params16.g, params16.h)
-        n, ell, h = params16.n, params16.ell, params16.h
+        group = _fresh(params16.group)
+        n, ell, h = params16.group.n, params16.group.ell, params16.group.h
         rng = random.Random(16)
-        key = naive_mul(rng.randrange(1, n), params16.g, ell)
+        key = naive_mul(rng.randrange(1, n), params16.group.g, ell)
         counter = OpCounter()
         with count_ops(counter):
             for request in range(1, 21):
                 counter.set_phase("ladder" if request < 16 else "joint")
                 e, signer = rng.randrange(n), request % 2 == 1
                 commit, expected = self._request(e, h, key, signer, ell)
-                assert group.member_proof(e, commit, key, signer) == expected, request
+                assert _member_proof(group, e, commit, key, signer) == expected, request
                 assert (key in group._joint) == (request >= 16)
         assert counter.phases == {"ladder": {"exp": 15}, "joint": {"exp": 5}}
         assert counter.paths == {"ladder": {"exp.ladder": 15}, "joint": {"exp.joint": 5}}
@@ -905,21 +919,21 @@ class TestMemberProof:
     def test_joint_path_matches_the_ladder_at_size(self, bits):
         params = gen_group_params(bits, bits, random.Random(bits))
         pp, _ = setup(params, 4, random.Random(bits + 1))
-        group, n, ell = params.group, params.n, params.ell
+        group, n, ell = params.group, params.group.n, params.group.ell
         rng = random.Random(3000 + bits)
-        key = group.add(group.mul(rng.randrange(1, n), params.g), group.neg(pp.commit_offset))
+        key = group.add(group.mul(rng.randrange(1, n), group.g), group.neg(pp.commit_offset))
         scalars = [rng.randrange(n) for _ in range(15)] + _signed_window_scalars(n)
         for e in scalars:
             for signer in (True, False):
-                blind = group.mul(e, params.h)
+                blind = group.mul(e, params.group.h)
                 commit = group.add(blind, key) if signer else blind
-                assert group.member_proof(e, commit, key, signer) == _to_affine([_point_mul(
+                assert _member_proof(group, e, commit, key, signer) == _to_affine([_point_mul(
                     e, group.add(blind, group.mul(1 if signer else -1, key)), ell)], ell)[0], (e, signer)
         assert key in group._joint
 
     def test_key_outside_the_group_stays_on_the_ladder(self, tiny_params):
-        n, ell, h = tiny_params.n, tiny_params.ell, tiny_params.h
-        group = PairingGroup(n, ell, tiny_params.g, h)
+        n, ell, h = tiny_params.group.n, tiny_params.group.ell, tiny_params.group.h
+        group = _fresh(tiny_params.group)
         rng = random.Random(7)
         counter = OpCounter()
         for key in (cofactor_torsion(group, rng), (0, 0)):
@@ -927,7 +941,7 @@ class TestMemberProof:
                 for request in range(20):
                     e, signer = rng.randrange(n), request % 2 == 0
                     commit, expected = self._request(e, h, key, signer, ell)
-                    got = group.member_proof(e, commit, key, signer)
+                    got = _member_proof(group, e, commit, key, signer)
                     assert got == expected, (key, request)
             assert key not in group._joint
         assert counter.paths == {"default": {"exp.ladder": 40}}
@@ -939,7 +953,7 @@ class TestMemberProof:
 class TestEncoding:
     def test_roundtrip_every_point(self, tiny_params):
         group = tiny_params.group
-        for P in all_curve_points(tiny_params.ell):
+        for P in all_curve_points(tiny_params.group.ell):
             data = group.encode_point(P)
             assert len(data) == group.point_bytes
             assert group.decode_point(data) == P
@@ -952,19 +966,19 @@ class TestEncoding:
             tiny_params.group.decode_point(b"\x00")
 
     def test_rejects_unknown_tag(self, tiny_params):
-        data = tiny_params.group.encode_point(tiny_params.g)
+        data = tiny_params.group.encode_point(tiny_params.group.g)
         with pytest.raises(InvalidPoint):
             tiny_params.group.decode_point(data[:-1] + b"\x07")
 
     def test_rejects_out_of_range_x(self, tiny_params):
         width = tiny_params.group.coord_bytes
-        data = (tiny_params.ell).to_bytes(width, "big") + b"\x02"
+        data = (tiny_params.group.ell).to_bytes(width, "big") + b"\x02"
         with pytest.raises(InvalidPoint):
             tiny_params.group.decode_point(data)
 
     def test_rejects_x_not_on_curve(self, tiny_params):
-        on_curve_x = {P[0] for P in all_curve_points(tiny_params.ell) if P}
-        x = next(x for x in range(tiny_params.ell) if x not in on_curve_x)
+        on_curve_x = {P[0] for P in all_curve_points(tiny_params.group.ell) if P}
+        x = next(x for x in range(tiny_params.group.ell) if x not in on_curve_x)
         data = x.to_bytes(tiny_params.group.coord_bytes, "big") + b"\x02"
         with pytest.raises(InvalidPoint):
             tiny_params.group.decode_point(data)
@@ -992,12 +1006,12 @@ class TestEncoding:
                     continue
                 decoded += 1
                 assert group.encode_point(P) == data
-        assert decoded == len(all_curve_points(tiny_params.ell))
+        assert decoded == len(all_curve_points(tiny_params.group.ell))
 
     def test_check_agrees_with_decode_on_every_short_encoding(self, tiny_params):
         # Every one-byte x, in range (x < 139) and out of it, under the
         # identity, both parity tags and an unknown one, plus bad lengths.
-        ell = tiny_params.ell
+        ell = tiny_params.group.ell
         encodings = [bytes([x, tag]) for x in range(256) for tag in (0x00, 0x02, 0x03, 0x07)]
         for data in encodings + [b"", b"\x00", b"\x00\x00\x02"]:
             assert _outcome(check_point_bytes, data, ell) == _outcome(
@@ -1005,7 +1019,7 @@ class TestEncoding:
 
     @pytest.mark.parametrize("bits", (16, 32, 64))
     def test_check_agrees_with_decode_at_size(self, bits):
-        ell = gen_group_params(bits, bits, random.Random(bits)).ell
+        ell = gen_group_params(bits, bits, random.Random(bits)).group.ell
         width = (ell.bit_length() + 7) // 8
         rng = random.Random(2000 + bits)
         encodings = [rng.randbytes(width + 1) for _ in range(200)]
@@ -1024,7 +1038,7 @@ class TestEncoding:
     @settings(max_examples=50)
     def test_roundtrip_at_16_bits(self, params16, k):
         group = params16.group
-        P = group.mul(k, params16.g)
+        P = group.mul(k, params16.group.g)
         assert group.decode_point(group.encode_point(P)) == P
 
 
@@ -1036,14 +1050,14 @@ class TestHashing:
         group = tiny_params.group
         v = group.hash_to_zn(b"fixed input")
         assert v == group.hash_to_zn(b"fixed input")
-        assert 0 <= v < tiny_params.n
+        assert 0 <= v < tiny_params.group.n
         assert v != group.hash_to_zn(b"fixed input!")
 
     def test_scalar_hash_uniformity_chi_square(self, tiny_params):
         # 10^4 draws into 35 buckets; the statistic stays within five sigma
         # of the chi-square mean unless the reduction is biased.
         group = tiny_params.group
-        n = tiny_params.n
+        n = tiny_params.group.n
         draws = 10_000
         counts = [0] * n
         for i in range(draws):
@@ -1085,7 +1099,7 @@ class TestHashing:
         group = tiny_params.group
         data = b"same bytes"
         scalar_stream = group.hash_to_zn(data)
-        bit_stream = int("".join(map(str, hash_to_bits(data, 32))), 2) % tiny_params.n
+        bit_stream = int("".join(map(str, hash_to_bits(data, 32))), 2) % tiny_params.group.n
         # Not a strong statement individually, but with distinct domain tags
         # the two streams disagree on essentially any input.
         assert scalar_stream != bit_stream or group.hash_to_zn(data + b"x") != int(
@@ -1101,18 +1115,18 @@ class TestOpCounter:
         counter = OpCounter()
         with count_ops(counter):
             counter.set_phase("alpha")
-            group.mul(3, tiny_params.g)
-            group.add(tiny_params.g, tiny_params.g)
+            group.mul(3, tiny_params.group.g)
+            group.add(tiny_params.group.g, tiny_params.group.g)
             counter.set_phase("beta")
-            group.pair(tiny_params.g, tiny_params.g)
+            group.pair(tiny_params.group.g, tiny_params.group.g)
             group.hash_to_zn(b"x")
-            group.neg(tiny_params.g)
+            group.neg(tiny_params.group.g)
         assert counter.phase("alpha") == {"exp": 1, "mul": 1}
         assert counter.phase("beta") == {"pair": 1, "hash": 1, "inv": 1}
 
     def test_paths_split_exp_and_pair_by_code_path(self, tiny_params):
-        group = PairingGroup(tiny_params.n, tiny_params.ell, tiny_params.g, tiny_params.h)
-        P = group.mul(3, tiny_params.g)
+        group = _fresh(tiny_params.group)
+        P = group.mul(3, tiny_params.group.g)
         counter = OpCounter()
         with count_ops(counter):
             group.mul(2, P)
@@ -1125,18 +1139,18 @@ class TestOpCounter:
 
     def test_no_counter_is_silent(self, tiny_params):
         # Ops outside any count_ops() region must not fail or leak anywhere.
-        tiny_params.group.mul(5, tiny_params.g)
+        tiny_params.group.mul(5, tiny_params.group.g)
 
     def test_nested_counters_restore(self, tiny_params):
         group = tiny_params.group
         outer, inner = OpCounter(), OpCounter()
         with count_ops(outer):
             outer.set_phase("out")
-            group.mul(2, tiny_params.g)
+            group.mul(2, tiny_params.group.g)
             with count_ops(inner):
                 inner.set_phase("in")
-                group.mul(2, tiny_params.g)
-            group.mul(2, tiny_params.g)
+                group.mul(2, tiny_params.group.g)
+            group.mul(2, tiny_params.group.g)
         assert outer.phase("out")["exp"] == 2
         assert inner.phase("in")["exp"] == 1
 
@@ -1144,7 +1158,7 @@ class TestOpCounter:
         counter = OpCounter()
         with count_ops(counter):
             counter.set_phase("p")
-            tiny_params.group.mul(2, tiny_params.g)
+            tiny_params.group.mul(2, tiny_params.group.g)
         tally = counter.phase("p")
         tally["exp"] = 999
         assert counter.phase("p") == {"exp": 1} == counter.phases["p"]

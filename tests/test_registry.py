@@ -363,7 +363,7 @@ class TestRegistrationManager:
         # |E| = 4n, so points of order 2 or 4 exist on the curve; they decode
         # fine but must not be accepted as bidder keys.
         rm, _ = manager
-        ell = tiny_params.ell
+        ell = tiny_params.group.ell
         outside = next(P for P in all_curve_points(ell)
                        if P is not None and naive_order(P, ell, 200) % 2 == 0)
         with pytest.raises(InvalidProof):

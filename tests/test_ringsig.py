@@ -22,6 +22,7 @@ from ringauction.ringsig import (
     Ring,
     RingSignature,
     TraceKey,
+    VerifyResult,
     canonical_encode,
     deserialize_signature,
     keygen,
@@ -35,7 +36,7 @@ from ringauction.ringsig import (
     verify,
 )
 
-from .support import naive_add, naive_mul, naive_neg
+from .support import RING3_COMPONENTS, naive_add, naive_mul, naive_neg, off_curve
 
 Q = 7  # secret factor of the tiny 5x7 group
 
@@ -167,8 +168,8 @@ class TestSetup:
     def test_keygen_matches_bases(self, tiny_setup):
         params, pp, _ = tiny_setup
         kp = keygen(pp, random.Random(31))
-        assert kp.pub_key == naive_mul(kp.x, params.g, params.ell)
-        assert kp.sign_key == naive_mul(kp.x, pp.key_base, params.ell)
+        assert kp.pub_key == naive_mul(kp.x, params.group.g, params.group.ell)
+        assert kp.sign_key == naive_mul(kp.x, pp.key_base, params.group.ell)
 
     def test_keygen_resamples_zero_exponent(self, tiny_setup):
         _, pp, _ = tiny_setup
@@ -223,7 +224,7 @@ class TestSignVerify:
         kp = keypairs[0]
         sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
-        bad = replace(sig, s1=params.group.add(sig.s1, params.g))
+        bad = replace(sig, s1=params.group.add(sig.s1, params.group.g))
         outcome = verify(pp, ring, b"m", bad)
         assert not outcome
         assert outcome.reason == "main-equation"
@@ -236,7 +237,7 @@ class TestSignVerify:
         sig = sign(pp, ring, kp, b"m", rng)
         members = list(sig.members)
         members[1] = MemberProof(commit=members[1].commit,
-                                 proof=params.group.add(members[1].proof, params.g))
+                                 proof=params.group.add(members[1].proof, params.group.g))
         bad = RingSignature(s1=sig.s1, s2=sig.s2, members=tuple(members))
         outcome = verify(pp, ring, b"m", bad)
         assert not outcome
@@ -253,17 +254,17 @@ class TestSignVerify:
         assert not outcome
         assert outcome.reason.startswith("malformed: member count")
 
-    def test_off_curve_component_is_malformed(self, tiny_setup):
+    @pytest.mark.parametrize("component", RING3_COMPONENTS)
+    def test_off_curve_component_is_malformed(self, tiny_setup, component):
+        # pair refuses the point, as a first argument (s1, a commit), a
+        # second (a proof) or through neg (s2).
         _, pp, _ = tiny_setup
         rng = random.Random(47)
-        ring, keypairs = make_ring(pp, 2, rng)
-        kp = keypairs[0]
-        sig = sign(pp, ring, kp, b"m", rng)
-        from dataclasses import replace
-        bad = replace(sig, s2=(1, 1))
-        outcome = verify(pp, ring, b"m", bad)
-        assert not outcome
-        assert outcome.reason == "malformed: component off the curve"
+        ring, keypairs = make_ring(pp, 3, rng)
+        sig = sign(pp, ring, keypairs[0], b"m", rng)
+        assert verify(pp, ring, b"m", sig)
+        assert verify(pp, ring, b"m", off_curve(sig, component)) == VerifyResult(
+            False, "malformed: pairing input is not on the curve")
 
     def test_signature_under_wrong_ring_fails(self, tiny_setup):
         _, pp, _ = tiny_setup
@@ -314,7 +315,7 @@ def _sign_with_draws(pp, ring, kp, message, rng):
 class TestSignatureStructure:
     def test_commitments_and_binding_terms(self, tiny_setup):
         params, pp, _ = tiny_setup
-        ell = params.ell
+        ell = params.group.ell
         rng = random.Random(61)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[2]
@@ -323,7 +324,7 @@ class TestSignatureStructure:
         neg_b0 = naive_neg(pp.commit_offset, ell)
         for i, pub in enumerate(ring):
             e_i = blind_exps[i]
-            blind = naive_mul(e_i, params.h, ell)
+            blind = naive_mul(e_i, params.group.h, ell)
             if i == idx:
                 expected = naive_add(naive_add(pub, neg_b0, ell), blind, ell)
             else:
@@ -332,13 +333,13 @@ class TestSignatureStructure:
 
     def test_s1_s2_composition(self, tiny_setup):
         params, pp, _ = tiny_setup
-        ell = params.ell
+        ell = params.group.ell
         rng = random.Random(62)
         ring, keypairs = make_ring(pp, 2, rng)
         kp = keypairs[0]
         sig, blind_exps, rand_exp = _sign_with_draws(pp, ring, kp, b"compose", rng)
-        assert sig.s2 == naive_mul(rand_exp, params.g, ell)
-        total = sum(blind_exps) % params.n
+        assert sig.s2 == naive_mul(rand_exp, params.group.g, ell)
+        total = sum(blind_exps) % params.group.n
         from ringauction.ringsig import _waters_sum
         from ringauction.group import hash_to_bits
         bits = hash_to_bits(canonical_encode(b"compose", ring), len(pp.hash_gens))
@@ -484,7 +485,7 @@ class TestTrace:
             kp = keypairs[rng.randrange(size)]
             idx = ring.keys.index(kp.pub_key)
             sig = sign(pp, ring, kp, b"trial %d" % trial, rng)
-            expected = oracle_trace(pp, ring, sig, Q, params.ell)
+            expected = oracle_trace(pp, ring, sig, Q, params.group.ell)
             got = trace(tk, pp, ring, b"trial %d" % trial, sig)
             assert (got[0] if got else None) == expected
             assert expected == idx
@@ -505,7 +506,7 @@ class TestTrace:
         # cannot happen in a group of odd composite order; the offset must
         # stay inside the projection.
         params, pp, tk = tiny_setup
-        ell = params.ell
+        ell = params.group.ell
         rng = random.Random(73)
         ring, keypairs = make_ring(pp, 3, rng)
         kp = keypairs[1]
@@ -532,7 +533,7 @@ class TestTrace:
         params, pp, tk = tiny_setup
         grp = params.group
         rng = random.Random(74)
-        a = next(a for a in range(params.n) if grp.mul(a, params.g) == pp.key_base)
+        a = next(a for a in range(params.group.n) if grp.mul(a, params.group.g) == pp.key_base)
         from ringauction.ringsig import _waters_sum
         from ringauction.group import hash_to_bits
         neg_b0 = grp.neg(pp.commit_offset)
@@ -543,17 +544,17 @@ class TestTrace:
             members = []
             total_commit = pp.commit_offset
             for pub in ring:
-                e_i = rng.randrange(params.n)
+                e_i = rng.randrange(params.group.n)
                 offset_key = grp.add(pub, neg_b0)
-                commit = grp.mul(e_i, params.h)
+                commit = grp.mul(e_i, params.group.h)
                 proof = grp.mul(e_i, grp.add(grp.neg(offset_key), commit))
                 members.append(MemberProof(commit=commit, proof=proof))
                 total_commit = grp.add(total_commit, commit)
             bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
-            r = rng.randrange(params.n)
+            r = rng.randrange(params.group.n)
             fake = RingSignature(
                 s1=grp.add(grp.mul(a, total_commit), grp.mul(r, *grp.to_affine(_waters_sum(pp, bits)))),
-                s2=grp.mul(r, params.g),
+                s2=grp.mul(r, params.group.g),
                 members=tuple(members))
             assert verify(pp, ring, b"decoy", fake)
             assert trace(tk, pp, ring, b"decoy", fake) is None
@@ -605,7 +606,8 @@ class TestTrace:
         kp = keypairs[0]
         sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
-        member = replace(sig.members[1], proof=params.group.add(sig.members[1].proof, params.g))
+        group = params.group
+        member = replace(sig.members[1], proof=group.add(sig.members[1].proof, group.g))
         bad = replace(sig, members=(sig.members[0], member))
         with pytest.raises(NotVerified, match="^membership-proof 1$"):
             trace(tk, pp, ring, b"m", bad)
@@ -620,7 +622,7 @@ class TestTrace:
         idx = ring.keys.index(kp.pub_key)
         sig = sign(pp, ring, kp, b"m", rng)
         from dataclasses import replace
-        broken = replace(sig, s1=params.group.add(sig.s1, params.g))
+        broken = replace(sig, s1=params.group.add(sig.s1, params.group.g))
         with pytest.raises(NotVerified, match="^main-equation$"):
             trace(tk, pp, ring, b"m", broken)
         with pytest.raises(NotVerified, match="^main-equation$"):
@@ -689,8 +691,8 @@ class TestSerialization:
         _, pp, _ = tiny_setup
         data = public_params_to_json(pp)
         back = public_params_from_json(data)
-        assert back.group.n == tiny_params.n
-        assert back.group.ell == tiny_params.ell
+        assert back.group.n == tiny_params.group.n
+        assert back.group.ell == tiny_params.group.ell
         assert back.key_base == pp.key_base
         assert back.hash_gens == pp.hash_gens
         grp = back.group

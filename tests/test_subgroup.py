@@ -229,7 +229,7 @@ def _paired(grp, P, Q):
 @pytest.fixture(scope="module", params=(139, 419))
 def toy(request):
     params = group_from_primes(5, 7, random.Random(1)) if request.param == 139 else _group_419()
-    grp, n, ell = params.group, params.n, params.ell
+    grp, n, ell = params.group, params.group.n, params.group.ell
     assert ell == request.param
     pp, tk = setup(params, 2, random.Random(0))
     points = all_curve_points(ell)
@@ -271,8 +271,8 @@ def test_member_equation_accepts_only_commitments_in_the_subgroup(toy):
     # argument, which pair does not check, so each accepted proof comes with
     # its r torsion shifts.
     ell, total = toy.grp.ell, 0
-    for x in range(toy.params.n):
-        K = naive_mul(x, toy.params.g, ell)
+    for x in range(toy.params.group.n):
+        K = naive_mul(x, toy.params.group.g, ell)
         K_off = _offset(toy, K)
         for C, proofs in _accepted_commits(toy, K).items():
             assert C in toy.in_n, (x, C)
@@ -321,7 +321,7 @@ def test_tracing_names_the_one_slot_whose_offset_commitment_is_in_g_q(toy):
     # some (s1, s2) in G_n, and locate_signer reads only the commitments.
     # It names slot i exactly when C_i - K'_i lies in G_q for i alone.
     grp, pp, ell = toy.grp, toy.pp, toy.grp.ell
-    keys = [naive_mul(x, toy.params.g, ell) for x in range(1, 9)]
+    keys = [naive_mul(x, toy.params.group.g, ell) for x in range(1, 9)]
     keys = [K for K in keys if _offset(toy, K) not in toy.in_q]
     commits = {K: list(_accepted_commits(toy, K)) for K in keys}
     traced = nobody = 0
