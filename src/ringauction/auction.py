@@ -1,49 +1,48 @@
-"""Auction-side actors: bid messages, admission, winner selection, opening.
+"""Auction-side actors: bidding, admission, winner selection, opening.
 
 A bidder sends one registration, ever, and at most one bid per round;
-``harness.run_scenario`` counts both in ``ScenarioResult.messages``.
-Admission is deliberately cheap — structural checks plus a look at the
-board's active-key view — and posts the bid publicly.  Ring signatures are
-only verified to decide a winner, by one rule (``first_verifying``) that
-both the auction manager and the public replay apply: walk the bids from
-the highest price down (ties broken toward the earlier posting) and stop at
-the first that verifies, so no bid ranked below the winner is verified.
-Identity opening is a two-party step: the auction side traces the ring
-position with the tracing key, the registration side resolves the identity
-(and evicts the key when the bid was repudiated).
+``harness.run_scenario`` counts both in ``ScenarioResult.messages``.  The
+auction manager applies only its own policies and then posts: the board's
+fold (``registry.BoardState``) decides whether a bid or winner record is
+valid, as it does on replay, and reads the ``Bid`` the manager hands it, not
+the bytes.  Ring signatures are only verified to decide a winner, by the
+fold's one rule (``BoardState.leader``): walk the bids from the highest
+price down (ties broken toward the earlier posting) and stop at the first
+that verifies.  Identity opening is a two-party step: the auction side
+traces the ring position with the tracing key, the registration side
+resolves the identity (and evicts the key when the bid was repudiated).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterable, TypeVar
+from dataclasses import dataclass, field
 
-from .group import InvalidPoint, Point, check_point_bytes
+from .group import Point
 from .registry import (
     BID_POSTED,
+    RING_KEY_INACTIVE,
+    SEQ_WIDTH,
     WINNER_ANNOUNCED,
+    Bid,
     BulletinBoard,
+    MalformedBoard,
     RegistrationManager,
+    decode_bid,
+    encode_bid_message,
+    read_bid_head,
+    serialize_bid_payload,
 )
 from .ringsig import (
     NotVerified,
     PublicParams,
     Ring,
-    RingSignature,
     TraceKey,
     Untraceable,
     VerifyResult,
-    deserialize_signature,
     locate_signer,
-    serialize_signature,
     sign,
-    structure_problem,
     verify,
 )
-
-_FIELD_WIDTH = 8
-BID_MESSAGE_LEN = 3 * _FIELD_WIDTH
-_SEQ_WIDTH = 8
 
 
 class AuctionError(Exception):
@@ -58,121 +57,10 @@ class NoValidBid(AuctionError):
     """No admitted bid carries a verifying signature."""
 
 
-class MalformedBid(AuctionError):
-    """A serialized bid payload failed to parse."""
-
-
-def encode_bid_message(auction_id: int, round_no: int, price: int) -> bytes:
-    """The bytes a bid signature commits to: auction, round and price as
-    fixed-width big-endian integers.  Binding auction and round prevents a
-    signature from being replayed in another context."""
-    parts = []
-    for name, value in (("auction_id", auction_id), ("round", round_no), ("price", price)):
-        if not 0 <= value < 1 << (8 * _FIELD_WIDTH):
-            raise ValueError(f"{name} out of range")
-        parts.append(value.to_bytes(_FIELD_WIDTH, "big"))
-    return b"".join(parts)
-
-
-def decode_bid_message(data: bytes) -> tuple[int, int, int]:
-    if len(data) != BID_MESSAGE_LEN:
-        raise MalformedBid("bad bid message length")
-    fields = [
-        int.from_bytes(data[i * _FIELD_WIDTH: (i + 1) * _FIELD_WIDTH], "big")
-        for i in range(3)
-    ]
-    return fields[0], fields[1], fields[2]
-
-
-@dataclass(frozen=True)
-class Bid:
-    auction_id: int
-    round_no: int
-    price: int
-    ring: Ring
-    signature: RingSignature
-    seq: int | None = None  # board sequence once admitted
-
-    def message_bytes(self) -> bytes:
-        return encode_bid_message(self.auction_id, self.round_no, self.price)
-
-
-def serialize_bid_payload(bid: Bid) -> bytes:
-    """Canonical board payload: message bytes, ring encoding, signature."""
-    return (
-        bid.message_bytes()
-        + bid.ring.encoded()
-        + serialize_signature(bid.ring.group, bid.signature)
-    )
-
-
-@dataclass(frozen=True)
-class BidHead:
-    """A checked bid payload whose points (ring keys, signature) stay encoded."""
-
-    auction_id: int
-    round_no: int
-    price: int
-    ring: tuple[bytes, ...]
-    signature: bytes  # 2 + 2*len(ring) point encodings
-    seq: int | None = None
-
-
-_Ranked = TypeVar("_Ranked", Bid, BidHead)
-
-
-def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | None = None) -> BidHead:
-    """Every check of ``parse_bid_payload``, decoding nothing: each point is
-    checked to decode (``check_point_bytes``), but for the ring keys that
-    ``known`` holds, such as a board fold's active view."""
-    if len(data) < BID_MESSAGE_LEN + 4:
-        raise MalformedBid("payload too short")
-    auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
-    count = int.from_bytes(data[BID_MESSAGE_LEN: BID_MESSAGE_LEN + 4], "big")
-    if count < 1:
-        raise MalformedBid("empty ring")
-    width = group.point_bytes
-    keys_start = BID_MESSAGE_LEN + 4
-    sig_start = keys_start + count * width
-    if len(data) != sig_start + (2 + 2 * count) * width:
-        raise MalformedBid("payload length does not match ring size")
-    ring = tuple(data[at: at + width] for at in range(keys_start, sig_start, width))
-    if list(ring) != sorted(ring):
-        raise MalformedBid("ring keys are not in canonical order")
-    try:
-        unknown = [key for key in ring if key not in known]
-        check_point_bytes(b"".join(unknown), group.ell, len(unknown))
-        if len(set(ring)) < count:
-            raise MalformedBid("ring keys must be distinct")
-        check_point_bytes(data[sig_start:], group.ell, 2 + 2 * count)  # the signature
-    except InvalidPoint as exc:
-        raise MalformedBid(str(exc)) from exc
-    return BidHead(auction_id, round_no, price, ring, data[sig_start:], seq)
-
-
-def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
-    """The bid of ``head``, decoded; each ring key through ``decode_key``."""
-    try:
-        ring = Ring(group, [decode_key(key) for key in head.ring])
-        signature = deserialize_signature(group, head.signature, len(ring))
-    except (InvalidPoint, ValueError) as exc:
-        raise MalformedBid(str(exc)) from exc
-    return Bid(auction_id=head.auction_id, round_no=head.round_no, price=head.price,
-               ring=ring, signature=signature, seq=head.seq)
-
-
 def parse_bid_payload(group, data: bytes) -> Bid:
     """Strict inverse of serialize_bid_payload (rejects any slack bytes or a
     non-canonical ring order): ``read_bid_head``, then ``decode_bid``."""
     return decode_bid(group, read_bid_head(group, data), group.decode_point)
-
-
-def first_verifying(bids: Iterable[_Ranked], verifies: Callable[[_Ranked], object]) -> _Ranked | None:
-    """The winner rule: the first of ``bids`` (bids or bid heads) by
-    (-price, seq) for which ``verifies`` holds, or None; no bid ranked below
-    it is passed to it."""
-    return next((bid for bid in sorted(bids, key=lambda bid: (-bid.price, bid.seq))
-                 if verifies(bid)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +109,10 @@ class AdmitResult:
 class AuctionManager:
     """Runs auctions against a shared board.
 
+    Its own policies: the auction is open, a payload is posted once, prices
+    rise in a monotonic auction; the board's fold refuses the rest.
     Signatures are *not* checked at admission; a bid with a broken signature
-    sits on the board until winner determination skips it, and bids ranked
-    below the winner are never verified.
+    sits on the board until winner determination skips it.
     """
 
     def __init__(self, pp: PublicParams, trace_key: TraceKey, board: BulletinBoard) -> None:
@@ -231,7 +120,6 @@ class AuctionManager:
         self.trace_key = trace_key
         self.board = board
         self._auctions: dict[int, AuctionState] = {}
-        self._verified: dict[tuple, VerifyResult] = {}
 
     def open_auction(self, auction_id: int, *, monotonic: bool = True) -> AuctionState:
         if auction_id in self._auctions:
@@ -247,24 +135,29 @@ class AuctionManager:
             raise AuctionError(f"unknown auction {auction_id}") from None
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Structural admission; posts the bid publicly on success."""
+        """Post the bid if the manager's policies and the board's fold accept
+        it.  A fold refusal is ``ring-key-not-on-BBS`` for a ring key outside
+        the active view, else ``malformed``, as is a bid that cannot be encoded."""
         state = self._auctions.get(bid.auction_id)
         if state is None:
             return AdmitResult(False, reason="unknown-auction")
         if state.phase != "open":
             return AdmitResult(False, reason="auction-closed")
-        if bid.price < 1 or structure_problem(self.pp, bid.ring, bid.signature):
+        try:
+            payload = serialize_bid_payload(bid)
+        except (ValueError, OverflowError):  # a field, or a coordinate, out of range
             return AdmitResult(False, reason="malformed")
-        if not self.board.all_active(bid.ring.encodings):
-            return AdmitResult(False, reason="ring-key-not-on-BBS")
-        payload = serialize_bid_payload(bid)
         if payload in state.seen_payloads:
             return AdmitResult(False, reason="replayed-bid")
         if state.monotonic and bid.price <= state.current_high():
             return AdmitResult(False, reason="price-not-monotonic")
-        seq = self.board.append(BID_POSTED, payload)
+        try:
+            seq = self.board.append(BID_POSTED, payload, bid)
+        except MalformedBoard as exc:
+            inactive = exc.reason == RING_KEY_INACTIVE
+            return AdmitResult(False, reason="ring-key-not-on-BBS" if inactive else "malformed")
         state.seen_payloads.add(payload)
-        state.bids.append(replace(bid, seq=seq))
+        state.bids.append(self.board.fold.bids[seq])
         return AdmitResult(True, seq=seq)
 
     def close_auction(self, auction_id: int) -> None:
@@ -276,27 +169,31 @@ class AuctionManager:
     def determine_winner(self, auction_id: int) -> Bid:
         """Highest verifying bid wins; ties go to the earlier posting.
 
-        This is where the lazily-skipped signature checks happen, through
-        ``first_verifying``.  The winning bid is re-published with its ring
-        signature so anyone can re-derive the outcome from the board alone.
+        This is where the lazily-skipped signature checks happen, in the
+        fold's ``leader``.  The winning bid's payload is re-published so
+        anyone can re-derive the outcome from the board alone; the fold
+        re-checks the rule on that record through its verify memo.
         """
         state = self.state(auction_id)
         if state.phase != "closed":
             raise AuctionError("close the auction before determining a winner")
-        bid = first_verifying(state.bids, self.verify_bid)
-        if bid is None:
+        fold = self.board.fold
+        head = fold.leader(auction_id)
+        if head is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
+        record = head.seq.to_bytes(SEQ_WIDTH, "big") + fold.payloads[head.seq]
+        self.board.append(WINNER_ANNOUNCED, record)
         state.phase = "announced"
-        payload = bid.seq.to_bytes(_SEQ_WIDTH, "big") + serialize_bid_payload(bid)
-        self.board.append(WINNER_ANNOUNCED, payload)
-        return bid
+        return fold.bids[head.seq]  # leader verified it
 
     def verify_bid(self, bid: Bid) -> VerifyResult:
-        """``verify``, run once per bid content (message, ring, signature), not per seq."""
-        key = (bid.message_bytes(), bid.ring, bid.signature)
-        if key not in self._verified:
-            self._verified[key] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
-        return self._verified[key]
+        """``verify``: the fold's memo for the very bid posted at its seq (as
+        ``AuctionState.bids`` and ``determine_winner`` hand out), run afresh
+        for any other."""
+        fold = self.board.fold
+        if fold.bids.get(bid.seq) is bid:
+            return fold.verified(bid.seq)
+        return verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
 
 
 def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,

@@ -1,8 +1,9 @@
 """Command-line front end: setup, run, verify, trace.
 
 ``harness.verify_transcript`` is the one reader of a transcript, so ``trace``
-opens and decodes one bid only from a transcript that verifies; ``ringsig.trace``
-checks the trace key.  The commands map outcomes to exit codes.
+opens one bid only from a transcript that verifies, decoding its head with
+``registry.decode_bid`` as the board's fold does; ``ringsig.trace`` checks the
+trace key.  The commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -19,7 +20,6 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .auction import decode_bid
 from .harness import (
     ScenarioError,
     authority_setup,
@@ -27,6 +27,7 @@ from .harness import (
     run_scenario,
     verify_transcript,
 )
+from .registry import decode_bid
 from .ringsig import NotVerified, TraceKey, public_params_to_json, trace
 
 # command -> (help, option -> (type, default, help)); default ... = required, bool = flag

@@ -232,17 +232,22 @@ def _sample_prime(bits: int, rng) -> int:
 # raw curve arithmetic (uncounted; the curve is always y^2 = x^3 + x)
 
 def _on_curve(P: Point, ell: int) -> bool:
+    # A point is O or a pair of integers 0 <= x, y < ell on the curve: the one
+    # encoding of each point, so no unreduced twin passes.
     if P is None:
         return True
     x, y = P
-    return (y * y - (x * x * x + x)) % ell == 0
+    return (type(x) is type(y) is int and 0 <= x < ell and 0 <= y < ell
+            and (y * y - (x * x * x + x)) % ell == 0)
 
 
 def _point_neg(P: Point, ell: int) -> Point:
+    # ell - y, not -y % ell: a y out of range stays out of range, for the
+    # on-curve check that follows to refuse.
     if P is None:
         return None
     x, y = P
-    return (x, (-y) % ell)
+    return (x, ell - y if y % ell else y)
 
 
 _JAC_O: Jac = (1, 1, 0)

@@ -11,32 +11,19 @@ A transcript is one ``params`` header line (the public parameters, hex of
 canonical JSON) followed by the bulletin-board records.  This module owns
 the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
-is the one replay: it needs no secrets, re-derives the winner of every
-announced auction and hands back the bid heads of a transcript that
-verifies.  It checks every posted point but decodes only the bids it
-verifies, each ring key once.
+is the one replay: it needs no secrets and folds the records with the live
+board's own fold, which re-derives the winner of every announced auction.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .auction import (
-    AuctionManager,
-    Bid,
-    BidderAgent,
-    BidHead,
-    MalformedBid,
-    decode_bid,
-    first_verifying,
-    open_protocol,
-    read_bid_head,
-)
+from .auction import AuctionManager, BidderAgent, open_protocol
 from .group import (
     MAX_PRIME_BITS,
     MIN_PRIME_BITS,
@@ -46,8 +33,8 @@ from .group import (
     gen_group_params,
 )
 from .registry import (
-    BID_POSTED,
-    WINNER_ANNOUNCED,
+    Bid,
+    BidHead,
     BoardEntry,
     BoardState,
     BulletinBoard,
@@ -62,13 +49,11 @@ from .ringsig import (
     Ring,
     TraceKey,
     Untraceable,
-    VerifyResult,
     keygen,
     public_params_from_json,
     public_params_to_json,
     setup,
     sign,
-    verify,
 )
 
 HONEST = "honest-increment"
@@ -246,7 +231,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
     except Exception as exc:
         raise ScenarioError(f"group generation failed: {exc}") from exc
     group = pp.group
-    board = BulletinBoard(group)
+    board = BulletinBoard(pp)
     rm = RegistrationManager(group, board)
     am = AuctionManager(pp, trace_key, board)
     messages: Counter = Counter()
@@ -388,87 +373,39 @@ class TranscriptReport:
 
 
 def verify_transcript(data: bytes) -> TranscriptReport:
-    """Replay a transcript using public data only.
+    """Replay a transcript using public data only: ``read_transcript``, then
+    the live board's fold (``registry.BoardState``) over every record, so a
+    transcript is valid exactly when a live board takes each of its records.
 
-    Checks record structure, sequence monotonicity and the active-key view
-    at every step, and reads every posted bid with ``read_bid_head``, which
-    checks each of its points but decodes none.  Signatures are checked
-    lazily, by the rule ``AuctionManager.determine_winner`` applies: each
-    announced winner's payload must byte-match the referenced bid and its
-    signature must verify, and no bid of its auction posted before the
-    announcement and ranked ahead of it (by -price, then seq) may verify.
-    Only those bids are decoded and verified, each at most once; ``outcomes``
-    records which.  Bids whose signatures fail are legitimate content —
-    admission is lazy — but they can never be announced winners.  The
-    report's ``bids`` holds every posted bid's head, still encoded.
+    The fold checks every posted point but decodes only the bids the winner
+    rule verifies: each announced winner and the bids of its auction ranked
+    ahead of it, each at most once; ``outcomes`` records which.  Bids whose
+    signatures fail are legitimate content — admission is lazy — but can
+    never be announced winners.  The report's ``bids`` holds every posted
+    bid's head, still encoded.
     """
-    heads: dict[int, BidHead] = {}
-    payloads: dict[int, bytes] = {}
-    results: dict[int, VerifyResult] = {}
-
-    def verified(head: BidHead) -> VerifyResult:
-        if head.seq not in results:
-            bid = decode_bid(group, head, decode_key)
-            results[head.seq] = verify(pp, bid.ring, bid.message_bytes(), bid.signature)
-        return results[head.seq]
-
-    def outcomes() -> tuple[tuple[int, str], ...]:
-        said = {seq: "verified" if ok else f"failed: {ok.reason}" for seq, ok in results.items()}
-        return tuple((seq, said.get(seq, "not needed")) for seq in heads)
-
-    def invalid(seq: int | None, reason: str) -> TranscriptReport:
-        return TranscriptReport(False, failing_seq=seq, reason=reason, outcomes=outcomes())
-
     try:
         pp, entries = read_transcript(data)
     except MalformedBoard as exc:
-        return replace(invalid(exc.seq, exc.reason), failing_line=exc.line)
+        return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
+                                failing_line=exc.line)
     if pp is None:
         return TranscriptReport(True)
-    group = pp.group
-    decode_key = functools.cache(group.decode_point)  # each ring key once per replay
+    fold = BoardState(pp)
 
-    state = BoardState(group)
-    announced: set[int] = set()
-    winners: list[tuple[int, int, int]] = []
-    for entry in entries:
-        seq, kind, payload = entry.seq, entry.kind, entry.payload
-        try:
-            state.apply(entry)
-        except MalformedBoard as exc:
-            return invalid(exc.seq, exc.reason)
-        if kind == BID_POSTED:
-            try:
-                head = read_bid_head(group, payload, state.active, seq)
-            except MalformedBid as exc:
-                return invalid(seq, f"unreadable bid: {exc}")
-            if head.price < 1:
-                return invalid(seq, "non-positive price")
-            if not all(key in state.active for key in head.ring):
-                return invalid(seq, "ring key not in the active view")
-            heads[seq] = head
-            payloads[seq] = payload
-        elif kind == WINNER_ANNOUNCED:
-            if len(payload) < 8:
-                return invalid(seq, "winner record too short")
-            ref = int.from_bytes(payload[:8], "big")
-            if ref not in heads:
-                return invalid(seq, "winner references an unknown bid")
-            known = heads[ref]
-            if payload[8:] != payloads[ref]:
-                return invalid(seq, "winner payload differs from the referenced bid")
-            if not verified(known):
-                return invalid(seq, "announced winner's signature does not verify")
-            if known.auction_id in announced:
-                return invalid(seq, "auction already has an announced winner")
-            rivals = [head for head in heads.values() if head.auction_id == known.auction_id]
-            if first_verifying(rivals, verified) is not known:
-                return invalid(seq, "a better verifying bid exists than the announced winner")
-            announced.add(known.auction_id)
-            winners.append((known.auction_id, ref, known.price))
+    def outcomes() -> tuple[tuple[int, str], ...]:
+        said = {seq: "verified" if ok else f"failed: {ok.reason}"
+                for seq, ok in fold.results.items()}
+        return tuple((seq, said.get(seq, "not needed")) for seq in fold.heads)
 
-    return TranscriptReport(True, records=len(entries), winners=tuple(winners),
-                            outcomes=outcomes(), public_params=pp, bids=heads)
+    try:
+        for entry in entries:
+            fold.apply(entry)
+    except MalformedBoard as exc:
+        return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
+                                outcomes=outcomes())
+    return TranscriptReport(True, records=len(entries), winners=tuple(fold.winners.values()),
+                            outcomes=outcomes(), public_params=pp, bids=fold.heads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Registration authority, key-possession proofs, and the bulletin board.
+"""Registration authority, key-possession proofs, the bulletin board and
+its records.
 
 The bulletin board is the single public artifact of the protocol: an
 append-only sequenced log of key publications, evictions, posted bids and
-winner announcements.  ``BoardState`` folds its key records into the
-*active-key view*, the only thing admission ever consults; the live board
-and the public replay share that fold, which checks each published key but
-decodes none.  There is no black list: eviction appends a record and the
-key simply drops out of the active view, so the board is the only record of
-who has been evicted.
+winner announcements.  ``BoardState`` is the one fold of all four kinds; the
+live board runs it on every append and the public replay on every record it
+reads, so a board takes exactly the records a replay accepts.  There is no
+black list: eviction appends a record and the key simply drops out of the
+active view, so the board is the only record of who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -15,16 +15,32 @@ table and nothing else.  Nothing on the board links a key to an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import bisect
+import functools
+from dataclasses import dataclass, replace
+from typing import Callable, Container, Iterable
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
+from .ringsig import (
+    PublicParams,
+    Ring,
+    RingSignature,
+    VerifyResult,
+    deserialize_signature,
+    serialize_signature,
+    verify,
+)
 
 KEY_PUBLISHED = "key-published"
 KEY_EVICTED = "key-evicted"
 BID_POSTED = "bid-posted"
 WINNER_ANNOUNCED = "winner-announced"
 ENTRY_KINDS = (KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED)
+RING_KEY_INACTIVE = "ring key not in the active view"
+SEQ_WIDTH = 8  # a winner record's reference to its bid
+
+_FIELD_WIDTH = 8
+BID_MESSAGE_LEN = 3 * _FIELD_WIDTH
 
 
 class RegistryError(Exception):
@@ -47,8 +63,12 @@ class AlreadyEvicted(RegistryError):
     """The key was evicted before."""
 
 
+class MalformedBid(RegistryError):
+    """A serialized bid payload failed to parse."""
+
+
 class MalformedBoard(RegistryError):
-    """A board record failed to parse or does not fit the active-key view.
+    """A board record failed to parse or the board's fold refuses it.
 
     ``reason`` says what is wrong; ``seq`` (once read) and ``line`` (from a
     parser) locate the failing record, else None.  With a line number the
@@ -102,6 +122,125 @@ def verify_registration(pub_key: Point, identity: bytes,
 
 
 # ---------------------------------------------------------------------------
+# bid records
+
+def encode_bid_message(auction_id: int, round_no: int, price: int) -> bytes:
+    """The bytes a bid signature commits to: auction, round and price as
+    fixed-width big-endian integers.  Binding auction and round prevents a
+    signature from being replayed in another context."""
+    parts = []
+    for name, value in (("auction_id", auction_id), ("round", round_no), ("price", price)):
+        if not 0 <= value < 1 << (8 * _FIELD_WIDTH):
+            raise ValueError(f"{name} out of range")
+        parts.append(value.to_bytes(_FIELD_WIDTH, "big"))
+    return b"".join(parts)
+
+
+def decode_bid_message(data: bytes) -> tuple[int, int, int]:
+    if len(data) != BID_MESSAGE_LEN:
+        raise MalformedBid("bad bid message length")
+    fields = [
+        int.from_bytes(data[i * _FIELD_WIDTH: (i + 1) * _FIELD_WIDTH], "big")
+        for i in range(3)
+    ]
+    return fields[0], fields[1], fields[2]
+
+
+@dataclass(frozen=True)
+class Bid:
+    auction_id: int
+    round_no: int
+    price: int
+    ring: Ring
+    signature: RingSignature
+    seq: int | None = None  # board sequence once posted
+
+    def message_bytes(self) -> bytes:
+        return encode_bid_message(self.auction_id, self.round_no, self.price)
+
+
+def serialize_bid_payload(bid: Bid) -> bytes:
+    """Canonical board payload: message bytes, ring encoding, signature."""
+    return (
+        bid.message_bytes()
+        + bid.ring.encoded()
+        + serialize_signature(bid.ring.group, bid.signature)
+    )
+
+
+@dataclass(frozen=True)
+class BidHead:
+    """A checked bid payload whose points (ring keys, signature) stay encoded."""
+
+    auction_id: int
+    round_no: int
+    price: int
+    ring: tuple[bytes, ...]
+    signature: bytes  # 2 + 2*len(ring) point encodings
+    seq: int | None = None
+
+
+def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | None = None) -> BidHead:
+    """Every check of a bid payload, decoding nothing: each point is checked
+    to decode (``check_point_bytes``), but for the ring keys that ``known``
+    holds, such as a board fold's active view."""
+    if len(data) < BID_MESSAGE_LEN + 4:
+        raise MalformedBid("payload too short")
+    auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
+    count = int.from_bytes(data[BID_MESSAGE_LEN: BID_MESSAGE_LEN + 4], "big")
+    if count < 1:
+        raise MalformedBid("empty ring")
+    width = group.point_bytes
+    keys_start = BID_MESSAGE_LEN + 4
+    sig_start = keys_start + count * width
+    if len(data) != sig_start + (2 + 2 * count) * width:
+        raise MalformedBid("payload length does not match ring size")
+    ring = tuple(data[at: at + width] for at in range(keys_start, sig_start, width))
+    if list(ring) != sorted(ring):
+        raise MalformedBid("ring keys are not in canonical order")
+    try:
+        unknown = [key for key in ring if key not in known]
+        check_point_bytes(b"".join(unknown), group.ell, len(unknown))
+        if len(set(ring)) < count:
+            raise MalformedBid("ring keys must be distinct")
+        check_point_bytes(data[sig_start:], group.ell, 2 + 2 * count)  # the signature
+    except InvalidPoint as exc:
+        raise MalformedBid(str(exc)) from exc
+    return BidHead(auction_id, round_no, price, ring, data[sig_start:], seq)
+
+
+def _head_of(group, bid: Bid, data: bytes, seq: int) -> tuple[BidHead, Bid]:
+    # read_bid_head's verdict on data said to encode bid, read from the bid:
+    # its Ring rebuilt from the keys (sorted, distinct, encoded afresh), one
+    # member per ring key, every point a canonical curve point (so its
+    # encoding decodes back to it) and data exactly the bid's encoding.  The
+    # fold keeps the rebuilt bid, not the caller's Ring.
+    try:
+        bid = replace(bid, ring=Ring(group, bid.ring.keys), seq=seq)
+    except (ValueError, OverflowError) as exc:  # a repeated key, or x < 0
+        raise MalformedBid(str(exc)) from exc
+    sig = bid.signature
+    points = [*bid.ring, sig.s1, sig.s2,
+              *(point for member in sig.members for point in (member.commit, member.proof))]
+    if (len(sig.members) != len(bid.ring) or not all(map(group.is_on_curve, points))
+            or serialize_bid_payload(bid) != data):
+        raise MalformedBid("not the encoding of a bid of canonical points")
+    signature = data[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:]
+    return BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings, signature, seq), bid
+
+
+def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
+    """The bid of ``head``, decoded; each ring key through ``decode_key``."""
+    try:
+        ring = Ring(group, [decode_key(key) for key in head.ring])
+        signature = deserialize_signature(group, head.signature, len(ring))
+    except (InvalidPoint, ValueError) as exc:
+        raise MalformedBid(str(exc)) from exc
+    return Bid(auction_id=head.auction_id, round_no=head.round_no, price=head.price,
+               ring=ring, signature=signature, seq=head.seq)
+
+
+# ---------------------------------------------------------------------------
 # bulletin board
 
 @dataclass(frozen=True)
@@ -112,51 +251,124 @@ class BoardEntry:
 
 
 class BoardState:
-    """The active-key view: the set of active key encodings (``active``),
-    each checked to decode to a finite point other than (0, 0).  ``apply``
-    folds one record; a key record that does not fit raises MalformedBoard and
-    changes nothing.  The group's ell must be prime: the check is exact only then."""
+    """The board's one fold.  ``apply`` folds one record, or raises
+    MalformedBoard and changes nothing but the verify memo (``results``):
 
-    def __init__(self, group: PairingGroup) -> None:
-        self.group = group
+    - a published key must decode to a finite point other than (0, 0) and
+      not be active; an evicted key must be active (``active``);
+    - a posted bid must read (``read_bid_head``), price at least 1, with
+      every ring key active (``heads``, ``payloads``);
+    - an announced winner must repeat a posted bid's payload, verify, be its
+      auction's first and be the auction's ``leader`` (``winners``).
+
+    A caller holding a posted bid's ``Bid`` hands it to ``apply``, which then
+    checks its points canonical and encoding to exactly the payload in place
+    of reading the bytes.  The group's ell must be prime: the byte check is
+    exact only then.
+    """
+
+    def __init__(self, pp: PublicParams) -> None:
+        self.pp = pp
+        self.group = pp.group
         self.active: set[bytes] = set()
+        self.heads: dict[int, BidHead] = {}
+        self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
+        self.payloads: dict[int, bytes] = {}
+        self.bids: dict[int, Bid] = {}  # by seq: handed in, or decoded to verify
+        self.results: dict[int, VerifyResult] = {}
+        self.winners: dict[int, tuple[int, int, int]] = {}
+        self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
 
-    def apply(self, entry: BoardEntry) -> None:
-        payload = entry.payload
-        if entry.kind == KEY_PUBLISHED:
+    def apply(self, entry: BoardEntry, bid: Bid | None = None) -> None:
+        seq, kind, payload = entry.seq, entry.kind, entry.payload
+        if kind == KEY_PUBLISHED:
             try:
                 check_point_bytes(payload, self.group.ell)
             except InvalidPoint as exc:
-                raise MalformedBoard(f"unreadable key: {exc}", seq=entry.seq) from exc
+                raise MalformedBoard(f"unreadable key: {exc}", seq=seq) from exc
             if not any(payload):  # the identity's encoding is all zero
-                raise MalformedBoard("identity point published as a key", seq=entry.seq)
+                raise MalformedBoard("identity point published as a key", seq=seq)
             if not any(payload[:-1]):  # x = 0 under the even tag: (0, 0), of order 2
-                raise MalformedBoard("order-2 point published as a key", seq=entry.seq)
+                raise MalformedBoard("order-2 point published as a key", seq=seq)
             if payload in self.active:
-                raise MalformedBoard("key is already active", seq=entry.seq)
+                raise MalformedBoard("key is already active", seq=seq)
             self.active.add(payload)
-        elif entry.kind == KEY_EVICTED:
+        elif kind == KEY_EVICTED:
             if payload not in self.active:
-                raise MalformedBoard("evicting a key that is not active", seq=entry.seq)
+                raise MalformedBoard("evicting a key that is not active", seq=seq)
             self.active.remove(payload)
+        elif kind == BID_POSTED:
+            try:
+                if bid is None:
+                    head = read_bid_head(self.group, payload, self.active, seq)
+                else:
+                    head, bid = _head_of(self.group, bid, payload, seq)
+            except MalformedBid as exc:
+                raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
+            if head.price < 1:
+                raise MalformedBoard("non-positive price", seq=seq)
+            if not all(key in self.active for key in head.ring):
+                raise MalformedBoard(RING_KEY_INACTIVE, seq=seq)
+            self.heads[seq] = head
+            bisect.insort(self._ranked.setdefault(head.auction_id, []), (-head.price, seq))
+            self.payloads[seq] = payload
+            if bid is not None:
+                self.bids[seq] = bid
+        elif kind == WINNER_ANNOUNCED:
+            if len(payload) < SEQ_WIDTH:
+                raise MalformedBoard("winner record too short", seq=seq)
+            ref = int.from_bytes(payload[:SEQ_WIDTH], "big")
+            head = self.heads.get(ref)
+            if head is None:
+                raise MalformedBoard("winner references an unknown bid", seq=seq)
+            if payload[SEQ_WIDTH:] != self.payloads[ref]:
+                raise MalformedBoard("winner payload differs from the referenced bid", seq=seq)
+            if not self.verified(ref):
+                raise MalformedBoard("announced winner's signature does not verify", seq=seq)
+            if head.auction_id in self.winners:
+                raise MalformedBoard("auction already has an announced winner", seq=seq)
+            if self.leader(head.auction_id) is not head:
+                raise MalformedBoard("a better verifying bid exists than the announced winner",
+                                     seq=seq)
+            self.winners[head.auction_id] = (head.auction_id, ref, head.price)
+
+    def leader(self, auction_id: int) -> BidHead | None:
+        """The winner rule: of the auction's posted bids, the first by
+        (-price, seq) that ``verified`` passes, or None; no bid ranked below
+        it is verified."""
+        return next((self.heads[seq] for _, seq in self._ranked.get(auction_id, ())
+                     if self.verified(seq)), None)
+
+    def verified(self, seq: int) -> VerifyResult:
+        """``verify`` of the bid posted at ``seq``, run once per seq; a bid
+        not handed in is decoded first and kept in ``bids``."""
+        if seq not in self.results:
+            if seq not in self.bids:
+                self.bids[seq] = decode_bid(self.group, self.heads[seq], self._decode_key)
+            bid = self.bids[seq]
+            self.results[seq] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
+        return self.results[seq]
 
 
 class BulletinBoard:
     """Append-only sequenced public log.
 
-    ``append`` folds each record into a ``BoardState`` and stores only what
-    the fold accepts (else MalformedBoard).  Reads hand out snapshots.
+    ``append`` folds each record into a ``BoardState`` (``fold``) and stores
+    only what the fold accepts (else MalformedBoard).  Reads hand out
+    snapshots.
     """
 
-    def __init__(self, group: PairingGroup) -> None:
+    def __init__(self, pp: PublicParams) -> None:
         self._entries: list[BoardEntry] = []
-        self._state = BoardState(group)
+        self.fold = BoardState(pp)
 
-    def append(self, kind: str, payload: bytes) -> int:
+    def append(self, kind: str, payload: bytes, bid: Bid | None = None) -> int:
+        """Post one record; ``bid`` is a posted bid's ``Bid``, when the
+        caller holds it (see ``BoardState``).  Returns the record's seq."""
         if kind not in ENTRY_KINDS:
             raise ValueError(f"unknown entry kind {kind!r}")
         entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
-        self._state.apply(entry)
+        self.fold.apply(entry, bid)
         self._entries.append(entry)
         return entry.seq
 
@@ -165,15 +377,15 @@ class BulletinBoard:
 
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
-        return frozenset(self._state.active)
+        return frozenset(self.fold.active)
 
     def all_active(self, encodings: Iterable[bytes]) -> bool:
         """Whether every encoding is an active key, looked up without a snapshot."""
-        return all(encoding in self._state.active for encoding in encodings)
+        return all(encoding in self.fold.active for encoding in encodings)
 
     def active_view(self) -> tuple[bytes, ...]:
         """Snapshot of the active key encodings in sorted order."""
-        return tuple(sorted(self._state.active))
+        return tuple(sorted(self.fold.active))
 
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:

@@ -240,25 +240,15 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
     return RingSignature(s1=s1, s2=s2, members=tuple(map(MemberProof, points[:len(slots)], proofs)))
 
 
-def structure_problem(pp: PublicParams, ring: Ring, sig: RingSignature) -> str | None:
-    """The cheap shape check: one member proof per ring key and every
-    component on the curve.  Returns the first problem, or None."""
-    if len(sig.members) != len(ring):
-        return "malformed: member count does not match ring size"
-    points = [sig.s1, sig.s2, *(pt for m in sig.members for pt in (m.commit, m.proof))]
-    if not all(map(pp.group.is_on_curve, points)):
-        return "malformed: component off the curve"
-    return None
-
-
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
     """Public verification; returns acceptance or the first failure reason.
 
     Each member proof must show that its commitment is the member's offset
     key or nothing, blinded in the order-q component; then the main equation
-    binds the commitments to the message.  A component off the curve, or a
-    commitment, s1 or s2 outside G_n, is "malformed" (``pair`` refuses it);
-    member proofs must lie in G_n too, which is not checked here.
+    binds the commitments to the message.  A component that is not a
+    canonical curve point (integers 0 <= x, y < ell), or a commitment, s1 or
+    s2 outside G_n, is "malformed" (``pair`` refuses it); member proofs must
+    lie in G_n too, which is not checked here.
     """
     if len(sig.members) != len(ring):
         return VerifyResult(False, "malformed: member count does not match ring size")

@@ -14,10 +14,16 @@ import functools
 import math
 from dataclasses import replace
 
-from ringauction.auction import MalformedBid, parse_bid_payload
+from ringauction.auction import parse_bid_payload
 from ringauction.group import InvalidPoint, _random_point
 from ringauction.harness import TranscriptReport, read_transcript
-from ringauction.registry import BID_POSTED, KEY_EVICTED, KEY_PUBLISHED, MalformedBoard
+from ringauction.registry import (
+    BID_POSTED,
+    KEY_EVICTED,
+    KEY_PUBLISHED,
+    MalformedBid,
+    MalformedBoard,
+)
 from ringauction.ringsig import verify
 
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from ringauction import harness
+from ringauction import registry
 from ringauction.auction import parse_bid_payload
 from ringauction.group import gen_group_params, group_from_primes
 from ringauction.harness import (
@@ -322,7 +322,7 @@ def test_replay_verifies_only_deciding_bids(monkeypatch, strategies):
              if bid.auction_id == w.auction_id and (-bid.price, seq) < (-w.price, w.seq)}
     winners = {w.seq for w in result.winners}
     calls = []
-    monkeypatch.setattr(harness, "verify", lambda *args: calls.append(args) or verify(*args))
+    monkeypatch.setattr(registry, "verify", lambda *args: calls.append(args) or verify(*args))
     report = verify_transcript(result.transcript)
     assert report.valid, report.reason
     assert len(calls) == len(winners) + len(ahead)

@@ -14,34 +14,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringauction.auction import (
-    BID_MESSAGE_LEN,
     AuctionError,
     AuctionManager,
-    Bid,
     BidderAgent,
-    MalformedBid,
     NoValidBid,
     RingKeyNotOnBoard,
-    decode_bid,
-    decode_bid_message,
-    encode_bid_message,
     open_protocol,
     parse_bid_payload,
-    read_bid_head,
-    serialize_bid_payload,
 )
 from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
+    BID_MESSAGE_LEN,
     BID_POSTED,
     KEY_EVICTED,
     KEY_PUBLISHED,
     WINNER_ANNOUNCED,
+    Bid,
     BulletinBoard,
+    MalformedBid,
     RegistrationManager,
     board_to_text,
+    decode_bid,
+    decode_bid_message,
+    encode_bid_message,
     make_registration,
+    read_bid_head,
+    serialize_bid_payload,
 )
 from ringauction.ringsig import (
     NotAMember,
@@ -66,9 +66,11 @@ from .support import (
 
 @pytest.fixture()
 def env(setup16, keys16):
-    """Fresh board with all five keys registered and one all-member ring."""
+    """Fresh board with all five keys registered and one all-member ring.
+    Each test ends by replaying the board: whatever the manager posted or
+    announced, hostile input included, must replay valid."""
     pp, tk = setup16
-    board = BulletinBoard(pp.group)
+    board = BulletinBoard(pp)
     rm = RegistrationManager(pp.group, board)
     am = AuctionManager(pp, tk, board)
     rng = random.Random(99)
@@ -79,8 +81,10 @@ def env(setup16, keys16):
         rm.register(kp.pub_key, name.encode(), proof)
         agents.append(BidderAgent(kp, pp, board))
     ring = Ring(pp.group, [kp.pub_key for kp in keys16])
-    return SimpleNamespace(pp=pp, tk=tk, board=board, rm=rm, am=am,
-                           agents=agents, ring=ring, rng=rng)
+    yield SimpleNamespace(pp=pp, tk=tk, board=board, rm=rm, am=am,
+                          agents=agents, ring=ring, rng=rng)
+    report = verify_transcript(render_transcript(pp, board))
+    assert report.valid, (report.failing_seq, report.reason)
 
 
 def craft_bid(env, agent, price, *, auction_id=1, round_no=0, ring=None):
@@ -279,9 +283,13 @@ class TestAdmission:
         assert result.reason == "auction-closed"
 
     def test_nonpositive_price_malformed(self, env):
-        env.am.open_auction(1)
-        result = env.am.admit_bid(craft_bid(env, env.agents[0], 0))
-        assert result.reason == "malformed"
+        # The board refuses price 0; in a monotonic auction the manager's
+        # own price rule refuses it first.
+        env.am.open_auction(1, monotonic=False)
+        env.am.open_auction(2)
+        assert env.am.admit_bid(craft_bid(env, env.agents[0], 0)).reason == "malformed"
+        result = env.am.admit_bid(craft_bid(env, env.agents[0], 0, auction_id=2))
+        assert result.reason == "price-not-monotonic"
 
     def test_member_count_mismatch_malformed(self, env):
         env.am.open_auction(1)
@@ -544,7 +552,7 @@ class TestOpenProtocol:
         message = encode_bid_message(1, 0, 10)
         sig = sign(pp, ring, signer, message, rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
-        board = BulletinBoard(group)
+        board = BulletinBoard(pp)
         rm = RegistrationManager(group, board)
         rm.register(signer.pub_key, b"signer",
                     make_registration(signer.x, signer.pub_key, b"signer", group, rng))

@@ -68,7 +68,20 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
 def test_benchmark_spans_resolve():
     # perfbench/spans.py is read as text, not imported or run: every span it
     # wraps must name a function (or a method defined on its class) that
-    # exists, or a benchmark run would only report it as absent.
+    # exists, or a benchmark run would only report it as absent.  Every
+    # ringauction name perfbench/worker.py imports must exist too, or the
+    # benchmark's workers would fail.
+    worker = ast.parse((REPO / "perfbench" / "worker.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(worker)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ringauction")
+                for alias in node.names]
+    imported += [(alias.name, None) for node in ast.walk(worker) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.startswith("ringauction")]
+    assert ("ringauction.auction", "parse_bid_payload") in imported
+    for module_name, name in imported:
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            importlib.import_module(f"{module_name}.{name}")  # a submodule
     tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
     spans = next(ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)

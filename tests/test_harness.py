@@ -15,19 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringauction import auction, cli, harness
+from ringauction import cli, harness, registry
 from ringauction import group as group_module
-from ringauction.auction import (
-    BID_MESSAGE_LEN,
-    Bid,
-    BidHead,
-    MalformedBid,
-    decode_bid,
-    decode_bid_message,
-    encode_bid_message,
-    parse_bid_payload,
-    serialize_bid_payload,
-)
+from ringauction.auction import parse_bid_payload
 from ringauction.cli import COMMANDS, main
 from ringauction.group import (
     _MAX_ELL_BITS,
@@ -57,15 +47,23 @@ from ringauction.harness import (
     verify_transcript,
 )
 from ringauction.registry import (
+    BID_MESSAGE_LEN,
     BID_POSTED,
     KEY_PUBLISHED,
     WINNER_ANNOUNCED,
+    Bid,
+    BidHead,
     BoardEntry,
     BulletinBoard,
+    MalformedBid,
     MalformedBoard,
     RegistrationProof,
     board_to_text,
+    decode_bid,
+    decode_bid_message,
+    encode_bid_message,
     parse_board_text,
+    serialize_bid_payload,
 )
 from ringauction.ringsig import (
     MemberProof,
@@ -142,7 +140,7 @@ def _even_n_transcript() -> bytes:
     point = _random_point(2**127 - 1, random.Random(0))
     group = PairingGroup(4, 2**127 - 1, point, point)
     pp = PublicParams(group, point, point, point, point, (point,))
-    return render_transcript(pp, BulletinBoard(group))
+    return render_transcript(pp, BulletinBoard(pp))
 
 
 def _composite_ell_transcript() -> bytes:
@@ -159,7 +157,8 @@ def _composite_ell_transcript() -> bytes:
     payload = serialize_bid_payload(Bid(0, 0, 5, Ring(group, keys), signature))
     records = [(KEY_PUBLISHED, group.encode_point(key)) for key in keys]
     records += [(BID_POSTED, payload), (WINNER_ANNOUNCED, (3).to_bytes(8, "big") + payload)]
-    header = render_transcript(PublicParams(group, g, h, g, h, (g,)), BulletinBoard(group))
+    pp = PublicParams(group, g, h, g, h, (g,))
+    header = render_transcript(pp, BulletinBoard(pp))
     return header + board_to_text(
         BoardEntry(seq, kind, data) for seq, (kind, data) in enumerate(records)).encode()
 
@@ -417,8 +416,8 @@ class TestVerifyTranscript:
         # it, once each.  The report hands back every posted bid as the head
         # the replay read, and reading one decodes nothing.
         decoded, points = [], []
-        real, decode = auction.deserialize_signature, group_module.decode_point_bytes
-        monkeypatch.setattr(auction, "deserialize_signature",
+        real, decode = registry.deserialize_signature, group_module.decode_point_bytes
+        monkeypatch.setattr(registry, "deserialize_signature",
                             lambda *args: decoded.append(args) or real(*args))
         monkeypatch.setattr(group_module, "decode_point_bytes",
                             lambda data, ell: points.append(data) or decode(data, ell))
@@ -444,10 +443,10 @@ class TestVerifyTranscript:
         # winner rule verifies and their 2 + 2l signature points: nothing
         # else, and no Ring for a bid it does not need.
         decoded, rings = [], []
-        decode, make_ring = group_module.decode_point_bytes, auction.Ring
+        decode, make_ring = group_module.decode_point_bytes, registry.Ring
         monkeypatch.setattr(group_module, "decode_point_bytes",
                             lambda data, ell: decoded.append(data) or decode(data, ell))
-        monkeypatch.setattr(auction, "Ring",
+        monkeypatch.setattr(registry, "Ring",
                             lambda group, keys: rings.append(keys) or make_ring(group, keys))
         report = verify_transcript(full_run.transcript)
         monkeypatch.undo()

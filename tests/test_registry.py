@@ -14,6 +14,7 @@ from ringauction.registry import (
     KEY_EVICTED,
     KEY_PUBLISHED,
     AlreadyEvicted,
+    BoardEntry,
     BoardState,
     BulletinBoard,
     DuplicateKey,
@@ -61,9 +62,9 @@ def key_encodings(group, count):
     return [group.encode_point(group.mul(x, group.g)) for x in range(1, count + 1)]
 
 
-def replayed_view(group, text):
+def replayed_view(pp, text):
     """Fold a serialized board into a fresh BoardState: its sorted active encodings."""
-    state = BoardState(group)
+    state = BoardState(pp)
     for entry in parse_board_text(text):
         state.apply(entry)
     return tuple(sorted(state.active))
@@ -147,10 +148,16 @@ class TestRegistrationProof:
 # ---------------------------------------------------------------------------
 # bulletin board
 
+@pytest.fixture(scope="module")
+def tiny_pp(tiny_params):
+    """Public parameters over the toy group, for boards that hold keys."""
+    return setup(tiny_params, 2, random.Random(0))[0]
+
+
 class TestBulletinBoard:
     @pytest.fixture()
-    def board(self, tiny_params):
-        return BulletinBoard(tiny_params.group)
+    def board(self, tiny_pp):
+        return BulletinBoard(tiny_pp)
 
     @pytest.fixture()
     def keys(self, tiny_params):
@@ -158,10 +165,12 @@ class TestBulletinBoard:
 
     def test_append_assigns_sequential_numbers(self, board, keys):
         assert board.append(KEY_PUBLISHED, keys[0]) == 0
-        assert board.append(BID_POSTED, b"\x02") == 1
+        assert board.append(KEY_PUBLISHED, keys[1]) == 1
+        with pytest.raises(MalformedBoard, match="unreadable bid"):
+            board.append(BID_POSTED, b"\x02")  # refused, so it takes no seq
         assert board.append(KEY_EVICTED, keys[0]) == 2
         kinds = [e.kind for e in board.entries()]
-        assert kinds == [KEY_PUBLISHED, BID_POSTED, KEY_EVICTED]
+        assert kinds == [KEY_PUBLISHED, KEY_PUBLISHED, KEY_EVICTED]
 
     def test_append_rejects_unknown_kind(self, board):
         with pytest.raises(ValueError):
@@ -185,24 +194,25 @@ class TestBulletinBoard:
         assert board.all_active((k2,)) and not board.all_active((k1, k2))
         assert board.active_view() == (k2,)
 
-    def test_replay_matches_live_view(self, board, keys, tiny_params):
+    def test_replay_matches_live_view(self, board, keys, tiny_pp):
         k1, k2, k3 = keys
         board.append(KEY_PUBLISHED, k1)
-        board.append(BID_POSTED, b"bid")
         board.append(KEY_PUBLISHED, k2)
         board.append(KEY_PUBLISHED, k3)
         board.append(KEY_EVICTED, k2)
         order = board.active_view()
         assert order == tuple(sorted((k1, k3)))
         text = board_to_text(board.entries())
-        assert replayed_view(tiny_params.group, text) == order
+        assert replayed_view(tiny_pp, text) == order
 
     def test_text_roundtrip(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
-        board.append(BID_POSTED, b"")
+        board.append(KEY_EVICTED, keys[0])
         text = board_to_text(board.entries())
-        assert text == f"0 key-published {keys[0].hex()}\n1 bid-posted \n"
+        assert text == f"0 key-published {keys[0].hex()}\n1 key-evicted {keys[0].hex()}\n"
         assert parse_board_text(text) == board.entries()
+        empty = (BoardEntry(0, BID_POSTED, b""),)
+        assert parse_board_text(board_to_text(empty)) == empty
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(MalformedBoard):
@@ -243,7 +253,7 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
                "(0, 0) under the odd tag": bytes(width - 1) + b"\x03",
                "(0, 0)": bytes(width - 1) + b"\x02",
                "active": active, "inactive": inactive}[name]
-    board = BulletinBoard(group)
+    board = BulletinBoard(pp)
     board.append(KEY_PUBLISHED, active)
     before = board.active_view()
     with pytest.raises(MalformedBoard) as live:
@@ -279,7 +289,7 @@ def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
     active = key_encodings(group, 1)[0]
     reasons = Counter()
     for payload in (bytes([x, tag]) for x in range(256) for tag in (0x00, 0x02, 0x03, 0x07)):
-        board = BulletinBoard(group)
+        board = BulletinBoard(pp)
         board.append(KEY_PUBLISHED, active)
         transcript = render_transcript(pp, board) + f"1 {KEY_PUBLISHED} {payload.hex()}\n".encode()
         try:
@@ -304,9 +314,9 @@ def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
 # registration manager
 
 @pytest.fixture()
-def manager(tiny_params):
-    board = BulletinBoard(tiny_params.group)
-    return RegistrationManager(tiny_params.group, board), board
+def manager(tiny_pp):
+    board = BulletinBoard(tiny_pp)
+    return RegistrationManager(tiny_pp.group, board), board
 
 
 class TestRegistrationManager:
@@ -376,7 +386,7 @@ class TestRegistrationManager:
         params = gen_group_params(bits, bits, random.Random(bits))
         group = params.group
         rng = random.Random(3000 + bits)
-        rm = RegistrationManager(group, BulletinBoard(group))
+        rm = RegistrationManager(group, BulletinBoard(setup(params, 2, random.Random(0))[0]))
         x, pub = fresh_key(group, rng)
         for P in torsion_shifts(group, pub, rng):
             with pytest.raises(InvalidProof, match="key order does not divide the group order"):
@@ -384,9 +394,9 @@ class TestRegistrationManager:
         proof = make_registration(x, pub, b"honest", group, rng)
         assert rm.register(pub, b"honest", proof) == 0
 
-    def test_proof_for_another_key_fails_register(self, params16):
-        group = params16.group
-        board = BulletinBoard(group)
+    def test_proof_for_another_key_fails_register(self, setup16):
+        group = setup16[0].group
+        board = BulletinBoard(setup16[0])
         rm = RegistrationManager(group, board)
         x, _ = fresh_key(group, random.Random(29))
         proof = make_registration(x, group.mul(x, group.g), b"alice", group, random.Random(30))
@@ -394,14 +404,14 @@ class TestRegistrationManager:
             rm.register(group.mul(x + 1, group.g), b"alice", proof)
         assert board.entries() == ()
 
-    def test_key_nobody_can_open_is_refused(self, params16):
+    def test_key_nobody_can_open_is_refused(self, setup16):
         # The weak Fiat-Shamir forgery (Bernhard, Pereira, Warinschi,
         # ASIACRYPT 2012): were the key left out of the hash, anyone could
         # register P = [a^-1]([b]g - C) from another user's key K, with
         # C = [c]g + K and a = H(C || id), as [b]g - [a]P = C.  Nobody knows
         # P's exponent.  Hashing P with C makes a depend on P.
-        group = params16.group
-        board = BulletinBoard(group)
+        group = setup16[0].group
+        board = BulletinBoard(setup16[0])
         rm = RegistrationManager(group, board)
         rng = random.Random(31)
         x, victim = fresh_key(group, rng)
@@ -475,4 +485,4 @@ class TestRegistrationManager:
         rm.evict(pub)
         parsed = parse_board_text(board_to_text(board.entries()))
         assert parsed == board.entries()
-        assert replayed_view(group, board_to_text(board.entries())) == board.active_view()
+        assert replayed_view(board.fold.pp, board_to_text(board.entries())) == board.active_view()

@@ -16,13 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ringauction.auction import (
-    AuctionManager,
-    Bid,
-    encode_bid_message,
-    open_protocol,
-    serialize_bid_payload,
-)
+from ringauction.auction import AuctionManager, open_protocol
 from ringauction.cli import main
 from ringauction.group import (
     GroupParams,
@@ -36,9 +30,12 @@ from ringauction.group import (
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     WINNER_ANNOUNCED,
+    Bid,
     BulletinBoard,
     RegistrationManager,
+    encode_bid_message,
     make_registration,
+    serialize_bid_payload,
 )
 from ringauction.ringsig import (
     MemberProof,
@@ -89,7 +86,7 @@ def shifted_run(request, tmp_path_factory):
     pp, tk = setup(params, 8, random.Random(4))
     grp = pp.group
     rng = random.Random(5)
-    board = BulletinBoard(grp)
+    board = BulletinBoard(pp)
     rm = RegistrationManager(grp, board)
     am = AuctionManager(pp, tk, board)
     keys = [keygen(pp, rng) for _ in range(3)]
@@ -125,6 +122,14 @@ def shifted_run(request, tmp_path_factory):
                            paths=paths, winner_seq=int(seq))
 
 
+@pytest.fixture()
+def replays_valid(shifted_run):
+    """Ends a test by replaying the run's board, as the test left it."""
+    yield
+    assert verify_transcript(render_transcript(shifted_run.pp, shifted_run.am.board)).valid
+
+
+@pytest.mark.usefixtures("replays_valid")
 class TestShiftedSignerCommitment:
     def test_verify_calls_it_malformed(self, shifted_run):
         run = shifted_run
