@@ -12,7 +12,7 @@ Everything is plain big-integer arithmetic.  Points are affine at the API;
 inside, Jacobian (X, Y, Z) stands for (X/Z^2, Y/Z^3), with Z = 0 for O.
 Variable-base scalar multiplication runs a Montgomery ladder on x = X/Z
 alone, so [k]P = O shows as Z = 0, and recovers y without an inversion; the
-ladder, the window tables and point addition return Jacobian points, and
+ladder, the window passes and point addition return Jacobian points, and
 to_affine normalizes any number of them with one inversion (Montgomery's
 trick), so a signer makes three.  The Miller loop runs in Jacobian
 coordinates too, and the final exponentiation uses the Frobenius map so
@@ -23,10 +23,13 @@ each row holding the negatives as well.
 g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
-be reduced mod n; a member proof (member_base, then member_proof_jac) is one
-pass over h's rows and a key's from the key's 16th request on.  pair
-evaluates the Miller lines of a fixed first argument, stored once, at each
-Q, and refuses a first argument outside G_n, as its loop's final [n]P shows.
+be reduced mod n.  A table's row bases come from one doubling chain, its
+other entries from affine sums a level at a time, each level's slopes over
+one shared inversion, five a table.  A member proof (member_base, then
+member_proof_jac) is one pass over h's rows and a key's from the key's 16th
+request on.  pair evaluates the Miller lines of a fixed first argument,
+stored once, at each Q, and refuses a first argument outside G_n, as its
+loop's final [n]P shows.
 in_group decides [n]P = O without the ladder: the reduced Tate pairing of
 order r = (ell + 1)/n at a fixed T in E(F_ell^2) is 1 at P.  T = [n]X, for X
 on a line through a rational point, is found with F_ell square roots at the
@@ -309,21 +312,29 @@ def _affine(P: Jac, ell: int) -> Point:
     return X * zi2 % ell, Y * zi2 * zi % ell
 
 
-def _to_affine(points, ell: int) -> list[Point]:
-    # Jacobian points to affine with one inversion (Montgomery's trick).
+def _inverses(values: list[int], ell: int) -> list[int]:
+    # The inverses mod ell of values, a 0 skipped and returned as 0, over one
+    # inversion (Montgomery's trick, Math. Comp. 1987): the running products
+    # forward, then their one inverse peeled back through them.
     prefix, acc = [], 1
-    for _, _, Z in points:
+    for v in values:
         prefix.append(acc)
-        acc = acc * (Z or 1) % ell
+        acc = acc * (v or 1) % ell
     inv = pow(acc, -1, ell)
-    out: list[Point] = [None] * len(points)
-    for j in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[j]
-        if Z:
-            zi = inv * prefix[j] % ell
-            inv = inv * Z % ell
-            zi2 = zi * zi % ell
-            out[j] = (X * zi2 % ell, Y * zi2 * zi % ell)
+    out = [0] * len(values)
+    for j in range(len(values) - 1, -1, -1):
+        if values[j]:
+            out[j] = inv * prefix[j] % ell
+            inv = inv * values[j] % ell
+    return out
+
+
+def _to_affine(points, ell: int) -> list[Point]:
+    # Jacobian points to affine, every Z inverted by one _inverses call.
+    out: list[Point] = []
+    for (X, Y, Z), zi in zip(points, _inverses([Z for _, _, Z in points], ell)):
+        zi2 = zi * zi % ell
+        out.append((X * zi2 % ell, Y * zi2 * zi % ell) if Z else None)
     return out
 
 
@@ -377,18 +388,34 @@ _JOINT_USES = 16  # member_base requests for a key before it gets a joint table
 def _window_table(P: Point, n: int, ell: int):
     """Row i holds the affine [d * 32^i]P at index d + 15, d = -15..16 (None
     for O), for each signed base-32 digit of a scalar below n, the last row
-    taking the final carry; None unless [n]P = O."""
-    rows, base = [], P
-    for _ in range(n.bit_length() // _WINDOW + 1):
-        X, Y, Z = _JAC_O
-        jac = []
-        for _ in range(1 << (_WINDOW - 1)):
-            if base is not None:
-                X, Y, Z = _jac_add(X, Y, Z, *base, ell)
-            jac.append((X, Y, Z))
-        jac.append(_jac_double(X, Y, Z, ell))  # the next row's base
-        *row, base = _to_affine(jac, ell)
-        rows.append([_point_neg(pt, ell) for pt in row[14::-1]] + [None] + row)
+    taking the final carry; None unless [n]P = O.  The row bases B = [32^i]P
+    come from one doubling chain, made affine together; then for lo = 1, 2,
+    4, 8, entries lo + 1..2lo of every row are the affine sums [lo]B + [m]B,
+    m = 1..lo, the last a tangent, their slopes' denominators inverted
+    together: five inversions a table."""
+    chain = [jacobian(P)]
+    for _ in range(n.bit_length() // _WINDOW):
+        X, Y, Z = chain[-1]
+        for _ in range(_WINDOW):
+            X, Y, Z = _jac_double(X, Y, Z, ell)
+        chain.append((X, Y, Z))
+    rows = [[None, B] for B in _to_affine(chain, ell)]  # row[m] = [m]B
+    for lo in (1 << b for b in range(_WINDOW - 1)):
+        terms = [(row[lo], row[m]) for row in rows for m in range(1, lo + 1)]
+        # A slope's denominator: x2 - x1 for a chord, 2y for a tangent, and 0
+        # for a term O, B = -A or a vertical tangent, which _jac_add sums.
+        dens = [0 if A is None or B is None else (B[0] - A[0]) % ell
+                or (2 * A[1] % ell if A[1] == B[1] else 0) for A, B in terms]
+        for j, ((A, B), inv) in enumerate(zip(terms, _inverses(dens, ell))):
+            if inv:
+                (x1, y1), (x2, y2) = A, B
+                lam = (y2 - y1 if x1 != x2 else 3 * x1 * x1 + 1) * inv % ell
+                x3 = (lam * lam - x1 - x2) % ell
+                pt = x3, (lam * (x1 - x3) - y1) % ell
+            else:
+                pt = A if B is None else _affine(_jac_add(*jacobian(A), *B, ell), ell)
+            rows[j // lo].append(pt)
+    rows = [[_point_neg(pt, ell) for pt in row[15:0:-1]] + row for row in rows]
     return None if _window_mul(rows, n, ell)[2] else rows
 
 
@@ -1129,8 +1156,10 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
     ell = 3 mod 4 forces 4 | r), then cofactor-multiplies random points into
     a generator g of exact order n, which the ladders [n/p]g != O and
     [n/q]g != O decide (a draw with g = O fails them, as [k]O = O), and
-    finally forms the order-q generator h = [alpha*p]g.  The self-pairing e(g, g) = t(g, psi(g)) then has exact
-    order n too, as the distorted pairing is non-degenerate on <g>.
+    finally forms the order-q generator h = [alpha*p]g, as [alpha mod q]
+    applied to the order-q point [n/q]g = [p]g that the check computed.
+    The self-pairing e(g, g) = t(g, psi(g)) then has exact order n too, as
+    the distorted pairing is non-degenerate on <g>.
     """
     if p == q:
         raise ValueError("the two prime factors must be distinct")
@@ -1150,14 +1179,15 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
 
     while True:
         g = _affine(_point_mul(r, _random_point(ell, rng), ell), ell)
-        if _point_mul(n // p, g, ell)[2] and _point_mul(n // q, g, ell)[2]:  # Z != 0
+        pg = _point_mul(n // q, g, ell)  # [p]g
+        if _point_mul(n // p, g, ell)[2] and pg[2]:  # Z != 0
             break
 
     while True:
         alpha = rng.randrange(n)
         if math.gcd(alpha, q) == 1:
             break
-    h = _affine(_point_mul(alpha * p % n, g, ell), ell)
+    h = _affine(_point_mul(alpha % q, _affine(pg, ell), ell), ell)  # [alpha*p]g
 
     return GroupParams(p=p, q=q, group=PairingGroup(n, ell, g, h))
 

@@ -172,8 +172,9 @@ def setup(params: GroupParams, k: int, rng) -> tuple[PublicParams, TraceKey]:
     a = rng.randrange(grp.n)
     b0 = rng.randrange(grp.n)
     grp.precompute(grp.g)  # every mul of g, key_base's first one too, uses its table
+    # h has order q, so blind_base = [a]h = [a mod q]h, on a ladder of q's length.
     key_base, commit_offset, blind_base, hash_base, *hash_gens = grp.to_affine(
-        grp.mul_jac(a, grp.g), grp.mul_jac(b0, grp.g), grp.mul_jac(a, grp.h),
+        grp.mul_jac(a, grp.g), grp.mul_jac(b0, grp.g), grp.mul_jac(a % params.q, grp.h),
         *(grp.mul_jac(rng.randrange(grp.n), grp.g) for _ in range(k + 1)))
     pp = PublicParams(
         group=grp,

@@ -815,26 +815,61 @@ class TestFixedBases:
             assert table is not None and len(table) == n.bit_length() // 5 + 1
             assert all(len(row) == 32 for row in table)
 
-    def test_every_window_row_entry_matches_the_oracle(self, tiny_params):
+    @staticmethod
+    def _check_rows(rows, P, ell):
         # Row i of a window table holds [d * 32^i]P at index d + 15, d = -15..16,
-        # negatives included; a joint table is h's rows, then the key's.
+        # negatives included.
+        for i, row in enumerate(rows):
+            assert len(row) == 32
+            for idx, entry in enumerate(row):
+                assert entry == naive_mul((idx - 15) * 32 ** i, P, ell), (P, i, idx)
+
+    def test_every_window_row_entry_matches_the_oracle(self, tiny_params):
+        # Points of order 5 and 7 put O entries, sums B + -B and vertical
+        # tangents into the rows; a joint table is h's rows, then the key's.
         n, ell, h = tiny_params.group.n, tiny_params.group.ell, tiny_params.group.h
         group = _fresh(tiny_params.group)
-
-        def check(rows, P):
-            for i, row in enumerate(rows):
-                assert len(row) == 32
-                for idx, entry in enumerate(row):
-                    assert entry == naive_mul((idx - 15) * 32 ** i, P, ell), (P, i, idx)
-
         keys = [P for P in all_curve_points(ell) if naive_mul(n, P, ell) is None]
         for key in keys:
-            check(_window_table(key, n, ell), key)
+            self._check_rows(_window_table(key, n, ell), key, ell)
             for e in range(16):  # the 16th request builds the joint table
                 _member_proof(group, e, naive_add(naive_mul(e, h, ell), key, ell), key, True)
             joint = group._joint[key]
-            check(joint[:len(joint) // 2], h)
-            check(joint[len(joint) // 2:], key)
+            self._check_rows(joint[:len(joint) // 2], h, ell)
+            self._check_rows(joint[len(joint) // 2:], key, ell)
+
+    def test_every_window_row_entry_matches_the_oracle_at_16_bits(self, params16, keys16):
+        # g's and h's tables as mul builds them, and a key's joint table.
+        group, ell, key = _fresh(params16.group), params16.group.ell, keys16[0].pub_key
+        for P in (group.g, group.h):
+            group.mul(3, P)
+            group.mul(5, P)  # the second mul builds the table
+            self._check_rows(group._mul_tables[P], P, ell)
+        for e in range(16):
+            _member_proof(group, e, naive_add(naive_mul(e, group.h, ell), key, ell), key, True)
+        self._check_rows(group._joint[key][len(group._joint[key]) // 2:], key, ell)
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_a_window_table_takes_five_inversions(self, monkeypatch, bits):
+        # Field inversions are the pow(z, -1, ell) calls in ringauction.group:
+        # one for the row bases, then one per level of sums, however many rows
+        # (7, 13 and 26 at these sizes).
+        group = gen_group_params(bits, bits, random.Random(bits)).group
+        n, ell = group.n, group.ell
+        calls = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                calls.append(mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
+        rows = _window_table(group.g, n, ell)
+        assert rows is not None and len(rows) == n.bit_length() // 5 + 1
+        assert len(calls) <= 5
+        # Bases outside G_n, whose rows hold O and degenerate sums, get no table.
+        for P in (cofactor_torsion(group, random.Random(bits)), (0, 0)):
+            assert _window_table(P, n, ell) is None
 
     def test_window_table_built_on_second_mul(self, params16):
         # A base multiplied once keeps the plain path; the second mul builds
