@@ -15,11 +15,14 @@ alone, so [k]P = O shows as Z = 0, and recovers y without an inversion; the
 ladder, the window passes and point addition return Jacobian points, and
 to_affine normalizes any number of them with one inversion (Montgomery's
 trick), so a signer makes three.  The Miller loop runs in Jacobian
-coordinates too, and the final exponentiation uses the Frobenius map so
-that it needs one inversion in F_ell and a short power.
+coordinates too: each doubling squares f unreduced and reduces once after
+the tangent's product, and a chord's values multiply f unreduced.  The
+final exponentiation uses the Frobenius map so that it needs one inversion
+in F_ell and a short power.
 Since -(x, y) = (x, -y) costs nothing, both walk signed digits: the Miller
-loop the non-adjacent form of n, a window mul the base-32 digits -15..16,
-each row holding the negatives as well.
+loop the non-adjacent form of n, recoded once as the group is made, a
+window mul the base-32 digits -15..16, each row holding the
+negatives as well.
 g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
 takes [j * 32^i]P from a window table, built at a declared base's first mul
 and at g's or h's second, and only when [n]P = O, as only then may a scalar
@@ -28,7 +31,8 @@ other entries from affine sums a level at a time, each level's slopes over
 one shared inversion, five a table.  A member proof (member_base, then
 member_proof_jac) is one pass over h's rows and a key's from the key's 16th
 request on.  pair evaluates the Miller lines of a fixed first argument,
-stored once, at each Q, and refuses a first argument outside G_n, as its
+stored once as (square first?, line) steps, at each Q with the same fused
+square-and-multiply, and refuses a first argument outside G_n, as its
 loop's final [n]P shows.
 in_group decides [n]P = O without the ladder: the reduced Tate pairing of
 order r = (ell + 1)/n at a fixed T in E(F_ell^2) is 1 at P.  T = [n]X, for X
@@ -538,12 +542,15 @@ def _fp2_sqr(u, ell):
 
 
 def _fp2_pow(u, e, ell):
-    acc = _FP2_ONE
-    for bit in bin(e)[2:]:
-        acc = _fp2_sqr(acc, ell)
+    # Left to right from u itself, so the leading bit costs no squaring.
+    if not e:
+        return _FP2_ONE
+    ua, ub = a, b = u
+    for bit in bin(e)[3:]:
+        a, b = (a + b) * (a - b) % ell, 2 * a * b % ell
         if bit == "1":
-            acc = _fp2_mul(acc, u, ell)
-    return acc
+            a, b = (a * ua - b * ub) % ell, (a * ub + b * ua) % ell
+    return a, b
 
 
 def _fp2_inv(u, ell):
@@ -585,12 +592,15 @@ class GtElement:
 # ---------------------------------------------------------------------------
 # pairing internals
 
-def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
+def _miller(P: tuple[int, int], tx: int, ty: int, steps: str, ell: int):
     # Miller loop for f_{n,P} at the distorted point (tx, i*ty), with R kept
-    # in Jacobian coordinates, over the signed steps of n: "a" adds P and
-    # "s" adds -P = (xp, -yp).  Each step computes the tangent numerator M
-    # (or the chord pair H, S) once and uses it for both the line value and
-    # the point update.
+    # in Jacobian coordinates, over n's signed steps (_double_and_add(n)):
+    # "a" adds P and "s" adds -P = (xp, -yp).  Each step computes the tangent
+    # numerator M (or the chord pair H, S) once and uses it for both the line
+    # value and the point update.  A doubling squares f unreduced and takes
+    # one reduction after the tangent's product; a chord's values multiply
+    # f unreduced, and so do S of a doubling and V of a chord, each read by
+    # one product and sums that are reduced.
     #
     # Every line is scaled by a nonzero factor in F_ell: 2*Y*Z^3 for a
     # tangent, Z*H for a chord.  Vertical lines, f_{-1,P} among them, and
@@ -600,10 +610,17 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
     # lies outside G_n, and then there is no value: None.
     xp, yp = P
     X, Y, Z = xp, yp, 1
+    dx, ny = tx - xp, -yp % ell  # per pairing: tx - xp, and y of -P
     fa, fb = 1, 0
-    for step in _double_and_add(n):
-        if step != "d":
-            y0 = yp if step == "a" else (-yp) % ell
+    for step in steps:
+        if step == "d":
+            if not (Z and Y):  # R = O, or a vertical tangent at a 2-torsion R
+                fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
+                Z = 0
+                continue
+            sa, sb = (fa + fb) * (fa - fb), 2 * fa * fb
+        else:
+            y0, y1 = (yp, ny) if step == "a" else (ny, yp)  # y1 = -y0
             if not Z:
                 X, Y, Z = xp, y0, 1
                 continue
@@ -612,94 +629,107 @@ def _miller(P: tuple[int, int], tx: int, ty: int, n: int, ell: int):
             S = (y0 * ZZ * Z - Y) % ell
             if H:
                 Z3 = Z * H % ell
-                la = (-y0 * Z3 - S * (tx - xp)) % ell
-                lb = ty * Z3 % ell
+                la, lb = y1 * Z3 - S * dx, ty * Z3
                 fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
                 HH = H * H % ell
                 HHH = H * HH % ell
-                V = X * HH % ell
+                V = X * HH
                 X = (S * S - HHH - 2 * V) % ell
                 Y = (S * (V - X) - Y * HHH) % ell
                 Z = Z3
                 continue
-            if S:  # R = -(xp, y0): vertical chord
+            if S or not Y:  # R = -(xp, y0): a vertical chord, or R = (0, 0)'s tangent
                 Z = 0
                 continue
-            # R = (xp, y0): the line is the tangent at R
-        else:
-            fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
-            if not Z:
-                continue
-        if not Y:  # vertical tangent at a 2-torsion point
-            Z = 0
-            continue
+            sa, sb = fa, fb  # R = (xp, y0): the line is the tangent at R
         YY = Y * Y % ell
         ZZ = Z * Z % ell
         M = (3 * X * X + ZZ * ZZ) % ell
         Z3 = 2 * Y * Z % ell
         la = (M * (X - tx * ZZ) - 2 * YY) % ell
         lb = ty * Z3 * ZZ % ell
-        fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
-        S = 4 * X * YY % ell
+        fa, fb = (sa * la - sb * lb) % ell, (sa * lb + sb * la) % ell
+        S = 4 * X * YY
         X = (M * M - 2 * S) % ell
         Y = (M * (S - X) - 8 * YY * YY) % ell
         Z = Z3
     return None if Z else (fa, fb)
 
 
-def _miller_lines(P: tuple[int, int], n: int, ell: int) -> list | None:
-    """The Q-independent part of _miller for a fixed P, step by step: None
-    for a squaring of f, (c0, c1, c2) for each line _miller multiplies in
-    (same scaling, same skipped lines), worth (c0 - c1*tx) + i*(c2*ty).
-    None, like _miller, when P lies outside G_n."""
+def _miller_lines(P: tuple[int, int], steps: str, ell: int) -> list | None:
+    """The Q-independent part of _miller for a fixed P, on _miller's steps:
+    (square, c0, c1, c2) for each step that touches f, square True where f
+    is squared first, and (c0, c1, c2) the line _miller multiplies in (same
+    scaling, same skipped lines), worth (c0 - c1*tx) + i*(c2*ty), or
+    (1, 0, 0) where a doubling takes no line.  None, like _miller, when P
+    lies outside G_n."""
     xp, yp = P
     X, Y, Z = xp, yp, 1
+    ny = -yp % ell
     ops: list = []
-    for step in _double_and_add(n):
-        y0 = (-yp) % ell if step == "s" else yp
-        tangent = step == "d"
-        if tangent:
-            ops.append(None)
-        elif Z:
+    for step in steps:
+        if step == "d":
+            if not (Z and Y):
+                ops.append((True, 1, 0, 0))
+                Z = 0
+                continue
+            square = True
+        else:
+            y0 = yp if step == "a" else ny
+            if not Z:
+                X, Y, Z = xp, y0, 1
+                continue
             ZZ = Z * Z % ell
             H = (xp * ZZ - X) % ell
             S = (y0 * ZZ * Z - Y) % ell
             if H:  # chord through R and (xp, y0), scaled by Z*H
-                ops.append(((S * xp - y0 * Z * H) % ell, S, Z * H % ell))
-            tangent = not (H or S)  # R = (xp, y0)
-        if tangent and Z and Y:  # tangent at R, scaled by 2*Y*Z^3
-            ZZ = Z * Z % ell
-            M = (3 * X * X + ZZ * ZZ) % ell
-            ops.append(((M * X - 2 * Y * Y) % ell, M * ZZ % ell, 2 * Y * Z * ZZ % ell))
-        if step == "d":
-            X, Y, Z = _jac_double(X, Y, Z, ell)
-        else:
-            X, Y, Z = _jac_add(X, Y, Z, xp, y0, ell)
+                Z3 = Z * H % ell
+                ops.append((False, (S * xp - y0 * Z3) % ell, S, Z3))
+                HH = H * H % ell
+                HHH = H * HH % ell
+                V = X * HH
+                X = (S * S - HHH - 2 * V) % ell
+                Y = (S * (V - X) - Y * HHH) % ell
+                Z = Z3
+                continue
+            if S or not Y:
+                Z = 0
+                continue
+            square = False
+        YY = Y * Y % ell  # tangent at R, scaled by 2*Y*Z^3
+        ZZ = Z * Z % ell
+        M = (3 * X * X + ZZ * ZZ) % ell
+        Z3 = 2 * Y * Z % ell
+        ops.append((square, (M * X - 2 * YY) % ell, M * ZZ % ell, Z3 * ZZ % ell))
+        S = 4 * X * YY
+        X = (M * M - 2 * S) % ell
+        Y = (M * (S - X) - 8 * YY * YY) % ell
+        Z = Z3
     return None if Z else ops
 
 
 def _miller_at(ops: list, tx: int, ty: int, ell: int):
-    # Replays _miller_lines' output at the distorted point (tx, i*ty).
+    # Replays _miller_lines' output at the distorted point (tx, i*ty): a
+    # square of f is left unreduced into its product with the step's line,
+    # one reduction per product.
     fa, fb = 1, 0
-    for line in ops:
-        if line is None:
-            fa, fb = (fa + fb) * (fa - fb) % ell, 2 * fa * fb % ell
-        else:
-            c0, c1, c2 = line
-            la = (c0 - c1 * tx) % ell
-            lb = c2 * ty % ell
-            fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
+    for square, c0, c1, c2 in ops:
+        if square:
+            fa, fb = (fa + fb) * (fa - fb), 2 * fa * fb
+        la, lb = (c0 - c1 * tx) % ell, c2 * ty % ell
+        fa, fb = (fa * la - fb * lb) % ell, (fa * lb + fb * la) % ell
     return fa, fb
 
 
-def _pair_value(P: Point, Q: Point, n: int, ell: int, lines: list | None = None):
+def _pair_value(P: Point, Q: Point, n: int, ell: int, steps: str, lines: list | None = None):
     """Raw pairing value in F_ell^2 (already final-exponentiated), or None
-    when P lies outside G_n; ``lines`` are P's stored Miller lines, if it
-    has them.  Q = O pairs to 1, but P's loop still runs, for its verdict."""
+    when P lies outside G_n; ``steps`` are _double_and_add(n), ``lines`` P's
+    stored Miller lines, if it has them.  Q = O pairs to 1, but P's loop
+    still runs, for its verdict."""
     if P is None:
         return _FP2_ONE
     tx, ty = ((-Q[0]) % ell, Q[1] % ell) if Q else (0, 0)  # distorted image of Q
-    f = _miller(P, tx, ty, n, ell) if lines is None else _miller_at(lines, tx, ty, ell)
+    f = _miller(P, tx, ty, steps, ell) if lines is None else _miller_at(lines, tx, ty, ell)
     if f is None or Q is None:
         return None if f is None else _FP2_ONE
     # Final exponent (ell^2 - 1)/n = (ell - 1) * (ell + 1)/n.  Frobenius is
@@ -941,6 +971,7 @@ class PairingGroup:
         self._mul_tables: dict = {}
         self._key_uses: dict = {}  # member_base's requests per key
         self._joint: dict = {}  # key -> h's window rows, then the key's
+        self._steps = _double_and_add(n)  # n's signed Miller steps, for every pairing
         self._lines: dict = {}
         self._tate = None  # in_group's stored lines, built at its first call
 
@@ -991,15 +1022,15 @@ class PairingGroup:
         return _point_mul(k, P, self.ell)
 
     def member_base(self, commit: Jac, key: Point, signer: bool) -> Jac:
-        """Count one member-proof request for key and return the point its
-        proof multiplies on the ladder: the Jacobian commit itself for the
-        signer, commit minus key for a decoy, and O once the key's joint
-        table serves the proof, which reads no base.  A slot's commit is
-        [e]h, plus key in the signer's slot, so its proof is [e^2]h +- [e]key
-        either way.  The 16th request builds key's window table and, when
-        [n]key = O, keeps h's R rows then key's, R = n.bit_length()//5 + 1.
-        Memory: one such joint table per key with 16 or more requests, 2R x 32
-        affine points (832 at a 64-bit n), and one int per key requested."""
+        """Count one member-proof request for key and return the Jacobian
+        point a decoy's proof multiplies on the ladder, commit minus key; O
+        for the signer, whose ladder multiplies the commit itself, and O once
+        the key's joint table serves the proof, which reads no base.  A slot's commit is [e]h, plus key in the
+        signer's slot, so its proof is [e^2]h +- [e]key either way.  The 16th
+        request builds key's window table and, when [n]key = O, keeps h's R
+        rows then key's, R = n.bit_length()//5 + 1.  Memory: one such joint
+        table per key with 16 or more requests, 2R x 32 affine points (832 at
+        a 64-bit n), and one int per key requested."""
         joint = self._joint.get(key)
         if joint is None:
             uses = self._key_uses[key] = self._key_uses.get(key, 0) + 1
@@ -1009,25 +1040,28 @@ class PairingGroup:
                 h_rows, key_rows = self._mul_tables[self.h], _window_table(key, self.n, self.ell)
                 if h_rows is not None and key_rows is not None:
                     joint = self._joint[key] = h_rows + key_rows
-        if joint is not None:
+        if joint is not None or signer:
             return _JAC_O
-        if signer or key is None:
+        if key is None:
             return commit
         return _jac_add(*commit, *_point_neg(key, self.ell), self.ell)
 
-    def member_proof_jac(self, e: int, base: Point, key: Point, signer: bool) -> Jac:
+    def member_proof_jac(self, e: int, commit: Point, base: Point, key: Point,
+                         signer: bool) -> Jac:
         """The proof of the slot ``member_base`` was last asked for, left
-        Jacobian, for base the affine point that call returned: [e]base on the
-        ladder, or one pass over the key's joint table with the packed scalar
-        e^2 mod n + ((+-e mod n) << 5R), as the signed base-32 recoding of
-        any k < n ends with no carry after R digits.  One counted exp."""
+        Jacobian, for commit and base the affine forms of that call's commit
+        and result: on the ladder [e]commit in the signer's slot and [e]base
+        in a decoy's, or one pass over the key's joint table with the packed
+        scalar e^2 mod n + ((+-e mod n) << 5R), as the signed base-32
+        recoding of any k < n ends with no carry after R digits.  One counted
+        exp."""
         joint = self._joint.get(key)
         if joint is not None:
             _bump("exp.joint")
             k = e * e % self.n + (((e if signer else -e) % self.n) << (_WINDOW * len(joint) // 2))
             return _window_mul(joint, k, self.ell)
         _bump("exp.ladder")
-        return _point_mul(e, base, self.ell)
+        return _point_mul(e, commit if signer else base, self.ell)
 
     def in_group(self, P: Point) -> bool:
         """Whether P is a curve point with [n]P = O, counted as one
@@ -1054,10 +1088,10 @@ class PairingGroup:
         lines = None
         if P in self._fixed:
             if P not in self._lines:
-                self._lines[P] = _miller_lines(P, self.n, self.ell)
+                self._lines[P] = _miller_lines(P, self._steps, self.ell)
             lines = self._lines[P]
         _bump("pair.var" if lines is None else "pair.lines")
-        value = _pair_value(P, Q, self.n, self.ell, lines)
+        value = _pair_value(P, Q, self.n, self.ell, self._steps, lines)
         if value is None:
             raise InvalidPoint("pairing's first argument is outside the order-n subgroup")
         return GtElement(*value, self.ell)
@@ -1167,6 +1201,11 @@ def group_from_primes(p: int, q: int, rng) -> GroupParams:
         raise ValueError("both factors must be odd")
     if not (is_probable_prime(p) and is_probable_prime(q)):
         raise ValueError("both factors must be prime")
+    return _build_group(p, q, rng)
+
+
+def _build_group(p: int, q: int, rng) -> GroupParams:
+    # group_from_primes after its input checks, for distinct odd primes.
     n = p * q
     for r in range(4, _R_SEARCH_LIMIT + 1, 4):
         ell = n * r - 1
@@ -1201,4 +1240,4 @@ def gen_group_params(p_bits: int, q_bits: int, rng) -> GroupParams:
         q = _sample_prime(q_bits, rng)
         if q != p:
             break
-    return group_from_primes(p, q, rng)
+    return _build_group(p, q, rng)  # _sample_prime's primes are odd and checked

@@ -214,8 +214,9 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
     (NotAMember if the ring does not hold it); draws one blinding exponent
     e_i per ring member, in ring order, then the randomiser r of s1 and s2.
     Points stay Jacobian and are made affine in three batches, one field
-    inversion each: the commitments with the ladder's bases and the message
-    sum W, then the proofs with [r]W, [sum e_i]blind_base and s2, then s1."""
+    inversion each: the commitments with the decoys' ladder bases and the
+    message sum W (the signer's ladder multiplies its commitment), then the
+    proofs with [r]W, [sum e_i]blind_base and s2, then s1."""
     grp = pp.group
     if keypair.pub_key not in ring:
         raise NotAMember("the ring does not hold the signer's published key")
@@ -233,12 +234,13 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
     r = rng.randrange(grp.n)
     *points, waters = grp.to_affine(*commits, *bases, _waters_sum(pp, bits))
     total_blind = sum(e_i for e_i, _, _ in slots) % grp.n
+    commit_pts, base_pts = points[:len(slots)], points[len(slots):]
     *proofs, r_waters, blind, s2 = grp.to_affine(
-        *[grp.member_proof_jac(e_i, base, key, signer)
-          for (e_i, key, signer), base in zip(slots, points[len(slots):])],
+        *[grp.member_proof_jac(e_i, commit, base, key, signer)
+          for (e_i, key, signer), commit, base in zip(slots, commit_pts, base_pts)],
         grp.mul_jac(r, waters), grp.mul_jac(total_blind, pp.blind_base), grp.mul_jac(r, grp.g))
     (s1,) = grp.to_affine(grp.add_jac(grp.add_jac(jacobian(keypair.sign_key), r_waters), blind))
-    return RingSignature(s1=s1, s2=s2, members=tuple(map(MemberProof, points[:len(slots)], proofs)))
+    return RingSignature(s1=s1, s2=s2, members=tuple(map(MemberProof, commit_pts, proofs)))
 
 
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:

@@ -114,7 +114,7 @@ def _fresh(group):
 def _member_proof(group, e, commit, key, signer):
     # One slot's proof by the two calls sign makes: member_base, then member_proof_jac.
     (base,) = group.to_affine(group.member_base(jacobian(commit), key, signer))
-    return group.to_affine(group.member_proof_jac(e, base, key, signer))[0]
+    return group.to_affine(group.member_proof_jac(e, commit, base, key, signer))[0]
 
 
 def _signed_window_scalars(n: int) -> list[int]:
@@ -200,6 +200,17 @@ class TestConstruction:
         a = gen_group_params(16, 16, random.Random(9))
         b = gen_group_params(16, 16, random.Random(9))
         assert (a.p, a.q, a.r, a.group.g, a.group.h) == (b.p, b.q, b.r, b.group.g, b.group.h)
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_generation_runs_one_lucas_test_per_prime(self, bits, monkeypatch):
+        # p and q are tested as they are sampled and ell as it is found, each
+        # once: group_from_primes' input check is for its public callers.
+        tested = []
+        lucas = group_module._strong_lucas_probable_prime
+        monkeypatch.setattr(group_module, "_strong_lucas_probable_prime",
+                            lambda m: tested.append(m) or lucas(m))
+        params = gen_group_params(bits, bits, random.Random(bits))
+        assert Counter(tested) == Counter((params.p, params.q, params.group.ell))
 
     def test_too_small_bit_request(self):
         with pytest.raises(ValueError):
@@ -536,6 +547,34 @@ class TestPairing:
                 value = {"d": 2 * value, "a": value + 1, "s": value - 1}[step]
             assert value == k
             assert all(steps[i - 2:i] == "dd" for i, step in enumerate(steps) if step != "d"), k
+
+    @pytest.mark.parametrize("bits", (16, 32, 64))
+    def test_stored_lines_pair_as_the_variable_loop(self, bits):
+        # h and key_base pair from stored lines, a group that does not fix
+        # them by the variable loop, to the same value on the same (P, Q); a
+        # torsion-shifted first argument is refused either way, fixed or not.
+        params = gen_group_params(bits, bits, random.Random(bits))
+        pp, _ = setup(params, 4, random.Random(bits + 1))
+        group, n, g = pp.group, pp.group.n, pp.group.g
+        variable = PairingGroup(n, group.ell, group.mul(2, g), group.mul(2, g))
+        rng = random.Random(3000 + bits)
+        seconds = [g, group.h, group.mul(rng.randrange(n), g), None]
+        counter = OpCounter()
+        with count_ops(counter):
+            for P in (group.h, pp.key_base):
+                for Q in seconds:
+                    counter.set_phase("lines")
+                    stored = group.pair(P, Q)
+                    counter.set_phase("var")
+                    assert stored == variable.pair(P, Q), (P, Q)
+        assert counter.paths == {"lines": {"pair.lines": 8}, "var": {"pair.var": 8}}
+        for P in (group.h, pp.key_base):
+            for shifted in torsion_shifts(group, P, rng):
+                group.precompute(shifted)
+                for fixed_or_not in (group, variable):
+                    with pytest.raises(InvalidPoint, match="outside the order-n subgroup"):
+                        fixed_or_not.pair(shifted, g)
+                assert group._lines[shifted] is None
 
     def test_gt_element_algebra(self, tiny_params):
         group = tiny_params.group

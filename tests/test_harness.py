@@ -997,6 +997,17 @@ def test_random_scenarios_three_verdicts_agree(tmp_path_factory, config):
 # cost accounting
 
 class TestEfficiency:
+    def test_a_replay_recodes_n_once(self, full_run, monkeypatch):
+        # n's signed steps are recoded as the replay's group is made and
+        # kept: every variable loop and every stored-line build reads them.
+        recoded, loops = [], []
+        recode, miller = group_module._double_and_add, group_module._miller
+        monkeypatch.setattr(group_module, "_double_and_add", lambda k: recoded.append(k) or recode(k))
+        monkeypatch.setattr(group_module, "_miller", lambda *a: loops.append(a) or miller(*a))
+        assert verify_transcript(full_run.transcript).valid
+        assert recoded == [full_run.public_params.group.n]
+        assert len(loops) >= 2
+
     def test_signing_exponentiations_grow_linearly(self):
         counts = {l: measure_signing(l, 16).phase("bidding")["exp"]
                   for l in (1, 2, 4, 8)}
