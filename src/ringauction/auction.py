@@ -3,12 +3,14 @@
 A bidder sends one registration, ever, and at most one bid per round;
 ``harness.run_scenario`` counts both in ``ScenarioResult.messages``.  The
 auction manager applies only its own policies and then posts: the board's
-fold (``registry.BoardState``) decides whether a bid or winner record is
-valid, as it does on replay, and reads the ``Bid`` the manager hands it, not
-the bytes.  Ring signatures are only verified to decide a winner, by the
-fold's one rule (``BoardState.leader``): walk the bids from the highest
-price down (ties broken toward the earlier posting) and stop at the first
-that verifies.  Identity opening is a two-party step: the auction side
+fold (``registry.BulletinBoard.apply``) decides whether a bid or winner
+record is valid, as it does on replay, and reads the ``Bid`` the manager
+hands it, not the bytes.  Every actor takes its public parameters from the
+board it acts on, and the manager reads the posted bids and prices there.
+Ring signatures are only verified to decide a winner, by the board's one
+rule (``BulletinBoard.leader``): walk the bids from the highest price down
+(ties broken toward the earlier posting) and stop at the first that
+verifies.  Identity opening is a two-party step: the auction side
 traces the ring position with the tracing key, the registration side
 resolves the identity (and evicts the key when the bid was repudiated).
 """
@@ -34,7 +36,6 @@ from .registry import (
 )
 from .ringsig import (
     NotVerified,
-    PublicParams,
     Ring,
     TraceKey,
     Untraceable,
@@ -69,9 +70,8 @@ def parse_bid_payload(group, data: bytes) -> Bid:
 class BidderAgent:
     """Bidder-side state: a key pair plus the public board it reads."""
 
-    def __init__(self, keypair, pp: PublicParams, board: BulletinBoard) -> None:
+    def __init__(self, keypair, board: BulletinBoard) -> None:
         self.keypair = keypair
-        self.pp = pp
         self.board = board
 
     def place_bid(self, auction_id: int, round_no: int, price: int,
@@ -80,7 +80,7 @@ class BidderAgent:
         if not self.board.all_active(ring.encodings):
             raise RingKeyNotOnBoard("ring references a key not on the board")
         message = encode_bid_message(auction_id, round_no, price)
-        signature = sign(self.pp, ring, self.keypair, message, rng)
+        signature = sign(self.board.pp, ring, self.keypair, message, rng)
         return Bid(auction_id=auction_id, round_no=round_no, price=price,
                    ring=ring, signature=signature)
 
@@ -89,11 +89,7 @@ class BidderAgent:
 class AuctionState:
     monotonic: bool = True
     phase: str = "open"  # open | closed | announced
-    bids: list[Bid] = field(default_factory=list)
     seen_payloads: set[bytes] = field(default_factory=set)
-
-    def current_high(self) -> int:
-        return max((bid.price for bid in self.bids), default=0)
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,12 @@ class AuctionManager:
     """Runs auctions against a shared board.
 
     Its own policies: the auction is open, a payload is posted once, prices
-    rise in a monotonic auction; the board's fold refuses the rest.
-    Signatures are *not* checked at admission; a bid with a broken signature
-    sits on the board until winner determination skips it.
+    rise over the board's ``high`` in a monotonic auction; the board refuses
+    the rest.  Signatures are *not* checked at admission; a bid with a broken
+    signature sits on the board until winner determination skips it.
     """
 
-    def __init__(self, pp: PublicParams, trace_key: TraceKey, board: BulletinBoard) -> None:
-        self.pp = pp
+    def __init__(self, trace_key: TraceKey, board: BulletinBoard) -> None:
         self.trace_key = trace_key
         self.board = board
         self._auctions: dict[int, AuctionState] = {}
@@ -135,9 +130,9 @@ class AuctionManager:
             raise AuctionError(f"unknown auction {auction_id}") from None
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Post the bid if the manager's policies and the board's fold accept
-        it.  A fold refusal is ``ring-key-not-on-BBS`` for a ring key outside
-        the active view, else ``malformed``, as is a bid that cannot be encoded."""
+        """Post the bid if the manager's policies and the board accept it.  A
+        board refusal is ``ring-key-not-on-BBS`` for a ring key outside the
+        active view, else ``malformed``, as is a bid that cannot be encoded."""
         state = self._auctions.get(bid.auction_id)
         if state is None:
             return AdmitResult(False, reason="unknown-auction")
@@ -149,7 +144,7 @@ class AuctionManager:
             return AdmitResult(False, reason="malformed")
         if payload in state.seen_payloads:
             return AdmitResult(False, reason="replayed-bid")
-        if state.monotonic and bid.price <= state.current_high():
+        if state.monotonic and bid.price <= self.board.high(bid.auction_id):
             return AdmitResult(False, reason="price-not-monotonic")
         try:
             seq = self.board.append(BID_POSTED, payload, bid)
@@ -157,7 +152,6 @@ class AuctionManager:
             inactive = exc.reason == RING_KEY_INACTIVE
             return AdmitResult(False, reason="ring-key-not-on-BBS" if inactive else "malformed")
         state.seen_payloads.add(payload)
-        state.bids.append(self.board.fold.bids[seq])
         return AdmitResult(True, seq=seq)
 
     def close_auction(self, auction_id: int) -> None:
@@ -170,30 +164,28 @@ class AuctionManager:
         """Highest verifying bid wins; ties go to the earlier posting.
 
         This is where the lazily-skipped signature checks happen, in the
-        fold's ``leader``.  The winning bid's payload is re-published so
-        anyone can re-derive the outcome from the board alone; the fold
+        board's ``leader``.  The winning bid's payload is re-published so
+        anyone can re-derive the outcome from the board alone; the board
         re-checks the rule on that record through its verify memo.
         """
         state = self.state(auction_id)
         if state.phase != "closed":
             raise AuctionError("close the auction before determining a winner")
-        fold = self.board.fold
-        head = fold.leader(auction_id)
+        head = self.board.leader(auction_id)
         if head is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
-        record = head.seq.to_bytes(SEQ_WIDTH, "big") + fold.payloads[head.seq]
+        record = head.seq.to_bytes(SEQ_WIDTH, "big") + self.board.payloads[head.seq]
         self.board.append(WINNER_ANNOUNCED, record)
         state.phase = "announced"
-        return fold.bids[head.seq]  # leader verified it
+        return self.board.bids[head.seq]  # leader verified it
 
     def verify_bid(self, bid: Bid) -> VerifyResult:
-        """``verify``: the fold's memo for the very bid posted at its seq (as
-        ``AuctionState.bids`` and ``determine_winner`` hand out), run afresh
+        """``verify``: the board's memo for the very bid posted at its seq (as
+        ``BulletinBoard.bids`` and ``determine_winner`` hand out), run afresh
         for any other."""
-        fold = self.board.fold
-        if fold.bids.get(bid.seq) is bid:
-            return fold.verified(bid.seq)
-        return verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
+        if self.board.bids.get(bid.seq) is bid:
+            return self.board.verified(bid.seq)
+        return verify(self.board.pp, bid.ring, bid.message_bytes(), bid.signature)
 
 
 def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
@@ -211,7 +203,7 @@ def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
     result = am.verify_bid(bid)
     if not result:
         raise NotVerified(result.reason)
-    traced = locate_signer(am.trace_key, am.pp, bid.ring, bid.signature)
+    traced = locate_signer(am.trace_key, am.board.pp, bid.ring, bid.signature)
     if traced is None:
         raise Untraceable("no unique ring member matches the tracing test")
     index, pub_key = traced

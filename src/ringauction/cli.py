@@ -1,9 +1,10 @@
 """Command-line front end: setup, run, verify, trace.
 
-``harness.verify_transcript`` is the one reader of a transcript, so ``trace``
-opens one bid only from a transcript that verifies, decoding its head with
-``registry.decode_bid`` as the board's fold does; ``ringsig.trace`` checks the
-trace key.  The commands map outcomes to exit codes.
+``harness.verify_transcript`` is the one reader of a transcript: it folds the
+records into a ``registry.BulletinBoard``.  So ``trace`` opens one bid only
+from a transcript that verifies, decoding its head with ``registry.decode_bid``
+as the board does; ``ringsig.trace`` checks the trace key.  The commands map
+outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),

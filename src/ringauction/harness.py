@@ -11,8 +11,9 @@ A transcript is one ``params`` header line (the public parameters, hex of
 canonical JSON) followed by the bulletin-board records.  This module owns
 the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
-is the one replay: it needs no secrets and folds the records with the live
-board's own fold, which re-derives the winner of every announced auction.
+is the one replay: it needs no secrets and folds the records into a fresh
+``BulletinBoard``, the live board's own class, which re-derives the winner
+of every announced auction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .registry import (
     Bid,
     BidHead,
     BoardEntry,
-    BoardState,
     BulletinBoard,
     MalformedBoard,
     RegistrationManager,
@@ -115,34 +115,37 @@ class ScenarioConfig:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse the line-oriented key=value scenario format (# for comments)."""
+    """Parse the line-oriented key=value scenario format (# for comments);
+    a malformed line raises ValueError with a ``line N:`` prefix."""
     config = ScenarioConfig()
     strategies: dict[int, str] = {}
-    int_keys = {"p_bits", "q_bits", "k", "seed", "bidders", "rounds", "auctions"}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in int_keys:
-            setattr(config, key, int(value))
-        elif key.startswith("strategy."):
-            strategies[int(key.split(".", 1)[1])] = value
-        elif key == "ring_policy":
-            if value == RING_ALL_ACTIVE:
-                config.ring_size = None
-            elif value.startswith(RING_RANDOM_SUBSET + ":"):
-                config.ring_size = int(value.split(":", 1)[1])
+        try:
+            if "=" not in line:
+                raise ValueError("expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in ("p_bits", "q_bits", "k", "seed", "bidders", "rounds", "auctions"):
+                setattr(config, key, int(value))
+            elif key.startswith("strategy."):
+                strategies[int(key.split(".", 1)[1])] = value
+            elif key == "ring_policy":
+                if value == RING_ALL_ACTIVE:
+                    config.ring_size = None
+                elif value.startswith(RING_RANDOM_SUBSET + ":"):
+                    config.ring_size = int(value.split(":", 1)[1])
+                else:
+                    raise ValueError(f"unknown ring policy {value!r}")
+            elif key == "monotonic_prices":
+                if value not in ("on", "off"):
+                    raise ValueError("monotonic_prices must be on or off")
+                config.monotonic = value == "on"
             else:
-                raise ValueError(f"line {lineno}: unknown ring policy {value!r}")
-        elif key == "monotonic_prices":
-            if value not in ("on", "off"):
-                raise ValueError(f"line {lineno}: monotonic_prices must be on or off")
-            config.monotonic = value == "on"
-        else:
-            raise ValueError(f"line {lineno}: unknown scenario key {key!r}")
+                raise ValueError(f"unknown scenario key {key!r}")
+        except ValueError as exc:  # int()'s own message on a bad literal too
+            raise ValueError(f"line {lineno}: {exc}") from None
     if strategies:
         if min(strategies) < 0 or max(strategies) >= config.bidders:
             raise ValueError("strategy index out of range")
@@ -232,8 +235,8 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         raise ScenarioError(f"group generation failed: {exc}") from exc
     group = pp.group
     board = BulletinBoard(pp)
-    rm = RegistrationManager(group, board)
-    am = AuctionManager(pp, trace_key, board)
+    rm = RegistrationManager(board)
+    am = AuctionManager(trace_key, board)
     messages: Counter = Counter()
 
     counter.set_phase("registration")
@@ -249,7 +252,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         except Exception as exc:
             raise ScenarioError(f"{name}: registration failed: {exc}") from exc
         actors.append(_Actor(name=name, index=index, strategy=config.strategy_of(index),
-                             agent=BidderAgent(keypair, pp, board),
+                             agent=BidderAgent(keypair, board),
                              own=group.encode_point(keypair.pub_key)))
     # Every published key is a bidder's: rings take their points from here.
     points = {actor.own: actor.agent.keypair.pub_key for actor in actors}
@@ -260,7 +263,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         am.open_auction(auction_no, monotonic=config.monotonic)
         counter.set_phase("bidding")
         for round_no in range(config.rounds):
-            high = am.state(auction_no).current_high()
+            high = board.high(auction_no)
             order = board.active_view()  # keys change only at openings
             for actor in actors:
                 if not board.all_active((actor.own,)):
@@ -279,8 +282,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
                 messages[actor.name, "bidding"] += 1
                 admitted = am.admit_bid(bid)
                 if admitted:
-                    state = am.state(auction_no)
-                    actor.last_admitted = state.bids[-1]
+                    actor.last_admitted = board.bids[admitted.seq]
         am.close_auction(auction_no)
 
         counter.set_phase("winner")
@@ -308,7 +310,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
         evicted.extend(group.encode_point(key).hex() for key in traced)
 
     return ScenarioResult(
-        transcript=render_transcript(pp, board),
+        transcript=render_transcript(board),
         report=counter,
         messages=messages,
         winners=tuple(winners),
@@ -321,8 +323,8 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # transcript rendering and public replay
 
-def render_transcript(pp, board: BulletinBoard) -> bytes:
-    header = f"{_TRANSCRIPT_HEADER}{public_params_to_json(pp).hex()}\n"
+def render_transcript(board: BulletinBoard) -> bytes:
+    header = f"{_TRANSCRIPT_HEADER}{public_params_to_json(board.pp).hex()}\n"
     return (header + board_to_text(board.entries())).encode()
 
 
@@ -374,10 +376,10 @@ class TranscriptReport:
 
 def verify_transcript(data: bytes) -> TranscriptReport:
     """Replay a transcript using public data only: ``read_transcript``, then
-    the live board's fold (``registry.BoardState``) over every record, so a
-    transcript is valid exactly when a live board takes each of its records.
+    a fresh ``registry.BulletinBoard`` applies every record, so a transcript
+    is valid exactly when a live board takes each of its records.
 
-    The fold checks every posted point but decodes only the bids the winner
+    The board checks every posted point but decodes only the bids the winner
     rule verifies: each announced winner and the bids of its auction ranked
     ahead of it, each at most once; ``outcomes`` records which.  Bids whose
     signatures fail are legitimate content — admission is lazy — but can
@@ -391,21 +393,21 @@ def verify_transcript(data: bytes) -> TranscriptReport:
                                 failing_line=exc.line)
     if pp is None:
         return TranscriptReport(True)
-    fold = BoardState(pp)
+    board = BulletinBoard(pp)
 
     def outcomes() -> tuple[tuple[int, str], ...]:
         said = {seq: "verified" if ok else f"failed: {ok.reason}"
-                for seq, ok in fold.results.items()}
-        return tuple((seq, said.get(seq, "not needed")) for seq in fold.heads)
+                for seq, ok in board.results.items()}
+        return tuple((seq, said.get(seq, "not needed")) for seq in board.heads)
 
     try:
         for entry in entries:
-            fold.apply(entry)
+            board.apply(entry)
     except MalformedBoard as exc:
         return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
                                 outcomes=outcomes())
-    return TranscriptReport(True, records=len(entries), winners=tuple(fold.winners.values()),
-                            outcomes=outcomes(), public_params=pp, bids=fold.heads)
+    return TranscriptReport(True, records=len(entries), winners=tuple(board.winners.values()),
+                            outcomes=outcomes(), public_params=pp, bids=board.heads)
 
 
 # ---------------------------------------------------------------------------

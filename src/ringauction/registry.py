@@ -3,11 +3,12 @@ its records.
 
 The bulletin board is the single public artifact of the protocol: an
 append-only sequenced log of key publications, evictions, posted bids and
-winner announcements.  ``BoardState`` is the one fold of all four kinds; the
-live board runs it on every append and the public replay on every record it
-reads, so a board takes exactly the records a replay accepts.  There is no
-black list: eviction appends a record and the key simply drops out of the
-active view, so the board is the only record of who has been evicted.
+winner announcements.  ``BulletinBoard`` is that log and the one fold of all
+four kinds: a live board folds every record it appends, the public replay
+every record it reads, so a board takes exactly the records a replay
+accepts.  There is no black list: eviction appends a record and the key
+simply drops out of the active view, so the board is the only record of who
+has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -183,7 +184,7 @@ class BidHead:
 def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | None = None) -> BidHead:
     """Every check of a bid payload, decoding nothing: each point is checked
     to decode (``check_point_bytes``), but for the ring keys that ``known``
-    holds, such as a board fold's active view."""
+    holds, such as a board's active view."""
     if len(data) < BID_MESSAGE_LEN + 4:
         raise MalformedBid("payload too short")
     auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
@@ -214,7 +215,7 @@ def _head_of(group, bid: Bid, data: bytes, seq: int) -> tuple[BidHead, Bid]:
     # its Ring rebuilt from the keys (sorted, distinct, encoded afresh), one
     # member per ring key, every point a canonical curve point (so its
     # encoding decodes back to it) and data exactly the bid's encoding.  The
-    # fold keeps the rebuilt bid, not the caller's Ring.
+    # board keeps the rebuilt bid, not the caller's Ring.
     try:
         bid = replace(bid, ring=Ring(group, bid.ring.keys), seq=seq)
     except (ValueError, OverflowError) as exc:  # a repeated key, or x < 0
@@ -250,9 +251,10 @@ class BoardEntry:
     payload: bytes
 
 
-class BoardState:
-    """The board's one fold.  ``apply`` folds one record, or raises
-    MalformedBoard and changes nothing but the verify memo (``results``):
+class BulletinBoard:
+    """The append-only sequenced public log.  ``apply`` folds one record and
+    stores it, or raises MalformedBoard and changes nothing but the verify
+    memo (``results``):
 
     - a published key must decode to a finite point other than (0, 0) and
       not be active; an evicted key must be active (``active``);
@@ -261,15 +263,17 @@ class BoardState:
     - an announced winner must repeat a posted bid's payload, verify, be its
       auction's first and be the auction's ``leader`` (``winners``).
 
-    A caller holding a posted bid's ``Bid`` hands it to ``apply``, which then
-    checks its points canonical and encoding to exactly the payload in place
-    of reading the bytes.  The group's ell must be prime: the byte check is
-    exact only then.
+    ``append`` posts a new record through ``apply``.  A caller holding a
+    posted bid's ``Bid`` hands it in, and the fold then checks its points
+    canonical and encoding to exactly the payload in place of reading the
+    bytes.  The group's ell must be prime: the byte check is exact only then.
+    ``entries``, ``active_keys`` and ``active_view`` hand out snapshots.
     """
 
     def __init__(self, pp: PublicParams) -> None:
         self.pp = pp
         self.group = pp.group
+        self._entries: list[BoardEntry] = []
         self.active: set[bytes] = set()
         self.heads: dict[int, BidHead] = {}
         self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
@@ -278,6 +282,15 @@ class BoardState:
         self.results: dict[int, VerifyResult] = {}
         self.winners: dict[int, tuple[int, int, int]] = {}
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
+
+    def append(self, kind: str, payload: bytes, bid: Bid | None = None) -> int:
+        """Post one record as the next seq; ``bid`` is a posted bid's ``Bid``,
+        when the caller holds it.  Returns the record's seq."""
+        if kind not in ENTRY_KINDS:
+            raise ValueError(f"unknown entry kind {kind!r}")
+        entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
+        self.apply(entry, bid)
+        return entry.seq
 
     def apply(self, entry: BoardEntry, bid: Bid | None = None) -> None:
         seq, kind, payload = entry.seq, entry.kind, entry.payload
@@ -331,6 +344,12 @@ class BoardState:
                 raise MalformedBoard("a better verifying bid exists than the announced winner",
                                      seq=seq)
             self.winners[head.auction_id] = (head.auction_id, ref, head.price)
+        self._entries.append(entry)
+
+    def high(self, auction_id: int) -> int:
+        """The auction's highest posted price, 0 before its first bid."""
+        ranked = self._ranked.get(auction_id)
+        return -ranked[0][0] if ranked else 0
 
     def leader(self, auction_id: int) -> BidHead | None:
         """The winner rule: of the auction's posted bids, the first by
@@ -349,43 +368,20 @@ class BoardState:
             self.results[seq] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
         return self.results[seq]
 
-
-class BulletinBoard:
-    """Append-only sequenced public log.
-
-    ``append`` folds each record into a ``BoardState`` (``fold``) and stores
-    only what the fold accepts (else MalformedBoard).  Reads hand out
-    snapshots.
-    """
-
-    def __init__(self, pp: PublicParams) -> None:
-        self._entries: list[BoardEntry] = []
-        self.fold = BoardState(pp)
-
-    def append(self, kind: str, payload: bytes, bid: Bid | None = None) -> int:
-        """Post one record; ``bid`` is a posted bid's ``Bid``, when the
-        caller holds it (see ``BoardState``).  Returns the record's seq."""
-        if kind not in ENTRY_KINDS:
-            raise ValueError(f"unknown entry kind {kind!r}")
-        entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
-        self.fold.apply(entry, bid)
-        self._entries.append(entry)
-        return entry.seq
-
     def entries(self) -> tuple[BoardEntry, ...]:
         return tuple(self._entries)
 
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
-        return frozenset(self.fold.active)
+        return frozenset(self.active)
 
     def all_active(self, encodings: Iterable[bytes]) -> bool:
         """Whether every encoding is an active key, looked up without a snapshot."""
-        return all(encoding in self.fold.active for encoding in encodings)
+        return all(encoding in self.active for encoding in encodings)
 
     def active_view(self) -> tuple[bytes, ...]:
         """Snapshot of the active key encodings in sorted order."""
-        return tuple(sorted(self.fold.active))
+        return tuple(sorted(self.active))
 
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:
@@ -428,41 +424,42 @@ def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
 # registration manager
 
 class RegistrationManager:
-    """Owns the private identity table and publishes keys on the board.
+    """Owns the private identity table and publishes keys on its board.
 
     Single-owner actor: every mutation goes through this object.  The table
     (key encoding -> identity) survives eviction so audits can still resolve
-    a key; whether a key is evicted is known only to the board's fold.
+    a key; whether a key is evicted is known only to the board.
     """
 
-    def __init__(self, group: PairingGroup, board: BulletinBoard) -> None:
-        self.group = group
+    def __init__(self, board: BulletinBoard) -> None:
         self.board = board
         self._identities: dict[bytes, bytes] = {}
 
     def register(self, pub_key: Point, identity: bytes, proof: RegistrationProof) -> int:
-        """Verify the possession proof, store the identity, publish the key.
+        """Verify the possession proof, publish the key, store the identity.
 
         Returns the board sequence number of the key publication.
         """
+        group = self.board.group
         if pub_key is None:
             raise InvalidProof("the identity point cannot be registered")
         if not identity:
             raise InvalidProof("identity must be non-empty")
         # Order sanity: the key must live in the subgroup of exponent n.
-        if not self.group.in_group(pub_key):
+        if not group.in_group(pub_key):
             raise InvalidProof("key order does not divide the group order")
-        if not verify_registration(pub_key, identity, proof, self.group):
+        if not verify_registration(pub_key, identity, proof, group):
             raise InvalidProof("possession proof failed")
-        encoded = self.group.encode_point(pub_key)
+        encoded = group.encode_point(pub_key)
         if encoded in self._identities:
             raise DuplicateKey("key already registered")
+        seq = self.board.append(KEY_PUBLISHED, encoded)
         self._identities[encoded] = identity
-        return self.board.append(KEY_PUBLISHED, encoded)
+        return seq
 
     def lookup_identity(self, pub_key: Point) -> bytes:
         """Resolve a published key to its identity (evicted keys stay resolvable)."""
-        identity = self._identities.get(self.group.encode_point(pub_key))
+        identity = self._identities.get(self.board.group.encode_point(pub_key))
         if identity is None:
             raise UnknownKey("no record for this key")
         return identity
@@ -471,6 +468,6 @@ class RegistrationManager:
         """Append the key's eviction record; the identity is kept for audit."""
         self.lookup_identity(pub_key)
         try:
-            return self.board.append(KEY_EVICTED, self.group.encode_point(pub_key))
-        except MalformedBoard as exc:  # the fold knows the key is no longer active
+            return self.board.append(KEY_EVICTED, self.board.group.encode_point(pub_key))
+        except MalformedBoard as exc:  # the board knows the key is no longer active
             raise AlreadyEvicted("key was already evicted") from exc

@@ -68,23 +68,26 @@ from .support import (
 def env(setup16, keys16):
     """Fresh board with all five keys registered and one all-member ring.
     Each test ends by replaying the board: whatever the manager posted or
-    announced, hostile input included, must replay valid."""
+    announced, hostile input included, must replay valid, to the same
+    posted seqs and the same winners as the live board."""
     pp, tk = setup16
     board = BulletinBoard(pp)
-    rm = RegistrationManager(pp.group, board)
-    am = AuctionManager(pp, tk, board)
+    rm = RegistrationManager(board)
+    am = AuctionManager(tk, board)
     rng = random.Random(99)
     agents = []
     for i, kp in enumerate(keys16):
         name = f"agent-{i}"
         proof = make_registration(kp.x, kp.pub_key, name.encode(), pp.group, rng)
         rm.register(kp.pub_key, name.encode(), proof)
-        agents.append(BidderAgent(kp, pp, board))
+        agents.append(BidderAgent(kp, board))
     ring = Ring(pp.group, [kp.pub_key for kp in keys16])
     yield SimpleNamespace(pp=pp, tk=tk, board=board, rm=rm, am=am,
                           agents=agents, ring=ring, rng=rng)
-    report = verify_transcript(render_transcript(pp, board))
+    report = verify_transcript(render_transcript(board))
     assert report.valid, (report.failing_seq, report.reason)
+    assert set(report.bids) == set(board.heads)
+    assert report.winners == tuple(board.winners.values())
 
 
 def craft_bid(env, agent, price, *, auction_id=1, round_no=0, ring=None):
@@ -261,7 +264,7 @@ class TestAdmission:
         entry = env.board.entries()[result.seq]
         assert entry.kind == BID_POSTED
         assert entry.payload == serialize_bid_payload(bid)
-        assert env.am.state(1).current_high() == 10
+        assert env.board.high(1) == 10
 
     def test_unknown_auction(self, env):
         bid = craft_bid(env, env.agents[0], 10, auction_id=9)
@@ -305,7 +308,7 @@ class TestAdmission:
         bid = craft_bid(env, env.agents[0], 10, ring=ring)
         broken = replace(bid, signature=off_curve(bid.signature, component))
         assert env.am.admit_bid(broken).reason == "malformed"
-        assert env.am.state(1).bids == []
+        assert env.board.heads == {}
 
     def test_ring_key_not_on_board(self, env, keys16):
         env.am.open_auction(1)
@@ -344,6 +347,7 @@ class TestAdmission:
         env.am.open_auction(1, monotonic=False)
         assert env.am.admit_bid(craft_bid(env, env.agents[0], 10))
         assert env.am.admit_bid(craft_bid(env, env.agents[1], 7))
+        assert env.board.high(1) == 10
 
     def test_invalid_signature_is_admitted_lazily(self, env):
         # admission checks structure only; signature verification is
@@ -389,7 +393,7 @@ class TestWinner:
         assert winner.seq == first.seq
         # The replay applies the same tie rule: naming the later of two
         # equal verifying bids as winner is rejected, as the eager replay does.
-        transcript = render_transcript(env.pp, env.board)
+        transcript = render_transcript(env.board)
         assert verify_transcript(transcript).winners == ((1, first.seq, 20),)
         lines = transcript.decode().splitlines()
         seq, kind, payload = lines[-1].split(" ")
@@ -487,7 +491,7 @@ class TestOpenProtocol:
         # pairings and 3 for the main equation) and one [q] multiplication
         # per ring member.
         self.run_auction(env, (10, 20, 15))
-        loser = next(bid for bid in env.am.state(1).bids if bid.price == 10)
+        loser = next(bid for bid in env.board.bids.values() if bid.price == 10)
         counter = OpCounter()
         with count_ops(counter):
             open_protocol(env.am, env.rm, loser)
@@ -514,7 +518,7 @@ class TestOpenProtocol:
         assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
         env.am.close_auction(1)
         assert env.am.determine_winner(1).price == 15
-        failed = next(bid for bid in env.am.state(1).bids if bid.price == 20)
+        failed = next(bid for bid in env.board.bids.values() if bid.price == 20)
         counter = OpCounter()
         with count_ops(counter), pytest.raises(NotVerified, match="main-equation"):
             open_protocol(env.am, env.rm, failed)
@@ -553,10 +557,10 @@ class TestOpenProtocol:
         sig = sign(pp, ring, signer, message, rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
         board = BulletinBoard(pp)
-        rm = RegistrationManager(group, board)
+        rm = RegistrationManager(board)
         rm.register(signer.pub_key, b"signer",
                     make_registration(signer.x, signer.pub_key, b"signer", group, rng))
-        return AuctionManager(pp, tk, board), rm, signer, bid
+        return AuctionManager(tk, board), rm, signer, bid
 
     def test_degenerate_decoy_does_not_spoil_the_opening(self, tiny_params):
         am, rm, signer, bid = self.beside_degenerate_decoy(tiny_params, False)
@@ -577,7 +581,7 @@ class TestOpenProtocol:
         am.board.append(KEY_PUBLISHED, decoy)
         seq = am.board.append(BID_POSTED, serialize_bid_payload(bid))
         transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
-        transcript.write_bytes(render_transcript(am.pp, am.board))
+        transcript.write_bytes(render_transcript(am.board))
         tracekey.write_text(f"{am.trace_key.q}\n")
         assert verify_transcript(transcript.read_bytes()).valid
         assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),

@@ -71,15 +71,15 @@ def live(world):
     (prices need not rise).  Ends by replaying whatever the board holds."""
     pp, grp = world.pp, world.grp
     board = BulletinBoard(pp)
-    rm = RegistrationManager(grp, board)
+    rm = RegistrationManager(board)
     rng = random.Random(6)
     for i, kp in enumerate([*world.keys, world.minus]):
         name = f"bidder-{i}".encode()
         rm.register(kp.pub_key, name, make_registration(kp.x, kp.pub_key, name, grp, rng))
-    am = AuctionManager(pp, world.tk, board)
+    am = AuctionManager(world.tk, board)
     am.open_auction(1, monotonic=False)
     yield SimpleNamespace(board=board, am=am, rng=rng)
-    assert verify_transcript(render_transcript(pp, board)).valid
+    assert verify_transcript(render_transcript(board)).valid
 
 
 def honest_bid(world, rng, price, signer=0):
@@ -147,7 +147,7 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
     posted = live.am.admit_bid(honest)
     live.am.close_auction(1)
     assert live.am.determine_winner(1).seq == posted.seq
-    report = verify_transcript(render_transcript(world.pp, live.board))
+    report = verify_transcript(render_transcript(live.board))
     assert report.valid and report.winners == ((1, posted.seq, 10),)
 
 

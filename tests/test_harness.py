@@ -140,7 +140,7 @@ def _even_n_transcript() -> bytes:
     point = _random_point(2**127 - 1, random.Random(0))
     group = PairingGroup(4, 2**127 - 1, point, point)
     pp = PublicParams(group, point, point, point, point, (point,))
-    return render_transcript(pp, BulletinBoard(pp))
+    return render_transcript(BulletinBoard(pp))
 
 
 def _composite_ell_transcript() -> bytes:
@@ -158,7 +158,7 @@ def _composite_ell_transcript() -> bytes:
     records = [(KEY_PUBLISHED, group.encode_point(key)) for key in keys]
     records += [(BID_POSTED, payload), (WINNER_ANNOUNCED, (3).to_bytes(8, "big") + payload)]
     pp = PublicParams(group, g, h, g, h, (g,))
-    header = render_transcript(pp, BulletinBoard(pp))
+    header = render_transcript(BulletinBoard(pp))
     return header + board_to_text(
         BoardEntry(seq, kind, data) for seq, (kind, data) in enumerate(records)).encode()
 
@@ -212,6 +212,12 @@ class TestParseScenario:
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError):
             parse_scenario("bidders 3\n")
+
+    @pytest.mark.parametrize("line", ("p_bits = x", "strategy.x = sniper",
+                                      "ring_policy = random-subset:two"))
+    def test_bad_integer_names_its_line(self, line):
+        with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
+            parse_scenario(f"bidders = 3\n{line}\n")
 
     def test_ring_policy_sets_the_ring_size(self):
         assert parse_scenario("ring_policy = all-active\n").ring_size is None

@@ -15,7 +15,6 @@ from ringauction.registry import (
     KEY_PUBLISHED,
     AlreadyEvicted,
     BoardEntry,
-    BoardState,
     BulletinBoard,
     DuplicateKey,
     InvalidProof,
@@ -63,11 +62,11 @@ def key_encodings(group, count):
 
 
 def replayed_view(pp, text):
-    """Fold a serialized board into a fresh BoardState: its sorted active encodings."""
-    state = BoardState(pp)
+    """Fold a serialized board into a fresh BulletinBoard: its sorted active encodings."""
+    board = BulletinBoard(pp)
     for entry in parse_board_text(text):
-        state.apply(entry)
-    return tuple(sorted(state.active))
+        board.apply(entry)
+    return board.active_view()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
         board.append(kind, payload)
     assert (live.value.seq, live.value.reason) == (1, reason)
     assert len(board.entries()) == 1 and board.active_view() == before
-    transcript = render_transcript(pp, board) + f"1 {kind} {payload.hex()}\n".encode()
+    transcript = render_transcript(board) + f"1 {kind} {payload.hex()}\n".encode()
     for report in (verify_transcript(transcript), eager_verify_transcript(transcript)):
         assert (report.failing_seq, report.reason) == (1, reason)
 
@@ -291,7 +290,7 @@ def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
     for payload in (bytes([x, tag]) for x in range(256) for tag in (0x00, 0x02, 0x03, 0x07)):
         board = BulletinBoard(pp)
         board.append(KEY_PUBLISHED, active)
-        transcript = render_transcript(pp, board) + f"1 {KEY_PUBLISHED} {payload.hex()}\n".encode()
+        transcript = render_transcript(board) + f"1 {KEY_PUBLISHED} {payload.hex()}\n".encode()
         try:
             board.append(KEY_PUBLISHED, payload)
             live = (True, None, None)
@@ -316,7 +315,7 @@ def test_key_records_fold_alike_on_every_short_encoding(tiny_params):
 @pytest.fixture()
 def manager(tiny_pp):
     board = BulletinBoard(tiny_pp)
-    return RegistrationManager(tiny_pp.group, board), board
+    return RegistrationManager(board), board
 
 
 class TestRegistrationManager:
@@ -347,6 +346,20 @@ class TestRegistrationManager:
         again = make_registration(x, pub, b"second", group, rng)
         with pytest.raises(DuplicateKey):
             rm.register(pub, b"second", again)
+
+    def test_key_the_board_refuses_keeps_no_identity(self, manager, tiny_params):
+        # The key is already active, appended to the board directly: the
+        # board refuses its publication, so the registrar keeps no identity.
+        rm, board = manager
+        group = tiny_params.group
+        rng = random.Random(32)
+        x, pub = fresh_key(group, rng)
+        board.append(KEY_PUBLISHED, group.encode_point(pub))
+        with pytest.raises(MalformedBoard, match="key is already active"):
+            rm.register(pub, b"alice", make_registration(x, pub, b"alice", group, rng))
+        with pytest.raises(UnknownKey):
+            rm.lookup_identity(pub)
+        assert len(board.entries()) == 1
 
     def test_bad_proof_rejected(self, manager, tiny_params):
         rm, board = manager
@@ -386,7 +399,7 @@ class TestRegistrationManager:
         params = gen_group_params(bits, bits, random.Random(bits))
         group = params.group
         rng = random.Random(3000 + bits)
-        rm = RegistrationManager(group, BulletinBoard(setup(params, 2, random.Random(0))[0]))
+        rm = RegistrationManager(BulletinBoard(setup(params, 2, random.Random(0))[0]))
         x, pub = fresh_key(group, rng)
         for P in torsion_shifts(group, pub, rng):
             with pytest.raises(InvalidProof, match="key order does not divide the group order"):
@@ -397,7 +410,7 @@ class TestRegistrationManager:
     def test_proof_for_another_key_fails_register(self, setup16):
         group = setup16[0].group
         board = BulletinBoard(setup16[0])
-        rm = RegistrationManager(group, board)
+        rm = RegistrationManager(board)
         x, _ = fresh_key(group, random.Random(29))
         proof = make_registration(x, group.mul(x, group.g), b"alice", group, random.Random(30))
         with pytest.raises(InvalidProof, match="possession proof failed"):
@@ -412,7 +425,7 @@ class TestRegistrationManager:
         # P's exponent.  Hashing P with C makes a depend on P.
         group = setup16[0].group
         board = BulletinBoard(setup16[0])
-        rm = RegistrationManager(group, board)
+        rm = RegistrationManager(board)
         rng = random.Random(31)
         x, victim = fresh_key(group, rng)
         rm.register(victim, b"victim", make_registration(x, victim, b"victim", group, rng))
@@ -485,4 +498,4 @@ class TestRegistrationManager:
         rm.evict(pub)
         parsed = parse_board_text(board_to_text(board.entries()))
         assert parsed == board.entries()
-        assert replayed_view(board.fold.pp, board_to_text(board.entries())) == board.active_view()
+        assert replayed_view(board.pp, board_to_text(board.entries())) == board.active_view()

@@ -87,8 +87,8 @@ def shifted_run(request, tmp_path_factory):
     grp = pp.group
     rng = random.Random(5)
     board = BulletinBoard(pp)
-    rm = RegistrationManager(grp, board)
-    am = AuctionManager(pp, tk, board)
+    rm = RegistrationManager(board)
+    am = AuctionManager(tk, board)
     keys = [keygen(pp, rng) for _ in range(3)]
     for i, kp in enumerate(keys):
         name = f"bidder-{i}".encode()
@@ -106,7 +106,7 @@ def shifted_run(request, tmp_path_factory):
     admitted = [am.admit_bid(honest), am.admit_bid(shifted)]
     am.close_auction(1)
     winner = am.determine_winner(1)
-    transcript = render_transcript(pp, board)
+    transcript = render_transcript(board)
     lines = transcript.decode().splitlines()
     seq = lines[-1].split(" ")[0]
     forged_payload = admitted[1].seq.to_bytes(8, "big") + serialize_bid_payload(shifted)
@@ -126,7 +126,7 @@ def shifted_run(request, tmp_path_factory):
 def replays_valid(shifted_run):
     """Ends a test by replaying the run's board, as the test left it."""
     yield
-    assert verify_transcript(render_transcript(shifted_run.pp, shifted_run.am.board)).valid
+    assert verify_transcript(render_transcript(shifted_run.am.board)).valid
 
 
 @pytest.mark.usefixtures("replays_valid")
