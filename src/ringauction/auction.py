@@ -7,12 +7,14 @@ fold (``registry.BulletinBoard.apply``) decides whether a bid or winner
 record is valid, as it does on replay, and reads the ``Bid`` the manager
 hands it, not the bytes.  Every actor takes its public parameters from the
 board it acts on, and the manager reads the posted bids and prices there.
-Ring signatures are only verified to decide a winner, by the board's one
-rule (``BulletinBoard.leader``): walk the bids from the highest price down
-(ties broken toward the earlier posting) and stop at the first that
-verifies.  Identity opening is a two-party step: the auction side
-traces the ring position with the tracing key, the registration side
-resolves the identity (and evicts the key when the bid was repudiated).
+A posted bid is named by its board seq: admission returns it, the winner is
+one, and only a seq is opened.  Ring signatures are only verified to decide
+a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
+from the highest price down (ties broken toward the earlier posting) and
+stop at the first that verifies.  Identity opening is a two-party step: the
+auction side traces the ring position with the tracing key, the
+registration side resolves the identity (and evicts the key when the bid
+was repudiated).
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ from .ringsig import (
     Ring,
     TraceKey,
     Untraceable,
-    VerifyResult,
     locate_signer,
     sign,
-    verify,
 )
 
 
@@ -77,7 +77,7 @@ class BidderAgent:
     def place_bid(self, auction_id: int, round_no: int, price: int,
                   ring: Ring, rng) -> Bid:
         """Sign one bid message under ``ring`` (NotAMember if it omits our key)."""
-        if not self.board.all_active(ring.encodings):
+        if not self.board.active.issuperset(ring.encodings):
             raise RingKeyNotOnBoard("ring references a key not on the board")
         message = encode_bid_message(auction_id, round_no, price)
         signature = sign(self.board.pp, ring, self.keypair, message, rng)
@@ -160,8 +160,8 @@ class AuctionManager:
             raise AuctionError("auction is not open")
         state.phase = "closed"
 
-    def determine_winner(self, auction_id: int) -> Bid:
-        """Highest verifying bid wins; ties go to the earlier posting.
+    def determine_winner(self, auction_id: int) -> int:
+        """The seq of the highest verifying bid; ties go to the earlier posting.
 
         This is where the lazily-skipped signature checks happen, in the
         board's ``leader``.  The winning bid's payload is re-published so
@@ -171,44 +171,38 @@ class AuctionManager:
         state = self.state(auction_id)
         if state.phase != "closed":
             raise AuctionError("close the auction before determining a winner")
-        head = self.board.leader(auction_id)
-        if head is None:
+        seq = self.board.leader(auction_id)
+        if seq is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
-        record = head.seq.to_bytes(SEQ_WIDTH, "big") + self.board.payloads[head.seq]
+        record = seq.to_bytes(SEQ_WIDTH, "big") + self.board.entries()[seq].payload
         self.board.append(WINNER_ANNOUNCED, record)
         state.phase = "announced"
-        return self.board.bids[head.seq]  # leader verified it
-
-    def verify_bid(self, bid: Bid) -> VerifyResult:
-        """``verify``: the board's memo for the very bid posted at its seq (as
-        ``BulletinBoard.bids`` and ``determine_winner`` hand out), run afresh
-        for any other."""
-        if self.board.bids.get(bid.seq) is bid:
-            return self.board.verified(bid.seq)
-        return verify(self.board.pp, bid.ring, bid.message_bytes(), bid.signature)
+        return seq
 
 
-def open_protocol(am: AuctionManager, rm: RegistrationManager, bid: Bid,
+def open_protocol(am: AuctionManager, rm: RegistrationManager, seq: int,
                   *, malicious: bool = False) -> tuple[Point, bytes]:
-    """Two-party identity opening.
+    """Two-party identity opening of the bid posted at ``seq`` (KeyError if
+    no bid is posted there).
 
-    The auction side checks the bid with ``am.verify_bid`` (NotVerified if it
-    fails; a winner is not verified again) and locates the ring position with
-    the tracing key; the registration side resolves the key to an identity.
-    When the bid was repudiated (``malicious``), the key is also evicted from
-    the board's active view unless the board no longer holds it as active.
-    Neither authority can do this alone: one holds the tracing key, the other
-    the identity table.
+    The auction side takes the board's verdict on the bid (NotVerified if it
+    fails; a bid is verified once per board) and locates the ring position
+    with the tracing key; the registration side resolves the key to an
+    identity.  When the bid was repudiated (``malicious``), the key is also
+    evicted from the board's active view unless the board no longer holds it
+    as active.  Neither authority can do this alone: one holds the tracing
+    key, the other the identity table.
     """
-    result = am.verify_bid(bid)
+    result = am.board.verified(seq)
     if not result:
         raise NotVerified(result.reason)
+    bid = am.board.bid(seq)
     traced = locate_signer(am.trace_key, am.board.pp, bid.ring, bid.signature)
     if traced is None:
         raise Untraceable("no unique ring member matches the tracing test")
     index, pub_key = traced
     identity = rm.lookup_identity(pub_key)
-    if malicious and am.board.all_active([bid.ring.encodings[index]]):
+    if malicious and bid.ring.encodings[index] in am.board.active:
         rm.evict(pub_key)
     return pub_key, identity
 

@@ -2,9 +2,9 @@
 
 ``harness.verify_transcript`` is the one reader of a transcript: it folds the
 records into a ``registry.BulletinBoard``.  So ``trace`` opens one bid only
-from a transcript that verifies, decoding its head with ``registry.decode_bid``
-as the board does; ``ringsig.trace`` checks the trace key.  The commands map
-outcomes to exit codes.
+from a transcript that verifies, reading it by its seq from the replayed
+board (``BulletinBoard.bid``); ``ringsig.trace`` checks the trace key.  The
+commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -28,7 +28,6 @@ from .harness import (
     run_scenario,
     verify_transcript,
 )
-from .registry import decode_bid
 from .ringsig import NotVerified, TraceKey, public_params_to_json, trace
 
 # command -> (help, option -> (type, default, help)); default ... = required, bool = flag
@@ -187,12 +186,11 @@ def _cmd_trace(args) -> int:
     if not report.valid:
         print(f"bad transcript{_failure(report)}", file=sys.stderr)
         return 2
-    head = report.bids.get(args.seq)
-    if head is None:
+    board = report.board
+    if board is None or args.seq not in board.heads:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
-    pp = report.public_params
-    bid = decode_bid(pp.group, head, pp.group.decode_point)  # the replay checked its points
+    pp, bid = board.pp, board.bid(args.seq)
     try:
         traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
     except ValueError as exc:  # a bad trace key

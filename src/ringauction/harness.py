@@ -13,7 +13,8 @@ the header format: ``render_transcript`` writes it and ``read_transcript``
 decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
 is the one replay: it needs no secrets and folds the records into a fresh
 ``BulletinBoard``, the live board's own class, which re-derives the winner
-of every announced auction.
+of every announced auction.  The report hands back that board, so a posted
+bid is read from the replay by its seq, as from the live board.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import bisect
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .auction import AuctionManager, BidderAgent, open_protocol
@@ -34,8 +35,6 @@ from .group import (
     gen_group_params,
 )
 from .registry import (
-    Bid,
-    BidHead,
     BoardEntry,
     BulletinBoard,
     MalformedBoard,
@@ -183,7 +182,7 @@ class _Actor:
     strategy: str
     agent: BidderAgent
     own: bytes  # encoding of the actor's published key
-    last_admitted: Bid | None = None
+    last_admitted: int | None = None  # seq of the actor's last posted bid
 
 
 def _child_rng(seed: int, label: str) -> random.Random:
@@ -266,7 +265,7 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
             high = board.high(auction_no)
             order = board.active_view()  # keys change only at openings
             for actor in actors:
-                if not board.all_active((actor.own,)):
+                if actor.own not in board.active:
                     continue  # evicted bidders are out
                 if not _wants_to_bid(actor.strategy, round_no, config.rounds):
                     continue
@@ -282,28 +281,28 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
                 messages[actor.name, "bidding"] += 1
                 admitted = am.admit_bid(bid)
                 if admitted:
-                    actor.last_admitted = board.bids[admitted.seq]
+                    actor.last_admitted = admitted.seq
         am.close_auction(auction_no)
 
         counter.set_phase("winner")
         try:
-            winner_bid = am.determine_winner(auction_no)
+            winner_seq = am.determine_winner(auction_no)
         except Exception as exc:
             raise ScenarioError(f"auction {auction_no}: {exc}") from exc
 
         counter.set_phase("open")
         repudiated = [actor.last_admitted for actor in actors
                       if actor.strategy == REPUDIATOR and actor.last_admitted is not None
-                      and actor.last_admitted.auction_id == auction_no]
+                      and board.heads[actor.last_admitted].auction_id == auction_no]
         try:
-            pub_key, identity = open_protocol(am, rm, winner_bid)
-            traced = [open_protocol(am, rm, bid, malicious=True)[0] for bid in repudiated]
+            pub_key, identity = open_protocol(am, rm, winner_seq)
+            traced = [open_protocol(am, rm, seq, malicious=True)[0] for seq in repudiated]
         except Untraceable as exc:  # no slot, or several, match the tracing test
             raise ScenarioError(f"auction {auction_no}: opening failed: {exc}") from exc
         winners.append(WinnerSummary(
             auction_id=auction_no,
-            seq=winner_bid.seq,
-            price=winner_bid.price,
+            seq=winner_seq,
+            price=board.heads[winner_seq].price,
             pub_key_hex=group.encode_point(pub_key).hex(),
             identity=identity,
         ))
@@ -365,9 +364,8 @@ class TranscriptReport:
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
     # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
     outcomes: tuple[tuple[int, str], ...] = ()
-    # The decoded header and each posted bid's head by seq; set only when valid.
-    public_params: PublicParams | None = None
-    bids: Mapping[int, BidHead] = field(default_factory=dict)
+    # The replayed board; None for an invalid transcript or one with no header.
+    board: BulletinBoard | None = None
     failing_line: int | None = None  # line number of a record that fails to parse
 
     def __bool__(self) -> bool:
@@ -383,8 +381,8 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     rule verifies: each announced winner and the bids of its auction ranked
     ahead of it, each at most once; ``outcomes`` records which.  Bids whose
     signatures fail are legitimate content — admission is lazy — but can
-    never be announced winners.  The report's ``bids`` holds every posted
-    bid's head, still encoded.
+    never be announced winners.  The report's ``board`` decodes any other
+    posted bid on request (``BulletinBoard.bid``).
     """
     try:
         pp, entries = read_transcript(data)
@@ -407,7 +405,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
         return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
                                 outcomes=outcomes())
     return TranscriptReport(True, records=len(entries), winners=tuple(board.winners.values()),
-                            outcomes=outcomes(), public_params=pp, bids=board.heads)
+                            outcomes=outcomes(), board=board)
 
 
 # ---------------------------------------------------------------------------

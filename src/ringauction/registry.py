@@ -6,9 +6,10 @@ append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BulletinBoard`` is that log and the one fold of all
 four kinds: a live board folds every record it appends, the public replay
 every record it reads, so a board takes exactly the records a replay
-accepts.  There is no black list: eviction appends a record and the key
-simply drops out of the active view, so the board is the only record of who
-has been evicted.
+accepts.  A record's seq is its position, and a posted bid's one handle.
+There is no black list: eviction appends a record and the key simply drops
+out of the active view, so the board is the only record of who has been
+evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -71,7 +72,7 @@ class MalformedBid(RegistryError):
 class MalformedBoard(RegistryError):
     """A board record failed to parse or the board's fold refuses it.
 
-    ``reason`` says what is wrong; ``seq`` (once read) and ``line`` (from a
+    ``reason`` says what is wrong; ``seq`` (its position) and ``line`` (from a
     parser) locate the failing record, else None.  With a line number the
     message reads ``line N: reason``.
     """
@@ -154,7 +155,6 @@ class Bid:
     price: int
     ring: Ring
     signature: RingSignature
-    seq: int | None = None  # board sequence once posted
 
     def message_bytes(self) -> bytes:
         return encode_bid_message(self.auction_id, self.round_no, self.price)
@@ -178,10 +178,9 @@ class BidHead:
     price: int
     ring: tuple[bytes, ...]
     signature: bytes  # 2 + 2*len(ring) point encodings
-    seq: int | None = None
 
 
-def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | None = None) -> BidHead:
+def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
     """Every check of a bid payload, decoding nothing: each point is checked
     to decode (``check_point_bytes``), but for the ring keys that ``known``
     holds, such as a board's active view."""
@@ -207,17 +206,17 @@ def read_bid_head(group, data: bytes, known: Container[bytes] = (), seq: int | N
         check_point_bytes(data[sig_start:], group.ell, 2 + 2 * count)  # the signature
     except InvalidPoint as exc:
         raise MalformedBid(str(exc)) from exc
-    return BidHead(auction_id, round_no, price, ring, data[sig_start:], seq)
+    return BidHead(auction_id, round_no, price, ring, data[sig_start:])
 
 
-def _head_of(group, bid: Bid, data: bytes, seq: int) -> tuple[BidHead, Bid]:
+def _head_of(group, bid: Bid, data: bytes) -> tuple[BidHead, Bid]:
     # read_bid_head's verdict on data said to encode bid, read from the bid:
     # its Ring rebuilt from the keys (sorted, distinct, encoded afresh), one
     # member per ring key, every point a canonical curve point (so its
     # encoding decodes back to it) and data exactly the bid's encoding.  The
     # board keeps the rebuilt bid, not the caller's Ring.
     try:
-        bid = replace(bid, ring=Ring(group, bid.ring.keys), seq=seq)
+        bid = replace(bid, ring=Ring(group, bid.ring.keys))
     except (ValueError, OverflowError) as exc:  # a repeated key, or x < 0
         raise MalformedBid(str(exc)) from exc
     sig = bid.signature
@@ -227,7 +226,7 @@ def _head_of(group, bid: Bid, data: bytes, seq: int) -> tuple[BidHead, Bid]:
             or serialize_bid_payload(bid) != data):
         raise MalformedBid("not the encoding of a bid of canonical points")
     signature = data[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:]
-    return BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings, signature, seq), bid
+    return BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings, signature), bid
 
 
 def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
@@ -238,7 +237,7 @@ def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bi
     except (InvalidPoint, ValueError) as exc:
         raise MalformedBid(str(exc)) from exc
     return Bid(auction_id=head.auction_id, round_no=head.round_no, price=head.price,
-               ring=ring, signature=signature, seq=head.seq)
+               ring=ring, signature=signature)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +251,17 @@ class BoardEntry:
 
 
 class BulletinBoard:
-    """The append-only sequenced public log.  ``apply`` folds one record and
-    stores it, or raises MalformedBoard and changes nothing but the verify
-    memo (``results``):
+    """The append-only sequenced public log.  ``apply`` folds the next record
+    (its seq is its position) and stores it, or raises MalformedBoard and
+    changes nothing but the memos of ``bid`` and ``verified``:
 
     - a published key must decode to a finite point other than (0, 0) and
       not be active; an evicted key must be active (``active``);
     - a posted bid must read (``read_bid_head``), price at least 1, with
-      every ring key active (``heads``, ``payloads``);
-    - an announced winner must repeat a posted bid's payload, verify, be its
-      auction's first and be the auction's ``leader`` (``winners``).
+      every ring key active (``heads``);
+    - an announced winner must repeat the payload of the posted bid it
+      names, verify, be its auction's first and be the auction's ``leader``
+      (``winners``).
 
     ``append`` posts a new record through ``apply``.  A caller holding a
     posted bid's ``Bid`` hands it in, and the fold then checks its points
@@ -277,8 +277,7 @@ class BulletinBoard:
         self.active: set[bytes] = set()
         self.heads: dict[int, BidHead] = {}
         self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
-        self.payloads: dict[int, bytes] = {}
-        self.bids: dict[int, Bid] = {}  # by seq: handed in, or decoded to verify
+        self._bids: dict[int, Bid] = {}  # by seq: handed in, or decoded by ``bid``
         self.results: dict[int, VerifyResult] = {}
         self.winners: dict[int, tuple[int, int, int]] = {}
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
@@ -313,9 +312,9 @@ class BulletinBoard:
         elif kind == BID_POSTED:
             try:
                 if bid is None:
-                    head = read_bid_head(self.group, payload, self.active, seq)
+                    head = read_bid_head(self.group, payload, self.active)
                 else:
-                    head, bid = _head_of(self.group, bid, payload, seq)
+                    head, bid = _head_of(self.group, bid, payload)
             except MalformedBid as exc:
                 raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
             if head.price < 1:
@@ -324,9 +323,8 @@ class BulletinBoard:
                 raise MalformedBoard(RING_KEY_INACTIVE, seq=seq)
             self.heads[seq] = head
             bisect.insort(self._ranked.setdefault(head.auction_id, []), (-head.price, seq))
-            self.payloads[seq] = payload
             if bid is not None:
-                self.bids[seq] = bid
+                self._bids[seq] = bid
         elif kind == WINNER_ANNOUNCED:
             if len(payload) < SEQ_WIDTH:
                 raise MalformedBoard("winner record too short", seq=seq)
@@ -334,13 +332,13 @@ class BulletinBoard:
             head = self.heads.get(ref)
             if head is None:
                 raise MalformedBoard("winner references an unknown bid", seq=seq)
-            if payload[SEQ_WIDTH:] != self.payloads[ref]:
+            if payload[SEQ_WIDTH:] != self._entries[ref].payload:
                 raise MalformedBoard("winner payload differs from the referenced bid", seq=seq)
             if not self.verified(ref):
                 raise MalformedBoard("announced winner's signature does not verify", seq=seq)
             if head.auction_id in self.winners:
                 raise MalformedBoard("auction already has an announced winner", seq=seq)
-            if self.leader(head.auction_id) is not head:
+            if self.leader(head.auction_id) != ref:
                 raise MalformedBoard("a better verifying bid exists than the announced winner",
                                      seq=seq)
             self.winners[head.auction_id] = (head.auction_id, ref, head.price)
@@ -351,20 +349,25 @@ class BulletinBoard:
         ranked = self._ranked.get(auction_id)
         return -ranked[0][0] if ranked else 0
 
-    def leader(self, auction_id: int) -> BidHead | None:
-        """The winner rule: of the auction's posted bids, the first by
+    def leader(self, auction_id: int) -> int | None:
+        """The winner rule: the seq of the auction's first posted bid by
         (-price, seq) that ``verified`` passes, or None; no bid ranked below
         it is verified."""
-        return next((self.heads[seq] for _, seq in self._ranked.get(auction_id, ())
+        return next((seq for _, seq in self._ranked.get(auction_id, ())
                      if self.verified(seq)), None)
 
+    def bid(self, seq: int) -> Bid:
+        """The bid posted at ``seq``: the ``Bid`` handed to ``apply``, else
+        decoded once, each ring key through the board's key memo.  KeyError
+        if no bid is posted at ``seq``."""
+        if seq not in self._bids:
+            self._bids[seq] = decode_bid(self.group, self.heads[seq], self._decode_key)
+        return self._bids[seq]
+
     def verified(self, seq: int) -> VerifyResult:
-        """``verify`` of the bid posted at ``seq``, run once per seq; a bid
-        not handed in is decoded first and kept in ``bids``."""
+        """``verify`` of ``bid(seq)``, run once per seq."""
         if seq not in self.results:
-            if seq not in self.bids:
-                self.bids[seq] = decode_bid(self.group, self.heads[seq], self._decode_key)
-            bid = self.bids[seq]
+            bid = self.bid(seq)
             self.results[seq] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
         return self.results[seq]
 
@@ -374,10 +377,6 @@ class BulletinBoard:
     def active_keys(self) -> frozenset[bytes]:
         """Snapshot of currently active key encodings."""
         return frozenset(self.active)
-
-    def all_active(self, encodings: Iterable[bytes]) -> bool:
-        """Whether every encoding is an active key, looked up without a snapshot."""
-        return all(encoding in self.active for encoding in encodings)
 
     def active_view(self) -> tuple[bytes, ...]:
         """Snapshot of the active key encodings in sorted order."""
@@ -392,30 +391,27 @@ def board_to_text(entries: Iterable[BoardEntry]) -> str:
 def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
     """The only parser of ``seq kind payload`` records; blank lines are skipped.
 
-    Raises MalformedBoard at the first record that is not well formed.
+    Record i must read as ``board_to_text`` writes it: seq ``str(i)``, payload
+    in lowercase hex.  Raises MalformedBoard at the first that does not.
     """
     entries: list[BoardEntry] = []
-    previous = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split(" ")
         if len(parts) != 3:
             raise MalformedBoard("record is not 'seq kind payload'", line=lineno)
-        try:
-            seq = int(parts[0])
-        except ValueError:
-            raise MalformedBoard("bad sequence number", line=lineno) from None
-        if seq <= previous:
-            raise MalformedBoard("sequence numbers must increase", line=lineno, seq=seq)
-        previous = seq
-        kind = parts[1]
+        seq, kind = len(entries), parts[1]
+        if parts[0] != str(seq):
+            raise MalformedBoard("seq is not the record's position", line=lineno, seq=seq)
         if kind not in ENTRY_KINDS:
             raise MalformedBoard(f"unknown record kind {kind!r}", line=lineno, seq=seq)
         try:
             payload = bytes.fromhex(parts[2])
         except ValueError:
-            raise MalformedBoard("payload is not hex", line=lineno, seq=seq) from None
+            payload = None
+        if payload is None or payload.hex() != parts[2]:
+            raise MalformedBoard("payload is not lowercase hex", line=lineno, seq=seq)
         entries.append(BoardEntry(seq=seq, kind=kind, payload=payload))
     return tuple(entries)
 

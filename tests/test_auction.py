@@ -29,7 +29,6 @@ from ringauction.registry import (
     BID_MESSAGE_LEN,
     BID_POSTED,
     KEY_EVICTED,
-    KEY_PUBLISHED,
     WINNER_ANNOUNCED,
     Bid,
     BulletinBoard,
@@ -68,8 +67,8 @@ from .support import (
 def env(setup16, keys16):
     """Fresh board with all five keys registered and one all-member ring.
     Each test ends by replaying the board: whatever the manager posted or
-    announced, hostile input included, must replay valid, to the same
-    posted seqs and the same winners as the live board."""
+    announced, hostile input included, must replay valid, to the same bid
+    at every posted seq and the same winners as the live board."""
     pp, tk = setup16
     board = BulletinBoard(pp)
     rm = RegistrationManager(board)
@@ -86,7 +85,8 @@ def env(setup16, keys16):
                           agents=agents, ring=ring, rng=rng)
     report = verify_transcript(render_transcript(board))
     assert report.valid, (report.failing_seq, report.reason)
-    assert set(report.bids) == set(board.heads)
+    assert set(report.board.heads) == set(board.heads)
+    assert all(report.board.bid(seq) == board.bid(seq) for seq in board.heads)
     assert report.winners == tuple(board.winners.values())
 
 
@@ -234,7 +234,7 @@ class TestBidderAgent:
     def test_rejects_ring_without_own_key(self, env, keys16):
         # Every key of the ring is active, so only sign's membership check fires.
         others = Ring(env.pp.group, [kp.pub_key for kp in keys16[1:]])
-        assert env.board.all_active(others.encodings)
+        assert env.board.active.issuperset(others.encodings)
         before = env.board.entries()
         with pytest.raises(NotAMember):
             env.agents[0].place_bid(1, 0, 17, others, env.rng)
@@ -368,8 +368,7 @@ class TestWinner:
         for agent, price in zip(env.agents, (10, 20, 15)):
             assert env.am.admit_bid(craft_bid(env, agent, price))
         env.am.close_auction(1)
-        winner = env.am.determine_winner(1)
-        assert winner.price == 20
+        assert env.board.heads[env.am.determine_winner(1)].price == 20
 
     def test_invalid_top_bid_is_skipped(self, env):
         env.am.open_auction(1, monotonic=False)
@@ -380,8 +379,7 @@ class TestWinner:
         assert env.am.admit_bid(broken)
         assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
         env.am.close_auction(1)
-        winner = env.am.determine_winner(1)
-        assert winner.price == 15
+        assert env.board.heads[env.am.determine_winner(1)].price == 15
 
     def test_tie_goes_to_earlier_posting(self, env):
         env.am.open_auction(1, monotonic=False)
@@ -389,8 +387,7 @@ class TestWinner:
         second = env.am.admit_bid(craft_bid(env, env.agents[1], 20))
         assert second
         env.am.close_auction(1)
-        winner = env.am.determine_winner(1)
-        assert winner.seq == first.seq
+        assert env.am.determine_winner(1) == first.seq
         # The replay applies the same tie rule: naming the later of two
         # equal verifying bids as winner is rejected, as the eager replay does.
         transcript = render_transcript(env.board)
@@ -439,11 +436,11 @@ class TestWinner:
         bid = craft_bid(env, env.agents[3], 10)
         seq = env.am.admit_bid(bid).seq
         env.am.close_auction(1)
-        winner = env.am.determine_winner(1)
+        assert env.am.determine_winner(1) == seq
         entry = env.board.entries()[-1]
         assert entry.kind == WINNER_ANNOUNCED
         assert int.from_bytes(entry.payload[:8], "big") == seq
-        assert entry.payload[8:] == serialize_bid_payload(winner)
+        assert entry.payload[8:] == serialize_bid_payload(bid)
 
     def test_reopening_same_auction_id_rejected(self, env):
         env.am.open_auction(1)
@@ -468,7 +465,7 @@ class TestOpenProtocol:
         assert identity == b"agent-1"
         assert pub_key == env.agents[1].keypair.pub_key
         # an honest winner keeps its key
-        assert env.board.all_active([env.pp.group.encode_point(pub_key)])
+        assert env.pp.group.encode_point(pub_key) in env.board.active
 
     def test_malicious_opening_evicts(self, env):
         winner = self.run_auction(env, (10, 20, 15))
@@ -491,12 +488,12 @@ class TestOpenProtocol:
         # pairings and 3 for the main equation) and one [q] multiplication
         # per ring member.
         self.run_auction(env, (10, 20, 15))
-        loser = next(bid for bid in env.board.bids.values() if bid.price == 10)
+        loser = next(seq for seq, head in env.board.heads.items() if head.price == 10)
         counter = OpCounter()
         with count_ops(counter):
             open_protocol(env.am, env.rm, loser)
         counts = counter.phase("default")
-        l = len(loser.ring)
+        l = len(env.board.heads[loser].ring)
         assert (counts["pair"], counts["exp"]) == (2 * l + 3, l)
 
     def test_winner_opening_reuses_the_winner_check(self, env):
@@ -507,7 +504,7 @@ class TestOpenProtocol:
         with count_ops(counter):
             open_protocol(env.am, env.rm, winner)
         counts = counter.phase("default")
-        assert (counts.get("pair", 0), counts["exp"]) == (0, len(winner.ring))
+        assert (counts.get("pair", 0), counts["exp"]) == (0, len(env.board.heads[winner].ring))
 
     def test_bid_that_failed_the_winner_check_is_not_verified_again(self, env):
         env.am.open_auction(1, monotonic=False)
@@ -517,26 +514,37 @@ class TestOpenProtocol:
         assert env.am.admit_bid(broken)
         assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
         env.am.close_auction(1)
-        assert env.am.determine_winner(1).price == 15
-        failed = next(bid for bid in env.board.bids.values() if bid.price == 20)
+        assert env.board.heads[env.am.determine_winner(1)].price == 15
+        failed = next(seq for seq, head in env.board.heads.items() if head.price == 20)
         counter = OpCounter()
         with count_ops(counter), pytest.raises(NotVerified, match="main-equation"):
             open_protocol(env.am, env.rm, failed)
         assert counter.phase("default") == {}
 
     def test_unverified_bid_cannot_be_opened(self, env):
-        winner = self.run_auction(env, (10, 20, 15))
-        broken = replace(winner, signature=replace(
-            winner.signature,
-            s1=env.pp.group.add(winner.signature.s1, env.pp.group.g)))
+        env.am.open_auction(1)
+        bid = craft_bid(env, env.agents[0], 10)
+        broken = replace(bid, signature=replace(
+            bid.signature, s1=env.pp.group.add(bid.signature.s1, env.pp.group.g)))
+        seq = env.am.admit_bid(broken).seq
         with pytest.raises(NotVerified):
-            open_protocol(env.am, env.rm, broken)
+            open_protocol(env.am, env.rm, seq)
+
+    def test_only_a_posted_bid_can_be_opened(self, env):
+        # Seq 0 holds a key publication and seq 99 no record: neither opens,
+        # even as a repudiated bid, and the board gains no eviction.
+        before = env.board.entries()
+        for seq in (0, 99):
+            with pytest.raises(KeyError):
+                open_protocol(env.am, env.rm, seq, malicious=True)
+        assert env.board.entries() == before
 
     @staticmethod
     def beside_degenerate_decoy(tiny_params, signer_degenerate):
         # Built over the toy group, where a ring member whose offset key has
         # order dividing the secret factor is easy to find: it passes the
         # tracing test in every slot.  The signature verifies either way.
+        # Both keys are registered and the bid is posted; its seq is returned.
         pp, tk = setup(tiny_params, 8, random.Random(0))
         group = tiny_params.group
         ell = tiny_params.group.ell
@@ -558,28 +566,28 @@ class TestOpenProtocol:
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
         board = BulletinBoard(pp)
         rm = RegistrationManager(board)
-        rm.register(signer.pub_key, b"signer",
-                    make_registration(signer.x, signer.pub_key, b"signer", group, rng))
-        return AuctionManager(tk, board), rm, signer, bid
+        for keypair, name in ((signer, b"signer"), (decoy, b"decoy")):
+            rm.register(keypair.pub_key, name,
+                        make_registration(keypair.x, keypair.pub_key, name, group, rng))
+        am = AuctionManager(tk, board)
+        am.open_auction(1)
+        return am, rm, signer, am.admit_bid(bid).seq
 
     def test_degenerate_decoy_does_not_spoil_the_opening(self, tiny_params):
-        am, rm, signer, bid = self.beside_degenerate_decoy(tiny_params, False)
-        assert open_protocol(am, rm, bid) == (signer.pub_key, b"signer")
+        am, rm, signer, seq = self.beside_degenerate_decoy(tiny_params, False)
+        assert open_protocol(am, rm, seq) == (signer.pub_key, b"signer")
 
     def test_ambiguous_trace_raises_untraceable(self, tiny_params):
         # A degenerate signer's commit lies in G_q like the decoy's, so
         # nothing singles either out.
-        am, rm, _, bid = self.beside_degenerate_decoy(tiny_params, True)
+        am, rm, _, seq = self.beside_degenerate_decoy(tiny_params, True)
         with pytest.raises(Untraceable, match="no unique ring member"):
-            open_protocol(am, rm, bid)
+            open_protocol(am, rm, seq)
 
     def test_trace_command_reports_the_ambiguous_trace(self, tiny_params, tmp_path, capsys):
-        # The same bid, with both keys published and the bid posted: the
-        # transcript verifies, and the trace command names no member.
-        am, _, _, bid = self.beside_degenerate_decoy(tiny_params, True)
-        decoy = next(key for key in bid.ring.encodings if not am.board.all_active([key]))
-        am.board.append(KEY_PUBLISHED, decoy)
-        seq = am.board.append(BID_POSTED, serialize_bid_payload(bid))
+        # The same bid: the transcript verifies, and the trace command names
+        # no member.
+        am, _, _, seq = self.beside_degenerate_decoy(tiny_params, True)
         transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
         transcript.write_bytes(render_transcript(am.board))
         tracekey.write_text(f"{am.trace_key.q}\n")

@@ -136,7 +136,7 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
     twin = (x, y + world.ell)
     ring = Ring(world.grp, [twin, world.keys[0].pub_key])
     assert world.grp.encode_point(twin) == world.grp.encode_point(world.minus.pub_key)
-    assert live.board.all_active(ring.encodings)
+    assert live.board.active.issuperset(ring.encodings)
     signer = replace(world.owner, pub_key=twin)
     message = encode_bid_message(1, 0, 20)
     sig = sign(world.pp, ring, signer, message, live.rng)
@@ -146,7 +146,7 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
     assert live.am.admit_bid(hostile).reason == "malformed"
     posted = live.am.admit_bid(honest)
     live.am.close_auction(1)
-    assert live.am.determine_winner(1).seq == posted.seq
+    assert live.am.determine_winner(1) == posted.seq
     report = verify_transcript(render_transcript(live.board))
     assert report.valid and report.winners == ((1, posted.seq, 10),)
 
@@ -172,7 +172,7 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     assert len(live.board.entries()) == 5
     posted = live.am.admit_bid(honest_bid(world, live.rng, 10))
     live.am.close_auction(1)
-    assert live.am.determine_winner(1).seq == posted.seq
+    assert live.am.determine_winner(1) == posted.seq
 
 
 def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
@@ -182,6 +182,6 @@ def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
     bid.ring.keys = tuple(reversed(bid.ring.keys))
     bid.ring.encodings = tuple(reversed(bid.ring.encodings))
     live.am.close_auction(1)
-    winner = live.am.determine_winner(1)
-    assert winner.seq == posted.seq and winner.ring is not bid.ring
-    assert live.am.verify_bid(winner)
+    assert live.am.determine_winner(1) == posted.seq
+    assert live.board.bid(posted.seq).ring is not bid.ring
+    assert live.board.verified(posted.seq)

@@ -59,7 +59,6 @@ from ringauction.registry import (
     MalformedBoard,
     RegistrationProof,
     board_to_text,
-    decode_bid,
     decode_bid_message,
     encode_bid_message,
     parse_board_text,
@@ -369,6 +368,11 @@ class TestScenarioErrors:
         assert not out.exists()
 
 
+def _renumbered(lines):
+    """The header line, then each record with its position as its seq."""
+    return [lines[0], *(f"{i} {line.split(' ', 1)[1]}" for i, line in enumerate(lines[1:]))]
+
+
 def _posted_bids(transcript, pp):
     """seq -> parsed bid for every bid-posted line of a transcript."""
     posted = {}
@@ -387,8 +391,7 @@ class TestVerifyTranscript:
         report = verify_transcript(full_run.transcript)
         assert report.valid
         posted = list(_posted_bids(full_run.transcript, full_run.public_params))  # board order
-        assert list(report.bids) == posted
-        assert len(report.bids) == len(posted)
+        assert list(report.board.heads) == posted
         assert report.reason is None
         assert report.records == len(full_run.transcript.decode().splitlines()) - 1
         assert report.winners == tuple(
@@ -419,8 +422,9 @@ class TestVerifyTranscript:
 
     def test_signatures_decoded_only_for_verified_bids(self, full_run, monkeypatch):
         # A bid's signature points are decoded when the winner rule verifies
-        # it, once each.  The report hands back every posted bid as the head
-        # the replay read, and reading one decodes nothing.
+        # it, once each.  The report's board holds every posted bid as the
+        # head the replay read, and reading one decodes nothing; the board
+        # decodes any other bid on request.
         decoded, points = [], []
         real, decode = registry.deserialize_signature, group_module.decode_point_bytes
         monkeypatch.setattr(registry, "deserialize_signature",
@@ -434,15 +438,13 @@ class TestVerifyTranscript:
         assert said["not needed"] and said["verified"]
         assert len(decoded) == said["verified"] + said["failed"]
         before = len(decoded), len(points)
-        heads = {seq: report.bids[seq] for seq in report.bids}
+        heads = dict(report.board.heads)
         assert (len(decoded), len(points)) == before
         monkeypatch.undo()
-        assert all(isinstance(head, BidHead) and head.seq == seq for seq, head in heads.items())
+        assert all(isinstance(head, BidHead) for head in heads.values())
         unneeded = next(seq for seq, outcome in report.outcomes if outcome == "not needed")
-        pp = full_run.public_params
-        posted = _posted_bids(full_run.transcript, pp)
-        bid = decode_bid(pp.group, heads[unneeded], pp.group.decode_point)
-        assert bid == replace(posted[unneeded], seq=unneeded)
+        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        assert report.board.bid(unneeded) == posted[unneeded]
 
     def test_replay_decodes_only_the_bids_it_verifies(self, full_run, monkeypatch):
         # Every header point, then each distinct ring key of the bids the
@@ -475,12 +477,13 @@ class TestVerifyTranscript:
         assert run_scenario(FULL_CAST, counted=False).winners
 
     def test_transcript_without_announcements_is_valid(self, full_run):
-        lines = [line for line in full_run.transcript.decode().splitlines()
-                 if " winner-announced " not in line]
-        report = verify_transcript(("\n".join(lines) + "\n").encode())
+        lines = _renumbered([line for line in full_run.transcript.decode().splitlines()
+                             if " winner-announced " not in line])
+        data = ("\n".join(lines) + "\n").encode()
+        report = verify_transcript(data)
         assert report.valid
         assert report.winners == ()
-        posted = _posted_bids(full_run.transcript, full_run.public_params)
+        posted = _posted_bids(data, full_run.public_params)
         assert report.outcomes == tuple((seq, "not needed") for seq in posted)
 
     def test_not_utf8_rejected(self):
@@ -571,7 +574,7 @@ class TestTranscriptMutations:
         mutated[2], mutated[3] = mutated[3], mutated[2]
         report = self.reverify(mutated)
         assert not report.valid
-        assert report.reason == "sequence numbers must increase"
+        assert report.reason == "seq is not the record's position"
         assert report.failing_seq == int(lines[2].split(" ")[0])
 
     def test_unknown_kind_fails_at_its_seq(self, run_and_lines):
@@ -592,7 +595,7 @@ class TestTranscriptMutations:
         mutated[idx] = f"{seq} {kind} zz"
         report = self.reverify(mutated)
         assert report.failing_seq == int(seq)
-        assert report.reason == "payload is not hex"
+        assert report.reason == "payload is not lowercase hex"
 
     def test_unreadable_key_fails_at_its_seq(self, run_and_lines):
         result, lines = run_and_lines
@@ -628,15 +631,15 @@ class TestTranscriptMutations:
         assert report.reason == "evicting a key that is not active"
 
     def test_bid_with_foreign_ring_key_fails(self, run_and_lines):
-        # remove one key publication: the first bid that rings that key
-        # fails its active-view check
+        # remove one key publication and renumber: the first bid that rings
+        # that key fails its active-view check
         result, lines = run_and_lines
         idx = self.find_line(lines, "key-published")
-        mutated = [line for i, line in enumerate(lines) if i != idx]
+        mutated = _renumbered([line for i, line in enumerate(lines) if i != idx])
         report = self.reverify(mutated)
         first_bid_seq = int(lines[self.find_line(lines, "bid-posted")].split(" ")[0])
         assert not report.valid
-        assert report.failing_seq == first_bid_seq
+        assert report.failing_seq == first_bid_seq - 1
         assert report.reason == "ring key not in the active view"
 
     def test_winner_referencing_unknown_bid_fails(self, run_and_lines):
@@ -832,7 +835,8 @@ class TestTranscriptMutations:
         mutated = list(lines) + ["x key-evicted 00"]
         report = self.reverify(mutated)
         assert not report.valid
-        assert report.reason == "bad sequence number"
+        assert (report.failing_seq, report.reason) == (
+            len(lines) - 1, "seq is not the record's position")
 
 
 # One bad record per structural fault, made from a posted bid's line.
@@ -886,7 +890,9 @@ def _mutate(data, lines: list[str]) -> list[str]:
     """Apply one to three hostile edits: flip a character to a hex digit,
     truncate a payload, swap or drop lines, edit the params header, point
     a winner record (the last one, or a new one) at any posted bid, or
-    append a key publication or eviction of a key already on the board."""
+    append a key publication or eviction of a key already on the board.
+    A dropped record's successors move up a seq, and an appended record
+    takes the next seq, so that each edit reaches the board's fold."""
     hex_digits = st.sampled_from("0123456789abcdef")
     for _ in range(data.draw(st.integers(1, 3))):
         op = data.draw(st.sampled_from(
@@ -904,6 +910,11 @@ def _mutate(data, lines: list[str]) -> list[str]:
             lines[i], lines[j] = lines[j], lines[i]
         elif op == "drop":
             del lines[i]
+            if line.split(" ")[0].isdigit():  # a record
+                for k in range(i, len(lines)):
+                    seq, _, rest = lines[k].partition(" ")
+                    if seq.isdigit():
+                        lines[k] = f"{int(seq) - 1} {rest}"
         elif op == "header":
             head = lines[0]
             j = data.draw(st.integers(len("params "), len(head)))
@@ -922,14 +933,14 @@ def _mutate(data, lines: list[str]) -> list[str]:
             if at and data.draw(st.booleans()):
                 lines[at[-1]] = f"{lines[at[-1]].split(' ')[0]} {record}"
             else:
-                lines.append(f"{10**6 + len(lines)} {record}")
+                lines.append(f"{len(lines) - 1} {record}")  # the header is line 0
         elif op == "key":
             keys = [fields[2] for fields in (text.split(" ") for text in lines)
                     if len(fields) == 3 and fields[1] == "key-published"]
             if not keys:
                 continue
             kind = data.draw(st.sampled_from(("key-published", "key-evicted")))
-            lines.append(f"{10**6 + len(lines)} {kind} {data.draw(st.sampled_from(keys))}")
+            lines.append(f"{len(lines) - 1} {kind} {data.draw(st.sampled_from(keys))}")
     return lines
 
 
@@ -1088,11 +1099,11 @@ def _duplicate_key(lines):
 
 
 def _removed_key(lines):
-    """The last key publication before the first bid left out, so the rings
-    name a key that was never on the board."""
+    """The last key publication before the first bid left out and the records
+    renumbered, so the rings name a key that was never on the board."""
     first_bid = next(i for i, line in enumerate(lines) if " bid-posted " in line)
     last_key = max(i for i in range(first_bid) if " key-published " in lines[i])
-    return lines[:last_key] + lines[last_key + 1:]
+    return _renumbered(lines[:last_key] + lines[last_key + 1:])
 
 
 # Key-record edits that verify rejects while leaving every bid record as it was.
@@ -1316,8 +1327,9 @@ class TestCli:
                                            f"{pp.group.encode_point(signer).hex()}\n")
 
     def test_trace_decodes_only_the_bid_it_opens(self, full_run, tmp_path, monkeypatch, capsys):
-        # Beyond what the replay decodes, trace decodes the one bid it opens:
-        # its l ring keys and its 2 + 2l signature points, nothing else.
+        # Beyond what the replay decodes, trace decodes the one bid it opens,
+        # through the replay's key memo: the ring keys the replay did not
+        # decode and the 2 + 2l signature points, no point twice.
         transcript = tmp_path / "t.txt"
         transcript.write_bytes(full_run.transcript)
         tracekey = tmp_path / "k.txt"
@@ -1329,16 +1341,29 @@ class TestCli:
         report = verify_transcript(full_run.transcript)
         replayed = list(decoded)
         seq = next(seq for seq, outcome in report.outcomes if outcome == "not needed")
-        head = report.bids[seq]
+        head = report.board.heads[seq]
         width = full_run.public_params.group.point_bytes
         points = [head.signature[at: at + width] for at in range(0, len(head.signature), width)]
         assert len(points) == 2 + 2 * len(head.ring)
+        new_keys = [key for key in head.ring if key not in replayed]
         decoded.clear()
         assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
                      "--tracekey", str(tracekey)]) in (0, 1)
         capsys.readouterr()
         assert decoded[:len(replayed)] == replayed
-        assert sorted(decoded[len(replayed):]) == sorted([*head.ring, *points])
+        assert sorted(decoded[len(replayed):]) == sorted([*new_keys, *points])
+        assert len(set(decoded)) == len(decoded)
+
+    @pytest.mark.parametrize("text", ("", "\n  \n"), ids=("empty", "blank-lines"))
+    def test_trace_on_a_transcript_without_records_returns_two(self, tmp_path, capsys, text):
+        # Such a transcript verifies, and its replay has no board.
+        transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
+        transcript.write_text(text)
+        tracekey.write_text("7\n")
+        assert verify_transcript(transcript.read_bytes()).valid
+        assert main(["trace", "--transcript", str(transcript), "--seq", "0",
+                     "--tracekey", str(tracekey)]) == 2
+        assert capsys.readouterr().err == "seq 0 is not a posted bid\n"
 
     def test_trace_on_non_bid_seq_returns_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"

@@ -13,6 +13,7 @@ from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
     KEY_PUBLISHED,
+    WINNER_ANNOUNCED,
     AlreadyEvicted,
     BoardEntry,
     BulletinBoard,
@@ -187,10 +188,8 @@ class TestBulletinBoard:
         board.append(KEY_PUBLISHED, k1)
         board.append(KEY_PUBLISHED, k2)
         assert board.active_keys() == {k1, k2}
-        assert board.all_active((k1, k2)) and board.all_active(())
         board.append(KEY_EVICTED, k1)
         assert board.active_keys() == {k2}
-        assert board.all_active((k2,)) and not board.all_active((k1, k2))
         assert board.active_view() == (k2,)
 
     def test_replay_matches_live_view(self, board, keys, tiny_pp):
@@ -220,8 +219,9 @@ class TestBulletinBoard:
             parse_board_text("0 gossip 00\n")  # unknown kind
         with pytest.raises(MalformedBoard):
             parse_board_text("0 key-published\n")  # missing payload field
-        with pytest.raises(MalformedBoard):
-            parse_board_text("1 key-published 00\n0 key-published 01\n")  # seq order
+        with pytest.raises(MalformedBoard) as caught:
+            parse_board_text("0 key-published 00\n2 key-published 01\n")  # seq 1 skipped
+        assert (caught.value.seq, caught.value.reason) == (1, "seq is not the record's position")
 
     def test_parse_reports_line_number(self):
         try:
@@ -277,6 +277,32 @@ def test_cli_verify_refuses_a_published_order_two_key(tmp_path, capsys):
     assert main(["verify", "--transcript", str(transcript)]) == 1
     assert capsys.readouterr().out == (
         f"transcript INVALID at seq {seq}: order-2 point published as a key\n")
+
+
+def test_replay_takes_records_only_as_written():
+    # board_to_text writes record i with seq str(i) and its payload in
+    # lowercase hex, and the replay takes no other spelling: not the seed-7
+    # transcript renumbered to seq 2i + 3, its winner record naming bid 13
+    # where the live run announced bid 5, nor a seq written +0, nor a
+    # payload in uppercase hex.
+    result = run_scenario(ScenarioConfig(seed=7), counted=False)
+    header, *records = result.transcript.decode().splitlines()
+    fields = [record.split(" ") for record in records]
+    last, kind, payload = fields[-1]
+    assert (last, kind, int(payload[:16], 16)) == ("6", WINNER_ANNOUNCED, 5)
+    renumbered = [f"{2 * i + 3} {kind} {payload}" for i, (_, kind, payload) in enumerate(fields)]
+    renumbered[-1] = f"15 {kind} {(13).to_bytes(8, 'big').hex()}{payload[16:]}"
+    cases = {
+        "renumbered": (renumbered, 0, "seq is not the record's position"),
+        "+0": (["+0 " + records[0].split(" ", 1)[1], *records[1:]], 0,
+               "seq is not the record's position"),
+        "uppercase": ([*records[:-1], f"{last} {kind} {payload.upper()}"], 6,
+                      "payload is not lowercase hex"),
+    }
+    for name, (lines, seq, reason) in cases.items():
+        data = "".join(line + "\n" for line in (header, *lines)).encode()
+        for report in (verify_transcript(data), eager_verify_transcript(data)):
+            assert (report.valid, report.failing_seq, report.reason) == (False, seq, reason), name
 
 
 def test_key_records_fold_alike_on_every_short_encoding(tiny_params):

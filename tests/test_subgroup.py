@@ -142,8 +142,8 @@ class TestShiftedSignerCommitment:
     def test_manager_posts_it_then_skips_it(self, shifted_run):
         run = shifted_run
         assert all(run.admitted)
-        assert run.winner.seq == run.admitted[0].seq and run.winner.price == 10
-        assert run.am.verify_bid(replace(run.shifted, seq=run.admitted[1].seq)) == OUTSIDE
+        assert run.winner == run.admitted[0].seq and run.am.board.heads[run.winner].price == 10
+        assert run.am.board.verified(run.admitted[1].seq) == OUTSIDE
         assert open_protocol(run.am, run.rm, run.winner) == (run.ring[run.slot], b"bidder-0")
 
     def test_replay_skips_it_and_refuses_it_as_announced_winner(self, shifted_run):
