@@ -2,9 +2,9 @@
 
 ``harness.verify_transcript`` is the one reader of a transcript: it folds the
 records into a ``registry.BulletinBoard``.  So ``trace`` opens one bid only
-from a transcript that verifies, reading it by its seq from the replayed
-board (``BulletinBoard.bid``); ``ringsig.trace`` checks the trace key.  The
-commands map outcomes to exit codes.
+from a transcript that verifies: after ``ringsig.check_trace_key`` it reads
+the bid and its verdict by seq from the replayed board (``BulletinBoard.bid``
+and ``verified``).  The commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -28,7 +28,7 @@ from .harness import (
     run_scenario,
     verify_transcript,
 )
-from .ringsig import NotVerified, TraceKey, public_params_to_json, trace
+from .ringsig import TraceKey, check_trace_key, locate_signer, public_params_to_json
 
 # command -> (help, option -> (type, default, help)); default ... = required, bool = flag
 COMMANDS = {
@@ -192,13 +192,15 @@ def _cmd_trace(args) -> int:
         return 2
     pp, bid = board.pp, board.bid(args.seq)
     try:
-        traced = trace(tk, pp, bid.ring, bid.message_bytes(), bid.signature)
-    except ValueError as exc:  # a bad trace key
+        check_trace_key(tk, pp)
+    except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except NotVerified as exc:
-        print(f"bid seq {args.seq} does not verify: {exc}")
+    result = board.verified(args.seq)  # the replay's verdict, if it verified the bid
+    if not result:
+        print(f"bid seq {args.seq} does not verify: {result.reason}")
         return 1
+    traced = locate_signer(tk, pp, bid.ring, bid.signature)
     if traced is None:
         print(f"bid seq {args.seq}: no unique ring member matched")
         return 1

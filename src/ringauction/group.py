@@ -42,9 +42,9 @@ first call and kept with its Miller lines; it is certified exactly, by
 factor n takes a Lucas sequence, two products per bit where the ladder takes
 about ten.  check_public_group decides, from the public values alone,
 whether a group is one gen_group_params could have built; its primality test
-is Baillie-PSW.  decode_point_bytes takes one square root; check_point_bytes
-reaches the same verdict on an encoding with the Jacobi symbol instead, for
-a caller that may never need the point.
+is Baillie-PSW.  decode_point_bytes and check_point_bytes run one reading
+loop: the first takes each point's square root, the second reaches the same
+verdict with the Jacobi symbol instead, for a caller that may never need it.
 The parameter sizes used throughout this package are study material:
 breaking anonymity only requires factoring n, and nothing here is
 constant-time.
@@ -454,57 +454,50 @@ def _window_mul(rows, k: int, ell: int) -> Jac:
     return X, Y, Z
 
 
-def _read_encodings(data: bytes, ell: int, count: int) -> Iterator[tuple[int, bool] | None]:
-    # The checks of ``count`` encodings that need no field arithmetic: length,
-    # tag and x < ell.  Yields None for the identity, else (x, whether y is odd).
+def _read_points(data: bytes, ell: int, count: int, decode: bool) -> list[Point]:
+    # The one reader of ``count`` encodings: length, then each one's tag, zero x
+    # for the identity, x < ell, and x on the curve: z = x^3 + x is 0 (only at
+    # x = 0, where y = 0 takes the even tag) or a square, as the square root
+    # giving y decides when decoding, else the Jacobi symbol (prime ell).
     width = (ell.bit_length() + 7) // 8 + 1
     if len(data) != count * width:
         raise InvalidPoint("wrong point encoding length")
-    for at in range(0, len(data), width):
-        x = int.from_bytes(data[at: at + width - 1], "big")
-        tag = data[at + width - 1]
-        if tag == 0x00:
-            if x != 0:
+    points = []
+    for at in range(width - 1, len(data), width):
+        x = int.from_bytes(data[at - width + 1: at], "big")
+        tag = data[at]
+        if tag == 0:
+            if x:
                 raise InvalidPoint("identity encoding must be all zero")
-            yield None
-        elif tag not in (0x02, 0x03):
+            points.append(None)
+            continue
+        if tag != 2 and tag != 3:
             raise InvalidPoint(f"unknown parity tag {tag:#04x}")
-        elif x >= ell:
+        if x >= ell:
             raise InvalidPoint("x coordinate out of range")
-        else:
-            yield x, tag == 0x03
+        z = (x * x * x + x) % ell
+        if not z and tag == 3:
+            raise InvalidPoint("y = 0 takes the even parity tag")
+        if decode:
+            y = pow(z, (ell + 1) // 4, ell)
+            if y * y % ell != z:
+                raise InvalidPoint("x coordinate is not on the curve")
+            points.append((x, y if y & 1 == tag & 1 else ell - y))
+        elif z and _jacobi(z, ell) != 1:
+            raise InvalidPoint("x coordinate is not on the curve")
+    return points
 
 
 def decode_point_bytes(data: bytes, ell: int) -> Point:
     """Decode the canonical fixed-width encoding for a curve modulus ell."""
-    (read,) = _read_encodings(data, ell, 1)
-    if read is None:
-        return None
-    x, odd = read
-    z = (x * x * x + x) % ell
-    y = pow(z, (ell + 1) // 4, ell)
-    if y * y % ell != z:
-        raise InvalidPoint("x coordinate is not on the curve")
-    if (y & 1) != odd:
-        if y == 0:
-            raise InvalidPoint("y = 0 takes the even parity tag")
-        y = ell - y
-    return (x, y)
+    return _read_points(data, ell, 1, True)[0]
 
 
 def check_point_bytes(data: bytes, ell: int, count: int = 1) -> None:
     """Raise what ``decode_point_bytes`` raises on the first of ``count``
-    encodings in ``data`` it would refuse, without its square root.  For prime
-    ell = 3 (mod 4), x lies on the curve exactly when z = x^3 + x is 0 or a
-    square, which the Jacobi symbol decides at about half the cost of the
-    root; z = 0 only at x = 0, where y = 0 must take the even tag."""
-    for x, odd in filter(None, _read_encodings(data, ell, count)):  # the identity passes
-        z = (x * x * x + x) % ell
-        if not z:
-            if odd:
-                raise InvalidPoint("y = 0 takes the even parity tag")
-        elif _jacobi(z, ell) != 1:
-            raise InvalidPoint("x coordinate is not on the curve")
+    encodings in ``data`` it would refuse, by the Jacobi symbol, at half the
+    cost of its square root."""
+    _read_points(data, ell, count, False)
 
 
 def _random_point(ell: int, rng) -> tuple[int, int]:

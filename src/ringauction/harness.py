@@ -8,13 +8,14 @@ so a configuration always produces byte-identical transcripts.
 parameters.  Every tally is an ``OpCounter`` or a ``collections.Counter``.
 
 A transcript is one ``params`` header line (the public parameters, hex of
-canonical JSON) followed by the bulletin-board records.  This module owns
-the header format: ``render_transcript`` writes it and ``read_transcript``
-decodes it, leaving the records to ``parse_board_text``.  ``verify_transcript``
-is the one replay: it needs no secrets and folds the records into a fresh
-``BulletinBoard``, the live board's own class, which re-derives the winner
-of every announced auction.  The report hands back that board, so a posted
-bid is read from the replay by its seq, as from the live board.
+canonical JSON) followed by the bulletin-board records, each line ending
+with ``\\n``: one spelling per board.  ``render_transcript`` writes it and
+``read_transcript`` reads it, splitting the text once and leaving the
+records to ``parse_board_text``.  ``verify_transcript`` is the one replay:
+it needs no secrets and folds the records into a fresh ``BulletinBoard``,
+the live board's own class, which re-derives the winner of every announced
+auction.  The report hands back that board, so a posted bid is read from
+the replay by its seq, as from the live board.
 """
 
 from __future__ import annotations
@@ -330,29 +331,30 @@ def render_transcript(board: BulletinBoard) -> bytes:
 def read_transcript(data: bytes) -> tuple[PublicParams | None, tuple[BoardEntry, ...]]:
     """Inverse of render_transcript: (public parameters, records).
 
-    The header is the first non-blank line when it starts with ``params ``;
-    it is decoded after every record has parsed.  Raises MalformedBoard for
-    text that is not UTF-8, a malformed record, or a missing or bad header.
-    The parameters are None only for a transcript with no records.
+    Takes only the bytes ``render_transcript`` writes: the header line, then
+    the records (``parse_board_text``), each line ending with ``\\n``.  The
+    header is decoded after every record has parsed.  Raises MalformedBoard
+    for text that is not UTF-8, a malformed record, or a missing or bad
+    header.  The parameters are None only for the empty transcript.
     """
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedBoard("transcript is not utf-8 text") from None
-    params_hex = None
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first is not None and lines[first].startswith(_TRANSCRIPT_HEADER):
-        params_hex = lines[first][len(_TRANSCRIPT_HEADER):]
-        lines[first] = ""  # blanked, not removed, so record line numbers hold
-    entries = parse_board_text("\n".join(lines))
-    if params_hex is None:
-        if entries:
+    header, newline, records = text.partition("\n")
+    if not header.startswith(_TRANSCRIPT_HEADER):
+        if parse_board_text(text):
             raise MalformedBoard("missing params header")
-        return None, entries
+        return None, ()
+    entries = parse_board_text(records, first_line=2)
+    params_hex = header[len(_TRANSCRIPT_HEADER):]
     try:
-        return public_params_from_json(bytes.fromhex(params_hex)), entries
+        pp = public_params_from_json(bytes.fromhex(params_hex))
     except (ValueError, GroupError) as exc:
         raise MalformedBoard(f"bad params header: {exc}") from exc
+    if not newline or public_params_to_json(pp).hex() != params_hex:
+        raise MalformedBoard("params header is not as render_transcript writes it", line=1)
+    return pp, entries
 
 
 @dataclass(frozen=True)

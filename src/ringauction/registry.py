@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 from .ringsig import (
@@ -141,11 +141,9 @@ def encode_bid_message(auction_id: int, round_no: int, price: int) -> bytes:
 def decode_bid_message(data: bytes) -> tuple[int, int, int]:
     if len(data) != BID_MESSAGE_LEN:
         raise MalformedBid("bad bid message length")
-    fields = [
-        int.from_bytes(data[i * _FIELD_WIDTH: (i + 1) * _FIELD_WIDTH], "big")
-        for i in range(3)
-    ]
-    return fields[0], fields[1], fields[2]
+    return (int.from_bytes(data[:_FIELD_WIDTH], "big"),
+            int.from_bytes(data[_FIELD_WIDTH: 2 * _FIELD_WIDTH], "big"),
+            int.from_bytes(data[2 * _FIELD_WIDTH: BID_MESSAGE_LEN], "big"))
 
 
 @dataclass(frozen=True)
@@ -181,32 +179,32 @@ class BidHead:
 
 
 def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
-    """Every check of a bid payload, decoding nothing: each point is checked
-    to decode (``check_point_bytes``), but for the ring keys that ``known``
-    holds, such as a board's active view."""
+    """Every check of a bid payload, in one pass decoding nothing: each point
+    is checked to decode (``check_point_bytes``), but for the ring keys that
+    ``known`` holds, such as a board's active view."""
     if len(data) < BID_MESSAGE_LEN + 4:
         raise MalformedBid("payload too short")
-    auction_id, round_no, price = decode_bid_message(data[:BID_MESSAGE_LEN])
     count = int.from_bytes(data[BID_MESSAGE_LEN: BID_MESSAGE_LEN + 4], "big")
     if count < 1:
         raise MalformedBid("empty ring")
-    width = group.point_bytes
-    keys_start = BID_MESSAGE_LEN + 4
-    sig_start = keys_start + count * width
+    width, ell = group.point_bytes, group.ell
+    sig_start = BID_MESSAGE_LEN + 4 + count * width
     if len(data) != sig_start + (2 + 2 * count) * width:
         raise MalformedBid("payload length does not match ring size")
-    ring = tuple(data[at: at + width] for at in range(keys_start, sig_start, width))
-    if list(ring) != sorted(ring):
+    keys = [data[at: at + width] for at in range(BID_MESSAGE_LEN + 4, sig_start, width)]
+    if keys != sorted(keys):
         raise MalformedBid("ring keys are not in canonical order")
+    ring, signature = tuple(keys), data[sig_start:]
     try:
-        unknown = [key for key in ring if key not in known]
-        check_point_bytes(b"".join(unknown), group.ell, len(unknown))
+        for key in ring:
+            if key not in known:
+                check_point_bytes(key, ell)
         if len(set(ring)) < count:
             raise MalformedBid("ring keys must be distinct")
-        check_point_bytes(data[sig_start:], group.ell, 2 + 2 * count)  # the signature
+        check_point_bytes(signature, ell, 2 + 2 * count)
     except InvalidPoint as exc:
         raise MalformedBid(str(exc)) from exc
-    return BidHead(auction_id, round_no, price, ring, data[sig_start:])
+    return BidHead(*decode_bid_message(data[:BID_MESSAGE_LEN]), ring, signature)
 
 
 def _head_of(group, bid: Bid, data: bytes) -> tuple[BidHead, Bid]:
@@ -243,8 +241,7 @@ def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bi
 # ---------------------------------------------------------------------------
 # bulletin board
 
-@dataclass(frozen=True)
-class BoardEntry:
+class BoardEntry(NamedTuple):  # a tuple, cheap to build: the parser makes one per record
     seq: int
     kind: str
     payload: bytes
@@ -292,16 +289,15 @@ class BulletinBoard:
         return entry.seq
 
     def apply(self, entry: BoardEntry, bid: Bid | None = None) -> None:
-        seq, kind, payload = entry.seq, entry.kind, entry.payload
+        seq, kind, payload = entry
         if kind == KEY_PUBLISHED:
             try:
                 check_point_bytes(payload, self.group.ell)
             except InvalidPoint as exc:
                 raise MalformedBoard(f"unreadable key: {exc}", seq=seq) from exc
-            if not any(payload):  # the identity's encoding is all zero
-                raise MalformedBoard("identity point published as a key", seq=seq)
-            if not any(payload[:-1]):  # x = 0 under the even tag: (0, 0), of order 2
-                raise MalformedBoard("order-2 point published as a key", seq=seq)
+            if not any(payload[:-1]):  # x = 0: the identity, or (0, 0) of order 2
+                raise MalformedBoard("order-2 point published as a key" if payload[-1] else
+                                     "identity point published as a key", seq=seq)
             if payload in self.active:
                 raise MalformedBoard("key is already active", seq=seq)
             self.active.add(payload)
@@ -319,7 +315,7 @@ class BulletinBoard:
                 raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
             if head.price < 1:
                 raise MalformedBoard("non-positive price", seq=seq)
-            if not all(key in self.active for key in head.ring):
+            if not self.active.issuperset(head.ring):
                 raise MalformedBoard(RING_KEY_INACTIVE, seq=seq)
             self.heads[seq] = head
             bisect.insort(self._ranked.setdefault(head.auction_id, []), (-head.price, seq))
@@ -388,16 +384,17 @@ def board_to_text(entries: Iterable[BoardEntry]) -> str:
     return "".join(f"{e.seq} {e.kind} {e.payload.hex()}\n" for e in entries)
 
 
-def parse_board_text(text: str) -> tuple[BoardEntry, ...]:
-    """The only parser of ``seq kind payload`` records; blank lines are skipped.
-
-    Record i must read as ``board_to_text`` writes it: seq ``str(i)``, payload
-    in lowercase hex.  Raises MalformedBoard at the first that does not.
+def parse_board_text(text: str, first_line: int = 1) -> tuple[BoardEntry, ...]:
+    """The only parser of ``seq kind payload`` records, as ``board_to_text``
+    writes them: each line ends with ``\\n``, record i has seq ``str(i)`` and
+    its payload is lowercase hex.  Raises MalformedBoard at the first line
+    that does not read so, numbering the text's lines from ``first_line``.
     """
     entries: list[BoardEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    lines = text.split("\n")
+    if lines.pop():  # the text after the last newline
+        raise MalformedBoard("line does not end with a newline", line=first_line + len(lines))
+    for lineno, line in enumerate(lines, start=first_line):
         parts = line.split(" ")
         if len(parts) != 3:
             raise MalformedBoard("record is not 'seq kind payload'", line=lineno)

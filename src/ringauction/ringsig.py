@@ -283,14 +283,18 @@ def _shifted_commits(pp: PublicParams, ring: Ring, sig: RingSignature) -> list[P
                            for key, member in zip(pp.offset_keys(ring), sig.members)))
 
 
-def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
-    """Verify the signature on ``message`` (NotVerified(reason) if it fails),
-    then return ``locate_signer``'s result.  The key must kill the order-q
-    blinding and keep the order-p part: ValueError("bad trace key: ...")
-    if [q]h != O or [q]g == O, raised before any verification."""
+def check_trace_key(tk: TraceKey, pp: PublicParams) -> None:
+    """ValueError("bad trace key: ...") unless the key kills the order-q
+    blinding and keeps the order-p part: [q]h == O and [q]g != O."""
     grp = pp.group
     if grp.mul_jac(tk.q, grp.h)[2] or not grp.mul_jac(tk.q, grp.g)[2]:  # Z = 0 only for O
         raise ValueError("bad trace key: [q]h must be the identity and [q]g must not")
+
+
+def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
+    """``check_trace_key``, then verify the signature on ``message``
+    (NotVerified(reason) if it fails), then return ``locate_signer``'s result."""
+    check_trace_key(tk, pp)
     result = verify(pp, ring, message, sig)
     if not result:
         raise NotVerified(result.reason)

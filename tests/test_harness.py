@@ -398,8 +398,12 @@ class TestVerifyTranscript:
             (w.auction_id, w.seq, w.price) for w in full_run.winners)
 
     def test_empty_transcript_is_valid(self):
+        # b"" is the one spelling of a transcript with no board: blank lines
+        # are records that do not read.
         assert verify_transcript(b"")
-        assert verify_transcript(b"  \n \n")
+        report = verify_transcript(b"  \n \n")
+        assert (report.valid, report.failing_line, report.failing_seq, report.reason) == (
+            False, 1, 0, "seq is not the record's position")
 
     def test_header_only_is_valid(self, full_run):
         header = full_run.transcript.decode().splitlines()[0]
@@ -839,6 +843,158 @@ class TestTranscriptMutations:
             len(lines) - 1, "seq is not the record's position")
 
 
+# Point defects, each written at a key record, at a posted bid's first ring
+# key (the ring re-sorted, so only the key check can refuse it) and at its s2;
+# a key record also takes the identity and the point (0, 0), which decode.
+def _defect(name: str, group) -> bytes:
+    ell, width = group.ell, group.coord_bytes
+    x = next(x for x in range(1, ell) if pow(x ** 3 + x, (ell - 1) // 2, ell) == ell - 1)
+    return {
+        "bad-tag": (1).to_bytes(width, "big") + b"\x05",
+        "x-at-least-ell": ell.to_bytes(width, "big") + b"\x02",
+        "x-off-curve": x.to_bytes(width, "big") + b"\x02",
+        "odd-tag-at-zero": bytes(width) + b"\x03",
+        "nonzero-identity": (1).to_bytes(width, "big") + b"\x00",
+        "identity": bytes(width + 1),
+        "order-two": bytes(width) + b"\x02",
+    }[name]
+
+
+def _bid_fault(name: str, group, payload: bytes, lines) -> bytes:
+    width, start = group.point_bytes, BID_MESSAGE_LEN + 4
+    count = int.from_bytes(payload[BID_MESSAGE_LEN: start], "big")
+    keys = [payload[at: at + width] for at in range(start, start + count * width, width)]
+    signature = payload[start + count * width:]
+    head = payload[:start]
+    ring = lambda keys: head + b"".join(keys) + signature
+    if name.startswith("ring-key "):
+        return ring(sorted([_defect(name[9:], group), *keys[1:]]))
+    if name.startswith("s2 "):
+        return head + b"".join(keys) + signature[:width] + _defect(name[3:], group) + (
+            signature[2 * width:])
+    if name == "wrong-point-length":
+        return payload[:-1]
+    if name == "unsorted-ring":
+        return ring([keys[1], keys[0], *keys[2:]])
+    if name == "repeated-ring-key":
+        return ring([keys[0], keys[0], *keys[2:]])
+    if name == "key-not-on-board":
+        published = {line.split(" ")[2] for line in lines if " key-published " in line}
+        stranger = next(enc for enc in (group.encode_point(group.mul(k, group.g))
+                                        for k in range(2, 99)) if enc.hex() not in published)
+        return ring(sorted([stranger, *keys[1:]]))
+    if name == "empty-ring":
+        return payload[:BID_MESSAGE_LEN] + bytes(4) + payload[start:]
+    if name == "short-payload":
+        return payload[:start - 1]
+    assert name == "zero-price"
+    return payload[:BID_MESSAGE_LEN - 8] + bytes(8) + payload[BID_MESSAGE_LEN:]
+
+
+# (record kind, fault) -> the replay's (valid, failing_seq, reason), pinned so
+# that a faster reader keeps every verdict, seq and reason; each fault is made
+# in the first record of its kind of the ``run_and_lines`` transcript.
+REASON_TABLE = {
+    ("key-published", "bad-tag"): (False, 0, "unreadable key: unknown parity tag 0x05"),
+    ("key-published", "x-at-least-ell"): (False, 0, "unreadable key: x coordinate out of range"),
+    ("key-published", "x-off-curve"):
+        (False, 0, "unreadable key: x coordinate is not on the curve"),
+    ("key-published", "odd-tag-at-zero"):
+        (False, 0, "unreadable key: y = 0 takes the even parity tag"),
+    ("key-published", "nonzero-identity"):
+        (False, 0, "unreadable key: identity encoding must be all zero"),
+    ("key-published", "identity"): (False, 0, "identity point published as a key"),
+    ("key-published", "order-two"): (False, 0, "order-2 point published as a key"),
+    ("key-published", "wrong-point-length"):
+        (False, 0, "unreadable key: wrong point encoding length"),
+    ("bid-posted", "ring-key bad-tag"): (False, 3, "unreadable bid: unknown parity tag 0x05"),
+    ("bid-posted", "ring-key x-at-least-ell"):
+        (False, 3, "unreadable bid: x coordinate out of range"),
+    ("bid-posted", "ring-key x-off-curve"):
+        (False, 3, "unreadable bid: x coordinate is not on the curve"),
+    ("bid-posted", "ring-key odd-tag-at-zero"):
+        (False, 3, "unreadable bid: y = 0 takes the even parity tag"),
+    ("bid-posted", "ring-key nonzero-identity"):
+        (False, 3, "unreadable bid: identity encoding must be all zero"),
+    ("bid-posted", "s2 bad-tag"): (False, 3, "unreadable bid: unknown parity tag 0x05"),
+    ("bid-posted", "s2 x-at-least-ell"): (False, 3, "unreadable bid: x coordinate out of range"),
+    ("bid-posted", "s2 x-off-curve"):
+        (False, 3, "unreadable bid: x coordinate is not on the curve"),
+    ("bid-posted", "s2 odd-tag-at-zero"):
+        (False, 3, "unreadable bid: y = 0 takes the even parity tag"),
+    ("bid-posted", "s2 nonzero-identity"):
+        (False, 3, "unreadable bid: identity encoding must be all zero"),
+    ("bid-posted", "wrong-point-length"):
+        (False, 3, "unreadable bid: payload length does not match ring size"),
+    ("bid-posted", "unsorted-ring"):
+        (False, 3, "unreadable bid: ring keys are not in canonical order"),
+    ("bid-posted", "repeated-ring-key"): (False, 3, "unreadable bid: ring keys must be distinct"),
+    ("bid-posted", "key-not-on-board"): (False, 3, "ring key not in the active view"),
+    ("bid-posted", "empty-ring"): (False, 3, "unreadable bid: empty ring"),
+    ("bid-posted", "short-payload"): (False, 3, "unreadable bid: payload too short"),
+    ("bid-posted", "zero-price"): (False, 3, "non-positive price"),
+}
+
+
+@pytest.mark.parametrize("kind, fault", REASON_TABLE)
+def test_reason_table(run_and_lines, kind, fault):
+    result, lines = run_and_lines
+    group = result.public_params.group
+    idx = next(i for i, line in enumerate(lines) if f" {kind} " in line)
+    seq, _, payload_hex = lines[idx].split(" ")
+    payload = bytes.fromhex(payload_hex)
+    if kind == "bid-posted":
+        payload = _bid_fault(fault, group, payload, lines)
+    else:
+        payload = payload[:-1] if fault == "wrong-point-length" else _defect(fault, group)
+    mutated = list(lines)
+    mutated[idx] = f"{seq} {kind} {payload.hex()}"
+    data = ("\n".join(mutated) + "\n").encode()
+    report = verify_transcript(data)
+    assert verdict(report) == verdict(eager_verify_transcript(data))
+    assert (report.valid, report.failing_seq, report.reason) == REASON_TABLE[kind, fault]
+
+
+def _text(header: str, records, end: str = "\n") -> str:
+    return "".join(line + end for line in (header, *records))
+
+
+def _respelled(header: str, records, edit=dict, **dumps) -> str:
+    """The transcript with its header JSON edited, then written with ``dumps``
+    (by default as ``public_params_to_json`` writes it)."""
+    fields = edit(json.loads(bytes.fromhex(header.split(" ", 1)[1])))
+    dumps = dumps or {"separators": (",", ":")}
+    return _text("params " + json.dumps(fields, sort_keys=True, **dumps).encode().hex(), records)
+
+
+# Byte strings other than the canonical one for the same board, four in the
+# header's JSON and four in the line ends: the replay refuses each.
+SPELLINGS = {
+    "n-padded": lambda header, records: _respelled(
+        header, records, lambda fields: {**fields, "n": f"  {fields['n']}  "}),
+    "g-uppercase": lambda header, records: _respelled(
+        header, records, lambda fields: {**fields, "g": fields["g"].upper()}),
+    "indented-json": lambda header, records: _respelled(header, records, indent=2),
+    "extra-field": lambda header, records: _respelled(
+        header, records, lambda fields: {**fields, "extra": 1}),
+    "crlf": lambda header, records: _text(header, records, "\r\n"),
+    "form-feeds": lambda header, records: _text(header, records, "\f"),
+    "no-final-newline": lambda header, records: _text(header, records)[:-1],
+    "leading-blank-lines": lambda header, records: "\n\n" + _text(header, records),
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_one_spelling_per_transcript(run_and_lines, spelling):
+    _, (header, *records) = run_and_lines
+    canonical = _text(header, records)
+    assert _respelled(header, records) == canonical
+    respelled = SPELLINGS[spelling](header, records)
+    assert respelled != canonical
+    assert verify_transcript(canonical.encode())
+    assert not verify_transcript(respelled.encode())
+
+
 # One bad record per structural fault, made from a posted bid's line.
 STRUCTURAL_FAULTS = {
     "shape": lambda seq, kind, payload: f"{seq} {kind} {payload} extra",
@@ -858,7 +1014,7 @@ def test_one_parser_one_answer(run_and_lines, tmp_path, capsys, fault):
     mutated = list(lines)
     mutated[idx] = STRUCTURAL_FAULTS[fault](seq, kind, payload)
     with pytest.raises(MalformedBoard) as caught:
-        parse_board_text("\n".join(mutated[1:]))
+        parse_board_text("".join(line + "\n" for line in mutated[1:]))
     report = verify_transcript(("\n".join(mutated) + "\n").encode())
     assert not report.valid
     assert (report.reason, report.failing_seq) == (caught.value.reason, caught.value.seq)
@@ -952,6 +1108,8 @@ def test_hostile_transcripts_never_crash(hostile_base, data):
     report = verify_transcript(mutated.encode())
     assert isinstance(report, TranscriptReport)
     assert verdict(report) == verdict(eager_verify_transcript(mutated.encode()))
+    if report.valid:  # one spelling per board
+        assert render_transcript(report.board) == mutated.encode()
     transcript.write_text(mutated)
     assert main(["verify", "--transcript", str(transcript)]) == (0 if report.valid else 1)
     seq = data.draw(st.sampled_from([line.split(" ")[0] for line in lines
@@ -1249,6 +1407,24 @@ class TestCli:
         assert code == 1
         assert "does not verify" in capsys.readouterr().out
 
+    def test_trace_pairs_no_more_than_verify(self, tmp_path, capsys):
+        # trace takes the winner's verdict from the replay, which verify also
+        # runs, so it adds no pairing of its own.
+        scenario, transcript, tracekey = (tmp_path / name for name in ("s", "t", "k"))
+        scenario.write_text(SCENARIO_TEXT)
+        main(["run", "--scenario", str(scenario), "--out", str(transcript),
+              "--tracekey-out", str(tracekey)])
+        ((_, seq, _),) = verify_transcript(transcript.read_bytes()).winners
+        pairs = {}
+        for command, extra in (("verify", []),
+                               ("trace", ["--seq", str(seq), "--tracekey", str(tracekey)])):
+            counter = OpCounter()
+            with group_module.count_ops(counter):
+                assert main([command, "--transcript", str(transcript), *extra]) == 0
+            pairs[command] = sum(tally.get("pair", 0) for tally in counter.phases.values())
+        capsys.readouterr()
+        assert 0 < pairs["trace"] <= pairs["verify"]
+
     def test_verify_corrupted_transcript_returns_one(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
         scenario.write_text(SCENARIO_TEXT)
@@ -1354,16 +1530,21 @@ class TestCli:
         assert sorted(decoded[len(replayed):]) == sorted([*new_keys, *points])
         assert len(set(decoded)) == len(decoded)
 
-    @pytest.mark.parametrize("text", ("", "\n  \n"), ids=("empty", "blank-lines"))
-    def test_trace_on_a_transcript_without_records_returns_two(self, tmp_path, capsys, text):
-        # Such a transcript verifies, and its replay has no board.
+    @pytest.mark.parametrize("text, err", (
+        ("", "seq 0 is not a posted bid\n"),
+        ("\n  \n", "bad transcript at line 1: record is not 'seq kind payload'\n"),
+    ), ids=("empty", "blank-lines"))
+    def test_trace_on_a_transcript_without_records_returns_two(self, tmp_path, capsys,
+                                                               text, err):
+        # The empty transcript verifies, and its replay has no board; blank
+        # lines do not verify.
         transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
         transcript.write_text(text)
         tracekey.write_text("7\n")
-        assert verify_transcript(transcript.read_bytes()).valid
+        assert verify_transcript(transcript.read_bytes()).valid == (text == "")
         assert main(["trace", "--transcript", str(transcript), "--seq", "0",
                      "--tracekey", str(tracekey)]) == 2
-        assert capsys.readouterr().err == "seq 0 is not a posted bid\n"
+        assert capsys.readouterr().err == err
 
     def test_trace_on_non_bid_seq_returns_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.scenario"
