@@ -4,9 +4,9 @@ A bidder sends one registration, ever, and at most one bid per round;
 ``harness.run_scenario`` counts both in ``ScenarioResult.messages``.  The
 auction manager applies only its own policies and then posts: the board's
 fold (``registry.BulletinBoard.apply``) decides whether a bid or winner
-record is valid, as it does on replay, and reads the ``Bid`` the manager
-hands it, not the bytes.  Every actor takes its public parameters from the
-board it acts on, and the manager reads the posted bids and prices there.
+record is valid, as it does on replay, and encodes the ``Bid`` the manager
+hands it.  Every actor takes its public parameters from the board it acts
+on, and the manager reads the posted bids and prices there.
 A posted bid is named by its board seq: admission returns it, the winner is
 one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
@@ -19,11 +19,12 @@ was repudiated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .group import Point
 from .registry import (
     BID_POSTED,
+    BID_REPOSTED,
     RING_KEY_INACTIVE,
     SEQ_WIDTH,
     WINNER_ANNOUNCED,
@@ -44,6 +45,10 @@ from .ringsig import (
     locate_signer,
     sign,
 )
+
+__all__ = ["AuctionError", "RingKeyNotOnBoard", "NoValidBid", "parse_bid_payload",
+           "serialize_bid_payload", "BidderAgent", "AuctionState", "AdmitResult",
+           "AuctionManager", "open_protocol"]
 
 
 class AuctionError(Exception):
@@ -89,7 +94,6 @@ class BidderAgent:
 class AuctionState:
     monotonic: bool = True
     phase: str = "open"  # open | closed | announced
-    seen_payloads: set[bytes] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,10 @@ class AdmitResult:
 class AuctionManager:
     """Runs auctions against a shared board.
 
-    Its own policies: the auction is open, a payload is posted once, prices
-    rise over the board's ``high`` in a monotonic auction; the board refuses
-    the rest.  Signatures are *not* checked at admission; a bid with a broken
-    signature sits on the board until winner determination skips it.
+    Its own policies: the auction is open, and prices rise over the board's
+    ``high`` in a monotonic auction; the board refuses the rest, a repeated
+    payload included.  Signatures are *not* checked at admission; a bid with
+    a broken signature sits on the board until winner determination skips it.
     """
 
     def __init__(self, trace_key: TraceKey, board: BulletinBoard) -> None:
@@ -130,29 +134,22 @@ class AuctionManager:
             raise AuctionError(f"unknown auction {auction_id}") from None
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Post the bid if the manager's policies and the board accept it.  A
-        board refusal is ``ring-key-not-on-BBS`` for a ring key outside the
-        active view, else ``malformed``, as is a bid that cannot be encoded."""
+        """Post the bid unless, in this order, it is ``unknown-auction``,
+        ``auction-closed``, ``price-not-monotonic`` or the board refuses it:
+        ``ring-key-not-on-BBS`` for a ring key outside the active view,
+        ``replayed-bid`` for a payload it holds, else ``malformed``."""
         state = self._auctions.get(bid.auction_id)
         if state is None:
             return AdmitResult(False, reason="unknown-auction")
         if state.phase != "open":
             return AdmitResult(False, reason="auction-closed")
-        try:
-            payload = serialize_bid_payload(bid)
-        except (ValueError, OverflowError):  # a field, or a coordinate, out of range
-            return AdmitResult(False, reason="malformed")
-        if payload in state.seen_payloads:
-            return AdmitResult(False, reason="replayed-bid")
         if state.monotonic and bid.price <= self.board.high(bid.auction_id):
             return AdmitResult(False, reason="price-not-monotonic")
         try:
-            seq = self.board.append(BID_POSTED, payload, bid)
+            return AdmitResult(True, seq=self.board.append(BID_POSTED, bid))
         except MalformedBoard as exc:
-            inactive = exc.reason == RING_KEY_INACTIVE
-            return AdmitResult(False, reason="ring-key-not-on-BBS" if inactive else "malformed")
-        state.seen_payloads.add(payload)
-        return AdmitResult(True, seq=seq)
+            named = {RING_KEY_INACTIVE: "ring-key-not-on-BBS", BID_REPOSTED: "replayed-bid"}
+            return AdmitResult(False, reason=named.get(exc.reason, "malformed"))
 
     def close_auction(self, auction_id: int) -> None:
         state = self.state(auction_id)

@@ -6,10 +6,10 @@ append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BulletinBoard`` is that log and the one fold of all
 four kinds: a live board folds every record it appends, the public replay
 every record it reads, so a board takes exactly the records a replay
-accepts.  A record's seq is its position, and a posted bid's one handle.
-There is no black list: eviction appends a record and the key simply drops
-out of the active view, so the board is the only record of who has been
-evicted.
+accepts.  A record's seq is its position, and a posted bid's one handle; a
+bid's payload is posted once, and the board encodes a bid handed to it.
+There is no black list: an eviction is a record, and the evicted key drops
+out of the active view, so the board alone records who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -39,6 +39,7 @@ BID_POSTED = "bid-posted"
 WINNER_ANNOUNCED = "winner-announced"
 ENTRY_KINDS = (KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED)
 RING_KEY_INACTIVE = "ring key not in the active view"
+BID_REPOSTED = "bid payload already posted"
 SEQ_WIDTH = 8  # a winner record's reference to its bid
 
 _FIELD_WIDTH = 8
@@ -167,8 +168,7 @@ def serialize_bid_payload(bid: Bid) -> bytes:
     )
 
 
-@dataclass(frozen=True)
-class BidHead:
+class BidHead(NamedTuple):
     """A checked bid payload whose points (ring keys, signature) stay encoded."""
 
     auction_id: int
@@ -207,24 +207,24 @@ def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
     return BidHead(*decode_bid_message(data[:BID_MESSAGE_LEN]), ring, signature)
 
 
-def _head_of(group, bid: Bid, data: bytes) -> tuple[BidHead, Bid]:
-    # read_bid_head's verdict on data said to encode bid, read from the bid:
-    # its Ring rebuilt from the keys (sorted, distinct, encoded afresh), one
-    # member per ring key, every point a canonical curve point (so its
-    # encoding decodes back to it) and data exactly the bid's encoding.  The
-    # board keeps the rebuilt bid, not the caller's Ring.
+def _head_of(group, handed: Bid) -> tuple[BidHead, Bid, bytes]:
+    # read_bid_head's verdict, read from the bid: its Ring rebuilt from the
+    # keys encodes as the handed one, one member per key, every point
+    # canonical (its encoding decodes back to it), every field in range.
     try:
-        bid = replace(bid, ring=Ring(group, bid.ring.keys))
-    except (ValueError, OverflowError) as exc:  # a repeated key, or x < 0
+        bid = replace(handed, ring=Ring(group, handed.ring.keys))
+        payload = serialize_bid_payload(bid)
+    except (ValueError, OverflowError) as exc:  # a repeated key, or a field or x out of range
         raise MalformedBid(str(exc)) from exc
     sig = bid.signature
     points = [*bid.ring, sig.s1, sig.s2,
               *(point for member in sig.members for point in (member.commit, member.proof))]
-    if (len(sig.members) != len(bid.ring) or not all(map(group.is_on_curve, points))
-            or serialize_bid_payload(bid) != data):
-        raise MalformedBid("not the encoding of a bid of canonical points")
-    signature = data[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:]
-    return BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings, signature), bid
+    if (bid.ring.encodings != handed.ring.encodings or len(sig.members) != len(bid.ring)
+            or not all(map(group.is_on_curve, points))):
+        raise MalformedBid("not a bid of canonical points")
+    head = BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings,
+                   payload[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:])
+    return head, bid, payload
 
 
 def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
@@ -254,16 +254,15 @@ class BulletinBoard:
 
     - a published key must decode to a finite point other than (0, 0) and
       not be active; an evicted key must be active (``active``);
-    - a posted bid must read (``read_bid_head``), price at least 1, with
-      every ring key active (``heads``);
+    - a posted bid must read (``read_bid_head``), repeat no posted payload,
+      price at least 1 and have every ring key active (``heads``);
     - an announced winner must repeat the payload of the posted bid it
       names, verify, be its auction's first and be the auction's ``leader``
       (``winners``).
 
-    ``append`` posts a new record through ``apply``.  A caller holding a
-    posted bid's ``Bid`` hands it in, and the fold then checks its points
-    canonical and encoding to exactly the payload in place of reading the
-    bytes.  The group's ell must be prime: the byte check is exact only then.
+    ``append`` posts a new record through ``apply``; a bid may be its ``Bid``,
+    whose points the fold checks canonical in place of reading bytes, and
+    which it encodes once.  ell must be prime: the byte check is exact only then.
     ``entries``, ``active_keys`` and ``active_view`` hand out snapshots.
     """
 
@@ -275,20 +274,20 @@ class BulletinBoard:
         self.heads: dict[int, BidHead] = {}
         self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
         self._bids: dict[int, Bid] = {}  # by seq: handed in, or decoded by ``bid``
+        self._posted: set[bytes] = set()  # every posted bid's payload
         self.results: dict[int, VerifyResult] = {}
         self.winners: dict[int, tuple[int, int, int]] = {}
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
 
-    def append(self, kind: str, payload: bytes, bid: Bid | None = None) -> int:
-        """Post one record as the next seq; ``bid`` is a posted bid's ``Bid``,
-        when the caller holds it.  Returns the record's seq."""
+    def append(self, kind: str, payload: bytes | Bid) -> int:
+        """Post the next record (a bid's payload may be its ``Bid``); its seq."""
         if kind not in ENTRY_KINDS:
             raise ValueError(f"unknown entry kind {kind!r}")
         entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
-        self.apply(entry, bid)
+        self.apply(entry)
         return entry.seq
 
-    def apply(self, entry: BoardEntry, bid: Bid | None = None) -> None:
+    def apply(self, entry: BoardEntry) -> None:
         seq, kind, payload = entry
         if kind == KEY_PUBLISHED:
             try:
@@ -307,17 +306,21 @@ class BulletinBoard:
             self.active.remove(payload)
         elif kind == BID_POSTED:
             try:
-                if bid is None:
-                    head = read_bid_head(self.group, payload, self.active)
+                if isinstance(payload, Bid):
+                    head, bid, payload = _head_of(self.group, payload)
+                    entry = BoardEntry(seq, kind, payload)
                 else:
-                    head, bid = _head_of(self.group, bid, payload)
+                    head, bid = read_bid_head(self.group, payload, self.active), None
             except MalformedBid as exc:
                 raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
+            if payload in self._posted:
+                raise MalformedBoard(BID_REPOSTED, seq=seq)
             if head.price < 1:
                 raise MalformedBoard("non-positive price", seq=seq)
             if not self.active.issuperset(head.ring):
                 raise MalformedBoard(RING_KEY_INACTIVE, seq=seq)
             self.heads[seq] = head
+            self._posted.add(payload)
             bisect.insort(self._ranked.setdefault(head.auction_id, []), (-head.price, seq))
             if bid is not None:
                 self._bids[seq] = bid

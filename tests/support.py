@@ -279,6 +279,7 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
 
     active = set()
     bids = {}  # seq -> (auction_id, price, payload, verifies)
+    payloads = set()  # of the posted bids
     announced = set()
     winners = []
     for entry in entries:
@@ -306,6 +307,8 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                 bid = parse_bid_payload(group, payload)
             except MalformedBid as exc:
                 return invalid(seq, f"unreadable bid: {exc}")
+            if payload in payloads:
+                return invalid(seq, "bid payload already posted")
             if bid.price < 1:
                 return invalid(seq, "non-positive price")
             for key in bid.ring:
@@ -313,6 +316,7 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                     return invalid(seq, "ring key not in the active view")
             verifies = bool(verify(pp, bid.ring, bid.message_bytes(), bid.signature))
             bids[seq] = (bid.auction_id, bid.price, payload, verifies)
+            payloads.add(payload)
         else:  # winner-announced
             if len(payload) < 8:
                 return invalid(seq, "winner record too short")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringauction import auction, registry
 from ringauction.auction import (
     AuctionError,
     AuctionManager,
@@ -130,7 +131,7 @@ class TestBidCodec:
         group = env.pp.group
         head = read_bid_head(group, serialize_bid_payload(craft_bid(env, env.agents[0], 43)))
         odd_zero = bytes(group.coord_bytes) + b"\x03"
-        bad = replace(head, ring=(odd_zero,) + head.ring[1:])
+        bad = head._replace(ring=(odd_zero,) + head.ring[1:])
         with pytest.raises(MalformedBid, match="y = 0 takes the even parity tag"):
             decode_bid(group, bad, group.decode_point)
 
@@ -323,12 +324,43 @@ class TestAdmission:
         env.rm.evict(keys16[2].pub_key)
         assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
 
-    def test_replayed_bid(self, env):
-        env.am.open_auction(1, monotonic=False)
+    @pytest.mark.parametrize("monotonic", (False, True))
+    def test_replayed_bid(self, env, monotonic):
+        # The price rule runs before the board's: in a monotonic auction a
+        # repeat does not rise over its own price.
+        env.am.open_auction(1, monotonic=monotonic)
         bid = craft_bid(env, env.agents[0], 10)
         assert env.am.admit_bid(bid)
         again = env.am.admit_bid(bid)
-        assert again.reason == "replayed-bid"
+        assert again.reason == ("price-not-monotonic" if monotonic else "replayed-bid")
+        assert len(env.board.heads) == 1
+
+    def test_unencodable_price(self, env):
+        # 2^64 does not fit the bid message, so the board cannot encode the
+        # bid.  Nor can it encode -1, but in a monotonic auction the price
+        # rule, which runs first, refuses it.
+        env.am.open_auction(1, monotonic=False)
+        env.am.open_auction(2)
+        bid = craft_bid(env, env.agents[0], 10)
+        assert env.am.admit_bid(replace(bid, price=1 << 64)).reason == "malformed"
+        assert env.board.heads == {}
+        low = replace(craft_bid(env, env.agents[0], 10, auction_id=2), price=-1)
+        assert env.am.admit_bid(low).reason == "price-not-monotonic"
+
+    def test_an_admitted_bid_is_encoded_once(self, env, monkeypatch):
+        # The board encodes the Bid it is handed; the manager encodes nothing.
+        calls = []
+
+        def counted(bid):
+            calls.append(bid)
+            return serialize_bid_payload(bid)
+
+        for module in (registry, auction):
+            monkeypatch.setattr(module, "serialize_bid_payload", counted)
+        env.am.open_auction(1)
+        for price in (10, 11):
+            assert env.am.admit_bid(craft_bid(env, env.agents[0], price))
+        assert len(calls) == 2
 
     def test_same_price_new_signature_is_not_a_replay(self, env):
         # a fresh signature over the same message is a different payload

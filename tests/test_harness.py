@@ -49,6 +49,7 @@ from ringauction.harness import (
 from ringauction.registry import (
     BID_MESSAGE_LEN,
     BID_POSTED,
+    BID_REPOSTED,
     KEY_PUBLISHED,
     WINNER_ANNOUNCED,
     Bid,
@@ -816,6 +817,18 @@ class TestTranscriptMutations:
         report = self.reverify(mutated)
         assert report.failing_seq == last_seq + 1
         assert report.reason == "auction already has an announced winner"
+
+    def test_reposted_bid_fails_at_its_seq(self):
+        # A payload holds its auction id, so a copy is a repeat in the same
+        # auction: the board refuses it on replay, as the manager does live.
+        # Every ring key here stays active, so only that rule refuses it.
+        result = run_scenario(ScenarioConfig(seed=7), counted=False)
+        lines = result.transcript.decode().splitlines()
+        _, kind, payload = lines[self.find_line(lines, "bid-posted")].split(" ")
+        last_seq = int(lines[-1].split(" ")[0])
+        report = self.reverify(list(lines) + [f"{last_seq + 1} {kind} {payload}"])
+        assert (report.valid, report.failing_seq) == (False, last_seq + 1)
+        assert report.reason == BID_REPOSTED == "bid payload already posted"
 
     def test_short_winner_record_fails(self, run_and_lines):
         _, lines = run_and_lines
