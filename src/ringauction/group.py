@@ -385,26 +385,28 @@ def _point_mul(k: int, P: Point, ell: int) -> Jac:
     return X1 * d * Z % ell, y * Z * Z % ell, Z
 
 
-_WINDOW = 5  # bits per signed digit of a fixed-base scalar
+_WINDOW = 5  # bits per signed digit of a window table, but h's 7 (PairingGroup._table)
 _JOINT_USES = 16  # member_base requests for a key before it gets a joint table
 
 
-def _window_table(P: Point, n: int, ell: int):
-    """Row i holds the affine [d * 32^i]P at index d + 15, d = -15..16 (None
-    for O), for each signed base-32 digit of a scalar below n, the last row
-    taking the final carry; None unless [n]P = O.  The row bases B = [32^i]P
-    come from one doubling chain, made affine together; then for lo = 1, 2,
-    4, 8, entries lo + 1..2lo of every row are the affine sums [lo]B + [m]B,
+def _window_table(P: Point, n: int, ell: int, width: int):
+    """Row i holds the affine [d * 2^(width * i)]P at index d + half - 1,
+    d = 1 - half..half, half = 2^(width - 1) (None for O), for each signed
+    digit of a scalar below n, the last row taking the final carry; None
+    unless [n]P = O.  The row bases B = [2^(width * i)]P come from one
+    doubling chain, made affine together; then for lo = 1, 2, 4, .., half/2,
+    entries lo + 1..2lo of every row are the affine sums [lo]B + [m]B,
     m = 1..lo, the last a tangent, their slopes' denominators inverted
-    together: five inversions a table."""
+    together: ``width`` inversions a table."""
+    half = 1 << width - 1
     chain = [jacobian(P)]
-    for _ in range(n.bit_length() // _WINDOW):
+    for _ in range(n.bit_length() // width):
         X, Y, Z = chain[-1]
-        for _ in range(_WINDOW):
+        for _ in range(width):
             X, Y, Z = _jac_double(X, Y, Z, ell)
         chain.append((X, Y, Z))
     rows = [[None, B] for B in _to_affine(chain, ell)]  # row[m] = [m]B
-    for lo in (1 << b for b in range(_WINDOW - 1)):
+    for lo in (1 << b for b in range(width - 1)):
         terms = [(row[lo], row[m]) for row in rows for m in range(1, lo + 1)]
         # A slope's denominator: x2 - x1 for a chord, 2y for a tangent, and 0
         # for a term O, B = -A or a vertical tangent, which _jac_add sums.
@@ -419,19 +421,21 @@ def _window_table(P: Point, n: int, ell: int):
             else:
                 pt = A if B is None else _affine(_jac_add(*jacobian(A), *B, ell), ell)
             rows[j // lo].append(pt)
-    rows = [[_point_neg(pt, ell) for pt in row[15:0:-1]] + row for row in rows]
+    rows = [[_point_neg(pt, ell) for pt in row[half - 1:0:-1]] + row for row in rows]
     return None if _window_mul(rows, n, ell)[2] else rows
 
 
-def _window_mul(rows, k: int, ell: int) -> Jac:
-    # One mixed addition per nonzero digit d of 0 <= k < n, recoded on the
-    # fly into -15 <= d <= 16: with k + 15 = 32*k' + (d + 15), the row's
-    # entry d + 15 is read and k' carries on.
-    X, Y, Z = _JAC_O
+def _window_mul(rows, k: int, ell: int, start: Jac = _JAC_O) -> Jac:
+    # start + [k]P, one mixed addition per nonzero digit d of 0 <= k < n,
+    # recoded on the fly into 1 - half <= d <= half for rows of 2*half: with
+    # k + half - 1 = 2*half*k' + (d + half - 1), entry d + half - 1 is read.
+    size = len(rows[0])
+    mask, shift, offset = size - 1, size.bit_length() - 1, size // 2 - 1
+    X, Y, Z = start
     for row in rows:
-        k += 15
-        pt = row[k & 31]
-        k >>= 5
+        k += offset
+        pt = row[k & mask]
+        k >>= shift
         if pt is None:
             continue
         xp, yp = pt
@@ -963,7 +967,7 @@ class PairingGroup:
         self._mul_seen: set = set()
         self._mul_tables: dict = {}
         self._key_uses: dict = {}  # member_base's requests per key
-        self._joint: dict = {}  # key -> h's window rows, then the key's
+        self._joint: dict = {}  # key -> its window rows, for member proofs
         self._steps = _double_and_add(n)  # n's signed Miller steps, for every pairing
         self._lines: dict = {}
         self._tate = None  # in_group's stored lines, built at its first call
@@ -1005,34 +1009,39 @@ class PairingGroup:
     def mul_jac(self, k: int, P: Point) -> Jac:
         """``mul``, left Jacobian."""
         if P in self._fixed:
-            if P in self._mul_seen and P not in self._mul_tables:
-                self._mul_tables[P] = _window_table(P, self.n, self.ell)
+            rows = self._table(P) if P in self._mul_seen else self._mul_tables.get(P)
             self._mul_seen.add(P)
-            if self._mul_tables.get(P) is not None:
+            if rows is not None:
                 _bump("exp.window")
-                return _window_mul(self._mul_tables[P], k % self.n, self.ell)
+                return _window_mul(rows, k % self.n, self.ell)
         _bump("exp.ladder")
         return _point_mul(k, P, self.ell)
+
+    def _table(self, P: Point):
+        # A fixed base's window table, built at the first call: 7-bit rows for
+        # h, the base of two passes in every ring slot, 5-bit rows for others.
+        if P not in self._mul_tables:
+            width = 7 if P == self.h else _WINDOW
+            self._mul_tables[P] = _window_table(P, self.n, self.ell, width)
+        return self._mul_tables[P]
 
     def member_base(self, commit: Jac, key: Point, signer: bool) -> Jac:
         """Count one member-proof request for key and return the Jacobian
         point a decoy's proof multiplies on the ladder, commit minus key; O
         for the signer, whose ladder multiplies the commit itself, and O once
-        the key's joint table serves the proof, which reads no base.  A slot's commit is [e]h, plus key in the
-        signer's slot, so its proof is [e^2]h +- [e]key either way.  The 16th
-        request builds key's window table and, when [n]key = O, keeps h's R
-        rows then key's, R = n.bit_length()//5 + 1.  Memory: one such joint
-        table per key with 16 or more requests, 2R x 32 affine points (832 at
-        a 64-bit n), and one int per key requested."""
+        the key's joint table serves the proof, which reads no base.  A
+        slot's commit is [e]h, plus key in the signer's slot, so its proof is
+        [e^2]h +- [e]key either way.  The 16th request keeps key's 5-bit
+        window table when [n]h = [n]key = O.  Memory: one such table per key
+        with 16 or more requests, R x 32 affine points, R = n.bit_length()//5
+        + 1 (416 at a 64-bit n), and one int per key requested."""
         joint = self._joint.get(key)
         if joint is None:
             uses = self._key_uses[key] = self._key_uses.get(key, 0) + 1
-            if uses == _JOINT_USES:
-                if self.h not in self._mul_tables:
-                    self._mul_tables[self.h] = _window_table(self.h, self.n, self.ell)
-                h_rows, key_rows = self._mul_tables[self.h], _window_table(key, self.n, self.ell)
-                if h_rows is not None and key_rows is not None:
-                    joint = self._joint[key] = h_rows + key_rows
+            if uses == _JOINT_USES and self._table(self.h) is not None:
+                joint = _window_table(key, self.n, self.ell, _WINDOW)
+                if joint is not None:
+                    self._joint[key] = joint
         if joint is not None or signer:
             return _JAC_O
         if key is None:
@@ -1044,15 +1053,13 @@ class PairingGroup:
         """The proof of the slot ``member_base`` was last asked for, left
         Jacobian, for commit and base the affine forms of that call's commit
         and result: on the ladder [e]commit in the signer's slot and [e]base
-        in a decoy's, or one pass over the key's joint table with the packed
-        scalar e^2 mod n + ((+-e mod n) << 5R), as the signed base-32
-        recoding of any k < n ends with no carry after R digits.  One counted
-        exp."""
-        joint = self._joint.get(key)
-        if joint is not None:
+        in a decoy's, or h's 7-bit pass on e^2 mod n chained into a pass over
+        the key's 5-bit joint table on +-e mod n.  One counted exp."""
+        rows = self._joint.get(key)
+        if rows is not None:
             _bump("exp.joint")
-            k = e * e % self.n + (((e if signer else -e) % self.n) << (_WINDOW * len(joint) // 2))
-            return _window_mul(joint, k, self.ell)
+            blind = _window_mul(self._mul_tables[self.h], e * e % self.n, self.ell)
+            return _window_mul(rows, (e if signer else -e) % self.n, self.ell, blind)
         _bump("exp.ladder")
         return _point_mul(e, commit if signer else base, self.ell)
 

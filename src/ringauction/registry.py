@@ -40,6 +40,7 @@ WINNER_ANNOUNCED = "winner-announced"
 ENTRY_KINDS = (KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED)
 RING_KEY_INACTIVE = "ring key not in the active view"
 BID_REPOSTED = "bid payload already posted"
+BID_AFTER_WINNER = "bid posted after its auction's winner"
 SEQ_WIDTH = 8  # a winner record's reference to its bid
 
 _FIELD_WIDTH = 8
@@ -255,7 +256,8 @@ class BulletinBoard:
     - a published key must decode to a finite point other than (0, 0) and
       not be active; an evicted key must be active (``active``);
     - a posted bid must read (``read_bid_head``), repeat no posted payload,
-      price at least 1 and have every ring key active (``heads``);
+      come before its auction's winner, price at least 1 and have every ring
+      key active (``heads``);
     - an announced winner must repeat the payload of the posted bid it
       names, verify, be its auction's first and be the auction's ``leader``
       (``winners``).
@@ -315,6 +317,8 @@ class BulletinBoard:
                 raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
             if payload in self._posted:
                 raise MalformedBoard(BID_REPOSTED, seq=seq)
+            if head.auction_id in self.winners:
+                raise MalformedBoard(BID_AFTER_WINNER, seq=seq)
             if head.price < 1:
                 raise MalformedBoard("non-positive price", seq=seq)
             if not self.active.issuperset(head.ring):

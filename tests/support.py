@@ -309,6 +309,8 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                 return invalid(seq, f"unreadable bid: {exc}")
             if payload in payloads:
                 return invalid(seq, "bid payload already posted")
+            if bid.auction_id in announced:
+                return invalid(seq, "bid posted after its auction's winner")
             if bid.price < 1:
                 return invalid(seq, "non-positive price")
             for key in bid.ring:

@@ -94,14 +94,16 @@ def _check_pair(group, P, Q):
     assert (z ** n).is_one(), (P, Q)
 
 
-def _signed_digits(k: int, rows: int) -> list[int]:
+def _signed_digits(k: int, rows: int, width: int = 5) -> list[int]:
     # The recoding a window mul walks, written out as the reference: the
-    # base-32 digits -15..16 of k, least significant first.
+    # base-2^width digits 1 - half..half of k, half = 2^(width - 1), least
+    # significant first.
+    base, half = 2 ** width, 2 ** (width - 1)
     digits = []
     for _ in range(rows):
-        d = k % 32 - 32 * (k % 32 > 16)
+        d = k % base - base * (k % base > half)
         digits.append(d)
-        k = (k - d) // 32
+        k = (k - d) // base
     assert k == 0, "k does not fit the rows"
     return digits
 
@@ -117,35 +119,39 @@ def _member_proof(group, e, commit, key, signer):
     return group.to_affine(group.member_proof_jac(e, commit, base, key, signer))[0]
 
 
-def _signed_window_scalars(n: int) -> list[int]:
+def _signed_window_scalars(n: int, width: int = 5) -> list[int]:
     """Scalars below n that put every digit the recoding can give into every
-    row of a window table, k = 15, 16 and 17 (mod 32) at each row with and
-    without a carry in, n - 1, and the largest k < n whose recoding carries
-    into the top row."""
-    rows = n.bit_length() // 5 + 1
-    top = 32 ** (rows - 1)
+    row of a width-bit window table, k = half - 1, half and half + 1
+    (mod 2^width) at each row with and without a carry in, n - 1, and the
+    largest k < n whose recoding carries into the top row (half = 16 and
+    2^width = 32 for 5-bit rows)."""
+    base, half = 2 ** width, 2 ** (width - 1)
+    rows = n.bit_length() // width + 1
+    top = base ** (rows - 1)
 
     def below_top(digits):  # those digits below the top row, then a top digit of 0 or 1
-        k = sum(d * 32 ** i for i, d in enumerate(digits))
+        k = sum(d * base ** i for i, d in enumerate(digits))
         return k + top * (k < 0)
 
-    # The rows below the top hold k mod top up to 16 * (top - 1) / 31; past it they carry.
-    last = n - 1 if (n - 1) % top > 16 * (top - 1) // 31 else n - 1 - (n - 1) % top - 1
-    highest = max(_signed_digits(n - 1, rows)[-1], _signed_digits(last, rows)[-1])
+    # The rows below the top hold k mod top up to half * (top - 1) / (base - 1);
+    # past it they carry.
+    last = n - 1 if (n - 1) % top > half * (top - 1) // (base - 1) else n - 1 - (n - 1) % top - 1
+    highest = max(_signed_digits(n - 1, rows, width)[-1], _signed_digits(last, rows, width)[-1])
     scalars = [n - 1, last, *(d * top for d in range(1, highest))]
-    scalars += [below_top([d] * (rows - 1)) for d in range(-15, 17)]
-    # A digit d means k = d (mod 32) at its row.  d alternates with w across
+    scalars += [below_top([d] * (rows - 1)) for d in range(1 - half, half + 1)]
+    # A digit d means k = d (mod base) at its row.  d alternates with w across
     # the rows: w = -1 below d carries into its row, w = 1 does not.
+    edges = (half - 1, half, 1 - half)
     scalars += [below_top([(d, w)[(i + phase) % 2] for i in range(rows - 1)])
-                for d in (15, 16, -15) for w in (-1, 1) for phase in (0, 1)]
+                for d in edges for w in (-1, 1) for phase in (0, 1)]
     assert all(0 <= k < n for k in scalars)
-    recoded = [_signed_digits(k, rows) for k in scalars]
-    assert [set(row) for row in zip(*recoded)] == [set(range(-15, 17))] * (rows - 1) + [
+    recoded = [_signed_digits(k, rows, width) for k in scalars]
+    assert [set(row) for row in zip(*recoded)] == [set(range(1 - half, half + 1))] * (rows - 1) + [
         set(range(highest + 1))]
     for i in range(1, rows - 1):
         seen = {(digits[i - 1] < 0, digits[i]) for digits in recoded}
-        assert {(c, d) for c in (False, True) for d in (15, 16, -15)} <= seen
-    assert _signed_digits(last, rows)[-1] == last // top + 1
+        assert {(c, d) for c in (False, True) for d in edges} <= seen
+    assert _signed_digits(last, rows, width)[-1] == last // top + 1
     return scalars
 
 
@@ -846,53 +852,58 @@ class TestFixedBases:
             for Q in others:
                 _check_pair(group, P, Q)
         assert group._mul_tables[outside] is None  # [n]outside != O: plain path
-        window_scalars = _signed_window_scalars(n)
         for P in bases[:4]:
-            for k in window_scalars:
+            width = 7 if P == group.h else 5  # h's 7-bit rows, the others' 5-bit
+            for k in _signed_window_scalars(n, width):
                 assert group.mul(k, P) == naive_mul(k, P, ell), (k, P)
             table = group._mul_tables[P]
-            assert table is not None and len(table) == n.bit_length() // 5 + 1
-            assert all(len(row) == 32 for row in table)
+            assert table is not None and len(table) == n.bit_length() // width + 1
+            assert all(len(row) == 2 ** width for row in table)
 
     @staticmethod
-    def _check_rows(rows, P, ell):
-        # Row i of a window table holds [d * 32^i]P at index d + 15, d = -15..16,
-        # negatives included.
+    def _check_rows(rows, P, ell, width=5):
+        # Row i of a width-bit window table holds [d * (2 half)^i]P at index
+        # d + half - 1, d = 1 - half..half, negatives included, for
+        # half = 2^(width - 1): d = -15..16 at index d + 15 in 5-bit rows.
+        half = 2 ** (width - 1)
         for i, row in enumerate(rows):
-            assert len(row) == 32
+            assert len(row) == 2 * half
             for idx, entry in enumerate(row):
-                assert entry == naive_mul((idx - 15) * 32 ** i, P, ell), (P, i, idx)
+                assert entry == naive_mul((idx - half + 1) * (2 * half) ** i, P, ell), (P, i, idx)
 
     def test_every_window_row_entry_matches_the_oracle(self, tiny_params):
         # Points of order 5 and 7 put O entries, sums B + -B and vertical
-        # tangents into the rows; a joint table is h's rows, then the key's.
+        # tangents into the rows; n = 35 fills h's one 7-bit row of 128 with
+        # them.  A joint table is the key's 5-bit rows.
         n, ell, h = tiny_params.group.n, tiny_params.group.ell, tiny_params.group.h
         group = _fresh(tiny_params.group)
         keys = [P for P in all_curve_points(ell) if naive_mul(n, P, ell) is None]
         for key in keys:
-            self._check_rows(_window_table(key, n, ell), key, ell)
+            self._check_rows(_window_table(key, n, ell, 5), key, ell)
+            self._check_rows(_window_table(key, n, ell, 7), key, ell, 7)
             for e in range(16):  # the 16th request builds the joint table
                 _member_proof(group, e, naive_add(naive_mul(e, h, ell), key, ell), key, True)
-            joint = group._joint[key]
-            self._check_rows(joint[:len(joint) // 2], h, ell)
-            self._check_rows(joint[len(joint) // 2:], key, ell)
+            self._check_rows(group._joint[key], key, ell)
+        assert len(group._mul_tables[h]) == 1
+        self._check_rows(group._mul_tables[h], h, ell, 7)
 
     def test_every_window_row_entry_matches_the_oracle_at_16_bits(self, params16, keys16):
-        # g's and h's tables as mul builds them, and a key's joint table.
+        # g's 5-bit and h's 7-bit tables as mul builds them, and a key's joint table.
         group, ell, key = _fresh(params16.group), params16.group.ell, keys16[0].pub_key
-        for P in (group.g, group.h):
+        for P, width in ((group.g, 5), (group.h, 7)):
             group.mul(3, P)
             group.mul(5, P)  # the second mul builds the table
-            self._check_rows(group._mul_tables[P], P, ell)
+            self._check_rows(group._mul_tables[P], P, ell, width)
         for e in range(16):
             _member_proof(group, e, naive_add(naive_mul(e, group.h, ell), key, ell), key, True)
-        self._check_rows(group._joint[key][len(group._joint[key]) // 2:], key, ell)
+        self._check_rows(group._joint[key], key, ell)
 
+    @pytest.mark.parametrize("width", (5, 7))
     @pytest.mark.parametrize("bits", (16, 32, 64))
-    def test_a_window_table_takes_five_inversions(self, monkeypatch, bits):
+    def test_a_window_table_takes_width_inversions(self, monkeypatch, bits, width):
         # Field inversions are the pow(z, -1, ell) calls in ringauction.group:
         # one for the row bases, then one per level of sums, however many rows
-        # (7, 13 and 26 at these sizes).
+        # (7, 13 and 26 at these sizes for 5-bit rows; 5, 10 and 19 for 7-bit).
         group = gen_group_params(bits, bits, random.Random(bits)).group
         n, ell = group.n, group.ell
         calls = []
@@ -903,12 +914,12 @@ class TestFixedBases:
             return pow(base, exp, mod)
 
         monkeypatch.setattr(group_module, "pow", counting_pow, raising=False)
-        rows = _window_table(group.g, n, ell)
-        assert rows is not None and len(rows) == n.bit_length() // 5 + 1
-        assert len(calls) <= 5
+        rows = _window_table(group.g, n, ell, width)
+        assert rows is not None and len(rows) == n.bit_length() // width + 1
+        assert len(calls) <= width
         # Bases outside G_n, whose rows hold O and degenerate sums, get no table.
         for P in (cofactor_torsion(group, random.Random(bits)), (0, 0)):
-            assert _window_table(P, n, ell) is None
+            assert _window_table(P, n, ell, width) is None
 
     def test_window_table_built_on_second_mul(self, params16):
         # A base multiplied once keeps the plain path; the second mul builds
@@ -971,7 +982,8 @@ class TestMemberProof:
                     got = _member_proof(group, e, commit, key, signer)
                     assert got == expected, (key, e, signer)
         assert set(group._joint) == set(keys)
-        assert all(len(rows) == 2 * (n.bit_length() // 5 + 1) for rows in group._joint.values())
+        assert all(len(rows) == n.bit_length() // 5 + 1 and all(len(row) == 32 for row in rows)
+                   for rows in group._joint.values())
 
     def test_sixteenth_request_switches_to_the_joint_path(self, params16):
         group = _fresh(params16.group)

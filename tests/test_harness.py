@@ -47,6 +47,7 @@ from ringauction.harness import (
     verify_transcript,
 )
 from ringauction.registry import (
+    BID_AFTER_WINNER,
     BID_MESSAGE_LEN,
     BID_POSTED,
     BID_REPOSTED,
@@ -71,7 +72,9 @@ from ringauction.ringsig import (
     Ring,
     RingSignature,
     Untraceable,
+    keygen,
     public_params_from_json,
+    sign,
     trace,
     verify,
 )
@@ -830,6 +833,33 @@ class TestTranscriptMutations:
         assert (report.valid, report.failing_seq) == (False, last_seq + 1)
         assert report.reason == BID_REPOSTED == "bid payload already posted"
 
+    def test_bid_after_its_auctions_winner_fails_at_its_seq(self):
+        # A bid for auction 0 after its winner record, signed by a key
+        # published just before it, verifies and outbids the winner: the board
+        # refuses it on replay and live, as the manager refuses it as
+        # auction-closed, and the announced winner stays the leader.
+        result = run_scenario(ScenarioConfig(bidders=3, seed=7), counted=False)
+        pp, lines = result.public_params, result.transcript.decode().splitlines()
+        winner = int(lines[-1].split(" ")[0])
+        assert lines[-1].split(" ")[1] == WINNER_ANNOUNCED
+        rng = random.Random(38)
+        late = keygen(pp, rng)
+        decoy = pp.group.decode_point(bytes.fromhex(lines[1].split(" ")[2]))
+        ring = Ring(pp.group, [late.pub_key, decoy])
+        message = encode_bid_message(0, 0, 10**6)
+        bid = Bid(0, 0, 10**6, ring, sign(pp, ring, late, message, rng))
+        assert verify(pp, ring, message, bid.signature)
+        lines += [f"{winner + 1} {KEY_PUBLISHED} {pp.group.encode_point(late.pub_key).hex()}",
+                  f"{winner + 2} {BID_POSTED} {serialize_bid_payload(bid).hex()}"]
+        report = self.reverify(lines)
+        assert (report.valid, report.failing_seq) == (False, winner + 2)
+        assert report.reason == BID_AFTER_WINNER == "bid posted after its auction's winner"
+        board = self.reverify(lines[:-1]).board
+        with pytest.raises(MalformedBoard) as refused:
+            board.append(BID_POSTED, bid)
+        assert (refused.value.seq, refused.value.reason) == (winner + 2, BID_AFTER_WINNER)
+        assert board.leader(0) == board.winners[0][1]  # the announced winner
+
     def test_short_winner_record_fails(self, run_and_lines):
         _, lines = run_and_lines
         idx = self.find_line(lines, "winner-announced")
@@ -900,6 +930,9 @@ def _bid_fault(name: str, group, payload: bytes, lines) -> bytes:
         return payload[:BID_MESSAGE_LEN] + bytes(4) + payload[start:]
     if name == "short-payload":
         return payload[:start - 1]
+    if name == "after-winner":  # its price raised by one, so no repeat
+        price = int.from_bytes(payload[BID_MESSAGE_LEN - 8:BID_MESSAGE_LEN], "big") + 1
+        return payload[:BID_MESSAGE_LEN - 8] + price.to_bytes(8, "big") + payload[BID_MESSAGE_LEN:]
     assert name == "zero-price"
     return payload[:BID_MESSAGE_LEN - 8] + bytes(8) + payload[BID_MESSAGE_LEN:]
 
@@ -946,6 +979,7 @@ REASON_TABLE = {
     ("bid-posted", "empty-ring"): (False, 3, "unreadable bid: empty ring"),
     ("bid-posted", "short-payload"): (False, 3, "unreadable bid: payload too short"),
     ("bid-posted", "zero-price"): (False, 3, "non-positive price"),
+    ("bid-posted", "after-winner"): (False, 11, "bid posted after its auction's winner"),
 }
 
 
@@ -961,7 +995,10 @@ def test_reason_table(run_and_lines, kind, fault):
     else:
         payload = payload[:-1] if fault == "wrong-point-length" else _defect(fault, group)
     mutated = list(lines)
-    mutated[idx] = f"{seq} {kind} {payload.hex()}"
+    if fault == "after-winner":  # posted as the next seq, past the winner record
+        mutated.append(f"{len(lines) - 1} {kind} {payload.hex()}")
+    else:
+        mutated[idx] = f"{seq} {kind} {payload.hex()}"
     data = ("\n".join(mutated) + "\n").encode()
     report = verify_transcript(data)
     assert verdict(report) == verdict(eager_verify_transcript(data))
