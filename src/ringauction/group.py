@@ -306,16 +306,6 @@ def _jac_add(X: int, Y: int, Z: int, xp: int, yp: int, ell: int) -> tuple[int, i
     return _jac_double(X, Y, Z, ell)  # R = P
 
 
-def _affine(P: Jac, ell: int) -> Point:
-    # One Jacobian point to affine: _to_affine with no products to share.
-    X, Y, Z = P
-    if not Z:
-        return None
-    zi = pow(Z, -1, ell)
-    zi2 = zi * zi % ell
-    return X * zi2 % ell, Y * zi2 * zi % ell
-
-
 def _inverses(values: list[int], ell: int) -> list[int]:
     # The inverses mod ell of values, a 0 skipped and returned as 0, over one
     # inversion (Montgomery's trick, Math. Comp. 1987): the running products
@@ -419,7 +409,7 @@ def _window_table(P: Point, n: int, ell: int, width: int):
                 x3 = (lam * lam - x1 - x2) % ell
                 pt = x3, (lam * (x1 - x3) - y1) % ell
             else:
-                pt = A if B is None else _affine(_jac_add(*jacobian(A), *B, ell), ell)
+                pt = A if B is None else _to_affine([_jac_add(*jacobian(A), *B, ell)], ell)[0]
             rows[j // lo].append(pt)
     rows = [[_point_neg(pt, ell) for pt in row[half - 1:0:-1]] + row for row in rows]
     return None if _window_mul(rows, n, ell)[2] else rows
@@ -531,11 +521,6 @@ def _fp2_mul(u, v, ell):
     a, b = u
     c, d = v
     return ((a * c - b * d) % ell, (a * d + b * c) % ell)
-
-
-def _fp2_sqr(u, ell):
-    a, b = u
-    return ((a * a - b * b) % ell, 2 * a * b % ell)
 
 
 def _fp2_pow(u, e, ell):
@@ -775,10 +760,10 @@ def _fp2_point_add(R, S, ell):
     elif y1 != y2 or y1 == (0, 0):
         return None, None
     else:
-        a, b = _fp2_sqr(x1, ell)
+        a, b = _fp2_mul(x1, x1, ell)
         num, den = ((3 * a + 1) % ell, 3 * b % ell), (2 * y1[0] % ell, 2 * y1[1] % ell)
     lam = _fp2_mul(num, _fp2_inv(den, ell), ell)
-    x3 = _fp2_sub(_fp2_sub(_fp2_sqr(lam, ell), x1, ell), x2, ell)
+    x3 = _fp2_sub(_fp2_sub(_fp2_mul(lam, lam, ell), x1, ell), x2, ell)
     return (x3, _fp2_sub(_fp2_mul(lam, _fp2_sub(x1, x3, ell), ell), y1, ell)), lam
 
 
@@ -990,7 +975,7 @@ class PairingGroup:
         return _to_affine(points, self.ell)
 
     def add(self, P: Point, Q: Point) -> Point:
-        return _affine(self.add_jac(jacobian(P), Q), self.ell)
+        return self.to_affine(self.add_jac(jacobian(P), Q))[0]
 
     def add_jac(self, R: Jac, Q: Point) -> Jac:
         """R + Q for a Jacobian R and an affine Q, left Jacobian (one counted
@@ -1004,7 +989,7 @@ class PairingGroup:
 
     def mul(self, k: int, P: Point) -> Point:
         """Scalar multiple [k]P (one counted exponentiation)."""
-        return _affine(self.mul_jac(k, P), self.ell)
+        return self.to_affine(self.mul_jac(k, P))[0]
 
     def mul_jac(self, k: int, P: Point) -> Jac:
         """``mul``, left Jacobian."""
@@ -1117,9 +1102,6 @@ class PairingGroup:
         nbytes = (self.n.bit_length() + 64 + 7) // 8
         return int.from_bytes(_expand(_SCALAR_TAG, data, nbytes), "big") % self.n
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PairingGroup(n={self.n}, ell={self.ell})"
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -1217,7 +1199,7 @@ def _build_group(p: int, q: int, rng) -> GroupParams:
         )
 
     while True:
-        g = _affine(_point_mul(r, _random_point(ell, rng), ell), ell)
+        g = _to_affine([_point_mul(r, _random_point(ell, rng), ell)], ell)[0]
         pg = _point_mul(n // q, g, ell)  # [p]g
         if _point_mul(n // p, g, ell)[2] and pg[2]:  # Z != 0
             break
@@ -1226,7 +1208,7 @@ def _build_group(p: int, q: int, rng) -> GroupParams:
         alpha = rng.randrange(n)
         if math.gcd(alpha, q) == 1:
             break
-    h = _affine(_point_mul(alpha % q, _affine(pg, ell), ell), ell)  # [alpha*p]g
+    h = _to_affine([_point_mul(alpha % q, _to_affine([pg], ell)[0], ell)], ell)[0]  # [alpha*p]g
 
     return GroupParams(p=p, q=q, group=PairingGroup(n, ell, g, h))
 

@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import replace
 
 from ringauction.auction import parse_bid_payload
-from ringauction.group import InvalidPoint, _random_point
+from ringauction.group import (
+    GroupParams,
+    InvalidPoint,
+    PairingGroup,
+    _random_point,
+    group_from_primes,
+)
 from ringauction.harness import TranscriptReport, read_transcript
 from ringauction.registry import (
     BID_POSTED,
@@ -183,6 +190,20 @@ def torsion_shifts(group, P, rng):
     T = cofactor_torsion(group, rng)
     return [(0, 0)] + [naive_add(P, naive_mul(r // d, T, ell), ell)
                        for d in range(2, r + 1) if r % d == 0]
+
+
+def toy_params(ell: int) -> GroupParams:
+    """The toy groups of n = 35 = 5 * 7 (q = 7): ell = 139 (r = 4), as
+    group_from_primes(5, 7) builds it, or ell = 419 (r = 12, so r has the
+    odd prime 3), where group_from_primes stops at r = 4, so g and h are
+    built as it builds them."""
+    if ell == 139:
+        return group_from_primes(5, 7, random.Random(1))
+    n, rng = 35, random.Random(0)
+    while True:
+        g = naive_mul((ell + 1) // n, _random_point(ell, rng), ell)
+        if g is not None and naive_order(g, ell, n) == n:
+            return GroupParams(p=5, q=7, group=PairingGroup(n, ell, g, naive_mul(15, g, ell)))
 
 
 def naive_in_group(P, n: int, ell: int) -> bool:

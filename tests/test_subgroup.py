@@ -18,15 +18,7 @@ import pytest
 
 from ringauction.auction import AuctionManager, open_protocol
 from ringauction.cli import main
-from ringauction.group import (
-    GroupParams,
-    InvalidPoint,
-    PairingGroup,
-    _random_point,
-    gen_group_params,
-    group_from_primes,
-    hash_to_bits,
-)
+from ringauction.group import InvalidPoint, gen_group_params, hash_to_bits
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
     WINNER_ANNOUNCED,
@@ -59,6 +51,7 @@ from .support import (
     naive_mul,
     naive_neg,
     naive_order,
+    toy_params,
     verdict,
 )
 
@@ -213,17 +206,6 @@ def test_torsion_on_a_first_argument_is_malformed(torsion_setup, component, orde
 # a side is paired once per point and the accepted tuples are counted from
 # those values: exactly the tuples verify's equations accept.
 
-def _group_419() -> GroupParams:
-    # ell = 35 * 12 - 1 is prime and 3 (mod 4); group_from_primes(5, 7)
-    # stops at r = 4, so g and h are built as it builds them.
-    n, ell = 35, 419
-    rng = random.Random(0)
-    while True:
-        g = naive_mul(12, _random_point(ell, rng), ell)
-        if g is not None and naive_order(g, ell, n) == n:
-            return GroupParams(p=5, q=7, group=PairingGroup(n, ell, g, naive_mul(15, g, ell)))
-
-
 def _paired(grp, P, Q):
     try:
         return grp.pair(P, Q)
@@ -233,7 +215,7 @@ def _paired(grp, P, Q):
 
 @pytest.fixture(scope="module", params=(139, 419))
 def toy(request):
-    params = group_from_primes(5, 7, random.Random(1)) if request.param == 139 else _group_419()
+    params = toy_params(request.param)
     grp, n, ell = params.group, params.group.n, params.group.ell
     assert ell == request.param
     pp, tk = setup(params, 2, random.Random(0))
