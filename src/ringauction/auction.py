@@ -3,7 +3,7 @@
 A bidder sends one registration, ever, and at most one bid per round;
 ``harness.run_scenario`` counts both in ``ScenarioResult.messages``.  The
 auction manager applies only its own policies and then posts: the board's
-fold (``registry.BulletinBoard.apply``) decides whether a bid or winner
+fold (``registry.BulletinBoard.append``) decides whether a bid or winner
 record is valid, as it does on replay, and encodes the ``Bid`` the manager
 hands it.  Every actor takes its public parameters from the board it acts
 on, and the manager reads the posted bids and prices there.

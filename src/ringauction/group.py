@@ -20,20 +20,20 @@ the tangent's product, and a chord's values multiply f unreduced.  The
 final exponentiation uses the Frobenius map so that it needs one inversion
 in F_ell and a short power.
 Since -(x, y) = (x, -y) costs nothing, both walk signed digits: the Miller
-loop the non-adjacent form of n, recoded once as the group is made, a
-window mul the base-32 digits -15..16, each row holding the
-negatives as well.
-g, h and the points passed to PairingGroup.precompute are fixed bases.  mul
-takes [j * 32^i]P from a window table, built at a declared base's first mul
-and at g's or h's second, and only when [n]P = O, as only then may a scalar
-be reduced mod n.  A table's row bases come from one doubling chain, its
+loop the non-adjacent form of n, recoded once as the group is made, a window
+mul the w-bit digits 1 - 2^(w-1)..2^(w-1), each row holding the negatives
+too.  g, h and the points passed to PairingGroup.precompute are fixed bases.
+mul takes [j * 2^(w*i)]P from a window table, built at a declared base's
+first mul and at g's or h's second, and only when [n]P = O, as only then may
+a scalar be reduced mod n; w is 7 for h, the base of two passes in every
+ring slot, else 5.  A table's row bases come from one doubling chain, its
 other entries from affine sums a level at a time, each level's slopes over
-one shared inversion, five a table.  A member proof (member_base, then
-member_proof_jac) is one pass over h's rows and a key's from the key's 16th
-request on.  pair evaluates the Miller lines of a fixed first argument,
-stored once as (square first?, line) steps, at each Q with the same fused
-square-and-multiply, and refuses a first argument outside G_n, as its
-loop's final [n]P shows.
+one shared inversion, w a table.  From a key's 16th request on, a member
+proof (member_base, then member_proof_jac) is two chained passes: h's 7-bit
+rows on e^2 mod n, then the key's 5-bit rows on +-e mod n.  pair evaluates
+the Miller lines of a fixed first argument, stored once as (square first?,
+line) steps, at each Q with the same fused square-and-multiply, and refuses
+a first argument outside G_n, as its loop's final [n]P shows.
 in_group decides [n]P = O without the ladder: the reduced Tate pairing of
 order r = (ell + 1)/n at a fixed T in E(F_ell^2) is 1 at P.  T = [n]X, for X
 on a line through a rational point, is found with F_ell square roots at the

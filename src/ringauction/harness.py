@@ -376,8 +376,8 @@ class TranscriptReport:
 
 def verify_transcript(data: bytes) -> TranscriptReport:
     """Replay a transcript using public data only: ``read_transcript``, then
-    a fresh ``registry.BulletinBoard`` applies every record, so a transcript
-    is valid exactly when a live board takes each of its records.
+    each record appended to a fresh ``registry.BulletinBoard``, its one write
+    path, so a transcript is valid exactly when a live board takes each record.
 
     The board checks every posted point but decodes only the bids the winner
     rule verifies: each announced winner and the bids of its auction ranked
@@ -402,7 +402,7 @@ def verify_transcript(data: bytes) -> TranscriptReport:
 
     try:
         for entry in entries:
-            board.apply(entry)
+            board.append(*entry)
     except MalformedBoard as exc:
         return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
                                 outcomes=outcomes())

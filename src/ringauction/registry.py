@@ -4,12 +4,12 @@ its records.
 The bulletin board is the single public artifact of the protocol: an
 append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BulletinBoard`` is that log and the one fold of all
-four kinds: a live board folds every record it appends, the public replay
-every record it reads, so a board takes exactly the records a replay
-accepts.  A record's seq is its position, and a posted bid's one handle; a
-bid's payload is posted once, and the board encodes a bid handed to it.
-There is no black list: an eviction is a record, and the evicted key drops
-out of the active view, so the board alone records who has been evicted.
+four kinds: the live board and the public replay both write it through
+``append`` alone, so a board takes exactly the records a replay accepts.
+A record's seq is its position, and a posted bid's one handle; a bid's
+payload is posted once, and the board encodes a bid handed to it.  There
+is no black list: an eviction is a record, and the evicted key leaves the
+active view for good, so the board alone records who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
 table and nothing else.  Nothing on the board links a key to an identity.
@@ -39,6 +39,7 @@ BID_POSTED = "bid-posted"
 WINNER_ANNOUNCED = "winner-announced"
 ENTRY_KINDS = (KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED)
 RING_KEY_INACTIVE = "ring key not in the active view"
+KEY_WAS_EVICTED = "publishing a key that was evicted"
 BID_REPOSTED = "bid payload already posted"
 BID_AFTER_WINNER = "bid posted after its auction's winner"
 SEQ_WIDTH = 8  # a winner record's reference to its bid
@@ -242,19 +243,19 @@ def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bi
 # ---------------------------------------------------------------------------
 # bulletin board
 
-class BoardEntry(NamedTuple):  # a tuple, cheap to build: the parser makes one per record
-    seq: int
+class BoardEntry(NamedTuple):  # a tuple, cheap to build; its seq is its position
     kind: str
     payload: bytes
 
 
 class BulletinBoard:
-    """The append-only sequenced public log.  ``apply`` folds the next record
-    (its seq is its position) and stores it, or raises MalformedBoard and
-    changes nothing but the memos of ``bid`` and ``verified``:
+    """The append-only sequenced public log.  ``append``, its one write, live
+    and on replay, folds the next record and stores it (its seq is its
+    position), or raises MalformedBoard and changes nothing but the memos of
+    ``bid`` and ``verified``:
 
     - a published key must decode to a finite point other than (0, 0) and
-      not be active; an evicted key must be active (``active``);
+      be neither active nor evicted before; an evicted key must be active;
     - a posted bid must read (``read_bid_head``), repeat no posted payload,
       come before its auction's winner, price at least 1 and have every ring
       key active (``heads``);
@@ -262,9 +263,9 @@ class BulletinBoard:
       names, verify, be its auction's first and be the auction's ``leader``
       (``winners``).
 
-    ``append`` posts a new record through ``apply``; a bid may be its ``Bid``,
-    whose points the fold checks canonical in place of reading bytes, and
-    which it encodes once.  ell must be prime: the byte check is exact only then.
+    A bid may be handed to ``append`` as its ``Bid``, whose points the fold
+    checks canonical in place of reading bytes, and which it encodes once;
+    ell must be prime, as the byte check is exact only then.
     ``entries``, ``active_keys`` and ``active_view`` hand out snapshots.
     """
 
@@ -273,6 +274,7 @@ class BulletinBoard:
         self.group = pp.group
         self._entries: list[BoardEntry] = []
         self.active: set[bytes] = set()
+        self._evicted: set[bytes] = set()  # the keys that key-evicted records removed
         self.heads: dict[int, BidHead] = {}
         self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
         self._bids: dict[int, Bid] = {}  # by seq: handed in, or decoded by ``bid``
@@ -282,15 +284,8 @@ class BulletinBoard:
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
 
     def append(self, kind: str, payload: bytes | Bid) -> int:
-        """Post the next record (a bid's payload may be its ``Bid``); its seq."""
-        if kind not in ENTRY_KINDS:
-            raise ValueError(f"unknown entry kind {kind!r}")
-        entry = BoardEntry(seq=len(self._entries), kind=kind, payload=payload)
-        self.apply(entry)
-        return entry.seq
-
-    def apply(self, entry: BoardEntry) -> None:
-        seq, kind, payload = entry
+        """Fold the next record and store it (a bid may be its ``Bid``); its seq."""
+        seq = len(self._entries)
         if kind == KEY_PUBLISHED:
             try:
                 check_point_bytes(payload, self.group.ell)
@@ -301,16 +296,18 @@ class BulletinBoard:
                                      "identity point published as a key", seq=seq)
             if payload in self.active:
                 raise MalformedBoard("key is already active", seq=seq)
+            if payload in self._evicted:
+                raise MalformedBoard(KEY_WAS_EVICTED, seq=seq)
             self.active.add(payload)
         elif kind == KEY_EVICTED:
             if payload not in self.active:
                 raise MalformedBoard("evicting a key that is not active", seq=seq)
             self.active.remove(payload)
+            self._evicted.add(payload)
         elif kind == BID_POSTED:
             try:
                 if isinstance(payload, Bid):
                     head, bid, payload = _head_of(self.group, payload)
-                    entry = BoardEntry(seq, kind, payload)
                 else:
                     head, bid = read_bid_head(self.group, payload, self.active), None
             except MalformedBid as exc:
@@ -345,7 +342,10 @@ class BulletinBoard:
                 raise MalformedBoard("a better verifying bid exists than the announced winner",
                                      seq=seq)
             self.winners[head.auction_id] = (head.auction_id, ref, head.price)
-        self._entries.append(entry)
+        else:
+            raise ValueError(f"unknown entry kind {kind!r}")
+        self._entries.append(BoardEntry(kind, payload))
+        return seq
 
     def high(self, auction_id: int) -> int:
         """The auction's highest posted price, 0 before its first bid."""
@@ -360,7 +360,7 @@ class BulletinBoard:
                      if self.verified(seq)), None)
 
     def bid(self, seq: int) -> Bid:
-        """The bid posted at ``seq``: the ``Bid`` handed to ``apply``, else
+        """The bid posted at ``seq``: the ``Bid`` handed to ``append``, else
         decoded once, each ring key through the board's key memo.  KeyError
         if no bid is posted at ``seq``."""
         if seq not in self._bids:
@@ -388,7 +388,7 @@ class BulletinBoard:
 
 def board_to_text(entries: Iterable[BoardEntry]) -> str:
     """One record per line: seq, kind, hex payload."""
-    return "".join(f"{e.seq} {e.kind} {e.payload.hex()}\n" for e in entries)
+    return "".join(f"{seq} {e.kind} {e.payload.hex()}\n" for seq, e in enumerate(entries))
 
 
 def parse_board_text(text: str, first_line: int = 1) -> tuple[BoardEntry, ...]:
@@ -416,7 +416,7 @@ def parse_board_text(text: str, first_line: int = 1) -> tuple[BoardEntry, ...]:
             payload = None
         if payload is None or payload.hex() != parts[2]:
             raise MalformedBoard("payload is not lowercase hex", line=lineno, seq=seq)
-        entries.append(BoardEntry(seq=seq, kind=kind, payload=payload))
+        entries.append(BoardEntry(kind, payload))
     return tuple(entries)
 
 

@@ -299,12 +299,12 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
     group = pp.group
 
     active = set()
+    evicted = set()  # keys removed by key-evicted records
     bids = {}  # seq -> (auction_id, price, payload, verifies)
     payloads = set()  # of the posted bids
     announced = set()
     winners = []
-    for entry in entries:
-        seq, kind, payload = entry.seq, entry.kind, entry.payload
+    for seq, (kind, payload) in enumerate(entries):
         if kind == KEY_PUBLISHED:
             try:
                 key = group.decode_point(payload)
@@ -318,11 +318,14 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                 return invalid(seq, "non-canonical key encoding")
             if payload in active:
                 return invalid(seq, "key is already active")
+            if payload in evicted:
+                return invalid(seq, "publishing a key that was evicted")
             active.add(payload)
         elif kind == KEY_EVICTED:
             if payload not in active:
                 return invalid(seq, "evicting a key that is not active")
             active.discard(payload)
+            evicted.add(payload)
         elif kind == BID_POSTED:
             try:
                 bid = parse_bid_payload(group, payload)

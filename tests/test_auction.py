@@ -426,7 +426,7 @@ class TestWinner:
         assert verify_transcript(transcript).winners == ((1, first.seq, 20),)
         lines = transcript.decode().splitlines()
         seq, kind, payload = lines[-1].split(" ")
-        later = next(e.payload for e in env.board.entries() if e.seq == second.seq).hex()
+        later = env.board.entries()[second.seq].payload.hex()
         lines[-1] = f"{seq} {kind} {second.seq.to_bytes(8, 'big').hex()}{later}"
         forged = ("\n".join(lines) + "\n").encode()
         report = verify_transcript(forged)

@@ -52,6 +52,7 @@ from ringauction.registry import (
     BID_POSTED,
     BID_REPOSTED,
     KEY_PUBLISHED,
+    KEY_WAS_EVICTED,
     WINNER_ANNOUNCED,
     Bid,
     BidHead,
@@ -163,7 +164,7 @@ def _composite_ell_transcript() -> bytes:
     pp = PublicParams(group, g, h, g, h, (g,))
     header = render_transcript(BulletinBoard(pp))
     return header + board_to_text(
-        BoardEntry(seq, kind, data) for seq, (kind, data) in enumerate(records)).encode()
+        BoardEntry(kind, data) for kind, data in records).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +628,20 @@ class TestTranscriptMutations:
         assert report.failing_seq == int(seq)
         assert report.reason == "key is already active"
 
+    def test_republished_evicted_key_fails_at_its_seq(self, run_and_lines):
+        # The evicted key published again as the next seq: no black list, the
+        # board's own key-evicted record refuses it, live and on replay alike.
+        result, lines = run_and_lines
+        key = lines[self.find_line(lines, "key-evicted")].split(" ")[2]
+        seq = len(lines) - 1
+        report = self.reverify(lines + [f"{seq} key-published {key}"])
+        assert (report.failing_seq, report.reason) == (seq, KEY_WAS_EVICTED)
+        board = verify_transcript(result.transcript).board
+        with pytest.raises(MalformedBoard) as live:
+            board.append(KEY_PUBLISHED, bytes.fromhex(key))
+        assert (live.value.seq, live.value.reason) == (seq, KEY_WAS_EVICTED)
+        assert len(board.entries()) == seq and bytes.fromhex(key) not in board.active
+
     def test_eviction_of_inactive_key_fails(self, run_and_lines):
         result, lines = run_and_lines
         idx = self.find_line(lines, "key-evicted")
@@ -1043,6 +1058,22 @@ def test_one_spelling_per_transcript(run_and_lines, spelling):
     assert respelled != canonical
     assert verify_transcript(canonical.encode())
     assert not verify_transcript(respelled.encode())
+
+
+def test_replay_writes_every_record_through_append(run_and_lines, monkeypatch):
+    # One write path: the replay posts each record as a live board would.
+    result, (_, *records) = run_and_lines
+    posted = []
+    append = BulletinBoard.append
+
+    def counted(board, kind, payload):
+        posted.append((kind, payload.hex()))
+        return append(board, kind, payload)
+
+    monkeypatch.setattr(BulletinBoard, "append", counted)
+    report = verify_transcript(result.transcript)
+    assert report.valid and report.records == len(records)
+    assert posted == [tuple(record.split(" ")[1:]) for record in records]
 
 
 # One bad record per structural fault, made from a posted bid's line.

@@ -13,6 +13,7 @@ from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
     KEY_PUBLISHED,
+    KEY_WAS_EVICTED,
     WINNER_ANNOUNCED,
     AlreadyEvicted,
     BoardEntry,
@@ -66,7 +67,7 @@ def replayed_view(pp, text):
     """Fold a serialized board into a fresh BulletinBoard: its sorted active encodings."""
     board = BulletinBoard(pp)
     for entry in parse_board_text(text):
-        board.apply(entry)
+        board.append(*entry)
     return board.active_view()
 
 
@@ -209,7 +210,7 @@ class TestBulletinBoard:
         text = board_to_text(board.entries())
         assert text == f"0 key-published {keys[0].hex()}\n1 key-evicted {keys[0].hex()}\n"
         assert parse_board_text(text) == board.entries()
-        empty = (BoardEntry(0, BID_POSTED, b""),)
+        empty = (BoardEntry(BID_POSTED, b""),)
         assert parse_board_text(board_to_text(empty)) == empty
 
     def test_parse_rejects_garbage(self):
@@ -493,8 +494,10 @@ class TestRegistrationManager:
             rm.evict(pub)
 
     def test_evicted_key_cannot_reregister(self, manager, tiny_params):
-        # registration is one-time: eviction burns the key for good
-        rm, _ = manager
+        # registration is one-time: eviction burns the key for good; register
+        # answers DuplicateKey first, and a bare append of the key meets the
+        # board's own key-evicted record, not a black list
+        rm, board = manager
         group = tiny_params.group
         rng = random.Random(26)
         x, pub = fresh_key(group, rng)
@@ -504,6 +507,10 @@ class TestRegistrationManager:
         fresh_proof = make_registration(x, pub, b"alice", group, rng)
         with pytest.raises(DuplicateKey):
             rm.register(pub, b"alice", fresh_proof)
+        with pytest.raises(MalformedBoard) as caught:
+            board.append(KEY_PUBLISHED, group.encode_point(pub))
+        assert (caught.value.seq, caught.value.reason) == (2, KEY_WAS_EVICTED)
+        assert len(board.entries()) == 2 and not board.active
 
     def test_unknown_key_lookup_and_evict(self, manager, tiny_params):
         rm, _ = manager
