@@ -1060,6 +1060,54 @@ def test_one_spelling_per_transcript(run_and_lines, spelling):
     assert not verify_transcript(respelled.encode())
 
 
+# Transcripts cut at or around the header, each made from the header line and
+# the record lines of ``run_and_lines``.
+HEADER_EDGES = {
+    "empty": lambda header, records: b"",
+    "newline": lambda header, records: b"\n",
+    "params-zz": lambda header, records: b"params zz",
+    "header-line": lambda header, records: (header + "\n").encode(),
+    "header-no-newline": lambda header, records: header.encode(),
+    "headerless": lambda header, records: "".join(line + "\n" for line in records).encode(),
+    "not-utf8": lambda header, records: b"\xff",
+}
+NOT_AS_WRITTEN = "params header is not as render_transcript writes it"
+# The replay's (valid, failing_seq, failing_line, reason) on each respelling
+# and each header edge, pinned so that a rewrite of the reader keeps which
+# fault it reports first and where.
+READER_VERDICTS = {
+    "n-padded": (False, None, 1, NOT_AS_WRITTEN),
+    "g-uppercase": (False, None, 1, NOT_AS_WRITTEN),
+    "indented-json": (False, None, 1, NOT_AS_WRITTEN),
+    "extra-field": (False, None, 1, NOT_AS_WRITTEN),
+    "crlf": (False, 0, 2, "payload is not lowercase hex"),
+    "form-feeds": (False, None, None, "bad params header: non-hexadecimal number found in "
+                   "fromhex() arg at position 962"),
+    "no-final-newline": (False, None, 12, "line does not end with a newline"),
+    "leading-blank-lines": (False, None, 1, "record is not 'seq kind payload'"),
+    "empty": (True, None, None, None),
+    "newline": (False, None, 1, "record is not 'seq kind payload'"),
+    "params-zz": (False, None, None, "bad params header: non-hexadecimal number found in "
+                  "fromhex() arg at position 0"),
+    "header-line": (True, None, None, None),
+    "header-no-newline": (False, None, 1, NOT_AS_WRITTEN),
+    "headerless": (False, None, None, "missing params header"),
+    "not-utf8": (False, None, None, "transcript is not utf-8 text"),
+}
+
+
+@pytest.mark.parametrize("name", READER_VERDICTS)
+def test_reader_verdicts(run_and_lines, name):
+    _, (header, *records) = run_and_lines
+    if name in SPELLINGS:
+        data = SPELLINGS[name](header, records).encode()
+    else:
+        data = HEADER_EDGES[name](header, records)
+    report = verify_transcript(data)
+    assert (report.valid, report.failing_seq, report.failing_line,
+            report.reason) == READER_VERDICTS[name]
+
+
 def test_replay_writes_every_record_through_append(run_and_lines, monkeypatch):
     # One write path: the replay posts each record as a live board would.
     result, (_, *records) = run_and_lines
