@@ -1,7 +1,8 @@
 """Auction-side actors: bidding, admission, winner selection, opening.
 
-A bidder sends one registration, ever, and at most one bid per round;
-``harness.run_scenario`` counts both in ``ScenarioResult.messages``.  The
+A bidder sends one registration, ever (the registration manager refuses an
+identity's second), and at most one bid per round; ``harness.run_scenario``
+counts both in ``ScenarioResult.messages``.  The
 auction manager applies only its own policies and then posts: the board's
 fold (``registry.BulletinBoard.append``) decides whether a bid or winner
 record is valid, as it does on replay, and encodes the ``Bid`` the manager
@@ -171,7 +172,7 @@ class AuctionManager:
         seq = self.board.leader(auction_id)
         if seq is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
-        record = seq.to_bytes(SEQ_WIDTH, "big") + self.board.entries()[seq].payload
+        record = seq.to_bytes(SEQ_WIDTH, "big") + self.board.entries()[seq][1]
         self.board.append(WINNER_ANNOUNCED, record)
         state.phase = "announced"
         return seq

@@ -8,14 +8,16 @@ so a configuration always produces byte-identical transcripts.
 parameters.  Every tally is an ``OpCounter`` or a ``collections.Counter``.
 
 A transcript is one ``params`` header line (the public parameters, hex of
-canonical JSON) followed by the bulletin-board records, each line ending
-with ``\\n``: one spelling per board.  ``render_transcript`` writes it and
-``read_transcript`` reads it, splitting the text once and leaving the
-records to ``parse_board_text``.  ``verify_transcript`` is the one replay:
-it needs no secrets and folds the records into a fresh ``BulletinBoard``,
-the live board's own class, which re-derives the winner of every announced
-auction.  The report hands back that board, so a posted bid is read from
-the replay by its seq, as from the live board.
+canonical JSON) followed by the bulletin-board records, record i as
+``i kind payload-hex``, each line ending with ``\\n``: one spelling per
+board.  This module alone spells that format: ``render_transcript`` writes
+it, and ``read_transcript`` reads the header and the records in one pass
+into a ``Transcript`` of the ``(kind, payload)`` pairs the board stores.
+``verify_transcript`` is the one replay: it needs no secrets and folds the
+records into a fresh ``BulletinBoard``, the live board's own class, which
+re-derives the winner of every announced auction.  The report hands back
+that board, so a posted bid is read from the replay by its seq, as from the
+live board.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .auction import AuctionManager, BidderAgent, open_protocol
 from .group import (
@@ -36,13 +38,11 @@ from .group import (
     gen_group_params,
 )
 from .registry import (
-    BoardEntry,
+    ENTRY_KINDS,
     BulletinBoard,
     MalformedBoard,
     RegistrationManager,
-    board_to_text,
     make_registration,
-    parse_board_text,
 )
 from .ringsig import (
     PublicParams,
@@ -325,28 +325,54 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
 
 def render_transcript(board: BulletinBoard) -> bytes:
     header = f"{_TRANSCRIPT_HEADER}{public_params_to_json(board.pp).hex()}\n"
-    return (header + board_to_text(board.entries())).encode()
+    return (header + "".join(f"{seq} {kind} {payload.hex()}\n"
+                             for seq, (kind, payload) in enumerate(board.entries()))).encode()
 
 
-def read_transcript(data: bytes) -> tuple[PublicParams | None, tuple[BoardEntry, ...]]:
-    """Inverse of render_transcript: (public parameters, records).
+class Transcript(NamedTuple):  # params is None only for the empty transcript
+    params: PublicParams | None
+    records: tuple[tuple[str, bytes], ...]  # (kind, payload), as the board stores them
 
-    Takes only the bytes ``render_transcript`` writes: the header line, then
-    the records (``parse_board_text``), each line ending with ``\\n``.  The
-    header is decoded after every record has parsed.  Raises MalformedBoard
-    for text that is not UTF-8, a malformed record, or a missing or bad
-    header.  The parameters are None only for the empty transcript.
+
+def read_transcript(data: bytes) -> Transcript:
+    """Inverse of render_transcript: takes only the bytes it writes, each line
+    ending with ``\\n``, record i with seq ``str(i)``, a known kind and a
+    lowercase hex payload.  Every record is read before the header is
+    decoded.  Raises MalformedBoard, its line number counting the header, for
+    text that is not UTF-8, a malformed record, or a missing or bad header.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedBoard("transcript is not utf-8 text") from None
     header, newline, records = text.partition("\n")
+    first = 2
     if not header.startswith(_TRANSCRIPT_HEADER):
-        if parse_board_text(text):
+        header, records, first = None, text, 1
+    lines = records.split("\n")
+    if lines.pop():  # the text after the last newline
+        raise MalformedBoard("line does not end with a newline", line=first + len(lines))
+    entries = []
+    for lineno, line in enumerate(lines, start=first):
+        parts = line.split(" ")
+        if len(parts) != 3:
+            raise MalformedBoard("record is not 'seq kind payload'", line=lineno)
+        seq, kind = len(entries), parts[1]
+        if parts[0] != str(seq):
+            raise MalformedBoard("seq is not the record's position", line=lineno, seq=seq)
+        if kind not in ENTRY_KINDS:
+            raise MalformedBoard(f"unknown record kind {kind!r}", line=lineno, seq=seq)
+        try:
+            payload = bytes.fromhex(parts[2])
+        except ValueError:
+            payload = None
+        if payload is None or payload.hex() != parts[2]:
+            raise MalformedBoard("payload is not lowercase hex", line=lineno, seq=seq)
+        entries.append((kind, payload))
+    if header is None:
+        if entries:
             raise MalformedBoard("missing params header")
-        return None, ()
-    entries = parse_board_text(records, first_line=2)
+        return Transcript(None, ())
     params_hex = header[len(_TRANSCRIPT_HEADER):]
     try:
         pp = public_params_from_json(bytes.fromhex(params_hex))
@@ -354,7 +380,7 @@ def read_transcript(data: bytes) -> tuple[PublicParams | None, tuple[BoardEntry,
         raise MalformedBoard(f"bad params header: {exc}") from exc
     if not newline or public_params_to_json(pp).hex() != params_hex:
         raise MalformedBoard("params header is not as render_transcript writes it", line=1)
-    return pp, entries
+    return Transcript(pp, tuple(entries))
 
 
 @dataclass(frozen=True)

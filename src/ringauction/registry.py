@@ -6,13 +6,16 @@ append-only sequenced log of key publications, evictions, posted bids and
 winner announcements.  ``BulletinBoard`` is that log and the one fold of all
 four kinds: the live board and the public replay both write it through
 ``append`` alone, so a board takes exactly the records a replay accepts.
-A record's seq is its position, and a posted bid's one handle; a bid's
-payload is posted once, and the board encodes a bid handed to it.  There
-is no black list: an eviction is a record, and the evicted key leaves the
-active view for good, so the board alone records who has been evicted.
+A record is a plain ``(kind, payload)`` pair; its seq is its position, and
+a posted bid's one handle; a bid's payload is posted once, and the board
+encodes a bid handed to it.  The text form of the records is the
+transcript's, which ``harness`` alone writes and reads.  There is no black
+list: an eviction is a record, and the evicted key leaves the active view
+for good, so the board alone records who has been evicted.
 
 The registration manager privately keeps the (published key -> identity)
-table and nothing else.  Nothing on the board links a key to an identity.
+table and nothing else; an identity registers one key, ever.  Nothing on the
+board links a key to an identity, so a replay cannot check that rule.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Container, Iterable, NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 from .ringsig import (
@@ -53,7 +56,7 @@ class RegistryError(Exception):
 
 
 class DuplicateKey(RegistryError):
-    """The key already has a record (active or evicted)."""
+    """The key, or the identity, already has a record (active or evicted)."""
 
 
 class InvalidProof(RegistryError):
@@ -243,16 +246,12 @@ def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bi
 # ---------------------------------------------------------------------------
 # bulletin board
 
-class BoardEntry(NamedTuple):  # a tuple, cheap to build; its seq is its position
-    kind: str
-    payload: bytes
-
-
 class BulletinBoard:
     """The append-only sequenced public log.  ``append``, its one write, live
-    and on replay, folds the next record and stores it (its seq is its
-    position), or raises MalformedBoard and changes nothing but the memos of
-    ``bid`` and ``verified``:
+    and on replay, folds the next record and stores it as a plain
+    ``(kind, payload)`` pair (its seq is its position), or raises
+    MalformedBoard and changes nothing but the memos of ``bid`` and
+    ``verified``:
 
     - a published key must decode to a finite point other than (0, 0) and
       be neither active nor evicted before; an evicted key must be active;
@@ -266,13 +265,14 @@ class BulletinBoard:
     A bid may be handed to ``append`` as its ``Bid``, whose points the fold
     checks canonical in place of reading bytes, and which it encodes once;
     ell must be prime, as the byte check is exact only then.
-    ``entries``, ``active_keys`` and ``active_view`` hand out snapshots.
+    ``entries`` (the stored pairs, as the harness's transcript reader yields
+    them), ``active_keys`` and ``active_view`` hand out snapshots.
     """
 
     def __init__(self, pp: PublicParams) -> None:
         self.pp = pp
         self.group = pp.group
-        self._entries: list[BoardEntry] = []
+        self._entries: list[tuple[str, bytes]] = []  # (kind, payload)
         self.active: set[bytes] = set()
         self._evicted: set[bytes] = set()  # the keys that key-evicted records removed
         self.heads: dict[int, BidHead] = {}
@@ -332,7 +332,7 @@ class BulletinBoard:
             head = self.heads.get(ref)
             if head is None:
                 raise MalformedBoard("winner references an unknown bid", seq=seq)
-            if payload[SEQ_WIDTH:] != self._entries[ref].payload:
+            if payload[SEQ_WIDTH:] != self._entries[ref][1]:
                 raise MalformedBoard("winner payload differs from the referenced bid", seq=seq)
             if not self.verified(ref):
                 raise MalformedBoard("announced winner's signature does not verify", seq=seq)
@@ -344,7 +344,7 @@ class BulletinBoard:
             self.winners[head.auction_id] = (head.auction_id, ref, head.price)
         else:
             raise ValueError(f"unknown entry kind {kind!r}")
-        self._entries.append(BoardEntry(kind, payload))
+        self._entries.append((kind, payload))
         return seq
 
     def high(self, auction_id: int) -> int:
@@ -374,7 +374,7 @@ class BulletinBoard:
             self.results[seq] = verify(self.pp, bid.ring, bid.message_bytes(), bid.signature)
         return self.results[seq]
 
-    def entries(self) -> tuple[BoardEntry, ...]:
+    def entries(self) -> tuple[tuple[str, bytes], ...]:
         return tuple(self._entries)
 
     def active_keys(self) -> frozenset[bytes]:
@@ -386,40 +386,6 @@ class BulletinBoard:
         return tuple(sorted(self.active))
 
 
-def board_to_text(entries: Iterable[BoardEntry]) -> str:
-    """One record per line: seq, kind, hex payload."""
-    return "".join(f"{seq} {e.kind} {e.payload.hex()}\n" for seq, e in enumerate(entries))
-
-
-def parse_board_text(text: str, first_line: int = 1) -> tuple[BoardEntry, ...]:
-    """The only parser of ``seq kind payload`` records, as ``board_to_text``
-    writes them: each line ends with ``\\n``, record i has seq ``str(i)`` and
-    its payload is lowercase hex.  Raises MalformedBoard at the first line
-    that does not read so, numbering the text's lines from ``first_line``.
-    """
-    entries: list[BoardEntry] = []
-    lines = text.split("\n")
-    if lines.pop():  # the text after the last newline
-        raise MalformedBoard("line does not end with a newline", line=first_line + len(lines))
-    for lineno, line in enumerate(lines, start=first_line):
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise MalformedBoard("record is not 'seq kind payload'", line=lineno)
-        seq, kind = len(entries), parts[1]
-        if parts[0] != str(seq):
-            raise MalformedBoard("seq is not the record's position", line=lineno, seq=seq)
-        if kind not in ENTRY_KINDS:
-            raise MalformedBoard(f"unknown record kind {kind!r}", line=lineno, seq=seq)
-        try:
-            payload = bytes.fromhex(parts[2])
-        except ValueError:
-            payload = None
-        if payload is None or payload.hex() != parts[2]:
-            raise MalformedBoard("payload is not lowercase hex", line=lineno, seq=seq)
-        entries.append(BoardEntry(kind, payload))
-    return tuple(entries)
-
-
 # ---------------------------------------------------------------------------
 # registration manager
 
@@ -428,12 +394,14 @@ class RegistrationManager:
 
     Single-owner actor: every mutation goes through this object.  The table
     (key encoding -> identity) survives eviction so audits can still resolve
-    a key; whether a key is evicted is known only to the board.
+    a key, and so an identity whose key was evicted cannot register another;
+    whether a key is evicted is known only to the board.
     """
 
     def __init__(self, board: BulletinBoard) -> None:
         self.board = board
         self._identities: dict[bytes, bytes] = {}
+        self._registered: set[bytes] = set()  # the table's identities
 
     def register(self, pub_key: Point, identity: bytes, proof: RegistrationProof) -> int:
         """Verify the possession proof, publish the key, store the identity.
@@ -453,8 +421,11 @@ class RegistrationManager:
         encoded = group.encode_point(pub_key)
         if encoded in self._identities:
             raise DuplicateKey("key already registered")
+        if identity in self._registered:
+            raise DuplicateKey("identity already registered")
         seq = self.board.append(KEY_PUBLISHED, encoded)
         self._identities[encoded] = identity
+        self._registered.add(identity)
         return seq
 
     def lookup_identity(self, pub_key: Point) -> bytes:

@@ -22,13 +22,13 @@ from ringauction.harness import (
     SNIPER,
     ScenarioConfig,
     efficiency_sweep,
+    read_transcript,
     run_scenario,
     verify_transcript,
 )
 from ringauction.registry import (
     RegistrationProof,
     make_registration,
-    parse_board_text,
     verify_registration,
 )
 from ringauction.ringsig import Ring, keygen, setup, sign, trace, verify
@@ -394,14 +394,15 @@ def test_determinism_after_eviction():
     result = run_scenario(config)
     assert hashlib.sha256(result.transcript).hexdigest() == (
         "ceb2253285ddb5c8e241e5de548491a6a5b8b8412617426e4cfac44c89e630c6")
-    entries = parse_board_text(result.transcript.decode().split("\n", 1)[1])
-    published = sorted(e.payload for e in entries if e.kind == "key-published")
-    (evicted,) = [e for e in entries if e.kind == "key-evicted"]
-    assert 0 < published.index(evicted.payload) < len(published) - 1
-    later = [parse_bid_payload(result.public_params.group, e.payload)
-             for e in entries[entries.index(evicted) + 1:] if e.kind == "bid-posted"]
+    entries = read_transcript(result.transcript).records
+    published = sorted(payload for kind, payload in entries if kind == "key-published")
+    (at,) = [seq for seq, (kind, _) in enumerate(entries) if kind == "key-evicted"]
+    evicted = entries[at][1]
+    assert 0 < published.index(evicted) < len(published) - 1
+    later = [parse_bid_payload(result.public_params.group, payload)
+             for kind, payload in entries[at + 1:] if kind == "bid-posted"]
     assert later and all(bid.auction_id == 1 for bid in later)
-    assert all(evicted.payload not in bid.ring.encodings for bid in later)
+    assert all(evicted not in bid.ring.encodings for bid in later)
     assert verify_transcript(result.transcript).valid
     print("\nACCEPTANCE determinism after eviction: PASS (pinned digest; later "
           "rings drawn without the evicted key)")

@@ -33,9 +33,9 @@ from ringauction.registry import (
     WINNER_ANNOUNCED,
     Bid,
     BulletinBoard,
+    DuplicateKey,
     MalformedBid,
     RegistrationManager,
-    board_to_text,
     decode_bid,
     decode_bid_message,
     encode_bid_message,
@@ -262,9 +262,9 @@ class TestAdmission:
         bid = craft_bid(env, env.agents[0], 10)
         result = env.am.admit_bid(bid)
         assert result
-        entry = env.board.entries()[result.seq]
-        assert entry.kind == BID_POSTED
-        assert entry.payload == serialize_bid_payload(bid)
+        kind, payload = env.board.entries()[result.seq]
+        assert kind == BID_POSTED
+        assert payload == serialize_bid_payload(bid)
         assert env.board.high(1) == 10
 
     def test_unknown_auction(self, env):
@@ -426,7 +426,7 @@ class TestWinner:
         assert verify_transcript(transcript).winners == ((1, first.seq, 20),)
         lines = transcript.decode().splitlines()
         seq, kind, payload = lines[-1].split(" ")
-        later = env.board.entries()[second.seq].payload.hex()
+        later = env.board.entries()[second.seq][1].hex()
         lines[-1] = f"{seq} {kind} {second.seq.to_bytes(8, 'big').hex()}{later}"
         forged = ("\n".join(lines) + "\n").encode()
         report = verify_transcript(forged)
@@ -469,10 +469,10 @@ class TestWinner:
         seq = env.am.admit_bid(bid).seq
         env.am.close_auction(1)
         assert env.am.determine_winner(1) == seq
-        entry = env.board.entries()[-1]
-        assert entry.kind == WINNER_ANNOUNCED
-        assert int.from_bytes(entry.payload[:8], "big") == seq
-        assert entry.payload[8:] == serialize_bid_payload(bid)
+        kind, payload = env.board.entries()[-1]
+        assert kind == WINNER_ANNOUNCED
+        assert int.from_bytes(payload[:8], "big") == seq
+        assert payload[8:] == serialize_bid_payload(bid)
 
     def test_reopening_same_auction_id_rejected(self, env):
         env.am.open_auction(1)
@@ -511,8 +511,20 @@ class TestOpenProtocol:
         winner = self.run_auction(env, (10, 20, 15))
         first = open_protocol(env.am, env.rm, winner, malicious=True)
         assert open_protocol(env.am, env.rm, winner, malicious=True) == first
-        kinds = [entry.kind for entry in env.board.entries()]
+        kinds = [kind for kind, _ in env.board.entries()]
         assert kinds.count(KEY_EVICTED) == 1
+
+    def test_evicted_identity_cannot_register_a_fresh_key(self, env):
+        # One registration per identity, ever: after a repudiated bid's key is
+        # evicted, its identity's fresh key is refused and nothing is posted.
+        winner = self.run_auction(env, (10, 20, 15))
+        _, identity = open_protocol(env.am, env.rm, winner, malicious=True)
+        fresh = keygen(env.pp, random.Random(1235))
+        proof = make_registration(fresh.x, fresh.pub_key, identity, env.pp.group, env.rng)
+        before = env.board.entries()
+        with pytest.raises(DuplicateKey, match="identity already registered"):
+            env.rm.register(fresh.pub_key, identity, proof)
+        assert env.board.entries() == before
 
     def test_opening_checks_the_signature_once(self, env):
         # The bid at 10 ranks below the winner, so determine_winner never
@@ -633,10 +645,9 @@ class TestOpenProtocol:
         # and keys, never identity strings; identities come out only through
         # the two-party opening
         self.run_auction(env, (10, 20, 15))
-        text = board_to_text(env.board.entries())
-        assert "agent-" not in text
-        for entry in env.board.entries():
-            if entry.kind == BID_POSTED:
-                parsed = parse_bid_payload(env.pp.group, entry.payload)
+        assert b"agent-" not in render_transcript(env.board)
+        for kind, payload in env.board.entries():
+            if kind == BID_POSTED:
+                parsed = parse_bid_payload(env.pp.group, payload)
                 assert len(parsed.ring) == len(env.agents)
 

@@ -42,6 +42,7 @@ from ringauction.harness import (
     efficiency_sweep,
     measure_signing,
     parse_scenario,
+    read_transcript,
     render_transcript,
     run_scenario,
     verify_transcript,
@@ -56,15 +57,12 @@ from ringauction.registry import (
     WINNER_ANNOUNCED,
     Bid,
     BidHead,
-    BoardEntry,
     BulletinBoard,
     MalformedBid,
     MalformedBoard,
     RegistrationProof,
-    board_to_text,
     decode_bid_message,
     encode_bid_message,
-    parse_board_text,
     serialize_bid_payload,
 )
 from ringauction.ringsig import (
@@ -163,8 +161,8 @@ def _composite_ell_transcript() -> bytes:
     records += [(BID_POSTED, payload), (WINNER_ANNOUNCED, (3).to_bytes(8, "big") + payload)]
     pp = PublicParams(group, g, h, g, h, (g,))
     header = render_transcript(BulletinBoard(pp))
-    return header + board_to_text(
-        BoardEntry(kind, data) for kind, data in records).encode()
+    return header + "".join(f"{seq} {kind} {data.hex()}\n"
+                            for seq, (kind, data) in enumerate(records)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +393,9 @@ class TestVerifyTranscript:
     def test_clean_transcript_is_valid(self, full_run):
         report = verify_transcript(full_run.transcript)
         assert report.valid
+        # the replayed board renders the transcript, which reads back as its records
+        assert render_transcript(report.board) == full_run.transcript
+        assert read_transcript(render_transcript(report.board)).records == report.board.entries()
         posted = list(_posted_bids(full_run.transcript, full_run.public_params))  # board order
         assert list(report.board.heads) == posted
         assert report.reason is None
@@ -1136,17 +1137,20 @@ STRUCTURAL_FAULTS = {
 
 @pytest.mark.parametrize("fault", STRUCTURAL_FAULTS)
 def test_one_parser_one_answer(run_and_lines, tmp_path, capsys, fault):
-    """The board parser, the replay and the trace command agree on a bad record."""
+    """The transcript reader, the replay and the trace command agree on a bad record."""
     result, lines = run_and_lines
     idx = next(i for i, line in enumerate(lines) if " bid-posted " in line)
     seq, kind, payload = lines[idx].split(" ")
     mutated = list(lines)
     mutated[idx] = STRUCTURAL_FAULTS[fault](seq, kind, payload)
+    data = ("\n".join(mutated) + "\n").encode()
     with pytest.raises(MalformedBoard) as caught:
-        parse_board_text("".join(line + "\n" for line in mutated[1:]))
-    report = verify_transcript(("\n".join(mutated) + "\n").encode())
+        read_transcript(data)
+    assert caught.value.line == idx + 1  # line numbers count the header
+    report = verify_transcript(data)
     assert not report.valid
-    assert (report.reason, report.failing_seq) == (caught.value.reason, caught.value.seq)
+    assert (report.reason, report.failing_seq, report.failing_line) == (
+        caught.value.reason, caught.value.seq, caught.value.line)
 
     transcript = tmp_path / "t.txt"
     transcript.write_text("\n".join(mutated) + "\n")

@@ -8,7 +8,13 @@ import pytest
 
 from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops, gen_group_params
-from ringauction.harness import ScenarioConfig, render_transcript, run_scenario, verify_transcript
+from ringauction.harness import (
+    ScenarioConfig,
+    read_transcript,
+    render_transcript,
+    run_scenario,
+    verify_transcript,
+)
 from ringauction.registry import (
     BID_POSTED,
     KEY_EVICTED,
@@ -16,7 +22,6 @@ from ringauction.registry import (
     KEY_WAS_EVICTED,
     WINNER_ANNOUNCED,
     AlreadyEvicted,
-    BoardEntry,
     BulletinBoard,
     DuplicateKey,
     InvalidProof,
@@ -24,9 +29,7 @@ from ringauction.registry import (
     RegistrationManager,
     RegistrationProof,
     UnknownKey,
-    board_to_text,
     make_registration,
-    parse_board_text,
     verify_registration,
 )
 from ringauction.ringsig import setup
@@ -63,11 +66,12 @@ def key_encodings(group, count):
     return [group.encode_point(group.mul(x, group.g)) for x in range(1, count + 1)]
 
 
-def replayed_view(pp, text):
-    """Fold a serialized board into a fresh BulletinBoard: its sorted active encodings."""
+def replayed_view(transcript):
+    """Fold a transcript's records into a fresh BulletinBoard: its sorted active encodings."""
+    pp, pairs = read_transcript(transcript)
     board = BulletinBoard(pp)
-    for entry in parse_board_text(text):
-        board.append(*entry)
+    for pair in pairs:
+        board.append(*pair)
     return board.active_view()
 
 
@@ -170,7 +174,7 @@ class TestBulletinBoard:
         with pytest.raises(MalformedBoard, match="unreadable bid"):
             board.append(BID_POSTED, b"\x02")  # refused, so it takes no seq
         assert board.append(KEY_EVICTED, keys[0]) == 2
-        kinds = [e.kind for e in board.entries()]
+        kinds = [kind for kind, _ in board.entries()]
         assert kinds == [KEY_PUBLISHED, KEY_PUBLISHED, KEY_EVICTED]
 
     def test_append_rejects_unknown_kind(self, board):
@@ -193,7 +197,7 @@ class TestBulletinBoard:
         assert board.active_keys() == {k2}
         assert board.active_view() == (k2,)
 
-    def test_replay_matches_live_view(self, board, keys, tiny_pp):
+    def test_replay_matches_live_view(self, board, keys):
         k1, k2, k3 = keys
         board.append(KEY_PUBLISHED, k1)
         board.append(KEY_PUBLISHED, k2)
@@ -201,39 +205,38 @@ class TestBulletinBoard:
         board.append(KEY_EVICTED, k2)
         order = board.active_view()
         assert order == tuple(sorted((k1, k3)))
-        text = board_to_text(board.entries())
-        assert replayed_view(tiny_pp, text) == order
+        assert replayed_view(render_transcript(board)) == order
 
     def test_text_roundtrip(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
         board.append(KEY_EVICTED, keys[0])
-        text = board_to_text(board.entries())
-        assert text == f"0 key-published {keys[0].hex()}\n1 key-evicted {keys[0].hex()}\n"
-        assert parse_board_text(text) == board.entries()
-        empty = (BoardEntry(BID_POSTED, b""),)
-        assert parse_board_text(board_to_text(empty)) == empty
+        transcript = render_transcript(board)
+        header, records = transcript.split(b"\n", 1)
+        assert records == f"0 key-published {keys[0].hex()}\n1 key-evicted {keys[0].hex()}\n".encode()
+        assert read_transcript(transcript).records == board.entries()
+        assert read_transcript(header + b"\n0 bid-posted \n").records == ((BID_POSTED, b""),)
 
-    def test_parse_rejects_garbage(self):
+    def test_parse_rejects_garbage(self, board):
+        header = render_transcript(board)
         with pytest.raises(MalformedBoard):
-            parse_board_text("0 key-published zz\n")  # not hex
+            read_transcript(header + b"0 key-published zz\n")  # not hex
         with pytest.raises(MalformedBoard):
-            parse_board_text("0 gossip 00\n")  # unknown kind
+            read_transcript(header + b"0 gossip 00\n")  # unknown kind
         with pytest.raises(MalformedBoard):
-            parse_board_text("0 key-published\n")  # missing payload field
+            read_transcript(header + b"0 key-published\n")  # missing payload field
         with pytest.raises(MalformedBoard) as caught:
-            parse_board_text("0 key-published 00\n2 key-published 01\n")  # seq 1 skipped
+            read_transcript(header + b"0 key-published 00\n2 key-published 01\n")  # seq 1 skipped
         assert (caught.value.seq, caught.value.reason) == (1, "seq is not the record's position")
 
-    def test_parse_reports_line_number(self):
-        try:
-            parse_board_text("0 key-published 00\nbroken line here\n")
-        except MalformedBoard as exc:
-            assert "2" in str(exc)
-        else:
-            pytest.fail("expected MalformedBoard")
+    def test_parse_reports_line_number(self, board):
+        # line numbers count the header, so they match the transcript file
+        with pytest.raises(MalformedBoard) as caught:
+            read_transcript(render_transcript(board) + b"0 key-published 00\nbroken line here\n")
+        assert str(caught.value) == "line 3: seq is not the record's position"
 
-    def test_parse_empty_board(self):
-        assert parse_board_text("") == ()
+    def test_parse_empty_board(self, board):
+        assert read_transcript(b"") == (None, ())
+        assert read_transcript(render_transcript(board)).records == ()
 
 
 @pytest.mark.parametrize("kind, name, reason", [
@@ -281,7 +284,7 @@ def test_cli_verify_refuses_a_published_order_two_key(tmp_path, capsys):
 
 
 def test_replay_takes_records_only_as_written():
-    # board_to_text writes record i with seq str(i) and its payload in
+    # render_transcript writes record i with seq str(i) and its payload in
     # lowercase hex, and the replay takes no other spelling: not the seed-7
     # transcript renumbered to seq 2i + 3, its winner record naming bid 13
     # where the live run announced bid 5, nor a seq written +0, nor a
@@ -357,10 +360,10 @@ class TestRegistrationManager:
         rng = random.Random(20)
         pub, seq = self.register(rm, tiny_params.group, rng, b"alice")
         assert seq == 0
-        entry = board.entries()[0]
-        assert entry.kind == KEY_PUBLISHED
-        assert entry.payload == tiny_params.group.encode_point(pub)
-        assert entry.payload in board.active_keys()
+        kind, payload = board.entries()[0]
+        assert kind == KEY_PUBLISHED
+        assert payload == tiny_params.group.encode_point(pub)
+        assert payload in board.active_keys()
         assert rm.lookup_identity(pub) == b"alice"
 
     def test_duplicate_key_rejected(self, manager, tiny_params):
@@ -373,6 +376,20 @@ class TestRegistrationManager:
         again = make_registration(x, pub, b"second", group, rng)
         with pytest.raises(DuplicateKey):
             rm.register(pub, b"second", again)
+
+    def test_second_key_for_an_identity_rejected(self, manager, tiny_params):
+        # One registration per identity: a fresh key for an identity whose
+        # first key is active is refused, and neither posted nor recorded.
+        rm, board = manager
+        group = tiny_params.group
+        rng = random.Random(33)
+        first, _ = self.register(rm, group, rng, b"alice")
+        x, pub = fresh_key(group, rng)
+        with pytest.raises(DuplicateKey, match="identity already registered"):
+            rm.register(pub, b"alice", make_registration(x, pub, b"alice", group, rng))
+        assert board.entries() == ((KEY_PUBLISHED, group.encode_point(first)),)
+        with pytest.raises(UnknownKey):
+            rm.lookup_identity(pub)
 
     def test_key_the_board_refuses_keeps_no_identity(self, manager, tiny_params):
         # The key is already active, appended to the board directly: the
@@ -387,6 +404,7 @@ class TestRegistrationManager:
         with pytest.raises(UnknownKey):
             rm.lookup_identity(pub)
         assert len(board.entries()) == 1
+        self.register(rm, group, rng, b"alice")  # the refused key took no identity
 
     def test_bad_proof_rejected(self, manager, tiny_params):
         rm, board = manager
@@ -479,7 +497,7 @@ class TestRegistrationManager:
         pub, _ = self.register(rm, group, rng, b"alice")
         other, _ = self.register(rm, group, rng, b"bob")
         seq = rm.evict(pub)
-        assert board.entries()[seq].kind == KEY_EVICTED
+        assert board.entries()[seq][0] == KEY_EVICTED
         assert group.encode_point(pub) not in board.active_keys()
         assert group.encode_point(other) in board.active_keys()
         # the identity survives for audit; only the board knows of the eviction
@@ -529,6 +547,6 @@ class TestRegistrationManager:
         pub, _ = self.register(rm, group, rng, b"alice")
         self.register(rm, group, rng, b"bob")
         rm.evict(pub)
-        parsed = parse_board_text(board_to_text(board.entries()))
-        assert parsed == board.entries()
-        assert replayed_view(board.pp, board_to_text(board.entries())) == board.active_view()
+        transcript = render_transcript(board)
+        assert read_transcript(transcript).records == board.entries()
+        assert replayed_view(transcript) == board.active_view()
