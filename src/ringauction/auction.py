@@ -6,8 +6,9 @@ counts both in ``ScenarioResult.messages``.  The
 auction manager applies only its own policies and then posts: the board's
 fold (``registry.BulletinBoard.append``) decides whether a bid or winner
 record is valid, as it does on replay, and encodes the ``Bid`` the manager
-hands it.  Every actor takes its public parameters from the board it acts
-on, and the manager reads the posted bids and prices there.
+hands it.  Every actor reads its public facts from the board it acts on
+(parameters, active keys, posted bids and prices, announced winners); the
+manager keeps only each auction's price policy and whether it is closed.
 A posted bid is named by its board seq: admission returns it, the winner is
 one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
@@ -47,17 +48,13 @@ from .ringsig import (
     sign,
 )
 
-__all__ = ["AuctionError", "RingKeyNotOnBoard", "NoValidBid", "parse_bid_payload",
+__all__ = ["AuctionError", "NoValidBid", "parse_bid_payload",
            "serialize_bid_payload", "BidderAgent", "AuctionState", "AdmitResult",
            "AuctionManager", "open_protocol"]
 
 
 class AuctionError(Exception):
     """Base class for auction-side failures."""
-
-
-class RingKeyNotOnBoard(AuctionError):
-    """A ring references a key outside the board's active view."""
 
 
 class NoValidBid(AuctionError):
@@ -82,9 +79,8 @@ class BidderAgent:
 
     def place_bid(self, auction_id: int, round_no: int, price: int,
                   ring: Ring, rng) -> Bid:
-        """Sign one bid message under ``ring`` (NotAMember if it omits our key)."""
-        if not self.board.active.issuperset(ring.encodings):
-            raise RingKeyNotOnBoard("ring references a key not on the board")
+        """Sign one bid message under ``ring`` (NotAMember if it omits our key);
+        the board refuses a ring with an inactive key at admission."""
         message = encode_bid_message(auction_id, round_no, price)
         signature = sign(self.board.pp, ring, self.keypair, message, rng)
         return Bid(auction_id=auction_id, round_no=round_no, price=price,
@@ -94,7 +90,7 @@ class BidderAgent:
 @dataclass
 class AuctionState:
     monotonic: bool = True
-    phase: str = "open"  # open | closed | announced
+    closed: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,10 @@ class AuctionManager:
     """Runs auctions against a shared board.
 
     Its own policies: the auction is open, and prices rise over the board's
-    ``high`` in a monotonic auction; the board refuses the rest, a repeated
-    payload included.  Signatures are *not* checked at admission; a bid with
-    a broken signature sits on the board until winner determination skips it.
+    ``high`` in a monotonic auction; the board refuses the rest (an inactive
+    ring key, a repeated payload) and holds each announced winner.
+    Signatures are *not* checked at admission; a bid with a broken signature
+    sits on the board until winner determination skips it.
     """
 
     def __init__(self, trace_key: TraceKey, board: BulletinBoard) -> None:
@@ -121,30 +118,23 @@ class AuctionManager:
         self.board = board
         self._auctions: dict[int, AuctionState] = {}
 
-    def open_auction(self, auction_id: int, *, monotonic: bool = True) -> AuctionState:
+    def open_auction(self, auction_id: int, *, monotonic: bool = True) -> None:
         if auction_id in self._auctions:
             raise AuctionError(f"auction {auction_id} already exists")
-        state = AuctionState(monotonic=monotonic)
-        self._auctions[auction_id] = state
-        return state
-
-    def state(self, auction_id: int) -> AuctionState:
-        try:
-            return self._auctions[auction_id]
-        except KeyError:
-            raise AuctionError(f"unknown auction {auction_id}") from None
+        self._auctions[auction_id] = AuctionState(monotonic=monotonic)
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
         """Post the bid unless, in this order, it is ``unknown-auction``,
         ``auction-closed``, ``price-not-monotonic`` or the board refuses it:
         ``ring-key-not-on-BBS`` for a ring key outside the active view,
         ``replayed-bid`` for a payload it holds, else ``malformed``."""
-        state = self._auctions.get(bid.auction_id)
+        state = self._auctions.get(bid.auction_id) if type(bid.auction_id) is int else None
         if state is None:
             return AdmitResult(False, reason="unknown-auction")
-        if state.phase != "open":
+        if state.closed:
             return AdmitResult(False, reason="auction-closed")
-        if state.monotonic and bid.price <= self.board.high(bid.auction_id):
+        if state.monotonic and (type(bid.price) is not int
+                                or bid.price <= self.board.high(bid.auction_id)):
             return AdmitResult(False, reason="price-not-monotonic")
         try:
             return AdmitResult(True, seq=self.board.append(BID_POSTED, bid))
@@ -153,28 +143,34 @@ class AuctionManager:
             return AdmitResult(False, reason=named.get(exc.reason, "malformed"))
 
     def close_auction(self, auction_id: int) -> None:
-        state = self.state(auction_id)
-        if state.phase != "open":
+        state = self._auctions.get(auction_id)
+        if state is None:
+            raise AuctionError(f"unknown auction {auction_id}")
+        if state.closed:
             raise AuctionError("auction is not open")
-        state.phase = "closed"
+        state.closed = True
 
     def determine_winner(self, auction_id: int) -> int:
         """The seq of the highest verifying bid; ties go to the earlier posting.
+        AuctionError unless the auction is closed and the board has no winner for it.
 
         This is where the lazily-skipped signature checks happen, in the
         board's ``leader``.  The winning bid's payload is re-published so
         anyone can re-derive the outcome from the board alone; the board
         re-checks the rule on that record through its verify memo.
         """
-        state = self.state(auction_id)
-        if state.phase != "closed":
+        state = self._auctions.get(auction_id)
+        if state is None:
+            raise AuctionError(f"unknown auction {auction_id}")
+        if not state.closed:
             raise AuctionError("close the auction before determining a winner")
+        if auction_id in self.board.winners:
+            raise AuctionError(f"auction {auction_id} already has an announced winner")
         seq = self.board.leader(auction_id)
         if seq is None:
             raise NoValidBid("no admitted bid carries a verifying signature")
         record = seq.to_bytes(SEQ_WIDTH, "big") + self.board.entries()[seq][1]
         self.board.append(WINNER_ANNOUNCED, record)
-        state.phase = "announced"
         return seq
 
 

@@ -138,8 +138,8 @@ def encode_bid_message(auction_id: int, round_no: int, price: int) -> bytes:
     signature from being replayed in another context."""
     parts = []
     for name, value in (("auction_id", auction_id), ("round", round_no), ("price", price)):
-        if not 0 <= value < 1 << (8 * _FIELD_WIDTH):
-            raise ValueError(f"{name} out of range")
+        if type(value) is not int or not 0 <= value < 1 << (8 * _FIELD_WIDTH):
+            raise ValueError(f"{name} is not an int in range")
         parts.append(value.to_bytes(_FIELD_WIDTH, "big"))
     return b"".join(parts)
 

@@ -19,7 +19,6 @@ from ringauction.auction import (
     AuctionManager,
     BidderAgent,
     NoValidBid,
-    RingKeyNotOnBoard,
     open_protocol,
     parse_bid_payload,
 )
@@ -241,16 +240,26 @@ class TestBidderAgent:
             env.agents[0].place_bid(1, 0, 17, others, env.rng)
         assert env.board.entries() == before
 
+    # Ring-key activity is the board's rule alone: the bidder signs, and
+    # admission refuses the bid without posting anything.
     def test_rejects_ring_with_unpublished_key(self, env, keys16):
         stranger = keygen(env.pp, random.Random(1234))
         ring = Ring(env.pp.group, [keys16[0].pub_key, stranger.pub_key])
-        with pytest.raises(RingKeyNotOnBoard):
-            env.agents[0].place_bid(1, 0, 17, ring, env.rng)
+        env.am.open_auction(1)
+        before = env.board.entries()
+        bid = env.agents[0].place_bid(1, 0, 17, ring, env.rng)
+        assert isinstance(bid, Bid)
+        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.board.entries() == before
 
     def test_rejects_ring_with_evicted_key(self, env, keys16):
         env.rm.evict(keys16[4].pub_key)
-        with pytest.raises(RingKeyNotOnBoard):
-            env.agents[0].place_bid(1, 0, 17, env.ring, env.rng)
+        env.am.open_auction(1)
+        before = env.board.entries()
+        bid = env.agents[0].place_bid(1, 0, 17, env.ring, env.rng)
+        assert isinstance(bid, Bid)
+        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.board.entries() == before
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +355,23 @@ class TestAdmission:
         assert env.board.heads == {}
         low = replace(craft_bid(env, env.agents[0], 10, auction_id=2), price=-1)
         assert env.am.admit_bid(low).reason == "price-not-monotonic"
+
+    @pytest.mark.parametrize("monotonic", (False, True))
+    @pytest.mark.parametrize("field, value", [
+        ("price", 1.5), ("price", "7"), ("price", None), ("price", True),
+        ("round_no", 0.5), ("round_no", "0"), ("round_no", None), ("round_no", False),
+        ("auction_id", 1.0), ("auction_id", True), ("auction_id", [1])])
+    def test_non_int_field_refused(self, env, monotonic, field, value):
+        # A field that is not an int (a bool included) is refused, never
+        # raised: such an auction_id names no auction, such a price does not
+        # rise in a monotonic auction (as -1 does not), and otherwise the
+        # bid cannot be encoded.
+        env.am.open_auction(1, monotonic=monotonic)
+        bid = replace(craft_bid(env, env.agents[0], 10), **{field: value})
+        reason = ("unknown-auction" if field == "auction_id" else
+                  "price-not-monotonic" if monotonic and field == "price" else "malformed")
+        assert env.am.admit_bid(bid).reason == reason
+        assert env.board.heads == {}
 
     def test_an_admitted_bid_is_encoded_once(self, env, monkeypatch):
         # The board encodes the Bid it is handed; the manager encodes nothing.
@@ -451,11 +477,23 @@ class TestWinner:
 
     def test_unknown_auction_state_and_second_close(self, env):
         with pytest.raises(AuctionError, match="unknown auction 9"):
-            env.am.state(9)
+            env.am.close_auction(9)
         env.am.open_auction(1)
         env.am.close_auction(1)
         with pytest.raises(AuctionError, match="auction is not open"):
             env.am.close_auction(1)
+
+    def test_winner_already_on_the_board(self, env):
+        # The board, not the manager, holds the announced winner: once a
+        # replay-style append has put it there, there is nothing to announce.
+        env.am.open_auction(1)
+        seq = env.am.admit_bid(craft_bid(env, env.agents[0], 10)).seq
+        env.am.close_auction(1)
+        env.board.append(WINNER_ANNOUNCED, seq.to_bytes(8, "big") + env.board.entries()[seq][1])
+        count = len(env.board.entries())
+        with pytest.raises(AuctionError, match="auction 1 already has an announced winner"):
+            env.am.determine_winner(1)
+        assert len(env.board.entries()) == count
 
     def test_winner_requires_closed_auction(self, env):
         env.am.open_auction(1)
