@@ -127,7 +127,10 @@ class AuctionManager:
         """Post the bid unless, in this order, it is ``unknown-auction``,
         ``auction-closed``, ``price-not-monotonic`` or the board refuses it:
         ``ring-key-not-on-BBS`` for a ring key outside the active view,
-        ``replayed-bid`` for a payload it holds, else ``malformed``."""
+        ``replayed-bid`` for a payload it holds, else ``malformed``, as is
+        anything that is not a ``Bid``."""
+        if not isinstance(bid, Bid):
+            return AdmitResult(False, reason="malformed")
         state = self._auctions.get(bid.auction_id) if type(bid.auction_id) is int else None
         if state is None:
             return AdmitResult(False, reason="unknown-auction")

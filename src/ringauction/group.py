@@ -239,10 +239,12 @@ def _sample_prime(bits: int, rng) -> int:
 # raw curve arithmetic (uncounted; the curve is always y^2 = x^3 + x)
 
 def _on_curve(P: Point, ell: int) -> bool:
-    # A point is O or a pair of integers 0 <= x, y < ell on the curve: the one
-    # encoding of each point, so no unreduced twin passes.
+    # A point is O or a tuple of integers 0 <= x, y < ell on the curve, and
+    # nothing else: one encoding per point, so no unreduced twin passes.
     if P is None:
         return True
+    if type(P) is not tuple or len(P) != 2:
+        return False
     x, y = P
     return (type(x) is type(y) is int and 0 <= x < ell and 0 <= y < ell
             and (y * y - (x * x * x + x)) % ell == 0)

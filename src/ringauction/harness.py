@@ -39,6 +39,7 @@ from .group import (
 )
 from .registry import (
     ENTRY_KINDS,
+    KEY_EVICTED,
     BulletinBoard,
     MalformedBoard,
     RegistrationManager,
@@ -167,11 +168,13 @@ class WinnerSummary:
 
 @dataclass
 class ScenarioResult:
+    """A run's transcript and reports; its winners and evictions are read from its board."""
+
     transcript: bytes
     report: OpCounter  # counts nothing when the run was not counted
     messages: Counter  # (sender, phase) -> protocol messages sent
     winners: tuple[WinnerSummary, ...]
-    evicted: tuple[str, ...]  # hex encodings of evicted keys
+    evicted: tuple[str, ...]  # hex of the key-evicted payloads, in board order
     public_params: object
     trace_key: object
 
@@ -227,6 +230,8 @@ def run_scenario(config: ScenarioConfig, *, counted: bool = True) -> ScenarioRes
 
 
 def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
+    """Setup, registration, then per auction its rounds, winner and openings;
+    winners and evictions are read from the board, with no list beside it."""
     seed = config.seed
     counter.set_phase("initial")
     try:
@@ -258,7 +263,6 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
     points = {actor.own: actor.agent.keypair.pub_key for actor in actors}
 
     winners: list[WinnerSummary] = []
-    evicted: list[str] = []
     for auction_no in range(config.auctions):
         am.open_auction(auction_no, monotonic=config.monotonic)
         counter.set_phase("bidding")
@@ -292,29 +296,24 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
             raise ScenarioError(f"auction {auction_no}: {exc}") from exc
 
         counter.set_phase("open")
-        repudiated = [actor.last_admitted for actor in actors
-                      if actor.strategy == REPUDIATOR and actor.last_admitted is not None
-                      and board.heads[actor.last_admitted].auction_id == auction_no]
         try:
             pub_key, identity = open_protocol(am, rm, winner_seq)
-            traced = [open_protocol(am, rm, seq, malicious=True)[0] for seq in repudiated]
+            for actor in actors:  # a repudiated bid's opening evicts its signer
+                seq = actor.last_admitted
+                if (actor.strategy == REPUDIATOR and seq is not None
+                        and board.heads[seq].auction_id == auction_no):
+                    open_protocol(am, rm, seq, malicious=True)
         except Untraceable as exc:  # no slot, or several, match the tracing test
             raise ScenarioError(f"auction {auction_no}: opening failed: {exc}") from exc
-        winners.append(WinnerSummary(
-            auction_id=auction_no,
-            seq=winner_seq,
-            price=board.heads[winner_seq].price,
-            pub_key_hex=group.encode_point(pub_key).hex(),
-            identity=identity,
-        ))
-        evicted.extend(group.encode_point(key).hex() for key in traced)
+        winners.append(WinnerSummary(*board.winners[auction_no],
+                                     group.encode_point(pub_key).hex(), identity))
 
     return ScenarioResult(
         transcript=render_transcript(board),
         report=counter,
         messages=messages,
         winners=tuple(winners),
-        evicted=tuple(evicted),
+        evicted=tuple(payload.hex() for kind, payload in board.entries() if kind == KEY_EVICTED),
         public_params=pp,
         trace_key=trace_key,
     )

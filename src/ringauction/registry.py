@@ -219,13 +219,14 @@ def _head_of(group, handed: Bid) -> tuple[BidHead, Bid, bytes]:
     try:
         bid = replace(handed, ring=Ring(group, handed.ring.keys))
         payload = serialize_bid_payload(bid)
-    except (ValueError, OverflowError) as exc:  # a repeated key, or a field or x out of range
-        raise MalformedBid(str(exc)) from exc
-    sig = bid.signature
-    points = [*bid.ring, sig.s1, sig.s2,
-              *(point for member in sig.members for point in (member.commit, member.proof))]
-    if (bid.ring.encodings != handed.ring.encodings or len(sig.members) != len(bid.ring)
-            or not all(map(group.is_on_curve, points))):
+        sig = bid.signature
+        points = [*bid.ring, sig.s1, sig.s2,
+                  *(point for member in sig.members for point in (member.commit, member.proof))]
+        canonical = (bid.ring.encodings == handed.ring.encodings
+                     and len(sig.members) == len(bid.ring) and all(map(group.is_on_curve, points)))
+    except (ValueError, OverflowError, TypeError, AttributeError) as exc:
+        raise MalformedBid(str(exc)) from exc  # a repeated key, a value out of range, a wrong type
+    if not canonical:
         raise MalformedBid("not a bid of canonical points")
     head = BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings,
                    payload[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:])

@@ -249,12 +249,15 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
     Each member proof must show that its commitment is the member's offset
     key or nothing, blinded in the order-q component; then the main equation
     binds the commitments to the message.  A component that is not a
-    canonical curve point (integers 0 <= x, y < ell), or a commitment, s1 or
-    s2 outside G_n, is "malformed" (``pair`` refuses it); member proofs must
-    lie in G_n too, which is not checked here.
+    canonical curve point (a tuple of integers 0 <= x, y < ell), whatever
+    its type, or a commitment, s1 or s2 outside G_n, is "malformed" (``pair``
+    refuses it), as is a member that is not a ``MemberProof``: it never
+    raises.  Member proofs must lie in G_n too, which is not checked here.
     """
-    if len(sig.members) != len(ring):
+    if not isinstance(sig.members, (tuple, list)) or len(sig.members) != len(ring):
         return VerifyResult(False, "malformed: member count does not match ring size")
+    if not all(isinstance(member, MemberProof) for member in sig.members):
+        return VerifyResult(False, "malformed: a member is not a member proof")
     grp = pp.group
     try:
         for index, (member, shifted) in enumerate(zip(sig.members, _shifted_commits(pp, ring, sig))):
@@ -267,7 +270,8 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
         offset_sum, waters = grp.to_affine(grp.add_jac(total_commit, pp.commit_offset),
                                            _waters_sum(pp, bits))
         lhs = grp.pair(pp.key_base, offset_sum)
-        rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), waters)
+        rhs = grp.pair(sig.s1, grp.g) * grp.pair(
+            grp.neg(sig.s2) if grp.is_on_curve(sig.s2) else sig.s2, waters)
     except InvalidPoint as exc:
         return VerifyResult(False, f"malformed: {exc}")
     if lhs != rhs:
@@ -277,10 +281,11 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
 
 def _shifted_commits(pp: PublicParams, ring: Ring, sig: RingSignature) -> list[Point]:
     # C - K′ for each slot, counted as one negation and one addition each,
-    # made affine together.
+    # made affine together; a C that is no point is taken as O (pair refuses C).
     grp = pp.group
-    return grp.to_affine(*(grp.add_jac(jacobian(member.commit), grp.neg(key))
-                           for key, member in zip(pp.offset_keys(ring), sig.members)))
+    commits = [m.commit if grp.is_on_curve(m.commit) else None for m in sig.members]
+    return grp.to_affine(*(grp.add_jac(jacobian(commit), grp.neg(key))
+                           for key, commit in zip(pp.offset_keys(ring), commits)))
 
 
 def check_trace_key(tk: TraceKey, pp: PublicParams) -> None:

@@ -90,6 +90,30 @@ def env(setup16, keys16):
     assert report.winners == tuple(board.winners.values())
 
 
+def _resigned(bid, **parts):
+    return replace(bid, signature=replace(bid.signature, **parts))
+
+
+# Hostile stand-ins for a verifying bid's parts, by name: none is the part
+# it replaces, and a list of a point's coordinates is no point either.
+HOSTILE_BIDS = {
+    "ring None": lambda bid: replace(bid, ring=None),
+    "ring [1]": lambda bid: replace(bid, ring=[1]),
+    "ring a tuple of points": lambda bid: replace(bid, ring=bid.ring.keys),
+    "signature None": lambda bid: replace(bid, signature=None),
+    "signature 5": lambda bid: replace(bid, signature=5),
+    "signature the members": lambda bid: replace(bid, signature=bid.signature.members),
+    "s1 5": lambda bid: _resigned(bid, s1=5),
+    "s1 (1.5, 2)": lambda bid: _resigned(bid, s1=(1.5, 2)),
+    "s1 ('a', 'b')": lambda bid: _resigned(bid, s1=("a", "b")),
+    "s1 a list": lambda bid: _resigned(bid, s1=list(bid.signature.s1)),
+    "members (1, 2)": lambda bid: _resigned(bid, members=(1, 2)),
+    "a commit 5": lambda bid: _resigned(bid, members=(
+        replace(bid.signature.members[0], commit=5), *bid.signature.members[1:])),
+    "not a Bid": lambda bid: None,
+}
+
+
 def craft_bid(env, agent, price, *, auction_id=1, round_no=0, ring=None):
     ring = ring if ring is not None else env.ring
     message = encode_bid_message(auction_id, round_no, price)
@@ -319,6 +343,17 @@ class TestAdmission:
         broken = replace(bid, signature=off_curve(bid.signature, component))
         assert env.am.admit_bid(broken).reason == "malformed"
         assert env.board.heads == {}
+
+    @pytest.mark.parametrize("hostile", HOSTILE_BIDS.values(), ids=list(HOSTILE_BIDS))
+    def test_hostile_bid_object_malformed(self, env, keys16, hostile):
+        # Admission never raises: whatever is handed in place of a Bid, or
+        # of one of its parts, is malformed and posts nothing.
+        env.am.open_auction(1)
+        ring = Ring(env.pp.group, [kp.pub_key for kp in keys16[:2]])
+        bid = craft_bid(env, env.agents[0], 10, ring=ring)
+        before = env.board.entries()
+        assert env.am.admit_bid(hostile(bid)).reason == "malformed"
+        assert env.board.entries() == before
 
     def test_ring_key_not_on_board(self, env, keys16):
         env.am.open_auction(1)

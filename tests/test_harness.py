@@ -52,6 +52,7 @@ from ringauction.registry import (
     BID_MESSAGE_LEN,
     BID_POSTED,
     BID_REPOSTED,
+    KEY_EVICTED,
     KEY_PUBLISHED,
     KEY_WAS_EVICTED,
     WINNER_ANNOUNCED,
@@ -1284,6 +1285,10 @@ def test_random_scenarios_three_verdicts_agree(tmp_path_factory, config):
     report = verify_transcript(result.transcript)
     assert report.valid, report.reason
     assert report.winners == tuple((w.auction_id, w.seq, w.price) for w in result.winners)
+    # The run's evictions are its transcript's, in order.
+    records = read_transcript(result.transcript).records
+    assert result.evicted == tuple(payload.hex() for kind, payload in records
+                                   if kind == KEY_EVICTED)
     assert verdict(eager_verify_transcript(result.transcript)) == verdict(report)
     assert run_scenario(config, counted=False).transcript == result.transcript
 

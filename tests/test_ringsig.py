@@ -266,6 +266,38 @@ class TestSignVerify:
         assert verify(pp, ring, b"m", off_curve(sig, component)) == VerifyResult(
             False, "malformed: pairing input is not on the curve")
 
+    @pytest.mark.parametrize("part, value", [
+        ("s1", 5), ("s1", (1, 2, 3)), ("s1", "list"), ("s2", 5), ("s2", ("a", "b")),
+        ("s2", "list"), ("commit", 5), ("commit", (1.5, 2)), ("commit", "list"),
+        ("proof", 5), ("proof", "list"), ("members", (1, 2)), ("members", None)], ids=str)
+    def test_a_part_that_is_no_point_is_malformed(self, setup16, keys16, part, value):
+        # verify never raises: a part of any other type (a list of the
+        # point's own coordinates too) is malformed, as an off-curve one is.
+        pp, _ = setup16
+        ring = Ring(pp.group, [kp.pub_key for kp in keys16[:2]])
+        sig = sign(pp, ring, keys16[0], b"m", random.Random(49))
+        if part in ("commit", "proof"):
+            member = sig.members[1]
+            value = list(getattr(member, part)) if value == "list" else value
+            bad = replace(sig, members=(sig.members[0], replace(member, **{part: value})))
+        else:
+            bad = replace(sig, **{part: list(getattr(sig, part)) if value == "list" else value})
+        outcome = verify(pp, ring, b"m", bad)
+        assert not outcome
+        assert outcome.reason.startswith("malformed: ")
+
+    def test_a_commit_that_is_no_point_keeps_the_earlier_verdict(self, setup16, keys16):
+        # Members are judged in ring order, so a failing proof in slot 0
+        # is the verdict, whatever slot 1's commit is.
+        pp, _ = setup16
+        grp = pp.group
+        ring = Ring(grp, [kp.pub_key for kp in keys16[:2]])
+        sig = sign(pp, ring, keys16[0], b"m", random.Random(50))
+        first, second = sig.members
+        bad = replace(sig, members=(replace(first, proof=grp.add(first.proof, grp.g)),
+                                    replace(second, commit=5)))
+        assert verify(pp, ring, b"m", bad) == VerifyResult(False, "membership-proof 0")
+
     def test_signature_under_wrong_ring_fails(self, tiny_setup):
         _, pp, _ = tiny_setup
         rng = random.Random(48)
