@@ -14,9 +14,10 @@ one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
 from the highest price down (ties broken toward the earlier posting) and
 stop at the first that verifies.  Identity opening is a two-party step: the
-auction side traces the ring position with the tracing key, the
-registration side resolves the identity (and evicts the key when the bid
-was repudiated).
+auction side's ``trace_bid`` traces the ring position with the tracing key
+(``ringauction trace`` runs it on a replayed board), and the registration
+side resolves the identity (and evicts the key when the bid was
+repudiated); ``open_protocol`` is the two halves.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .ringsig import (
 
 __all__ = ["AuctionError", "NoValidBid", "parse_bid_payload",
            "serialize_bid_payload", "BidderAgent", "AuctionState", "AdmitResult",
-           "AuctionManager", "open_protocol"]
+           "AuctionManager", "trace_bid", "open_protocol"]
 
 
 class AuctionError(Exception):
@@ -177,29 +178,32 @@ class AuctionManager:
         return seq
 
 
+def trace_bid(board: BulletinBoard, trace_key: TraceKey, seq: int) -> tuple[int, Point]:
+    """The auction side's half of an opening: the (ring position, key) that
+    signed the bid posted at ``seq``.  KeyError if no bid is posted there,
+    NotVerified if the board's verdict on it fails (a bid is verified once
+    per board), Untraceable if no unique ring member matches."""
+    result = board.verified(seq)
+    if not result:
+        raise NotVerified(result.reason)
+    bid = board.bid(seq)
+    traced = locate_signer(trace_key, board.pp, bid.ring, bid.signature)
+    if traced is None:
+        raise Untraceable("no unique ring member matches the tracing test")
+    return traced
+
+
 def open_protocol(am: AuctionManager, rm: RegistrationManager, seq: int,
                   *, malicious: bool = False) -> tuple[Point, bytes]:
-    """Two-party identity opening of the bid posted at ``seq`` (KeyError if
-    no bid is posted there).
-
-    The auction side takes the board's verdict on the bid (NotVerified if it
-    fails; a bid is verified once per board) and locates the ring position
-    with the tracing key; the registration side resolves the key to an
+    """Two-party identity opening of the bid posted at ``seq``: the auction
+    side's ``trace_bid``, then the registration side resolves the key to an
     identity.  When the bid was repudiated (``malicious``), the key is also
     evicted from the board's active view unless the board no longer holds it
     as active.  Neither authority can do this alone: one holds the tracing
     key, the other the identity table.
     """
-    result = am.board.verified(seq)
-    if not result:
-        raise NotVerified(result.reason)
-    bid = am.board.bid(seq)
-    traced = locate_signer(am.trace_key, am.board.pp, bid.ring, bid.signature)
-    if traced is None:
-        raise Untraceable("no unique ring member matches the tracing test")
-    index, pub_key = traced
+    index, pub_key = trace_bid(am.board, am.trace_key, seq)
     identity = rm.lookup_identity(pub_key)
-    if malicious and bid.ring.encodings[index] in am.board.active:
+    if malicious and am.board.bid(seq).ring.encodings[index] in am.board.active:
         rm.evict(pub_key)
     return pub_key, identity
-

@@ -2,9 +2,9 @@
 
 ``harness.verify_transcript`` is the one reader of a transcript: it folds the
 records into a ``registry.BulletinBoard``.  So ``trace`` opens one bid only
-from a transcript that verifies: after ``ringsig.check_trace_key`` it reads
-the bid and its verdict by seq from the replayed board (``BulletinBoard.bid``
-and ``verified``).  The commands map outcomes to exit codes.
+from a transcript that verifies: after ``ringsig.check_trace_key`` it runs
+the auction side's ``auction.trace_bid`` on the replayed board, which reads
+the bid and its verdict by seq.  The commands map outcomes to exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -28,7 +28,10 @@ from .harness import (
     run_scenario,
     verify_transcript,
 )
-from .ringsig import TraceKey, check_trace_key, locate_signer, public_params_to_json
+# After harness, which loads auction: loading auction first moves the cyclic
+# GC's import-time generation-1 pass into each role's first call (ROADMAP item 8).
+from .auction import trace_bid
+from .ringsig import NotVerified, TraceKey, Untraceable, check_trace_key, public_params_to_json
 
 # command -> (help, option -> (type, default, help)); default ... = required, bool = flag
 COMMANDS = {
@@ -187,26 +190,23 @@ def _cmd_trace(args) -> int:
         print(f"bad transcript{_failure(report)}", file=sys.stderr)
         return 2
     board = report.board
-    if board is None or args.seq not in board.heads:
+    try:
+        check_trace_key(tk, board.pp)
+        index, pub_key = trace_bid(board, tk, args.seq)
+    except KeyError:
         print(f"seq {args.seq} is not a posted bid", file=sys.stderr)
         return 2
-    pp, bid = board.pp, board.bid(args.seq)
-    try:
-        check_trace_key(tk, pp)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    result = board.verified(args.seq)  # the replay's verdict, if it verified the bid
-    if not result:
-        print(f"bid seq {args.seq} does not verify: {result.reason}")
+    except NotVerified as exc:
+        print(f"bid seq {args.seq} does not verify: {exc}")
         return 1
-    traced = locate_signer(tk, pp, bid.ring, bid.signature)
-    if traced is None:
+    except Untraceable:
         print(f"bid seq {args.seq}: no unique ring member matched")
         return 1
-    index, pub_key = traced
     print(f"bid seq {args.seq} traced to ring member {index}: "
-          f"{pp.group.encode_point(pub_key).hex()}")
+          f"{board.group.encode_point(pub_key).hex()}")
     return 0
 
 

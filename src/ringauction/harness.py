@@ -328,8 +328,8 @@ def render_transcript(board: BulletinBoard) -> bytes:
                              for seq, (kind, payload) in enumerate(board.entries()))).encode()
 
 
-class Transcript(NamedTuple):  # params is None only for the empty transcript
-    params: PublicParams | None
+class Transcript(NamedTuple):
+    params: PublicParams
     records: tuple[tuple[str, bytes], ...]  # (kind, payload), as the board stores them
 
 
@@ -369,9 +369,7 @@ def read_transcript(data: bytes) -> Transcript:
             raise MalformedBoard("payload is not lowercase hex", line=lineno, seq=seq)
         entries.append((kind, payload))
     if header is None:
-        if entries:
-            raise MalformedBoard("missing params header")
-        return Transcript(None, ())
+        raise MalformedBoard("missing params header")
     params_hex = header[len(_TRANSCRIPT_HEADER):]
     try:
         pp = public_params_from_json(bytes.fromhex(params_hex))
@@ -391,7 +389,7 @@ class TranscriptReport:
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
     # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
     outcomes: tuple[tuple[int, str], ...] = ()
-    # The replayed board; None for an invalid transcript or one with no header.
+    # The replayed board; None exactly when the transcript is invalid.
     board: BulletinBoard | None = None
     failing_line: int | None = None  # line number of a record that fails to parse
 
@@ -416,8 +414,6 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     except MalformedBoard as exc:
         return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
                                 failing_line=exc.line)
-    if pp is None:
-        return TranscriptReport(True)
     board = BulletinBoard(pp)
 
     def outcomes() -> tuple[tuple[int, str], ...]:

@@ -294,8 +294,6 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
         pp, entries = read_transcript(data)
     except MalformedBoard as exc:
         return invalid(exc.seq, exc.reason)
-    if pp is None:
-        return TranscriptReport(True)
     group = pp.group
 
     active = set()

@@ -16,8 +16,12 @@ from pathlib import Path
 import pytest
 
 import ringauction
+from ringauction import harness
+from ringauction.auction import trace_bid
 from ringauction.cli import main
 from ringauction.harness import parse_scenario
+from ringauction.registry import KEY_PUBLISHED
+from ringauction.ringsig import NotVerified, TraceKey, Untraceable
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -63,6 +67,39 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     assert "bid seq 9 traced to ring member" in capsys.readouterr().out
+
+
+def test_trace_command_agrees_with_trace_bid(tmp_path, monkeypatch, capsys):
+    # `ringauction trace` is the auction side's half of an opening: on every
+    # bid the README's scenario posts, its exit code, slot and key are those
+    # of trace_bid on the run's live board.
+    scenario, transcript, tracekey = (tmp_path / name for name in ("auction.cfg", "t", "k"))
+    scenario.write_text(_readme_block("A scenario file is plain `key=value` lines"))
+    boards, render = [], harness.render_transcript
+    monkeypatch.setattr(harness, "render_transcript",
+                        lambda board: boards.append(board) or render(board))
+    assert main(["run", "--scenario", str(scenario), "--out", str(transcript),
+                 "--tracekey-out", str(tracekey)]) == 0
+    (board,), tk = boards, TraceKey(int(tracekey.read_text()))
+    capsys.readouterr()
+    codes = set()
+    for seq in board.heads:
+        code = main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)])
+        try:
+            index, pub_key = trace_bid(board, tk, seq)
+            said = f"traced to ring member {index}: {board.group.encode_point(pub_key).hex()}"
+            expected = (0, f"bid seq {seq} {said}\n")
+        except NotVerified as exc:
+            expected = (1, f"bid seq {seq} does not verify: {exc}\n")
+        except Untraceable:
+            expected = (1, f"bid seq {seq}: no unique ring member matched\n")
+        assert (code, capsys.readouterr().out) == expected
+        codes.add(code)
+    assert codes == {0, 1}
+    key_seq = next(seq for seq, (kind, _) in enumerate(board.entries()) if kind == KEY_PUBLISHED)
+    with pytest.raises(KeyError):
+        trace_bid(board, tk, key_seq)
 
 
 def test_benchmark_spans_resolve():

@@ -405,9 +405,12 @@ class TestVerifyTranscript:
             (w.auction_id, w.seq, w.price) for w in full_run.winners)
 
     def test_empty_transcript_is_valid(self):
-        # b"" is the one spelling of a transcript with no board: blank lines
-        # are records that do not read.
-        assert verify_transcript(b"")
+        # b"" is no transcript: render_transcript always writes the header, so
+        # an empty file fails as a headerless one does.  Blank lines are
+        # records that do not read.
+        report = verify_transcript(b"")
+        assert (report.valid, report.failing_line, report.failing_seq, report.reason) == (
+            False, None, None, "missing params header")
         report = verify_transcript(b"  \n \n")
         assert (report.valid, report.failing_line, report.failing_seq, report.reason) == (
             False, 1, 0, "seq is not the record's position")
@@ -1087,7 +1090,7 @@ READER_VERDICTS = {
                    "fromhex() arg at position 962"),
     "no-final-newline": (False, None, 12, "line does not end with a newline"),
     "leading-blank-lines": (False, None, 1, "record is not 'seq kind payload'"),
-    "empty": (True, None, None, None),
+    "empty": (False, None, None, "missing params header"),
     "newline": (False, None, 1, "record is not 'seq kind payload'"),
     "params-zz": (False, None, None, "bad params header: non-hexadecimal number found in "
                   "fromhex() arg at position 0"),
@@ -1669,17 +1672,16 @@ class TestCli:
         assert len(set(decoded)) == len(decoded)
 
     @pytest.mark.parametrize("text, err", (
-        ("", "seq 0 is not a posted bid\n"),
+        ("", "bad transcript: missing params header\n"),
         ("\n  \n", "bad transcript at line 1: record is not 'seq kind payload'\n"),
     ), ids=("empty", "blank-lines"))
     def test_trace_on_a_transcript_without_records_returns_two(self, tmp_path, capsys,
                                                                text, err):
-        # The empty transcript verifies, and its replay has no board; blank
-        # lines do not verify.
+        # Neither the empty transcript (no header) nor blank lines verify.
         transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
         transcript.write_text(text)
         tracekey.write_text("7\n")
-        assert verify_transcript(transcript.read_bytes()).valid == (text == "")
+        assert not verify_transcript(transcript.read_bytes()).valid
         assert main(["trace", "--transcript", str(transcript), "--seq", "0",
                      "--tracekey", str(tracekey)]) == 2
         assert capsys.readouterr().err == err

@@ -235,7 +235,8 @@ class TestBulletinBoard:
         assert str(caught.value) == "line 3: seq is not the record's position"
 
     def test_parse_empty_board(self, board):
-        assert read_transcript(b"") == (None, ())
+        with pytest.raises(MalformedBoard, match="^missing params header$"):
+            read_transcript(b"")
         assert read_transcript(render_transcript(board)).records == ()
 
 
