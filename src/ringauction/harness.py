@@ -287,7 +287,6 @@ def _run(config: ScenarioConfig, counter: OpCounter) -> ScenarioResult:
                 admitted = am.admit_bid(bid)
                 if admitted:
                     actor.last_admitted = admitted.seq
-        am.close_auction(auction_no)
 
         counter.set_phase("winner")
         try:

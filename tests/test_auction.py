@@ -307,17 +307,35 @@ class TestAdmission:
         assert result.reason == "unknown-auction"
 
     def test_closed_auction(self, env):
+        # The announced winner ends the auction: the board refuses a later bid.
         env.am.open_auction(1)
-        env.am.close_auction(1)
-        result = env.am.admit_bid(craft_bid(env, env.agents[0], 10))
+        assert env.am.admit_bid(craft_bid(env, env.agents[0], 10))
+        env.am.determine_winner(1)
+        before = env.board.entries()
+        result = env.am.admit_bid(craft_bid(env, env.agents[1], 11))
         assert result.reason == "auction-closed"
+        assert env.board.entries() == before
 
-    def test_closed_wins_over_malformed(self, env):
-        # precedence: the auction lifecycle is checked before bid structure
-        env.am.open_auction(1)
-        env.am.close_auction(1)
-        result = env.am.admit_bid(craft_bid(env, env.agents[0], 0))
-        assert result.reason == "auction-closed"
+    @pytest.mark.parametrize("monotonic, late, reason", [
+        (True, "not-rising", "price-not-monotonic"),
+        (False, "fresh", "auction-closed"),
+        (False, "repost", "replayed-bid"),
+        (False, "unencodable", "malformed"),
+    ])
+    def test_late_bid_refusals(self, env, monotonic, late, reason):
+        # A bid after the announcement meets the manager's price rule first,
+        # then the board's refusals in the board's order.
+        env.am.open_auction(1, monotonic=monotonic)
+        won = craft_bid(env, env.agents[0], 10)
+        assert env.am.admit_bid(won)
+        env.am.determine_winner(1)
+        bid = {"fresh": lambda: craft_bid(env, env.agents[1], 11),
+               "not-rising": lambda: craft_bid(env, env.agents[1], 10),
+               "repost": lambda: won,
+               "unencodable": lambda: replace(won, price=1 << 64)}[late]()
+        before = env.board.entries()
+        assert env.am.admit_bid(bid).reason == reason
+        assert env.board.entries() == before
 
     def test_nonpositive_price_malformed(self, env):
         # The board refuses price 0; in a monotonic auction the manager's
@@ -460,7 +478,6 @@ class TestWinner:
         env.am.open_auction(1, monotonic=False)
         for agent, price in zip(env.agents, (10, 20, 15)):
             assert env.am.admit_bid(craft_bid(env, agent, price))
-        env.am.close_auction(1)
         assert env.board.heads[env.am.determine_winner(1)].price == 20
 
     def test_invalid_top_bid_is_skipped(self, env):
@@ -471,7 +488,6 @@ class TestWinner:
             top.signature, s1=env.pp.group.add(top.signature.s1, env.pp.group.g)))
         assert env.am.admit_bid(broken)
         assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
-        env.am.close_auction(1)
         assert env.board.heads[env.am.determine_winner(1)].price == 15
 
     def test_tie_goes_to_earlier_posting(self, env):
@@ -479,7 +495,6 @@ class TestWinner:
         first = env.am.admit_bid(craft_bid(env, env.agents[0], 20))
         second = env.am.admit_bid(craft_bid(env, env.agents[1], 20))
         assert second
-        env.am.close_auction(1)
         assert env.am.determine_winner(1) == first.seq
         # The replay applies the same tie rule: naming the later of two
         # equal verifying bids as winner is rejected, as the eager replay does.
@@ -496,7 +511,6 @@ class TestWinner:
 
     def test_no_bids_raises(self, env):
         env.am.open_auction(1)
-        env.am.close_auction(1)
         with pytest.raises(NoValidBid):
             env.am.determine_winner(1)
 
@@ -506,41 +520,46 @@ class TestWinner:
         broken = replace(bid, signature=replace(
             bid.signature, s1=env.pp.group.add(bid.signature.s1, env.pp.group.g)))
         assert env.am.admit_bid(broken)
-        env.am.close_auction(1)
         with pytest.raises(NoValidBid):
             env.am.determine_winner(1)
 
-    def test_unknown_auction_state_and_second_close(self, env):
+    def test_unknown_auction(self, env):
         with pytest.raises(AuctionError, match="unknown auction 9"):
-            env.am.close_auction(9)
-        env.am.open_auction(1)
-        env.am.close_auction(1)
-        with pytest.raises(AuctionError, match="auction is not open"):
-            env.am.close_auction(1)
+            env.am.determine_winner(9)
 
     def test_winner_already_on_the_board(self, env):
         # The board, not the manager, holds the announced winner: once a
         # replay-style append has put it there, there is nothing to announce.
         env.am.open_auction(1)
         seq = env.am.admit_bid(craft_bid(env, env.agents[0], 10)).seq
-        env.am.close_auction(1)
         env.board.append(WINNER_ANNOUNCED, seq.to_bytes(8, "big") + env.board.entries()[seq][1])
         count = len(env.board.entries())
         with pytest.raises(AuctionError, match="auction 1 already has an announced winner"):
             env.am.determine_winner(1)
         assert len(env.board.entries()) == count
 
-    def test_winner_requires_closed_auction(self, env):
+    def test_winner_needs_no_prior_step(self, env):
+        # The announcement is the one end of an auction: nothing closes it first.
         env.am.open_auction(1)
-        env.am.admit_bid(craft_bid(env, env.agents[0], 10))
-        with pytest.raises(AuctionError):
+        seq = env.am.admit_bid(craft_bid(env, env.agents[0], 10)).seq
+        assert env.am.determine_winner(1) == seq
+        assert env.board.winners[1] == (1, seq, 10)
+
+    def test_auction_takes_bids_after_no_valid_bid(self, env):
+        # NoValidBid announces nothing, so the auction goes on taking bids.
+        env.am.open_auction(1)
+        bid = craft_bid(env, env.agents[0], 10)
+        assert env.am.admit_bid(_resigned(bid, s1=env.pp.group.add(bid.signature.s1,
+                                                                   env.pp.group.g)))
+        with pytest.raises(NoValidBid):
             env.am.determine_winner(1)
+        seq = env.am.admit_bid(craft_bid(env, env.agents[1], 11)).seq
+        assert env.am.determine_winner(1) == seq
 
     def test_winner_announcement_payload(self, env):
         env.am.open_auction(1)
         bid = craft_bid(env, env.agents[3], 10)
         seq = env.am.admit_bid(bid).seq
-        env.am.close_auction(1)
         assert env.am.determine_winner(1) == seq
         kind, payload = env.board.entries()[-1]
         assert kind == WINNER_ANNOUNCED
@@ -561,7 +580,6 @@ class TestOpenProtocol:
         env.am.open_auction(1, monotonic=False)
         for agent, price in zip(env.agents, prices):
             assert env.am.admit_bid(craft_bid(env, agent, price))
-        env.am.close_auction(1)
         return env.am.determine_winner(1)
 
     def test_opens_winner_identity(self, env):
@@ -630,7 +648,6 @@ class TestOpenProtocol:
             top.signature, s1=env.pp.group.add(top.signature.s1, env.pp.group.g)))
         assert env.am.admit_bid(broken)
         assert env.am.admit_bid(craft_bid(env, env.agents[2], 15))
-        env.am.close_auction(1)
         assert env.board.heads[env.am.determine_winner(1)].price == 15
         failed = next(seq for seq, head in env.board.heads.items() if head.price == 20)
         counter = OpCounter()

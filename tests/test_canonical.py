@@ -145,7 +145,6 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
     honest = honest_bid(world, live.rng, 10)
     assert live.am.admit_bid(hostile).reason == "malformed"
     posted = live.am.admit_bid(honest)
-    live.am.close_auction(1)
     assert live.am.determine_winner(1) == posted.seq
     report = verify_transcript(render_transcript(live.board))
     assert report.valid and report.winners == ((1, posted.seq, 10),)
@@ -171,7 +170,6 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     assert live.am.admit_bid(hostile).reason == "malformed"
     assert len(live.board.entries()) == 5
     posted = live.am.admit_bid(honest_bid(world, live.rng, 10))
-    live.am.close_auction(1)
     assert live.am.determine_winner(1) == posted.seq
 
 
@@ -181,7 +179,6 @@ def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
     posted = live.am.admit_bid(bid)
     bid.ring.keys = tuple(reversed(bid.ring.keys))
     bid.ring.encodings = tuple(reversed(bid.ring.encodings))
-    live.am.close_auction(1)
     assert live.am.determine_winner(1) == posted.seq
     assert live.board.bid(posted.seq).ring is not bid.ring
     assert live.board.verified(posted.seq)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ringauction import cli, harness, registry
 from ringauction import group as group_module
-from ringauction.auction import parse_bid_payload
+from ringauction.auction import NoValidBid, parse_bid_payload
 from ringauction.cli import COMMANDS, main
 from ringauction.group import (
     _MAX_ELL_BITS,
@@ -856,7 +856,7 @@ class TestTranscriptMutations:
     def test_bid_after_its_auctions_winner_fails_at_its_seq(self):
         # A bid for auction 0 after its winner record, signed by a key
         # published just before it, verifies and outbids the winner: the board
-        # refuses it on replay and live, as the manager refuses it as
+        # refuses it on replay and live, where the manager names the refusal
         # auction-closed, and the announced winner stays the leader.
         result = run_scenario(ScenarioConfig(bidders=3, seed=7), counted=False)
         pp, lines = result.public_params, result.transcript.decode().splitlines()
@@ -1283,7 +1283,9 @@ def test_random_scenarios_three_verdicts_agree(tmp_path_factory, config):
     that completes, and the trace command opens each winner to its key."""
     try:
         result = run_scenario(config)
-    except ScenarioError:
+    except ScenarioError as exc:
+        # No verifying bid is the one way a valid scenario may fail to end.
+        assert isinstance(exc.__cause__, NoValidBid), exc
         return
     report = verify_transcript(result.transcript)
     assert report.valid, report.reason

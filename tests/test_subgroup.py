@@ -97,7 +97,6 @@ def shifted_run(request, tmp_path_factory):
     shifted = replace(shifted, signature=_shift_member(shifted.signature, slot, grp, (0, 0)))
     am.open_auction(1)
     admitted = [am.admit_bid(honest), am.admit_bid(shifted)]
-    am.close_auction(1)
     winner = am.determine_winner(1)
     transcript = render_transcript(board)
     lines = transcript.decode().splitlines()
