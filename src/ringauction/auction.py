@@ -2,15 +2,16 @@
 
 A bidder sends one registration, ever (the registration manager refuses an
 identity's second), and at most one bid per round; ``harness.run_scenario``
-counts both in ``ScenarioResult.messages``.  The
-auction manager applies only its own policies and then posts: the board's
-fold (``registry.BulletinBoard.append``) decides whether a bid or winner
-record is valid, as it does on replay, and encodes the ``Bid`` the manager
-hands it.  Every actor reads its public facts from the board it acts on
-(parameters, active keys, posted bids and prices, announced winners); the
-manager keeps only each auction's price policy.  An auction takes bids until
-the board holds its winner.
-A posted bid is named by its board seq: admission returns it, the winner is
+counts both in ``ScenarioResult.messages``.  The auction manager applies
+only its own policies and then posts: the board's fold
+(``registry.BulletinBoard.append``) decides whether a bid or winner record
+is valid, as it does on replay, and encodes the ``Bid`` the manager hands
+it; a bid it refuses is refused in its words, those ``ringauction verify``
+prints for that record.  Every actor reads its public facts from the board
+it acts on (parameters, active keys, posted bids and prices, announced
+winners); the manager keeps only each auction's price policy.  An auction
+takes bids until the board holds its winner.
+A posted bid is known by its board seq: admission returns it, the winner is
 one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
 from the highest price down (ties broken toward the earlier posting) and
@@ -27,10 +28,7 @@ from dataclasses import dataclass
 
 from .group import Point
 from .registry import (
-    BID_AFTER_WINNER,
     BID_POSTED,
-    BID_REPOSTED,
-    RING_KEY_INACTIVE,
     SEQ_WIDTH,
     WINNER_ANNOUNCED,
     Bid,
@@ -92,7 +90,7 @@ class BidderAgent:
 
 # A class, not a bare bool, until the benchmark collects garbage before its
 # timed call: fewer objects at import move the import-time generation-1 GC
-# pass into that call (ROADMAP item 8).
+# pass into that call (ROADMAP item 2).
 @dataclass
 class AuctionState:
     monotonic: bool = True
@@ -112,9 +110,9 @@ class AuctionManager:
     """Runs auctions against a shared board.
 
     Its only policy: prices rise over the board's ``high`` in a monotonic
-    auction.  The board refuses the rest (an inactive ring key, a repeated
-    payload, a bid after the auction's winner) and holds each announced
-    winner, which ends the auction.
+    auction.  The board refuses the rest, in its own words (a repeated
+    payload, a bid after the auction's winner, an inactive ring key), and
+    holds each announced winner, which ends the auction.
     Signatures are *not* checked at admission; a bid with a broken signature
     sits on the board until winner determination skips it.
     """
@@ -130,12 +128,11 @@ class AuctionManager:
         self._auctions[auction_id] = AuctionState(monotonic=monotonic)
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Post the bid unless it is ``unknown-auction``, then
-        ``price-not-monotonic``, or the board refuses it, in the board's
-        order: ``malformed`` if it cannot be encoded, ``replayed-bid`` for a
-        payload it holds, ``auction-closed`` once the auction's winner is
-        announced, ``ring-key-not-on-BBS`` for a ring key outside the active
-        view, else ``malformed``, as is anything that is not a ``Bid``."""
+        """Post the bid, or refuse it with one of the manager's three
+        reasons: ``malformed`` for anything that is not a ``Bid``, then
+        ``unknown-auction``, then ``price-not-monotonic``; else with the
+        board's ``MalformedBoard.reason``, in the board's order, as
+        ``ringauction verify`` words that record."""
         if not isinstance(bid, Bid):
             return AdmitResult(False, reason="malformed")
         state = self._auctions.get(bid.auction_id) if type(bid.auction_id) is int else None
@@ -147,9 +144,7 @@ class AuctionManager:
         try:
             return AdmitResult(True, seq=self.board.append(BID_POSTED, bid))
         except MalformedBoard as exc:
-            named = {RING_KEY_INACTIVE: "ring-key-not-on-BBS", BID_REPOSTED: "replayed-bid",
-                     BID_AFTER_WINNER: "auction-closed"}
-            return AdmitResult(False, reason=named.get(exc.reason, "malformed"))
+            return AdmitResult(False, reason=exc.reason)
 
     def determine_winner(self, auction_id: int) -> int:
         """The seq of the highest verifying bid; ties go to the earlier posting.

@@ -29,7 +29,7 @@ from .harness import (
     verify_transcript,
 )
 # After harness, which loads auction: loading auction first moves the cyclic
-# GC's import-time generation-1 pass into each role's first call (ROADMAP item 8).
+# GC's import-time generation-1 pass into each role's first call (ROADMAP item 2).
 from .auction import trace_bid
 from .ringsig import NotVerified, TraceKey, Untraceable, check_trace_key, public_params_to_json
 

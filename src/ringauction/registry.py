@@ -119,7 +119,8 @@ def verify_registration(pub_key: Point, identity: bytes,
     """Recompute the commitment as [b]g - [a]pub_key and re-derive the hash."""
     if pub_key is None or not group.is_on_curve(pub_key):
         return False
-    if not (0 <= proof.a_resp < group.n and 0 <= proof.b_resp < group.n):
+    if not (isinstance(proof, RegistrationProof) and type(proof.a_resp) is type(proof.b_resp) is int
+            and 0 <= proof.a_resp < group.n and 0 <= proof.b_resp < group.n):
         return False
     (commitment,) = group.to_affine(group.add_jac(
         group.mul_jac(proof.b_resp, group.g),
@@ -412,8 +413,8 @@ class RegistrationManager:
         group = self.board.group
         if pub_key is None:
             raise InvalidProof("the identity point cannot be registered")
-        if not identity:
-            raise InvalidProof("identity must be non-empty")
+        if not isinstance(identity, bytes) or not identity:
+            raise InvalidProof("identity must be non-empty bytes")
         # Order sanity: the key must live in the subgroup of exponent n.
         if not group.in_group(pub_key):
             raise InvalidProof("key order does not divide the group order")

@@ -212,6 +212,12 @@ def naive_in_group(P, n: int, ell: int) -> bool:
     return naive_on_curve(P, ell) and naive_mul(n, P, ell) is None
 
 
+# The board's refusal of a bid it cannot read, and of a handed ``Bid`` whose
+# points are not canonical (admission reports both as the board words them).
+UNREADABLE = "unreadable bid: "
+NOT_CANONICAL = UNREADABLE + "not a bid of canonical points"
+
+
 # The components of a ring-of-3 signature, as named by ``off_curve``.
 RING3_COMPONENTS = ("s1", "s2", "commit0", "commit1", "commit2", "proof0", "proof1", "proof2")
 

@@ -26,9 +26,12 @@ from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops
 from ringauction.harness import render_transcript, verify_transcript
 from ringauction.registry import (
+    BID_AFTER_WINNER,
     BID_MESSAGE_LEN,
     BID_POSTED,
+    BID_REPOSTED,
     KEY_EVICTED,
+    RING_KEY_INACTIVE,
     WINNER_ANNOUNCED,
     Bid,
     BulletinBoard,
@@ -53,7 +56,9 @@ from ringauction.ringsig import (
 )
 
 from .support import (
+    NOT_CANONICAL,
     RING3_COMPONENTS,
+    UNREADABLE,
     eager_verify_transcript,
     naive_add,
     naive_mul,
@@ -112,6 +117,10 @@ HOSTILE_BIDS = {
         replace(bid.signature.members[0], commit=5), *bid.signature.members[1:])),
     "not a Bid": lambda bid: None,
 }
+# Admission's reason for each where it is not interpreter text (a hostile
+# part's AttributeError or TypeError, after the board's UNREADABLE prefix):
+# the manager's own for a non-Bid, the fold's for a list of coordinates.
+HOSTILE_REASONS = {"not a Bid": "malformed", "s1 a list": NOT_CANONICAL}
 
 
 def craft_bid(env, agent, price, *, auction_id=1, round_no=0, ring=None):
@@ -273,7 +282,7 @@ class TestBidderAgent:
         before = env.board.entries()
         bid = env.agents[0].place_bid(1, 0, 17, ring, env.rng)
         assert isinstance(bid, Bid)
-        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.am.admit_bid(bid).reason == RING_KEY_INACTIVE
         assert env.board.entries() == before
 
     def test_rejects_ring_with_evicted_key(self, env, keys16):
@@ -282,7 +291,7 @@ class TestBidderAgent:
         before = env.board.entries()
         bid = env.agents[0].place_bid(1, 0, 17, env.ring, env.rng)
         assert isinstance(bid, Bid)
-        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.am.admit_bid(bid).reason == RING_KEY_INACTIVE
         assert env.board.entries() == before
 
 
@@ -313,15 +322,15 @@ class TestAdmission:
         env.am.determine_winner(1)
         before = env.board.entries()
         result = env.am.admit_bid(craft_bid(env, env.agents[1], 11))
-        assert result.reason == "auction-closed"
+        assert result.reason == BID_AFTER_WINNER
         assert env.board.entries() == before
 
     @pytest.mark.parametrize("monotonic, late, reason", [
         (True, "not-rising", "price-not-monotonic"),
-        (False, "fresh", "auction-closed"),
-        (False, "repost", "replayed-bid"),
-        (False, "unencodable", "malformed"),
-    ])
+        (False, "fresh", BID_AFTER_WINNER),
+        (False, "repost", BID_REPOSTED),
+        (False, "unencodable", "unreadable bid: price is not an int in range"),
+    ], ids=("True-not-rising", "False-fresh", "False-repost", "False-unencodable"))
     def test_late_bid_refusals(self, env, monotonic, late, reason):
         # A bid after the announcement meets the manager's price rule first,
         # then the board's refusals in the board's order.
@@ -342,7 +351,7 @@ class TestAdmission:
         # own price rule refuses it first.
         env.am.open_auction(1, monotonic=False)
         env.am.open_auction(2)
-        assert env.am.admit_bid(craft_bid(env, env.agents[0], 0)).reason == "malformed"
+        assert env.am.admit_bid(craft_bid(env, env.agents[0], 0)).reason == "non-positive price"
         result = env.am.admit_bid(craft_bid(env, env.agents[0], 0, auction_id=2))
         assert result.reason == "price-not-monotonic"
 
@@ -351,7 +360,7 @@ class TestAdmission:
         bid = craft_bid(env, env.agents[0], 10)
         broken = replace(bid, signature=replace(bid.signature,
                                                 members=bid.signature.members[:-1]))
-        assert env.am.admit_bid(broken).reason == "malformed"
+        assert env.am.admit_bid(broken).reason == NOT_CANONICAL
 
     @pytest.mark.parametrize("component", RING3_COMPONENTS)
     def test_off_curve_component_malformed(self, env, keys16, component):
@@ -359,18 +368,22 @@ class TestAdmission:
         ring = Ring(env.pp.group, [kp.pub_key for kp in keys16[:3]])
         bid = craft_bid(env, env.agents[0], 10, ring=ring)
         broken = replace(bid, signature=off_curve(bid.signature, component))
-        assert env.am.admit_bid(broken).reason == "malformed"
+        assert env.am.admit_bid(broken).reason == NOT_CANONICAL
         assert env.board.heads == {}
 
-    @pytest.mark.parametrize("hostile", HOSTILE_BIDS.values(), ids=list(HOSTILE_BIDS))
+    @pytest.mark.parametrize("hostile", HOSTILE_BIDS, ids=list(HOSTILE_BIDS))
     def test_hostile_bid_object_malformed(self, env, keys16, hostile):
         # Admission never raises: whatever is handed in place of a Bid, or
-        # of one of its parts, is malformed and posts nothing.
+        # of one of its parts, is refused and posts nothing.
         env.am.open_auction(1)
         ring = Ring(env.pp.group, [kp.pub_key for kp in keys16[:2]])
         bid = craft_bid(env, env.agents[0], 10, ring=ring)
         before = env.board.entries()
-        assert env.am.admit_bid(hostile(bid)).reason == "malformed"
+        reason = env.am.admit_bid(HOSTILE_BIDS[hostile](bid)).reason
+        if hostile in HOSTILE_REASONS:
+            assert reason == HOSTILE_REASONS[hostile]
+        else:
+            assert reason.startswith(UNREADABLE) and reason != NOT_CANONICAL
         assert env.board.entries() == before
 
     def test_ring_key_not_on_board(self, env, keys16):
@@ -378,13 +391,42 @@ class TestAdmission:
         stranger = keygen(env.pp, random.Random(4321))
         ring = Ring(env.pp.group, [keys16[0].pub_key, stranger.pub_key])
         bid = craft_bid(env, env.agents[0], 10, ring=ring)
-        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.am.admit_bid(bid).reason == RING_KEY_INACTIVE
 
     def test_evicted_ring_key_not_on_board(self, env, keys16):
         env.am.open_auction(1)
         bid = craft_bid(env, env.agents[0], 10)
         env.rm.evict(keys16[2].pub_key)
-        assert env.am.admit_bid(bid).reason == "ring-key-not-on-BBS"
+        assert env.am.admit_bid(bid).reason == RING_KEY_INACTIVE
+
+    @pytest.mark.parametrize("case, reason", [
+        ("repost", BID_REPOSTED), ("after-winner", BID_AFTER_WINNER),
+        ("unpublished-key", RING_KEY_INACTIVE), ("evicted-key", RING_KEY_INACTIVE),
+        ("price-0", "non-positive price"),
+    ], ids=("repost", "after-winner", "unpublished-key", "evicted-key", "price-0"))
+    def test_admission_and_replay_give_one_reason(self, env, keys16, case, reason):
+        # Each board refusal a Bid can meet at admission reads as the replay
+        # reads the same bid posted as the live board's next record.
+        env.am.open_auction(1, monotonic=case not in ("repost", "price-0"))
+        posted = craft_bid(env, env.agents[0], 10)
+        assert env.am.admit_bid(posted)
+        if case == "after-winner":
+            env.am.determine_winner(1)
+        if case == "evicted-key":
+            env.rm.evict(keys16[2].pub_key)
+        stranger = keygen(env.pp, random.Random(4321)).pub_key
+        bid = {"repost": lambda: posted,
+               "after-winner": lambda: craft_bid(env, env.agents[1], 11),
+               "unpublished-key": lambda: craft_bid(
+                   env, env.agents[0], 11, ring=Ring(env.pp.group, [keys16[0].pub_key, stranger])),
+               "evicted-key": lambda: craft_bid(env, env.agents[1], 11),
+               "price-0": lambda: craft_bid(env, env.agents[1], 0)}[case]()
+        before = env.board.entries()
+        record = f"{len(before)} {BID_POSTED} {serialize_bid_payload(bid).hex()}\n".encode()
+        replay = verify_transcript(render_transcript(env.board) + record)
+        assert env.am.admit_bid(bid).reason == replay.reason == reason
+        assert (replay.valid, replay.failing_seq) == (False, len(before))
+        assert env.board.entries() == before
 
     @pytest.mark.parametrize("monotonic", (False, True))
     def test_replayed_bid(self, env, monotonic):
@@ -394,7 +436,7 @@ class TestAdmission:
         bid = craft_bid(env, env.agents[0], 10)
         assert env.am.admit_bid(bid)
         again = env.am.admit_bid(bid)
-        assert again.reason == ("price-not-monotonic" if monotonic else "replayed-bid")
+        assert again.reason == ("price-not-monotonic" if monotonic else BID_REPOSTED)
         assert len(env.board.heads) == 1
 
     def test_unencodable_price(self, env):
@@ -404,7 +446,8 @@ class TestAdmission:
         env.am.open_auction(1, monotonic=False)
         env.am.open_auction(2)
         bid = craft_bid(env, env.agents[0], 10)
-        assert env.am.admit_bid(replace(bid, price=1 << 64)).reason == "malformed"
+        assert (env.am.admit_bid(replace(bid, price=1 << 64)).reason
+                == "unreadable bid: price is not an int in range")
         assert env.board.heads == {}
         low = replace(craft_bid(env, env.agents[0], 10, auction_id=2), price=-1)
         assert env.am.admit_bid(low).reason == "price-not-monotonic"
@@ -418,11 +461,12 @@ class TestAdmission:
         # A field that is not an int (a bool included) is refused, never
         # raised: such an auction_id names no auction, such a price does not
         # rise in a monotonic auction (as -1 does not), and otherwise the
-        # bid cannot be encoded.
+        # board cannot encode the bid.
         env.am.open_auction(1, monotonic=monotonic)
         bid = replace(craft_bid(env, env.agents[0], 10), **{field: value})
+        unencodable = f"unreadable bid: {field.removesuffix('_no')} is not an int in range"
         reason = ("unknown-auction" if field == "auction_id" else
-                  "price-not-monotonic" if monotonic and field == "price" else "malformed")
+                  "price-not-monotonic" if monotonic and field == "price" else unencodable)
         assert env.am.admit_bid(bid).reason == reason
         assert env.board.heads == {}
 

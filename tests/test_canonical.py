@@ -4,9 +4,10 @@ A point is O or a pair of integers 0 <= x, y < ell on the curve.  Arithmetic
 mod ell cannot tell (x + ell, y), (x, y + ell) or (x - ell, y) from (x, y),
 but the encoding can: it writes x as given and the parity of y as given, so
 (x, y + ell) encodes as -(x, y).  Each form is refused by ``verify`` as
-malformed and by admission with nothing posted, at 16, 32 and 64 bits; and
-a bidder who registered both P and -P cannot get a bid over an unreduced P
-posted, which the replay would read over -P.
+malformed and by admission as a bid of no canonical points with nothing
+posted, at 16, 32 and 64 bits; and a bidder who registered both P and -P
+cannot get a bid over an unreduced P posted, which the replay would read
+over -P.
 """
 
 import random
@@ -26,6 +27,8 @@ from ringauction.registry import (
     make_registration,
 )
 from ringauction.ringsig import BidderKeyPair, Ring, keygen, setup, sign, verify
+
+from .support import NOT_CANONICAL, UNREADABLE
 
 COMPONENTS = ("s1", "s2", "commit", "proof")
 
@@ -104,7 +107,11 @@ def test_admission_refuses_each_twin_and_posts_nothing(world, live, component):
     bid = honest_bid(world, live.rng, 10)
     for form, twin in unreduced(component_of(bid.signature, component), world.ell).items():
         twin_bid = replace(bid, signature=with_component(bid.signature, component, twin))
-        assert live.am.admit_bid(twin_bid).reason == "malformed", form
+        reason = live.am.admit_bid(twin_bid).reason
+        if form == "x-ell":  # no encoding: the interpreter's OverflowError words it
+            assert reason.startswith(UNREADABLE) and reason != NOT_CANONICAL, reason
+        else:
+            assert reason == NOT_CANONICAL, form
     assert len(live.board.entries()) == 5  # the keys alone
     assert live.am.admit_bid(bid)
 
@@ -124,7 +131,7 @@ def test_admission_refuses_a_twin_ring_key(world, live):
         message = encode_bid_message(1, 0, 10)
         sig = sign(world.pp, ring, world.keys[0], message, live.rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
-        assert live.am.admit_bid(bid).reason == "malformed", form
+        assert live.am.admit_bid(bid).reason == NOT_CANONICAL, form
     assert len(live.board.entries()) == 5
 
 
@@ -143,7 +150,7 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
     assert verify(world.pp, ring, message, sig)
     hostile = Bid(auction_id=1, round_no=0, price=20, ring=ring, signature=sig)
     honest = honest_bid(world, live.rng, 10)
-    assert live.am.admit_bid(hostile).reason == "malformed"
+    assert live.am.admit_bid(hostile).reason == NOT_CANONICAL
     posted = live.am.admit_bid(honest)
     assert live.am.determine_winner(1) == posted.seq
     report = verify_transcript(render_transcript(live.board))
@@ -167,7 +174,7 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     sig = sign(world.pp, ring, world.owner, message, live.rng)
     assert verify(world.pp, ring, message, sig)
     hostile = Bid(auction_id=1, round_no=0, price=20, ring=ring, signature=sig)
-    assert live.am.admit_bid(hostile).reason == "malformed"
+    assert live.am.admit_bid(hostile).reason == NOT_CANONICAL
     assert len(live.board.entries()) == 5
     posted = live.am.admit_bid(honest_bid(world, live.rng, 10))
     assert live.am.determine_winner(1) == posted.seq

@@ -169,6 +169,34 @@ def test_readme_class_members_resolve():
     assert [f"{cls}.{attr}" for cls, attr in named if attr not in members[cls]] == []
 
 
+def _method(module: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((REPO / "src" / "ringauction" / f"{module}.py").read_text())
+    owner = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in owner.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_readme_auction_layer_names_every_admission_reason():
+    # The manager's own reasons are the literals admit_bid refuses with; the
+    # board's are the registry constants the fold's bid branch raises, which
+    # admit_bid passes on.  README "The auction layer" names each of them.
+    own = [node.value.value for node in ast.walk(_method("auction", "AuctionManager", "admit_bid"))
+           if isinstance(node, ast.keyword) and node.arg == "reason"
+           and isinstance(node.value, ast.Constant)]
+    append = _method("registry", "BulletinBoard", "append")
+    bid_branch = next(node for node in ast.walk(append)
+                      if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                      and getattr(node.test.comparators[0], "id", None) == "BID_POSTED")
+    board = [node.args[0].id for stmt in bid_branch.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MalformedBoard"
+             and isinstance(node.args[0], ast.Name)]
+    assert own == ["malformed", "unknown-auction", "price-not-monotonic"]
+    assert board == ["BID_REPOSTED", "BID_AFTER_WINNER", "RING_KEY_INACTIVE"]
+    section = (REPO / "README.md").read_text().split("### The auction layer\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    assert [name for name in own + board if f"`{name}`" not in section] == []
+
+
 def _bench_problems(node, where, seen):
     """Every entry of a BENCH record that disagrees with itself, walking the
     whole record: a ``correct`` that is not all true, a ``failed`` that is

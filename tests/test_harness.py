@@ -856,8 +856,8 @@ class TestTranscriptMutations:
     def test_bid_after_its_auctions_winner_fails_at_its_seq(self):
         # A bid for auction 0 after its winner record, signed by a key
         # published just before it, verifies and outbids the winner: the board
-        # refuses it on replay and live, where the manager names the refusal
-        # auction-closed, and the announced winner stays the leader.
+        # refuses it on replay and live, with one reason, and the announced
+        # winner stays the leader.
         result = run_scenario(ScenarioConfig(bidders=3, seed=7), counted=False)
         pp, lines = result.public_params, result.transcript.decode().splitlines()
         winner = int(lines[-1].split(" ")[0])

@@ -28,6 +28,7 @@ from ringauction.registry import (
     MalformedBoard,
     RegistrationManager,
     RegistrationProof,
+    RegistryError,
     UnknownKey,
     make_registration,
     verify_registration,
@@ -54,6 +55,17 @@ def oracle_verify(pub_key, identity, proof, group):
     commitment = naive_add(lhs, rhs, ell)
     statement = group.encode_point(pub_key) + group.encode_point(commitment) + identity
     return proof.a_resp == group.hash_to_zn(statement)
+
+
+# Hostile stand-ins for the identity or the proof of an honest registration
+# of b"alice", by name.
+HOSTILE_REGISTRATIONS = {
+    "proof None": lambda proof: (b"alice", None),
+    "proof RegistrationProof('1', 2)": lambda proof: (b"alice", RegistrationProof("1", 2)),
+    "identity 'alice'": lambda proof: ("alice", proof),
+    "identity 5": lambda proof: (5, proof),
+    "identity bytearray": lambda proof: (bytearray(b"alice"), proof),
+}
 
 
 def fresh_key(group, rng):
@@ -461,6 +473,20 @@ class TestRegistrationManager:
         proof = make_registration(x, group.mul(x, group.g), b"alice", group, random.Random(30))
         with pytest.raises(InvalidProof, match="possession proof failed"):
             rm.register(group.mul(x + 1, group.g), b"alice", proof)
+        assert board.entries() == ()
+
+    @pytest.mark.parametrize("hostile", HOSTILE_REGISTRATIONS, ids=list(HOSTILE_REGISTRATIONS))
+    def test_hostile_registration_is_refused(self, setup16, hostile):
+        # A proof that is no RegistrationProof of two ints, or an identity
+        # that is not bytes, is refused, never raised, and publishes nothing.
+        group = setup16[0].group
+        board = BulletinBoard(setup16[0])
+        rng = random.Random(32)
+        x, pub = fresh_key(group, rng)
+        identity, proof = HOSTILE_REGISTRATIONS[hostile](make_registration(
+            x, pub, b"alice", group, rng))
+        with pytest.raises(RegistryError):
+            RegistrationManager(board).register(pub, identity, proof)
         assert board.entries() == ()
 
     def test_key_nobody_can_open_is_refused(self, setup16):
