@@ -2,15 +2,17 @@
 
 A bidder sends one registration, ever (the registration manager refuses an
 identity's second), and at most one bid per round; ``harness.run_scenario``
-counts both in ``ScenarioResult.messages``.  The auction manager applies
-only its own policies and then posts: the board's fold
-(``registry.BulletinBoard.append``) decides whether a bid or winner record
-is valid, as it does on replay, and encodes the ``Bid`` the manager hands
-it; a bid it refuses is refused in its words, those ``ringauction verify``
-prints for that record.  Every actor reads its public facts from the board
-it acts on (parameters, active keys, posted bids and prices, announced
-winners); the manager keeps only each auction's price policy.  An auction
-takes bids until the board holds its winner.
+counts both in ``ScenarioResult.messages``.  The manager words its
+policies, and the board words a bid's form: the manager applies its two
+policies (the auction exists; a monotonic auction's price rises) to a
+``Bid`` whose auction id and price are ``int``s, and hands on each bid
+that meets them and everything else.  The board's fold (``registry.BulletinBoard.append``) decides whether
+a bid or winner record is valid, as it does on replay, and encodes the
+``Bid`` it is handed; a bid it refuses is refused in its words, those
+``ringauction verify`` prints for that record.  Every actor reads its
+public facts from the board it acts on (parameters, active keys, posted
+bids and prices, announced winners); the manager keeps only each auction's
+price policy.  An auction takes bids until the board holds its winner.
 A posted bid is known by its board seq: admission returns it, the winner is
 one, and only a seq is opened.  Ring signatures are only verified to decide
 a winner, by the board's one rule (``BulletinBoard.leader``): walk the bids
@@ -109,10 +111,12 @@ class AdmitResult:
 class AuctionManager:
     """Runs auctions against a shared board.
 
-    Its only policy: prices rise over the board's ``high`` in a monotonic
-    auction.  The board refuses the rest, in its own words (a repeated
-    payload, a bid after the auction's winner, an inactive ring key), and
-    holds each announced winner, which ends the auction.
+    It words its two policies: a bid's auction is one it runs, and its
+    price rises over the board's ``high`` in a monotonic auction.  The board
+    words the rest, a bid's form included (no bid of canonical points, a
+    field it cannot encode, a repeated payload, a bid after the auction's
+    winner, an inactive ring key), and holds each announced winner, which
+    ends the auction.
     Signatures are *not* checked at admission; a bid with a broken signature
     sits on the board until winner determination skips it.
     """
@@ -128,19 +132,18 @@ class AuctionManager:
         self._auctions[auction_id] = AuctionState(monotonic=monotonic)
 
     def admit_bid(self, bid: Bid) -> AdmitResult:
-        """Post the bid, or refuse it with one of the manager's three
-        reasons: ``malformed`` for anything that is not a ``Bid``, then
-        ``unknown-auction``, then ``price-not-monotonic``; else with the
-        board's ``MalformedBoard.reason``, in the board's order, as
-        ``ringauction verify`` words that record."""
-        if not isinstance(bid, Bid):
-            return AdmitResult(False, reason="malformed")
-        state = self._auctions.get(bid.auction_id) if type(bid.auction_id) is int else None
-        if state is None:
-            return AdmitResult(False, reason="unknown-auction")
-        if state.monotonic and (type(bid.price) is not int
-                                or bid.price <= self.board.high(bid.auction_id)):
-            return AdmitResult(False, reason="price-not-monotonic")
+        """Post the bid, or refuse it.  The manager words only its two
+        policies, ``unknown-auction`` then ``price-not-monotonic``, for a
+        ``Bid`` whose auction id and price are ``int``s.  The board words a
+        bid's form: anything else goes to ``BulletinBoard.append`` as a bid
+        that meets them does, and a refusal there reads the board's
+        ``MalformedBoard.reason``, as ``ringauction verify`` words it."""
+        if isinstance(bid, Bid) and type(bid.auction_id) is type(bid.price) is int:
+            state = self._auctions.get(bid.auction_id)
+            if state is None:
+                return AdmitResult(False, reason="unknown-auction")
+            if state.monotonic and bid.price <= self.board.high(bid.auction_id):
+                return AdmitResult(False, reason="price-not-monotonic")
         try:
             return AdmitResult(True, seq=self.board.append(BID_POSTED, bid))
         except MalformedBoard as exc:

@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
         return 2
     report = verify_transcript(data)
     if report.valid:
-        print(f"transcript valid: {report.records} records, "
+        print(f"transcript valid: {len(report.board.entries())} records, "
               f"{len(report.winners)} announced winner(s)")
         for auction_id, seq, price in report.winners:
             print(f"  auction {auction_id}: bid seq {seq} at price {price}")

@@ -384,7 +384,6 @@ class TranscriptReport:
     valid: bool
     failing_seq: int | None = None
     reason: str | None = None
-    records: int = 0
     winners: tuple[tuple[int, int, int], ...] = ()  # (auction_id, seq, price)
     # (seq, "verified" | "failed: <reason>" | "not needed") per posted bid read
     outcomes: tuple[tuple[int, str], ...] = ()
@@ -426,8 +425,8 @@ def verify_transcript(data: bytes) -> TranscriptReport:
     except MalformedBoard as exc:
         return TranscriptReport(False, failing_seq=exc.seq, reason=exc.reason,
                                 outcomes=outcomes())
-    return TranscriptReport(True, records=len(entries), winners=tuple(board.winners.values()),
-                            outcomes=outcomes(), board=board)
+    return TranscriptReport(True, winners=tuple(board.winners.values()), outcomes=outcomes(),
+                            board=board)
 
 
 # ---------------------------------------------------------------------------

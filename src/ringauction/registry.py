@@ -27,6 +27,7 @@ from typing import Callable, Container, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 from .ringsig import (
+    MemberProof,
     PublicParams,
     Ring,
     RingSignature,
@@ -213,21 +214,25 @@ def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
     return BidHead(*decode_bid_message(data[:BID_MESSAGE_LEN]), ring, signature)
 
 
-def _head_of(group, handed: Bid) -> tuple[BidHead, Bid, bytes]:
-    # read_bid_head's verdict, read from the bid: its Ring rebuilt from the
-    # keys encodes as the handed one, one member per key, every point
-    # canonical (its encoding decodes back to it), every field in range.
+def _head_of(group, handed: object) -> tuple[BidHead, Bid, bytes]:
+    # read_bid_head's verdict, read from a handed object: a Bid of a Ring and
+    # a RingSignature, one MemberProof per key, every point on the curve (so
+    # canonical), judged before anything is encoded so that no interpreter
+    # error becomes a reason.  Only the project's ValueErrors keep their
+    # words: a repeated ring key, a field out of range.
+    ring, sig = (handed.ring, handed.signature) if isinstance(handed, Bid) else (None, None)
+    if not (isinstance(ring, Ring) and isinstance(sig, RingSignature)
+            and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
+            and all(isinstance(member, MemberProof) for member in sig.members)
+            and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
+                point for member in sig.members for point in (member.commit, member.proof)))))):
+        raise MalformedBid("not a bid of canonical points")
     try:
-        bid = replace(handed, ring=Ring(group, handed.ring.keys))
+        bid = replace(handed, ring=Ring(group, ring.keys))
         payload = serialize_bid_payload(bid)
-        sig = bid.signature
-        points = [*bid.ring, sig.s1, sig.s2,
-                  *(point for member in sig.members for point in (member.commit, member.proof))]
-        canonical = (bid.ring.encodings == handed.ring.encodings
-                     and len(sig.members) == len(bid.ring) and all(map(group.is_on_curve, points)))
-    except (ValueError, OverflowError, TypeError, AttributeError) as exc:
-        raise MalformedBid(str(exc)) from exc  # a repeated key, a value out of range, a wrong type
-    if not canonical:
+    except ValueError as exc:
+        raise MalformedBid(str(exc)) from exc
+    if bid.ring.encodings != ring.encodings:
         raise MalformedBid("not a bid of canonical points")
     head = BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings,
                    payload[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:])
@@ -264,9 +269,10 @@ class BulletinBoard:
       names, verify, be its auction's first and be the auction's ``leader``
       (``winners``).
 
-    A bid may be handed to ``append`` as its ``Bid``, whose points the fold
-    checks canonical in place of reading bytes, and which it encodes once;
-    ell must be prime, as the byte check is exact only then.
+    A bid may be handed to ``append`` as its ``Bid``, whose parts the fold
+    checks typed and canonical in place of reading bytes, and which it
+    encodes once; ell must be prime, as the byte check is exact only then.
+    Any other record's payload must be ``bytes``.
     ``entries`` (the stored pairs, as the harness's transcript reader yields
     them), ``active_keys`` and ``active_view`` hand out snapshots.
     """
@@ -286,8 +292,12 @@ class BulletinBoard:
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
 
     def append(self, kind: str, payload: bytes | Bid) -> int:
-        """Fold the next record and store it (a bid may be its ``Bid``); its seq."""
+        """Fold the next record and store it; its seq.  A bid payload that is
+        not ``bytes`` is read as a handed ``Bid``: the board words a bid's
+        form, the auction manager only its policies."""
         seq = len(self._entries)
+        if kind != BID_POSTED and kind in ENTRY_KINDS and not isinstance(payload, bytes):
+            raise MalformedBoard(f"{kind} payload is not bytes", seq=seq)
         if kind == KEY_PUBLISHED:
             try:
                 check_point_bytes(payload, self.group.ell)
@@ -308,10 +318,10 @@ class BulletinBoard:
             self._evicted.add(payload)
         elif kind == BID_POSTED:
             try:
-                if isinstance(payload, Bid):
-                    head, bid, payload = _head_of(self.group, payload)
-                else:
+                if isinstance(payload, bytes):
                     head, bid = read_bid_head(self.group, payload, self.active), None
+                else:
+                    head, bid, payload = _head_of(self.group, payload)
             except MalformedBid as exc:
                 raise MalformedBoard(f"unreadable bid: {exc}", seq=seq) from exc
             if payload in self._posted:

@@ -365,7 +365,7 @@ def eager_verify_transcript(data: bytes) -> TranscriptReport:
                 return invalid(seq, "a better verifying bid exists than the announced winner")
             announced.add(auction_id)
             winners.append((auction_id, ref, price))
-    return TranscriptReport(True, records=len(entries), winners=tuple(winners))
+    return TranscriptReport(True, winners=tuple(winners))
 
 
 def verdict(report: TranscriptReport):

@@ -190,7 +190,7 @@ def test_readme_auction_layer_names_every_admission_reason():
     board = [node.args[0].id for stmt in bid_branch.body for node in ast.walk(stmt)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "MalformedBoard"
              and isinstance(node.args[0], ast.Name)]
-    assert own == ["malformed", "unknown-auction", "price-not-monotonic"]
+    assert own == ["unknown-auction", "price-not-monotonic"]
     assert board == ["BID_REPOSTED", "BID_AFTER_WINNER", "RING_KEY_INACTIVE"]
     section = (REPO / "README.md").read_text().split("### The auction layer\n", 1)[1]
     section = section.split("\n#", 1)[0]

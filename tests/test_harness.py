@@ -400,7 +400,7 @@ class TestVerifyTranscript:
         posted = list(_posted_bids(full_run.transcript, full_run.public_params))  # board order
         assert list(report.board.heads) == posted
         assert report.reason is None
-        assert report.records == len(full_run.transcript.decode().splitlines()) - 1
+        assert len(report.board.entries()) == len(full_run.transcript.decode().splitlines()) - 1
         assert report.winners == tuple(
             (w.auction_id, w.seq, w.price) for w in full_run.winners)
 
@@ -1125,7 +1125,7 @@ def test_replay_writes_every_record_through_append(run_and_lines, monkeypatch):
 
     monkeypatch.setattr(BulletinBoard, "append", counted)
     report = verify_transcript(result.transcript)
-    assert report.valid and report.records == len(records)
+    assert report.valid and len(report.board.entries()) == len(records)
     assert posted == [tuple(record.split(" ")[1:]) for record in records]
 
 

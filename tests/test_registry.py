@@ -36,6 +36,7 @@ from ringauction.registry import (
 from ringauction.ringsig import setup
 
 from .support import (
+    NOT_CANONICAL,
     all_curve_points,
     eager_verify_transcript,
     naive_add,
@@ -279,6 +280,26 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
     transcript = render_transcript(board) + f"1 {kind} {payload.hex()}\n".encode()
     for report in (verify_transcript(transcript), eager_verify_transcript(transcript)):
         assert (report.failing_seq, report.reason) == (1, reason)
+
+
+@pytest.mark.parametrize("payload", ["None", "5", "bytearray", "hex text"])
+@pytest.mark.parametrize("kind", [KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED])
+def test_append_refuses_a_payload_that_is_not_bytes(setup16, kind, payload):
+    # The board's one write refuses, never raises, and changes nothing: a
+    # bid handed as no Bid is no bid of canonical points, and any other
+    # record's payload must be bytes.
+    pp, _ = setup16
+    (active,) = key_encodings(pp.group, 1)
+    board = BulletinBoard(pp)
+    board.append(KEY_PUBLISHED, active)
+    before = board.entries(), board.active_view()
+    handed = {"None": None, "5": 5, "bytearray": bytearray(active),
+              "hex text": active.hex()}[payload]
+    with pytest.raises(MalformedBoard) as refused:
+        board.append(kind, handed)
+    reason = NOT_CANONICAL if kind == BID_POSTED else f"{kind} payload is not bytes"
+    assert (refused.value.seq, refused.value.reason) == (1, reason)
+    assert (board.entries(), board.active_view()) == before
 
 
 def test_cli_verify_refuses_a_published_order_two_key(tmp_path, capsys):
