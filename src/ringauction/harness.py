@@ -210,10 +210,11 @@ def _choose_ring(group, order, points, own: bytes, config: ScenarioConfig, rng) 
     if config.ring_size is None:
         chosen = order
     else:
+        # The others are order without own: sampling their indices draws as
+        # sampling a copy of them would, and index j is order[j + (j >= at)].
         at = bisect.bisect_left(order, own)
-        others = order[:at] + order[at + 1:]
-        take = min(config.ring_size - 1, len(others))
-        chosen = [own] + rng.sample(others, take)
+        take = min(config.ring_size - 1, len(order) - 1)
+        chosen = [own] + [order[j + (j >= at)] for j in rng.sample(range(len(order) - 1), take)]
     return Ring(group, [points[encoding] for encoding in chosen])
 
 

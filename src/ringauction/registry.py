@@ -27,7 +27,6 @@ from typing import Callable, Container, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 from .ringsig import (
-    MemberProof,
     PublicParams,
     Ring,
     RingSignature,
@@ -35,6 +34,7 @@ from .ringsig import (
     deserialize_signature,
     serialize_signature,
     verify,
+    well_formed,
 )
 
 KEY_PUBLISHED = "key-published"
@@ -215,17 +215,13 @@ def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
 
 
 def _head_of(group, handed: object) -> tuple[BidHead, Bid, bytes]:
-    # read_bid_head's verdict, read from a handed object: a Bid of a Ring and
-    # a RingSignature, one MemberProof per key, every point on the curve (so
-    # canonical), judged before anything is encoded so that no interpreter
-    # error becomes a reason.  Only the project's ValueErrors keep their
-    # words: a repeated ring key, a field out of range.
+    # read_bid_head's verdict, read from a handed object: a Bid whose ring
+    # and signature ringsig.well_formed takes (the one judge of their form,
+    # which verify words for a signature), judged before anything is encoded
+    # so that no interpreter error becomes a reason.  Only the project's
+    # ValueErrors keep their words: a repeated ring key, a field out of range.
     ring, sig = (handed.ring, handed.signature) if isinstance(handed, Bid) else (None, None)
-    if not (isinstance(ring, Ring) and isinstance(sig, RingSignature)
-            and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
-            and all(isinstance(member, MemberProof) for member in sig.members)
-            and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
-                point for member in sig.members for point in (member.commit, member.proof)))))):
+    if not well_formed(group, ring, sig):
         raise MalformedBid("not a bid of canonical points")
     try:
         bid = replace(handed, ring=Ring(group, ring.keys))

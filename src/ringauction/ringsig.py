@@ -8,6 +8,10 @@ indistinguishable under the public verification equations.  Whoever knows
 the factor q can strip the blinding — multiplying a commitment by q kills
 its order-q part — and recover the signer's position without interacting
 with the signer.
+
+``well_formed`` is the one judge of a (ring, signature) pair's form:
+``verify`` words its refusal for a signature and the bulletin board for a
+handed bid, and whether a point lies in G_n is ``pair``'s separate refusal.
 """
 
 from __future__ import annotations
@@ -80,12 +84,19 @@ class RingSignature:
 class Ring:
     """Ordered ring of distinct published keys, canonically sorted.
 
+    Every key must be a canonical point (``is_on_curve``; O included, which
+    the board refuses as an inactive key), else ValueError: an unreduced
+    twin of a key would encode as another point or not at all.
+
     Input order never matters: keys are sorted by their point encoding, so
     any permutation of the same key set produces the same ring, the same
     signing transcript, and the same member alignment.
     """
 
     def __init__(self, group: PairingGroup, keys: Iterable[Point]) -> None:
+        keys = tuple(keys)
+        if not all(map(group.is_on_curve, keys)):
+            raise ValueError("ring keys must be canonical points")
         pairs = sorted(((group.encode_point(key), key) for key in keys), key=lambda kv: kv[0])
         if not pairs:
             raise ValueError("a ring needs at least one key")
@@ -243,22 +254,31 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
     return RingSignature(s1=s1, s2=s2, members=tuple(map(MemberProof, commit_pts, proofs)))
 
 
+def well_formed(group: PairingGroup, ring: object, sig: object) -> bool:
+    """``ring`` is a ``Ring`` with tuple keys and ``sig`` a ``RingSignature``
+    with a tuple of one ``MemberProof`` per key, every point canonical
+    (``is_on_curve``, which is total, so nothing raises)."""
+    return (isinstance(ring, Ring) and isinstance(sig, RingSignature)
+            and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
+            and all(isinstance(member, MemberProof) for member in sig.members)
+            and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
+                point for member in sig.members for point in (member.commit, member.proof))))))
+
+
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
     """Public verification; returns acceptance or the first failure reason.
 
-    Each member proof must show that its commitment is the member's offset
-    key or nothing, blinded in the order-q component; then the main equation
-    binds the commitments to the message.  A component that is not a
-    canonical curve point (a tuple of integers 0 <= x, y < ell), whatever
-    its type, or a commitment, s1 or s2 outside G_n, is "malformed" (``pair``
-    refuses it), as is a member that is not a ``MemberProof``: it never
-    raises.  Member proofs must lie in G_n too, which is not checked here.
+    A (ring, signature) pair that ``well_formed`` refuses is "malformed: not
+    a signature of canonical points", before any equation.  Then each member
+    proof must show that its commitment is the member's offset key or
+    nothing, blinded in the order-q component, and the main equation binds
+    the commitments to the message.  A commitment, s1 or s2 outside G_n is
+    "malformed" too (``pair`` refuses it): verify never raises.  Member
+    proofs must lie in G_n too, which is not checked here.
     """
-    if not isinstance(sig.members, (tuple, list)) or len(sig.members) != len(ring):
-        return VerifyResult(False, "malformed: member count does not match ring size")
-    if not all(isinstance(member, MemberProof) for member in sig.members):
-        return VerifyResult(False, "malformed: a member is not a member proof")
     grp = pp.group
+    if not well_formed(grp, ring, sig):
+        return VerifyResult(False, "malformed: not a signature of canonical points")
     try:
         for index, (member, shifted) in enumerate(zip(sig.members, _shifted_commits(pp, ring, sig))):
             if grp.pair(member.commit, shifted) != grp.pair(grp.h, member.proof):
@@ -270,8 +290,7 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
         offset_sum, waters = grp.to_affine(grp.add_jac(total_commit, pp.commit_offset),
                                            _waters_sum(pp, bits))
         lhs = grp.pair(pp.key_base, offset_sum)
-        rhs = grp.pair(sig.s1, grp.g) * grp.pair(
-            grp.neg(sig.s2) if grp.is_on_curve(sig.s2) else sig.s2, waters)
+        rhs = grp.pair(sig.s1, grp.g) * grp.pair(grp.neg(sig.s2), waters)
     except InvalidPoint as exc:
         return VerifyResult(False, f"malformed: {exc}")
     if lhs != rhs:
@@ -280,12 +299,11 @@ def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> 
 
 
 def _shifted_commits(pp: PublicParams, ring: Ring, sig: RingSignature) -> list[Point]:
-    # C - K′ for each slot, counted as one negation and one addition each,
-    # made affine together; a C that is no point is taken as O (pair refuses C).
+    # C - K′ for each slot of a well-formed pair, counted as one negation and
+    # one addition each, made affine together.
     grp = pp.group
-    commits = [m.commit if grp.is_on_curve(m.commit) else None for m in sig.members]
-    return grp.to_affine(*(grp.add_jac(jacobian(commit), grp.neg(key))
-                           for key, commit in zip(pp.offset_keys(ring), commits)))
+    return grp.to_affine(*(grp.add_jac(jacobian(member.commit), grp.neg(key))
+                           for key, member in zip(pp.offset_keys(ring), sig.members)))
 
 
 def check_trace_key(tk: TraceKey, pp: PublicParams) -> None:

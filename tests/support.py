@@ -213,9 +213,12 @@ def naive_in_group(P, n: int, ell: int) -> bool:
 
 
 # The board's refusal of a bid it cannot read, and of a handed ``Bid`` whose
-# points are not canonical (admission reports both as the board words them).
+# points are not canonical (admission reports both as the board words them;
+# ``ringsig.well_formed`` judges the latter).
 UNREADABLE = "unreadable bid: "
 NOT_CANONICAL = UNREADABLE + "not a bid of canonical points"
+# ``verify``'s words for the same refusal of a (ring, signature) pair's form.
+NOT_WELL_FORMED = "malformed: not a signature of canonical points"
 
 
 # The components of a ring-of-3 signature, as named by ``off_curve``.

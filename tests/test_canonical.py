@@ -5,9 +5,11 @@ mod ell cannot tell (x + ell, y), (x, y + ell) or (x - ell, y) from (x, y),
 but the encoding can: it writes x as given and the parity of y as given, so
 (x, y + ell) encodes as -(x, y).  Each form is refused by ``verify`` as
 malformed and by admission as a bid of no canonical points with nothing
-posted, at 16, 32 and 64 bits; and a bidder who registered both P and -P
-cannot get a bid over an unreduced P posted, which the replay would read
-over -P.
+posted, at 16, 32 and 64 bits, and ``Ring`` refuses it as a key; a bidder
+who registered both P and -P cannot get a bid over an unreduced P posted,
+which the replay would read over -P.  One predicate, ``ringsig.well_formed``,
+judges the form for both, so ``verify`` and admission refuse the same
+hostile (ring, signature) pairs.
 """
 
 import random
@@ -15,6 +17,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringauction.auction import AuctionManager
 from ringauction.group import gen_group_params
@@ -26,9 +30,9 @@ from ringauction.registry import (
     encode_bid_message,
     make_registration,
 )
-from ringauction.ringsig import BidderKeyPair, Ring, keygen, setup, sign, verify
+from ringauction.ringsig import BidderKeyPair, Ring, VerifyResult, keygen, setup, sign, verify
 
-from .support import NOT_CANONICAL
+from .support import NOT_CANONICAL, NOT_WELL_FORMED
 
 COMPONENTS = ("s1", "s2", "commit", "proof")
 
@@ -112,18 +116,21 @@ def test_admission_refuses_each_twin_and_posts_nothing(world, live, component):
     assert live.am.admit_bid(bid)
 
 
+def with_key(ring, old, new):
+    """A copy of ``ring`` whose keys hold ``new`` for ``old`` and whose
+    encodings stay: ``Ring`` itself refuses a key that is no canonical point."""
+    hostile = Ring(ring.group, ring.keys)
+    hostile.keys = tuple(new if key == old else key for key in ring.keys)
+    return hostile
+
+
 def test_admission_refuses_a_twin_ring_key(world, live):
-    # (x - ell, y) cannot even be encoded, so no ring holds it; (x + ell, y)
-    # can be once ell leaves room in the top byte of x.
     key = world.keys[1].pub_key
-    rings = {}
+    good = Ring(world.grp, [world.keys[0].pub_key, key, world.keys[2].pub_key])
     for form, twin in unreduced(key, world.ell).items():
-        try:
-            rings[form] = Ring(world.grp, [world.keys[0].pub_key, twin, world.keys[2].pub_key])
-        except OverflowError:
-            pass
-    assert "y+ell" in rings and "x-ell" not in rings
-    for form, ring in rings.items():
+        with pytest.raises(ValueError, match="^ring keys must be canonical points$"):
+            Ring(world.grp, [world.keys[0].pub_key, twin, world.keys[2].pub_key])
+        ring = with_key(good, key, twin)
         message = encode_bid_message(1, 0, 10)
         sig = sign(world.pp, ring, world.keys[0], message, live.rng)
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
@@ -133,17 +140,19 @@ def test_admission_refuses_a_twin_ring_key(world, live):
 
 def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live):
     # The ring holds P as (x, y + ell), which encodes as -P: an active key.
-    # Signing and verifying reduce mod ell, so the signature verifies under P;
-    # a replay would read the ring over -P and refuse the announced winner.
+    # Signing reduces mod ell, so the signature would verify under P, and a
+    # replay would read the ring over -P and refuse the announced winner;
+    # verify and admission both refuse the twin.
     x, y = world.owner.pub_key
     twin = (x, y + world.ell)
-    ring = Ring(world.grp, [twin, world.keys[0].pub_key])
+    ring = with_key(Ring(world.grp, [world.minus.pub_key, world.keys[0].pub_key]),
+                    world.minus.pub_key, twin)
     assert world.grp.encode_point(twin) == world.grp.encode_point(world.minus.pub_key)
     assert live.board.active.issuperset(ring.encodings)
     signer = replace(world.owner, pub_key=twin)
     message = encode_bid_message(1, 0, 20)
     sig = sign(world.pp, ring, signer, message, live.rng)
-    assert verify(world.pp, ring, message, sig)
+    assert verify(world.pp, ring, message, sig) == VerifyResult(False, NOT_WELL_FORMED)
     hostile = Bid(auction_id=1, round_no=0, price=20, ring=ring, signature=sig)
     honest = honest_bid(world, live.rng, 10)
     assert live.am.admit_bid(hostile).reason == NOT_CANONICAL
@@ -163,9 +172,8 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
         ring = Ring(grp, [world.owner.pub_key, other])
         ring.encodings = Ring(grp, [world.minus.pub_key, other]).encodings
     else:
-        ring = Ring(grp, [world.minus.pub_key, other])
-        ring.keys = tuple(world.owner.pub_key if key == world.minus.pub_key else key
-                          for key in ring.keys)
+        ring = with_key(Ring(grp, [world.minus.pub_key, other]), world.minus.pub_key,
+                        world.owner.pub_key)
     message = encode_bid_message(1, 0, 20)
     sig = sign(world.pp, ring, world.owner, message, live.rng)
     assert verify(world.pp, ring, message, sig)
@@ -185,3 +193,82 @@ def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
     assert live.am.determine_winner(1) == posted.seq
     assert live.board.bid(posted.seq).ring is not bid.ring
     assert live.board.verified(posted.seq)
+
+
+@pytest.fixture(scope="module")
+def form_probe(setup16, keys16):
+    """A manager over a board holding five keys, with auction 1 open (prices
+    may fall), and a verifying bid at 10 in it whose ring of three also holds
+    a key the board never published, so the board refuses every variant of
+    the bid that it reads."""
+    pp, tk = setup16
+    board = BulletinBoard(pp)
+    rm, am, rng = RegistrationManager(board), AuctionManager(tk, board), random.Random(98)
+    for i, kp in enumerate(keys16):
+        name = f"agent-{i}".encode()
+        rm.register(kp.pub_key, name, make_registration(kp.x, kp.pub_key, name, pp.group, rng))
+    am.open_auction(1, monotonic=False)
+    stranger = keygen(pp, random.Random(4321)).pub_key
+    ring = Ring(pp.group, [keys16[0].pub_key, keys16[1].pub_key, stranger])
+    message = encode_bid_message(1, 0, 10)
+    bid = Bid(auction_id=1, round_no=0, price=10, ring=ring,
+              signature=sign(pp, ring, keys16[0], message, rng))
+    assert verify(pp, ring, message, bid.signature)
+    return am, bid
+
+
+def hostile(point, ell):
+    """Values that stand for ``point``: O (None, a canonical point), things
+    of no point's type or shape, a list of its coordinates, and its twins."""
+    x, y = point
+    return [None, 5, 1.5, "ab", (1, 2, 3), [x, y], *unreduced(point, ell).values()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(part=st.sampled_from(("key", "s1", "s2", "commit", "proof", "members", "ring",
+                             "signature")),
+       at=st.integers(0, 2), pick=st.integers(0, 8))
+@example(part="members", at=0, pick=0)  # a list of members
+@example(part="key", at=1, pick=6)  # a ring key written (x, y + ell)
+def test_verify_and_admission_refuse_the_same_forms(form_probe, part, at, pick):
+    # One edit of the bid's ring or signature: ``pick`` chooses the value.
+    # Every hostile value but O spoils the form, and then verify reads
+    # NOT_WELL_FORMED exactly when admission reads NOT_CANONICAL; neither
+    # raises and nothing is posted.
+    am, bid = form_probe
+    pp, ell = am.board.pp, am.board.group.ell
+    ring, sig, members = bid.ring, bid.signature, list(bid.signature.members)
+
+    def choose(values):
+        return values[pick % len(values)]
+
+    if part == "key":
+        # O as an edited key would only part the keys from their encodings,
+        # which the board refuses on its own (see the test above).
+        value = choose(hostile(ring[at], ell)[1:])
+        ring = with_key(ring, ring[at], value)
+    elif part in ("s1", "s2"):
+        value = choose(hostile(getattr(sig, part), ell))
+        sig = replace(sig, **{part: value})
+    elif part in ("commit", "proof"):
+        value = choose(hostile(getattr(members[at], part), ell))
+        members[at] = replace(members[at], **{part: value})
+        sig = replace(sig, members=tuple(members))
+    elif part == "members":
+        value = choose(("a list", "one too few", "one too many", "no proof"))
+        sig = replace(sig, members={
+            "a list": members,
+            "one too few": tuple(members[:-1]),
+            "one too many": (*members, members[at]),
+            "no proof": (*members[:at], (members[at].commit, members[at].proof), *members[at + 1:]),
+        }[value])
+    else:
+        value = choose([None, 5, "ab", tuple(members), ring.keys])
+        ring, sig = (value, sig) if part == "ring" else (ring, value)
+    malformed = part in ("key", "members", "ring", "signature") or value is not None
+    before = am.board.entries()
+    verdict = verify(pp, ring, bid.message_bytes(), sig)
+    admitted = am.admit_bid(replace(bid, ring=ring, signature=sig))
+    assert (verdict.reason == NOT_WELL_FORMED) is malformed, (part, value, verdict)
+    assert (admitted.reason == NOT_CANONICAL) is malformed, (part, value, admitted)
+    assert not admitted and am.board.entries() == before

@@ -329,6 +329,24 @@ class TestScenarioDynamics:
         assert [(w.auction_id, w.identity) for w in result.winners] == [
             (0, b"bidder-1"), (1, b"bidder-1")]
 
+    @pytest.mark.parametrize("ring_size", (2, 5, 9))
+    def test_a_ring_draws_as_sampling_a_copy_of_the_others_would(self, params16, ring_size):
+        # random.sample draws from a pool up to its set-size switch (21 for
+        # five draws or fewer, 85 for six to 21) and from a set above it; the
+        # sizes straddle both, with own first, in the middle and last.
+        grp = params16.group
+        points = {grp.encode_point(P): P for P in (grp.mul(i, grp.g) for i in range(1, 201))}
+        config = ScenarioConfig(ring_size=ring_size)
+        for n in (1, 2, 3, 8, 20, 21, 22, 23, 84, 85, 86, 87, 200):
+            order = sorted(points)[:n]
+            for at in {0, n // 2, n - 1}:
+                rng, copying = random.Random(n * 1000 + at), random.Random(n * 1000 + at)
+                others = order[:at] + order[at + 1:]
+                chosen = [order[at], *copying.sample(others, min(ring_size - 1, len(others)))]
+                ring = harness._choose_ring(grp, order, points, order[at], config, rng)
+                assert ring.encodings == tuple(sorted(chosen)), (n, at)
+                assert rng.getstate() == copying.getstate(), (n, at)
+
     def test_run_rejects_invalid_config(self):
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(bidders=0))

@@ -1,5 +1,6 @@
 """Every module-level import in the package and its tests is used by its
-module, and every private helper of the package is used by the package.
+module, every private helper of the package is used by the package, and the
+package imports nothing outside the standard library.
 
 A deletion that leaves an import behind fails here.  Names listed in a
 module's ``__all__`` count as used, so the package root may import only to
@@ -9,6 +10,7 @@ cannot land.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -79,3 +81,29 @@ def test_the_check_sees_an_unused_helper():
          "    def _method(self):\n        return self._called()\n")
     b = "from .a import _used\nclass D:\n    def _called(self):\n        _used()\n"
     assert unused_private_helpers({"a.py": a, "b.py": b}) == ["a.py:1: _loop", "a.py:8: _method"]
+
+
+def outside_imports(source: str) -> list[str]:
+    """Each ``import`` or ``from`` anywhere in ``source`` that is neither
+    relative nor of a standard-library module (``sys.stdlib_module_names``,
+    by the name's first part)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.lineno, node.module))
+    return [f"line {line}: {name}" for line, name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_src_imports_only_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert outside_imports(path.read_text()) == [], path.name
+
+
+def test_the_check_sees_a_non_stdlib_import():
+    source = ("from __future__ import annotations\nimport os.path\nfrom . import group\n"
+              "from .group import mul\ndef f():\n    import numpy as np\n"
+              "    from hypothesis import given\n")
+    assert outside_imports(source) == ["line 6: numpy", "line 7: hypothesis"]

@@ -36,7 +36,14 @@ from ringauction.ringsig import (
     verify,
 )
 
-from .support import RING3_COMPONENTS, naive_add, naive_mul, naive_neg, off_curve
+from .support import (
+    NOT_WELL_FORMED,
+    RING3_COMPONENTS,
+    naive_add,
+    naive_mul,
+    naive_neg,
+    off_curve,
+)
 
 Q = 7  # secret factor of the tiny 5x7 group
 
@@ -250,21 +257,19 @@ class TestSignVerify:
         kp = keypairs[0]
         sig = sign(pp, ring, kp, b"m", rng)
         bad = RingSignature(s1=sig.s1, s2=sig.s2, members=sig.members[:-1])
-        outcome = verify(pp, ring, b"m", bad)
-        assert not outcome
-        assert outcome.reason.startswith("malformed: member count")
+        assert verify(pp, ring, b"m", bad) == VerifyResult(False, NOT_WELL_FORMED)
 
     @pytest.mark.parametrize("component", RING3_COMPONENTS)
     def test_off_curve_component_is_malformed(self, tiny_setup, component):
-        # pair refuses the point, as a first argument (s1, a commit), a
-        # second (a proof) or through neg (s2).
+        # well_formed refuses the point before any pairing, whichever
+        # component it stands for.
         _, pp, _ = tiny_setup
         rng = random.Random(47)
         ring, keypairs = make_ring(pp, 3, rng)
         sig = sign(pp, ring, keypairs[0], b"m", rng)
         assert verify(pp, ring, b"m", sig)
         assert verify(pp, ring, b"m", off_curve(sig, component)) == VerifyResult(
-            False, "malformed: pairing input is not on the curve")
+            False, NOT_WELL_FORMED)
 
     @pytest.mark.parametrize("part, value", [
         ("s1", 5), ("s1", (1, 2, 3)), ("s1", "list"), ("s2", 5), ("s2", ("a", "b")),
@@ -286,9 +291,10 @@ class TestSignVerify:
         assert not outcome
         assert outcome.reason.startswith("malformed: ")
 
-    def test_a_commit_that_is_no_point_keeps_the_earlier_verdict(self, setup16, keys16):
-        # Members are judged in ring order, so a failing proof in slot 0
-        # is the verdict, whatever slot 1's commit is.
+    def test_a_commit_that_is_no_point_is_malformed_before_any_membership_verdict(
+            self, setup16, keys16):
+        # The form is judged whole before any member proof, so slot 1's
+        # commit is the verdict, though slot 0's proof fails.
         pp, _ = setup16
         grp = pp.group
         ring = Ring(grp, [kp.pub_key for kp in keys16[:2]])
@@ -296,7 +302,7 @@ class TestSignVerify:
         first, second = sig.members
         bad = replace(sig, members=(replace(first, proof=grp.add(first.proof, grp.g)),
                                     replace(second, commit=5)))
-        assert verify(pp, ring, b"m", bad) == VerifyResult(False, "membership-proof 0")
+        assert verify(pp, ring, b"m", bad) == VerifyResult(False, NOT_WELL_FORMED)
 
     def test_signature_under_wrong_ring_fails(self, tiny_setup):
         _, pp, _ = tiny_setup
