@@ -46,7 +46,6 @@ from .ringsig import (
     NotVerified,
     Ring,
     TraceKey,
-    Untraceable,
     locate_signer,
     sign,
 )
@@ -175,15 +174,13 @@ def trace_bid(board: BulletinBoard, trace_key: TraceKey, seq: int) -> tuple[int,
     """The auction side's half of an opening: the (ring position, key) that
     signed the bid posted at ``seq``.  KeyError if no bid is posted there,
     NotVerified if the board's verdict on it fails (a bid is verified once
-    per board), Untraceable if no unique ring member matches."""
+    per board), and ``locate_signer``'s Untraceable, unchanged, when no
+    single ring member can be named."""
     result = board.verified(seq)
     if not result:
         raise NotVerified(result.reason)
     bid = board.bid(seq)
-    traced = locate_signer(trace_key, board.pp, bid.ring, bid.signature)
-    if traced is None:
-        raise Untraceable("no unique ring member matches the tracing test")
-    return traced
+    return locate_signer(trace_key, board.pp, bid.ring, bid.signature)
 
 
 def open_protocol(am: AuctionManager, rm: RegistrationManager, seq: int,

@@ -4,7 +4,9 @@
 records into a ``registry.BulletinBoard``.  So ``trace`` opens one bid only
 from a transcript that verifies: after ``ringsig.check_trace_key`` it runs
 the auction side's ``auction.trace_bid`` on the replayed board, which reads
-the bid and its verdict by seq.  The commands map outcomes to exit codes.
+the bid and its verdict by seq; a bid no single member can be named for
+prints ``ringsig.Untraceable``'s own words.  The commands map outcomes to
+exit codes.
 
 Exit codes: 0 success, 1 a protocol-level negative (invalid transcript,
 failed signature, no unique traced member, a scenario that fails mid-run),
@@ -202,8 +204,8 @@ def _cmd_trace(args) -> int:
     except NotVerified as exc:
         print(f"bid seq {args.seq} does not verify: {exc}")
         return 1
-    except Untraceable:
-        print(f"bid seq {args.seq}: no unique ring member matched")
+    except Untraceable as exc:
+        print(f"bid seq {args.seq}: {exc}")
         return 1
     print(f"bid seq {args.seq} traced to ring member {index}: "
           f"{board.group.encode_point(pub_key).hex()}")

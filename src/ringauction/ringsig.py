@@ -37,7 +37,9 @@ class NotVerified(RingSigError):
 
 
 class Untraceable(RingSigError):
-    """No unique ring member matches the tracing test: none does, or several do."""
+    """``locate_signer``'s verdict that no single ring member can be named: no
+    slot passes the tracing test, or the degenerate-key filter keeps none or
+    several of those that do.  The message names the slots at each step."""
 
 
 @dataclass(frozen=True)
@@ -257,12 +259,15 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
 def well_formed(group: PairingGroup, ring: object, sig: object) -> bool:
     """``ring`` is a ``Ring`` with tuple keys and ``sig`` a ``RingSignature``
     with a tuple of one ``MemberProof`` per key, every point canonical
-    (``is_on_curve``, which is total, so nothing raises)."""
+    (``is_on_curve``, which is total, so nothing raises), and the ring's
+    encodings are its keys' own: the message hash binds the encodings and
+    the equations pair over the keys, so the two must name the same points."""
     return (isinstance(ring, Ring) and isinstance(sig, RingSignature)
             and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
             and all(isinstance(member, MemberProof) for member in sig.members)
             and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
-                point for member in sig.members for point in (member.commit, member.proof))))))
+                point for member in sig.members for point in (member.commit, member.proof)))))
+            and ring.encodings == tuple(map(group.encode_point, ring.keys)))
 
 
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
@@ -316,7 +321,8 @@ def check_trace_key(tk: TraceKey, pp: PublicParams) -> None:
 
 def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature):
     """``check_trace_key``, then verify the signature on ``message``
-    (NotVerified(reason) if it fails), then return ``locate_signer``'s result."""
+    (NotVerified(reason) if it fails), then ``locate_signer``: the signer's
+    (position, published key), or its Untraceable."""
     check_trace_key(tk, pp)
     result = verify(pp, ring, message, sig)
     if not result:
@@ -325,9 +331,12 @@ def trace(tk: TraceKey, pp: PublicParams, ring: Ring, message: bytes, sig: RingS
 
 
 def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature):
-    """(position, published key) of the signer of a signature known to verify,
-    or None when no single member matches.  ``tk`` is a key as produced by
-    ``setup`` or accepted by ``trace``.
+    """(position, published key) of the signer of a signature known to verify.
+    ``tk`` is a key as produced by ``setup`` or accepted by ``trace``.  This
+    is the one judge of an opening's verdict: when no single member can be
+    named it raises Untraceable, whose message names the slots that pass the
+    tracing test ("no ring slot passes the tracing test" when none does) and
+    those the degenerate-key filter keeps ("none" when it keeps none).
 
     Multiplying by q annihilates the order-q blinding, so the marked slot —
     and only the marked slot, for honest signatures over distinct keys —
@@ -344,12 +353,15 @@ def locate_signer(tk: TraceKey, pp: PublicParams, ring: Ring, sig: RingSignature
     # Each [q]P = O is read from the ladder's Z, with no inversion.
     matches = [index for index, shifted in enumerate(_shifted_commits(pp, ring, sig))
                if not grp.mul_jac(tk.q, shifted)[2]]
-    if len(matches) > 1:
-        matches = [i for i in matches if grp.mul_jac(tk.q, sig.members[i].commit)[2]]
-    if len(matches) == 1:
-        index = matches[0]
-        return index, ring[index]
-    return None
+    if not matches:
+        raise Untraceable("no ring slot passes the tracing test")
+    kept = matches if len(matches) == 1 else [
+        i for i in matches if grp.mul_jac(tk.q, sig.members[i].commit)[2]]
+    if len(kept) != 1:
+        slots = lambda found: ", ".join(map(str, found)) or "none"
+        raise Untraceable(f"ring slots {slots(matches)} pass the tracing test; "
+                          f"the degenerate-key filter keeps {slots(kept)}")
+    return kept[0], ring[kept[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ringauction.group import (
     PairingGroup,
     _random_point,
     group_from_primes,
+    hash_to_bits,
 )
 from ringauction.harness import TranscriptReport, read_transcript
 from ringauction.registry import (
@@ -31,7 +32,7 @@ from ringauction.registry import (
     MalformedBid,
     MalformedBoard,
 )
-from ringauction.ringsig import verify
+from ringauction.ringsig import MemberProof, RingSignature, canonical_encode, verify
 
 
 def is_prime_trial_division(m: int) -> bool:
@@ -210,6 +211,66 @@ def naive_in_group(P, n: int, ell: int) -> bool:
     """P is a curve point with [n]P = O, by repeated doubling: the oracle for
     ``PairingGroup.in_group``."""
     return naive_on_curve(P, ell) and naive_mul(n, P, ell) is None
+
+
+def naive_trace_slots(pp, ring, sig, q: int):
+    """The opening rule in naive arithmetic, the oracle for
+    ``ringsig.locate_signer``: (passed, kept), where passed holds the slots i
+    with [q](C_i - K'_i) = O for K'_i = pub_i - commit_offset, and kept is
+    passed when it has at most one slot, else those of its slots with
+    [q]C_i != O (the degenerate-key filter)."""
+    ell = pp.group.ell
+    neg_offset = naive_neg(pp.commit_offset, ell)
+    commits = [member.commit for member in sig.members]
+    passed = [i for i, (pub, C) in enumerate(zip(ring, commits))
+              if naive_mul(q, naive_add(C, naive_neg(naive_add(pub, neg_offset, ell), ell), ell),
+                           ell) is None]
+    if len(passed) < 2:
+        return passed, passed
+    return passed, [i for i in passed if naive_mul(q, commits[i], ell) is not None]
+
+
+def untraceable_words(passed, kept) -> str:
+    """``Untraceable``'s message for the oracle's (passed, kept) when kept is
+    not one slot."""
+    if not passed:
+        return "no ring slot passes the tracing test"
+    listed = [", ".join(map(str, slots)) or "none" for slots in (passed, kept)]
+    return (f"ring slots {listed[0]} pass the tracing test; "
+            f"the degenerate-key filter keeps {listed[1]}")
+
+
+def forged_signature(pp, ring, message: bytes, marked, rng):
+    """A verifying signature on ``message`` over ``ring`` in which each slot
+    in ``marked`` carries its offset key K' and every other slot only a
+    blinding value, in naive arithmetic.  Each slot draws e from ``rng`` in
+    ring order, C = [e]h (+ K' when marked) and its proof [e]C when marked,
+    [e](C - K') when not; then r, s1 = [a](commit_offset + sum C) + [r]W and
+    s2 = [r]g.  This takes the exponent a with key_base = [a]g, found by
+    brute force, so only a toy group will do.  With ``marked`` empty no slot
+    carries a key: an all-decoy signature."""
+    grp = pp.group
+    n, ell = grp.n, grp.ell
+    a = next(a for a in range(n) if naive_mul(a, grp.g, ell) == pp.key_base)
+    neg_offset = naive_neg(pp.commit_offset, ell)
+    members, total = [], pp.commit_offset
+    for i, pub in enumerate(ring):
+        key = naive_add(pub, neg_offset, ell)
+        e = rng.randrange(n)
+        commit = naive_mul(e, grp.h, ell)
+        if i in marked:
+            commit = naive_add(commit, key, ell)
+        base = commit if i in marked else naive_add(commit, naive_neg(key, ell), ell)
+        members.append(MemberProof(commit=commit, proof=naive_mul(e, base, ell)))
+        total = naive_add(total, commit, ell)
+    waters = pp.hash_base
+    bits = hash_to_bits(canonical_encode(message, ring), len(pp.hash_gens))
+    for bit, gen in zip(bits, pp.hash_gens):
+        if bit:
+            waters = naive_add(waters, gen, ell)
+    r = rng.randrange(n)
+    return RingSignature(s1=naive_add(naive_mul(a, total, ell), naive_mul(r, waters, ell), ell),
+                         s2=naive_mul(r, grp.g, ell), members=tuple(members))
 
 
 # The board's refusal of a bid it cannot read, and of a handed ``Bid`` whose

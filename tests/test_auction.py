@@ -60,6 +60,7 @@ from .support import (
     RING3_COMPONENTS,
     UNREADABLE,
     eager_verify_transcript,
+    forged_signature,
     naive_add,
     naive_mul,
     naive_neg,
@@ -686,6 +687,11 @@ class TestWinner:
 # ---------------------------------------------------------------------------
 # identity opening
 
+# Untraceable's words for a ring of two degenerate keys: both slots pass the
+# tracing test and both commits lie in G_q.
+AMBIGUOUS = "ring slots 0, 1 pass the tracing test; the degenerate-key filter keeps none"
+
+
 class TestOpenProtocol:
     def run_auction(self, env, prices):
         env.am.open_auction(1, monotonic=False)
@@ -785,10 +791,11 @@ class TestOpenProtocol:
         assert env.board.entries() == before
 
     @staticmethod
-    def beside_degenerate_decoy(tiny_params, signer_degenerate):
+    def toy_bid(tiny_params, signer_degenerate, *, decoy_degenerate=True, all_decoys=False):
         # Built over the toy group, where a ring member whose offset key has
         # order dividing the secret factor is easy to find: it passes the
-        # tracing test in every slot.  The signature verifies either way.
+        # tracing test in every slot.  The signature verifies either way;
+        # with ``all_decoys`` it is forged so that no slot carries its key.
         # Both keys are registered and the bid is posted; its seq is returned.
         pp, tk = setup(tiny_params, 8, random.Random(0))
         group = tiny_params.group
@@ -803,11 +810,12 @@ class TestOpenProtocol:
         while degenerate(signer.pub_key) != signer_degenerate:
             signer = keygen(pp, rng)
         decoy = keygen(pp, rng)
-        while not degenerate(decoy.pub_key) or decoy.pub_key == signer.pub_key:
+        while degenerate(decoy.pub_key) != decoy_degenerate or decoy.pub_key == signer.pub_key:
             decoy = keygen(pp, rng)
         ring = Ring(group, [signer.pub_key, decoy.pub_key])
         message = encode_bid_message(1, 0, 10)
-        sig = sign(pp, ring, signer, message, rng)
+        sig = (forged_signature(pp, ring, message, (), rng) if all_decoys
+               else sign(pp, ring, signer, message, rng))
         bid = Bid(auction_id=1, round_no=0, price=10, ring=ring, signature=sig)
         board = BulletinBoard(pp)
         rm = RegistrationManager(board)
@@ -818,28 +826,51 @@ class TestOpenProtocol:
         am.open_auction(1)
         return am, rm, signer, am.admit_bid(bid).seq
 
+    @staticmethod
+    def trace_command(am, seq, tmp_path):
+        # ``ringauction trace`` on the board's transcript, which verifies.
+        transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
+        transcript.write_bytes(render_transcript(am.board))
+        tracekey.write_text(f"{am.trace_key.q}\n")
+        assert verify_transcript(transcript.read_bytes()).valid
+        return main(["trace", "--transcript", str(transcript), "--seq", str(seq),
+                     "--tracekey", str(tracekey)])
+
     def test_degenerate_decoy_does_not_spoil_the_opening(self, tiny_params):
-        am, rm, signer, seq = self.beside_degenerate_decoy(tiny_params, False)
+        am, rm, signer, seq = self.toy_bid(tiny_params, False)
         assert open_protocol(am, rm, seq) == (signer.pub_key, b"signer")
 
     def test_ambiguous_trace_raises_untraceable(self, tiny_params):
         # A degenerate signer's commit lies in G_q like the decoy's, so
         # nothing singles either out.
-        am, rm, _, seq = self.beside_degenerate_decoy(tiny_params, True)
-        with pytest.raises(Untraceable, match="no unique ring member"):
+        am, rm, _, seq = self.toy_bid(tiny_params, True)
+        with pytest.raises(Untraceable) as raised:
             open_protocol(am, rm, seq)
+        assert str(raised.value) == AMBIGUOUS
 
     def test_trace_command_reports_the_ambiguous_trace(self, tiny_params, tmp_path, capsys):
         # The same bid: the transcript verifies, and the trace command names
-        # no member.
-        am, _, _, seq = self.beside_degenerate_decoy(tiny_params, True)
-        transcript, tracekey = tmp_path / "t.txt", tmp_path / "k.txt"
-        transcript.write_bytes(render_transcript(am.board))
-        tracekey.write_text(f"{am.trace_key.q}\n")
-        assert verify_transcript(transcript.read_bytes()).valid
-        assert main(["trace", "--transcript", str(transcript), "--seq", str(seq),
-                     "--tracekey", str(tracekey)]) == 1
-        assert capsys.readouterr().out == f"bid seq {seq}: no unique ring member matched\n"
+        # no member, in Untraceable's words.
+        am, _, _, seq = self.toy_bid(tiny_params, True)
+        assert self.trace_command(am, seq, tmp_path) == 1
+        assert capsys.readouterr().out == f"bid seq {seq}: {AMBIGUOUS}\n"
+
+    def test_all_decoy_bid_is_untraceable_and_evicts_nobody(self, tiny_params):
+        # A forged bid over two clean keys whose slots carry no key: it
+        # verifies, no slot passes the tracing test, and its repudiation
+        # evicts no one.
+        am, rm, _, seq = self.toy_bid(tiny_params, False, decoy_degenerate=False, all_decoys=True)
+        assert am.board.verified(seq)
+        before = am.board.entries()
+        with pytest.raises(Untraceable) as raised:
+            open_protocol(am, rm, seq, malicious=True)
+        assert str(raised.value) == "no ring slot passes the tracing test"
+        assert am.board.entries() == before
+
+    def test_trace_command_reports_an_all_decoy_bid(self, tiny_params, tmp_path, capsys):
+        am, _, _, seq = self.toy_bid(tiny_params, False, decoy_degenerate=False, all_decoys=True)
+        assert self.trace_command(am, seq, tmp_path) == 1
+        assert capsys.readouterr().out == f"bid seq {seq}: no ring slot passes the tracing test\n"
 
     def test_board_carries_no_identities(self, env):
         # conditional anonymity: the public record contains ring signatures

@@ -165,8 +165,9 @@ def test_unreduced_p_beside_minus_p_is_refused_and_the_board_replays(world, live
 @pytest.mark.parametrize("changed", ("encodings", "keys"))
 def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed):
     # Ring's keys and encodings are plain attributes: a ring that holds P
-    # among its keys but -P's encoding signs and verifies under P, and the
-    # replay would read it over -P.  The fold encodes the keys afresh.
+    # among its keys but -P's encoding signs under P, and the replay would
+    # read it over -P.  well_formed encodes the keys afresh, so verify and
+    # admission both refuse it.
     grp, other = world.grp, world.keys[0].pub_key
     if changed == "encodings":
         ring = Ring(grp, [world.owner.pub_key, other])
@@ -176,7 +177,7 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
                         world.owner.pub_key)
     message = encode_bid_message(1, 0, 20)
     sig = sign(world.pp, ring, world.owner, message, live.rng)
-    assert verify(world.pp, ring, message, sig)
+    assert verify(world.pp, ring, message, sig) == VerifyResult(False, NOT_WELL_FORMED)
     hostile = Bid(auction_id=1, round_no=0, price=20, ring=ring, signature=sig)
     assert live.am.admit_bid(hostile).reason == NOT_CANONICAL
     assert len(live.board.entries()) == 5
@@ -227,14 +228,15 @@ def hostile(point, ell):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(part=st.sampled_from(("key", "s1", "s2", "commit", "proof", "members", "ring",
                              "signature")),
-       at=st.integers(0, 2), pick=st.integers(0, 8))
+       at=st.integers(0, 2), pick=st.integers(0, 9))
 @example(part="members", at=0, pick=0)  # a list of members
 @example(part="key", at=1, pick=6)  # a ring key written (x, y + ell)
-def test_verify_and_admission_refuse_the_same_forms(form_probe, part, at, pick):
+@example(part="key", at=0, pick=8)  # another registered key, the encodings kept
+def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at, pick):
     # One edit of the bid's ring or signature: ``pick`` chooses the value.
-    # Every hostile value but O spoils the form, and then verify reads
-    # NOT_WELL_FORMED exactly when admission reads NOT_CANONICAL; neither
-    # raises and nothing is posted.
+    # Every hostile value but O spoils the form (any edited ring key does,
+    # O included), and then verify reads NOT_WELL_FORMED exactly when
+    # admission reads NOT_CANONICAL; neither raises and nothing is posted.
     am, bid = form_probe
     pp, ell = am.board.pp, am.board.group.ell
     ring, sig, members = bid.ring, bid.signature, list(bid.signature.members)
@@ -243,9 +245,9 @@ def test_verify_and_admission_refuse_the_same_forms(form_probe, part, at, pick):
         return values[pick % len(values)]
 
     if part == "key":
-        # O as an edited key would only part the keys from their encodings,
-        # which the board refuses on its own (see the test above).
-        value = choose(hostile(ring[at], ell)[1:])
+        # Any edited key spoils the form, even a canonical one (another
+        # registered key, or O): the encodings kept no longer name the keys.
+        value = choose([*hostile(ring[at], ell)[1:], keys16[2].pub_key, None])
         ring = with_key(ring, ring[at], value)
     elif part in ("s1", "s2"):
         value = choose(hostile(getattr(sig, part), ell))

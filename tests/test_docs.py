@@ -92,8 +92,8 @@ def test_trace_command_agrees_with_trace_bid(tmp_path, monkeypatch, capsys):
             expected = (0, f"bid seq {seq} {said}\n")
         except NotVerified as exc:
             expected = (1, f"bid seq {seq} does not verify: {exc}\n")
-        except Untraceable:
-            expected = (1, f"bid seq {seq}: no unique ring member matched\n")
+        except Untraceable as exc:
+            expected = (1, f"bid seq {seq}: {exc}\n")
         assert (code, capsys.readouterr().out) == expected
         codes.add(code)
     assert codes == {0, 1}

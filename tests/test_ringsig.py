@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringauction.group as group_module
@@ -22,6 +22,7 @@ from ringauction.ringsig import (
     Ring,
     RingSignature,
     TraceKey,
+    Untraceable,
     VerifyResult,
     canonical_encode,
     deserialize_signature,
@@ -39,10 +40,13 @@ from ringauction.ringsig import (
 from .support import (
     NOT_WELL_FORMED,
     RING3_COMPONENTS,
+    forged_signature,
     naive_add,
     naive_mul,
     naive_neg,
+    naive_trace_slots,
     off_curve,
+    untraceable_words,
 )
 
 Q = 7  # secret factor of the tiny 5x7 group
@@ -93,19 +97,6 @@ def make_ring(pp, size, rng, allow_degenerate=False):
         keypairs.append(kp)
     ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
     return ring, keypairs
-
-
-def oracle_trace(pp, ring, sig, q, ell):
-    """Brute-force projection test in naive arithmetic: the traced member is
-    the unique i with [q]commit_i == [q](pub_i - commit_offset)."""
-    matches = []
-    neg_b0 = naive_neg(pp.commit_offset, ell)
-    for i, pub in enumerate(ring):
-        lhs = naive_mul(q, sig.members[i].commit, ell)
-        rhs = naive_mul(q, naive_add(pub, neg_b0, ell), ell)
-        if lhs == rhs:
-            matches.append(i)
-    return matches[0] if len(matches) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +506,7 @@ class TestInversions:
 
 class TestTrace:
     def test_trace_matches_brute_force_oracle(self, tiny_setup):
-        params, pp, tk = tiny_setup
+        _, pp, tk = tiny_setup
         rng = random.Random(71)
         for trial in range(60):
             size = rng.randrange(1, 5)
@@ -523,10 +514,43 @@ class TestTrace:
             kp = keypairs[rng.randrange(size)]
             idx = ring.keys.index(kp.pub_key)
             sig = sign(pp, ring, kp, b"trial %d" % trial, rng)
-            expected = oracle_trace(pp, ring, sig, Q, params.group.ell)
-            got = trace(tk, pp, ring, b"trial %d" % trial, sig)
-            assert (got[0] if got else None) == expected
-            assert expected == idx
+            assert naive_trace_slots(pp, ring, sig, Q) == ([idx], [idx])
+            assert trace(tk, pp, ring, b"trial %d" % trial, sig) == (idx, kp.pub_key)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4), degenerate=st.integers(0, 4),
+           signer=st.sampled_from(("honest", "all decoys", "two marked")))
+    @example(seed=0, size=3, degenerate=0, signer="all decoys")  # no slot passes
+    @example(seed=0, size=2, degenerate=2, signer="honest")  # the filter keeps none
+    @example(seed=0, size=3, degenerate=1, signer="two marked")  # it keeps one of two
+    @example(seed=0, size=2, degenerate=0, signer="two marked")  # it keeps both
+    def test_trace_names_a_slot_exactly_when_the_naive_rule_leaves_one(
+            self, tiny_setup, seed, size, degenerate, signer):
+        # Verifying signatures in the 35-element group over rings of clean
+        # and degenerate keys: an honest signer's, an all-decoy forgery's and
+        # a forgery with two slots (one in a ring of one) that carry their
+        # keys.  trace names the slot exactly when the naive rule keeps one,
+        # and otherwise raises Untraceable in the words that rule predicts.
+        _, pp, tk = tiny_setup
+        rng = random.Random(seed)
+        degenerate = min(degenerate, size)
+        clean = make_ring(pp, size - degenerate, rng)[1] if degenerate < size else []
+        keypairs = clean + degenerate_keypairs(pp, degenerate, rng,
+                                               avoid=[kp.pub_key for kp in clean])
+        ring = Ring(pp.group, [kp.pub_key for kp in keypairs])
+        if signer == "honest":
+            sig = sign(pp, ring, rng.choice(keypairs), b"oracle", rng)
+        else:
+            marked = () if signer == "all decoys" else rng.sample(range(size), min(2, size))
+            sig = forged_signature(pp, ring, b"oracle", marked, rng)
+        assert verify(pp, ring, b"oracle", sig)
+        passed, kept = naive_trace_slots(pp, ring, sig, Q)
+        if len(kept) == 1:
+            assert trace(tk, pp, ring, b"oracle", sig) == (kept[0], ring[kept[0]])
+        else:
+            with pytest.raises(Untraceable) as raised:
+                trace(tk, pp, ring, b"oracle", sig)
+            assert str(raised.value) == untraceable_words(passed, kept)
 
     def test_trace_identifies_each_member_of_one_ring(self, tiny_setup):
         _, pp, tk = tiny_setup
@@ -561,41 +585,26 @@ class TestTrace:
     def test_all_decoy_signature_traces_to_nobody(self, tiny_setup):
         # Hand-built signature whose every slot is a pure blinding value:
         # membership proofs hold (each slot proves "key or nothing"), yet no
-        # slot carries a key, so tracing returns None rather than blaming
-        # an arbitrary member.  Knowing a with key_base = [a]g (found by
-        # brute force in the 35-element group) lets the forger satisfy the
-        # main equation too, so the decoy verifies and reaches the tracing
-        # test: s1 = [a](commit_offset + sum commit) + [r]W, s2 = [r]g.
-        # Two degenerate members both match the projection test, with
-        # commits in G_q, so they leave nobody to name either.
-        params, pp, tk = tiny_setup
-        grp = params.group
+        # slot carries a key, so tracing raises Untraceable rather than
+        # blaming an arbitrary member.  Knowing a with key_base = [a]g
+        # (found by brute force in the 35-element group) lets the forger
+        # satisfy the main equation too, so the decoy verifies and reaches
+        # the tracing test (``forged_signature``).  Two degenerate members
+        # both match the projection test, with commits in G_q, so they
+        # leave nobody to name either.
+        _, pp, tk = tiny_setup
         rng = random.Random(74)
-        a = next(a for a in range(params.group.n) if grp.mul(a, params.group.g) == pp.key_base)
-        from ringauction.ringsig import _waters_sum
-        from ringauction.group import hash_to_bits
-        neg_b0 = grp.neg(pp.commit_offset)
+        words = {0: "no ring slot passes the tracing test",
+                 2: "ring slots 0, 2 pass the tracing test; the degenerate-key filter keeps none"}
         for degenerate in (0, 2):
             clean, _ = make_ring(pp, 3 - degenerate, rng)
             extra = degenerate_keypairs(pp, degenerate, rng, avoid=clean.keys)
             ring = Ring(pp.group, [*clean.keys, *(kp.pub_key for kp in extra)])
-            members = []
-            total_commit = pp.commit_offset
-            for pub in ring:
-                e_i = rng.randrange(params.group.n)
-                offset_key = grp.add(pub, neg_b0)
-                commit = grp.mul(e_i, params.group.h)
-                proof = grp.mul(e_i, grp.add(grp.neg(offset_key), commit))
-                members.append(MemberProof(commit=commit, proof=proof))
-                total_commit = grp.add(total_commit, commit)
-            bits = hash_to_bits(canonical_encode(b"decoy", ring), len(pp.hash_gens))
-            r = rng.randrange(params.group.n)
-            fake = RingSignature(
-                s1=grp.add(grp.mul(a, total_commit), grp.mul(r, *grp.to_affine(_waters_sum(pp, bits)))),
-                s2=grp.mul(r, params.group.g),
-                members=tuple(members))
+            fake = forged_signature(pp, ring, b"decoy", (), rng)
             assert verify(pp, ring, b"decoy", fake)
-            assert trace(tk, pp, ring, b"decoy", fake) is None
+            with pytest.raises(Untraceable) as raised:
+                trace(tk, pp, ring, b"decoy", fake)
+            assert str(raised.value) == words[degenerate]
 
     def test_degenerate_decoy_does_not_hide_the_signer(self, tiny_setup):
         # A member whose offset key has order dividing the secret factor
@@ -625,7 +634,10 @@ class TestTrace:
         signer = keypairs[0]
         sig = sign(pp, ring, signer, b"ambig", rng)
         assert verify(pp, ring, b"ambig", sig)
-        assert trace(tk, pp, ring, b"ambig", sig) is None
+        with pytest.raises(Untraceable) as raised:
+            trace(tk, pp, ring, b"ambig", sig)
+        assert str(raised.value) == (
+            "ring slots 0, 1 pass the tracing test; the degenerate-key filter keeps none")
 
     def test_trace_rejects_structurally_broken_signature(self, tiny_setup):
         _, pp, tk = tiny_setup

@@ -33,6 +33,7 @@ from ringauction.ringsig import (
     MemberProof,
     Ring,
     RingSignature,
+    Untraceable,
     VerifyResult,
     _waters_sum,
     canonical_encode,
@@ -52,6 +53,7 @@ from .support import (
     naive_neg,
     naive_order,
     toy_params,
+    untraceable_words,
     verdict,
 )
 
@@ -129,7 +131,8 @@ class TestShiftedSignerCommitment:
         assert verify(run.pp, run.ring, run.honest.message_bytes(), run.honest.signature)
         assert verify(run.pp, run.ring, message, run.shifted.signature) == OUTSIDE
         # Why it matters: [q](0, 0) != O, so no slot passes the tracing test.
-        assert locate_signer(run.tk, run.pp, run.ring, run.shifted.signature) is None
+        with pytest.raises(Untraceable, match="^no ring slot passes the tracing test$"):
+            locate_signer(run.tk, run.pp, run.ring, run.shifted.signature)
 
     def test_manager_posts_it_then_skips_it(self, shifted_run):
         run = shifted_run
@@ -305,7 +308,9 @@ def test_tracing_names_the_one_slot_whose_offset_commitment_is_in_g_q(toy):
     # the first eight keys, and every pair of commitments the member
     # equation accepts for it: a main equation accepts each such pair with
     # some (s1, s2) in G_n, and locate_signer reads only the commitments.
-    # It names slot i exactly when C_i - K'_i lies in G_q for i alone.
+    # It names slot i exactly when C_i - K'_i lies in G_q for i alone, and
+    # otherwise raises Untraceable naming those slots and, of two, the ones
+    # whose C lies outside G_q.
     grp, pp, ell = toy.grp, toy.pp, toy.grp.ell
     keys = [naive_mul(x, toy.params.group.g, ell) for x in range(1, 9)]
     keys = [K for K in keys if _offset(toy, K) not in toy.in_q]
@@ -317,11 +322,14 @@ def test_tracing_names_the_one_slot_whose_offset_commitment_is_in_g_q(toy):
             marked = [slot for slot, (K, C) in enumerate(zip(ring, both))
                       if naive_add(C, naive_neg(_offset(toy, K), ell), ell) in toy.in_q]
             sig = RingSignature(None, None, tuple(MemberProof(C, None) for C in both))
-            found = locate_signer(toy.tk, pp, ring, sig)
             if len(marked) == 1:
+                found = locate_signer(toy.tk, pp, ring, sig)
                 assert found == (marked[0], ring[marked[0]]), (ring.keys, both)
                 traced += 1
             else:
-                assert found is None, (ring.keys, both)
+                kept = [slot for slot in marked if both[slot] not in toy.in_q]
+                with pytest.raises(Untraceable) as raised:
+                    locate_signer(toy.tk, pp, ring, sig)
+                assert str(raised.value) == untraceable_words(marked, kept), (ring.keys, both)
                 nobody += 1
     assert (traced, nobody) == TOY_COUNTS[ell][2:]
