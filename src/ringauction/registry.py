@@ -218,18 +218,16 @@ def _head_of(group, handed: object) -> tuple[BidHead, Bid, bytes]:
     # read_bid_head's verdict, read from a handed object: a Bid whose ring
     # and signature ringsig.well_formed takes (the one judge of their form,
     # which verify words for a signature), judged before anything is encoded
-    # so that no interpreter error becomes a reason.  Only the project's
-    # ValueErrors keep their words: a repeated ring key, a field out of range.
+    # so that no interpreter error becomes a reason.  The board keeps its
+    # own Ring of the keys; a field out of range keeps its ValueError's words.
     ring, sig = (handed.ring, handed.signature) if isinstance(handed, Bid) else (None, None)
     if not well_formed(group, ring, sig):
         raise MalformedBid("not a bid of canonical points")
+    bid = replace(handed, ring=Ring(group, ring.keys))
     try:
-        bid = replace(handed, ring=Ring(group, ring.keys))
         payload = serialize_bid_payload(bid)
     except ValueError as exc:
         raise MalformedBid(str(exc)) from exc
-    if bid.ring.encodings != ring.encodings:
-        raise MalformedBid("not a bid of canonical points")
     head = BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings,
                    payload[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:])
     return head, bid, payload

@@ -9,9 +9,10 @@ the factor q can strip the blinding — multiplying a commitment by q kills
 its order-q part — and recover the signer's position without interacting
 with the signer.
 
-``well_formed`` is the one judge of a (ring, signature) pair's form:
-``verify`` words its refusal for a signature and the bulletin board for a
-handed bid, and whether a point lies in G_n is ``pair``'s separate refusal.
+``well_formed`` is the one judge of a (ring, signature) pair's form, the
+ring's order, distinctness and non-emptiness included: ``verify`` words its
+refusal for a signature and the bulletin board for a handed bid, and
+whether a point lies in G_n is ``pair``'s separate refusal.
 """
 
 from __future__ import annotations
@@ -259,27 +260,34 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
 def well_formed(group: PairingGroup, ring: object, sig: object) -> bool:
     """``ring`` is a ``Ring`` with tuple keys and ``sig`` a ``RingSignature``
     with a tuple of one ``MemberProof`` per key, every point canonical
-    (``is_on_curve``, which is total, so nothing raises), and the ring's
-    encodings are its keys' own: the message hash binds the encodings and
-    the equations pair over the keys, so the two must name the same points."""
-    return (isinstance(ring, Ring) and isinstance(sig, RingSignature)
-            and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
-            and all(isinstance(member, MemberProof) for member in sig.members)
-            and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
-                point for member in sig.members for point in (member.commit, member.proof)))))
-            and ring.encodings == tuple(map(group.encode_point, ring.keys)))
+    (``is_on_curve``, which is total), and the ring's encodings are its
+    keys' own, at least one and strictly increasing, as ``Ring`` makes them
+    and a replay reads them: the message hash binds the encodings and the
+    equations pair over the keys, so the two must name the same points.  An
+    instance missing an attribute is refused too, so nothing raises."""
+    try:
+        return (isinstance(ring, Ring) and isinstance(sig, RingSignature)
+                and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
+                and all(isinstance(member, MemberProof) for member in sig.members)
+                and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
+                    point for member in sig.members for point in (member.commit, member.proof)))))
+                and ring.encodings == tuple(map(group.encode_point, ring.keys)) and len(ring) > 0
+                and all(left < right for left, right in zip(ring.encodings, ring.encodings[1:])))
+    except AttributeError:
+        return False
 
 
 def verify(pp: PublicParams, ring: Ring, message: bytes, sig: RingSignature) -> VerifyResult:
     """Public verification; returns acceptance or the first failure reason.
 
-    A (ring, signature) pair that ``well_formed`` refuses is "malformed: not
-    a signature of canonical points", before any equation.  Then each member
-    proof must show that its commitment is the member's offset key or
-    nothing, blinded in the order-q component, and the main equation binds
-    the commitments to the message.  A commitment, s1 or s2 outside G_n is
-    "malformed" too (``pair`` refuses it): verify never raises.  Member
-    proofs must lie in G_n too, which is not checked here.
+    A (ring, signature) pair that ``well_formed`` refuses, a ring out of
+    canonical order or an instance missing an attribute included, is
+    "malformed: not a signature of canonical points", before any equation.
+    Then each member proof must show that its commitment is the member's
+    offset key or nothing, blinded in the order-q component, and the main
+    equation binds the commitments to the message.  A commitment, s1 or s2
+    outside G_n is "malformed" too (``pair`` refuses it): verify never
+    raises.  Member proofs must lie in G_n too, which is not checked here.
     """
     grp = pp.group
     if not well_formed(grp, ring, sig):

@@ -514,9 +514,7 @@ class TestAdmission:
 ADMISSION_REASONS = {
     "unknown-auction", "price-not-monotonic", BID_REPOSTED, BID_AFTER_WINNER,
     RING_KEY_INACTIVE, "non-positive price", NOT_CANONICAL,
-    *(UNREADABLE + words for words in (
-        "ring keys must be distinct", "a ring needs at least one key",
-        *(f"{field} is not an int in range" for field in ("auction_id", "round", "price")))),
+    *(UNREADABLE + f"{field} is not an int in range" for field in ("auction_id", "round", "price")),
 }
 # Where a hostile value may stand in a Bid: a field, or one part.
 FIELDS = ("auction_id", "round_no", "price")

@@ -30,7 +30,17 @@ from ringauction.registry import (
     encode_bid_message,
     make_registration,
 )
-from ringauction.ringsig import BidderKeyPair, Ring, VerifyResult, keygen, setup, sign, verify
+from ringauction.ringsig import (
+    BidderKeyPair,
+    MemberProof,
+    Ring,
+    RingSignature,
+    VerifyResult,
+    keygen,
+    setup,
+    sign,
+    verify,
+)
 
 from .support import NOT_CANONICAL, NOT_WELL_FORMED
 
@@ -124,6 +134,15 @@ def with_key(ring, old, new):
     return hostile
 
 
+def rewritten(ring, keys):
+    """A copy of ``ring`` holding ``keys`` as given, in their order, and
+    their own encodings: ``Ring`` itself sorts its keys and refuses a repeat
+    or none."""
+    hostile = Ring(ring.group, ring.keys)
+    hostile.keys, hostile.encodings = tuple(keys), tuple(map(ring.group.encode_point, keys))
+    return hostile
+
+
 def test_admission_refuses_a_twin_ring_key(world, live):
     key = world.keys[1].pub_key
     good = Ring(world.grp, [world.keys[0].pub_key, key, world.keys[2].pub_key])
@@ -185,6 +204,26 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     assert live.am.determine_winner(1) == posted.seq
 
 
+@pytest.mark.parametrize("form", ("reversed", "repeated"))
+def test_a_ring_out_of_canonical_order_is_refused(world, live, form):
+    # Keys and encodings edited together still name the same points, and a
+    # bidder can sign over them: the message hash binds the encodings as
+    # given.  Only sorted, distinct encodings are the ring's canonical
+    # form, which a replay reads, so verify and admission both refuse it.
+    ring = Ring(world.grp, [kp.pub_key for kp in world.keys[:3]])
+    keys = ring.keys[::-1] if form == "reversed" else (ring[0], ring[0], ring[2])
+    hostile = rewritten(ring, keys)
+    signer = next(kp for kp in world.keys if kp.pub_key == ring[2])
+    message = encode_bid_message(1, 0, 20)
+    sig = sign(world.pp, hostile, signer, message, live.rng)
+    assert verify(world.pp, hostile, message, sig) == VerifyResult(False, NOT_WELL_FORMED)
+    bid = Bid(auction_id=1, round_no=0, price=20, ring=hostile, signature=sig)
+    assert live.am.admit_bid(bid).reason == NOT_CANONICAL
+    assert len(live.board.entries()) == 5
+    posted = live.am.admit_bid(honest_bid(world, live.rng, 10))
+    assert live.am.determine_winner(1) == posted.seq
+
+
 def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
     # The fold keeps its own Ring of a posted bid's keys.
     bid = honest_bid(world, live.rng, 10)
@@ -232,11 +271,20 @@ def hostile(point, ell):
 @example(part="members", at=0, pick=0)  # a list of members
 @example(part="key", at=1, pick=6)  # a ring key written (x, y + ell)
 @example(part="key", at=0, pick=8)  # another registered key, the encodings kept
+@example(part="ring", at=0, pick=5)  # keys and encodings reversed together
+@example(part="ring", at=0, pick=6)  # a key written twice, in keys and encodings
+@example(part="members", at=0, pick=5)  # no members over an emptied ring
+@example(part="ring", at=0, pick=7)  # a Ring with no attributes
+@example(part="ring", at=0, pick=8)  # a Ring whose encodings are deleted
+@example(part="signature", at=0, pick=9)  # a RingSignature with no attributes
+@example(part="members", at=0, pick=4)  # a MemberProof with no attributes
 def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at, pick):
     # One edit of the bid's ring or signature: ``pick`` chooses the value.
     # Every hostile value but O spoils the form (any edited ring key does,
-    # O included), and then verify reads NOT_WELL_FORMED exactly when
-    # admission reads NOT_CANONICAL; neither raises and nothing is posted.
+    # O included, as does a ring out of canonical order or an instance
+    # missing an attribute), and then verify reads NOT_WELL_FORMED exactly
+    # when admission reads NOT_CANONICAL; neither raises and nothing is
+    # posted.
     am, bid = form_probe
     pp, ell = am.board.pp, am.board.group.ell
     ring, sig, members = bid.ring, bid.signature, list(bid.signature.members)
@@ -257,15 +305,24 @@ def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at
         members[at] = replace(members[at], **{part: value})
         sig = replace(sig, members=tuple(members))
     elif part == "members":
-        value = choose(("a list", "one too few", "one too many", "no proof"))
+        value = choose(("a list", "one too few", "one too many", "no proof", "a bare proof",
+                        "none, over no keys"))
         sig = replace(sig, members={
             "a list": members,
             "one too few": tuple(members[:-1]),
             "one too many": (*members, members[at]),
             "no proof": (*members[:at], (members[at].commit, members[at].proof), *members[at + 1:]),
+            "a bare proof": (*members[:at], object.__new__(MemberProof), *members[at + 1:]),
+            "none, over no keys": (),
         }[value])
+        if value == "none, over no keys":
+            ring = rewritten(ring, ())
     else:
-        value = choose([None, 5, "ab", tuple(members), ring.keys])
+        stripped = Ring(ring.group, ring.keys)
+        del stripped.encodings
+        value = choose([None, 5, "ab", tuple(members), ring.keys, rewritten(ring, ring.keys[::-1]),
+                        rewritten(ring, (ring[0], ring[0], ring[2])), Ring.__new__(Ring), stripped,
+                        object.__new__(RingSignature)])
         ring, sig = (value, sig) if part == "ring" else (ring, value)
     malformed = part in ("key", "members", "ring", "signature") or value is not None
     before = am.board.entries()
