@@ -133,11 +133,12 @@ class AuctionManager:
     def admit_bid(self, bid: Bid) -> AdmitResult:
         """Post the bid, or refuse it.  The manager words only its two
         policies, ``unknown-auction`` then ``price-not-monotonic``, for a
-        ``Bid`` whose auction id and price are ``int``s.  The board words a
-        bid's form: anything else goes to ``BulletinBoard.append`` as a bid
-        that meets them does, and a refusal there reads the board's
+        ``Bid`` of exact type whose auction id and price are ``int``s.  The
+        board words a bid's form: anything else goes to ``BulletinBoard.append``
+        as a bid that meets them does, and a refusal there reads the board's
         ``MalformedBoard.reason``, as ``ringauction verify`` words it."""
-        if isinstance(bid, Bid) and type(bid.auction_id) is type(bid.price) is int:
+        if (type(bid) is Bid and type(getattr(bid, "auction_id", None)) is int
+                and type(getattr(bid, "price", None)) is int):
             state = self._auctions.get(bid.auction_id)
             if state is None:
                 return AdmitResult(False, reason="unknown-auction")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Container, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
@@ -117,10 +117,10 @@ def make_registration(x: int, pub_key: Point, identity: bytes,
 
 def verify_registration(pub_key: Point, identity: bytes,
                         proof: RegistrationProof, group: PairingGroup) -> bool:
-    """Recompute the commitment as [b]g - [a]pub_key and re-derive the hash."""
-    if pub_key is None or not group.is_on_curve(pub_key):
-        return False
-    if not (isinstance(proof, RegistrationProof) and type(proof.a_resp) is type(proof.b_resp) is int
+    """Recompute [b]g - [a]pub_key, re-derive the hash; exact types only."""
+    if not (pub_key is not None and group.is_on_curve(pub_key)
+            and type(identity) is bytes and type(proof) is RegistrationProof
+            and type(getattr(proof, "a_resp", None)) is type(getattr(proof, "b_resp", None)) is int
             and 0 <= proof.a_resp < group.n and 0 <= proof.b_resp < group.n):
         return False
     (commitment,) = group.to_affine(group.add_jac(
@@ -215,22 +215,22 @@ def read_bid_head(group, data: bytes, known: Container[bytes] = ()) -> BidHead:
 
 
 def _head_of(group, handed: object) -> tuple[BidHead, Bid, bytes]:
-    # read_bid_head's verdict, read from a handed object: a Bid whose ring
-    # and signature ringsig.well_formed takes (the one judge of their form,
-    # which verify words for a signature), judged before anything is encoded
-    # so that no interpreter error becomes a reason.  The board keeps its
-    # own Ring of the keys; a field out of range keeps its ValueError's words.
-    ring, sig = (handed.ring, handed.signature) if isinstance(handed, Bid) else (None, None)
+    # read_bid_head's verdict on a handed object: a Bid of exact type (a
+    # missing field reads None) whose ring and signature ringsig.well_formed
+    # takes, judged before anything is encoded so that no interpreter error
+    # becomes a reason.  The board keeps its own Bid and Ring of the keys; a
+    # field out of range keeps its ValueError's words.
+    *message, ring, sig = (getattr(handed, field.name, None) if type(handed) is Bid else None
+                           for field in fields(Bid))
     if not well_formed(group, ring, sig):
         raise MalformedBid("not a bid of canonical points")
-    bid = replace(handed, ring=Ring(group, ring.keys))
+    bid = Bid(*message, Ring(group, ring.keys), sig)
     try:
         payload = serialize_bid_payload(bid)
     except ValueError as exc:
         raise MalformedBid(str(exc)) from exc
-    head = BidHead(bid.auction_id, bid.round_no, bid.price, bid.ring.encodings,
-                   payload[BID_MESSAGE_LEN + 4 + len(bid.ring) * group.point_bytes:])
-    return head, bid, payload
+    start = BID_MESSAGE_LEN + 4 + len(ring) * group.point_bytes  # where the signature starts
+    return BidHead(*message, bid.ring.encodings, payload[start:]), bid, payload
 
 
 def decode_bid(group, head: BidHead, decode_key: Callable[[bytes], Point]) -> Bid:
@@ -263,10 +263,9 @@ class BulletinBoard:
       names, verify, be its auction's first and be the auction's ``leader``
       (``winners``).
 
-    A bid may be handed to ``append`` as its ``Bid``, whose parts the fold
-    checks typed and canonical in place of reading bytes, and which it
-    encodes once; ell must be prime, as the byte check is exact only then.
-    Any other record's payload must be ``bytes``.
+    A bid may be handed to ``append`` as its ``Bid``, checked typed and
+    canonical in place of reading bytes and encoded once; ell must be
+    prime, as the byte check is exact only then.
     ``entries`` (the stored pairs, as the harness's transcript reader yields
     them), ``active_keys`` and ``active_view`` hand out snapshots.
     """
@@ -286,11 +285,14 @@ class BulletinBoard:
         self._decode_key = functools.cache(self.group.decode_point)  # each ring key once
 
     def append(self, kind: str, payload: bytes | Bid) -> int:
-        """Fold the next record and store it; its seq.  A bid payload that is
-        not ``bytes`` is read as a handed ``Bid``: the board words a bid's
+        """Fold the next record and store it; its seq.  The kind is an exact
+        ``str`` of ``ENTRY_KINDS``, else ValueError, and the payload exact
+        ``bytes`` or, for a bid, an exact ``Bid``: the board words a bid's
         form, the auction manager only its policies."""
         seq = len(self._entries)
-        if kind != BID_POSTED and kind in ENTRY_KINDS and not isinstance(payload, bytes):
+        if type(kind) is not str or kind not in ENTRY_KINDS:
+            raise ValueError(f"unknown entry kind {kind!r}")
+        if kind != BID_POSTED and type(payload) is not bytes:
             raise MalformedBoard(f"{kind} payload is not bytes", seq=seq)
         if kind == KEY_PUBLISHED:
             try:
@@ -312,7 +314,7 @@ class BulletinBoard:
             self._evicted.add(payload)
         elif kind == BID_POSTED:
             try:
-                if isinstance(payload, bytes):
+                if type(payload) is bytes:
                     head, bid = read_bid_head(self.group, payload, self.active), None
                 else:
                     head, bid, payload = _head_of(self.group, payload)
@@ -348,8 +350,6 @@ class BulletinBoard:
                 raise MalformedBoard("a better verifying bid exists than the announced winner",
                                      seq=seq)
             self.winners[head.auction_id] = (head.auction_id, ref, head.price)
-        else:
-            raise ValueError(f"unknown entry kind {kind!r}")
         self._entries.append((kind, payload))
         return seq
 
@@ -410,14 +410,14 @@ class RegistrationManager:
         self._registered: set[bytes] = set()  # the table's identities
 
     def register(self, pub_key: Point, identity: bytes, proof: RegistrationProof) -> int:
-        """Verify the possession proof, publish the key, store the identity.
-
-        Returns the board sequence number of the key publication.
-        """
+        """Verify the possession proof, publish the key, store the identity;
+        the board sequence number of the key publication.  InvalidProof
+        unless the identity is non-empty ``bytes`` and the proof a
+        ``RegistrationProof`` of two ``int``s, each of exact type."""
         group = self.board.group
         if pub_key is None:
             raise InvalidProof("the identity point cannot be registered")
-        if not isinstance(identity, bytes) or not identity:
+        if type(identity) is not bytes or not identity:
             raise InvalidProof("identity must be non-empty bytes")
         # Order sanity: the key must live in the subgroup of exponent n.
         if not group.in_group(pub_key):

@@ -123,10 +123,7 @@ class Ring:
         return key in self.keys
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ring) and self.encodings == other.encodings
-
-    def __hash__(self) -> int:
-        return hash(self.encodings)
+        return type(self) is type(other) is Ring and self.encodings == other.encodings
 
     def encoded(self) -> bytes:
         """4-byte big-endian key count, then the sorted point encodings."""
@@ -135,8 +132,8 @@ class Ring:
 
 def canonical_encode(message: bytes, ring: Ring) -> bytes:
     """Injective binding of (message, ring): length-prefixed message followed
-    by the sorted ring encoding."""
-    return len(message).to_bytes(8, "big") + message + ring.encoded()
+    by the sorted ring encoding, ``Ring``'s own, never an instance's."""
+    return len(message).to_bytes(8, "big") + message + Ring.encoded(ring)
 
 
 @dataclass(frozen=True)
@@ -258,20 +255,22 @@ def sign(pp: PublicParams, ring: Ring, keypair: BidderKeyPair, message: bytes,
 
 
 def well_formed(group: PairingGroup, ring: object, sig: object) -> bool:
-    """``ring`` is a ``Ring`` with tuple keys and ``sig`` a ``RingSignature``
-    with a tuple of one ``MemberProof`` per key, every point canonical
-    (``is_on_curve``, which is total), and the ring's encodings are its
+    """``ring`` is a ``Ring`` with a tuple of keys and one of ``bytes``
+    encodings, and ``sig`` a ``RingSignature`` with a tuple of one
+    ``MemberProof`` per key, each of exact type (no subclass), every point
+    canonical (``is_on_curve``, which is total), and the encodings are the
     keys' own, at least one and strictly increasing, as ``Ring`` makes them
     and a replay reads them: the message hash binds the encodings and the
-    equations pair over the keys, so the two must name the same points.  An
-    instance missing an attribute is refused too, so nothing raises."""
+    equations pair over the keys.  A missing attribute is refused too."""
     try:
-        return (isinstance(ring, Ring) and isinstance(sig, RingSignature)
-                and type(ring.keys) is type(sig.members) is tuple and len(sig.members) == len(ring)
-                and all(isinstance(member, MemberProof) for member in sig.members)
+        return (type(ring) is Ring and type(sig) is RingSignature
+                and type(ring.keys) is type(ring.encodings) is type(sig.members) is tuple
+                and len(sig.members) == len(ring) > 0
+                and all(type(member) is MemberProof for member in sig.members)
+                and all(type(encoding) is bytes for encoding in ring.encodings)
                 and all(map(group.is_on_curve, (*ring, sig.s1, sig.s2, *(
                     point for member in sig.members for point in (member.commit, member.proof)))))
-                and ring.encodings == tuple(map(group.encode_point, ring.keys)) and len(ring) > 0
+                and ring.encodings == tuple(map(group.encode_point, ring.keys))
                 and all(left < right for left, right in zip(ring.encodings, ring.encodings[1:])))
     except AttributeError:
         return False

@@ -282,6 +282,17 @@ NOT_CANONICAL = UNREADABLE + "not a bid of canonical points"
 NOT_WELL_FORMED = "malformed: not a signature of canonical points"
 
 
+class Fresh(bytes):
+    """Bytes that hash by id and equal only themselves, so no set or dict
+    of bytes finds one: a door that takes a ``bytes`` subclass would let it
+    past every "seen before" rule."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
 # The components of a ring-of-3 signature, as named by ``off_curve``.
 RING3_COMPONENTS = ("s1", "s2", "commit0", "commit1", "commit2", "proof0", "proof1", "proof2")
 

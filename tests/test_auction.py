@@ -59,6 +59,7 @@ from .support import (
     NOT_CANONICAL,
     RING3_COMPONENTS,
     UNREADABLE,
+    Fresh,
     eager_verify_transcript,
     forged_signature,
     naive_add,
@@ -531,6 +532,10 @@ PARTS = {
 }
 
 
+class SubBid(Bid):
+    """A ``Bid`` subclass, which could override any of its methods."""
+
+
 @pytest.fixture(scope="module")
 def hostile_admission(setup16, keys16):
     """A manager over a board holding the five keys, with auction 1 (prices
@@ -538,7 +543,9 @@ def hostile_admission(setup16, keys16):
     bid at 10 for each whose ring holds a key the board never published, so
     the board refuses any of its variants that it reads; and the hostile
     pool: values of the wrong type, point twins out of range, a list of a
-    point's coordinates, a MemberProof and another ring's keys."""
+    point's coordinates, a MemberProof, another ring's keys, a Bid with no
+    attributes, a Bid subclass of a bid the board would post, and a bytes
+    subclass copy of the posted bid's payload."""
     pp, tk = setup16
     board = BulletinBoard(pp)
     rm, am, rng = RegistrationManager(board), AuctionManager(tk, board), random.Random(99)
@@ -554,7 +561,9 @@ def hostile_admission(setup16, keys16):
     bases = [agent.place_bid(auction_id, 0, 10, ring, rng) for auction_id in (1, 2)]
     (x, y), ell = bases[0].signature.s1, pp.group.ell
     pool = [None, 5, 1.5, True, "ab", (1, 2, 3), (x + ell, y), (x - ell, y), [x, y],
-            bases[0].signature.members[0], everyone.keys]
+            bases[0].signature.members[0], everyone.keys, object.__new__(Bid),
+            SubBid(**vars(agent.place_bid(1, 0, 10, everyone, rng))),
+            Fresh(board.entries()[-1][1])]
     return am, bases, pool
 
 
@@ -565,18 +574,32 @@ def test_admission_refuses_hostile_input_in_closed_words(hostile_admission, data
     # with hostile fields or parts, and refuses it with a reason from the
     # closed set: no interpreter error text.
     am, bases, pool = hostile_admission
+
+    def hostile():
+        # Drawn by index: hypothesis prints each draw, and a bare Bid has no repr.
+        return pool[data.draw(st.integers(0, len(pool) - 1))]
+
     if data.draw(st.booleans()):
-        handed = data.draw(st.sampled_from(pool))
+        handed = hostile()
     else:
         handed = data.draw(st.sampled_from(bases))
         for field in data.draw(st.sets(st.sampled_from(FIELDS))):
-            handed = replace(handed, **{field: data.draw(st.sampled_from(pool))})
+            handed = replace(handed, **{field: hostile()})
         part = data.draw(st.sampled_from([None, *PARTS]))
         if part is not None:
-            handed = PARTS[part](handed, data.draw(st.sampled_from(pool)))
+            handed = PARTS[part](handed, hostile())
     before = am.board.entries()
     result = am.admit_bid(handed)
     assert not result and result.reason in ADMISSION_REASONS, result.reason
+    assert am.board.entries() == before
+
+
+def test_a_bid_subclass_reads_the_boards_words(hostile_admission):
+    # The manager applies its policies to an exact Bid alone: a subclass,
+    # even one for an auction it does not run, is the board's to refuse.
+    am, bases, _ = hostile_admission
+    before = am.board.entries()
+    assert am.admit_bid(SubBid(**{**vars(bases[0]), "auction_id": 3})).reason == NOT_CANONICAL
     assert am.board.entries() == before
 
 

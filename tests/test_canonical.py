@@ -204,15 +204,61 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     assert live.am.determine_winner(1) == posted.seq
 
 
-@pytest.mark.parametrize("form", ("reversed", "repeated"))
+class EqualsAnything(tuple):
+    """A tuple that equals anything."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return True
+
+
+class Disguised(Ring):
+    """A ``Ring`` whose ``encoded()`` is another ring's, ``disguise``."""
+
+    def encoded(self):
+        return self.disguise.encoded()
+
+
+class PlainBytes(bytes):
+    """A ``bytes`` subclass that overrides nothing."""
+
+
+class SubSignature(RingSignature):
+    """A ``RingSignature`` subclass that overrides nothing."""
+
+
+class SubProof(MemberProof):
+    """A ``MemberProof`` subclass that overrides nothing."""
+
+
+def disguised(ring, other, form):
+    """``ring`` made to hash ``other``'s encoding: its encodings swapped for
+    other's in a tuple that equals anything, or as a ``Disguised``."""
+    if form == "equal-to-anything":
+        hostile = Ring(ring.group, ring.keys)
+        hostile.encodings = EqualsAnything(other.encodings)
+    else:
+        hostile = Disguised(ring.group, ring.keys)
+        hostile.disguise = other
+    return hostile
+
+
+@pytest.mark.parametrize("form", ("reversed", "repeated", "equal-to-anything", "subclass"))
 def test_a_ring_out_of_canonical_order_is_refused(world, live, form):
     # Keys and encodings edited together still name the same points, and a
     # bidder can sign over them: the message hash binds the encodings as
     # given.  Only sorted, distinct encodings are the ring's canonical
     # form, which a replay reads, so verify and admission both refuse it.
+    # So are the two forms that made the hash bind another ring's encoding
+    # (``disguised``): signed over, they verified and were posted, and the
+    # board's own Ring of the keys failed the bid at the main equation.
     ring = Ring(world.grp, [kp.pub_key for kp in world.keys[:3]])
-    keys = ring.keys[::-1] if form == "reversed" else (ring[0], ring[0], ring[2])
-    hostile = rewritten(ring, keys)
+    if form in ("reversed", "repeated"):
+        keys = ring.keys[::-1] if form == "reversed" else (ring[0], ring[0], ring[2])
+        hostile = rewritten(ring, keys)
+    else:
+        hostile = disguised(ring, Ring(world.grp, [kp.pub_key for kp in world.keys[1:]]), form)
     signer = next(kp for kp in world.keys if kp.pub_key == ring[2])
     message = encode_bid_message(1, 0, 20)
     sig = sign(world.pp, hostile, signer, message, live.rng)
@@ -222,6 +268,19 @@ def test_a_ring_out_of_canonical_order_is_refused(world, live, form):
     assert len(live.board.entries()) == 5
     posted = live.am.admit_bid(honest_bid(world, live.rng, 10))
     assert live.am.determine_winner(1) == posted.seq
+
+
+def test_an_attribute_of_a_ring_changes_nothing_hashed(world, live):
+    # canonical_encode hashes Ring's own encoding, so an ``encoded`` set on
+    # the instance is never called: sign, verify and the board's own Ring
+    # hash the same bytes, and verify and the board agree.
+    ring = Ring(world.grp, [kp.pub_key for kp in world.keys[:3]])
+    ring.encoded = Ring(world.grp, [kp.pub_key for kp in world.keys[1:]]).encoded
+    message = encode_bid_message(1, 0, 20)
+    sig = sign(world.pp, ring, world.keys[0], message, live.rng)
+    assert verify(world.pp, ring, message, sig)
+    posted = live.am.admit_bid(Bid(auction_id=1, round_no=0, price=20, ring=ring, signature=sig))
+    assert live.board.verified(posted.seq)
 
 
 def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
@@ -267,7 +326,7 @@ def hostile(point, ell):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(part=st.sampled_from(("key", "s1", "s2", "commit", "proof", "members", "ring",
                              "signature")),
-       at=st.integers(0, 2), pick=st.integers(0, 9))
+       at=st.integers(0, 2), pick=st.integers(0, 13))
 @example(part="members", at=0, pick=0)  # a list of members
 @example(part="key", at=1, pick=6)  # a ring key written (x, y + ell)
 @example(part="key", at=0, pick=8)  # another registered key, the encodings kept
@@ -278,13 +337,18 @@ def hostile(point, ell):
 @example(part="ring", at=0, pick=8)  # a Ring whose encodings are deleted
 @example(part="signature", at=0, pick=9)  # a RingSignature with no attributes
 @example(part="members", at=0, pick=4)  # a MemberProof with no attributes
+@example(part="ring", at=0, pick=10)  # another ring's encodings, equal to anything
+@example(part="ring", at=0, pick=11)  # a Ring subclass hashing another ring's encoding
+@example(part="ring", at=0, pick=12)  # a bytes subclass among the encodings
+@example(part="signature", at=0, pick=13)  # a RingSignature subclass
+@example(part="members", at=0, pick=6)  # a MemberProof subclass
 def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at, pick):
     # One edit of the bid's ring or signature: ``pick`` chooses the value.
     # Every hostile value but O spoils the form (any edited ring key does,
-    # O included, as does a ring out of canonical order or an instance
-    # missing an attribute), and then verify reads NOT_WELL_FORMED exactly
-    # when admission reads NOT_CANONICAL; neither raises and nothing is
-    # posted.
+    # O included, as does a ring out of canonical order, an instance missing
+    # an attribute, and a subclass of any part's type), and then verify
+    # reads NOT_WELL_FORMED exactly when admission reads NOT_CANONICAL;
+    # neither raises and nothing is posted.
     am, bid = form_probe
     pp, ell = am.board.pp, am.board.group.ell
     ring, sig, members = bid.ring, bid.signature, list(bid.signature.members)
@@ -306,7 +370,7 @@ def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at
         sig = replace(sig, members=tuple(members))
     elif part == "members":
         value = choose(("a list", "one too few", "one too many", "no proof", "a bare proof",
-                        "none, over no keys"))
+                        "none, over no keys", "a subclass proof"))
         sig = replace(sig, members={
             "a list": members,
             "one too few": tuple(members[:-1]),
@@ -314,15 +378,21 @@ def test_verify_and_admission_refuse_the_same_forms(form_probe, keys16, part, at
             "no proof": (*members[:at], (members[at].commit, members[at].proof), *members[at + 1:]),
             "a bare proof": (*members[:at], object.__new__(MemberProof), *members[at + 1:]),
             "none, over no keys": (),
+            "a subclass proof": (*members[:at], SubProof(members[at].commit, members[at].proof),
+                                 *members[at + 1:]),
         }[value])
         if value == "none, over no keys":
             ring = rewritten(ring, ())
     else:
-        stripped = Ring(ring.group, ring.keys)
+        stripped, subbytes = Ring(ring.group, ring.keys), Ring(ring.group, ring.keys)
         del stripped.encodings
+        subbytes.encodings = (PlainBytes(ring.encodings[0]), *ring.encodings[1:])
+        other = Ring(ring.group, [kp.pub_key for kp in keys16[2:]])
         value = choose([None, 5, "ab", tuple(members), ring.keys, rewritten(ring, ring.keys[::-1]),
                         rewritten(ring, (ring[0], ring[0], ring[2])), Ring.__new__(Ring), stripped,
-                        object.__new__(RingSignature)])
+                        object.__new__(RingSignature), disguised(ring, other, "equal-to-anything"),
+                        disguised(ring, other, "subclass"), subbytes,
+                        SubSignature(sig.s1, sig.s2, sig.members)])
         ring, sig = (value, sig) if part == "ring" else (ring, value)
     malformed = part in ("key", "members", "ring", "signature") or value is not None
     before = am.board.entries()

@@ -1,12 +1,15 @@
 """Every module-level import in the package and its tests is used by its
-module, every private helper of the package is used by the package, and the
-package imports nothing outside the standard library.
+module, every private helper of the package is used by the package, the
+package imports nothing outside the standard library, and it names no
+``isinstance``.
 
 A deletion that leaves an import behind fails here.  Names listed in a
 module's ``__all__`` count as used, so the package root may import only to
 re-export.  A private function or method (one leading underscore) that no
 code in ``src/`` names outside its own body fails too, so an unused helper
-cannot land.
+cannot land.  A door of the package tests a handed object's type exactly,
+``type(x) is T``: ``isinstance`` (or ``issubclass``) would let a subclass in,
+whose methods a door would then run.
 """
 
 import ast
@@ -107,3 +110,23 @@ def test_the_check_sees_a_non_stdlib_import():
               "from .group import mul\ndef f():\n    import numpy as np\n"
               "    from hypothesis import given\n")
     assert outside_imports(source) == ["line 6: numpy", "line 7: hypothesis"]
+
+
+def subclass_tests(source: str) -> list[str]:
+    """Each name ``isinstance`` or ``issubclass`` anywhere in ``source``,
+    called or not."""
+    names = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name) and node.id in ("isinstance", "issubclass")]
+    return [f"line {node.lineno}: {node.id}" for node in sorted(names, key=lambda node: node.lineno)]
+
+
+def test_src_tests_types_exactly():
+    assert [f"{path.name} {found}" for path in sorted(PACKAGE.glob("*.py"))
+            for found in subclass_tests(path.read_text())] == []
+
+
+def test_the_check_sees_a_subclass_test():
+    source = ("def f(x):\n    return type(x) is int\n"
+              "def g(x):\n    return isinstance(x, int)\n"
+              "check = issubclass\n")
+    assert subclass_tests(source) == ["line 4: isinstance", "line 5: issubclass"]

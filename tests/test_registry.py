@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from ringauction.auction import AuctionManager, BidderAgent
 from ringauction.cli import main
 from ringauction.group import OpCounter, count_ops, gen_group_params
 from ringauction.harness import (
@@ -20,6 +21,7 @@ from ringauction.registry import (
     KEY_EVICTED,
     KEY_PUBLISHED,
     KEY_WAS_EVICTED,
+    RING_KEY_INACTIVE,
     WINNER_ANNOUNCED,
     AlreadyEvicted,
     BulletinBoard,
@@ -28,15 +30,15 @@ from ringauction.registry import (
     MalformedBoard,
     RegistrationManager,
     RegistrationProof,
-    RegistryError,
     UnknownKey,
     make_registration,
     verify_registration,
 )
-from ringauction.ringsig import setup
+from ringauction.ringsig import Ring, keygen, setup
 
 from .support import (
     NOT_CANONICAL,
+    Fresh,
     all_curve_points,
     eager_verify_transcript,
     naive_add,
@@ -58,6 +60,19 @@ def oracle_verify(pub_key, identity, proof, group):
     return proof.a_resp == group.hash_to_zn(statement)
 
 
+class SubProof(RegistrationProof):
+    """A ``RegistrationProof`` subclass that overrides nothing."""
+
+
+class SameAsAnyStr(str):
+    """A ``str`` that equals anything."""
+
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        return True
+
+
 # Hostile stand-ins for the identity or the proof of an honest registration
 # of b"alice", by name.
 HOSTILE_REGISTRATIONS = {
@@ -66,6 +81,9 @@ HOSTILE_REGISTRATIONS = {
     "identity 'alice'": lambda proof: ("alice", proof),
     "identity 5": lambda proof: (5, proof),
     "identity bytearray": lambda proof: (bytearray(b"alice"), proof),
+    "identity Fresh(b'alice')": lambda proof: (Fresh(b"alice"), proof),
+    "proof with no attributes": lambda proof: (b"alice", object.__new__(RegistrationProof)),
+    "proof of a subclass": lambda proof: (b"alice", SubProof(proof.a_resp, proof.b_resp)),
 }
 
 
@@ -190,9 +208,14 @@ class TestBulletinBoard:
         kinds = [kind for kind, _ in board.entries()]
         assert kinds == [KEY_PUBLISHED, KEY_PUBLISHED, KEY_EVICTED]
 
-    def test_append_rejects_unknown_kind(self, board):
-        with pytest.raises(ValueError):
+    def test_append_rejects_unknown_kind(self, board, keys):
+        # The kind is an exact str of ENTRY_KINDS: a str subclass equal to
+        # every kind is unknown too, and stores nothing.
+        with pytest.raises(ValueError, match="^unknown entry kind 'gossip'$"):
             board.append("gossip", b"x")
+        with pytest.raises(ValueError, match="^unknown entry kind 'junk'$"):
+            board.append(SameAsAnyStr("junk"), keys[0])
+        assert board.entries() == () and not board.active
 
     def test_entries_snapshot_is_stable(self, board, keys):
         board.append(KEY_PUBLISHED, keys[0])
@@ -282,19 +305,20 @@ def test_board_and_replay_reject_the_same_key_records(setup16, kind, name, reaso
         assert (report.failing_seq, report.reason) == (1, reason)
 
 
-@pytest.mark.parametrize("payload", ["None", "5", "bytearray", "hex text"])
+@pytest.mark.parametrize("payload", ["None", "5", "bytearray", "hex text", "Fresh"])
 @pytest.mark.parametrize("kind", [KEY_PUBLISHED, KEY_EVICTED, BID_POSTED, WINNER_ANNOUNCED])
 def test_append_refuses_a_payload_that_is_not_bytes(setup16, kind, payload):
     # The board's one write refuses, never raises, and changes nothing: a
     # bid handed as no Bid is no bid of canonical points, and any other
-    # record's payload must be bytes.
+    # record's payload must be bytes of exact type (a Fresh copy of an
+    # active key would pass every set of keys unfound).
     pp, _ = setup16
     (active,) = key_encodings(pp.group, 1)
     board = BulletinBoard(pp)
     board.append(KEY_PUBLISHED, active)
     before = board.entries(), board.active_view()
     handed = {"None": None, "5": 5, "bytearray": bytearray(active),
-              "hex text": active.hex()}[payload]
+              "hex text": active.hex(), "Fresh": Fresh(active)}[payload]
     with pytest.raises(MalformedBoard) as refused:
         board.append(kind, handed)
     reason = NOT_CANONICAL if kind == BID_POSTED else f"{kind} payload is not bytes"
@@ -499,16 +523,19 @@ class TestRegistrationManager:
     @pytest.mark.parametrize("hostile", HOSTILE_REGISTRATIONS, ids=list(HOSTILE_REGISTRATIONS))
     def test_hostile_registration_is_refused(self, setup16, hostile):
         # A proof that is no RegistrationProof of two ints, or an identity
-        # that is not bytes, is refused, never raised, and publishes nothing.
+        # that is not bytes, each of exact type, is refused with
+        # InvalidProof, never raised, and publishes nothing; so does
+        # verify_registration, which reads False.
         group = setup16[0].group
         board = BulletinBoard(setup16[0])
         rng = random.Random(32)
         x, pub = fresh_key(group, rng)
         identity, proof = HOSTILE_REGISTRATIONS[hostile](make_registration(
             x, pub, b"alice", group, rng))
-        with pytest.raises(RegistryError):
+        with pytest.raises(InvalidProof):
             RegistrationManager(board).register(pub, identity, proof)
         assert board.entries() == ()
+        assert verify_registration(pub, identity, proof, group) is False
 
     def test_key_nobody_can_open_is_refused(self, setup16):
         # The weak Fiat-Shamir forgery (Bernhard, Pereira, Warinschi,
@@ -576,7 +603,39 @@ class TestRegistrationManager:
         with pytest.raises(MalformedBoard) as caught:
             board.append(KEY_PUBLISHED, group.encode_point(pub))
         assert (caught.value.seq, caught.value.reason) == (2, KEY_WAS_EVICTED)
+        # A bytes subclass that no set finds is no payload: the board's
+        # evicted set would not have found it.
+        with pytest.raises(MalformedBoard) as caught:
+            board.append(KEY_PUBLISHED, Fresh(group.encode_point(pub)))
+        assert (caught.value.seq, caught.value.reason) == (2, f"{KEY_PUBLISHED} payload is not bytes")
         assert len(board.entries()) == 2 and not board.active
+
+    def test_an_evicted_identity_cannot_return_as_a_bytes_subclass(self, setup16):
+        # Register, evict, register again, bid again: an identity is exact
+        # bytes, so one that no set finds cannot take a second key for an
+        # identity in the table, and the evicted bidder cannot bid again.
+        pp, tk = setup16
+        group, rng = pp.group, random.Random(35)
+        board = BulletinBoard(pp)
+        rm, am = RegistrationManager(board), AuctionManager(tk, board)
+        alice, returner, bob = (keygen(pp, rng) for _ in range(3))
+        for kp, name in ((alice, b"alice"), (bob, b"bob")):
+            rm.register(kp.pub_key, name, make_registration(kp.x, kp.pub_key, name, group, rng))
+        rm.evict(alice.pub_key)
+        before = board.entries()
+        proof = make_registration(returner.x, returner.pub_key, b"alice", group, rng)
+        assert verify_registration(returner.pub_key, b"alice", proof, group)
+        with pytest.raises(InvalidProof, match="^identity must be non-empty bytes$"):
+            rm.register(returner.pub_key, Fresh(b"alice"), proof)
+        assert board.entries() == before
+        with pytest.raises(UnknownKey):
+            rm.lookup_identity(returner.pub_key)
+        am.open_auction(1)
+        ring = Ring(group, [returner.pub_key, bob.pub_key])
+        bid = BidderAgent(returner, board).place_bid(1, 0, 10, ring, rng)
+        assert am.admit_bid(bid).reason == RING_KEY_INACTIVE
+        assert board.entries() == before
+        assert verify_transcript(render_transcript(board)).valid
 
     def test_unknown_key_lookup_and_evict(self, manager, tiny_params):
         rm, _ = manager

@@ -111,6 +111,14 @@ class TestRing:
         assert Ring(pp.group, shuffled) == ring
         assert Ring(pp.group, shuffled).encoded() == ring.encoded()
 
+    def test_a_ring_equals_only_a_ring(self, tiny_setup):
+        # Exact type, both ways: a subclass holding the same keys could
+        # override any method, so a Ring does not take it as equal.
+        _, pp, _ = tiny_setup
+        ring, _ = make_ring(pp, 3, random.Random(23))
+        sub = type("SubRing", (Ring,), {})(pp.group, ring.keys)
+        assert ring != sub and sub != ring and not ring == sub and not sub == ring
+
     def test_sorted_by_encoding(self, tiny_setup):
         _, pp, _ = tiny_setup
         ring, _ = make_ring(pp, 5, random.Random(22))
