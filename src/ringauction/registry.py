@@ -27,6 +27,7 @@ from typing import Callable, Container, NamedTuple
 
 from .group import InvalidPoint, PairingGroup, Point, check_point_bytes
 from .ringsig import (
+    MemberProof,
     PublicParams,
     Ring,
     RingSignature,
@@ -218,13 +219,16 @@ def _head_of(group, handed: object) -> tuple[BidHead, Bid, bytes]:
     # read_bid_head's verdict on a handed object: a Bid of exact type (a
     # missing field reads None) whose ring and signature ringsig.well_formed
     # takes, judged before anything is encoded so that no interpreter error
-    # becomes a reason.  The board keeps its own Bid and Ring of the keys; a
-    # field out of range keeps its ValueError's words.
+    # becomes a reason.  The board keeps only objects it built, as
+    # object.__setattr__ writes through any frozen one the caller still
+    # holds: its own Bid, Ring, RingSignature and MemberProofs of the judged
+    # parts.  A field out of range keeps its ValueError's words.
     *message, ring, sig = (getattr(handed, field.name, None) if type(handed) is Bid else None
                            for field in fields(Bid))
     if not well_formed(group, ring, sig):
         raise MalformedBid("not a bid of canonical points")
-    bid = Bid(*message, Ring(group, ring.keys), sig)
+    bid = Bid(*message, Ring(group, ring.keys), RingSignature(
+        sig.s1, sig.s2, tuple(MemberProof(member.commit, member.proof) for member in sig.members)))
     try:
         payload = serialize_bid_payload(bid)
     except ValueError as exc:
@@ -278,7 +282,7 @@ class BulletinBoard:
         self._evicted: set[bytes] = set()  # the keys that key-evicted records removed
         self.heads: dict[int, BidHead] = {}
         self._ranked: dict[int, list[tuple[int, int]]] = {}  # auction -> sorted (-price, seq)
-        self._bids: dict[int, Bid] = {}  # by seq: handed in, or decoded by ``bid``
+        self._bids: dict[int, Bid] = {}  # by seq: built from a handed Bid, or decoded by ``bid``
         self._posted: set[bytes] = set()  # every posted bid's payload
         self.results: dict[int, VerifyResult] = {}
         self.winners: dict[int, tuple[int, int, int]] = {}
@@ -366,9 +370,10 @@ class BulletinBoard:
                      if self.verified(seq)), None)
 
     def bid(self, seq: int) -> Bid:
-        """The bid posted at ``seq``: the ``Bid`` handed to ``append``, else
-        decoded once, each ring key through the board's key memo.  KeyError
-        if no bid is posted at ``seq``."""
+        """The bid posted at ``seq``, which the board built: from the parts
+        of the ``Bid`` handed to ``append``, never that object or one it
+        holds, else decoded once, each ring key through the board's key
+        memo.  KeyError if no bid is posted at ``seq``."""
         if seq not in self._bids:
             self._bids[seq] = decode_bid(self.group, self.heads[seq], self._decode_key)
         return self._bids[seq]
@@ -435,9 +440,12 @@ class RegistrationManager:
         return seq
 
     def lookup_identity(self, pub_key: Point) -> bytes:
-        """Resolve a published key to its identity (evicted keys stay resolvable)."""
-        identity = self._identities.get(self.board.group.encode_point(pub_key))
-        if identity is None:
+        """Resolve a published key, a canonical point (``is_on_curve``), to
+        its identity (evicted keys stay resolvable); UnknownKey for any other
+        value, so no unreduced twin of a key resolves."""
+        group = self.board.group
+        identity = group.is_on_curve(pub_key) and self._identities.get(group.encode_point(pub_key))
+        if not identity:
             raise UnknownKey("no record for this key")
         return identity
 

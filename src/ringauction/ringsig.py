@@ -123,7 +123,12 @@ class Ring:
         return key in self.keys
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) is Ring and self.encodings == other.encodings
+        # Exact Rings whose encodings are exact tuples of exact bytes, else
+        # unequal: a missing attribute, or a subclass's __eq__, decides nothing.
+        mine = getattr(self, "encodings", None) if type(self) is Ring else None
+        theirs = getattr(other, "encodings", None) if type(other) is Ring else None
+        return (type(mine) is type(theirs) is tuple
+                and all(type(encoding) is bytes for encoding in mine + theirs) and mine == theirs)
 
     def encoded(self) -> bytes:
         """4-byte big-endian key count, then the sorted point encodings."""

@@ -42,7 +42,7 @@ from ringauction.ringsig import (
     verify,
 )
 
-from .support import NOT_CANONICAL, NOT_WELL_FORMED
+from .support import NOT_CANONICAL, NOT_WELL_FORMED, EqualsAnything
 
 COMPONENTS = ("s1", "s2", "commit", "proof")
 
@@ -204,15 +204,6 @@ def test_a_ring_whose_keys_and_encodings_differ_is_refused(world, live, changed)
     assert live.am.determine_winner(1) == posted.seq
 
 
-class EqualsAnything(tuple):
-    """A tuple that equals anything."""
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return True
-
-
 class Disguised(Ring):
     """A ``Ring`` whose ``encoded()`` is another ring's, ``disguise``."""
 
@@ -292,6 +283,25 @@ def test_a_ring_changed_after_posting_changes_nothing_posted(world, live):
     assert live.am.determine_winner(1) == posted.seq
     assert live.board.bid(posted.seq).ring is not bid.ring
     assert live.board.verified(posted.seq)
+
+
+def test_a_signature_changed_after_posting_changes_nothing_posted(world, live):
+    # object.__setattr__ writes through a frozen dataclass, so the fold keeps
+    # only objects it built: its own Ring, RingSignature and MemberProofs.
+    bid = honest_bid(world, live.rng, 10)
+    posted = live.am.admit_bid(bid)
+    grp, sig = world.grp, bid.signature
+    object.__setattr__(sig, "s1", grp.add(sig.s1, grp.g))
+    object.__setattr__(sig.members[1], "commit", grp.add(sig.members[1].commit, grp.g))
+    assert not verify(world.pp, bid.ring, bid.message_bytes(), sig)
+    kept = live.board.bid(posted.seq)
+    assert kept.ring is not bid.ring and kept.signature is not sig
+    assert not any(mine is theirs for mine in kept.signature.members for theirs in sig.members)
+    assert live.board.verified(posted.seq)
+    assert live.am.determine_winner(1) == posted.seq
+    report = verify_transcript(render_transcript(live.board))
+    assert report.valid and report.winners == ((1, posted.seq, 10),)
+    assert report.board.verified(posted.seq)
 
 
 @pytest.fixture(scope="module")

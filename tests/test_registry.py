@@ -647,6 +647,23 @@ class TestRegistrationManager:
         with pytest.raises(UnknownKey):
             rm.evict(stranger)
 
+    @pytest.mark.parametrize("hostile", [
+        lambda x, y, ell: (x, y + 2 * ell), lambda *_: (1.5, 2), lambda *_: (2**200, 1),
+        lambda *_: 3,
+    ], ids=["(x, y + 2*ell)", "(1.5, 2)", "(2**200, 1)", "3"])
+    def test_only_a_canonical_point_is_looked_up_or_evicted(self, manager, tiny_params, hostile):
+        # A key that is no canonical point (is_on_curve) is UnknownKey: the
+        # twin (x, y + 2*ell) encodes as the key itself, and no other value
+        # here encodes at all.
+        rm, board = manager
+        group = tiny_params.group
+        pub, _ = self.register(rm, group, random.Random(29), b"alice")
+        for call in (rm.lookup_identity, rm.evict):
+            with pytest.raises(UnknownKey):
+                call(hostile(*pub, group.ell))
+        assert board.active == {group.encode_point(pub)}
+        assert rm.lookup_identity(pub) == b"alice"
+
     def test_board_text_survives_full_history(self, manager, tiny_params):
         rm, board = manager
         group = tiny_params.group

@@ -40,6 +40,7 @@ from ringauction.ringsig import (
 from .support import (
     NOT_WELL_FORMED,
     RING3_COMPONENTS,
+    EqualsAnything,
     forged_signature,
     naive_add,
     naive_mul,
@@ -118,6 +119,20 @@ class TestRing:
         ring, _ = make_ring(pp, 3, random.Random(23))
         sub = type("SubRing", (Ring,), {})(pp.group, ring.keys)
         assert ring != sub and sub != ring and not ring == sub and not sub == ring
+
+    def test_a_ring_equals_only_by_exact_encodings(self, tiny_setup):
+        # Both sides' encodings must be an exact tuple of exact bytes: a Ring
+        # with none compares unequal and never raises, and encodings that
+        # equal anything, or that are bytes of another type, equal nothing.
+        _, pp, _ = tiny_setup
+        ring, _ = make_ring(pp, 3, random.Random(23))
+        other, _ = make_ring(pp, 2, random.Random(24))
+        assert ring == Ring(pp.group, ring.keys) and ring != other
+        bare, anything, plain = Ring.__new__(Ring), Ring(pp.group, other.keys), Ring(pp.group, ring.keys)
+        anything.encodings = EqualsAnything(anything.encodings)
+        plain.encodings = tuple(type("PlainBytes", (bytes,), {})(e) for e in ring.encodings)
+        for hostile in (bare, anything, plain):
+            assert ring != hostile and hostile != ring and not ring == hostile and not hostile == ring
 
     def test_sorted_by_encoding(self, tiny_setup):
         _, pp, _ = tiny_setup
